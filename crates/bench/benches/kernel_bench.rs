@@ -15,8 +15,9 @@
 //!    `Isa::Scalar` and under the dispatched ISA on identical inputs.
 //!    `--merge-into <BENCH.json>` records the dispatched medians as
 //!    `kernel.*` stages (plus `kernel_speedup_*` config entries) in the
-//!    pipeline baseline; `--require-win` exits non-zero if dot, l1 or
-//!    matmul fail to beat scalar while a SIMD ISA is active.
+//!    pipeline baseline; `--require-win` exits non-zero if dot, l1,
+//!    l1_panel (the kernel the exact top-k scan runs) or matmul fail to
+//!    beat scalar while a SIMD ISA is active.
 
 use largeea_bench::{arg_str, Baseline, StageStat};
 use largeea_common::bench::{Bench, Measurement};
@@ -144,7 +145,13 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     let qb: Vec<i8> = (0..DIM)
         .map(|_| rng.gen_range(-127i32..=127) as i8)
         .collect();
-    let mut y = vec![0.0f32; DIM];
+    // The shape the exact top-k scan hands the panel kernel: 64 base rows
+    // of 128 floats (32 KiB, resident in L1d across iterations).
+    const PANEL_ROWS: usize = 64;
+    let panel: Vec<f32> = (0..PANEL_ROWS * DIM)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let mut scores = [0.0f32; PANEL_ROWS];
     let mm_a = random_dense(&mut rng, N, N);
     let mm_b = random_dense(&mut rng, N, N);
     let pool = Pool::global();
@@ -173,11 +180,18 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     compare(&mut group, "l1", &mut |isa| {
         kernels::l1_distance_on(isa, &a, &b)
     });
-    // alpha = 0 keeps `y` finite across repeated in-place applications
-    // without changing the arithmetic cost.
-    compare(&mut group, "axpy", &mut |isa| {
-        kernels::axpy_on(isa, &mut y, 0.0, &a);
-        y[0]
+    // No `*_on` twin exists for the panel kernel: the scalar side is its
+    // reference semantics (a loop over the scalar per-pair kernel), the
+    // other side the dispatched call the scan makes.
+    compare(&mut group, "l1_panel", &mut |isa| {
+        if isa == Isa::Scalar {
+            for (s, row) in scores.iter_mut().zip(panel.chunks_exact(DIM)) {
+                *s = kernels::scalar::l1_distance(&a, row);
+            }
+        } else {
+            kernels::l1_panel(&a, &panel, DIM, &mut scores);
+        }
+        scores[PANEL_ROWS - 1]
     });
     compare(&mut group, "dot_i8", &mut |isa| {
         kernels::dot_i8_on(isa, &qa, &qb) as f32
@@ -197,6 +211,16 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
             isa.name(),
             c.speedup()
         );
+        if c.name == "l1_panel" {
+            let pairs_per_s = |m: &Measurement| PANEL_ROWS as f64 / (m.median_ns * 1e-9);
+            println!(
+                "kernel.{:<8} {:>8.1} M pairs/s scalar  {:>8.1} M pairs/s {}",
+                c.name,
+                pairs_per_s(&c.scalar) / 1e6,
+                pairs_per_s(&c.dispatched) / 1e6,
+                isa.name()
+            );
+        }
     }
     out
 }
@@ -249,7 +273,9 @@ fn main() {
     if std::env::args().any(|arg| arg == "--require-win") && active_isa() != Isa::Scalar {
         let losers: Vec<&str> = comparisons
             .iter()
-            .filter(|c| matches!(c.name, "dot" | "l1" | "matmul") && c.speedup() <= 1.0)
+            .filter(|c| {
+                matches!(c.name, "dot" | "l1" | "l1_panel" | "matmul") && c.speedup() <= 1.0
+            })
             .map(|c| c.name)
             .collect();
         if !losers.is_empty() {

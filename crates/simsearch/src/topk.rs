@@ -1,8 +1,10 @@
 //! Exact blocked top-k similarity search — the Faiss substitute.
 
 use largeea_common::obs::{Level, Recorder};
-use largeea_tensor::parallel::{par_map_blocks, Pool};
+use largeea_tensor::kernels::{dot_panel, l1_panel};
+use largeea_tensor::parallel::{par_rows_mut, Pool};
 use largeea_tensor::{dot, l1_distance, Matrix};
+use std::ops::Range;
 
 /// Similarity metric for the search. All variants are expressed as
 /// *similarities* (larger is better); distances are negated.
@@ -16,15 +18,16 @@ pub enum Metric {
 }
 
 impl Metric {
-    /// Similarity between two equal-length vectors. Uses the dispatched
-    /// reductions from `largeea-tensor` ([`l1_distance`] / [`dot`]) —
-    /// the scoring loop here dominates SENS wall-clock, and a strict
-    /// sequential FP sum never vectorises.
+    /// Similarity between two equal-length vectors, via the dispatched
+    /// per-pair reductions from `largeea-tensor` ([`l1_distance`] /
+    /// [`dot`]). This is the entry point for callers that score scattered
+    /// pairs (IVF probes, the quantized re-rank, naive test oracles); the
+    /// exact scan scores whole panels through the panel kernels instead,
+    /// which return the same bits per pair.
     ///
-    /// Length discipline: the kernels truncate to the shorter slice, so a
-    /// mismatched call silently scores a prefix. The public `topk` entry
-    /// points therefore reject mismatched dimensionality with a documented
-    /// panic *before* any scoring; this inner hot path keeps only a
+    /// Length discipline: the per-pair kernels truncate to the shorter
+    /// slice, so a mismatched call silently scores a prefix — callers
+    /// check dimensionality once up front, and this keeps only a
     /// `debug_assert` so release builds pay no per-pair branch.
     #[inline]
     pub fn similarity(self, a: &[f32], b: &[f32]) -> f32 {
@@ -32,6 +35,19 @@ impl Metric {
         match self {
             Metric::Manhattan => -l1_distance(a, b),
             Metric::InnerProduct => dot(a, b),
+        }
+    }
+
+    /// [`Metric::similarity`] of `q` against every row of a row-major
+    /// `panel` — bit-identical per pair, one kernel call per panel.
+    #[inline]
+    fn similarity_panel(self, q: &[f32], panel: &[f32], dim: usize, out: &mut [f32]) {
+        match self {
+            Metric::Manhattan => {
+                l1_panel(q, panel, dim, out);
+                out.iter_mut().for_each(|d| *d = -*d);
+            }
+            Metric::InnerProduct => dot_panel(q, panel, dim, out),
         }
     }
 }
@@ -112,6 +128,46 @@ impl TopK {
     }
 }
 
+/// Base rows scored per panel: 64 × 128 floats is 32 KiB, inside a 48 KiB
+/// L1d together with the query row and the collector roots.
+const PANEL_ROWS: usize = 64;
+
+/// The exact scan — the only place a (query, base-row) pair is scored.
+/// Offers every row of `base[b_range]` to the collectors in `tops`, where
+/// `tops[i]` belongs to query row `q_first + i`; base row `b` is offered
+/// under id `id_offset + b` (non-zero when `base` is a streamed segment
+/// of a larger matrix).
+///
+/// Cache blocking: the base range is walked in [`PANEL_ROWS`]-row panels,
+/// and each panel is scored against *every* query of the task before the
+/// next is touched, so the base streams from L2 once per task rather than
+/// once per query. Each pair's score comes from the panel kernels — the
+/// same float sequence as [`Metric::similarity`] — and the collector is
+/// order-independent, so blocking changes no output bit.
+fn scan_block(
+    queries: &Matrix,
+    q_first: usize,
+    base: &Matrix,
+    b_range: Range<usize>,
+    id_offset: usize,
+    metric: Metric,
+    tops: &mut [TopK],
+) {
+    let dim = base.cols();
+    let mut scores = [0.0f32; PANEL_ROWS];
+    for p_start in b_range.clone().step_by(PANEL_ROWS) {
+        let p_end = (p_start + PANEL_ROWS).min(b_range.end);
+        let panel = &base.as_slice()[p_start * dim..p_end * dim];
+        let scores = &mut scores[..p_end - p_start];
+        for (qi, top) in tops.iter_mut().enumerate() {
+            metric.similarity_panel(queries.row(q_first + qi), panel, dim, scores);
+            for (b, &score) in (p_start..p_end).zip(scores.iter()) {
+                top.push((id_offset + b) as u32, score);
+            }
+        }
+    }
+}
+
 /// For each row of `queries`, finds the `k` most similar rows of `base`
 /// under `metric`. Exact (no approximation), parallel over query blocks.
 ///
@@ -151,26 +207,19 @@ pub fn topk_search_in(
         "query/base dimensionality mismatch"
     );
     assert!(k >= 1, "k must be at least 1");
-    let blocks = pool.map_blocks(queries.rows(), 64, |range| {
-        let mut out = Vec::with_capacity(range.len());
-        for q in range {
-            let qrow = queries.row(q);
-            let mut top = TopK::new(k);
-            for b in 0..base.rows() {
-                top.push(b as u32, metric.similarity(qrow, base.row(b)));
-            }
-            out.push(top.into_sorted());
-        }
-        out
+    let mut tops: Vec<TopK> = (0..queries.rows()).map(|_| TopK::new(k)).collect();
+    pool.rows_mut(&mut tops, 1, 64, |tops, q_first| {
+        scan_block(queries, q_first, base, 0..base.rows(), 0, metric, tops)
     });
-    blocks.into_iter().flatten().collect()
+    tops.into_iter().map(TopK::into_sorted).collect()
 }
 
 /// Segment-at-a-time top-k search mirroring the paper's SENS memory layout:
-/// both matrices are split into `num_segments` row ranges; each query
-/// segment is searched against one base segment at a time and the per-pair
-/// results are merged, so only `O(segment² )` candidate scores are ever live
-/// while the retained output stays `O(k · |queries|)`.
+/// both matrices are split into `num_segments` row ranges and each query
+/// segment is searched against one base segment at a time, every score
+/// going straight into its query's bounded collector — so one segment pair
+/// is being scanned at any moment while the retained output stays
+/// `O(k · |queries|)`.
 ///
 /// Functionally identical to [`topk_search`] (both are exact); exists so the
 /// experiment harness can reproduce and account for the paper's memory
@@ -179,7 +228,7 @@ pub fn topk_search_in(
 /// # Panics
 ///
 /// If `queries.cols() != base.cols()` ("query/base dimensionality
-/// mismatch") or `num_segments == 0`.
+/// mismatch"), `k == 0` ("k must be at least 1") or `num_segments == 0`.
 pub fn segmented_topk(
     queries: &Matrix,
     base: &Matrix,
@@ -218,6 +267,7 @@ pub fn segmented_topk_traced(
         base.cols(),
         "query/base dimensionality mismatch"
     );
+    assert!(k >= 1, "k must be at least 1");
     assert!(num_segments >= 1, "need at least one segment");
     let q_seg = queries.rows().div_ceil(num_segments).max(1);
     let b_seg = base.rows().div_ceil(num_segments).max(1);
@@ -230,25 +280,19 @@ pub fn segmented_topk_traced(
         for q_start in (0..queries.rows()).step_by(q_seg) {
             let q_end = (q_start + q_seg).min(queries.rows());
             let mut span = rec.span_at(Level::Trace, "sens_block");
-            // per segment-pair: compute scores and fold into the collectors
-            let block = par_map_blocks(q_end - q_start, 32, |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for qi in range {
-                    let q = q_start + qi;
-                    let qrow = queries.row(q);
-                    let mut local = TopK::new(k);
-                    for b in b_start..b_end {
-                        local.push(b as u32, metric.similarity(qrow, base.row(b)));
-                    }
-                    out.push((q, local.into_sorted()));
-                }
-                out
+            // per segment-pair: score straight into the queries' collectors,
+            // whose thresholds earlier base segments have already raised
+            par_rows_mut(&mut merged[q_start..q_end], 1, 32, |tops, first| {
+                scan_block(
+                    queries,
+                    q_start + first,
+                    base,
+                    b_start..b_end,
+                    0,
+                    metric,
+                    tops,
+                )
             });
-            for (q, hits) in block.into_iter().flatten() {
-                for (id, score) in hits {
-                    merged[q].push(id, score);
-                }
-            }
             let scored = ((q_end - q_start) * (b_end - b_start)) as u64;
             span.field("q_start", q_start);
             span.field("q_rows", q_end - q_start);
@@ -270,20 +314,20 @@ pub fn segmented_topk_traced(
 /// in — DESIGN.md §S0.8), so at most one query segment and one base
 /// segment are ever resident.
 ///
-/// The iteration order, blocking (`par_map_blocks(_, 32, ..)`), collector
-/// fold and tie-breaking are copied verbatim from
-/// [`segmented_topk_traced`], and the loaded segments must be row slices
-/// of the same matrices — under those conditions every score is computed
-/// from identical floats in an identical sequence, so the result is
-/// **bit-identical** to the in-RAM path (asserted by
-/// `streamed_matches_in_ram_traced`). Loader errors abort the search.
+/// Both paths walk the same segment pairs and score them through the one
+/// private scan shared by every entry point here, so when the loaded
+/// segments are row slices of the same matrices every score is computed
+/// from identical floats in an identical sequence and the result is
+/// **bit-identical** to the in-RAM path (`streamed_matches_in_ram_traced`
+/// pins the segment arithmetic). Loader errors abort the search.
 ///
 /// # Panics
 ///
-/// If `num_segments == 0`, if a loader returns a segment whose row count
-/// differs from the requested range, or if a query segment's column count
-/// differs from the base segment's ("segment dim mismatch" — the streamed
-/// equivalent of the dimensionality check on the in-RAM entry points).
+/// If `k == 0` ("k must be at least 1") or `num_segments == 0`, if a
+/// loader returns a segment whose row count differs from the requested
+/// range, or if a query segment's column count differs from the base
+/// segment's ("segment dim mismatch" — the streamed equivalent of the
+/// dimensionality check on the in-RAM entry points).
 #[allow(clippy::too_many_arguments)] // mirrors segmented_topk_traced plus two loaders
 pub fn segmented_topk_streamed<E>(
     n_queries: usize,
@@ -292,9 +336,10 @@ pub fn segmented_topk_streamed<E>(
     metric: Metric,
     num_segments: usize,
     rec: &Recorder,
-    mut load_queries: impl FnMut(std::ops::Range<usize>) -> Result<Matrix, E>,
-    mut load_base: impl FnMut(std::ops::Range<usize>) -> Result<Matrix, E>,
+    mut load_queries: impl FnMut(Range<usize>) -> Result<Matrix, E>,
+    mut load_base: impl FnMut(Range<usize>) -> Result<Matrix, E>,
 ) -> Result<Vec<Vec<(u32, f32)>>, E> {
+    assert!(k >= 1, "k must be at least 1");
     assert!(num_segments >= 1, "need at least one segment");
     let q_seg = n_queries.div_ceil(num_segments).max(1);
     let b_seg = n_base.div_ceil(num_segments).max(1);
@@ -312,26 +357,10 @@ pub fn segmented_topk_streamed<E>(
             assert_eq!(q_block.rows(), q_end - q_start, "query segment row count");
             assert_eq!(q_block.cols(), b_block.cols(), "segment dim mismatch");
             let mut span = rec.span_at(Level::Trace, "sens_block");
-            let block = par_map_blocks(q_end - q_start, 32, |range| {
-                let mut out = Vec::with_capacity(range.len());
-                for qi in range {
-                    let qrow = q_block.row(qi);
-                    let mut local = TopK::new(k);
-                    for bi in 0..b_block.rows() {
-                        local.push(
-                            (b_start + bi) as u32,
-                            metric.similarity(qrow, b_block.row(bi)),
-                        );
-                    }
-                    out.push((q_start + qi, local.into_sorted()));
-                }
-                out
+            par_rows_mut(&mut merged[q_start..q_end], 1, 32, |tops, first| {
+                let b_rows = 0..b_block.rows();
+                scan_block(&q_block, first, &b_block, b_rows, b_start, metric, tops)
             });
-            for (q, hits) in block.into_iter().flatten() {
-                for (id, score) in hits {
-                    merged[q].push(id, score);
-                }
-            }
             let scored = ((q_end - q_start) * (b_end - b_start)) as u64;
             span.field("q_start", q_start);
             span.field("q_rows", q_end - q_start);
@@ -522,6 +551,52 @@ mod tests {
         );
     }
 
+    /// The oracle: every pair scored on its own, sorted by (−score, id).
+    fn naive_topk(q: &Matrix, b: &Matrix, k: usize, metric: Metric) -> Vec<Vec<(u32, f32)>> {
+        (0..q.rows())
+            .map(|qi| {
+                let mut scored: Vec<(u32, f32)> = (0..b.rows())
+                    .map(|bi| (bi as u32, metric.similarity(q.row(qi), b.row(bi))))
+                    .collect();
+                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                scored.truncate(k);
+                scored
+            })
+            .collect()
+    }
+
+    /// Every exact entry point, at several widths / segment counts,
+    /// against [`naive_topk`].
+    fn assert_all_paths_match_naive(q: &Matrix, b: &Matrix, k: usize, metric: Metric) {
+        let ctx = format!(
+            "nq={} nb={} dim={} k={k} {metric:?}",
+            q.rows(),
+            b.rows(),
+            b.cols()
+        );
+        let expect = naive_topk(q, b, k, metric);
+        for width in [1, 2, 4] {
+            let got = topk_search_in(q, b, k, metric, &Pool::new(width));
+            assert_eq!(got, expect, "width={width} {ctx}");
+        }
+        for segs in [1, 3, 7] {
+            let got = segmented_topk(q, b, k, metric, segs);
+            assert_eq!(got, expect, "segments={segs} {ctx}");
+            let streamed = segmented_topk_streamed(
+                q.rows(),
+                b.rows(),
+                k,
+                metric,
+                segs,
+                &Recorder::disabled(),
+                |r| Ok::<_, std::io::Error>(slice_rows(q, r)),
+                |r| Ok(slice_rows(b, r)),
+            )
+            .unwrap();
+            assert_eq!(streamed, expect, "streamed segments={segs} {ctx}");
+        }
+    }
+
     #[test]
     fn ties_prefer_lowest_id_at_any_width() {
         use largeea_common::check::for_each_case;
@@ -535,30 +610,55 @@ mod tests {
             let dim = rng.gen_range(1..5usize);
             let q = Matrix::from_fn(nq, dim, |_, _| rng.gen_range(0i32..3) as f32);
             let b = Matrix::from_fn(nb, dim, |_, _| rng.gen_range(0i32..3) as f32);
-            let mut expect = Vec::with_capacity(nq);
-            for qi in 0..nq {
-                let mut scored: Vec<(u32, f32)> = (0..nb)
-                    .map(|bi| {
-                        (
-                            bi as u32,
-                            Metric::Manhattan.similarity(q.row(qi), b.row(bi)),
-                        )
-                    })
-                    .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                scored.truncate(k);
-                expect.push(scored);
-            }
-            for width in [1, 2, 4] {
-                let pool = Pool::new(width);
-                let got = topk_search_in(&q, &b, k, Metric::Manhattan, &pool);
-                assert_eq!(got, expect, "width={width} nq={nq} nb={nb} k={k}");
-            }
-            for segs in [1, 3] {
-                let got = segmented_topk(&q, &b, k, Metric::Manhattan, segs);
-                assert_eq!(got, expect, "segments={segs} nq={nq} nb={nb} k={k}");
-            }
+            assert_all_paths_match_naive(&q, &b, k, Metric::Manhattan);
         });
+    }
+
+    #[test]
+    fn scan_shapes_straddling_the_blocking_match_naive() {
+        // Base sizes around the 4-row kernel step and the 64-row panel,
+        // dims around the 8-lane step (and the degenerate 0), k both
+        // inside and beyond the base. Small-integer entries keep every
+        // score exact, so ties are everywhere.
+        let mut rng = largeea_common::rng::Rng::seed_from_u64(0x5CA9);
+        for nb in [0, 1, 3, 4, 5, 63, 64, 65, 129] {
+            for dim in [0, 1, 7, 8, 129] {
+                let q = Matrix::from_fn(67, dim, |_, _| rng.gen_range(-2i32..3) as f32);
+                let b = Matrix::from_fn(nb, dim, |_, _| rng.gen_range(-2i32..3) as f32);
+                for metric in [Metric::Manhattan, Metric::InnerProduct] {
+                    for k in [3, nb + 2] {
+                        assert_all_paths_match_naive(&q, &b, k, metric);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn segmented_k_zero_panics() {
+        segmented_topk(
+            &Matrix::zeros(2, 3),
+            &Matrix::zeros(2, 3),
+            0,
+            Metric::Manhattan,
+            1,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "k must be at least 1")]
+    fn streamed_k_zero_panics() {
+        let _ = segmented_topk_streamed(
+            2,
+            2,
+            0,
+            Metric::Manhattan,
+            1,
+            &Recorder::disabled(),
+            |r| Ok::<_, std::io::Error>(Matrix::zeros(r.len(), 3)),
+            |r| Ok(Matrix::zeros(r.len(), 3)),
+        );
     }
 
     #[test]

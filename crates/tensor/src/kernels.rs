@@ -135,23 +135,62 @@ pub fn l1_distance_on(isa: Isa, a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `y[i] += alpha * x[i]` over the common prefix (the `scaled_add_assign`
-/// primitive). Dispatched via [`active_isa`]; bit-identical across ISAs.
+/// primitive). Element-wise — no reduction, so nothing to reassociate —
+/// and deliberately *not* dispatched: LLVM already vectorises this loop,
+/// and the hand-written AVX2/NEON bodies measured 0.95–0.98× of it
+/// (EXPERIMENTS.md "Kernel notes").
 #[inline]
 pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-    axpy_on(active_isa(), y, alpha, x)
+    for (y, x) in y.iter_mut().zip(x) {
+        *y += alpha * x;
+    }
 }
 
-/// [`axpy`] on an explicit ISA (falls back to scalar if unavailable).
+/// Manhattan distance from one query to every row of a row-major `panel`
+/// (`out.len()` rows of `dim` floats): `out[r]` is bit-identical to
+/// [`l1_distance`]`(q, row_r)`. This is the kernel the exact top-k scan
+/// runs on — the ISA is resolved once per panel instead of once per pair,
+/// and the AVX2 body scores four rows per step so four independent
+/// accumulators hide the add latency a single row's chain exposes.
+///
+/// # Panics
+///
+/// If `q.len() != dim` or `panel.len() != out.len() * dim` — a panel
+/// never prefix-scores the way the per-pair kernels truncate.
 #[inline]
-pub fn axpy_on(isa: Isa, y: &mut [f32], alpha: f32, x: &[f32]) {
+pub fn l1_panel(q: &[f32], panel: &[f32], dim: usize, out: &mut [f32]) {
+    panel_on::<true>(active_isa(), q, panel, dim, out)
+}
+
+/// Inner products of one query with every row of a row-major `panel`;
+/// same contract (and panics) as [`l1_panel`], against [`dot`].
+#[inline]
+pub fn dot_panel(q: &[f32], panel: &[f32], dim: usize, out: &mut [f32]) {
+    panel_on::<false>(active_isa(), q, panel, dim, out)
+}
+
+/// Both panel kernels on an explicit ISA: L1 distances (`L1`) or dot
+/// products. Off AVX2 this is the reference semantics — a loop over the
+/// per-pair kernel (scalar, or NEON's per-row body).
+fn panel_on<const L1: bool>(isa: Isa, q: &[f32], panel: &[f32], dim: usize, out: &mut [f32]) {
+    // Also what the AVX2 body's pointer arithmetic relies on.
+    assert_eq!(q.len(), dim, "panel query length mismatch");
+    assert_eq!(panel.len(), out.len() * dim, "panel shape mismatch");
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 availability verified at runtime before the call.
-        Isa::Avx2 if isa.available() => unsafe { avx2::axpy(y, alpha, x) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON availability verified at runtime before the call.
-        Isa::Neon if isa.available() => unsafe { neon::axpy(y, alpha, x) },
-        _ => scalar::axpy(y, alpha, x),
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the asserts above established the shape the body assumes.
+        Isa::Avx2 if isa.available() => unsafe { avx2::panel::<L1>(q, panel, dim, out) },
+        _ => {
+            for (r, o) in out.iter_mut().enumerate() {
+                let row = &panel[r * dim..(r + 1) * dim];
+                *o = if L1 {
+                    l1_distance_on(isa, q, row)
+                } else {
+                    dot_on(isa, q, row)
+                };
+            }
+        }
     }
 }
 
@@ -281,14 +320,6 @@ pub mod scalar {
         (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail
     }
 
-    /// `y[i] += alpha * x[i]` over the common prefix. Element-wise — no
-    /// reduction — so there is nothing to reassociate.
-    pub fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        for (y, x) in y.iter_mut().zip(x) {
-            *y += alpha * x;
-        }
-    }
-
     /// Integer dot product (`i8` widened to `i32`), truncated to the
     /// shorter length.
     pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
@@ -398,23 +429,80 @@ mod avx2 {
             + tail
     }
 
+    /// One accumulator step of a panel row: `|q − b|` (`L1`) or `q · b`,
+    /// the same operand order and instructions as [`l1_distance`] / [`dot`].
+    ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let n = y.len().min(x.len());
-        let chunks = n / 8;
-        let va = _mm256_set1_ps(alpha);
-        for i in 0..chunks {
-            let vy = _mm256_loadu_ps(y.as_ptr().add(i * 8));
-            let vx = _mm256_loadu_ps(x.as_ptr().add(i * 8));
-            _mm256_storeu_ps(
-                y.as_mut_ptr().add(i * 8),
-                _mm256_add_ps(vy, _mm256_mul_ps(va, vx)),
-            );
+    unsafe fn term<const L1: bool>(vq: __m256, vb: __m256) -> __m256 {
+        if L1 {
+            _mm256_andnot_ps(_mm256_set1_ps(-0.0), _mm256_sub_ps(vq, vb))
+        } else {
+            _mm256_mul_ps(vq, vb)
         }
-        for i in chunks * 8..n {
-            y[i] += alpha * x[i];
+    }
+
+    /// One query against `out.len()` panel rows: L1 distances (`L1`) or
+    /// dot products. Four rows per step, one accumulator each — lane `j`
+    /// of accumulator `r` is scalar `acc[j]` of row `r`, so the four
+    /// 16-deep add chains are independent and overlap instead of each
+    /// waiting out the add latency alone.
+    ///
+    /// The horizontal combine is the scalar tree, four rows at once:
+    /// `hadd(x, y)` puts `x0+x1, x2+x3, y0+y1, y2+y3` in the low half and
+    /// the same of lanes 4–7 in the high half, so two rounds leave
+    /// `(l0+l1)+(l2+l3)` of rows 0–3 in the low half and
+    /// `(l4+l5)+(l6+l7)` in the high half; adding the halves is the
+    /// tree's root. The tail then runs sequentially and is added last,
+    /// exactly as in the per-row kernels, which also score the ≤3
+    /// remainder rows.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2, `q.len() == dim` and
+    /// `panel.len() == out.len() * dim`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn panel<const L1: bool>(q: &[f32], panel: &[f32], dim: usize, out: &mut [f32]) {
+        let chunks = dim / 8;
+        let quads = out.len() / 4;
+        for g in 0..quads {
+            let rows = &panel[g * 4 * dim..(g + 1) * 4 * dim];
+            let p0 = rows.as_ptr();
+            let (p1, p2, p3) = (p0.add(dim), p0.add(2 * dim), p0.add(3 * dim));
+            let mut a0 = _mm256_setzero_ps();
+            let mut a1 = _mm256_setzero_ps();
+            let mut a2 = _mm256_setzero_ps();
+            let mut a3 = _mm256_setzero_ps();
+            for i in 0..chunks {
+                let vq = _mm256_loadu_ps(q.as_ptr().add(i * 8));
+                a0 = _mm256_add_ps(a0, term::<L1>(vq, _mm256_loadu_ps(p0.add(i * 8))));
+                a1 = _mm256_add_ps(a1, term::<L1>(vq, _mm256_loadu_ps(p1.add(i * 8))));
+                a2 = _mm256_add_ps(a2, term::<L1>(vq, _mm256_loadu_ps(p2.add(i * 8))));
+                a3 = _mm256_add_ps(a3, term::<L1>(vq, _mm256_loadu_ps(p3.add(i * 8))));
+            }
+            let h = _mm256_hadd_ps(_mm256_hadd_ps(a0, a1), _mm256_hadd_ps(a2, a3));
+            let mut sums = [0.0f32; 4];
+            _mm_storeu_ps(
+                sums.as_mut_ptr(),
+                _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1)),
+            );
+            for (r, sum) in sums.into_iter().enumerate() {
+                let row = &rows[r * dim..(r + 1) * dim];
+                let mut tail = 0.0f32;
+                for i in chunks * 8..dim {
+                    tail += if L1 {
+                        (q[i] - row[i]).abs()
+                    } else {
+                        q[i] * row[i]
+                    };
+                }
+                out[g * 4 + r] = sum + tail;
+            }
+        }
+        for r in quads * 4..out.len() {
+            let row = &panel[r * dim..(r + 1) * dim];
+            out[r] = if L1 { l1_distance(q, row) } else { dot(q, row) };
         }
     }
 
@@ -604,23 +692,6 @@ mod neon {
     /// # Safety
     /// Caller must ensure the CPU supports NEON.
     #[target_feature(enable = "neon")]
-    pub unsafe fn axpy(y: &mut [f32], alpha: f32, x: &[f32]) {
-        let n = y.len().min(x.len());
-        let chunks = n / 4;
-        let va = vdupq_n_f32(alpha);
-        for i in 0..chunks {
-            let py = y.as_mut_ptr().add(i * 4);
-            let vx = vld1q_f32(x.as_ptr().add(i * 4));
-            vst1q_f32(py, vaddq_f32(vld1q_f32(py), vmulq_f32(va, vx)));
-        }
-        for i in chunks * 4..n {
-            y[i] += alpha * x[i];
-        }
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports NEON.
-    #[target_feature(enable = "neon")]
     pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
         let n = a.len().min(b.len());
         let chunks = n / 8;
@@ -752,25 +823,79 @@ mod tests {
             let n = rng.gen_range(0..300usize);
             let a = gen_vec(rng, n);
             let b = gen_vec(rng, n);
-            let alpha = (rng.gen::<f64>() as f32 - 0.5) * 4.0;
             let d_ref = scalar::dot(&a, &b);
             let l_ref = scalar::l1_distance(&a, &b);
-            let mut y_ref = a.clone();
-            scalar::axpy(&mut y_ref, alpha, &b);
             for isa in isas() {
                 let d = dot_on(isa, &a, &b);
                 assert_eq!(d.to_bits(), d_ref.to_bits(), "dot {} n={n}", isa.name());
                 let l = l1_distance_on(isa, &a, &b);
                 assert_eq!(l.to_bits(), l_ref.to_bits(), "l1 {} n={n}", isa.name());
-                let mut y = a.clone();
-                axpy_on(isa, &mut y, alpha, &b);
-                let same = y
-                    .iter()
-                    .zip(&y_ref)
-                    .all(|(x, r)| x.to_bits() == r.to_bits());
-                assert!(same, "axpy {} n={n}", isa.name());
             }
         });
+    }
+
+    #[test]
+    fn panel_kernels_bit_identical_to_per_row_scalar() {
+        for_each_case(0x9A_7E1, 96, |rng| {
+            // dim off the multiples of 8 hits the sequential tail; rows off
+            // the multiples of 4 hits the per-row remainder.
+            let dim = rng.gen_range(0..200usize);
+            let rows = rng.gen_range(0..23usize);
+            let q = gen_vec(rng, dim);
+            let mut panel = gen_vec(rng, rows * dim);
+            // Some rows carry NaN or ±∞ — one kind per row, so every NaN a
+            // row produces has the same payload and the result cannot
+            // depend on which operand the hardware propagates.
+            if dim > 0 {
+                for r in 0..rows {
+                    let special = match rng.gen_range(0..6u32) {
+                        0 => f32::NAN,
+                        1 => f32::INFINITY,
+                        2 => f32::NEG_INFINITY,
+                        _ => continue,
+                    };
+                    for _ in 0..rng.gen_range(1..4usize) {
+                        panel[r * dim + rng.gen_range(0..dim)] = special;
+                    }
+                }
+            }
+            let row = |r: usize| &panel[r * dim..(r + 1) * dim];
+            for isa in isas() {
+                let mut out = vec![f32::from_bits(0xDEAD_BEEF); rows];
+                panel_on::<true>(isa, &q, &panel, dim, &mut out);
+                for (r, o) in out.iter().enumerate() {
+                    let want = scalar::l1_distance(&q, row(r));
+                    assert_eq!(
+                        o.to_bits(),
+                        want.to_bits(),
+                        "l1 {} dim={dim} rows={rows} r={r}",
+                        isa.name()
+                    );
+                }
+                panel_on::<false>(isa, &q, &panel, dim, &mut out);
+                for (r, o) in out.iter().enumerate() {
+                    let want = scalar::dot(&q, row(r));
+                    assert_eq!(
+                        o.to_bits(),
+                        want.to_bits(),
+                        "dot {} dim={dim} rows={rows} r={r}",
+                        isa.name()
+                    );
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "panel query length mismatch")]
+    fn panel_rejects_short_query() {
+        l1_panel(&[0.0; 7], &[0.0; 16], 8, &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "panel shape mismatch")]
+    fn panel_rejects_ragged_panel() {
+        dot_panel(&[0.0; 8], &[0.0; 17], 8, &mut [0.0; 2]);
     }
 
     #[test]
