@@ -229,36 +229,21 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
 /// `kernel_isa` / `kernel_speedup_*` config entries in `path` (a
 /// `BENCH_pipeline.json` baseline), preserving everything else.
 fn merge_into_baseline(path: &str, comparisons: &[Comparison]) {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
-    let mut baseline = Baseline::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
-    let mut upsert_cfg =
-        |key: String, value: String| match baseline.config.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = value,
-            None => baseline.config.push((key, value)),
-        };
-    upsert_cfg("kernel_isa".to_owned(), active_isa().name().to_owned());
-    for c in comparisons {
-        upsert_cfg(
-            format!("kernel_speedup_{}", c.name),
-            format!("{:.2}", c.speedup()),
-        );
-    }
-    for c in comparisons {
-        let name = format!("kernel.{}", c.name);
-        let stat = StageStat {
-            median_seconds: c.dispatched.median_ns * 1e-9,
-            min_seconds: c.dispatched.min_ns * 1e-9,
-            max_seconds: c.dispatched.max_ns * 1e-9,
-        };
-        match baseline.stages.iter_mut().find(|(n, _)| *n == name) {
-            Some(slot) => slot.1 = stat,
-            None => baseline.stages.push((name, stat)),
+    Baseline::edit_file(path, |baseline| {
+        baseline.set_config("kernel_isa", active_isa().name().to_owned());
+        for c in comparisons {
+            baseline.set_config(
+                &format!("kernel_speedup_{}", c.name),
+                format!("{:.2}", c.speedup()),
+            );
+            let stat = StageStat {
+                median_seconds: c.dispatched.median_ns * 1e-9,
+                min_seconds: c.dispatched.min_ns * 1e-9,
+                max_seconds: c.dispatched.max_ns * 1e-9,
+            };
+            baseline.set_stage(&format!("kernel.{}", c.name), stat);
         }
-    }
-    baseline.stages.sort_by(|a, b| a.0.cmp(&b.0));
-    let mut doc = largeea_common::json::ToJson::to_json_string(&baseline);
-    doc.push('\n');
-    std::fs::write(path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    });
     println!("merged kernel.* stages into {path}");
 }
 

@@ -3,12 +3,28 @@
 //! The cost behind Table 2/3's `Time` columns and Figure 4's "EA training"
 //! series: one full training epoch (forward + backward + Adam) for each
 //! model, plus the negative-sampling refresh.
+//!
+//! `train_epoch` is the op-level row for the step the pipeline runs: one
+//! steady-state RREA epoch (forward, fused triplet loss, backward, Adam on
+//! the trainer's recycled tape) on a fixed synthetic batch, reported as
+//! epochs/s and bytes allocated per epoch. `--merge-into <BENCH.json>`
+//! records it as the `train_epoch` stage (plus `train_epoch_per_s` /
+//! `train_epoch_alloc_bytes` config entries) in the pipeline baseline.
 
+use largeea_bench::{arg_str, Baseline, StageStat};
 use largeea_common::bench::Bench;
+use largeea_common::obs::{ObsConfig, Recorder};
+use largeea_common::rng::Rng;
 use largeea_data::Preset;
+use largeea_kg::EntityId;
 use largeea_models::negative::{sample_negatives, NegStrategy};
-use largeea_models::{train, BatchGraph, ModelKind, TrainConfig};
+use largeea_models::{train, train_traced, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::MiniBatches;
+
+// Per-epoch `alloc.bytes` needs the instrumented allocator the `largeea`
+// binary runs under.
+#[global_allocator]
+static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::CountingAlloc;
 
 fn batch_graph() -> BatchGraph {
     let pair = Preset::Ids15kEnFr.spec(0.05).generate();
@@ -67,8 +83,86 @@ fn bench_negative_sampling(bench: &mut Bench) {
     group.finish();
 }
 
+/// The fixed `train_epoch` batch: 1 000 + 1 000 entities, 4 000 triples
+/// over 20 relations per side, 700 seed pairs.
+fn synthetic_batch() -> BatchGraph {
+    const SIDE: u32 = 1000;
+    let mut rng = Rng::seed_from_u64(0x7E90C);
+    let mut triples = Vec::new();
+    for (offset, rel_offset) in [(0, 0), (SIDE, 20)] {
+        for _ in 0..4000 {
+            let head = offset + rng.gen_range(0..SIDE);
+            let tail = offset + rng.gen_range(0..SIDE);
+            triples.push((head, rel_offset + rng.gen_range(0..20u32), tail));
+        }
+    }
+    BatchGraph {
+        n_source: SIDE as usize,
+        n_target: SIDE as usize,
+        source_ids: (0..SIDE).map(EntityId).collect(),
+        target_ids: (0..SIDE).map(EntityId).collect(),
+        triples,
+        num_relations: 40,
+        train_pairs: (0..700).map(|i| (i, SIDE + i)).collect(),
+    }
+}
+
+/// One steady-state RREA epoch (700 pairs × 15 negatives, dim 64): the
+/// `epoch` spans of a traced `train` after epoch 0, which alone resamples
+/// negatives and allocates the tape.
+fn bench_train_epoch() {
+    const EPOCHS: usize = 41;
+    let bg = synthetic_batch();
+    let cfg = TrainConfig {
+        epochs: EPOCHS,
+        dim: 64,
+        neg_samples: 15,
+        neg_refresh: EPOCHS,
+        ..TrainConfig::default()
+    };
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    let mut model = ModelKind::Rrea.build(&bg, cfg.dim, 3);
+    train_traced(model.as_mut(), &bg, &cfg, &rec);
+    let trace = rec.trace();
+    let steady = &trace.find("train_batch").expect("batch span").children[1..];
+    let mut seconds: Vec<f64> = steady.iter().map(|e| e.seconds).collect();
+    seconds.sort_by(f64::total_cmp);
+    let stat = StageStat {
+        median_seconds: seconds[seconds.len() / 2],
+        min_seconds: seconds[0],
+        max_seconds: seconds[seconds.len() - 1],
+    };
+    let alloc_bytes = steady
+        .iter()
+        .map(|e| e.field_u64("alloc.bytes").expect("counting allocator"))
+        .max()
+        .expect("steady-state epochs");
+    let per_s = 1.0 / stat.median_seconds;
+    println!(
+        "\ntrain_epoch (rrea, 2000 entities, 700 pairs x 15 negatives, dim 64): \
+         median {:.2} ms (min {:.2}, max {:.2}, {} epochs) = {per_s:.1} epochs/s, \
+         {alloc_bytes} B allocated per steady-state epoch",
+        stat.median_seconds * 1e3,
+        stat.min_seconds * 1e3,
+        stat.max_seconds * 1e3,
+        seconds.len(),
+    );
+    if let Some(path) = arg_str("merge-into") {
+        Baseline::edit_file(&path, |baseline| {
+            baseline.set_stage("train_epoch", stat);
+            baseline.set_config("train_epoch_per_s", format!("{per_s:.1}"));
+            baseline.set_config("train_epoch_alloc_bytes", alloc_bytes.to_string());
+        });
+        println!("merged train_epoch into {path}");
+    }
+}
+
 fn main() {
     let mut bench = Bench::new().sample_size(10);
     bench_epochs(&mut bench);
     bench_negative_sampling(&mut bench);
+    bench_train_epoch();
 }

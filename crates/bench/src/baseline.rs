@@ -162,6 +162,38 @@ impl Baseline {
         violations
     }
 
+    /// Sets (replaces or appends) one `config` entry.
+    pub fn set_config(&mut self, key: &str, value: String) {
+        match self.config.iter_mut().find(|(k, _)| k == key) {
+            Some(slot) => slot.1 = value,
+            None => self.config.push((key.to_owned(), value)),
+        }
+    }
+
+    /// Sets (replaces or inserts) one stage's statistics, keeping `stages`
+    /// sorted by name.
+    pub fn set_stage(&mut self, name: &str, stat: StageStat) {
+        match self.stages.iter_mut().find(|(n, _)| n == name) {
+            Some(slot) => slot.1 = stat,
+            None => self.stages.push((name.to_owned(), stat)),
+        }
+        self.stages.sort_by(|a, b| a.0.cmp(&b.0));
+    }
+
+    /// Applies `edit` to the baseline file at `path` — how the op-level
+    /// benches (`kernel_bench`, `train_bench`) merge their rows into the
+    /// `BENCH_pipeline.json` that `bench_pipeline` wrote. Panics with the
+    /// path on an unreadable, unparsable or unwritable file (bench
+    /// binaries have no better way to fail).
+    pub fn edit_file(path: &str, edit: impl FnOnce(&mut Baseline)) {
+        let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
+        let mut baseline = Baseline::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"));
+        edit(&mut baseline);
+        let mut doc = baseline.to_json_string();
+        doc.push('\n');
+        std::fs::write(path, doc).unwrap_or_else(|e| panic!("writing {path}: {e}"));
+    }
+
     /// Parses the on-disk JSON form (inverse of [`ToJson`]).
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let json = largeea_common::json::parse(text).map_err(|e: ParseError| e.to_string())?;

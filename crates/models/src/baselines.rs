@@ -138,8 +138,8 @@ impl crate::trainer::EaModel for NameProj {
         &mut self.store
     }
     fn forward(&self, tape: &mut largeea_tensor::Tape) -> crate::trainer::ForwardPass {
-        let x = tape.constant(self.names.clone());
-        let w = tape.param(self.store.get(self.w).clone());
+        let x = tape.constant(&self.names);
+        let w = tape.param(self.store.get(self.w));
         let h = tape.matmul(x, w);
         let out = tape.l2_normalize_rows(h, 1e-9);
         crate::trainer::ForwardPass {

@@ -89,9 +89,9 @@ impl EaModel for GcnAlign {
     }
 
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
-        let x = tape.param(self.store.get(self.x).clone());
-        let w1 = tape.param(self.store.get(self.w1).clone());
-        let w2 = tape.param(self.store.get(self.w2).clone());
+        let x = tape.param(self.store.get(self.x));
+        let w1 = tape.param(self.store.get(self.w1));
+        let w2 = tape.param(self.store.get(self.w2));
 
         let ax = tape.spmm(&self.adj, x);
         let h1 = tape.matmul(ax, w1);

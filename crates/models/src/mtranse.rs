@@ -78,8 +78,8 @@ impl EaModel for MTransE {
     }
 
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
-        let ent = tape.param(self.store.get(self.ent).clone());
-        let rel = tape.param(self.store.get(self.rel).clone());
+        let ent = tape.param(self.store.get(self.ent));
+        let rel = tape.param(self.store.get(self.rel));
         let out = tape.l2_normalize_rows(ent, 1e-9);
         ForwardPass {
             embeddings: out,

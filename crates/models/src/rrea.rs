@@ -61,16 +61,10 @@ impl Rrea {
         }
     }
 
-    /// One reflection-aggregation hop: gathers each message's source
-    /// embedding, reflects it through its relation, and mean-aggregates
-    /// onto the head.
+    /// One reflection-aggregation hop: reflects each message's source
+    /// embedding through its relation and mean-aggregates onto the head.
     fn hop(&self, tape: &mut Tape, h: Var, rel_norm: Var) -> Var {
-        let et = tape.gather_rows(h, Rc::clone(&self.tails));
-        let rg = tape.gather_rows(rel_norm, Rc::clone(&self.rels));
-        let dot = tape.row_dot(et, rg);
-        let proj = tape.mul_broadcast_col(rg, dot);
-        let proj2 = tape.scale(proj, 2.0);
-        let msg = tape.sub(et, proj2);
+        let msg = tape.reflect_rows(h, rel_norm, Rc::clone(&self.tails), Rc::clone(&self.rels));
         tape.spmm(&self.agg, msg)
     }
 }
@@ -93,8 +87,8 @@ impl EaModel for Rrea {
     }
 
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
-        let ent = tape.param(self.store.get(self.ent).clone());
-        let rel = tape.param(self.store.get(self.rel).clone());
+        let ent = tape.param(self.store.get(self.ent));
+        let rel = tape.param(self.store.get(self.rel));
         let rel_norm = tape.l2_normalize_rows(rel, 1e-9);
 
         let h0 = tape.l2_normalize_rows(ent, 1e-9);

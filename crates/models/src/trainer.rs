@@ -1,13 +1,16 @@
 //! The mini-batch training loop (paper §2.2.2).
 //!
-//! Every epoch rebuilds the autograd tape, runs the model forward, scores
-//! the batch's seed pairs with the margin-based triplet loss
-//! `Σ [f_p(h_s, h_t) + γ − f_n]₊` (distances are Manhattan, negatives come
-//! from nearest-neighbour sampling refreshed periodically, as in RREA), and
-//! takes one Adam step.
+//! Every epoch re-records the graph on the one autograd tape the batch
+//! owns — [`Tape::reset`] keeps last epoch's buffers, so from the second
+//! epoch on a step allocates (almost) nothing — runs the model forward,
+//! scores the batch's seed pairs with the margin-based triplet loss
+//! `Σ [f_p(h_s, h_t) + γ − f_n]₊` as one fused node ([`Tape::triplet_l1`]:
+//! distances are Manhattan, negatives come from nearest-neighbour sampling
+//! refreshed periodically, as in RREA), and takes one Adam step on the
+//! gradients it borrows from the tape.
 
 use crate::batch_graph::BatchGraph;
-use crate::negative::{sample_negatives, NegStrategy};
+use crate::negative::{sample_negatives, NegStrategy, Negatives};
 use largeea_common::obs::{Level, Recorder};
 use largeea_tensor::optim::{Adam, AdamConfig, ParamId, ParamStore};
 use largeea_tensor::{Matrix, Tape, Var};
@@ -131,6 +134,27 @@ pub struct TrainReport {
     /// Peak bytes of parameters + optimiser state during training
     /// (the GPU-memory stand-in for Table 6).
     pub peak_bytes: usize,
+    /// Bytes the autograd tape held on to at the end of training
+    /// (activations, gradients and backward temporaries of one step) —
+    /// the rest of Table 6's "training memory".
+    pub tape_bytes: usize,
+}
+
+/// The triplet batch as four parallel row-index lists `[s, t, neg_t,
+/// neg_s]`, one entry per (training pair, negative): each pair repeated
+/// once per negative beside its corrupted target and corrupted source.
+fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<Vec<u32>>; 4] {
+    let rows = bg.train_pairs.len() * n_neg;
+    let [mut s_rep, mut t_rep, mut neg_t, mut neg_s] = [(); 4].map(|()| Vec::with_capacity(rows));
+    for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
+        for ni in 0..n_neg {
+            s_rep.push(s);
+            t_rep.push(t);
+            neg_t.push(negs.corrupt_target[pi][ni % negs.corrupt_target[pi].len()]);
+            neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
+        }
+    }
+    [s_rep, t_rep, neg_t, neg_s].map(Rc::new)
 }
 
 /// Trains `model` on `bg` and returns the final embeddings.
@@ -142,10 +166,13 @@ pub fn train(model: &mut dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> Tra
 }
 
 /// [`train`] with telemetry: the whole batch is a `train_batch` span
-/// ([`Level::Detail`]) with `epochs`/`pairs` fields; every epoch is an
-/// `epoch` span ([`Level::Trace`]) with `epoch`/`loss`/`grad_norm` fields.
-/// Each negatives regeneration bumps the `train.negatives_resampled`
-/// counter, and per-epoch losses feed the `train.epoch_loss` histogram.
+/// ([`Level::Detail`]) with `epochs`/`pairs`/`tape_bytes` fields; every
+/// epoch is an `epoch` span ([`Level::Trace`]) with `epoch`/`loss`/
+/// `grad_norm` fields. Each negatives regeneration bumps the
+/// `train.negatives_resampled` counter, per-epoch losses feed the
+/// `train.epoch_loss` histogram, and the `train.peak_bytes` /
+/// `train.tape_bytes` gauges keep the largest batch's parameter + Adam
+/// state and retained tape.
 pub fn train_traced(
     model: &mut dyn EaModel,
     bg: &BatchGraph,
@@ -177,79 +204,42 @@ pub fn train_hooked(
     let mut adam = Adam::new(adam_cfg, model.store());
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut peak_bytes = model.store().nbytes() + adam.nbytes();
+    // The one tape of this batch: the negatives-refresh forward, every
+    // training step and the final forward record the same forward graph,
+    // so each reuses the buffers of the one before.
+    let mut tape = Tape::new();
 
-    if bg.train_pairs.is_empty() || cfg.epochs == 0 {
-        let mut tape = Tape::new();
-        let fp = model.forward(&mut tape);
-        return TrainReport {
-            embeddings: tape.value(fp.embeddings).clone(),
-            losses,
-            peak_bytes,
-        };
-    }
-
-    let mut negatives = None;
-    for epoch in 0..cfg.epochs {
+    // A batch without training pairs (or epochs) skips straight to the
+    // final forward pass.
+    let epochs = if bg.train_pairs.is_empty() {
+        0
+    } else {
+        cfg.epochs
+    };
+    let mut triplets = None;
+    for epoch in 0..epochs {
         let mut epoch_span = rec.span_at(Level::Trace, "epoch");
         epoch_span.field("epoch", epoch);
         // Refresh negatives periodically (needs current embeddings).
-        if negatives.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
+        if triplets.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
             rec.add("train.negatives_resampled", 1);
-            let emb = {
-                let mut tape = Tape::new();
-                let fp = model.forward(&mut tape);
-                tape.value(fp.embeddings).clone()
-            };
-            negatives = Some(sample_negatives(
+            tape.reset();
+            let fp = model.forward(&mut tape);
+            let negs = sample_negatives(
                 bg,
-                &emb,
+                tape.value(fp.embeddings),
                 cfg.neg_samples,
                 cfg.neg_strategy,
                 cfg.seed.wrapping_add(epoch as u64),
-            ));
+            );
+            triplets = Some(triplet_rows(bg, &negs, cfg.neg_samples.max(1)));
         }
-        let negs = negatives.as_ref().expect("negatives generated above");
+        let [s, t, neg_t, neg_s] = triplets.clone().expect("negatives generated above");
 
-        // Index arrays: each positive repeated once per negative.
-        let n_neg = cfg.neg_samples.max(1);
-        let p = bg.train_pairs.len();
-        let mut s_rep = Vec::with_capacity(p * n_neg);
-        let mut t_rep = Vec::with_capacity(p * n_neg);
-        let mut neg_t = Vec::with_capacity(p * n_neg);
-        let mut neg_s = Vec::with_capacity(p * n_neg);
-        for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
-            for ni in 0..n_neg {
-                s_rep.push(s);
-                t_rep.push(t);
-                neg_t.push(negs.corrupt_target[pi][ni % negs.corrupt_target[pi].len()]);
-                neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
-            }
-        }
-        let (s_rep, t_rep) = (Rc::new(s_rep), Rc::new(t_rep));
-        let (neg_t, neg_s) = (Rc::new(neg_t), Rc::new(neg_s));
-
-        let mut tape = Tape::new();
+        tape.reset();
         let fp = model.forward(&mut tape);
-        let emb = fp.embeddings;
-        let es = tape.gather_rows(emb, Rc::clone(&s_rep));
-        let et = tape.gather_rows(emb, Rc::clone(&t_rep));
-        let d_pos = tape.row_l1(es, et);
-
-        let ent = tape.gather_rows(emb, Rc::clone(&neg_t));
-        let d_neg1 = tape.row_l1(es, ent);
-        let ens = tape.gather_rows(emb, Rc::clone(&neg_s));
-        let d_neg2 = tape.row_l1(ens, et);
-
         // [d_pos + γ − d_neg]₊ for both corruption sides
-        let m1 = tape.sub(d_pos, d_neg1);
-        let m1 = tape.add_scalar(m1, cfg.margin);
-        let m1 = tape.relu(m1);
-        let m2 = tape.sub(d_pos, d_neg2);
-        let m2 = tape.add_scalar(m2, cfg.margin);
-        let m2 = tape.relu(m2);
-        let l1 = tape.mean_all(m1);
-        let l2 = tape.mean_all(m2);
-        let mut loss = tape.add(l1, l2);
+        let mut loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
         if let Some(aux) = model.auxiliary_loss(&mut tape, &fp.params, epoch) {
             loss = tape.add(loss, aux);
         }
@@ -258,11 +248,9 @@ pub fn train_hooked(
         let epoch_loss = tape.scalar(loss);
         losses.push(epoch_loss);
 
-        let mut grads: Vec<Option<Matrix>> = vec![None; model.store().len()];
+        let mut grads: Vec<Option<&Matrix>> = vec![None; model.store().len()];
         for &(pid, var) in &fp.params {
-            if let Some(g) = tape.grad(var) {
-                grads[pid.index()] = Some(g.clone());
-            }
+            grads[pid.index()] = tape.grad(var);
         }
         if rec.is_enabled() {
             // ‖g‖₂ over all parameters — only worth the flops when recorded.
@@ -286,12 +274,16 @@ pub fn train_hooked(
     }
     rec.gauge_max("train.peak_bytes", peak_bytes as f64);
 
-    let mut tape = Tape::new();
+    tape.reset();
     let fp = model.forward(&mut tape);
+    let tape_bytes = tape.nbytes();
+    batch_span.field("tape_bytes", tape_bytes);
+    rec.gauge_max("train.tape_bytes", tape_bytes as f64);
     TrainReport {
         embeddings: tape.value(fp.embeddings).clone(),
         losses,
         peak_bytes,
+        tape_bytes,
     }
 }
 

@@ -7,13 +7,27 @@
 //! walks the tape in reverse accumulating gradients. Matrices are the only
 //! tensor rank; "vectors" are `n × 1` matrices.
 //!
-//! A fresh tape is built every optimisation step (define-by-run); learnable
-//! parameters live outside the tape in an [`optim::ParamStore`] and are
-//! loaded in as gradient-requiring leaves.
+//! The graph is still defined by running it (define-by-run), once per
+//! optimisation step, but the tape is **recycled** rather than rebuilt:
+//! [`Tape::reset`] forgets the graph and keeps every node's value and
+//! gradient buffer, and the next step's node *i* takes over node *i*'s old
+//! buffers when the element count matches (and allocates otherwise). A
+//! training loop runs the same graph every step, so after the first step a
+//! forward + backward pass allocates nothing; backward temporaries come
+//! from a small free list kept the same way. Learnable parameters live
+//! outside the tape in an [`optim::ParamStore`] and are copied into
+//! gradient-requiring leaves each step.
+//!
+//! Recycling never changes a result: every operation overwrites its whole
+//! output, and a gradient contribution is either written into an empty
+//! slot or — fully formed first, wherever it is itself a sum — added to
+//! the slot, the same `slot + delta` the allocating formulation computed.
 //!
 //! [`optim::ParamStore`]: crate::optim::ParamStore
 
+use crate::kernels::active_isa;
 use crate::matrix::Matrix;
+use crate::parallel::Pool;
 use crate::sparse::SparseMatrix;
 use std::rc::Rc;
 
@@ -46,7 +60,7 @@ impl SpOp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Var(usize);
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Op {
     Leaf,
     MatMul(Var, Var),
@@ -66,19 +80,44 @@ enum Op {
     SumAll(Var),
     MeanAll(Var),
     HStack(Var, Var),
+    ReflectRows {
+        h: Var,
+        r: Var,
+        /// The `rows × 1` by-product node holding each row's `x·r`.
+        dots: Var,
+        h_rows: Rc<Vec<u32>>,
+        r_rows: Rc<Vec<u32>>,
+    },
+    TripletL1 {
+        emb: Var,
+        /// The `2 × rows` by-product node holding both hinge columns.
+        hinges: Var,
+        s: Rc<Vec<u32>>,
+        t: Rc<Vec<u32>>,
+        neg_t: Rc<Vec<u32>>,
+        neg_s: Rc<Vec<u32>>,
+    },
 }
 
 struct Node {
     op: Op,
     value: Matrix,
-    grad: Option<Matrix>,
+    /// Gradient buffer; its contents mean something only while `has_grad`.
+    grad: Matrix,
+    has_grad: bool,
     requires_grad: bool,
 }
 
 /// The gradient tape. See the [module docs](self) for the usage model.
 #[derive(Default)]
 pub struct Tape {
+    /// `nodes[..live]` is the current graph; `nodes[live..]` are nodes of
+    /// the graph before the last [`Tape::reset`], whose buffers the next
+    /// pushes take over.
     nodes: Vec<Node>,
+    live: usize,
+    /// Free list of backward temporaries, matched by element count.
+    scratch: Vec<Matrix>,
 }
 
 impl Tape {
@@ -87,208 +126,379 @@ impl Tape {
         Self::default()
     }
 
+    /// Forgets the recorded graph but keeps its buffers for the next one
+    /// (see the [module docs](self)). Every [`Var`] handed out so far is
+    /// invalid afterwards.
+    pub fn reset(&mut self) {
+        self.live = 0;
+    }
+
+    /// Bytes of every buffer the tape holds on to: node values, gradients
+    /// and backward temporaries — the training-time working set beyond
+    /// parameters and optimiser state.
+    pub fn nbytes(&self) -> usize {
+        let nodes = self
+            .nodes
+            .iter()
+            .map(|n| n.value.nbytes() + n.grad.nbytes());
+        nodes.chain(self.scratch.iter().map(Matrix::nbytes)).sum()
+    }
+
+    /// The buffer the next pushed node's value goes into: the previous
+    /// graph's buffer at that position if it has `rows * cols` elements
+    /// (contents stale), a fresh one otherwise.
+    fn out(&mut self, rows: usize, cols: usize) -> Matrix {
+        let old = self
+            .nodes
+            .get_mut(self.live)
+            .map(|n| std::mem::take(&mut n.value));
+        old.unwrap_or_default().recycle(rows, cols)
+    }
+
     fn push(&mut self, op: Op, value: Matrix, requires_grad: bool) -> Var {
-        self.nodes.push(Node {
-            op,
-            value,
-            grad: None,
-            requires_grad,
-        });
-        Var(self.nodes.len() - 1)
+        match self.nodes.get_mut(self.live) {
+            Some(n) => {
+                n.op = op;
+                n.value = value;
+                n.has_grad = false;
+                n.requires_grad = requires_grad;
+            }
+            None => self.nodes.push(Node {
+                op,
+                value,
+                grad: Matrix::default(),
+                has_grad: false,
+                requires_grad,
+            }),
+        }
+        self.live += 1;
+        Var(self.live - 1)
     }
 
     fn rg(&self, v: Var) -> bool {
         self.nodes[v.0].requires_grad
     }
 
-    /// Adds a gradient-requiring leaf (a learnable parameter's value).
-    pub fn param(&mut self, value: Matrix) -> Var {
-        self.push(Op::Leaf, value, true)
+    fn leaf(&mut self, value: &Matrix, requires_grad: bool) -> Var {
+        let mut out = self.out(value.rows(), value.cols());
+        out.as_mut_slice().copy_from_slice(value.as_slice());
+        self.push(Op::Leaf, out, requires_grad)
     }
 
-    /// Adds a constant leaf (inputs, fixed features).
-    pub fn constant(&mut self, value: Matrix) -> Var {
-        self.push(Op::Leaf, value, false)
+    /// Adds a gradient-requiring leaf holding a copy of `value` (a
+    /// learnable parameter).
+    pub fn param(&mut self, value: &Matrix) -> Var {
+        self.leaf(value, true)
+    }
+
+    /// Adds a constant leaf holding a copy of `value` (inputs, fixed
+    /// features).
+    pub fn constant(&mut self, value: &Matrix) -> Var {
+        self.leaf(value, false)
     }
 
     /// The forward value of `v`.
     pub fn value(&self, v: Var) -> &Matrix {
+        assert!(v.0 < self.live, "Var from before the last reset()");
         &self.nodes[v.0].value
     }
 
     /// The accumulated gradient of `v`, if any was produced by
     /// [`Tape::backward`].
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
-        self.nodes[v.0].grad.as_ref()
+        let n = &self.nodes[..self.live][v.0];
+        n.has_grad.then_some(&n.grad)
+    }
+
+    /// Pushes `f` applied to every element of `a`.
+    fn map(&mut self, a: Var, op: Op, f: impl Fn(f32) -> f32) -> Var {
+        let (rows, cols) = self.value(a).shape();
+        let mut out = self.out(rows, cols);
+        for (o, &x) in out.as_mut_slice().iter_mut().zip(self.value(a).as_slice()) {
+            *o = f(x);
+        }
+        let rg = self.rg(a);
+        self.push(op, out, rg)
+    }
+
+    /// Pushes `f` applied to every element pair of equal-shaped `a`, `b`.
+    fn zip(&mut self, a: Var, b: Var, op: Op, f: impl Fn(f32, f32) -> f32) -> Var {
+        let (rows, cols) = self.value(a).shape();
+        let mut out = self.out(rows, cols);
+        let (xa, xb) = (self.value(a).as_slice(), self.value(b).as_slice());
+        for ((o, &x), &y) in out.as_mut_slice().iter_mut().zip(xa).zip(xb) {
+            *o = f(x, y);
+        }
+        let rg = self.rg(a) || self.rg(b);
+        self.push(op, out, rg)
     }
 
     /// Dense product. See [`Matrix::matmul`].
     pub fn matmul(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).matmul(self.value(b));
+        let mut out = self.out(self.value(a).rows(), self.value(b).cols());
+        matmul_into(self.value(a), self.value(b), &mut out);
         let rg = self.rg(a) || self.rg(b);
-        self.push(Op::MatMul(a, b), value, rg)
+        self.push(Op::MatMul(a, b), out, rg)
     }
 
     /// Sparse × dense product (GNN propagation step).
     pub fn spmm(&mut self, s: &Rc<SpOp>, d: Var) -> Var {
-        let value = s.mat.spmm(self.value(d));
+        let mut out = self.out(s.mat.rows(), self.value(d).cols());
+        s.mat.spmm_into(self.value(d), Pool::global(), &mut out);
         let rg = self.rg(d);
-        self.push(Op::Spmm(Rc::clone(s), d), value, rg)
+        self.push(Op::Spmm(Rc::clone(s), d), out, rg)
     }
 
     /// Element-wise sum.
     pub fn add(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.value(a).shape(), self.value(b).shape(), "add shapes");
-        let mut value = self.value(a).clone();
-        value.add_assign(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::Add(a, b), value, rg)
+        self.zip(a, b, Op::Add(a, b), |x, y| x + y)
     }
 
     /// Element-wise difference.
     pub fn sub(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).sub(self.value(b));
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::Sub(a, b), value, rg)
+        assert_eq!(self.value(a).shape(), self.value(b).shape(), "sub shapes");
+        self.zip(a, b, Op::Sub(a, b), |x, y| x - y)
     }
 
     /// Element-wise (Hadamard) product.
     pub fn mul_elem(&mut self, a: Var, b: Var) -> Var {
         assert_eq!(self.value(a).shape(), self.value(b).shape(), "mul shapes");
-        let value = Matrix::from_vec(
-            self.value(a).rows(),
-            self.value(a).cols(),
-            self.value(a)
-                .as_slice()
-                .iter()
-                .zip(self.value(b).as_slice())
-                .map(|(x, y)| x * y)
-                .collect(),
-        );
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::MulElem(a, b), value, rg)
+        self.zip(a, b, Op::MulElem(a, b), |x, y| x * y)
     }
 
     /// Multiplication by a scalar constant.
     pub fn scale(&mut self, a: Var, c: f32) -> Var {
-        let mut value = self.value(a).clone();
-        value.scale(c);
-        let rg = self.rg(a);
-        self.push(Op::Scale(a, c), value, rg)
+        self.map(a, Op::Scale(a, c), |x| x * c)
     }
 
     /// Addition of a scalar constant.
     pub fn add_scalar(&mut self, a: Var, c: f32) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            *x += c;
-        }
-        let rg = self.rg(a);
-        self.push(Op::AddScalar(a), value, rg)
+        self.map(a, Op::AddScalar(a), |x| x + c)
     }
 
     /// Rectified linear unit, element-wise.
     pub fn relu(&mut self, a: Var) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            if *x < 0.0 {
-                *x = 0.0;
-            }
-        }
-        let rg = self.rg(a);
-        self.push(Op::Relu(a), value, rg)
+        self.map(a, Op::Relu(a), relu)
     }
 
     /// Hyperbolic tangent, element-wise.
     pub fn tanh(&mut self, a: Var) -> Var {
-        let mut value = self.value(a).clone();
-        for x in value.as_mut_slice() {
-            *x = x.tanh();
-        }
-        let rg = self.rg(a);
-        self.push(Op::Tanh(a), value, rg)
+        self.map(a, Op::Tanh(a), f32::tanh)
     }
 
     /// Selects rows by index (embedding lookup). Backward scatter-adds.
     pub fn gather_rows(&mut self, a: Var, indices: Rc<Vec<u32>>) -> Var {
-        let value = self.value(a).gather_rows(&indices);
+        let mut out = self.out(indices.len(), self.value(a).cols());
+        self.value(a).gather_rows_into(&indices, &mut out);
         let rg = self.rg(a);
-        self.push(Op::GatherRows(a, indices), value, rg)
+        self.push(Op::GatherRows(a, indices), out, rg)
     }
 
     /// Row-wise L2 normalisation `x ← x / (‖x‖ + eps)`.
     pub fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let mut value = self.value(a).clone();
-        value.l2_normalize_rows(eps);
+        let (rows, cols) = self.value(a).shape();
+        let mut out = self.out(rows, cols);
+        out.as_mut_slice().copy_from_slice(self.value(a).as_slice());
+        out.l2_normalize_rows(eps);
         let rg = self.rg(a);
-        self.push(Op::L2NormRows(a, eps), value, rg)
+        self.push(Op::L2NormRows(a, eps), out, rg)
+    }
+
+    /// Pushes the `n × 1` column of `f(a, b, row)` over equal-shaped
+    /// `a`, `b`.
+    fn row_reduce(
+        &mut self,
+        a: Var,
+        b: Var,
+        op: Op,
+        f: impl Fn(&Matrix, &Matrix, usize) -> f32,
+    ) -> Var {
+        let rows = self.value(a).rows();
+        let mut out = self.out(rows, 1);
+        let (ma, mb) = (self.value(a), self.value(b));
+        for (i, o) in out.as_mut_slice().iter_mut().enumerate() {
+            *o = f(ma, mb, i);
+        }
+        let rg = self.rg(a) || self.rg(b);
+        self.push(op, out, rg)
     }
 
     /// Per-row Manhattan distance between two equal-shaped matrices,
     /// producing an `n × 1` column.
     pub fn row_l1(&mut self, a: Var, b: Var) -> Var {
-        let (ma, mb) = (self.value(a), self.value(b));
-        assert_eq!(ma.shape(), mb.shape(), "row_l1 shapes");
-        let value = Matrix::from_vec(
-            ma.rows(),
-            1,
-            (0..ma.rows()).map(|i| ma.manhattan(i, mb, i)).collect(),
+        assert_eq!(
+            self.value(a).shape(),
+            self.value(b).shape(),
+            "row_l1 shapes"
         );
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::RowL1(a, b), value, rg)
+        self.row_reduce(a, b, Op::RowL1(a, b), |ma, mb, i| ma.manhattan(i, mb, i))
     }
 
     /// Per-row dot product, producing an `n × 1` column.
     pub fn row_dot(&mut self, a: Var, b: Var) -> Var {
-        let (ma, mb) = (self.value(a), self.value(b));
-        assert_eq!(ma.shape(), mb.shape(), "row_dot shapes");
-        let value = Matrix::from_vec(
-            ma.rows(),
-            1,
-            (0..ma.rows()).map(|i| ma.row_dot(i, mb, i)).collect(),
+        assert_eq!(
+            self.value(a).shape(),
+            self.value(b).shape(),
+            "row_dot shapes"
         );
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::RowDot(a, b), value, rg)
+        self.row_reduce(a, b, Op::RowDot(a, b), |ma, mb, i| ma.row_dot(i, mb, i))
     }
 
     /// Broadcast-multiplies each row of `a` (`n × d`) by the matching scalar
     /// of column `b` (`n × 1`). Used by RREA's reflection `x − 2(x·r)r`.
     pub fn mul_broadcast_col(&mut self, a: Var, b: Var) -> Var {
+        let (rows, cols) = self.value(a).shape();
+        assert_eq!(self.value(b).cols(), 1, "broadcast column must be n×1");
+        assert_eq!(rows, self.value(b).rows(), "broadcast row mismatch");
+        let mut out = self.out(rows, cols);
         let (ma, mb) = (self.value(a), self.value(b));
-        assert_eq!(mb.cols(), 1, "broadcast column must be n×1");
-        assert_eq!(ma.rows(), mb.rows(), "broadcast row mismatch");
-        let mut value = ma.clone();
-        for i in 0..value.rows() {
+        for i in 0..rows {
             let s = mb[(i, 0)];
-            for x in value.row_mut(i) {
-                *x *= s;
+            for (o, &x) in out.row_mut(i).iter_mut().zip(ma.row(i)) {
+                *o = x * s;
             }
         }
         let rg = self.rg(a) || self.rg(b);
-        self.push(Op::MulBroadcastCol(a, b), value, rg)
+        self.push(Op::MulBroadcastCol(a, b), out, rg)
+    }
+
+    /// RREA's relational reflection of gathered rows, as one node: row `i`
+    /// of the result is `x − 2(x·r)r` with `x = h[h_rows[i]]` and
+    /// `r = r[r_rows[i]]` (`r` rows are expected unit-normalised).
+    ///
+    /// Value and gradients are bit-identical to composing `gather_rows` ×2,
+    /// `row_dot`, `mul_broadcast_col`, `scale(2)` and `sub`, without the
+    /// five message-sized intermediates: backward forms each row's two
+    /// gradients from the same products in the same order and scatter-adds
+    /// them, first into `r`, then into `h`, as the composed tape would.
+    pub fn reflect_rows(
+        &mut self,
+        h: Var,
+        r: Var,
+        h_rows: Rc<Vec<u32>>,
+        r_rows: Rc<Vec<u32>>,
+    ) -> Var {
+        let rows = h_rows.len();
+        assert_eq!(
+            r_rows.len(),
+            rows,
+            "reflect_rows index lists must be parallel"
+        );
+        let cols = self.value(h).cols();
+        assert_eq!(self.value(r).cols(), cols, "reflect_rows widths");
+        let mut dots = self.out(rows, 1);
+        for (i, d) in dots.as_mut_slice().iter_mut().enumerate() {
+            *d = self
+                .value(h)
+                .row_dot(h_rows[i] as usize, self.value(r), r_rows[i] as usize);
+        }
+        let dots = self.push(Op::Leaf, dots, false);
+        let mut out = self.out(rows, cols);
+        let (mh, mr, md) = (self.value(h), self.value(r), self.value(dots));
+        for i in 0..rows {
+            let d = md[(i, 0)];
+            let xr = mh
+                .row(h_rows[i] as usize)
+                .iter()
+                .zip(mr.row(r_rows[i] as usize));
+            for (o, (&x, &rv)) in out.row_mut(i).iter_mut().zip(xr) {
+                *o = x - (rv * d) * 2.0;
+            }
+        }
+        let rg = self.rg(h) || self.rg(r);
+        let op = Op::ReflectRows {
+            h,
+            r,
+            dots,
+            h_rows,
+            r_rows,
+        };
+        self.push(op, out, rg)
     }
 
     /// Horizontally concatenates two equal-row-count matrices (multi-hop
     /// GNN outputs keep each hop in its own column block).
     pub fn hstack(&mut self, a: Var, b: Var) -> Var {
-        let value = self.value(a).hstack(self.value(b));
+        let cols = self.value(a).cols() + self.value(b).cols();
+        let mut out = self.out(self.value(a).rows(), cols);
+        self.value(a).hstack_into(self.value(b), &mut out);
         let rg = self.rg(a) || self.rg(b);
-        self.push(Op::HStack(a, b), value, rg)
+        self.push(Op::HStack(a, b), out, rg)
+    }
+
+    fn push_scalar(&mut self, op: Op, value: f32, requires_grad: bool) -> Var {
+        let mut out = self.out(1, 1);
+        out[(0, 0)] = value;
+        self.push(op, out, requires_grad)
     }
 
     /// Sum of all elements, as a `1 × 1` matrix.
     pub fn sum_all(&mut self, a: Var) -> Var {
         let s: f32 = self.value(a).as_slice().iter().sum();
         let rg = self.rg(a);
-        self.push(Op::SumAll(a), Matrix::from_vec(1, 1, vec![s]), rg)
+        self.push_scalar(Op::SumAll(a), s, rg)
     }
 
     /// Mean of all elements, as a `1 × 1` matrix.
     pub fn mean_all(&mut self, a: Var) -> Var {
-        let len = self.value(a).as_slice().len().max(1);
-        let s: f32 = self.value(a).as_slice().iter().sum::<f32>() / len as f32;
+        let s = mean(self.value(a).as_slice());
         let rg = self.rg(a);
-        self.push(Op::MeanAll(a), Matrix::from_vec(1, 1, vec![s]), rg)
+        self.push_scalar(Op::MeanAll(a), s, rg)
+    }
+
+    /// The margin-based triplet loss over rows of `emb`, both corruption
+    /// sides, as one `1 × 1` node:
+    ///
+    /// ```text
+    /// mean_i [d(s_i, t_i) + margin − d(s_i, neg_t_i)]₊
+    ///   + mean_i [d(s_i, t_i) + margin − d(neg_s_i, t_i)]₊       d = Manhattan
+    /// ```
+    ///
+    /// The four index lists are parallel (one entry per (pair, negative)
+    /// row). Value and gradient are bit-identical to composing
+    /// `gather_rows` ×4, `row_l1` ×3, `sub`/`add_scalar`/`relu`/`mean_all`
+    /// ×2 and `add`, without materialising the four gathered batches: the
+    /// distances are scored straight from `emb`'s rows, and backward
+    /// contributes the four scatter-added gradients to `emb` in the order
+    /// the composed tape would (`neg_s`, `neg_t`, `t`, `s` rows).
+    pub fn triplet_l1(
+        &mut self,
+        emb: Var,
+        s: Rc<Vec<u32>>,
+        t: Rc<Vec<u32>>,
+        neg_t: Rc<Vec<u32>>,
+        neg_s: Rc<Vec<u32>>,
+        margin: f32,
+    ) -> Var {
+        let rows = s.len();
+        assert!(
+            t.len() == rows && neg_t.len() == rows && neg_s.len() == rows,
+            "triplet_l1 index lists must be parallel"
+        );
+        let mut hinges = self.out(2, rows);
+        let e = self.value(emb);
+        let (side1, side2) = hinges.as_mut_slice().split_at_mut(rows);
+        for i in 0..rows {
+            let (si, ti) = (s[i] as usize, t[i] as usize);
+            let d_pos = e.manhattan(si, e, ti);
+            let d_neg1 = e.manhattan(si, e, neg_t[i] as usize);
+            let d_neg2 = e.manhattan(neg_s[i] as usize, e, ti);
+            side1[i] = relu((d_pos - d_neg1) + margin);
+            side2[i] = relu((d_pos - d_neg2) + margin);
+        }
+        let loss = mean(side1) + mean(side2);
+        let rg = self.rg(emb);
+        let hinges = self.push(Op::Leaf, hinges, false);
+        let op = Op::TripletL1 {
+            emb,
+            hinges,
+            s,
+            t,
+            neg_t,
+            neg_s,
+        };
+        self.push_scalar(op, loss, rg)
     }
 
     /// Extracts the scalar of a `1 × 1` node (e.g. the loss value).
@@ -302,119 +512,146 @@ impl Tape {
     /// gradients into every gradient-requiring node.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(
-            self.nodes[loss.0].value.shape(),
+            self.value(loss).shape(),
             (1, 1),
             "backward() expects a scalar loss"
         );
-        for n in &mut self.nodes {
-            n.grad = None;
+        for n in &mut self.nodes[..self.live] {
+            n.has_grad = false;
         }
-        self.nodes[loss.0].grad = Some(Matrix::from_vec(1, 1, vec![1.0]));
+        let mut seed = std::mem::take(&mut self.nodes[loss.0].grad).recycle(1, 1);
+        seed[(0, 0)] = 1.0;
+        self.nodes[loss.0].grad = seed;
+        self.nodes[loss.0].has_grad = true;
 
-        for i in (0..self.nodes.len()).rev() {
-            if !self.nodes[i].requires_grad {
+        for i in (0..self.live).rev() {
+            if !(self.nodes[i].requires_grad && self.nodes[i].has_grad) {
                 continue;
             }
-            let Some(g) = self.nodes[i].grad.take() else {
-                continue;
-            };
+            let g = std::mem::take(&mut self.nodes[i].grad);
             self.propagate(i, &g);
-            self.nodes[i].grad = Some(g);
+            self.nodes[i].grad = g;
         }
     }
 
-    fn accumulate(&mut self, v: Var, delta: Matrix) {
-        if !self.nodes[v.0].requires_grad {
+    fn take_scratch(&mut self, rows: usize, cols: usize) -> Matrix {
+        let fits = |m: &Matrix| m.as_slice().len() == rows * cols;
+        match self.scratch.iter().position(fits) {
+            Some(p) => self.scratch.swap_remove(p).recycle(rows, cols),
+            None => Matrix::zeros(rows, cols),
+        }
+    }
+
+    /// `grad(v) += delta`, where `fill` overwrites the `shape`-sized buffer
+    /// it is handed with the delta. An empty slot takes the delta in place;
+    /// otherwise the delta is formed in a scratch buffer first, so a delta
+    /// that is itself a sum is added as one value.
+    fn accumulate_with(
+        &mut self,
+        v: Var,
+        (rows, cols): (usize, usize),
+        fill: impl FnOnce(&Tape, &mut Matrix),
+    ) {
+        if !self.rg(v) {
             return;
         }
-        match &mut self.nodes[v.0].grad {
-            Some(g) => g.add_assign(&delta),
-            slot @ None => *slot = Some(delta),
+        if self.nodes[v.0].has_grad {
+            let mut delta = self.take_scratch(rows, cols);
+            fill(self, &mut delta);
+            self.nodes[v.0].grad.add_assign(&delta);
+            self.scratch.push(delta);
+        } else {
+            let mut grad = std::mem::take(&mut self.nodes[v.0].grad).recycle(rows, cols);
+            fill(self, &mut grad);
+            self.nodes[v.0].grad = grad;
+            self.nodes[v.0].has_grad = true;
+        }
+    }
+
+    /// `grad(v) += f(g)` element-wise. Each delta element is one value, so
+    /// adding it straight into an occupied slot is the same sum as forming
+    /// the delta matrix first.
+    fn accumulate_map(&mut self, v: Var, g: &Matrix, f: impl Fn(f32) -> f32) {
+        if !self.rg(v) {
+            return;
+        }
+        let n = &mut self.nodes[v.0];
+        if n.has_grad {
+            assert_eq!(n.grad.shape(), g.shape(), "add_assign shape mismatch");
+            for (d, &x) in n.grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *d += f(x);
+            }
+        } else {
+            let mut grad = std::mem::take(&mut n.grad).recycle(g.rows(), g.cols());
+            for (d, &x) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
+                *d = f(x);
+            }
+            n.grad = grad;
+            n.has_grad = true;
         }
     }
 
     fn propagate(&mut self, i: usize, g: &Matrix) {
-        // Ops are matched by value patterns that borrow immutably, then
-        // accumulate() mutates; clone the light op metadata first.
-        match &self.nodes[i].op {
+        match self.nodes[i].op.clone() {
             Op::Leaf => {}
             Op::MatMul(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = g.matmul(&self.value(b).transpose());
-                let db = self.value(a).transpose().matmul(g);
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                let (sa, sb) = (self.value(a).shape(), self.value(b).shape());
+                if self.rg(a) {
+                    let mut bt = self.take_scratch(sb.1, sb.0);
+                    self.value(b).transpose_into(&mut bt);
+                    self.accumulate_with(a, sa, |_, out| matmul_into(g, &bt, out));
+                    self.scratch.push(bt);
+                }
+                if self.rg(b) {
+                    let mut at = self.take_scratch(sa.1, sa.0);
+                    self.value(a).transpose_into(&mut at);
+                    self.accumulate_with(b, sb, |_, out| matmul_into(&at, g, out));
+                    self.scratch.push(at);
+                }
             }
             Op::Spmm(s, d) => {
-                let (s, d) = (Rc::clone(s), *d);
-                let dd = s.trans.spmm(g);
-                self.accumulate(d, dd);
+                self.accumulate_with(d, (s.trans.rows(), g.cols()), |_, out| {
+                    s.trans.spmm_into(g, Pool::global(), out)
+                });
             }
             Op::Add(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accumulate(a, g.clone());
-                self.accumulate(b, g.clone());
+                self.accumulate_map(a, g, |x| x);
+                self.accumulate_map(b, g, |x| x);
             }
             Op::Sub(a, b) => {
-                let (a, b) = (*a, *b);
-                self.accumulate(a, g.clone());
-                let mut neg = g.clone();
-                neg.scale(-1.0);
-                self.accumulate(b, neg);
+                self.accumulate_map(a, g, |x| x);
+                self.accumulate_map(b, g, |x| -x);
             }
             Op::MulElem(a, b) => {
-                let (a, b) = (*a, *b);
-                let da = hadamard(g, self.value(b));
-                let db = hadamard(g, self.value(a));
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                self.accumulate_with(a, g.shape(), |t, out| hadamard(g, t.value(b), out));
+                self.accumulate_with(b, g.shape(), |t, out| hadamard(g, t.value(a), out));
             }
-            Op::Scale(a, c) => {
-                let (a, c) = (*a, *c);
-                let mut da = g.clone();
-                da.scale(c);
-                self.accumulate(a, da);
-            }
-            Op::AddScalar(a) => {
-                let a = *a;
-                self.accumulate(a, g.clone());
-            }
-            Op::Relu(a) => {
-                let a = *a;
-                let y = &self.nodes[i].value;
-                let mut da = g.clone();
-                for (d, &out) in da.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    if out <= 0.0 {
-                        *d = 0.0;
-                    }
+            Op::Scale(a, c) => self.accumulate_map(a, g, |x| x * c),
+            Op::AddScalar(a) => self.accumulate_map(a, g, |x| x),
+            Op::Relu(a) => self.accumulate_with(a, g.shape(), |t, out| {
+                let y = t.nodes[i].value.as_slice();
+                for ((d, &gv), &yv) in out.as_mut_slice().iter_mut().zip(g.as_slice()).zip(y) {
+                    *d = if yv <= 0.0 { 0.0 } else { gv };
                 }
-                self.accumulate(a, da);
-            }
-            Op::Tanh(a) => {
-                let a = *a;
-                let y = &self.nodes[i].value;
-                let mut da = g.clone();
-                for (d, &out) in da.as_mut_slice().iter_mut().zip(y.as_slice()) {
-                    *d *= 1.0 - out * out;
+            }),
+            Op::Tanh(a) => self.accumulate_with(a, g.shape(), |t, out| {
+                let y = t.nodes[i].value.as_slice();
+                for ((d, &gv), &yv) in out.as_mut_slice().iter_mut().zip(g.as_slice()).zip(y) {
+                    *d = gv * (1.0 - yv * yv);
                 }
-                self.accumulate(a, da);
-            }
+            }),
             Op::GatherRows(a, idx) => {
-                let (a, idx) = (*a, Rc::clone(idx));
-                let src = self.value(a);
-                let mut da = Matrix::zeros(src.rows(), src.cols());
-                for (gi, &row) in idx.iter().enumerate() {
-                    let dst = da.row_mut(row as usize);
-                    for (d, &s) in dst.iter_mut().zip(g.row(gi)) {
-                        *d += s;
+                self.accumulate_with(a, self.value(a).shape(), |_, out| {
+                    out.fill_zero();
+                    for (gi, &row) in idx.iter().enumerate() {
+                        for (d, &s) in out.row_mut(row as usize).iter_mut().zip(g.row(gi)) {
+                            *d += s;
+                        }
                     }
-                }
-                self.accumulate(a, da);
+                });
             }
-            Op::L2NormRows(a, eps) => {
-                let (a, eps) = (*a, *eps);
-                let x = self.value(a);
-                let mut da = Matrix::zeros(x.rows(), x.cols());
+            Op::L2NormRows(a, eps) => self.accumulate_with(a, g.shape(), |t, out| {
+                let x = t.value(a);
                 for r in 0..x.rows() {
                     let xr = x.row(r);
                     let gr = g.row(r);
@@ -422,132 +659,253 @@ impl Tape {
                     let s = n + eps;
                     let gx_dot: f32 = gr.iter().zip(xr).map(|(gv, xv)| gv * xv).sum();
                     let coef = if n > 1e-20 { gx_dot / (n * s * s) } else { 0.0 };
-                    for ((d, &gv), &xv) in da.row_mut(r).iter_mut().zip(gr).zip(xr) {
+                    for ((d, &gv), &xv) in out.row_mut(r).iter_mut().zip(gr).zip(xr) {
                         *d = gv / s - xv * coef;
                     }
                 }
-                self.accumulate(a, da);
-            }
+            }),
             Op::RowL1(a, b) => {
-                let (a, b) = (*a, *b);
-                let (ma, mb) = (self.value(a), self.value(b));
-                let mut da = Matrix::zeros(ma.rows(), ma.cols());
-                let mut db = Matrix::zeros(ma.rows(), ma.cols());
-                for r in 0..ma.rows() {
-                    let gi = g[(r, 0)];
-                    for (((d_a, d_b), &x), &y) in da
-                        .row_mut(r)
-                        .iter_mut()
-                        .zip(db.row_mut(r).iter_mut())
-                        .zip(ma.row(r))
-                        .zip(mb.row(r))
-                    {
-                        let s = gi * (x - y).signum_or_zero();
-                        *d_a = s;
-                        *d_b = -s;
-                    }
+                let shape = self.value(a).shape();
+                for (v, negate) in [(a, false), (b, true)] {
+                    self.accumulate_with(v, shape, |t, out| {
+                        let (ma, mb) = (t.value(a), t.value(b));
+                        for r in 0..ma.rows() {
+                            let gi = g[(r, 0)];
+                            let xy = ma.row(r).iter().zip(mb.row(r));
+                            for (d, (&x, &y)) in out.row_mut(r).iter_mut().zip(xy) {
+                                let s = gi * signum_or_zero(x - y);
+                                *d = if negate { -s } else { s };
+                            }
+                        }
+                    });
                 }
-                self.accumulate(a, da);
-                self.accumulate(b, db);
             }
             Op::RowDot(a, b) => {
-                let (a, b) = (*a, *b);
-                let (ma, mb) = (self.value(a), self.value(b));
-                let mut da = Matrix::zeros(ma.rows(), ma.cols());
-                let mut db = Matrix::zeros(ma.rows(), ma.cols());
-                for r in 0..ma.rows() {
-                    let gi = g[(r, 0)];
-                    for (((d_a, d_b), &x), &y) in da
-                        .row_mut(r)
-                        .iter_mut()
-                        .zip(db.row_mut(r).iter_mut())
-                        .zip(ma.row(r))
-                        .zip(mb.row(r))
-                    {
-                        *d_a = gi * y;
-                        *d_b = gi * x;
-                    }
+                let shape = self.value(a).shape();
+                for (v, other) in [(a, b), (b, a)] {
+                    self.accumulate_with(v, shape, |t, out| {
+                        let mo = t.value(other);
+                        for r in 0..mo.rows() {
+                            let gi = g[(r, 0)];
+                            for (d, &o) in out.row_mut(r).iter_mut().zip(mo.row(r)) {
+                                *d = gi * o;
+                            }
+                        }
+                    });
                 }
-                self.accumulate(a, da);
-                self.accumulate(b, db);
             }
             Op::MulBroadcastCol(a, b) => {
-                let (a, b) = (*a, *b);
-                let (ma, mb) = (self.value(a), self.value(b));
-                let mut da = Matrix::zeros(ma.rows(), ma.cols());
-                let mut db = Matrix::zeros(mb.rows(), 1);
-                for r in 0..ma.rows() {
-                    let s = mb[(r, 0)];
-                    let mut acc = 0.0;
-                    for ((d, &gv), &xv) in da.row_mut(r).iter_mut().zip(g.row(r)).zip(ma.row(r)) {
-                        *d = gv * s;
-                        acc += gv * xv;
+                self.accumulate_with(a, g.shape(), |t, out| {
+                    let mb = t.value(b);
+                    for r in 0..g.rows() {
+                        let s = mb[(r, 0)];
+                        for (d, &gv) in out.row_mut(r).iter_mut().zip(g.row(r)) {
+                            *d = gv * s;
+                        }
                     }
-                    db[(r, 0)] = acc;
-                }
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                });
+                self.accumulate_with(b, (g.rows(), 1), |t, out| {
+                    let ma = t.value(a);
+                    for (r, d) in out.as_mut_slice().iter_mut().enumerate() {
+                        let mut acc = 0.0;
+                        for (&gv, &xv) in g.row(r).iter().zip(ma.row(r)) {
+                            acc += gv * xv;
+                        }
+                        *d = acc;
+                    }
+                });
             }
             Op::SumAll(a) => {
-                let a = *a;
-                let shape = self.value(a).shape();
                 let s = g[(0, 0)];
-                let da = Matrix::from_vec(shape.0, shape.1, vec![s; shape.0 * shape.1]);
-                self.accumulate(a, da);
-            }
-            Op::HStack(a, b) => {
-                let (a, b) = (*a, *b);
-                let ca = self.value(a).cols();
-                let cb = self.value(b).cols();
-                let rows = g.rows();
-                let mut da = Matrix::zeros(rows, ca);
-                let mut db = Matrix::zeros(rows, cb);
-                for r in 0..rows {
-                    da.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                    db.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
-                }
-                self.accumulate(a, da);
-                self.accumulate(b, db);
+                self.accumulate_with(a, self.value(a).shape(), |_, out| {
+                    out.as_mut_slice().fill(s)
+                });
             }
             Op::MeanAll(a) => {
-                let a = *a;
                 let shape = self.value(a).shape();
-                let len = (shape.0 * shape.1).max(1);
-                let s = g[(0, 0)] / len as f32;
-                let da = Matrix::from_vec(shape.0, shape.1, vec![s; shape.0 * shape.1]);
-                self.accumulate(a, da);
+                let s = g[(0, 0)] / (shape.0 * shape.1).max(1) as f32;
+                self.accumulate_with(a, shape, |_, out| out.as_mut_slice().fill(s));
+            }
+            Op::HStack(a, b) => {
+                let ca = self.value(a).cols();
+                self.accumulate_with(a, (g.rows(), ca), |_, out| {
+                    for r in 0..g.rows() {
+                        out.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
+                    }
+                });
+                self.accumulate_with(b, (g.rows(), g.cols() - ca), |_, out| {
+                    for r in 0..g.rows() {
+                        out.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                    }
+                });
+            }
+            Op::ReflectRows {
+                h,
+                r,
+                dots,
+                h_rows,
+                r_rows,
+            } => {
+                // The composed tape, per row with upstream g: the reflected
+                // term's gradient is p = (−g)·2; x·r's is q = Σ_k p_k r_k
+                // (summed in column order); then r's row gets p·(x·r) + q·x
+                // and x's row gets g + q·r, each scatter-added into a zeroed
+                // matrix in row order — r's gather is the later node, so its
+                // contribution lands first.
+                for to_r in [true, false] {
+                    let (target, target_rows) = if to_r { (r, &r_rows) } else { (h, &h_rows) };
+                    self.accumulate_with(target, self.value(target).shape(), |tape, out| {
+                        out.fill_zero();
+                        let (mh, mr, md) = (tape.value(h), tape.value(r), tape.value(dots));
+                        for (i, &dst) in target_rows.iter().enumerate() {
+                            let x = mh.row(h_rows[i] as usize);
+                            let rv = mr.row(r_rows[i] as usize);
+                            let gr = g.row(i);
+                            let mut q = 0.0;
+                            for (&gv, &rk) in gr.iter().zip(rv) {
+                                q += (-gv * 2.0) * rk;
+                            }
+                            let dst = out.row_mut(dst as usize);
+                            if to_r {
+                                let d = md[(i, 0)];
+                                for ((o, &gv), &xk) in dst.iter_mut().zip(gr).zip(x) {
+                                    *o += (-gv * 2.0) * d + q * xk;
+                                }
+                            } else {
+                                for ((o, &gv), &rk) in dst.iter_mut().zip(gr).zip(rv) {
+                                    *o += gv + q * rk;
+                                }
+                            }
+                        }
+                    });
+                }
+            }
+            Op::TripletL1 {
+                emb,
+                hinges,
+                s,
+                t,
+                neg_t,
+                neg_s,
+            } => {
+                // What the composed tape computes, in its order. With g1/g2
+                // the upstream share masked by each side's hinge:
+                //   d_neg2 = row_l1(ens, et) has gradient −g2, d_neg1 =
+                //   row_l1(es, ent) has −g1, d_pos = row_l1(es, et) has
+                //   g_pos = g2 + g1; then the gathers scatter-add their row
+                //   gradients into a zeroed matrix each, in tape-reverse
+                //   order: ens, ent, et (d_neg2's part, then d_pos's), es
+                //   (d_neg1's part, then d_pos's).
+                // A row whose hinges are inactive contributes only ±0.0,
+                // and adding ±0.0 to a sum that started at +0.0 (so is never
+                // −0.0) leaves it unchanged — such rows are skipped.
+                let rows = s.len();
+                let share = g[(0, 0)] / rows.max(1) as f32;
+                let shape = self.value(emb).shape();
+                for part in [Part::NegS, Part::NegT, Part::T, Part::S] {
+                    self.accumulate_with(emb, shape, |tape, out| {
+                        out.fill_zero();
+                        let e = tape.value(emb);
+                        let (side1, side2) = tape.value(hinges).as_slice().split_at(rows);
+                        for i in 0..rows {
+                            let g1 = if side1[i] <= 0.0 { 0.0 } else { share };
+                            let g2 = if side2[i] <= 0.0 { 0.0 } else { share };
+                            if g1 == 0.0 && g2 == 0.0 {
+                                continue;
+                            }
+                            let (g_neg1, g_neg2, g_pos) = (-g1, -g2, g2 + g1);
+                            let es = e.row(s[i] as usize);
+                            let et = e.row(t[i] as usize);
+                            let ent = e.row(neg_t[i] as usize);
+                            let ens = e.row(neg_s[i] as usize);
+                            match part {
+                                Part::NegS => {
+                                    let dst = out.row_mut(neg_s[i] as usize);
+                                    for ((d, &ns), &t) in dst.iter_mut().zip(ens).zip(et) {
+                                        *d += g_neg2 * signum_or_zero(ns - t);
+                                    }
+                                }
+                                Part::NegT => {
+                                    let dst = out.row_mut(neg_t[i] as usize);
+                                    for ((d, &s), &nt) in dst.iter_mut().zip(es).zip(ent) {
+                                        *d += -(g_neg1 * signum_or_zero(s - nt));
+                                    }
+                                }
+                                Part::T => {
+                                    let dst = out.row_mut(t[i] as usize);
+                                    for (((d, &ns), &t), &s) in
+                                        dst.iter_mut().zip(ens).zip(et).zip(es)
+                                    {
+                                        *d += -(g_neg2 * signum_or_zero(ns - t))
+                                            + -(g_pos * signum_or_zero(s - t));
+                                    }
+                                }
+                                Part::S => {
+                                    let dst = out.row_mut(s[i] as usize);
+                                    for (((d, &s), &nt), &t) in
+                                        dst.iter_mut().zip(es).zip(ent).zip(et)
+                                    {
+                                        *d += g_neg1 * signum_or_zero(s - nt)
+                                            + g_pos * signum_or_zero(s - t);
+                                    }
+                                }
+                            }
+                        }
+                    });
+                }
             }
         }
     }
 }
 
-trait SignumOrZero {
-    fn signum_or_zero(self) -> f32;
+/// Which of the four row sets of a triplet batch a scatter pass feeds.
+#[derive(Clone, Copy)]
+enum Part {
+    NegS,
+    NegT,
+    T,
+    S,
 }
 
-impl SignumOrZero for f32 {
-    #[inline]
-    fn signum_or_zero(self) -> f32 {
-        if self > 0.0 {
-            1.0
-        } else if self < 0.0 {
-            -1.0
-        } else {
-            0.0
-        }
+#[inline]
+fn relu(x: f32) -> f32 {
+    if x < 0.0 {
+        0.0
+    } else {
+        x
     }
 }
 
-fn hadamard(a: &Matrix, b: &Matrix) -> Matrix {
-    Matrix::from_vec(
-        a.rows(),
-        a.cols(),
-        a.as_slice()
-            .iter()
-            .zip(b.as_slice())
-            .map(|(x, y)| x * y)
-            .collect(),
-    )
+/// Mean of a slice (0 for the empty slice).
+fn mean(xs: &[f32]) -> f32 {
+    xs.iter().sum::<f32>() / xs.len().max(1) as f32
+}
+
+#[inline]
+fn signum_or_zero(x: f32) -> f32 {
+    if x > 0.0 {
+        1.0
+    } else if x < 0.0 {
+        -1.0
+    } else {
+        0.0
+    }
+}
+
+/// `out = a @ b` as [`Matrix::matmul`] computes it.
+fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    a.matmul_into(b, Pool::global(), active_isa(), out);
+}
+
+fn hadamard(a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    for ((o, &x), &y) in out
+        .as_mut_slice()
+        .iter_mut()
+        .zip(a.as_slice())
+        .zip(b.as_slice())
+    {
+        *o = x * y;
+    }
 }
 
 #[cfg(test)]
@@ -557,7 +915,7 @@ mod tests {
     /// Numerically checks d(loss)/d(param[idx]) against the tape's gradient.
     fn finite_diff_check(build: impl Fn(&mut Tape, Var) -> Var, param: Matrix) {
         let mut tape = Tape::new();
-        let p = tape.param(param.clone());
+        let p = tape.param(&param);
         let loss = build(&mut tape, p);
         tape.backward(loss);
         let analytic = tape.grad(p).expect("param grad").clone();
@@ -567,14 +925,14 @@ mod tests {
             let mut plus = param.clone();
             plus.as_mut_slice()[idx] += eps;
             let mut tp = Tape::new();
-            let vp = tp.param(plus);
+            let vp = tp.param(&plus);
             let lp = build(&mut tp, vp);
             let fp = tp.scalar(lp);
 
             let mut minus = param.clone();
             minus.as_mut_slice()[idx] -= eps;
             let mut tm = Tape::new();
-            let vm = tm.param(minus);
+            let vm = tm.param(&minus);
             let lm = build(&mut tm, vm);
             let fm = tm.scalar(lm);
 
@@ -602,7 +960,7 @@ mod tests {
         let w = seeded(3, 2, 7);
         finite_diff_check(
             |t, p| {
-                let x = t.constant(seeded(4, 3, 1));
+                let x = t.constant(&seeded(4, 3, 1));
                 let y = t.matmul(x, p);
                 t.sum_all(y)
             },
@@ -630,7 +988,7 @@ mod tests {
     fn grad_relu_chain() {
         finite_diff_check(
             |t, p| {
-                let x = t.constant(seeded(2, 3, 3));
+                let x = t.constant(&seeded(2, 3, 3));
                 let h = t.matmul(x, p);
                 let h = t.relu(h);
                 t.sum_all(h)
@@ -655,7 +1013,7 @@ mod tests {
         finite_diff_check(
             |t, p| {
                 let n = t.l2_normalize_rows(p, 1e-6);
-                let c = t.constant(seeded(2, 3, 17));
+                let c = t.constant(&seeded(2, 3, 17));
                 let m = t.mul_elem(n, c);
                 t.sum_all(m)
             },
@@ -687,7 +1045,7 @@ mod tests {
         finite_diff_check(
             |t, p| {
                 let r = t.l2_normalize_rows(p, 1e-9);
-                let x = t.constant(seeded(3, 4, 23));
+                let x = t.constant(&seeded(3, 4, 23));
                 let xd = t.row_dot(x, r);
                 let proj = t.mul_broadcast_col(r, xd);
                 let proj2 = t.scale(proj, 2.0);
@@ -703,7 +1061,7 @@ mod tests {
     fn grad_hstack() {
         finite_diff_check(
             |t, p| {
-                let c = t.constant(seeded(3, 2, 41));
+                let c = t.constant(&seeded(3, 2, 41));
                 let h = t.hstack(p, c);
                 let h2 = t.hstack(c, p);
                 let m = t.mul_elem(h, h2);
@@ -727,8 +1085,8 @@ mod tests {
     #[test]
     fn constants_get_no_grad() {
         let mut t = Tape::new();
-        let c = t.constant(seeded(2, 2, 1));
-        let p = t.param(seeded(2, 2, 2));
+        let c = t.constant(&seeded(2, 2, 1));
+        let p = t.param(&seeded(2, 2, 2));
         let y = t.mul_elem(c, p);
         let l = t.sum_all(y);
         t.backward(l);
@@ -740,7 +1098,7 @@ mod tests {
     fn grad_accumulates_over_shared_subexpression() {
         // loss = sum(p) + sum(p) → grad = 2 everywhere
         let mut t = Tape::new();
-        let p = t.param(Matrix::zeros(2, 2));
+        let p = t.param(&Matrix::zeros(2, 2));
         let a = t.sum_all(p);
         let b = t.sum_all(p);
         let l = t.add(a, b);
@@ -752,14 +1110,14 @@ mod tests {
     #[should_panic(expected = "scalar loss")]
     fn backward_rejects_non_scalar() {
         let mut t = Tape::new();
-        let p = t.param(Matrix::zeros(2, 2));
+        let p = t.param(&Matrix::zeros(2, 2));
         t.backward(p);
     }
 
     #[test]
     fn scalar_extracts_value() {
         let mut t = Tape::new();
-        let p = t.param(Matrix::from_vec(1, 2, vec![2.0, 3.0]));
+        let p = t.param(&Matrix::from_vec(1, 2, vec![2.0, 3.0]));
         let s = t.sum_all(p);
         assert_eq!(t.scalar(s), 5.0);
     }

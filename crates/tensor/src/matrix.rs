@@ -35,7 +35,7 @@ pub use crate::kernels::{dot, l1_distance};
 /// assert_eq!(a.matmul(&i), a);
 /// assert_eq!(a[(1, 0)], 3.0);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -67,6 +67,19 @@ impl Matrix {
             data.len()
         );
         Self { rows, cols, data }
+    }
+
+    /// `self`'s buffer reshaped to `rows × cols` when it holds exactly that
+    /// many elements (contents are whatever they were — the caller
+    /// overwrites them), a fresh zeroed matrix otherwise. This is how the
+    /// autograd tape reuses last step's node buffers.
+    pub(crate) fn recycle(mut self, rows: usize, cols: usize) -> Self {
+        if self.data.len() != rows * cols {
+            return Self::zeros(rows, cols);
+        }
+        self.rows = rows;
+        self.cols = cols;
+        self
     }
 
     /// Builds a matrix element-wise from `f(row, col)`.
@@ -157,6 +170,14 @@ impl Matrix {
     /// bit-identical to it by the §S0.11 contract (and falls back to
     /// scalar when the hardware lacks it).
     pub fn matmul_on(&self, other: &Matrix, pool: &Pool, isa: Isa) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, other.cols);
+        self.matmul_into(other, pool, isa, &mut out);
+        out
+    }
+
+    /// The body of [`Matrix::matmul_on`]: overwrites `out`
+    /// (`self.rows × other.cols`) with the product.
+    pub(crate) fn matmul_into(&self, other: &Matrix, pool: &Pool, isa: Isa, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             other.rows,
@@ -164,11 +185,15 @@ impl Matrix {
             self.shape(),
             other.shape()
         );
-        let mut out = Matrix::zeros(self.rows, other.cols);
+        assert_eq!(out.shape(), (self.rows, other.cols), "matmul out shape");
         let m = other.cols;
         let k_dim = self.cols;
-        if self.rows == 0 || m == 0 || k_dim == 0 {
-            return out;
+        if self.rows == 0 || m == 0 {
+            return;
+        }
+        if k_dim == 0 {
+            out.fill_zero();
+            return;
         }
         let a = &self.data;
         let b = &other.data;
@@ -176,18 +201,25 @@ impl Matrix {
         pool.rows_mut(&mut out.data, m, min_rows, |block, first_row| {
             matmul_block(a, b, block, first_row, k_dim, m, isa);
         });
-        out
     }
 
     /// Transposed copy — tiled to keep both source and destination
     /// accesses cache-resident (the naive loop does strided column writes),
     /// parallel over output-row bands on the global pool.
     pub fn transpose(&self) -> Matrix {
+        let mut out = Matrix::zeros(self.cols, self.rows);
+        self.transpose_into(&mut out);
+        out
+    }
+
+    /// The body of [`Matrix::transpose`]: overwrites `out`
+    /// (`self.cols × self.rows`).
+    pub(crate) fn transpose_into(&self, out: &mut Matrix) {
         const TILE: usize = 32;
         let (rows, cols) = (self.rows, self.cols);
-        let mut out = Matrix::zeros(cols, rows);
+        assert_eq!(out.shape(), (cols, rows), "transpose out shape");
         if rows == 0 || cols == 0 {
-            return out;
+            return;
         }
         let src = &self.data;
         let min_rows = (PAR_THRESHOLD / rows).max(TILE);
@@ -205,7 +237,6 @@ impl Matrix {
                 }
             }
         });
-        out
     }
 
     /// `self += other` element-wise.
@@ -291,10 +322,17 @@ impl Matrix {
     /// Copies the rows of `self` selected by `indices` into a new matrix.
     pub fn gather_rows(&self, indices: &[u32]) -> Matrix {
         let mut out = Matrix::zeros(indices.len(), self.cols);
+        self.gather_rows_into(indices, &mut out);
+        out
+    }
+
+    /// The body of [`Matrix::gather_rows`]: overwrites `out`
+    /// (`indices.len() × self.cols`).
+    pub(crate) fn gather_rows_into(&self, indices: &[u32], out: &mut Matrix) {
+        assert_eq!(out.shape(), (indices.len(), self.cols), "gather out shape");
         for (dst, &src) in indices.iter().enumerate() {
             out.row_mut(dst).copy_from_slice(self.row(src as usize));
         }
-        out
     }
 
     /// Vertically stacks `self` on top of `other` (column counts must match).
@@ -308,13 +346,24 @@ impl Matrix {
 
     /// Horizontally concatenates `self` with `other` (row counts must match).
     pub fn hstack(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
         let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
+        self.hstack_into(other, &mut out);
+        out
+    }
+
+    /// The body of [`Matrix::hstack`]: overwrites `out`
+    /// (`self.rows × (self.cols + other.cols)`).
+    pub(crate) fn hstack_into(&self, other: &Matrix, out: &mut Matrix) {
+        assert_eq!(self.rows, other.rows, "hstack row mismatch");
+        assert_eq!(
+            out.shape(),
+            (self.rows, self.cols + other.cols),
+            "hstack out shape"
+        );
         for r in 0..self.rows {
             out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
             out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
         }
-        out
     }
 
     /// Maximum absolute element (0 for the empty matrix).
@@ -337,7 +386,11 @@ fn matmul_block(
     isa: Isa,
 ) {
     let nrows = block.len() / m;
-    let mut panel = vec![0.0f32; KC.min(k_dim) * NC.min(m)];
+    // The micro-kernels accumulate, so the block starts from zero whatever
+    // the (possibly recycled) output buffer held.
+    block.fill(0.0);
+    // Packing scratch, needed only when B is wider than one NC panel.
+    let mut panel = Vec::new();
     for kc in (0..k_dim).step_by(KC) {
         let kc_len = KC.min(k_dim - kc);
         for jc in (0..m).step_by(NC) {
@@ -346,6 +399,7 @@ fn matmul_block(
                 // The whole row band of B is already contiguous.
                 &b[kc * m..(kc + kc_len) * m]
             } else {
+                panel.resize(KC.min(k_dim) * NC, 0.0f32);
                 for (dst, kk) in panel.chunks_mut(nc_len).zip(0..kc_len) {
                     let src = (kc + kk) * m + jc;
                     dst.copy_from_slice(&b[src..src + nc_len]);

@@ -1,9 +1,10 @@
 //! Optimisers over a [`ParamStore`].
 //!
-//! Parameters persist across optimisation steps while the autograd tape is
-//! rebuilt each step (define-by-run). The store owns the parameter matrices;
-//! the model loads them onto a fresh [`Tape`] every step, runs backward, and
-//! hands the gradients back to the optimiser.
+//! Parameters persist across optimisation steps while the graph on the
+//! autograd tape is re-recorded each step (define-by-run, on a recycled
+//! [`Tape`]). The store owns the parameter matrices; the model copies them
+//! into the tape's leaves every step, runs backward, and the optimiser
+//! reads the gradients straight from the tape.
 //!
 //! [`Tape`]: crate::autograd::Tape
 
@@ -125,13 +126,13 @@ impl Adam {
     /// Applies one update step. `grads[i]` must correspond to the `i`-th
     /// registered parameter and may be `None` for parameters untouched this
     /// step (their moments still decay, matching reference implementations).
-    pub fn step(&mut self, store: &mut ParamStore, grads: &[Option<Matrix>]) {
+    pub fn step(&mut self, store: &mut ParamStore, grads: &[Option<&Matrix>]) {
         assert_eq!(grads.len(), store.len(), "one grad slot per parameter");
         self.t += 1;
         let b1t = 1.0 - self.cfg.beta1.powi(self.t);
         let b2t = 1.0 - self.cfg.beta2.powi(self.t);
         for (i, id) in store.ids().enumerate() {
-            let Some(g) = &grads[i] else { continue };
+            let Some(g) = grads[i] else { continue };
             let p = store.get_mut(id);
             assert_eq!(p.shape(), g.shape(), "grad shape mismatch for param {i}");
             let m = &mut self.m[i];
@@ -167,10 +168,10 @@ pub struct Sgd {
 
 impl Sgd {
     /// Applies one SGD step.
-    pub fn step(&self, store: &mut ParamStore, grads: &[Option<Matrix>]) {
+    pub fn step(&self, store: &mut ParamStore, grads: &[Option<&Matrix>]) {
         assert_eq!(grads.len(), store.len(), "one grad slot per parameter");
         for (i, id) in store.ids().enumerate() {
-            if let Some(g) = &grads[i] {
+            if let Some(g) = grads[i] {
                 store.get_mut(id).add_scaled_assign(g, -self.lr);
             }
         }
@@ -184,21 +185,21 @@ mod tests {
 
     /// Minimises f(x) = ||x - target||² and checks convergence.
     fn quadratic_descent(
-        mut optimise: impl FnMut(&mut ParamStore, &[Option<Matrix>], usize),
+        mut optimise: impl FnMut(&mut ParamStore, &[Option<&Matrix>], usize),
     ) -> f32 {
         let target = Matrix::from_vec(1, 3, vec![1.0, -2.0, 0.5]);
         let mut store = ParamStore::new();
         let id = store.register("x", Matrix::zeros(1, 3));
+        let mut tape = Tape::new();
         for step in 0..400 {
-            let mut tape = Tape::new();
-            let x = tape.param(store.get(id).clone());
-            let t = tape.constant(target.clone());
+            tape.reset();
+            let x = tape.param(store.get(id));
+            let t = tape.constant(&target);
             let d = tape.sub(x, t);
             let sq = tape.mul_elem(d, d);
             let loss = tape.sum_all(sq);
             tape.backward(loss);
-            let g = tape.grad(x).unwrap().clone();
-            optimise(&mut store, &[Some(g)], step);
+            optimise(&mut store, &[tape.grad(x)], step);
         }
         store.get(id).sub(&target).frobenius()
     }

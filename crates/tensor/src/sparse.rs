@@ -168,6 +168,14 @@ impl SparseMatrix {
     /// its non-zeros in CSR (ascending-column) order, so results are
     /// bit-identical for any thread count.
     pub fn spmm_in(&self, dense: &Matrix, pool: &Pool) -> Matrix {
+        let mut out = Matrix::zeros(self.rows, dense.cols());
+        self.spmm_into(dense, pool, &mut out);
+        out
+    }
+
+    /// The body of [`SparseMatrix::spmm_in`]: overwrites `out`
+    /// (`self.rows × dense.cols`).
+    pub(crate) fn spmm_into(&self, dense: &Matrix, pool: &Pool, out: &mut Matrix) {
         assert_eq!(
             self.cols,
             dense.rows(),
@@ -177,9 +185,9 @@ impl SparseMatrix {
             dense.shape()
         );
         let cols = dense.cols();
-        let mut out = Matrix::zeros(self.rows, cols);
+        assert_eq!(out.shape(), (self.rows, cols), "spmm out shape");
         if cols == 0 {
-            return out;
+            return;
         }
         let indptr = &self.indptr;
         let indices = &self.indices;
@@ -188,6 +196,7 @@ impl SparseMatrix {
         pool.rows_mut(out.as_mut_slice(), cols, min_rows, |block, first_row| {
             for (ri, out_row) in block.chunks_mut(cols).enumerate() {
                 let r = first_row + ri;
+                out_row.fill(0.0);
                 for k in indptr[r]..indptr[r + 1] {
                     let c = indices[k] as usize;
                     let v = values[k];
@@ -198,7 +207,6 @@ impl SparseMatrix {
                 }
             }
         });
-        out
     }
 }
 

@@ -45,4 +45,13 @@ echo "== bench: kernel dispatch micro-benchmarks → kernel.* stages =="
 cargo bench -q --offline -p largeea-bench --bench kernel_bench -- \
   --merge-into "$PWD/BENCH_pipeline.json" --require-win
 
+echo "== bench: one training epoch → train_epoch stage =="
+# The op the structure channel runs (ROADMAP item 1, "one training epoch"):
+# a steady-state RREA epoch — forward, fused triplet loss, backward, Adam
+# on the trainer's recycled tape — on a fixed synthetic batch (2 000
+# entities, 700 pairs x 15 negatives, dim 64), merged as the `train_epoch`
+# stage plus `train_epoch_per_s` / `train_epoch_alloc_bytes` config entries.
+cargo bench -q --offline -p largeea-bench --bench train_bench -- \
+  --merge-into "$PWD/BENCH_pipeline.json"
+
 echo "bench: OK"

@@ -42,7 +42,7 @@ pub fn cmd_ckpt(args: &[String]) -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     match args {
         [sub, help] if sub == "inspect" && (help == "--help" || help == "-h") => {
-            println!("{CKPT_USAGE}");
+            outln!("{CKPT_USAGE}");
             Ok(())
         }
         [sub, dir] if sub == "inspect" => inspect(Path::new(dir)),
@@ -56,20 +56,20 @@ fn inspect(dir: &Path) -> Result<(), String> {
     // read_manifest's errors already name the file (common::fsio context)
     let manifest = read_manifest(dir).map_err(|e| e.to_string())?;
     let u64_field = |name: &str| manifest.get(name).and_then(Json::as_u64);
-    println!("checkpoint {}", dir.display());
-    println!(
+    outln!("checkpoint {}", dir.display());
+    outln!(
         "  version     {}",
         u64_field("version").ok_or("manifest has no version")?
     );
-    println!(
+    outln!(
         "  config_hash {:#018x}",
         u64_field("config_hash").ok_or("manifest has no config_hash")?
     );
-    println!(
+    outln!(
         "  seed        {}",
         u64_field("seed").ok_or("manifest has no seed")?
     );
-    println!(
+    outln!(
         "  rounds      {}",
         u64_field("rounds").ok_or("manifest has no rounds")?
     );
@@ -77,18 +77,18 @@ fn inspect(dir: &Path) -> Result<(), String> {
         .get("stages")
         .and_then(Json::as_arr)
         .ok_or("manifest has no stages")?;
-    println!("  stages      {} completed", stages.len());
+    outln!("  stages      {} completed", stages.len());
     for s in stages {
         let Some(key) = s.as_str() else { continue };
         let size = std::fs::metadata(dir.join(format!("{key}.ckpt")))
             .map(|m| format!("{:>12}", m.len()))
             .unwrap_or_else(|_| format!("{:>12}", "missing!"));
-        println!("    {size} B  {key}");
+        outln!("    {size} B  {key}");
     }
     match read_progress(dir) {
         Ok(p) => {
             let f = |name: &str| p.get(name).and_then(Json::as_u64).unwrap_or(0);
-            println!(
+            outln!(
                 "  progress    round {} batch {} epoch {} loss {:.6}",
                 f("round"),
                 f("batch"),
@@ -97,9 +97,9 @@ fn inspect(dir: &Path) -> Result<(), String> {
             );
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            println!("  progress    (none recorded)");
+            outln!("  progress    (none recorded)");
         }
-        Err(e) => println!("  progress    unreadable: {e}"),
+        Err(e) => outln!("  progress    unreadable: {e}"),
     }
     Ok(())
 }

@@ -15,6 +15,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+#[macro_use]
+mod out;
 mod ckpt_cmd;
 mod trace_cmd;
 
@@ -199,7 +201,7 @@ fn main() -> ExitCode {
         "align" => cmd_align(&flags),
         "eval" => cmd_eval(&flags).map_err(CliError::Other),
         "--help" | "-h" | "help" => {
-            println!("{USAGE}");
+            outln!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         other => Err(CliError::Usage(format!("unknown command {other:?}"))),
@@ -219,14 +221,9 @@ fn main() -> ExitCode {
 fn cmd_failpoints(rest: &[String]) -> ExitCode {
     match rest.first().map(String::as_str) {
         Some("list") => {
-            use std::fmt::Write as _;
-            let mut out = String::new();
             for fp in largeea::core::registered_failpoints() {
-                writeln!(out, "{:<16} {}", fp.name, fp.site).unwrap();
+                outln!("{:<16} {}", fp.name, fp.site);
             }
-            // one EPIPE-tolerant write: `failpoints list | grep -q …` closes
-            // the pipe as soon as it matches, which must not be a panic
-            let _ = std::io::Write::write_all(&mut std::io::stdout(), out.as_bytes());
             ExitCode::SUCCESS
         }
         other => {
@@ -334,7 +331,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     let out = PathBuf::from(required(flags, "out")?);
     let pair = preset.spec(scale).generate();
     io::save_pair(&pair, &out).map_err(|e| format!("writing {}: {e}", out.display()))?;
-    println!(
+    outln!(
         "wrote {} at scale {scale}: |E_s|={}, |E_t|={}, |T_s|={}, |T_t|={}, links={} → {}",
         preset.name(),
         pair.source.num_entities(),
@@ -349,19 +346,29 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
     let pair = load_data(flags)?;
-    println!(
+    outln!(
         "{:<8} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "side", "entities", "relations", "triples", "max-deg", "isolated"
+        "side",
+        "entities",
+        "relations",
+        "triples",
+        "max-deg",
+        "isolated"
     );
     for (label, kg) in [("source", &pair.source), ("target", &pair.target)] {
         let s = KgStats::of(kg);
-        println!(
+        outln!(
             "{:<8} {:>10} {:>10} {:>10} {:>10} {:>8}",
-            label, s.entities, s.relations, s.triples, s.max_degree, s.isolated
+            label,
+            s.entities,
+            s.relations,
+            s.triples,
+            s.max_degree,
+            s.isolated
         );
     }
     let (us, ut) = pair.unknown_fraction();
-    println!(
+    outln!(
         "ground-truth links: {} (unknown entities: {:.1}% source, {:.1}% target)",
         pair.alignment.len(),
         100.0 * us,
@@ -377,7 +384,7 @@ fn write_trace(flags: &Flags, rec: &Recorder) -> Result<(), String> {
     };
     let trace = rec.trace();
     std::fs::write(path, trace.to_json_string()).map_err(|e| format!("writing {path}: {e}"))?;
-    println!(
+    outln!(
         "wrote run trace ({} spans) → {path}",
         trace.span_count_total()
     );
@@ -401,7 +408,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
     let rec = Recorder::from_env();
     let batches = sc.make_batches_traced(&pair, &seeds, &rec);
     let r = batches.retention(&seeds);
-    println!(
+    outln!(
         "K={k} {strategy:?}: retention total {:.1}% / train {:.1}% / test {:.1}%, edge-cut rate {:.3}",
         100.0 * r.total,
         100.0 * r.train,
@@ -409,7 +416,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
         batches.edge_cut_rate(&pair)
     );
     for b in &batches.batches {
-        println!(
+        outln!(
             "  batch {:>2}: {:>7} source + {:>7} target entities, {:>6} train pairs",
             b.index,
             b.source_entities.len(),
@@ -497,13 +504,13 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             .map_err(|e| CliError::Run(Box::new(e)))?,
     };
     if report.degraded.is_degraded() {
-        println!(
+        outln!(
             "DEGRADED: completed without {} (see the trace's degraded.* fields)",
             report.degraded.units().join(", ")
         );
     }
     if exec.mem_budget.is_some() || exec.spill_dir.is_some() {
-        println!(
+        outln!(
             "tracked peak {}{}",
             fmt_bytes(report.tracked_peak_bytes),
             exec.mem_budget
@@ -517,13 +524,13 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         let measured = report
             .measured_heap_peak_bytes
             .expect("a passed audit has a measured peak");
-        println!(
+        outln!(
             "mem-audit OK: tracked peak {} vs measured heap peak {}",
             fmt_bytes(report.tracked_peak_bytes),
             fmt_bytes(measured),
         );
     }
-    println!(
+    outln!(
         "H@1 {:.1}%  H@5 {:.1}%  MRR {:.2}  ({} test pairs, {:.1}s, pseudo seeds {} @ {:.1}%)",
         report.eval.hits1,
         report.eval.hits5,
@@ -534,21 +541,28 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         100.0 * report.pseudo_seed_accuracy,
     );
     if flags.contains_key("analysis") {
-        println!("\nH@1 by source-entity degree:");
+        outln!("\nH@1 by source-entity degree:");
         for b in largeea::core::accuracy_by_degree(&pair, &report.sim, &seeds.test) {
             if b.pairs > 0 {
-                println!(
+                outln!(
                     "  degree {:>5}: {:>5} pairs, H@1 {:>5.1}%",
-                    b.bucket, b.pairs, b.hits1
+                    b.bucket,
+                    b.pairs,
+                    b.hits1
                 );
             }
         }
         if let (Some(m_s), Some(m_n)) = (&report.m_s, &report.m_n) {
             let a = largeea::core::attribute_channels(m_s, m_n, &report.sim, &seeds.test);
-            println!(
+            outln!(
                 "channel attribution: both {} / structure-only {} / name-only {} / neither {} \
                  (fusion rescued {}, broke {})",
-                a.both, a.structure_only, a.name_only, a.neither, a.fusion_rescued, a.fusion_broke
+                a.both,
+                a.structure_only,
+                a.name_only,
+                a.neither,
+                a.fusion_rescued,
+                a.fusion_broke
             );
         }
     }
@@ -562,12 +576,12 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             body.push('\n');
         }
         std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote {} predicted links → {path}", decoded.len());
+        outln!("wrote {} predicted links → {path}", decoded.len());
     }
     if let Some(path) = flags.get("sim-out") {
         largeea::sim::io::save_sparse_sim(&report.sim, Path::new(path))
             .map_err(|e| format!("writing {path}: {e}"))?;
-        println!("wrote similarity matrix → {path}");
+        outln!("wrote similarity matrix → {path}");
     }
     Ok(write_trace(flags, &rec)?)
 }
@@ -603,7 +617,7 @@ fn cmd_eval(flags: &Flags) -> Result<(), String> {
     } else {
         0.0
     };
-    println!(
+    outln!(
         "predictions {}  correct {}  precision {:.1}%  recall {:.1}%  F1 {:.1}%",
         predicted.len(),
         correct,

@@ -132,7 +132,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             tail(Path::new(target), flags.contains_key("once"), interval_ms)
         }
         "expo" => {
-            print!("{}", expo::render_text(&file(1)?));
+            out!("{}", expo::render_text(&file(1)?));
             Ok(ExitCode::SUCCESS)
         }
         "heap" => {
@@ -214,7 +214,7 @@ fn print_rollup(spans: &[&TraceSpan], depth: usize, root_total: f64) {
         } else {
             format!("{}{}", "  ".repeat(depth), r.name)
         };
-        println!(
+        outln!(
             "  {label:<38} {:>9.3}s {:>9.3}s {:>5.1}%",
             r.total,
             r.self_secs,
@@ -231,9 +231,12 @@ fn print_rollup(spans: &[&TraceSpan], depth: usize, root_total: f64) {
 fn summarize(trace: &Trace) {
     let roots: Vec<&TraceSpan> = trace.spans.iter().collect();
     let root_total: f64 = trace.spans.iter().map(|s| s.seconds).sum();
-    println!(
+    outln!(
         "  {:<38} {:>10} {:>10} {:>6}",
-        "span", "total", "self", "share"
+        "span",
+        "total",
+        "self",
+        "share"
     );
     print_rollup(&roots, 0, root_total);
 
@@ -241,34 +244,39 @@ fn summarize(trace: &Trace) {
     // their on-disk order — sort defensively so the report is
     // deterministic for any input (and golden-testable).
     if !trace.counters.is_empty() {
-        println!("\ncounters:");
+        outln!("\ncounters:");
         let mut counters = trace.counters.clone();
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, v) in &counters {
-            println!("  {name:<38} {v:>12}");
+            outln!("  {name:<38} {v:>12}");
         }
     }
     if !trace.gauges.is_empty() {
-        println!("\ngauges:");
+        outln!("\ngauges:");
         let mut gauges = trace.gauges.clone();
         gauges.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, v) in &gauges {
-            println!("  {name:<38} {v:>12.3}");
+            outln!("  {name:<38} {v:>12.3}");
         }
     }
     if !trace.histograms.is_empty() {
-        println!("\nhistograms:");
+        outln!("\nhistograms:");
         let mut histograms = trace.histograms.clone();
         histograms.sort_by(|a, b| a.0.cmp(&b.0));
         for (name, h) in &histograms {
-            println!(
+            outln!(
                 "  {name:<38} count {} sum {:.4} min {:.4} p50 {:.4} p95 {:.4} max {:.4}",
-                h.count, h.sum, h.min, h.p50, h.p95, h.max
+                h.count,
+                h.sum,
+                h.min,
+                h.p50,
+                h.p95,
+                h.max
             );
         }
     }
     if !trace.samples.is_empty() {
-        println!(
+        outln!(
             "\nlive samples: {} (last tick {})",
             trace.samples.len(),
             trace.samples.last().map_or(0, |s| s.tick)
@@ -276,11 +284,16 @@ fn summarize(trace: &Trace) {
     }
     let rates = derived_throughputs(trace);
     if !rates.is_empty() {
-        println!("\nderived throughputs:");
+        outln!("\nderived throughputs:");
         for t in rates {
-            println!(
+            outln!(
                 "  {:<38} {:>12.1} {}/s  ({} {} over {:.3}s)",
-                t.name, t.per_sec, t.unit, t.count, t.unit, t.seconds
+                t.name,
+                t.per_sec,
+                t.unit,
+                t.count,
+                t.unit,
+                t.seconds
             );
         }
     }
@@ -332,9 +345,13 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
         .collect();
     rows.sort_by(|x, y| y.delta.abs().total_cmp(&x.delta.abs()));
 
-    println!(
+    outln!(
         "  {:<28} {:>10} {:>10} {:>10} {:>8}",
-        "span", "a", "b", "delta", "pct"
+        "span",
+        "a",
+        "b",
+        "delta",
+        "pct"
     );
     for r in &rows {
         let pct = if r.a > 0.0 {
@@ -342,9 +359,12 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
         } else {
             "     new".to_owned()
         };
-        println!(
+        outln!(
             "  {:<28} {:>9.3}s {:>9.3}s {:>+9.3}s {pct}",
-            r.name, r.a, r.b, r.delta
+            r.name,
+            r.a,
+            r.b,
+            r.delta
         );
     }
 
@@ -353,7 +373,7 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
         let va = a.counter(name);
         if va != *vb {
             counter_drift = true;
-            println!(
+            outln!(
                 "  counter {name}: {va} → {vb} ({:+})",
                 *vb as i128 - va as i128
             );
@@ -362,11 +382,11 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
     for (name, va) in &a.counters {
         if !b.counters.iter().any(|(n, _)| n == name) {
             counter_drift = true;
-            println!("  counter {name}: {va} → absent");
+            outln!("  counter {name}: {va} → absent");
         }
     }
     if counter_drift {
-        println!("  (counter drift means the computation changed, not just the clock)");
+        outln!("  (counter drift means the computation changed, not just the clock)");
     }
 
     let Some(pct) = threshold_pct else {
@@ -377,15 +397,15 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
         .filter(|r| r.delta > min_seconds && (r.a == 0.0 || r.delta > r.a * pct / 100.0))
         .collect();
     if regressions.is_empty() {
-        println!("\nOK: no span regressed more than {pct}% (noise floor {min_seconds}s)");
+        outln!("\nOK: no span regressed more than {pct}% (noise floor {min_seconds}s)");
         ExitCode::SUCCESS
     } else {
-        println!(
+        outln!(
             "\nREGRESSION: {} span(s) past the {pct}% threshold:",
             regressions.len()
         );
         for r in &regressions {
-            println!("  {}: {:.3}s → {:.3}s ({:+.3}s)", r.name, r.a, r.b, r.delta);
+            outln!("  {}: {:.3}s → {:.3}s ({:+.3}s)", r.name, r.a, r.b, r.delta);
         }
         ExitCode::FAILURE
     }
@@ -409,7 +429,7 @@ fn flame(trace: &Trace) {
     let mut folded = BTreeMap::new();
     walk(&trace.spans, "", &mut folded);
     for (stack, micros) in folded {
-        println!("{stack} {micros}");
+        outln!("{stack} {micros}");
     }
 }
 
@@ -418,19 +438,19 @@ fn flame(trace: &Trace) {
 fn check(trace: &Trace, baseline: &Baseline, tolerance_pct: f64, baseline_path: &str) -> ExitCode {
     let violations = baseline.check(trace, tolerance_pct);
     if violations.is_empty() {
-        println!(
+        outln!(
             "OK: within {baseline_path} budgets ({} stages at +{tolerance_pct}%, {} counters exact)",
             baseline.stages.len(),
             baseline.counters.len()
         );
         ExitCode::SUCCESS
     } else {
-        println!(
+        outln!(
             "FAIL: {} violation(s) against {baseline_path}:",
             violations.len()
         );
         for v in &violations {
-            println!("  {v}");
+            outln!("  {v}");
         }
         ExitCode::FAILURE
     }
@@ -502,7 +522,7 @@ fn print_heap_rollup(spans: &[&TraceSpan], depth: usize, root_total: u64) {
         } else {
             format!("{}{}", "  ".repeat(depth), r.name)
         };
-        println!(
+        outln!(
             "  {label:<38} {:>8} {:>8} {:>10} {:>8} {:>5.1}%",
             fmt_bytes(r.bytes as usize),
             fmt_bytes(r.self_bytes as usize),
@@ -570,16 +590,21 @@ fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
         let mut stacks = BTreeMap::new();
         walk(&trace.spans, "", &mut stacks);
         for (stack, bytes) in stacks {
-            println!("{stack} {bytes}");
+            outln!("{stack} {bytes}");
         }
         return ExitCode::SUCCESS;
     }
 
     let roots: Vec<&TraceSpan> = trace.spans.iter().collect();
     let root_total: u64 = trace.spans.iter().map(span_alloc_bytes).sum();
-    println!(
+    outln!(
         "  {:<38} {:>9} {:>9} {:>10} {:>8} {:>6}",
-        "span", "cum", "self", "allocs", "peak", "share"
+        "span",
+        "cum",
+        "self",
+        "allocs",
+        "peak",
+        "share"
     );
     print_heap_rollup(&roots, 0, root_total);
 
@@ -592,13 +617,17 @@ fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
     rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
     rows.truncate(top);
     if !rows.is_empty() {
-        println!("\ntop {} span(s) by self bytes:", rows.len());
-        println!(
+        outln!("\ntop {} span(s) by self bytes:", rows.len());
+        outln!(
             "  {:<38} {:>9} {:>9} {:>10} {:>8}",
-            "span", "self", "cum", "allocs", "peak"
+            "span",
+            "self",
+            "cum",
+            "allocs",
+            "peak"
         );
         for (name, (self_b, cum, count, peak)) in &rows {
-            println!(
+            outln!(
                 "  {name:<38} {:>9} {:>9} {count:>10} {:>8}",
                 fmt_bytes(*self_b as usize),
                 fmt_bytes(*cum as usize),
@@ -633,7 +662,7 @@ fn tail(target: &Path, once: bool, interval_ms: u64) -> Result<ExitCode, String>
     };
     if once {
         let trace = load_trace(&path.to_string_lossy())?;
-        print!("{}", render_tail(&trace, &path));
+        out!("{}", render_tail(&trace, &path));
         return Ok(ExitCode::SUCCESS);
     }
     // Follow mode: snapshots are replaced atomically (temp → rename), so a
@@ -644,8 +673,9 @@ fn tail(target: &Path, once: bool, interval_ms: u64) -> Result<ExitCode, String>
         match load_trace(&path.to_string_lossy()) {
             Ok(trace) => {
                 waiting_reported = false;
-                print!("{}", render_tail(&trace, &path));
-                if open_span_path(&trace).is_none() {
+                out!("{}", render_tail(&trace, &path));
+                // the run is over — or nobody is reading any more
+                if open_span_path(&trace).is_none() || crate::out::closed() {
                     return Ok(ExitCode::SUCCESS);
                 }
             }

@@ -584,3 +584,86 @@ fn unsupervised_align_runs() {
     assert!(text.contains("pseudo seeds"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_closed_stdout_stops_the_printing_not_the_work() {
+    // `largeea align … | head -1`: the reader goes away while the command
+    // still has lines to print and files to write. Here the read end is
+    // closed before the child prints anything, so every line meets EPIPE.
+    use std::process::Stdio;
+    let dir = tempdir("epipe");
+    let data = dir.join("data");
+    let out = bin()
+        .args(["generate", "--preset", "ids15k-en-fr", "--scale", "0.01"])
+        .arg("--out")
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+
+    let align = |tag: &str| {
+        let mut cmd = bin();
+        cmd.args(["align", "--data"])
+            .arg(&data)
+            .args(["--model", "gcn", "--k", "2", "--epochs", "4", "--dim", "16"])
+            .arg("--out")
+            .arg(dir.join(format!("{tag}.tsv")))
+            .arg("--sim-out")
+            .arg(dir.join(format!("{tag}.sim")))
+            .arg("--trace-out")
+            .arg(dir.join(format!("{tag}.json")));
+        cmd
+    };
+    let listened = align("listened").output().unwrap();
+    assert!(listened.status.success());
+    assert!(String::from_utf8_lossy(&listened.stdout).contains("wrote similarity matrix"));
+
+    let mut child = align("ignored")
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    drop(child.stdout.take());
+    let ignored = child.wait_with_output().unwrap();
+    let stderr = String::from_utf8_lossy(&ignored.stderr);
+    assert_eq!(ignored.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    for file in ["tsv", "sim"] {
+        assert_eq!(
+            std::fs::read(dir.join(format!("ignored.{file}"))).unwrap(),
+            std::fs::read(dir.join(format!("listened.{file}"))).unwrap(),
+            "--{file} output must be complete without a reader"
+        );
+    }
+    assert!(
+        dir.join("ignored.json").exists(),
+        "--trace-out still written"
+    );
+
+    // the read-only commands print many lines; none may panic either
+    for args in [
+        vec!["stats", "--data", data.to_str().unwrap()],
+        vec!["partition", "--data", data.to_str().unwrap(), "--k", "2"],
+        vec![
+            "trace",
+            "summarize",
+            dir.join("listened.json").to_str().unwrap(),
+        ],
+        vec!["trace", "heap", dir.join("listened.json").to_str().unwrap()],
+        vec!["failpoints", "list"],
+        vec!["--help"],
+    ] {
+        let mut child = bin()
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -9,7 +9,8 @@ use largeea::core::mem::MemAuditError;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::data::Preset;
-use largeea::models::{ModelKind, TrainConfig};
+use largeea::models::baselines::whole_graph;
+use largeea::models::{train_traced, ModelKind, TrainConfig};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -95,6 +96,51 @@ fn audit_failure_surfaces_as_a_typed_error_under_the_leak_hook() {
         RunError::Audit(MemAuditError::Untracked { .. })
     ));
     assert!(run_err.to_string().contains("mem-audit"));
+}
+
+/// The churn gate: the trainer records every epoch on one recycled tape,
+/// so once epoch 0 has allocated the step's buffers, an epoch that does
+/// not resample negatives may allocate only odds and ends (the per-epoch
+/// `Vec`s of parameter handles, span fields). A change that brings
+/// per-epoch buffer churn back fails here, not in a profile months later.
+#[test]
+fn epochs_after_the_first_allocate_a_sliver_of_epoch_zero() {
+    let pair = Preset::Ids15kEnFr.spec(0.02).generate();
+    let seeds = pair.split_seeds(0.3, 42);
+    let bg = whole_graph(&pair, &seeds);
+    let cfg = TrainConfig {
+        epochs: 8,
+        dim: 32,
+        ..TrainConfig::default()
+    };
+    for kind in [ModelKind::GcnAlign, ModelKind::Rrea, ModelKind::MTransE] {
+        let rec = Recorder::new(ObsConfig {
+            heap: true,
+            ..ObsConfig::default()
+        });
+        let mut model = kind.build(&bg, cfg.dim, 3);
+        train_traced(model.as_mut(), &bg, &cfg, &rec);
+        let trace = rec.trace();
+        let epochs = &trace.find("train_batch").expect("batch span").children;
+        assert_eq!(epochs.len(), cfg.epochs);
+        let bytes = |e: usize| {
+            epochs[e]
+                .field_u64("alloc.bytes")
+                .expect("heap attribution")
+        };
+        let first = bytes(0);
+        assert!(
+            first > 100_000,
+            "{kind:?}: epoch 0 allocated only {first} B"
+        );
+        for e in (1..cfg.epochs).filter(|e| e % cfg.neg_refresh != 0) {
+            assert!(
+                bytes(e) * 20 <= first,
+                "{kind:?}: epoch {e} allocated {} B against epoch 0's {first} B",
+                bytes(e)
+            );
+        }
+    }
 }
 
 // --- CLI ------------------------------------------------------------------
