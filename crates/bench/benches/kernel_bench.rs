@@ -19,7 +19,7 @@
 //!    l1_panel (the kernel the exact top-k scan runs) or matmul fail to
 //!    beat scalar while a SIMD ISA is active.
 
-use largeea_bench::{arg_str, Baseline, StageStat};
+use largeea_bench::{arg_str, Baseline};
 use largeea_common::bench::{Bench, Measurement};
 use largeea_common::pool::Pool;
 use largeea_common::rng::Rng;
@@ -236,12 +236,7 @@ fn merge_into_baseline(path: &str, comparisons: &[Comparison]) {
                 &format!("kernel_speedup_{}", c.name),
                 format!("{:.2}", c.speedup()),
             );
-            let stat = StageStat {
-                median_seconds: c.dispatched.median_ns * 1e-9,
-                min_seconds: c.dispatched.min_ns * 1e-9,
-                max_seconds: c.dispatched.max_ns * 1e-9,
-            };
-            baseline.set_stage(&format!("kernel.{}", c.name), stat);
+            baseline.set_stage(&format!("kernel.{}", c.name), c.dispatched.into());
         }
     });
     println!("merged kernel.* stages into {path}");

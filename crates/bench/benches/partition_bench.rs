@@ -4,10 +4,21 @@
 //! partition-time comparison: multilevel coarsening, full k-way
 //! partitioning, and the two mini-batch generation strategies end-to-end.
 //! Also covers ablation D2 (CPS pivot count q).
+//!
+//! `ladder_dbp1m` is the op-level row for one partition level at a size
+//! where the partitioner's growth shows (the groups above stop at 1 500
+//! vertices): `partition_kway` at K = 20 on the source graph of
+//! DBP1M(EN-FR) scale 0.025 — the shape of the `dbp1m-partition` benchmark
+//! workload — reported as edges/s, and `initial_partition` alone on the
+//! graph coarsening hands it. `--merge-into <BENCH.json>` records them
+//! as the `op.partition_kway` / `op.initial_partition` stages (plus
+//! `op_partition_*` config entries) in the pipeline baseline.
 
+use largeea_bench::{arg_str, Baseline};
 use largeea_common::bench::Bench;
 use largeea_data::Preset;
-use largeea_partition::coarsen::coarsen_once;
+use largeea_partition::coarsen::{coarsen_once, coarsen_to};
+use largeea_partition::initial::initial_partition;
 use largeea_partition::{metis_cps, partition_kway, vps, CpsConfig, PartGraph, PartitionConfig};
 
 fn bench_partitioner(bench: &mut Bench) {
@@ -64,10 +75,53 @@ fn bench_refinement(bench: &mut Bench) {
     group.finish();
 }
 
+fn bench_ladder(bench: &mut Bench) {
+    const K: usize = 20;
+    let pair = Preset::Dbp1mEnFr.spec(0.025).generate();
+    let g = PartGraph::from_kg(&pair.source);
+    let cfg = PartitionConfig::new(K);
+    // what `partition_kway` coarsens to and seeds its initial partition with
+    let levels = coarsen_to(&g, (K * cfg.coarsen_factor).max(64), cfg.seed);
+    let coarsest = &levels.last().expect("45 000 vertices coarsen").graph;
+
+    let mut group = bench.group("ladder_dbp1m");
+    let kway = group
+        .bench_measured(format!("partition_kway_{}v/{K}", g.nv()), |b| {
+            b.iter(|| partition_kway(&g, &cfg))
+        })
+        .expect("measured");
+    let initial = group
+        .bench_measured(format!("initial_partition_{}v/{K}", coarsest.nv()), |b| {
+            b.iter(|| initial_partition(coarsest, K, cfg.seed.wrapping_add(97)))
+        })
+        .expect("measured");
+    group.finish();
+
+    let edges_per_s = g.ne() as f64 / (kway.median_ns * 1e-9);
+    let graph = format!(
+        "dbp1m-en-fr@0.025 source: {} vertices, {} edges, K={K}; coarsest {} vertices, {} edges",
+        g.nv(),
+        g.ne(),
+        coarsest.nv(),
+        coarsest.ne()
+    );
+    println!("\npartition_kway on {graph}: {edges_per_s:.0} edges/s");
+    if let Some(path) = arg_str("merge-into") {
+        Baseline::edit_file(&path, |baseline| {
+            baseline.set_stage("op.partition_kway", kway.into());
+            baseline.set_stage("op.initial_partition", initial.into());
+            baseline.set_config("op_partition_graph", graph);
+            baseline.set_config("op_partition_kway_edges_per_s", format!("{edges_per_s:.0}"));
+        });
+        println!("merged op.partition_kway and op.initial_partition into {path}");
+    }
+}
+
 fn main() {
     let mut bench = Bench::new().sample_size(10);
     bench_partitioner(&mut bench);
     bench_minibatch_generation(&mut bench);
     bench_cps_pivots(&mut bench);
     bench_refinement(&mut bench);
+    bench_ladder(&mut bench);
 }

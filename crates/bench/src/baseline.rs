@@ -34,6 +34,17 @@ pub struct StageStat {
     pub max_seconds: f64,
 }
 
+impl From<largeea_common::bench::Measurement> for StageStat {
+    /// A micro-benchmark's per-iteration nanoseconds as a stage's seconds.
+    fn from(m: largeea_common::bench::Measurement) -> Self {
+        Self {
+            median_seconds: m.median_ns * 1e-9,
+            min_seconds: m.min_ns * 1e-9,
+            max_seconds: m.max_ns * 1e-9,
+        }
+    }
+}
+
 /// A perf baseline: stage time budgets plus exact expected counters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {

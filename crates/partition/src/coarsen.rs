@@ -6,8 +6,13 @@
 //! contracted, so the partitioner stays free to cut them). Matched pairs
 //! collapse into coarse vertices whose weight is the pair's sum; coarse edge
 //! weights accumulate all fine edges between the clusters.
+//!
+//! A round is one pass over the adjacency for the matching and one for the
+//! contraction, which writes the coarse graph's merged edges row by row —
+//! `O(nv + |E|)` plus a sort of each coarse row's few neighbours, with no
+//! edge list to sort again and nothing hashed.
 
-use crate::graph::PartGraph;
+use crate::graph::{Edge, PartGraph};
 use largeea_common::obs::Recorder;
 use largeea_common::pool::Pool;
 use largeea_common::rng::{Rng, SliceRandom};
@@ -53,56 +58,60 @@ pub fn coarsen_once(g: &PartGraph, seed: u64) -> CoarseLevel {
     }
 
     // Assign coarse ids: one per matched pair / singleton, smallest fine id
-    // decides, keeping the numbering deterministic.
+    // decides, keeping the numbering deterministic. `members[c]` lists the
+    // fine vertices of coarse vertex `c`, smaller id first (a singleton
+    // twice).
     let mut map = vec![u32::MAX; nv];
-    let mut next = 0u32;
+    let mut members: Vec<(u32, u32)> = Vec::with_capacity(nv / 2 + 1);
     for v in 0..nv as u32 {
         if map[v as usize] != u32::MAX {
             continue;
         }
         let m = mate[v as usize];
-        map[v as usize] = next;
-        if m != v {
-            map[m as usize] = next;
-        }
-        next += 1;
+        map[v as usize] = members.len() as u32;
+        map[m as usize] = members.len() as u32;
+        members.push((v, m));
     }
 
-    // Coarse vertex weights and edges. The greedy matching above is
-    // inherently sequential (each decision depends on all earlier ones),
-    // but projecting the fine graph through `map` is not: blocks of fine
-    // vertices produce partial weight sums (u64, order-free) and partial
-    // edge lists that concatenate in block order — so `from_edges` sees the
-    // same sequence the sequential loop produced, for any thread count.
-    let pool = Pool::global();
-    let vwgt_blocks = pool.map_blocks(nv, 4096, |range| {
-        let mut partial = vec![0u64; next as usize];
-        for v in range {
-            partial[map[v] as usize] += g.vwgt(v as u32);
-        }
-        partial
-    });
-    let mut vwgt = vec![0u64; next as usize];
-    for partial in vwgt_blocks {
-        for (acc, x) in vwgt.iter_mut().zip(partial) {
-            *acc += x;
-        }
-    }
-    let edge_blocks = pool.map_blocks(nv, 1024, |range| {
-        let mut partial: Vec<(u32, u32, f64)> = Vec::new();
-        for v in range {
-            let cv = map[v];
-            for (n, w) in g.neighbors(v as u32) {
-                let cn = map[n as usize];
-                if cv < cn {
-                    partial.push((cv, cn, w));
+    let vwgt = members
+        .iter()
+        .map(|&(v, m)| g.vwgt(v) + if m != v { g.vwgt(m) } else { 0 })
+        .collect();
+
+    // Contract straight into merged, key-ordered edges. The matching above
+    // is inherently sequential (each decision depends on all earlier ones);
+    // the contraction is not: coarse row `c` gathers the edges its members
+    // send to higher-numbered coarse vertices — smaller fine id first, each
+    // in adjacency order — then a stable sort by coarse neighbour and a
+    // left-to-right sum per neighbour merge them. That is the order in which
+    // a walk over the fine vertices would have emitted them, so each coarse
+    // weight is the same `0.0 + w₁ + w₂ + …` for any thread count. Blocks of
+    // rows concatenate in key order, which is what `from_merged` takes.
+    let blocks = Pool::global().map_blocks(members.len(), 1024, |rows| {
+        let mut out: Vec<Edge> = Vec::new();
+        let mut row: Vec<(u32, f64)> = Vec::new();
+        for c in rows {
+            let (v, m) = members[c];
+            row.clear();
+            for fine in std::iter::once(v).chain((m != v).then_some(m)) {
+                row.extend(
+                    g.neighbors(fine)
+                        .map(|(n, w)| (map[n as usize], w))
+                        .filter(|&(cn, _)| cn as usize > c),
+                );
+            }
+            row.sort_by_key(|&(cn, _)| cn);
+            for &(cn, w) in &row {
+                match out.last_mut() {
+                    Some(last) if (last.0, last.1) == (c as u32, cn) => last.2 += w,
+                    _ => out.push((c as u32, cn, 0.0 + w)),
                 }
             }
         }
-        partial
+        out
     });
-    let edges: Vec<(u32, u32, f64)> = edge_blocks.into_iter().flatten().collect();
-    let graph = PartGraph::from_edges(next as usize, edges).with_vertex_weights(vwgt);
+    let merged: Vec<Edge> = blocks.into_iter().flatten().collect();
+    let graph = PartGraph::from_merged(members.len(), &merged).with_vertex_weights(vwgt);
     CoarseLevel { graph, map }
 }
 
@@ -147,9 +156,58 @@ pub fn coarsen_to_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use largeea_common::check::for_each_case;
 
     fn ring(n: usize) -> PartGraph {
         PartGraph::from_edges(n, (0..n as u32).map(|i| (i, (i + 1) % n as u32, 1.0)))
+    }
+
+    /// The contraction as an edge list handed to `from_edges`: walk the fine
+    /// vertices in order and emit each edge from its lower coarse endpoint.
+    fn contract_by_edge_list(g: &PartGraph, map: &[u32]) -> PartGraph {
+        let next = map.iter().max().map_or(0, |&c| c as usize + 1);
+        let mut vwgt = vec![0u64; next];
+        let mut edges = Vec::new();
+        for v in 0..g.nv() as u32 {
+            let cv = map[v as usize];
+            vwgt[cv as usize] += g.vwgt(v);
+            for (n, w) in g.neighbors(v) {
+                if cv < map[n as usize] {
+                    edges.push((cv, map[n as usize], w));
+                }
+            }
+        }
+        PartGraph::from_edges(next, edges).with_vertex_weights(vwgt)
+    }
+
+    #[test]
+    fn contraction_equals_the_edge_list_reference_bit_for_bit() {
+        for_each_case(0xC0A_0001, 100, |rng| {
+            let nv = rng.gen_range(1..300usize);
+            let m = rng.gen_range(0..6 * nv);
+            let edges: Vec<(u32, u32, f64)> = (0..m)
+                .map(|_| {
+                    let w = [0.0, 0.1, 0.2, 0.3, 1.0, 1000.0][rng.gen_range(0..6usize)];
+                    (rng.gen_range(0..nv as u32), rng.gen_range(0..nv as u32), w)
+                })
+                .collect();
+            let vwgt = (0..nv).map(|_| rng.gen_range(1..9u64)).collect();
+            let mut g = PartGraph::from_edges(nv, edges).with_vertex_weights(vwgt);
+            // a few rounds, so coarse weights are themselves sums
+            for round in 0..3 {
+                let level = coarsen_once(&g, rng.next_u64());
+                let reference = contract_by_edge_list(&g, &level.map);
+                assert_eq!(
+                    level.graph.adjacency_bits(),
+                    reference.adjacency_bits(),
+                    "round {round}"
+                );
+                for c in 0..reference.nv() as u32 {
+                    assert_eq!(level.graph.vwgt(c), reference.vwgt(c), "round {round}");
+                }
+                g = level.graph;
+            }
+        });
     }
 
     #[test]

@@ -21,12 +21,11 @@
 //! never modified.
 
 use crate::batches::MiniBatches;
-use crate::graph::PartGraph;
+use crate::graph::{merge_edges, Edge, PartGraph};
 use crate::kway::{partition_kway_traced, PartitionConfig};
 use largeea_common::obs::{Level, Recorder};
 use largeea_common::rng::Rng;
-use largeea_kg::{AlignmentSeeds, KgPair};
-use std::collections::HashMap;
+use largeea_kg::{AlignmentSeeds, KgPair, KnowledgeGraph};
 
 /// Configuration for [`metis_cps`].
 #[derive(Debug, Clone, Copy)]
@@ -77,7 +76,8 @@ pub fn metis_cps(pair: &KgPair, seeds: &AlignmentSeeds, cfg: &CpsConfig) -> Mini
 /// [`metis_cps`] with telemetry: child spans for the source-side partition,
 /// the re-weighting step, and the target-side partition, plus
 /// `cps.virtual_edges` / `cps.released_edges` counters for the two
-/// re-weighting phases.
+/// re-weighting phases (star edges drawn, duplicates included; edges left
+/// at weight 0).
 pub fn metis_cps_traced(
     pair: &KgPair,
     seeds: &AlignmentSeeds,
@@ -95,79 +95,32 @@ pub fn metis_cps_traced(
     };
 
     // Step 2: group targets of training seeds by source part.
-    // group_of[target_entity] = seed-group id (u32::MAX = not a seed target)
-    const NO_GROUP: u32 = u32::MAX;
-    let mut group_of = vec![NO_GROUP; pair.target.num_entities()];
-    let mut groups: Vec<Vec<u32>> = vec![Vec::new(); cfg.k];
+    let mut groups = SeedGroups {
+        of: vec![NO_GROUP; pair.target.num_entities()],
+        members: vec![Vec::new(); cfg.k],
+    };
     for &(s, t) in &seeds.train {
         let g = source_part.assignment[s.idx()];
-        group_of[t.idx()] = g;
-        groups[g as usize].push(t.0);
+        groups.of[t.idx()] = g;
+        groups.members[g as usize].push(t.0);
     }
 
-    // Build the target edge map so phases 1/2 can re-weight existing edges.
-    let mut edges: HashMap<(u32, u32), f64> = HashMap::new();
-    for t in pair.target.triples() {
-        let (a, b) = (t.head.0, t.tail.0);
-        if a == b {
-            continue;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        *edges.entry(key).or_insert(0.0) += 1.0;
-    }
-
-    // Phases 1 + 2: re-weight the target partition graph.
-    let mut reweight_span = rec.span_at(Level::Detail, "cps_reweight");
-    let mut virtual_edges = 0u64;
-    let mut released_edges = 0u64;
-
-    // Phase 1: attract — virtual star edges + weight reset inside CG^i.
-    let mut rng = Rng::seed_from_u64(cfg.seed ^ PIVOT_RNG_SALT);
-    for members in groups.iter().filter(|m| m.len() >= 2) {
-        // existing edges inside the group get w'
-        for (i, &a) in members.iter().enumerate() {
-            for &b in &members[i + 1..] {
-                let key = if a < b { (a, b) } else { (b, a) };
-                if let Some(w) = edges.get_mut(&key) {
-                    *w = cfg.virtual_edge_weight;
-                }
-            }
-        }
-        // q pivots connect to everyone (virtual edges)
-        for _ in 0..cfg.q.min(members.len()) {
-            let pivot = members[rng.gen_range(0..members.len())];
-            for &b in members {
-                if b == pivot {
-                    continue;
-                }
-                let key = if pivot < b { (pivot, b) } else { (b, pivot) };
-                edges.insert(key, cfg.virtual_edge_weight);
-                virtual_edges += 1;
-            }
-        }
-    }
-
-    // Phase 2: release — zero weight across different seed groups.
-    for (&(a, b), w) in edges.iter_mut() {
-        let (ga, gb) = (group_of[a as usize], group_of[b as usize]);
-        if ga != NO_GROUP && gb != NO_GROUP && ga != gb {
-            *w = 0.0;
-            released_edges += 1;
-        }
-    }
-    rec.add("cps.virtual_edges", virtual_edges);
-    rec.add("cps.released_edges", released_edges);
-    reweight_span.field("virtual_edges", virtual_edges);
-    reweight_span.field("released_edges", released_edges);
-    drop(reweight_span);
+    // Step 3, phases 1 + 2: re-weight the target partition graph.
+    let target_edges = {
+        let mut span = rec.span_at(Level::Detail, "cps_reweight");
+        let r = reweight_target(&pair.target, &groups, cfg);
+        rec.add("cps.virtual_edges", r.virtual_edges);
+        rec.add("cps.released_edges", r.released_edges);
+        span.field("virtual_edges", r.virtual_edges);
+        span.field("released_edges", r.released_edges);
+        r.edges
+    };
 
     // Step 4: partition the re-weighted target graph.
     let target_part = {
         let _s = rec.span_at(Level::Detail, "cps_target_partition");
-        let target_graph = PartGraph::from_edges(
-            pair.target.num_entities(),
-            edges.into_iter().map(|((a, b), w)| (a, b, w)),
-        );
+        let target_graph = PartGraph::from_merged(pair.target.num_entities(), &target_edges);
+        drop(target_edges); // 16 B an edge, dead weight while partitioning
         partition_kway_traced(
             &target_graph,
             &cfg.partition_config().with_seed(cfg.seed.wrapping_add(1)),
@@ -202,6 +155,92 @@ pub fn metis_cps_traced(
 
 /// Salt decoupling the pivot-selection RNG from the partitioner RNG.
 const PIVOT_RNG_SALT: u64 = 0x9D39_247E_3377_6D41;
+
+/// `SeedGroups::of` of a target entity no training seed points at.
+const NO_GROUP: u32 = u32::MAX;
+
+/// The target entities of the training seeds, grouped by the source part of
+/// their source entity.
+struct SeedGroups {
+    /// Seed-group id of each target entity ([`NO_GROUP`] = not a seed
+    /// target). A target that occurs in several training pairs is listed in
+    /// each pair's group and keeps the id of the last.
+    of: Vec<u32>,
+    /// The members of each group, in training-pair order.
+    members: Vec<Vec<u32>>,
+}
+
+/// The re-weighted target graph as merged, key-ordered edges, with what the
+/// two phases did.
+struct Reweighted {
+    edges: Vec<Edge>,
+    /// Pivot star edges drawn in phase 1.
+    virtual_edges: u64,
+    /// Edges phase 2 zeroed.
+    released_edges: u64,
+}
+
+/// CPS phases 1 and 2 over the target KG's edges, in one pass with no
+/// hashing: an edge between two seed targets gets `w′` when they share a
+/// group and `0` when they do not; every other edge keeps its triple count.
+/// Then each group of two or more draws its pivots and each pivot's star is
+/// added — the stars, sorted, merge into the key-ordered edges, and a star
+/// edge the KG already has is that edge, which the pass has given the weight
+/// the star would (both ends are seed targets).
+fn reweight_target(target: &KnowledgeGraph, groups: &SeedGroups, cfg: &CpsConfig) -> Reweighted {
+    let mut released_edges = 0u64;
+    // `w′` inside a group; `0`, counted as released, between two groups
+    let mut seed_edge_weight = |a: u32, b: u32| {
+        if groups.of[a as usize] == groups.of[b as usize] {
+            cfg.virtual_edge_weight
+        } else {
+            released_edges += 1;
+            0.0
+        }
+    };
+
+    let mut edges = merge_edges(
+        target.num_entities(),
+        target.triples().iter().map(|t| (t.head.0, t.tail.0, 1.0)),
+    );
+    for (a, b, w) in &mut edges {
+        if groups.of[*a as usize] != NO_GROUP && groups.of[*b as usize] != NO_GROUP {
+            *w = seed_edge_weight(*a, *b);
+        }
+    }
+
+    let mut rng = Rng::seed_from_u64(cfg.seed ^ PIVOT_RNG_SALT);
+    let mut virtual_edges = 0u64;
+    let mut stars: Vec<(u32, u32)> = Vec::new();
+    for members in groups.members.iter().filter(|m| m.len() >= 2) {
+        for _ in 0..cfg.q.min(members.len()) {
+            let pivot = members[rng.gen_range(0..members.len())];
+            for &b in members.iter().filter(|&&b| b != pivot) {
+                stars.push((pivot.min(b), pivot.max(b)));
+                virtual_edges += 1;
+            }
+        }
+    }
+    stars.sort_unstable();
+    stars.dedup();
+
+    let mut merged = Vec::with_capacity(edges.len() + stars.len());
+    let mut kg_edges = edges.into_iter().peekable();
+    for (a, b) in stars {
+        merged.extend(std::iter::from_fn(|| {
+            kg_edges.next_if(|e| (e.0, e.1) < (a, b))
+        }));
+        if kg_edges.peek().is_none_or(|e| (e.0, e.1) != (a, b)) {
+            merged.push((a, b, seed_edge_weight(a, b)));
+        }
+    }
+    merged.extend(kg_edges);
+    Reweighted {
+        edges: merged,
+        virtual_edges,
+        released_edges,
+    }
+}
 
 /// Greedy maximum matching of target parts onto source parts by descending
 /// co-occurrence count. Unmatched target parts take the leftover source
@@ -243,8 +282,9 @@ fn match_parts(k: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use largeea_common::rng::Rng;
-    use largeea_kg::{EntityId, KnowledgeGraph};
+    use largeea_common::check::for_each_case;
+    use largeea_kg::EntityId;
+    use std::collections::BTreeMap;
 
     /// Builds a pair of KGs with `c` planted communities of size `n` where
     /// target community layout mirrors the source, plus cross edges.
@@ -290,6 +330,93 @@ mod tests {
         let pair = KgPair::new(s, t, alignment);
         let seeds = pair.split_seeds(0.2, seed);
         (pair, seeds)
+    }
+
+    /// Phases 1 and 2 as three loops over an edge map: every pair of group
+    /// members probed for an existing edge, the stars inserted, then every
+    /// edge between two groups zeroed.
+    fn reweight_by_map(
+        target: &KnowledgeGraph,
+        groups: &SeedGroups,
+        cfg: &CpsConfig,
+    ) -> Reweighted {
+        let key = |a: u32, b: u32| (a.min(b), a.max(b));
+        let mut edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        for t in target.triples() {
+            if t.head != t.tail {
+                *edges.entry(key(t.head.0, t.tail.0)).or_insert(0.0) += 1.0;
+            }
+        }
+        let mut virtual_edges = 0u64;
+        let mut rng = Rng::seed_from_u64(cfg.seed ^ PIVOT_RNG_SALT);
+        for members in groups.members.iter().filter(|m| m.len() >= 2) {
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
+                    if let Some(w) = edges.get_mut(&key(a, b)) {
+                        *w = cfg.virtual_edge_weight;
+                    }
+                }
+            }
+            for _ in 0..cfg.q.min(members.len()) {
+                let pivot = members[rng.gen_range(0..members.len())];
+                for &b in members.iter().filter(|&&b| b != pivot) {
+                    edges.insert(key(pivot, b), cfg.virtual_edge_weight);
+                    virtual_edges += 1;
+                }
+            }
+        }
+        let mut released_edges = 0u64;
+        for (&(a, b), w) in edges.iter_mut() {
+            let (ga, gb) = (groups.of[a as usize], groups.of[b as usize]);
+            if ga != NO_GROUP && gb != NO_GROUP && ga != gb {
+                *w = 0.0;
+                released_edges += 1;
+            }
+        }
+        Reweighted {
+            edges: edges.into_iter().map(|((a, b), w)| (a, b, w)).collect(),
+            virtual_edges,
+            released_edges,
+        }
+    }
+
+    #[test]
+    fn one_pass_reweighting_equals_the_three_loop_reference() {
+        for_each_case(0xC95_0001, 150, |rng| {
+            let n = rng.gen_range(2..80usize);
+            let mut target = KnowledgeGraph::new("FR");
+            for i in 0..n {
+                target.add_entity(&format!("t{i}"));
+            }
+            for _ in 0..rng.gen_range(0..5 * n) {
+                let (h, t) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                target.add_triple_by_name(&format!("t{h}"), "r", &format!("t{t}"));
+            }
+            // seed targets drawn with replacement: some occur in two
+            // training pairs, in one group or in two
+            let k = rng.gen_range(1..6usize);
+            let mut groups = SeedGroups {
+                of: vec![NO_GROUP; n],
+                members: vec![Vec::new(); k],
+            };
+            for _ in 0..rng.gen_range(0..n) {
+                let (t, g) = (rng.gen_range(0..n), rng.gen_range(0..k));
+                groups.of[t] = g as u32;
+                groups.members[g].push(t as u32);
+            }
+            for q in [1, 3] {
+                let mut cfg = CpsConfig::new(k).with_seed(rng.next_u64());
+                cfg.q = q;
+                let got = reweight_target(&target, &groups, &cfg);
+                let want = reweight_by_map(&target, &groups, &cfg);
+                let bits = |r: &Reweighted| -> Vec<(u32, u32, u64)> {
+                    r.edges.iter().map(|e| (e.0, e.1, e.2.to_bits())).collect()
+                };
+                assert_eq!(bits(&got), bits(&want), "q = {q}");
+                assert_eq!(got.virtual_edges, want.virtual_edges, "q = {q}");
+                assert_eq!(got.released_edges, want.released_edges, "q = {q}");
+            }
+        });
     }
 
     #[test]

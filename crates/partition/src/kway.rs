@@ -2,7 +2,7 @@
 
 use crate::coarsen::coarsen_to_traced;
 use crate::graph::PartGraph;
-use crate::initial::initial_partition;
+use crate::initial::initial_partition_with_stats;
 use crate::refine::refine_kway_traced;
 use largeea_common::obs::{Level, Recorder};
 
@@ -125,9 +125,10 @@ pub fn partition_kway(g: &PartGraph, cfg: &PartitionConfig) -> Partitioning {
 
 /// [`partition_kway`] with telemetry: the whole call is a `partition_kway`
 /// span ([`Level::Detail`]) with `k`/`nv` and — when the recorder is enabled
-/// — final `edge_cut`/`balance` fields; coarsening, the initial partition,
-/// and each uncoarsening level get child spans, with refinement sweeps
-/// nested under them as `refine_pass` spans.
+/// — final `edge_cut`/`balance` fields; coarsening (`levels`, `coarsest_nv`,
+/// `stalled`), the initial partition (`nv`, `bisections`, `fm_passes`,
+/// `fm_moves`) and each uncoarsening level get child spans, with refinement
+/// sweeps nested under them as `refine_pass` spans.
 pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorder) -> Partitioning {
     let k = cfg.k;
     assert!(k >= 1, "k must be positive");
@@ -153,11 +154,12 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
     let levels = {
         let mut s = rec.span_at(Level::Detail, "coarsen");
         let levels = coarsen_to_traced(g, target_nv, cfg.seed, rec);
+        let coarsest_nv = levels.last().map_or(g.nv(), |l| l.graph.nv());
         s.field("levels", levels.len());
-        s.field(
-            "coarsest_nv",
-            levels.last().map_or(g.nv(), |l| l.graph.nv()),
-        );
+        s.field("coarsest_nv", coarsest_nv);
+        // stopped by the < 10 % shrink rule, short of `target_nv`: the
+        // initial partitioner gets a larger graph than it was meant to
+        s.field("stalled", coarsest_nv > target_nv);
         levels
     };
 
@@ -165,8 +167,13 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
     // coarsening happened).
     let coarsest = levels.last().map(|l| &l.graph).unwrap_or(g);
     let mut assignment = {
-        let _s = rec.span_at(Level::Detail, "initial_partition");
-        let mut assignment = initial_partition(coarsest, k, cfg.seed.wrapping_add(97));
+        let mut s = rec.span_at(Level::Detail, "initial_partition");
+        let (mut assignment, stats) =
+            initial_partition_with_stats(coarsest, k, cfg.seed.wrapping_add(97));
+        s.field("nv", coarsest.nv());
+        s.field("bisections", stats.bisections);
+        s.field("fm_passes", stats.fm_passes);
+        s.field("fm_moves", stats.fm_moves);
         let cap = ((coarsest.total_vwgt() as f64 / k as f64) * cfg.imbalance).ceil() as u64;
         refine_kway_traced(
             coarsest,
@@ -345,8 +352,17 @@ mod tests {
         let root = t.find("partition_kway").expect("root span");
         assert!(root.field("edge_cut").is_some());
         assert!(root.field("balance").is_some());
-        assert!(t.find("coarsen").is_some());
-        assert!(t.find("initial_partition").is_some());
+        let coarsen = t.find("coarsen").expect("coarsen span");
+        assert!(coarsen.field("stalled").is_some());
+        let initial = t.find("initial_partition").expect("initial span");
+        assert_eq!(
+            initial.field_u64("nv"),
+            coarsen.field_u64("coarsest_nv"),
+            "the initial partitioner sees the coarsest graph"
+        );
+        assert_eq!(initial.field_u64("bisections"), Some(2));
+        assert!(initial.field_u64("fm_passes") >= Some(2));
+        assert!(initial.field_u64("fm_moves").is_some());
         assert!(t.span_count("refine_pass") >= 1, "per-pass spans recorded");
         assert!(
             t.counters

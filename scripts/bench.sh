@@ -54,4 +54,13 @@ echo "== bench: one training epoch → train_epoch stage =="
 cargo bench -q --offline -p largeea-bench --bench train_bench -- \
   --merge-into "$PWD/BENCH_pipeline.json"
 
+echo "== bench: one partition level → op.partition_kway / op.initial_partition stages =="
+# The multilevel partitioner where its growth shows (ROADMAP item 1, "one
+# partition level"): `partition_kway` at K = 20 on the source graph of
+# DBP1M(EN-FR) scale 0.025 (46 945 vertices, 174 168 edges — the shape of
+# the `dbp1m-partition` benchmark workload), reported as edges/s, and
+# `initial_partition` alone on its coarsest level.
+cargo bench -q --offline -p largeea-bench --bench partition_bench -- \
+  --merge-into "$PWD/BENCH_pipeline.json"
+
 echo "bench: OK"

@@ -6,10 +6,12 @@
 
 use largeea::common::check::for_each_case;
 use largeea::common::rng::Rng;
+use largeea::data::Preset;
 use largeea::kg::{EntityId, KgPair, KnowledgeGraph};
 use largeea::partition::{
     edge_cut, metis_cps, partition_kway, vps, CpsConfig, PartGraph, PartitionConfig,
 };
+use largeea::text::hashing::fnv1a;
 
 /// A random undirected graph as an edge list over `n` vertices
 /// (10–119 vertices, `n..4n` weighted edges).
@@ -181,4 +183,48 @@ fn overlap_monotonically_recovers_retention() {
             last = r;
         }
     });
+}
+
+/// Both digests were computed on the commit before the priority-queue FM and
+/// the hash-free graph builds: a partitioner optimisation may not move a
+/// single assignment.
+#[test]
+fn cps_assignments_match_the_pinned_digests() {
+    let pair = Preset::Dbp1mCi.spec(1.0).generate();
+    let seeds = pair.split_seeds(0.2, 1);
+    // FNV-1a over the source then the target batch id of every entity
+    let got = [5, 20].map(|k| {
+        let mb = metis_cps(&pair, &seeds, &CpsConfig::new(k));
+        let bytes: Vec<u8> = mb
+            .source_membership
+            .iter()
+            .chain(&mb.target_membership)
+            .flat_map(|m| m[0].to_le_bytes())
+            .collect();
+        fnv1a(&bytes)
+    });
+    assert_eq!(
+        got,
+        [0x7ff0_3f1c_c2b7_0a84, 0xedf0_a5aa_e5c0_84db],
+        "METIS-CPS assignments on dbp1m-ci moved (K = 5, 20): {got:#018x?}"
+    );
+}
+
+/// The same digests at pool widths 1, 2 and 4: `LARGEEA_THREADS` is read
+/// once per process, so each width re-runs the test above in a child.
+#[test]
+fn cps_digests_hold_at_pool_widths_1_2_4() {
+    let exe = std::env::current_exe().expect("test executable path");
+    for threads in ["1", "2", "4"] {
+        let out = std::process::Command::new(&exe)
+            .args(["--exact", "cps_assignments_match_the_pinned_digests"])
+            .env("LARGEEA_THREADS", threads)
+            .output()
+            .expect("re-running the digest test");
+        assert!(
+            out.status.success(),
+            "LARGEEA_THREADS={threads}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }
