@@ -16,8 +16,8 @@
 //!    `--merge-into <BENCH.json>` records the dispatched medians as
 //!    `kernel.*` stages (plus `kernel_speedup_*` config entries) in the
 //!    pipeline baseline; `--require-win` exits non-zero if dot, l1,
-//!    l1_panel (the kernel the exact top-k scan runs) or matmul fail to
-//!    beat scalar while a SIMD ISA is active.
+//!    l1_panel / sad_panel (the kernels the exact top-k scan runs) or
+//!    matmul fail to beat scalar while a SIMD ISA is active.
 
 use largeea_bench::{arg_str, Baseline};
 use largeea_common::bench::{Bench, Measurement};
@@ -139,12 +139,6 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     const DIM: usize = 128;
     let a: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let b: Vec<f32> = (0..DIM).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let qa: Vec<i8> = (0..DIM)
-        .map(|_| rng.gen_range(-127i32..=127) as i8)
-        .collect();
-    let qb: Vec<i8> = (0..DIM)
-        .map(|_| rng.gen_range(-127i32..=127) as i8)
-        .collect();
     // The shape the exact top-k scan hands the panel kernel: 64 base rows
     // of 128 floats (32 KiB, resident in L1d across iterations).
     const PANEL_ROWS: usize = 64;
@@ -152,6 +146,12 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         .map(|_| rng.gen_range(-1.0f32..1.0))
         .collect();
     let mut scores = [0.0f32; PANEL_ROWS];
+    // The same panel as the scan's pre-filter sees it: one byte per dim.
+    let code_q: Vec<u8> = (0..DIM).map(|_| rng.gen_range(0..256u32) as u8).collect();
+    let code_panel: Vec<u8> = (0..PANEL_ROWS * DIM)
+        .map(|_| rng.gen_range(0..256u32) as u8)
+        .collect();
+    let mut sads = [0u32; PANEL_ROWS];
     let mm_a = random_dense(&mut rng, N, N);
     let mm_b = random_dense(&mut rng, N, N);
     let pool = Pool::global();
@@ -159,8 +159,7 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     let mut group = bench.group("kernel_dispatch");
     let mut out = Vec::new();
     // Closures return the computed value so `Bencher::iter`'s black_box
-    // keeps the optimiser from deleting the body (the scalar i8 dot is
-    // otherwise provably dead and vanishes).
+    // keeps the optimiser from deleting the body.
     let mut compare = |group: &mut largeea_common::bench::Group<'_>,
                        name: &'static str,
                        f: &mut dyn FnMut(Isa) -> f32| {
@@ -193,8 +192,13 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         }
         scores[PANEL_ROWS - 1]
     });
-    compare(&mut group, "dot_i8", &mut |isa| {
-        kernels::dot_i8_on(isa, &qa, &qb) as f32
+    compare(&mut group, "sad_panel", &mut |isa| {
+        if isa == Isa::Scalar {
+            kernels::scalar::sad_panel(&code_q, &code_panel, DIM, &mut sads);
+        } else {
+            kernels::sad_panel(&code_q, &code_panel, DIM, &mut sads);
+        }
+        sads[PANEL_ROWS - 1] as f32
     });
     compare(&mut group, "matmul", &mut |isa| {
         mm_a.matmul_on(&mm_b, pool, isa).as_slice()[0]
@@ -204,17 +208,17 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     println!();
     for c in &out {
         println!(
-            "kernel.{:<8} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
+            "kernel.{:<9} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
             c.name,
             c.scalar.median_ns,
             c.dispatched.median_ns,
             isa.name(),
             c.speedup()
         );
-        if c.name == "l1_panel" {
+        if c.name.ends_with("_panel") {
             let pairs_per_s = |m: &Measurement| PANEL_ROWS as f64 / (m.median_ns * 1e-9);
             println!(
-                "kernel.{:<8} {:>8.1} M pairs/s scalar  {:>8.1} M pairs/s {}",
+                "kernel.{:<9} {:>8.1} M pairs/s scalar  {:>8.1} M pairs/s {}",
                 c.name,
                 pairs_per_s(&c.scalar) / 1e6,
                 pairs_per_s(&c.dispatched) / 1e6,
@@ -254,7 +258,8 @@ fn main() {
         let losers: Vec<&str> = comparisons
             .iter()
             .filter(|c| {
-                matches!(c.name, "dot" | "l1" | "l1_panel" | "matmul") && c.speedup() <= 1.0
+                matches!(c.name, "dot" | "l1" | "l1_panel" | "sad_panel" | "matmul")
+                    && c.speedup() <= 1.0
             })
             .map(|c| c.name)
             .collect();

@@ -62,4 +62,4 @@ pub use pipeline::{
 pub use spill::SpillStore;
 pub use structure_channel::{StructureChannel, StructureChannelConfig, StructureChannelOutput};
 pub use supervisor::{registered_failpoints, Degradations, Supervision};
-pub use throughput::{derived_throughputs, Throughput};
+pub use throughput::{derived_throughputs, filter_pass_pcts, Throughput};

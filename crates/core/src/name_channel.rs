@@ -18,8 +18,7 @@ use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
 use largeea_sim::{
-    quantized_topk_streamed, quantized_topk_traced, segmented_topk_streamed, segmented_topk_traced,
-    Metric, QuantConfig, SparseSimMatrix,
+    resident_bytes, segmented_topk_streamed, segmented_topk_traced, Metric, SparseSimMatrix,
 };
 use largeea_text::{batch, normalize_name, HashEncoder, LshIndex, MinHasher};
 
@@ -44,14 +43,6 @@ pub struct NameChannelConfig {
     pub shingle_k: usize,
     /// Encoder / sketch seed.
     pub seed: u64,
-    /// Run the SENS scan on i8-quantized embeddings with an exact f32
-    /// re-rank (DESIGN.md §S0.11) instead of the exact f32 scan — the
-    /// `--quantize` flag. Off by default: the exact scan is the normative
-    /// path and the committed baselines are recorded against it.
-    pub quantize: bool,
-    /// Shortlist multiplier `c` for the quantized scan (`c·k` candidates
-    /// survive to the exact re-rank). Ignored unless `quantize` is set.
-    pub shortlist_factor: usize,
 }
 
 impl Default for NameChannelConfig {
@@ -65,8 +56,6 @@ impl Default for NameChannelConfig {
             minhash_perms: 128,
             shingle_k: 3,
             seed: 0x5E45,
-            quantize: false,
-            shortlist_factor: 4,
         }
     }
 }
@@ -214,36 +203,18 @@ impl NameChannel {
             )
         };
         mem.charge("name_channel", emb_s.nbytes() + emb_t.nbytes())?;
-        let hits = if self.cfg.quantize {
-            span.field("quantize", true);
-            // The quantized corpus (i8 payload + one scale per row) lives
-            // alongside the f32 embeddings for the duration of the scan.
-            let quant_bytes =
-                (emb_s.rows() + emb_t.rows()) * (self.cfg.dim + std::mem::size_of::<f32>());
-            mem.charge("name_channel", quant_bytes)?;
-            let hits = quantized_topk_traced(
-                &emb_s,
-                &emb_t,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                self.cfg.segments,
-                QuantConfig {
-                    shortlist_factor: self.cfg.shortlist_factor,
-                },
-                rec,
-            );
-            mem.uncharge("name_channel", quant_bytes);
-            hits
-        } else {
-            segmented_topk_traced(
-                &emb_s,
-                &emb_t,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                self.cfg.segments,
-                rec,
-            )
-        };
+        // What the search keeps beside the embeddings until it returns.
+        let resident = resident_bytes(emb_s.rows(), emb_t.rows(), self.cfg.dim, self.cfg.segments);
+        mem.charge("name_channel", resident)?;
+        let hits = segmented_topk_traced(
+            &emb_s,
+            &emb_t,
+            self.cfg.top_k,
+            Metric::Manhattan,
+            self.cfg.segments,
+            rec,
+        );
+        mem.uncharge("name_channel", resident);
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
         // negative distances → [0,1] per row so γ-weighted fusion and the
         // later channel fusion operate on one scale
@@ -295,17 +266,11 @@ impl NameChannel {
                 }
             }
         }
-        // The streamed search holds one query + one base segment resident;
+        // The streamed search holds one query + one base segment resident,
+        // plus the sketches of every query row and of that base segment;
         // charge that bound up front (the loaders can't borrow the tracker
-        // while both borrow the store). The quantized scan additionally
-        // keeps the whole corpus resident in i8 (4× smaller than f32) plus
-        // one scale per row.
-        let mut resident =
-            (q_seg.min(n_q) + b_seg.min(n_b)) * self.cfg.dim * std::mem::size_of::<f32>();
-        if self.cfg.quantize {
-            span.field("quantize", true);
-            resident += (n_q + n_b) * (self.cfg.dim + std::mem::size_of::<f32>());
-        }
+        // while both borrow the store).
+        let resident = resident_bytes(n_q, n_b, self.cfg.dim, segments);
         mem.charge("name_channel", resident)?;
         let store_ref = &*store;
         let load_q = |r: std::ops::Range<usize>| {
@@ -314,32 +279,16 @@ impl NameChannel {
         let load_b = |r: std::ops::Range<usize>| {
             store_ref.get_matrix(&format!("sens.b{}", r.start / b_seg), rec)
         };
-        let hits = if self.cfg.quantize {
-            quantized_topk_streamed(
-                n_q,
-                n_b,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                segments,
-                QuantConfig {
-                    shortlist_factor: self.cfg.shortlist_factor,
-                },
-                rec,
-                load_q,
-                load_b,
-            )
-        } else {
-            segmented_topk_streamed(
-                n_q,
-                n_b,
-                self.cfg.top_k,
-                Metric::Manhattan,
-                segments,
-                rec,
-                load_q,
-                load_b,
-            )
-        }
+        let hits = segmented_topk_streamed(
+            n_q,
+            n_b,
+            self.cfg.top_k,
+            Metric::Manhattan,
+            segments,
+            rec,
+            load_q,
+            load_b,
+        )
         .map_err(RunError::Spill)?;
         mem.uncharge("name_channel", resident);
         for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
@@ -536,26 +485,48 @@ mod tests {
     }
 
     #[test]
-    fn quantized_sens_matches_exact_when_shortlist_covers() {
-        // With top_k (50) ≥ the number of entities, every candidate survives
-        // the i8 shortlist and the exact f32 re-rank reproduces the exact
-        // scan verbatim (DESIGN.md §S0.11).
+    fn streamed_sens_fits_its_budget_only_with_the_sketches_counted() {
+        // 200 + 200 long-dimension embeddings in one segment per side, a
+        // tiny top-k and few MinHash permutations: the streamed search's
+        // residents — both f32 segments, every query sketch and one base
+        // segment's — are the channel's peak, to the byte.
         let mut s = KnowledgeGraph::new("EN");
         let mut t = KnowledgeGraph::new("FR");
-        for i in 0..30 {
+        for i in 0..200 {
             s.add_entity_with_label(&format!("en/{i}"), &format!("Concept {i}"));
             t.add_entity_with_label(&format!("fr/{i}"), &format!("Notion {i}"));
         }
-        let exact = NameChannel::new(NameChannelConfig::default()).run(&s, &t);
-        let quant = NameChannel::new(NameChannelConfig {
-            quantize: true,
+        let cfg = NameChannelConfig {
+            segments: 1,
+            top_k: 3,
+            minhash_perms: 16,
             ..Default::default()
-        })
-        .run(&s, &t);
-        assert_eq!(exact.m_se.n_rows(), quant.m_se.n_rows());
-        for r in 0..exact.m_se.n_rows() {
-            assert_eq!(exact.m_se.row(r), quant.m_se.row(r), "row {r} diverged");
-        }
+        };
+        // 128 code bytes and a 4-byte slack per sketched row
+        let budget = 400 * cfg.dim * std::mem::size_of::<f32>() + 400 * (128 + 4);
+        let run = |budget: usize| {
+            let dir = std::env::temp_dir().join(format!(
+                "largeea_sens_budget_{}_{budget}",
+                std::process::id()
+            ));
+            let mut store = SpillStore::create(&dir).unwrap();
+            let mut mem = MemTracker::with_budget(budget);
+            let out = NameChannel::new(cfg).run_bounded(
+                &s,
+                &t,
+                &Recorder::disabled(),
+                &mut mem,
+                Some(&mut store),
+            );
+            drop(store);
+            std::fs::remove_dir_all(&dir).ok();
+            out.map(|out| (out, mem.peak("name_channel")))
+        };
+        let (bounded, peak) = run(budget).expect("the residents are the whole budget");
+        assert_eq!(peak, budget);
+        assert!(matches!(run(budget - 1), Err(RunError::Budget(_))));
+        let in_ram = NameChannel::new(cfg).run(&s, &t);
+        assert_eq!(bounded.m_n, in_ram.m_n);
     }
 
     #[test]

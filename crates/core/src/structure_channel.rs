@@ -388,7 +388,7 @@ impl StructureChannel {
                             // fill a fresh block and spill it instead of growing
                             // `m_s` — same content as the checkpointed merge path
                             let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                            fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block);
+                            fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
                             mem.charge("structure_channel", block.nbytes())?;
                             if let Some(c) = ckpt.as_mut() {
                                 c.save_sim(&skey, &block, rec)?;
@@ -405,11 +405,13 @@ impl StructureChannel {
                                 // and cross-batch duplicates accumulate by `+=`
                                 // either way)
                                 let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block);
+                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
                                 c.save_sim(&skey, &block, rec)?;
                                 merge_block(&mut m_s, &block);
                             }
-                            None => fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut m_s),
+                            None => {
+                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut m_s, rec)
+                            }
                         },
                     }
                 }

@@ -16,6 +16,12 @@
 //! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `stns` |
 //! | `sens.encodes_per_sec` | number of `encode` spans | `sens` |
 //!
+//! Beside the rates, [`filter_pass_pcts`] derives what share of the pairs a
+//! top-k scan was handed its u8 pre-filter could not rule out and the scan
+//! scored in f32 (DESIGN.md §S0.11): `sens.filter_pass_pct` from
+//! `sens.refined_pairs` / `sens.candidates_scored`, `topk.filter_pass_pct`
+//! from `topk.refined_pairs` / `topk.scored_pairs`.
+//!
 //! The definitions live here — next to the pipeline that records the
 //! counters — so the trace CLI, the baseline reporter and any future
 //! dashboard all derive identical numbers from the same trace.
@@ -129,6 +135,22 @@ pub fn derived_throughputs(trace: &Trace) -> Vec<Throughput> {
         .collect()
 }
 
+/// `(name, percent, pairs scored in f32, pairs scanned)` for each scan the
+/// trace counted pairs of (module docs); a scan that never ran is skipped.
+pub fn filter_pass_pcts(trace: &Trace) -> Vec<(String, f64, u64, u64)> {
+    let scans = [
+        ("sens", "sens.candidates_scored"),
+        ("topk", "topk.scored_pairs"),
+    ];
+    let pass = |(scan, scanned): (&str, &str)| {
+        let refined = trace.counter(&format!("{scan}.refined_pairs"));
+        let scanned = trace.counter(scanned);
+        let pct = 100.0 * refined as f64 / scanned as f64;
+        (scanned > 0).then(|| (format!("{scan}.filter_pass_pct"), pct, refined, scanned))
+    };
+    scans.into_iter().filter_map(pass).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +206,18 @@ mod tests {
         assert!(tp.iter().all(|t| t.stage != "stns" && t.stage != "sens"));
         // …and an empty trace derives nothing at all
         assert!(derived_throughputs(&Trace::default()).is_empty());
+    }
+
+    #[test]
+    fn filter_pass_pct_is_refined_over_scanned() {
+        let rec = Recorder::new(ObsConfig::default());
+        rec.add("sens.candidates_scored", 4_000);
+        rec.add("sens.refined_pairs", 150);
+        assert_eq!(
+            filter_pass_pcts(&rec.trace()),
+            vec![("sens.filter_pass_pct".to_owned(), 3.75, 150, 4_000)]
+        );
+        assert!(filter_pass_pcts(&Trace::default()).is_empty());
     }
 
     #[test]

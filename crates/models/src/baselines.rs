@@ -19,6 +19,7 @@
 use crate::batch_graph::BatchGraph;
 use crate::scoring::fill_similarity;
 use crate::trainer::{train, ModelKind, TrainConfig};
+use largeea_common::obs::Recorder;
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_sim::{topk_search, Metric, SparseSimMatrix};
 use largeea_tensor::Matrix;
@@ -61,7 +62,8 @@ fn run_structural(
     let mut model = kind.build(&bg, cfg.dim, cfg.seed);
     let report = train(model.as_mut(), &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim);
+    let off = Recorder::disabled();
+    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
     let peak_bytes = report.peak_bytes + report.embeddings.nbytes() + sim.nbytes();
     BaselineResult {
         sim,
@@ -170,7 +172,8 @@ pub fn bert_int_lite(
     let mut model = NameProj::new(names, cfg.seed);
     let report = train(&mut model, &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim);
+    let off = Recorder::disabled();
+    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
     let peak_bytes =
         report.peak_bytes + names_bytes * 2 + report.embeddings.nbytes() + sim.nbytes();
     BaselineResult {
@@ -203,7 +206,8 @@ pub fn rdgcn_lite(
         crate::gcn_align::GcnAlign::with_features(&bg, x0, cfg.seed).with_concat_output();
     let report = train(&mut model, &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim);
+    let off = Recorder::disabled();
+    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
     let peak_bytes = report.peak_bytes
         + report.embeddings.nbytes()
         + name_s.nbytes()

@@ -7,26 +7,34 @@
 //! memory story of paper §2.2.2.
 
 use crate::batch_graph::BatchGraph;
-use largeea_sim::{topk_search, Metric, SparseSimMatrix};
+use largeea_common::obs::Recorder;
+use largeea_sim::{topk_search_traced, Metric, SparseSimMatrix};
 use largeea_tensor::Matrix;
 
 /// Scores `bg`'s source entities against its target entities with the
 /// trained embeddings and writes the top-`k` candidates per source entity
 /// into `m_s` (global coordinates). Scores are negative Manhattan
-/// distances (larger = more similar).
-pub fn fill_similarity(bg: &BatchGraph, emb: &Matrix, k: usize, m_s: &mut SparseSimMatrix) {
+/// distances (larger = more similar). The search's `topk.refined_pairs`
+/// counter goes to `rec`.
+pub fn fill_similarity(
+    bg: &BatchGraph,
+    emb: &Matrix,
+    k: usize,
+    m_s: &mut SparseSimMatrix,
+    rec: &Recorder,
+) {
     if bg.n_source == 0 || bg.n_target == 0 {
         return;
     }
     let src = emb.gather_rows(&bg.source_locals());
     let tgt = emb.gather_rows(&bg.target_locals());
-    let hits = topk_search(&src, &tgt, k, Metric::Manhattan);
+    let hits = topk_search_traced(&src, &tgt, k, Metric::Manhattan, rec);
     for (local_s, row_hits) in hits.into_iter().enumerate() {
-        let global_s = bg.source_ids[local_s].idx();
-        for (local_t, score) in row_hits {
-            let global_t = bg.target_ids[local_t as usize].0;
-            m_s.insert(global_s, global_t, score);
-        }
+        let global = |(local_t, score): (u32, f32)| (bg.target_ids[local_t as usize].0, score);
+        m_s.insert_row(
+            bg.source_ids[local_s].idx(),
+            row_hits.into_iter().map(global).collect(),
+        );
     }
 }
 
@@ -64,7 +72,7 @@ mod tests {
             ],
         );
         let mut m = SparseSimMatrix::new(4, 4);
-        fill_similarity(&bg, &emb, 1, &mut m);
+        fill_similarity(&bg, &emb, 1, &mut m, &Recorder::disabled());
         // global source 2's best is global target 3 at distance 0
         assert_eq!(m.best(2), Some((3, 0.0)));
         // global source 3's best is global target 1 (|9-5| = 4)
@@ -81,7 +89,7 @@ mod tests {
         let mb = MiniBatches::from_assignments(&pair, &AlignmentSeeds::default(), &[], &[], 1);
         let bg = BatchGraph::from_mini_batch(&pair, &mb.batches[0]);
         let mut m = SparseSimMatrix::new(0, 0);
-        fill_similarity(&bg, &Matrix::zeros(0, 4), 5, &mut m);
+        fill_similarity(&bg, &Matrix::zeros(0, 4), 5, &mut m, &Recorder::disabled());
         assert_eq!(m.nnz(), 0);
     }
 }

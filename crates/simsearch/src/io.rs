@@ -47,14 +47,27 @@ pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
     }
     let mut n = [0u8; 8];
     r.read_exact(&mut n)?;
-    let n_rows = u64::from_le_bytes(n) as usize;
+    let n_rows = u64::from_le_bytes(n);
     r.read_exact(&mut n)?;
-    let n_cols = u64::from_le_bytes(n) as usize;
-    let mut m = SparseSimMatrix::new(n_rows, n_cols);
+    let n_cols = match u64::from_le_bytes(n) {
+        // column ids are u32: a wider matrix cannot have been written
+        c if c <= 1 << 32 => c as usize,
+        c => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("{c} columns, more than a u32 column id can name"),
+            ))
+        }
+    };
+    // The header is untrusted: nothing is sized from `n_rows` or a row's
+    // `len`. Rows are collected as they are actually read, so an inflated
+    // count runs into `UnexpectedEof` after at most the file's own bytes.
+    let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
     let mut entry = [0u8; 8];
     for row in 0..n_rows {
         r.read_exact(&mut n)?;
-        let len = u64::from_le_bytes(n) as usize;
+        let len = u64::from_le_bytes(n);
+        let mut hits = Vec::new();
         for _ in 0..len {
             r.read_exact(&mut entry)?;
             let col = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
@@ -65,10 +78,11 @@ pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
                     format!("column {col} out of range in row {row}"),
                 ));
             }
-            m.insert(row, col, score);
+            hits.push((col, score));
         }
+        rows.push(hits);
     }
-    Ok(m)
+    Ok(SparseSimMatrix::from_topk(n_cols, rows))
 }
 
 /// Prefixes `path` onto an I/O error so callers see *which* file failed —
@@ -161,6 +175,30 @@ mod tests {
         let mut evil = buf.clone();
         evil[6 + 16..6 + 16 + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         assert!(read_sparse_sim(&evil[..]).is_err());
+    }
+
+    #[test]
+    fn inflated_header_fails_before_any_large_allocation() {
+        let m = sample();
+        let mut buf = Vec::new();
+        write_sparse_sim(&m, &mut buf).unwrap();
+        // an 8-byte edit asks for 2^60 rows (or, separately, columns): the
+        // reader must run out of file or refuse, not run out of memory
+        for field in [6, 6 + 8] {
+            let mut evil = buf.clone();
+            evil[field..field + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+            let want = if field == 6 {
+                io::ErrorKind::UnexpectedEof
+            } else {
+                io::ErrorKind::InvalidData
+            };
+            assert_eq!(read_sparse_sim(&evil[..]).unwrap_err().kind(), want);
+        }
+        // the same header on a file cut short inside the first row
+        let mut evil = buf[..6 + 16 + 8 + 4].to_vec();
+        evil[6..6 + 8].copy_from_slice(&(1u64 << 60).to_le_bytes());
+        let err = read_sparse_sim(&evil[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //!   matrix every channel produces and the fusion step combines
 //!   (`M = M_s + M_n`), with mutual-top-1 extraction for the name-based
 //!   data augmentation.
-//! - [`quant`] — i8-quantized scan with exact f32 re-rank (DESIGN.md
-//!   §S0.11): the Faiss IVF-PQ shape behind the `--quantize` flag, equal
-//!   to the exact scan whenever the true top-k survive the shortlist.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,15 +19,13 @@ pub mod assignment;
 pub mod io;
 pub mod ivf;
 pub mod kmeans;
-pub mod quant;
 pub mod sparse_sim;
 pub mod topk;
 
 pub use assignment::{assignment_weight, auction_assignment};
 pub use ivf::IvfIndex;
-pub use quant::{quantized_topk_streamed, quantized_topk_traced, QuantConfig, QuantizedMatrix};
 pub use sparse_sim::SparseSimMatrix;
 pub use topk::{
-    segmented_topk, segmented_topk_streamed, segmented_topk_traced, topk_search, topk_search_in,
-    Metric,
+    resident_bytes, segmented_topk, segmented_topk_streamed, segmented_topk_traced, topk_search,
+    topk_search_in, topk_search_traced, Metric,
 };

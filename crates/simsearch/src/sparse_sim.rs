@@ -44,9 +44,7 @@ impl SparseSimMatrix {
     pub fn from_topk(n_cols: usize, hits: Vec<Vec<(u32, f32)>>) -> Self {
         let mut m = Self::new(hits.len(), n_cols);
         for (r, row_hits) in hits.into_iter().enumerate() {
-            for (c, s) in row_hits {
-                m.insert(r, c, s);
-            }
+            m.insert_row(r, row_hits);
         }
         m
     }
@@ -69,6 +67,29 @@ impl SparseSimMatrix {
             Ok(i) => r[i].1 += score,
             Err(i) => r.insert(i, (col, score)),
         }
+    }
+
+    /// [`Self::insert`] for a whole batch of `(col, score)` entries of one
+    /// `row`, in one merge instead of a search and a shift per entry.
+    /// Entry by entry the sums are formed in the order `insert` would form
+    /// them: a column's stored score first, then its `hits` left to right.
+    pub fn insert_row(&mut self, row: usize, mut hits: Vec<(u32, f32)>) {
+        hits.sort_by_key(|&(c, _)| c); // stable: equal columns keep their order
+        if let Some(&(c, _)) = hits.last() {
+            assert!((c as usize) < self.n_cols, "col {c} out of range");
+        }
+        let stored = std::mem::take(&mut self.rows[row]);
+        let mut merged: Vec<(u32, f32)> = Vec::with_capacity(stored.len() + hits.len());
+        let mut stored = stored.into_iter().peekable();
+        for (c, s) in hits {
+            merged.extend(std::iter::from_fn(|| stored.next_if(|e| e.0 <= c)));
+            match merged.last_mut() {
+                Some(last) if last.0 == c => last.1 += s,
+                _ => merged.push((c, s)),
+            }
+        }
+        merged.extend(stored);
+        self.rows[row] = merged;
     }
 
     /// The stored `(col, score)` entries of `row`, ascending by column.
@@ -288,18 +309,26 @@ impl SparseSimMatrix {
     /// standard assignment-extraction step when a downstream application
     /// needs hard matches instead of ranked candidates.
     pub fn greedy_one_to_one(&self) -> Vec<(u32, u32)> {
-        let mut entries: Vec<(f32, u32, u32)> = Vec::with_capacity(self.nnz());
+        // Scores go in as integers that descend as the scores ascend, so the
+        // sort compares (score, row, col) word by word — no three-way float
+        // comparator — in the 12 bytes an entry always took.
+        let mut entries: Vec<(u32, u32, u32)> = Vec::with_capacity(self.nnz());
         for (r, row) in self.rows.iter().enumerate() {
             for &(c, s) in row {
-                entries.push((s, r as u32, c));
+                assert!(!s.is_nan(), "similarity scores are finite");
+                // `+ 0.0` folds −0.0 into +0.0; flipping the sign bit of a
+                // non-negative float, or every bit of a negative one, makes
+                // the bit patterns ascend with the values
+                let bits = (s + 0.0).to_bits();
+                let ascending = if bits >> 31 == 0 {
+                    bits | 1 << 31
+                } else {
+                    !bits
+                };
+                entries.push((!ascending, r as u32, c));
             }
         }
-        entries.sort_unstable_by(|a, b| {
-            b.0.partial_cmp(&a.0)
-                .expect("similarity scores are finite")
-                .then(a.1.cmp(&b.1))
-                .then(a.2.cmp(&b.2))
-        });
+        entries.sort_unstable();
         let mut row_used = vec![false; self.n_rows()];
         let mut col_used = vec![false; self.n_cols];
         let mut out = Vec::new();
@@ -639,6 +668,102 @@ mod tests {
         let pairs = m.greedy_one_to_one();
         assert_eq!(pairs, vec![(0, 1), (1, 0)]);
         // row 2 lost col 1 to row 0 and has no other candidate
+    }
+
+    #[test]
+    fn greedy_one_to_one_takes_entries_in_the_comparator_order() {
+        use largeea_common::check::for_each_case;
+        // The decode as it was before the keys were packed: a three-way
+        // comparator over (score desc, row asc, col asc).
+        fn by_comparator(m: &SparseSimMatrix) -> Vec<(u32, u32)> {
+            let mut entries: Vec<(f32, u32, u32)> = Vec::new();
+            for r in 0..m.n_rows() {
+                entries.extend(m.row(r).iter().map(|&(c, s)| (s, r as u32, c)));
+            }
+            entries.sort_by(|a, b| {
+                (b.0.partial_cmp(&a.0).unwrap())
+                    .then(a.1.cmp(&b.1))
+                    .then(a.2.cmp(&b.2))
+            });
+            let (mut rows, mut cols) = (vec![false; m.n_rows()], vec![false; m.n_cols()]);
+            let mut out = Vec::new();
+            for (_, r, c) in entries {
+                if !rows[r as usize] && !cols[c as usize] {
+                    (rows[r as usize], cols[c as usize]) = (true, true);
+                    out.push((r, c));
+                }
+            }
+            out.sort_unstable();
+            out
+        }
+        for_each_case(0x6EED, 64, |rng| {
+            let (n_rows, n_cols) = (rng.gen_range(1..20usize), rng.gen_range(1..20usize));
+            let mut m = SparseSimMatrix::new(n_rows, n_cols);
+            for _ in 0..rng.gen_range(0..120usize) {
+                // few distinct scores, both signs, both zeros, both
+                // infinities, a denormal: ties and sign edges everywhere
+                let score = match rng.gen_range(0..9u32) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::INFINITY,
+                    3 => f32::NEG_INFINITY,
+                    4 => 1e-40,
+                    5 => -1e-40,
+                    _ => rng.gen_range(-3i32..4) as f32 * 0.25,
+                };
+                let (r, c) = (rng.gen_range(0..n_rows), rng.gen_range(0..n_cols) as u32);
+                if m.get(r, c).is_none() {
+                    m.insert(r, c, score);
+                }
+            }
+            assert_eq!(m.greedy_one_to_one(), by_comparator(&m));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "similarity scores are finite")]
+    fn greedy_one_to_one_rejects_nan() {
+        let mut m = SparseSimMatrix::new(1, 1);
+        m.insert(0, 0, f32::NAN);
+        m.greedy_one_to_one();
+    }
+
+    #[test]
+    fn insert_row_equals_inserting_one_by_one() {
+        use largeea_common::check::for_each_case;
+        for_each_case(0x1205, 96, |rng| {
+            let n_cols = rng.gen_range(1..30usize);
+            let (n_stored, n_hits) = (rng.gen_range(0..12usize), rng.gen_range(0..40usize));
+            let mut entries = |n: usize| -> Vec<(u32, f32)> {
+                // repeated columns on purpose: sums must form in hit order
+                let entry = |_| {
+                    (
+                        rng.gen_range(0..n_cols) as u32,
+                        rng.gen::<f64>() as f32 - 0.3,
+                    )
+                };
+                (0..n).map(entry).collect()
+            };
+            let (stored, hits) = (entries(n_stored), entries(n_hits));
+            let mut one_by_one = SparseSimMatrix::new(2, n_cols);
+            let mut bulk = SparseSimMatrix::new(2, n_cols);
+            for &(c, s) in stored.iter().chain(&hits) {
+                one_by_one.insert(1, c, s);
+            }
+            bulk.insert_row(1, stored);
+            bulk.insert_row(1, hits);
+            let bits = |m: &SparseSimMatrix| -> Vec<(u32, u32)> {
+                m.row(1).iter().map(|&(c, s)| (c, s.to_bits())).collect()
+            };
+            assert_eq!(bits(&bulk), bits(&one_by_one));
+            assert!(bulk.row(0).is_empty());
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn insert_row_validates_cols() {
+        SparseSimMatrix::new(1, 4).insert_row(0, vec![(1, 0.5), (4, 0.5)]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! `a * b` then `+=`). Under IEEE-754 each lane therefore performs the
 //! identical sequence of rounded operations, so every kernel returns a
 //! result bit-identical to its scalar reference on every input — including
-//! NaN/∞ propagation. The i8 kernels are exact integer arithmetic and
+//! NaN/∞ propagation. [`sad_panel`] is exact integer arithmetic and
 //! trivially order-independent. This is what lets `LARGEEA_NO_SIMD=1`
 //! (and non-x86 hosts) reproduce committed baselines byte-for-byte.
 //!
@@ -40,7 +40,7 @@ use std::sync::OnceLock;
 pub enum Isa {
     /// Portable unrolled-accumulator Rust — the reference semantics.
     Scalar,
-    /// x86-64 AVX2 (256-bit lanes; 8×f32 / 16×i8-widened per step).
+    /// x86-64 AVX2 (256-bit lanes; 8×f32 or 32×u8 per step).
     Avx2,
     /// aarch64 NEON (128-bit lanes; two 4×f32 accumulators per step).
     Neon,
@@ -194,48 +194,37 @@ fn panel_on<const L1: bool>(isa: Isa, q: &[f32], panel: &[f32], dim: usize, out:
     }
 }
 
-/// Integer dot product of two `i8` slices (widened to `i32`), truncated to
-/// the shorter length. Exact for any input whose true sum fits `i32` —
-/// with quantized values in `[-127, 127]` that holds up to ~133k dims.
-/// Dispatched via [`active_isa`].
+/// Sum of absolute differences between one `u8` code row and every row of
+/// a row-major code `panel` (`out.len()` rows of `stride` bytes): the
+/// integer half of the exact scan's lossless pre-filter (DESIGN.md §S0.11).
+/// Exact integer arithmetic, so every ISA returns the same numbers.
+///
+/// # Panics
+///
+/// If `stride` is not a multiple of 32 (the AVX2 body reads whole 32-byte
+/// chunks and nothing else) or exceeds 2²⁴ (a row's SAD must fit `u32`),
+/// `q.len() != stride`, or `panel.len() != out.len() * stride`.
 #[inline]
-pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-    dot_i8_on(active_isa(), a, b)
+pub fn sad_panel(q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
+    sad_panel_on(active_isa(), q, panel, stride, out)
 }
 
-/// [`dot_i8`] on an explicit ISA (falls back to scalar if unavailable).
-#[inline]
-pub fn dot_i8_on(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
+/// [`sad_panel`] on an explicit ISA (scalar unless AVX2 is asked for and
+/// available).
+fn sad_panel_on(isa: Isa, q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
+    // Also what the AVX2 body's pointer arithmetic relies on.
+    assert!(
+        stride.is_multiple_of(32) && stride <= 1 << 24,
+        "sad panel stride must be a multiple of 32, at most 2^24"
+    );
+    assert_eq!(q.len(), stride, "sad panel query length mismatch");
+    assert_eq!(panel.len(), out.len() * stride, "sad panel shape mismatch");
     match isa {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 availability verified at runtime before the call.
-        Isa::Avx2 if isa.available() => unsafe { avx2::dot_i8(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON availability verified at runtime before the call.
-        Isa::Neon if isa.available() => unsafe { neon::dot_i8(a, b) },
-        _ => scalar::dot_i8(a, b),
-    }
-}
-
-/// Integer L1 distance of two `i8` slices (widened to `i32`), truncated to
-/// the shorter length. Same exactness bound as [`dot_i8`].
-/// Dispatched via [`active_isa`].
-#[inline]
-pub fn l1_i8(a: &[i8], b: &[i8]) -> i32 {
-    l1_i8_on(active_isa(), a, b)
-}
-
-/// [`l1_i8`] on an explicit ISA (falls back to scalar if unavailable).
-#[inline]
-pub fn l1_i8_on(isa: Isa, a: &[i8], b: &[i8]) -> i32 {
-    match isa {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: AVX2 availability verified at runtime before the call.
-        Isa::Avx2 if isa.available() => unsafe { avx2::l1_i8(a, b) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON availability verified at runtime before the call.
-        Isa::Neon if isa.available() => unsafe { neon::l1_i8(a, b) },
-        _ => scalar::l1_i8(a, b),
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the asserts above established the shape the body assumes.
+        Isa::Avx2 if isa.available() => unsafe { avx2::sad_panel(q, panel, stride, out) },
+        _ => scalar::sad_panel(q, panel, stride, out),
     }
 }
 
@@ -320,22 +309,17 @@ pub mod scalar {
         (((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))) + tail
     }
 
-    /// Integer dot product (`i8` widened to `i32`), truncated to the
-    /// shorter length.
-    pub fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| i32::from(x) * i32::from(y))
-            .sum()
-    }
-
-    /// Integer L1 distance (`i8` widened to `i32`), truncated to the
-    /// shorter length.
-    pub fn l1_i8(a: &[i8], b: &[i8]) -> i32 {
-        a.iter()
-            .zip(b)
-            .map(|(&x, &y)| (i32::from(x) - i32::from(y)).abs())
-            .sum()
+    /// Sum of absolute byte differences of `q` against each `stride`-byte
+    /// row of `panel`.
+    pub fn sad_panel(q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
+        for (r, o) in out.iter_mut().enumerate() {
+            let row = &panel[r * stride..(r + 1) * stride];
+            *o = q
+                .iter()
+                .zip(row)
+                .map(|(&a, &b)| u32::from(a.abs_diff(b)))
+                .sum();
+        }
     }
 
     /// MR=4 register micro-kernel: four A rows against one packed B panel.
@@ -506,54 +490,50 @@ mod avx2 {
         }
     }
 
+    /// Four rows per step, one accumulator of four 64-bit lane sums each.
+    /// A row's whole SAD is below 2³² (the stride is at most 2²⁴), so the
+    /// upper half of every lane is zero and two rows interleave into one
+    /// register of 32-bit
+    /// sums; two unpacks line the four rows up and two adds fold the four
+    /// lane positions. The ≤3 remainder rows take the scalar body.
+    ///
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
+    /// Caller must ensure the CPU supports AVX2, `stride % 32 == 0`,
+    /// `q.len() == stride` and `panel.len() == out.len() * stride`.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 16;
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let va = _mm_loadu_si128(a.as_ptr().add(i * 16) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(i * 16) as *const __m128i);
-            let wa = _mm256_cvtepi8_epi16(va);
-            let wb = _mm256_cvtepi8_epi16(vb);
-            // madd: adjacent i16 products summed pairwise into 8×i32 —
-            // exact, since |x·y| ≤ 127² and the pair sum fits i32.
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(wa, wb));
+    pub unsafe fn sad_panel(q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
+        let chunks = stride / 32;
+        let quads = out.len() / 4;
+        let pq = q.as_ptr();
+        for g in 0..quads {
+            let p0 = panel.as_ptr().add(g * 4 * stride);
+            let mut a0 = _mm256_setzero_si256();
+            let mut a1 = _mm256_setzero_si256();
+            let mut a2 = _mm256_setzero_si256();
+            let mut a3 = _mm256_setzero_si256();
+            for i in 0..chunks {
+                let vq = _mm256_loadu_si256(pq.add(i * 32) as *const __m256i);
+                let at =
+                    |r: usize| _mm256_loadu_si256(p0.add(r * stride + i * 32) as *const __m256i);
+                a0 = _mm256_add_epi64(a0, _mm256_sad_epu8(vq, at(0)));
+                a1 = _mm256_add_epi64(a1, _mm256_sad_epu8(vq, at(1)));
+                a2 = _mm256_add_epi64(a2, _mm256_sad_epu8(vq, at(2)));
+                a3 = _mm256_add_epi64(a3, _mm256_sad_epu8(vq, at(3)));
+            }
+            let r01 = _mm256_or_si256(a0, _mm256_slli_epi64(a1, 32));
+            let r23 = _mm256_or_si256(a2, _mm256_slli_epi64(a3, 32));
+            let lanes = _mm256_add_epi32(
+                _mm256_unpacklo_epi64(r01, r23),
+                _mm256_unpackhi_epi64(r01, r23),
+            );
+            let sums = _mm_add_epi32(
+                _mm256_castsi256_si128(lanes),
+                _mm256_extracti128_si256(lanes, 1),
+            );
+            _mm_storeu_si128(out.as_mut_ptr().add(g * 4) as *mut __m128i, sums);
         }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut sum: i32 = lanes.iter().sum();
-        for i in chunks * 16..n {
-            sum += i32::from(a[i]) * i32::from(b[i]);
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn l1_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 16;
-        let ones = _mm256_set1_epi16(1);
-        let mut acc = _mm256_setzero_si256();
-        for i in 0..chunks {
-            let va = _mm_loadu_si128(a.as_ptr().add(i * 16) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(i * 16) as *const __m128i);
-            let wa = _mm256_cvtepi8_epi16(va);
-            let wb = _mm256_cvtepi8_epi16(vb);
-            let d = _mm256_abs_epi16(_mm256_sub_epi16(wa, wb));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(d, ones));
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr() as *mut __m256i, acc);
-        let mut sum: i32 = lanes.iter().sum();
-        for i in chunks * 16..n {
-            sum += (i32::from(a[i]) - i32::from(b[i])).abs();
-        }
-        sum
+        let done = quads * 4;
+        super::scalar::sad_panel(q, &panel[done * stride..], stride, &mut out[done..]);
     }
 
     /// # Safety
@@ -687,46 +667,6 @@ mod neon {
         (((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
             + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7])))
             + tail
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports NEON.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn dot_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let mut acc = vdupq_n_s32(0);
-        for i in 0..chunks {
-            let wa = vmovl_s8(vld1_s8(a.as_ptr().add(i * 8)));
-            let wb = vmovl_s8(vld1_s8(b.as_ptr().add(i * 8)));
-            acc = vaddq_s32(acc, vmull_s16(vget_low_s16(wa), vget_low_s16(wb)));
-            acc = vaddq_s32(acc, vmull_high_s16(wa, wb));
-        }
-        let mut sum = vaddvq_s32(acc);
-        for i in chunks * 8..n {
-            sum += i32::from(a[i]) * i32::from(b[i]);
-        }
-        sum
-    }
-
-    /// # Safety
-    /// Caller must ensure the CPU supports NEON.
-    #[target_feature(enable = "neon")]
-    pub unsafe fn l1_i8(a: &[i8], b: &[i8]) -> i32 {
-        let n = a.len().min(b.len());
-        let chunks = n / 8;
-        let mut acc = vdupq_n_s32(0);
-        for i in 0..chunks {
-            let wa = vmovl_s8(vld1_s8(a.as_ptr().add(i * 8)));
-            let wb = vmovl_s8(vld1_s8(b.as_ptr().add(i * 8)));
-            // |d| ≤ 254 fits i16; pairwise widen-accumulate into 4×i32.
-            acc = vpadalq_s16(acc, vabsq_s16(vsubq_s16(wa, wb)));
-        }
-        let mut sum = vaddvq_s32(acc);
-        for i in chunks * 8..n {
-            sum += (i32::from(a[i]) - i32::from(b[i])).abs();
-        }
-        sum
     }
 
     /// # Safety
@@ -919,31 +859,55 @@ mod tests {
     }
 
     #[test]
-    fn i8_kernels_match_wide_reference() {
-        for_each_case(0x18_D07, 64, |rng| {
-            let n = rng.gen_range(0..200usize);
-            let a: Vec<i8> = (0..n).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
-            let b: Vec<i8> = (0..n).map(|_| rng.gen_range(-127i32..=127) as i8).collect();
-            let dot_wide: i64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| i64::from(x) * i64::from(y))
-                .sum();
-            let l1_wide: i64 = a
-                .iter()
-                .zip(&b)
-                .map(|(&x, &y)| (i64::from(x) - i64::from(y)).abs())
-                .sum();
+    fn sad_panel_matches_the_scalar_reference_on_every_isa() {
+        for_each_case(0x5AD_0B8, 96, |rng| {
+            let rows = rng.gen_range(0..24usize);
+            let stride = 32 * rng.gen_range(1..10usize);
+            // Extremes included: 0 against 255 is the largest per-byte term.
+            let mut bytes = |n: usize| -> Vec<u8> {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..8u32) {
+                        0 => 0,
+                        1 => 255,
+                        _ => rng.gen_range(0..256u32) as u8,
+                    })
+                    .collect()
+            };
+            let q = bytes(stride);
+            let panel = bytes(rows * stride);
+            let want: Vec<u32> = (0..rows)
+                .map(|r| {
+                    let row = &panel[r * stride..(r + 1) * stride];
+                    q.iter()
+                        .zip(row)
+                        .map(|(&a, &b)| (i32::from(a) - i32::from(b)).unsigned_abs())
+                        .sum()
+                })
+                .collect();
             for isa in isas() {
-                assert_eq!(
-                    i64::from(dot_i8_on(isa, &a, &b)),
-                    dot_wide,
-                    "{}",
-                    isa.name()
-                );
-                assert_eq!(i64::from(l1_i8_on(isa, &a, &b)), l1_wide, "{}", isa.name());
+                let mut out = vec![0xDEAD_BEEFu32; rows];
+                sad_panel_on(isa, &q, &panel, stride, &mut out);
+                assert_eq!(out, want, "{} rows={rows} stride={stride}", isa.name());
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 32")]
+    fn sad_panel_rejects_an_unpadded_stride() {
+        sad_panel(&[0; 40], &[0; 80], 40, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sad panel query length mismatch")]
+    fn sad_panel_rejects_short_query() {
+        sad_panel(&[0; 32], &[0; 128], 64, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sad panel shape mismatch")]
+    fn sad_panel_rejects_ragged_panel() {
+        sad_panel(&[0; 32], &[0; 65], 32, &mut [0; 2]);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! vectors are L2-normalised and max-pooled exactly as the paper pools BERT
 //! token embeddings.
 
-use crate::hashing::hash_str;
+use crate::hashing::{fnv1a, mix};
 use crate::normalize::normalize_name;
-use crate::tokenize::{char_ngrams, tokens};
+use crate::tokenize::tokens;
 use largeea_tensor::parallel::Pool;
 use largeea_tensor::Matrix;
 
@@ -60,6 +60,7 @@ impl HashEncoder {
     /// Overrides the character n-gram sizes.
     pub fn with_ngram_sizes(mut self, sizes: Vec<usize>) -> Self {
         assert!(!sizes.is_empty(), "need at least one n-gram size");
+        assert!(sizes.iter().all(|&n| n >= 1), "n-gram size must be >= 1");
         self.ngram_sizes = sizes;
         self
     }
@@ -71,10 +72,10 @@ impl HashEncoder {
 
     /// Scatters one feature into `acc` as `hashes_per_feature` signed
     /// coordinates, weighted by `w`.
-    fn scatter(&self, feature: &str, w: f32, acc: &mut [f32]) {
-        let base = hash_str(feature, self.seed);
+    fn scatter(&self, feature: &[u8], w: f32, acc: &mut [f32]) {
+        let base = mix(fnv1a(feature), self.seed);
         for j in 0..self.hashes_per_feature {
-            let h = crate::hashing::mix(
+            let h = mix(
                 base,
                 self.seed ^ (j as u64).wrapping_mul(0xA24BAED4963EE407),
             );
@@ -89,24 +90,47 @@ impl HashEncoder {
     /// Pipeline: normalise → per-token subword hashing → token L2-norm →
     /// max-pool over tokens (sign-aware: takes the value of largest
     /// magnitude per dimension, which keeps the signed projections useful).
+    /// An empty name encodes to the zero vector.
     pub fn encode(&self, raw_name: &str) -> Vec<f32> {
-        let name = normalize_name(raw_name);
         let mut pooled = vec![0.0f32; self.dim];
-        let mut token_vec = vec![0.0f32; self.dim];
-        let mut any = false;
+        self.encode_into(raw_name, &mut pooled, &mut Scratch::default());
+        pooled
+    }
+
+    /// [`HashEncoder::encode`] into a caller's row, with buffers the caller
+    /// keeps from one name to the next.
+    fn encode_into(&self, raw_name: &str, pooled: &mut [f32], scratch: &mut Scratch) {
+        let (token_vec, padded, starts) = scratch;
+        let name = normalize_name(raw_name);
+        pooled.fill(0.0);
+        token_vec.resize(self.dim, 0.0);
         for tok in tokens(&name) {
-            any = true;
             token_vec.fill(0.0);
-            self.scatter(tok, 2.0, &mut token_vec); // whole token, up-weighted
+            self.scatter(tok.as_bytes(), 2.0, token_vec); // whole token, up-weighted
+
+            // Every n-gram of [`char_ngrams`](crate::char_ngrams) is a
+            // window of `^tok$`'s bytes between two char boundaries.
+            padded.clear();
+            padded.push(b'^');
+            padded.extend_from_slice(tok.as_bytes());
+            padded.push(b'$');
+            starts.clear();
+            starts.push(0);
+            starts.extend(tok.char_indices().map(|(i, _)| i + 1));
+            starts.extend([padded.len() - 1, padded.len()]);
             for &n in &self.ngram_sizes {
-                for g in char_ngrams(tok, n) {
-                    self.scatter(&g, 1.0, &mut token_vec);
+                if starts.len() - 1 <= n {
+                    self.scatter(padded, 1.0, token_vec);
+                    continue;
+                }
+                for w in starts.windows(n + 1) {
+                    self.scatter(&padded[w[0]..w[n]], 1.0, token_vec);
                 }
             }
             let norm = token_vec.iter().map(|x| x * x).sum::<f32>().sqrt();
             if norm > 0.0 {
                 let inv = 1.0 / norm;
-                for (p, &t) in pooled.iter_mut().zip(&token_vec) {
+                for (p, &t) in pooled.iter_mut().zip(token_vec.iter()) {
                     let v = t * inv;
                     if v.abs() > p.abs() {
                         *p = v;
@@ -114,10 +138,6 @@ impl HashEncoder {
                 }
             }
         }
-        if !any {
-            return pooled; // empty name → zero vector
-        }
-        pooled
     }
 
     /// Encodes a batch of labels into a row-per-name matrix with
@@ -134,15 +154,20 @@ impl HashEncoder {
         let mut out = Matrix::zeros(names.len(), self.dim);
         let dim = self.dim;
         pool.rows_mut(out.as_mut_slice(), dim, 64, |block, first_row| {
+            let mut scratch = Scratch::default();
             for (ri, row) in block.chunks_mut(dim).enumerate() {
-                let v = self.encode(names[first_row + ri].as_ref());
-                row.copy_from_slice(&v);
+                self.encode_into(names[first_row + ri].as_ref(), row, &mut scratch);
             }
         });
         out.l2_normalize_rows(1e-12);
         out
     }
 }
+
+/// Buffers [`HashEncoder::encode_into`] reuses across names: the token's
+/// vector, the token between its `^`/`$` markers, and the byte offset of
+/// each char of that (plus its length).
+type Scratch = (Vec<f32>, Vec<u8>, Vec<usize>);
 
 #[cfg(test)]
 mod tests {

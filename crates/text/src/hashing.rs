@@ -19,7 +19,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// `seed`-th member of a hash family.
 #[inline]
 pub fn mix(h: u64, seed: u64) -> u64 {
-    let mut z = h ^ seed.wrapping_mul(0x9E3779B97F4A7C15);
+    mix_keyed(h, seed_key(seed))
+}
+
+/// The seed's share of [`mix`], for callers that mix many hashes with one
+/// seed: `mix(h, seed) == mix_keyed(h, seed_key(seed))`.
+#[inline]
+pub fn seed_key(seed: u64) -> u64 {
+    seed.wrapping_mul(0x9E3779B97F4A7C15)
+}
+
+/// [`mix`] with the seed already passed through [`seed_key`].
+#[inline]
+pub fn mix_keyed(h: u64, key: u64) -> u64 {
+    let mut z = h ^ key;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
     z ^ (z >> 31)

@@ -1,7 +1,7 @@
 //! MinHash signatures — the datasketch substitute used by STNS to avoid
 //! all-pairs Levenshtein.
 
-use crate::hashing::{fnv1a, mix};
+use crate::hashing::{fnv1a, mix, mix_keyed, seed_key};
 use std::collections::BTreeSet;
 
 /// A MinHash signature: one minimum per permutation.
@@ -25,17 +25,18 @@ pub type Signature = Vec<u64>;
 #[derive(Debug, Clone)]
 pub struct MinHasher {
     num_perms: usize,
-    seeds: Vec<u64>,
+    /// One [`seed_key`] per permutation.
+    keys: Vec<u64>,
 }
 
 impl MinHasher {
     /// Creates a hasher with `num_perms` permutations derived from `seed`.
     pub fn new(num_perms: usize, seed: u64) -> Self {
         assert!(num_perms >= 2, "need at least 2 permutations");
-        let seeds = (0..num_perms as u64)
-            .map(|i| mix(i.wrapping_add(0x5851F42D4C957F2D), seed))
+        let keys = (0..num_perms as u64)
+            .map(|i| seed_key(mix(i.wrapping_add(0x5851F42D4C957F2D), seed)))
             .collect();
-        Self { num_perms, seeds }
+        Self { num_perms, keys }
     }
 
     /// Number of permutations (signature length).
@@ -90,8 +91,8 @@ impl MinHasher {
     #[inline]
     fn absorb(&self, sig: &mut [u64], shingle: &[u8]) {
         let base = fnv1a(shingle);
-        for (slot, &s) in sig.iter_mut().zip(&self.seeds) {
-            let h = mix(base, s);
+        for (slot, &key) in sig.iter_mut().zip(&self.keys) {
+            let h = mix_keyed(base, key);
             if h < *slot {
                 *slot = h;
             }

@@ -37,9 +37,9 @@ cargo run -q --release --offline --bin largeea -- \
 echo "== bench: kernel dispatch micro-benchmarks → kernel.* stages =="
 # Times each dense kernel under the scalar reference and the dispatched
 # ISA (DESIGN.md §S0.11), merges the dispatched medians + speedups into
-# the baseline, and fails if dot/l1/l1_panel/matmul don't beat scalar
-# while a SIMD ISA is active (l1_panel is the kernel the exact top-k scan
-# runs: 64 x 128 panel, reported as pairs/s).
+# the baseline, and fails if dot/l1/l1_panel/sad_panel/matmul don't beat
+# scalar while a SIMD ISA is active (l1_panel and sad_panel are the kernels
+# the exact top-k scan runs: 64 x 128 panel, reported as pairs/s).
 # cargo bench runs the binary with CWD = the package dir; hand it an
 # absolute path to the repo-root baseline.
 cargo bench -q --offline -p largeea-bench --bench kernel_bench -- \

@@ -26,7 +26,6 @@ use largeea::common::obs::{LiveConfig, Recorder};
 use largeea::core::checkpoint::Checkpoint;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
-use largeea::core::NameChannelConfig;
 use largeea::data::Preset;
 use largeea::kg::{io, AlignmentSeeds, EntityId, KgPair, KgStats};
 use largeea::models::{ModelKind, TrainConfig};
@@ -46,8 +45,7 @@ USAGE:
                     [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
                     [--mem-budget <bytes>] [--spill-dir <dir>] [--mem-audit]
-                    [--live-dir <dir>] [--live-every n] [--quantize]
-                    [--degraded-ok]
+                    [--live-dir <dir>] [--live-every n] [--degraded-ok]
   largeea eval      --data <dir> --predictions <file>
   largeea failpoints list
   largeea ckpt      inspect <dir>
@@ -88,12 +86,9 @@ trace (`alloc.bytes`/`alloc.count`/`alloc.peak` fields) — render it with
 `largeea trace heap` (allocation tree, top-N table, `--folded` flamegraph
 stacks).
 
-`--quantize` runs the name channel's SENS scan on i8-quantized embeddings
-with an exact f32 re-rank of a c·k shortlist (DESIGN.md §S0.11) — 4× less
-scan bandwidth, identical results whenever the true top-k survive the
-shortlist. All dense kernels dispatch to the best available SIMD ISA at
-runtime (see the `kernel.isa` field on the trace's `pipeline` span);
-results are bit-identical to the scalar reference, which
+All dense kernels dispatch to the best available SIMD ISA at runtime
+(DESIGN.md §S0.11; see the `kernel.isa` field on the trace's `pipeline`
+span); results are bit-identical to the scalar reference, which
 LARGEEA_NO_SIMD=1 forces for A/B verification.
 
 `--live-dir <dir>` turns on live telemetry (DESIGN.md §S0.9): every
@@ -235,6 +230,13 @@ fn cmd_failpoints(rest: &[String]) -> ExitCode {
 
 type Flags = HashMap<String, String>;
 
+/// Flags that take no value, then flags that take one. A name in neither
+/// list is a usage error — a mistyped or retired flag must not be swallowed
+/// together with the argument after it.
+const BOOL_FLAGS: &str = "unsupervised analysis resume mem-audit degraded-ok";
+const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
+    csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir live-every predictions";
+
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
@@ -242,16 +244,13 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         let Some(name) = a.strip_prefix("--") else {
             return Err(format!("expected --flag, got {a:?}"));
         };
-        // boolean flags take no value
-        if name == "unsupervised"
-            || name == "analysis"
-            || name == "resume"
-            || name == "mem-audit"
-            || name == "quantize"
-            || name == "degraded-ok"
-        {
+        let listed = |list: &str| list.split_whitespace().any(|f| f == name);
+        if listed(BOOL_FLAGS) {
             flags.insert(name.to_owned(), "true".to_owned());
             continue;
+        }
+        if !listed(VALUE_FLAGS) {
+            return Err(format!("unknown flag --{name}"));
         }
         let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
         flags.insert(name.to_owned(), value.clone());
@@ -454,10 +453,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             .get("csls")
             .map(|v| v.parse().map_err(|_| format!("--csls got {v:?}")))
             .transpose()?,
-        name: NameChannelConfig {
-            quantize: flags.contains_key("quantize"),
-            ..NameChannelConfig::default()
-        },
         ..LargeEaConfig::default()
     };
     let rounds: usize = parse_or(flags, "rounds", 1)?.max(1);

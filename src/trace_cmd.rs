@@ -27,7 +27,7 @@
 use largeea::bench::Baseline;
 use largeea::common::fmt_bytes;
 use largeea::common::obs::{expo, Sample, Trace, TraceSpan};
-use largeea::core::throughput::derived_throughputs;
+use largeea::core::throughput::{derived_throughputs, filter_pass_pcts};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -295,6 +295,13 @@ fn summarize(trace: &Trace) {
                 t.unit,
                 t.seconds
             );
+        }
+    }
+    let passes = filter_pass_pcts(trace);
+    if !passes.is_empty() {
+        outln!("\nderived ratios:");
+        for (name, pct, refined, scanned) in passes {
+            outln!("  {name:<38} {pct:>12.2} %  ({refined} of {scanned} pairs scored in f32)");
         }
     }
 }

@@ -374,6 +374,15 @@ fn exit_codes_follow_the_documented_taxonomy() {
         Some(2)
     );
     assert_eq!(bin().output().unwrap().status.code(), Some(2));
+    // …and a flag nobody knows, wherever it stands: the retired
+    // `--quantize` must not swallow the flag after it
+    let retired = bin()
+        .args(["align", "--quantize", "--unsupervised", "--data"])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert_eq!(retired.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&retired.stderr).contains("unknown flag --quantize"));
 
     // 1: generic error — a missing required flag value
     assert_eq!(

@@ -255,6 +255,31 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
 }
 
 #[test]
+fn a_bounded_run_passes_the_audit_with_its_sketches_on_the_books() {
+    // Out of core the name channel streams segments and keeps the scan's
+    // u8 sketches beside them; both are charged (the name channel's own
+    // tests pin the bytes), and measured and tracked peaks still reconcile.
+    let dir = tempdir("bounded");
+    let data = generate_data(&dir);
+    let out = bin()
+        .args(["align", "--data"])
+        .arg(&data)
+        .args(["--model", "gcn", "--k", "2", "--epochs", "6", "--dim", "16"])
+        .args(["--mem-budget", "16M", "--mem-audit", "--spill-dir"])
+        .arg(dir.join("spill"))
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "stdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(stdout.contains("mem-audit OK: tracked peak"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_heap_renders_a_handcrafted_profile_deterministically() {
     let dir = tempdir("golden");
     let path = dir.join("t.json");

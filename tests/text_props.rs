@@ -2,10 +2,11 @@
 //! substitutes).
 
 use largeea::common::check::{for_each_case, string_from, unicode_string};
+use largeea::text::hashing::{fnv1a, hash_str, mix};
 use largeea::text::jaccard::{jaccard, shingles};
 use largeea::text::{
-    levenshtein, levenshtein_bounded, levenshtein_similarity, normalize_name, HashEncoder,
-    LshIndex, MinHasher,
+    char_ngrams, levenshtein, levenshtein_bounded, levenshtein_similarity, normalize_name, tokens,
+    HashEncoder, LshIndex, MinHasher,
 };
 
 #[test]
@@ -120,5 +121,81 @@ fn lsh_self_query_always_hits() {
         let sig = mh.signature(&shingles(&name, 3));
         idx.insert(42, &sig);
         assert!(idx.candidates(&sig).contains(&42));
+    });
+}
+
+/// The encoder as it was written before it stopped allocating: one `String`
+/// per n-gram from `char_ngrams`, hashed with `hash_str`.
+fn encode_via_char_ngrams(raw_name: &str, dim: usize, seed: u64) -> Vec<f32> {
+    let scatter = |feature: &str, w: f32, acc: &mut [f32]| {
+        let base = hash_str(feature, seed);
+        for j in 0..4u64 {
+            let h = mix(base, seed ^ j.wrapping_mul(0xA24BAED4963EE407));
+            let sign = if (h >> 63) == 0 { 1.0 } else { -1.0 };
+            acc[(h % dim as u64) as usize] += sign * w;
+        }
+    };
+    let name = normalize_name(raw_name);
+    let mut pooled = vec![0.0f32; dim];
+    for tok in tokens(&name) {
+        let mut token_vec = vec![0.0f32; dim];
+        scatter(tok, 2.0, &mut token_vec);
+        for n in [2, 3, 4] {
+            for g in char_ngrams(tok, n) {
+                scatter(&g, 1.0, &mut token_vec);
+            }
+        }
+        let norm = token_vec.iter().map(|x| x * x).sum::<f32>().sqrt();
+        if norm > 0.0 {
+            for (p, &t) in pooled.iter_mut().zip(&token_vec) {
+                let v = t * (1.0 / norm);
+                if v.abs() > p.abs() {
+                    *p = v;
+                }
+            }
+        }
+    }
+    pooled
+}
+
+#[test]
+fn encoder_bits_equal_the_char_ngram_formulation() {
+    for_each_case(0x7E09, 192, |rng| {
+        // multi-byte chars, several tokens, tokens shorter than an n-gram
+        let raw = unicode_string(rng, 0, 40);
+        let (dim, seed) = (rng.gen_range(8..200usize), rng.gen::<u64>());
+        let bits = |v: Vec<f32>| v.into_iter().map(f32::to_bits).collect::<Vec<_>>();
+        let enc = HashEncoder::new(dim, seed);
+        let want = bits(encode_via_char_ngrams(&raw, dim, seed));
+        assert_eq!(bits(enc.encode(&raw)), want, "{raw:?}");
+        // the batch path writes the same vector before normalising rows;
+        // a second name in the block exercises the reused buffers
+        let batch = enc.encode_batch(&["x y", &raw]);
+        let mut expect =
+            largeea::tensor::Matrix::from_vec(1, dim, encode_via_char_ngrams(&raw, dim, seed));
+        expect.l2_normalize_rows(1e-12);
+        assert_eq!(bits(batch.row(1).to_vec()), bits(expect.row(0).to_vec()));
+    });
+}
+
+#[test]
+fn minhash_equals_the_unhoisted_seed_formula() {
+    for_each_case(0x7E0A, 128, |rng| {
+        let text = unicode_string(rng, 0, 24);
+        let (perms, seed) = (rng.gen_range(2..40usize), rng.gen::<u64>());
+        let k = rng.gen_range(1..5usize);
+        // per permutation: its seed, then the minimum over shingles of
+        // `mix(fnv1a(shingle), seed)` — every multiply where it used to be
+        let set = shingles(&text, k);
+        let want: Vec<u64> = (0..perms as u64)
+            .map(|i| {
+                let perm_seed = mix(i.wrapping_add(0x5851F42D4C957F2D), seed);
+                let hashes = set.iter().map(|sh| mix(fnv1a(sh.as_bytes()), perm_seed));
+                hashes.min().unwrap_or(u64::MAX)
+            })
+            .collect();
+        let mh = MinHasher::new(perms, seed);
+        assert_eq!(mh.signature_of(&text, k), want, "{text:?} k={k}");
+        assert_eq!(mh.signature(&set), want, "{text:?} k={k}");
     });
 }

@@ -80,6 +80,10 @@ fn summarize_prints_tree_metrics_and_throughputs() {
         "derived throughputs:",
         "train.epochs_per_sec",
         "topk.pairs_per_sec",
+        "sens.refined_pairs",
+        "derived ratios:",
+        "sens.filter_pass_pct",
+        "topk.filter_pass_pct",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
