@@ -17,6 +17,11 @@
 //!   their own sizes), so replaying the one failing case is enough to
 //!   debug.
 //!
+//! - **Hostile input** — [`mutate`] damages a well-formed byte string the
+//!   way real files get damaged (cut short, bytes overwritten, separators
+//!   lost or doubled, NULs, broken UTF-8, one enormous line), so a reader's
+//!   test can demand a typed error or a success, never a panic.
+//!
 //! ```
 //! use largeea_common::check::for_each_case;
 //!
@@ -145,9 +150,89 @@ fn unicode_char(rng: &mut Rng) -> char {
     }
 }
 
+/// Applies one seeded mutation to `bytes`, a well-formed input of some
+/// byte-level reader whose fields are cut by `separators` (e.g. `b"\t\n"`):
+/// truncate it, overwrite a few bytes with noise, insert or drop a
+/// separator, plant a NUL / a byte no UTF-8 text contains / a dangling
+/// UTF-8 lead or continuation byte / a carriage return, repeat a stretch,
+/// or blow one spot up with a run of up to `max_run` equal bytes.
+///
+/// ```
+/// use largeea_common::check::mutate;
+/// let mut rng = largeea_common::rng::Rng::seed_from_u64(3);
+/// let mut text = b"a\tb\nc\td\n".to_vec();
+/// for _ in 0..20 {
+///     mutate(&mut rng, &mut text, b"\t\n", 64);
+/// }
+/// assert!(text.len() <= 10 + 20 * 64);
+/// ```
+pub fn mutate(rng: &mut Rng, bytes: &mut Vec<u8>, separators: &[u8], max_run: usize) {
+    const PLANTS: [u8; 5] = [0x00, 0xFF, 0xC3, 0x80, b'\r'];
+    let at = rng.gen_range(0..=bytes.len());
+    let upto = |rng: &mut Rng, n: usize| (at + rng.gen_range(0..=n)).min(bytes.len());
+    let separator = |rng: &mut Rng| separators[rng.gen_range(0..separators.len())];
+    match rng.gen_range(0..7u32) {
+        0 => bytes.truncate(at),
+        1 => {
+            let noise: Vec<u8> = (0..rng.gen_range(1..8))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            bytes.splice(at..upto(rng, 8), noise);
+        }
+        2 if !separators.is_empty() => bytes.insert(at, separator(rng)),
+        3 => {
+            // the next separator at or after `at`, if there is one
+            if let Some(i) = bytes[at..].iter().position(|b| separators.contains(b)) {
+                bytes.remove(at + i);
+            }
+        }
+        4 => bytes.insert(at, PLANTS[rng.gen_range(0..PLANTS.len())]),
+        5 => {
+            let again = bytes[at..upto(rng, 64)].to_vec();
+            bytes.splice(at..at, again);
+        }
+        _ => {
+            let run = vec![rng.gen_range(b'a'..=b'z'); rng.gen_range(0..=max_run)];
+            bytes.splice(at..at, run);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mutate_is_seeded_and_reaches_every_kind_of_damage() {
+        let base = b"k1\tv1\nk2\tv2\n".to_vec();
+        let run = |seed: u64| {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut out = Vec::new();
+            for _ in 0..400 {
+                let mut bytes = base.clone();
+                mutate(&mut rng, &mut bytes, b"\t\n", 32);
+                out.push(bytes);
+            }
+            out
+        };
+        let outs = run(5);
+        assert_eq!(outs, run(5), "same seed, same damage");
+        let tabs = |b: &[u8]| b.iter().filter(|&&c| c == b'\t').count();
+        assert!(outs
+            .iter()
+            .any(|b| b.len() < base.len() && base.starts_with(b)));
+        assert!(outs.iter().any(|b| tabs(b) > 2) && outs.iter().any(|b| tabs(b) < 2));
+        assert!(outs.iter().any(|b| b.contains(&0)));
+        assert!(outs.iter().any(|b| std::str::from_utf8(b).is_err()));
+        assert!(outs.iter().any(|b| b.len() >= base.len() + 24));
+        // nothing to cut fields with, nothing to mutate: still no panic
+        let mut rng = Rng::seed_from_u64(1);
+        let mut empty = Vec::new();
+        for _ in 0..100 {
+            mutate(&mut rng, &mut empty, b"", 0);
+            empty.truncate(4);
+        }
+    }
 
     #[test]
     fn runs_exactly_n_cases_with_distinct_seeds() {

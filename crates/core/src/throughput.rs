@@ -15,18 +15,22 @@
 //! | `train.epochs_per_sec` | number of `epoch` spans | `train` |
 //! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `stns` |
 //! | `sens.encodes_per_sec` | number of `encode` spans | `sens` |
+//! | `kg.load_mib_per_sec` | the `load` spans' `bytes` field, in MiB (input files read and parsed) | `load` |
 //!
 //! Beside the rates, [`filter_pass_pcts`] derives what share of the pairs a
 //! top-k scan was handed its u8 pre-filter could not rule out and the scan
 //! scored in f32 (DESIGN.md §S0.11): `sens.filter_pass_pct` from
 //! `sens.refined_pairs` / `sens.candidates_scored`, `topk.filter_pass_pct`
-//! from `topk.refined_pairs` / `topk.scored_pairs`.
+//! from `topk.refined_pairs` / `topk.scored_pairs`. And
+//! [`attribution_coverage`] says how much of the run the tree explains: the
+//! share of the roots' wall-clock that lies inside leaf spans, the rest
+//! being self time of spans that have children — work no leaf names.
 //!
 //! The definitions live here — next to the pipeline that records the
 //! counters — so the trace CLI, the baseline reporter and any future
 //! dashboard all derive identical numbers from the same trace.
 
-use largeea_common::obs::Trace;
+use largeea_common::obs::{Trace, TraceSpan};
 
 /// One derived rate: `count` work units over `seconds` of stage time.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,6 +55,8 @@ enum Work {
     Counter(&'static str),
     /// How many spans of this name were recorded.
     Spans(&'static str),
+    /// The stage's spans' `bytes` fields, summed, in MiB.
+    MibOfStage,
 }
 
 /// The table of definitions (module docs); order is display order.
@@ -85,7 +91,18 @@ const DEFINITIONS: &[(&str, Work, &str, &str)] = &[
         "sens",
         "encodes",
     ),
+    ("kg.load_mib_per_sec", Work::MibOfStage, "load", "MiB"),
 ];
+
+/// Sums field `key` over every span named `name`.
+fn field_sum(spans: &[TraceSpan], name: &str, key: &str) -> u64 {
+    let own = |s: &TraceSpan| match s.name == name {
+        true => s.field_u64(key).unwrap_or(0),
+        false => 0,
+    };
+    let below = |s: &TraceSpan| field_sum(&s.children, name, key);
+    spans.iter().map(|s| own(s) + below(s)).sum()
+}
 
 /// Computes every derived throughput the trace has evidence for.
 ///
@@ -118,6 +135,9 @@ pub fn derived_throughputs(trace: &Trace) -> Vec<Throughput> {
             let count = match work {
                 Work::Counter(c) => trace.counter(c) as f64,
                 Work::Spans(s) => trace.span_count(s) as f64,
+                Work::MibOfStage => {
+                    field_sum(&trace.spans, stage, "bytes") as f64 / (1u64 << 20) as f64
+                }
             };
             let seconds = trace.total_seconds(stage);
             if count == 0.0 || seconds <= 0.0 {
@@ -149,6 +169,50 @@ pub fn filter_pass_pcts(trace: &Trace) -> Vec<(String, f64, u64, u64)> {
         (scanned > 0).then(|| (format!("{scan}.filter_pass_pct"), pct, refined, scanned))
     };
     scans.into_iter().filter_map(pass).collect()
+}
+
+/// How much of a trace's wall-clock its leaf spans account for.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Coverage {
+    /// Summed wall-clock seconds of the root spans.
+    pub root_seconds: f64,
+    /// Of those, seconds that are self time of spans with children.
+    pub parent_self_seconds: f64,
+    /// The span with children holding the most self time, and how much.
+    pub largest: Option<(String, f64)>,
+}
+
+impl Coverage {
+    /// Percent of the root wall-clock inside leaf spans.
+    pub fn pct(&self) -> f64 {
+        100.0 * (1.0 - self.parent_self_seconds / self.root_seconds)
+    }
+}
+
+/// The attribution coverage of `trace` (module docs); `None` for a trace
+/// without timed spans. Same-name spans pool their self time, as they pool
+/// their rows in `trace summarize`.
+pub fn attribution_coverage(trace: &Trace) -> Option<Coverage> {
+    fn walk(spans: &[TraceSpan], into: &mut Vec<(String, f64)>) {
+        for s in spans.iter().filter(|s| !s.children.is_empty()) {
+            match into.iter_mut().find(|(name, _)| *name == s.name) {
+                Some((_, secs)) => *secs += s.self_seconds(),
+                None => into.push((s.name.clone(), s.self_seconds())),
+            }
+            walk(&s.children, into);
+        }
+    }
+    let root_seconds: f64 = trace.spans.iter().map(|s| s.seconds).sum();
+    let mut parents = Vec::new();
+    walk(&trace.spans, &mut parents);
+    (root_seconds > 0.0).then(|| Coverage {
+        root_seconds,
+        parent_self_seconds: parents.iter().map(|(_, secs)| secs).sum(),
+        // first-seen wins a tie, so the report repeats byte for byte
+        largest: parents
+            .into_iter()
+            .reduce(|a, b| if b.1 > a.1 { b } else { a }),
+    })
 }
 
 #[cfg(test)]
@@ -218,6 +282,53 @@ mod tests {
             vec![("sens.filter_pass_pct".to_owned(), 3.75, 150, 4_000)]
         );
         assert!(filter_pass_pcts(&Trace::default()).is_empty());
+    }
+
+    #[test]
+    fn load_rate_is_the_load_spans_bytes_in_mib() {
+        let rec = Recorder::new(ObsConfig::default());
+        for bytes in [3u64 << 20, 1 << 20] {
+            rec.span("load").field("bytes", bytes);
+        }
+        drop(rec.span("load")); // a load that recorded no bytes adds time only
+        let tp = derived_throughputs(&rec.trace().map_seconds(|_| 0.5));
+        assert_eq!(tp.len(), 1);
+        let load = (tp[0].name, tp[0].count, tp[0].seconds, tp[0].per_sec);
+        assert_eq!(load, ("kg.load_mib_per_sec", 4.0, 1.5, 4.0 / 1.5));
+    }
+
+    #[test]
+    fn coverage_is_the_share_of_root_wall_inside_leaf_spans() {
+        // every span pinned to 2 s: pipeline's two children and train's
+        // five cover more than their parent (clamped to no self time)
+        let trace = synthetic_trace().map_seconds(|_| 2.0);
+        let cov = attribution_coverage(&trace).unwrap();
+        assert_eq!((cov.root_seconds, cov.parent_self_seconds), (2.0, 0.0));
+        assert_eq!(cov.pct(), 100.0);
+
+        // parents longer than their children: the difference is their own
+        let rec = Recorder::new(ObsConfig::default());
+        {
+            let _root = rec.span("root");
+            for _ in 0..2 {
+                let _stage = rec.span("stage");
+                drop(rec.span("leaf"));
+            }
+            drop(rec.span("bare leaf"));
+        }
+        let mut n = 0;
+        // depth-first: root, stage, leaf, stage, leaf, bare leaf
+        let secs = [10.0, 3.0, 1.0, 3.0, 2.0, 1.0];
+        let trace = rec.trace().map_seconds(|_| {
+            n += 1;
+            secs[n - 1]
+        });
+        let cov = attribution_coverage(&trace).unwrap();
+        // root: 10 − 3 − 3 − 1 = 3; the stages: (3 − 1) + (3 − 2) = 3
+        assert_eq!((cov.root_seconds, cov.parent_self_seconds), (10.0, 6.0));
+        assert_eq!(cov.largest, Some(("root".to_owned(), 3.0)));
+        assert!((cov.pct() - 40.0).abs() < 1e-9);
+        assert_eq!(attribution_coverage(&Trace::default()), None);
     }
 
     #[test]

@@ -45,6 +45,25 @@ impl KnowledgeGraph {
         }
     }
 
+    /// Assembles a KG the loader built piecewise; `labels[id]` belongs to
+    /// entity `id`.
+    pub(crate) fn from_parts(
+        name: &str,
+        entities: Interner,
+        labels: Vec<String>,
+        relations: Interner,
+        triples: Vec<Triple>,
+    ) -> Self {
+        assert_eq!(labels.len(), entities.len(), "one label per entity");
+        Self {
+            name: name.to_owned(),
+            entities,
+            labels,
+            relations,
+            triples,
+        }
+    }
+
     /// The KG's tag (language code in the cross-lingual benchmarks).
     pub fn name(&self) -> &str {
         &self.name
@@ -136,11 +155,6 @@ impl KnowledgeGraph {
     /// The human-readable label of an entity (used by the name channel).
     pub fn entity_label(&self, id: EntityId) -> &str {
         &self.labels[id.idx()]
-    }
-
-    /// Replaces an entity's label (used when loading label side-files).
-    pub fn set_entity_label(&mut self, id: EntityId, label: &str) {
-        self.labels[id.idx()] = label.to_owned();
     }
 
     /// All entity labels, indexed by entity id.

@@ -1,16 +1,29 @@
 //! String interning with stable, insertion-ordered ids.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+
+/// Marks a free slot of the lookup table.
+const EMPTY: u32 = u32::MAX;
 
 /// Interns strings to dense `u32` ids.
 ///
 /// Ids are assigned in insertion order, so iterating [`Interner::iter`]
 /// yields strings in id order. This keeps every derived array (names,
 /// embeddings, partitions) aligned by index.
+///
+/// Each string is stored once, back to back in one arena; lookups go
+/// through an open-addressed `(hash, id)` table that never owns a key. The
+/// hasher is std's randomly keyed default (keys come from input files);
+/// its keys move table slots, never ids.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    by_name: HashMap<String, u32>,
-    names: Vec<String>,
+    arena: String,
+    /// `ends[id]`: one past the last arena byte of string `id`.
+    ends: Vec<usize>,
+    /// Linear-probed, power-of-two sized (or empty), at most 3/4 full.
+    slots: Vec<(u32, u32)>,
+    hasher: RandomState,
 }
 
 impl Interner {
@@ -21,54 +34,102 @@ impl Interner {
 
     /// Creates an empty interner with capacity for `n` strings.
     pub fn with_capacity(n: usize) -> Self {
+        let slots = match n {
+            0 => 0,
+            n => (n * 4 / 3 + 1).next_power_of_two(),
+        };
         Self {
-            by_name: HashMap::with_capacity(n),
-            names: Vec::with_capacity(n),
+            ends: Vec::with_capacity(n),
+            slots: vec![(0, EMPTY); slots],
+            ..Self::default()
+        }
+    }
+
+    fn hash(&self, name: &str) -> u32 {
+        self.hasher.hash_one(name) as u32
+    }
+
+    /// The id of `name`, or the free slot where it belongs. The table must
+    /// have a free slot.
+    fn probe(&self, hash: u32, name: &str) -> Result<u32, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = hash as usize & mask;
+        loop {
+            let (h, id) = self.slots[at];
+            if id == EMPTY {
+                return Err(at);
+            }
+            if h == hash && self.resolve(id) == name {
+                return Ok(id);
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Doubles the table, re-placing every id by its stored hash.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(16);
+        let old = std::mem::replace(&mut self.slots, vec![(0, EMPTY); len]);
+        for (hash, id) in old.into_iter().filter(|&(_, id)| id != EMPTY) {
+            let mut at = hash as usize & (len - 1);
+            while self.slots[at].1 != EMPTY {
+                at = (at + 1) & (len - 1);
+            }
+            self.slots[at] = (hash, id);
         }
     }
 
     /// Interns `name`, returning its id (existing or freshly assigned).
     pub fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&id) = self.by_name.get(name) {
-            return id;
+        if (self.ends.len() + 1) * 4 > self.slots.len() * 3 {
+            self.grow();
         }
-        let id = self.names.len() as u32;
-        self.by_name.insert(name.to_owned(), id);
-        self.names.push(name.to_owned());
-        id
+        let hash = self.hash(name);
+        self.probe(hash, name).unwrap_or_else(|slot| {
+            let id = u32::try_from(self.ends.len()).unwrap_or(EMPTY);
+            assert!(id != EMPTY, "an interner holds fewer than 2^32 - 1 strings");
+            self.arena.push_str(name);
+            self.ends.push(self.arena.len());
+            self.slots[slot] = (hash, id);
+            id
+        })
     }
 
     /// Looks up the id of `name` without interning it.
     pub fn get(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(self.hash(name), name).ok()
     }
 
     /// Resolves `id` back to its string. Panics if `id` was never assigned.
     pub fn resolve(&self, id: u32) -> &str {
-        &self.names[id as usize]
+        let start = match id {
+            0 => 0,
+            id => self.ends[id as usize - 1],
+        };
+        &self.arena[start..self.ends[id as usize]]
     }
 
     /// Resolves `id` back to its string, or `None` if out of range.
     pub fn try_resolve(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        ((id as usize) < self.len()).then(|| self.resolve(id))
     }
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        self.ends.is_empty()
     }
 
     /// Iterates `(id, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (i as u32, s.as_str()))
+        (0..self.len() as u32).map(|id| (id, self.resolve(id)))
     }
 }
 
@@ -118,5 +179,39 @@ mod tests {
         it.intern("");
         assert!(!it.is_empty());
         assert_eq!(it.resolve(0), "");
+    }
+
+    #[test]
+    fn ids_survive_table_growth_and_a_clone() {
+        // far past several doublings, with keys that share long prefixes,
+        // differ only in trailing NULs, or are empty
+        let keys: Vec<String> = (0..5000u32)
+            .map(|i| match i % 4 {
+                0 => format!("http://dbpedia.org/resource/E{i}"),
+                1 => "\0".repeat(i as usize / 4 % 20),
+                2 => format!("{i}"),
+                _ => format!("é{i}→"),
+            })
+            .collect();
+        let mut it = Interner::with_capacity(7);
+        let mut first_seen: Vec<&str> = Vec::new();
+        for k in &keys {
+            let id = it.intern(k) as usize;
+            if id == first_seen.len() {
+                first_seen.push(k);
+            }
+            assert_eq!(first_seen[id], k, "an id resolves to its own key");
+        }
+        assert_eq!(it.len(), first_seen.len());
+        // a clone (same hasher keys) and a fresh interner (other keys) agree
+        let clone = it.clone();
+        let mut fresh = Interner::new();
+        for (id, k) in first_seen.iter().enumerate() {
+            assert_eq!(clone.get(k), Some(id as u32));
+            assert_eq!(clone.resolve(id as u32), *k);
+            assert_eq!(fresh.intern(k), id as u32);
+        }
+        assert_eq!(it.get("never interned"), None);
+        assert_eq!(it.try_resolve(it.len() as u32), None);
     }
 }

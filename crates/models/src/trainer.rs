@@ -204,9 +204,9 @@ pub fn train_hooked(
     let mut adam = Adam::new(adam_cfg, model.store());
     let mut losses = Vec::with_capacity(cfg.epochs);
     let mut peak_bytes = model.store().nbytes() + adam.nbytes();
-    // The one tape of this batch: the negatives-refresh forward, every
-    // training step and the final forward record the same forward graph,
-    // so each reuses the buffers of the one before.
+    // The one tape of this batch: every training step and the final
+    // forward record the same forward graph, so each reuses the buffers of
+    // the one before.
     let mut tape = Tape::new();
 
     // A batch without training pairs (or epochs) skips straight to the
@@ -220,11 +220,12 @@ pub fn train_hooked(
     for epoch in 0..epochs {
         let mut epoch_span = rec.span_at(Level::Trace, "epoch");
         epoch_span.field("epoch", epoch);
-        // Refresh negatives periodically (needs current embeddings).
+        tape.reset();
+        let fp = model.forward(&mut tape);
+        // Refresh negatives periodically, from the embeddings of this
+        // epoch's one forward pass; the loss below joins the same tape.
         if triplets.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
             rec.add("train.negatives_resampled", 1);
-            tape.reset();
-            let fp = model.forward(&mut tape);
             let negs = sample_negatives(
                 bg,
                 tape.value(fp.embeddings),
@@ -236,8 +237,6 @@ pub fn train_hooked(
         }
         let [s, t, neg_t, neg_s] = triplets.clone().expect("negatives generated above");
 
-        tape.reset();
-        let fp = model.forward(&mut tape);
         // [d_pos + γ − d_neg]₊ for both corruption sides
         let mut loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
         if let Some(aux) = model.auxiliary_loss(&mut tape, &fp.params, epoch) {

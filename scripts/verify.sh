@@ -6,25 +6,36 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== build (release, offline) =="
+# `stage NAME` opens a stage and prints the wall-clock of the one it ends
+# (whole seconds; the gate's cost is part of what it gates — ROADMAP item 4).
+stage_name=""
+stage_t0=$SECONDS
+stage() {
+  [ -z "$stage_name" ] || echo "-- $stage_name: $((SECONDS - stage_t0)) s"
+  stage_name="$1"
+  stage_t0=$SECONDS
+  [ -z "$1" ] || echo "== $1 =="
+}
+
+stage "build (release, offline)"
 cargo build --release --offline --workspace
 
-echo "== test (offline) =="
+stage "test (offline)"
 cargo test -q --offline --workspace
 
-echo "== test (serial gate: LARGEEA_THREADS=1) =="
+stage "test (serial gate: LARGEEA_THREADS=1)"
 # Kernels promise bit-identical results for any pool width; running the
 # whole suite again with a width-1 global pool catches code that only
 # works when the pool actually fans out (or only when it doesn't).
 LARGEEA_THREADS=1 cargo test -q --offline --workspace
 
-echo "== fmt =="
+stage "fmt"
 cargo fmt --check
 
-echo "== clippy =="
+stage "clippy"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
-echo "== trace smoke =="
+stage "trace smoke"
 # the full loop on a tiny dataset: traced run → summarize → self-diff
 # (exactly zero deltas, so --threshold-pct 0 must exit 0)
 SMOKE="$(mktemp -d -t largeea_smoke.XXXXXX)"
@@ -36,7 +47,7 @@ L="target/release/largeea"
 "$L" trace summarize "$SMOKE/run.json" > /dev/null
 "$L" trace diff "$SMOKE/run.json" "$SMOKE/run.json" --threshold-pct 0 > /dev/null
 
-echo "== crash-recovery smoke =="
+stage "crash-recovery smoke"
 # kill a checkpointed run with an injected failpoint, resume it, and demand
 # a byte-identical similarity matrix (DESIGN.md §S0.7)
 "$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
@@ -52,7 +63,7 @@ fi
 cmp "$SMOKE/base.sim" "$SMOKE/resumed.sim"
 "$L" ckpt inspect "$SMOKE/ckpt_crash" > /dev/null
 
-echo "== mem-budget smoke =="
+stage "mem-budget smoke"
 # a tightly bounded run must spill, succeed, and reproduce base.sim
 # byte-for-byte; an impossible budget must fail with the typed error
 # (DESIGN.md §S0.8)
@@ -70,7 +81,7 @@ if "$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
   exit 1
 fi
 
-echo "== live-telemetry smoke =="
+stage "live-telemetry smoke"
 # a run with --live-dir must leave a final snapshot byte-identical to
 # --trace-out, and the whole offline tooling loop must accept it
 # (DESIGN.md §S0.9)
@@ -82,7 +93,7 @@ cmp "$SMOKE/live/live.trace.json" "$SMOKE/live_run.json"
 "$L" trace tail "$SMOKE/live" --once > /dev/null
 "$L" trace expo "$SMOKE/live/live.trace.json" | grep -q '^largeea_'
 
-echo "== heap-attribution smoke =="
+stage "heap-attribution smoke"
 # span-attributed heap profiling (DESIGN.md §S0.10): a --mem-audit run on
 # the CI-sized DBP1M shape must reconcile tracked vs measured heap peaks;
 # `trace heap` and `trace expo` renderings must be byte-stable across
@@ -108,7 +119,7 @@ if LARGEEA_HEAP_LEAK=$((1<<31)) "$L" align --data "$SMOKE/dbp_ci" --model gcn \
   exit 1
 fi
 
-echo "== kernel-dispatch smoke =="
+stage "kernel-dispatch smoke"
 # runtime SIMD dispatch (DESIGN.md §S0.11): a scalar-forced run
 # (LARGEEA_NO_SIMD=1) must reproduce the default run's similarity matrix
 # byte-for-byte — the SIMD kernels are transcriptions, not approximations
@@ -121,7 +132,7 @@ cmp "$SMOKE/simd.sim" "$SMOKE/nosimd.sim"
 grep -q '"kernel.isa"' "$SMOKE/simd.json"
 grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
 
-echo "== chaos smoke =="
+stage "chaos smoke"
 # transient-fault tolerance (DESIGN.md §S0.12), one failpoint per injection
 # mode at a fixed seed. transient: absorbed by bounded retry — bit-identical
 # results, honest retry.* counters in the trace.
@@ -166,4 +177,5 @@ grep -q 'DEGRADED' "$SMOKE/degraded.out"
 grep -q 'degraded.name_channel' "$SMOKE/degraded.json"
 "$L" failpoints list | grep -q 'spill.write'
 
-echo "verify: OK"
+stage ""
+echo "verify: OK in $SECONDS s"

@@ -23,6 +23,7 @@ mod trace_cmd;
 use largeea::common::fmt_bytes;
 use largeea::common::json::ToJson;
 use largeea::common::obs::{LiveConfig, Recorder};
+use largeea::common::pool::Pool;
 use largeea::core::checkpoint::Checkpoint;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
@@ -311,9 +312,11 @@ fn parse_bytes(v: &str) -> Result<usize, String> {
     n.checked_mul(mult).ok_or_else(bad)
 }
 
-fn load_data(flags: &Flags) -> Result<KgPair, String> {
+/// Loads `--data`, as `rec`'s `load` span.
+fn load_data(flags: &Flags, rec: &Recorder) -> Result<KgPair, String> {
     let dir = required(flags, "data")?;
-    io::load_pair(Path::new(dir), "SRC", "TGT").map_err(|e| format!("loading {dir}: {e}"))
+    io::load_pair_in(Pool::global(), Path::new(dir), "SRC", "TGT", rec)
+        .map_err(|e| format!("loading {dir}: {e}"))
 }
 
 fn split(flags: &Flags, pair: &KgPair) -> Result<AlignmentSeeds, String> {
@@ -344,7 +347,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_stats(flags: &Flags) -> Result<(), String> {
-    let pair = load_data(flags)?;
+    let pair = load_data(flags, &Recorder::disabled())?;
     outln!(
         "{:<8} {:>10} {:>10} {:>10} {:>10} {:>8}",
         "side",
@@ -391,7 +394,9 @@ fn write_trace(flags: &Flags, rec: &Recorder) -> Result<(), String> {
 }
 
 fn cmd_partition(flags: &Flags) -> Result<(), String> {
-    let pair = load_data(flags)?;
+    let rec = Recorder::from_env();
+    let root = rec.span("partition");
+    let pair = load_data(flags, &rec)?;
     let seeds = split(flags, &pair)?;
     let k: usize = parse_or(flags, "k", 5)?;
     let strategy = match flags.get("strategy").map(String::as_str).unwrap_or("cps") {
@@ -404,7 +409,6 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
         partitioner: strategy,
         ..StructureChannelConfig::default()
     });
-    let rec = Recorder::from_env();
     let batches = sc.make_batches_traced(&pair, &seeds, &rec);
     let r = batches.retention(&seeds);
     outln!(
@@ -423,11 +427,13 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
             b.train_pairs.len()
         );
     }
+    root.finish();
     write_trace(flags, &rec)
 }
 
 fn cmd_align(flags: &Flags) -> Result<(), CliError> {
-    let pair = load_data(flags)?;
+    let rec = Recorder::from_env();
+    let pair = load_data(flags, &rec)?;
     let unsupervised = flags.contains_key("unsupervised");
     let seeds = if unsupervised {
         AlignmentSeeds {
@@ -456,7 +462,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         ..LargeEaConfig::default()
     };
     let rounds: usize = parse_or(flags, "rounds", 1)?.max(1);
-    let rec = Recorder::from_env();
     if flags.contains_key("resume") && !flags.contains_key("checkpoint-dir") {
         return Err("--resume needs --checkpoint-dir".to_owned().into());
     }
@@ -582,26 +587,19 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_eval(flags: &Flags) -> Result<(), String> {
-    let pair = load_data(flags)?;
+    let pair = load_data(flags, &Recorder::disabled())?;
     let path = required(flags, "predictions")?;
-    let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let mut predicted: HashMap<&str, &str> = HashMap::new();
-    for (lineno, line) in body.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut f = line.split('\t');
-        let (Some(a), Some(b), None) = (f.next(), f.next(), f.next()) else {
-            return Err(format!(
-                "{path}:{}: expected 2 tab-separated fields",
-                lineno + 1
-            ));
-        };
-        predicted.insert(a, b);
-    }
+    let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let mut predicted: HashMap<String, String> = HashMap::new();
+    io::scan_tsv(file, path, |[a, b]| {
+        predicted.insert(a.to_owned(), b.to_owned());
+        Ok(())
+    })
+    .map_err(|e| format!("reading predictions: {e}"))?;
     let mut correct = 0usize;
     for &(s, t) in &pair.alignment {
-        if predicted.get(pair.source.entity_key(s)).copied() == Some(pair.target.entity_key(t)) {
+        let hit = predicted.get(pair.source.entity_key(s));
+        if hit.map(String::as_str) == Some(pair.target.entity_key(t)) {
             correct += 1;
         }
     }

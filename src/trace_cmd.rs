@@ -5,7 +5,8 @@
 //! questions offline:
 //!
 //! - `summarize <trace>` — wall-clock tree (total/self, same-name siblings
-//!   aggregated), metric tables sorted by name, and derived throughputs;
+//!   aggregated) with its attribution coverage, metric tables sorted by
+//!   name, and derived throughputs;
 //! - `diff <a> <b>` — per-stage deltas sorted by regression size, with
 //!   optional `--threshold-pct` exit-code gating for CI;
 //! - `flame <trace>` — collapsed stacks (`a;b;c <self-µs>`), the folded
@@ -27,7 +28,7 @@
 use largeea::bench::Baseline;
 use largeea::common::fmt_bytes;
 use largeea::common::obs::{expo, Sample, Trace, TraceSpan};
-use largeea::core::throughput::{derived_throughputs, filter_pass_pcts};
+use largeea::core::throughput::{attribution_coverage, derived_throughputs, filter_pass_pcts};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -239,6 +240,18 @@ fn summarize(trace: &Trace) {
         "share"
     );
     print_rollup(&roots, 0, root_total);
+    if let Some(cov) = attribution_coverage(trace) {
+        let largest = cov.largest.as_ref().filter(|(_, secs)| *secs > 0.0);
+        outln!(
+            "\nattribution coverage: {:.1}% of {:.3}s is inside leaf spans{}",
+            cov.pct(),
+            cov.root_seconds,
+            largest.map_or(String::new(), |(name, secs)| format!(
+                "; of the {:.3}s that is parents' own, {secs:.3}s is `{name}`'s",
+                cov.parent_self_seconds
+            ))
+        );
+    }
 
     // The emitter writes these tables sorted, but parsed files preserve
     // their on-disk order — sort defensively so the report is
@@ -291,7 +304,7 @@ fn summarize(trace: &Trace) {
                 t.name,
                 t.per_sec,
                 t.unit,
-                t.count,
+                (t.count * 1e3).round() / 1e3, // whole for counts, 3 places for MiB
                 t.unit,
                 t.seconds
             );

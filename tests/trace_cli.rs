@@ -75,11 +75,13 @@ fn summarize_prints_tree_metrics_and_throughputs() {
         "pipeline",
         "structure_channel",
         "epoch ×", // same-name siblings are folded
+        "attribution coverage: ",
         "counters:",
         "partition.input_triples",
         "derived throughputs:",
         "train.epochs_per_sec",
         "topk.pairs_per_sec",
+        "kg.load_mib_per_sec",
         "sens.refined_pairs",
         "derived ratios:",
         "sens.filter_pass_pct",
