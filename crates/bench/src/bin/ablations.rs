@@ -9,8 +9,9 @@
 //! Flags: `--scale <f>` (default 0.05), `--epochs <n>` (default 40).
 
 use largeea_bench::{arg_f64, arg_usize};
+use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_core::evaluate;
-use largeea_core::pipeline::{LargeEa, LargeEaConfig};
+use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig};
 use largeea_core::report::{print_series, Series};
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea_core::{NameChannel, NameChannelConfig};
@@ -150,7 +151,10 @@ fn main() {
             },
             ..LargeEaConfig::default()
         };
-        let report = LargeEa::new(cfg).run_iterative(&pair, &seeds, rounds);
+        let rec = Recorder::new(ObsConfig::default());
+        let report = LargeEa::new(cfg)
+            .run_exec(&pair, &seeds, rounds, &rec, None, &ExecOptions::default())
+            .expect("default exec options: no RunError has a source");
         rounds_series.x.push(rounds as f64);
         rounds_series.y.push(report.eval.hits1);
     }

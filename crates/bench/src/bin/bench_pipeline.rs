@@ -8,8 +8,8 @@
 //!
 //! Flags: `--repeats <n>` (default 5), `--scale <f>` (default 0.02),
 //! `--k <n>` (default 2), `--epochs <n>` (default 15), `--dim <n>`
-//! (default 32), `--mem-budget <bytes>` (default 0 = unbounded in-RAM;
-//! non-zero switches to the out-of-core path so the baseline carries
+//! (default 32), `--mem-budget <bytes>` (default 0 = unbounded, store in
+//! memory; non-zero puts the store on disk so the baseline carries
 //! `mem.spill.*` counters), `--out <path>` (default `BENCH_pipeline.json`),
 //! `--trace-out <path>` (also write the last repeat's raw trace — handy as
 //! the "fresh run" for `largeea trace check`).

@@ -13,7 +13,7 @@ use largeea_bench::{arg_f64, arg_usize, harness_train_config, maybe_write_trace}
 use largeea_common::obs::Recorder;
 use largeea_core::report::{print_series, Series};
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
-use largeea_core::{NameChannel, NameChannelConfig};
+use largeea_core::{NameChannel, NameChannelConfig, RunCtx};
 use largeea_data::Preset;
 use largeea_models::ModelKind;
 
@@ -35,11 +35,10 @@ fn main() {
         eprintln!("[fig4] scale {scale}: {entities} entities");
 
         let rec = Recorder::from_env();
-        let name_out = NameChannel::new(NameChannelConfig::default()).run_traced(
-            &pair.source,
-            &pair.target,
-            &rec,
-        );
+        let mut ctx = RunCtx::in_memory(&rec);
+        let name_out = NameChannel::new(NameChannelConfig::default())
+            .run_in(&pair.source, &pair.target, &mut ctx)
+            .expect("in-memory context: no RunError has a source");
         let sc = StructureChannel::new(StructureChannelConfig {
             k: preset.default_k(),
             partitioner: Partitioner::MetisCps,
@@ -48,7 +47,10 @@ fn main() {
             top_k: 50,
             ..StructureChannelConfig::default()
         });
-        let out = sc.run_traced(&pair, &seeds, &rec);
+        let out = sc
+            .run_in(&pair, &seeds, &mut ctx)
+            .expect("in-memory context: no RunError has a source");
+        ctx.mem.record_into(&rec);
         maybe_write_trace(&format!("fig4.scale-{scale}"), &rec.trace());
 
         xs.push(entities);

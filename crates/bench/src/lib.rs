@@ -18,7 +18,7 @@ pub use baseline::{thread_config, Baseline, StageStat};
 
 use largeea_common::json::ToJson;
 use largeea_common::obs::Recorder;
-use largeea_core::pipeline::{LargeEa, LargeEaConfig};
+use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig};
 use largeea_core::report::MethodRow;
 use largeea_core::structure_channel::{Partitioner, StructureChannelConfig};
 use largeea_core::NameChannelConfig;
@@ -132,7 +132,9 @@ pub fn largeea_variant_row(
     k: usize,
 ) -> MethodRow {
     let rec = Recorder::from_env();
-    let report = LargeEa::new(largeea_config(model, k)).run_recorded(pair, seeds, 1, &rec);
+    let report = LargeEa::new(largeea_config(model, k))
+        .run_exec(pair, seeds, 1, &rec, None, &ExecOptions::default())
+        .expect("default exec options: no RunError has a source");
     let method = format!("LargeEA-{}", model.short_name());
     maybe_write_trace(&format!("{dataset}.{method}"), &report.trace);
     MethodRow::new(

@@ -112,6 +112,12 @@ impl ToJson for ChannelAttribution {
     }
 }
 
+/// For each test pair, whether `m` alone ranks the true target first.
+pub fn top1_hits(m: &SparseSimMatrix, test_pairs: &[(EntityId, EntityId)]) -> Vec<bool> {
+    let hit = |&(s, t): &(EntityId, EntityId)| m.best(s.idx()).map(|(c, _)| c) == Some(t.0);
+    test_pairs.iter().map(hit).collect()
+}
+
 /// Attributes every test pair to the channel(s) that solve it.
 pub fn attribute_channels(
     m_s: &SparseSimMatrix,
@@ -119,34 +125,42 @@ pub fn attribute_channels(
     fused: &SparseSimMatrix,
     test_pairs: &[(EntityId, EntityId)],
 ) -> ChannelAttribution {
-    let mut a = ChannelAttribution {
-        both: 0,
-        structure_only: 0,
-        name_only: 0,
-        neither: 0,
-        fused_correct: 0,
-        fusion_rescued: 0,
-        fusion_broke: 0,
-    };
-    for &(s, t) in test_pairs {
-        let hit = |m: &SparseSimMatrix| m.best(s.idx()).map(|(c, _)| c) == Some(t.0);
-        let (hs, hn, hf) = (hit(m_s), hit(m_n), hit(fused));
-        match (hs, hn) {
-            (true, true) => a.both += 1,
-            (true, false) => a.structure_only += 1,
-            (false, true) => a.name_only += 1,
-            (false, false) => a.neither += 1,
-        }
-        if hf {
-            a.fused_correct += 1;
-            if !hs && !hn {
-                a.fusion_rescued += 1;
+    let hits = |m| top1_hits(m, test_pairs);
+    ChannelAttribution::from_hits(&hits(m_s), &hits(m_n), &hits(fused))
+}
+
+impl ChannelAttribution {
+    /// [`attribute_channels`] from each matrix's [`top1_hits`] over the same
+    /// test pairs — all a caller needs to keep of a matrix it is about to
+    /// consume (the pipeline fuses `M_s` in place).
+    pub fn from_hits(structure: &[bool], name: &[bool], fused: &[bool]) -> ChannelAttribution {
+        let mut a = ChannelAttribution {
+            both: 0,
+            structure_only: 0,
+            name_only: 0,
+            neither: 0,
+            fused_correct: 0,
+            fusion_rescued: 0,
+            fusion_broke: 0,
+        };
+        for ((&hs, &hn), &hf) in structure.iter().zip(name).zip(fused) {
+            match (hs, hn) {
+                (true, true) => a.both += 1,
+                (true, false) => a.structure_only += 1,
+                (false, true) => a.name_only += 1,
+                (false, false) => a.neither += 1,
             }
-        } else if hs || hn {
-            a.fusion_broke += 1;
+            if hf {
+                a.fused_correct += 1;
+                if !hs && !hn {
+                    a.fusion_rescued += 1;
+                }
+            } else if hs || hn {
+                a.fusion_broke += 1;
+            }
         }
+        a
     }
-    a
 }
 
 #[cfg(test)]

@@ -57,7 +57,7 @@ pub use fusion::fuse;
 pub use mem::{BudgetExceeded, MemTracker};
 pub use name_channel::{NameChannel, NameChannelConfig, NameChannelOutput};
 pub use pipeline::{
-    ExecOptions, LargeEa, LargeEaConfig, LargeEaReport, PartitionStrategy, RunError,
+    ExecOptions, LargeEa, LargeEaConfig, LargeEaReport, PartitionStrategy, RunCtx, RunError,
 };
 pub use spill::SpillStore;
 pub use structure_channel::{StructureChannel, StructureChannelConfig, StructureChannelOutput};

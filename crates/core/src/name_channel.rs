@@ -11,15 +11,11 @@
 //!   pairs whose estimated Jaccard clears θ, and only those pairs pay for a
 //!   Levenshtein computation.
 
-use crate::mem::MemTracker;
-use crate::pipeline::RunError;
-use crate::spill::SpillStore;
+use crate::pipeline::{RunCtx, RunError};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
-use largeea_sim::{
-    resident_bytes, segmented_topk_streamed, segmented_topk_traced, Metric, SparseSimMatrix,
-};
+use largeea_sim::{resident_bytes, segmented_topk_streamed, Metric, SparseSimMatrix};
 use largeea_text::{batch, normalize_name, HashEncoder, LshIndex, MinHasher};
 
 /// Name-channel hyper-parameters (paper defaults in §3.1).
@@ -63,10 +59,6 @@ impl Default for NameChannelConfig {
 /// Everything the name channel produces.
 #[derive(Debug)]
 pub struct NameChannelOutput {
-    /// Semantic similarity `M_se` (min-max normalised rows).
-    pub m_se: SparseSimMatrix,
-    /// String similarity `M_st` (Levenshtein similarities in `[0,1]`).
-    pub m_st: SparseSimMatrix,
     /// Fused name similarity `M_n = M_se + γ·M_st`.
     pub m_n: SparseSimMatrix,
     /// Wall-clock seconds of SENS (encoding + top-k search).
@@ -91,89 +83,59 @@ impl NameChannel {
         Self { cfg }
     }
 
-    /// Runs NFF over the two KGs' entity labels.
+    /// Runs NFF over the two KGs' entity labels: [`NameChannel::run_in`] a
+    /// [`RunCtx::in_memory`]. A private default recorder keeps the reported
+    /// timings real even though nobody asked for a trace (spans time
+    /// whether stored or not).
     pub fn run(&self, source: &KnowledgeGraph, target: &KnowledgeGraph) -> NameChannelOutput {
-        // A private default recorder keeps the reported timings real even
-        // when nobody asked for a trace (spans time whether stored or not).
-        self.run_traced(source, target, &Recorder::new(ObsConfig::default()))
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_in(source, target, &mut RunCtx::in_memory(&rec))
+            .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
-    /// [`NameChannel::run`] recording into `rec`: a `name_channel` span with
-    /// `sens`/`stns` children (the reported `*_seconds` are those spans'
-    /// durations — single source of truth), per-block `sens_block` spans
-    /// from the segmented search, `stns.*` candidate counters, and
-    /// `mem.name_channel.peak_bytes`.
+    /// Runs NFF against `ctx`: recording into `ctx.rec`, charging
+    /// `ctx.mem`, and streaming the SENS embeddings through `ctx.store`.
     ///
-    /// With a disabled recorder the reported timings are `0.0`; call
-    /// [`NameChannel::run`] when timings matter but no trace is wanted.
-    pub fn run_traced(
+    /// Records a `name_channel` span with `sens`/`stns` children (the
+    /// reported `*_seconds` are those spans' durations — single source of
+    /// truth, so `0.0` with a disabled recorder), per-block `sens_block`
+    /// spans from the segmented search and `stns.*` candidate counters.
+    ///
+    /// Every major allocation is charged against `ctx.mem` (typed
+    /// [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set). SENS
+    /// runs segment at a time (paper §2.3): embeddings are encoded per
+    /// segment, put into the store, and streamed back block pair by block
+    /// pair, so the search holds at most one query + one base segment
+    /// beside whatever the store's backing keeps resident.
+    ///
+    /// Does NOT call `ctx.mem.record_into` — whoever built the context owns
+    /// the tracker's lifecycle (the pipeline shares one across channels).
+    pub fn run_in(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
-        rec: &Recorder,
-    ) -> NameChannelOutput {
-        let mut mem = MemTracker::new();
-        let out = self
-            .run_bounded(source, target, rec, &mut mem, None)
-            .unwrap_or_else(|e| unreachable!("unbudgeted in-RAM run cannot fail: {e}"));
-        mem.record_into(rec);
-        out
-    }
-
-    /// [`NameChannel::run_traced`] under an explicit memory regime.
-    ///
-    /// Charges every major allocation against `mem` (typed
-    /// [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set) and,
-    /// when `spill` is given, runs SENS out of core: embeddings are encoded
-    /// per segment, written through the [`SpillStore`], and streamed back
-    /// block pair by block pair, so at most one query + one base segment is
-    /// resident. Results are bit-identical to the in-RAM path — the encoder
-    /// is per-row deterministic and the streamed search visits block pairs
-    /// in the exact order of the in-RAM search.
-    ///
-    /// Does NOT call `mem.record_into` — the caller owns the tracker's
-    /// lifecycle (the pipeline shares one tracker across channels).
-    pub fn run_bounded(
-        &self,
-        source: &KnowledgeGraph,
-        target: &KnowledgeGraph,
-        rec: &Recorder,
-        mem: &mut MemTracker,
-        spill: Option<&mut SpillStore>,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<NameChannelOutput, RunError> {
+        let rec = ctx.rec;
         let channel_span = rec.span("name_channel");
-        let out_of_core = spill.is_some();
-        let (m_se, sens_seconds) = match spill {
-            Some(store) => self.sens_spilled(source, target, mem, store, rec)?,
-            None => self.sens(source, target, mem, rec)?,
-        };
+        let (m_se, sens_seconds) = self.sens(source, target, ctx)?;
         // end of SENS: refresh the working-set gauge and give the live
         // sampler a stage-boundary tick (likewise after STNS below)
-        rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+        rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
         rec.live_tick();
-        let (m_st, stns_seconds) = self.stns(source, target, mem, rec, out_of_core)?;
-        rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+        let (m_st, stns_seconds) = self.stns(source, target, ctx)?;
+        rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
         rec.live_tick();
-        let (m_se, m_st, m_n) = if out_of_core {
-            // In-place fusion through the same `merge_rows` kernel as the
-            // allocating `scaled_add` → bit-identical entries; `m_se`/`m_st`
-            // diagnostics are dropped to keep only the fused matrix live.
-            let m_st_bytes = m_st.nbytes();
-            let mut m_n = m_se;
-            let before = m_n.nbytes();
-            m_n.scaled_add_assign(&m_st, self.cfg.gamma);
-            mem.charge("name_channel", m_n.nbytes().saturating_sub(before))?;
-            mem.uncharge("name_channel", m_st_bytes);
-            (SparseSimMatrix::new(0, 0), SparseSimMatrix::new(0, 0), m_n)
-        } else {
-            let m_n = m_se.scaled_add(&m_st, self.cfg.gamma);
-            mem.charge("name_channel", m_n.nbytes())?;
-            (m_se, m_st, m_n)
-        };
+        // In-place fusion: only the fused matrix stays live.
+        let m_st_bytes = m_st.nbytes();
+        let mut m_n = m_se;
+        let before = m_n.nbytes();
+        m_n.scaled_add_assign(&m_st, self.cfg.gamma);
+        let mem = &mut ctx.mem;
+        mem.charge("name_channel", m_n.nbytes().saturating_sub(before))?;
+        mem.uncharge("name_channel", m_st_bytes);
         channel_span.finish();
         Ok(NameChannelOutput {
-            m_se,
-            m_st,
             m_n,
             sens_seconds,
             stns_seconds,
@@ -182,61 +144,22 @@ impl NameChannel {
     }
 
     /// SENS: semantic name similarity via hash-encoder embeddings +
-    /// segment-at-a-time Manhattan top-k.
+    /// segment-at-a-time Manhattan top-k. The embeddings never exist as
+    /// whole matrices: each side is encoded one segment at a time
+    /// (`HashEncoder::encode_batch` is per-row deterministic, so segment
+    /// slices equal row slices of a full encoding), put into the store
+    /// under `sens.q<i>` / `sens.b<i>` keys, and the streamed top-k search
+    /// loads at most one query + one base segment at a time.
     fn sens(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
-        mem: &mut MemTracker,
-        rec: &Recorder,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
-        let mut span = rec.span("sens");
-        span.field("dim", self.cfg.dim);
-        span.field("top_k", self.cfg.top_k);
-        span.field("segments", self.cfg.segments);
-        let (emb_s, emb_t) = {
-            let _s = rec.span_at(Level::Detail, "encode");
-            let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
-            (
-                encoder.encode_batch(source.labels()),
-                encoder.encode_batch(target.labels()),
-            )
-        };
-        mem.charge("name_channel", emb_s.nbytes() + emb_t.nbytes())?;
-        // What the search keeps beside the embeddings until it returns.
-        let resident = resident_bytes(emb_s.rows(), emb_t.rows(), self.cfg.dim, self.cfg.segments);
-        mem.charge("name_channel", resident)?;
-        let hits = segmented_topk_traced(
-            &emb_s,
-            &emb_t,
-            self.cfg.top_k,
-            Metric::Manhattan,
-            self.cfg.segments,
-            rec,
-        );
-        mem.uncharge("name_channel", resident);
-        let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
-        // negative distances → [0,1] per row so γ-weighted fusion and the
-        // later channel fusion operate on one scale
-        m_se.normalize_global_minmax();
-        mem.charge("name_channel", m_se.nbytes())?;
-        Ok((m_se, span.finish()))
-    }
-
-    /// Out-of-core SENS: embeddings never exist as whole matrices. Each side
-    /// is encoded one segment at a time (`HashEncoder::encode_batch` is
-    /// per-row deterministic, so segment slices equal row slices of a full
-    /// encoding), written to the spill store under `sens.q<i>` / `sens.b<i>`
-    /// keys, and the streamed top-k search loads at most one query + one
-    /// base segment at a time — in exactly the order of the in-RAM search.
-    fn sens_spilled(
-        &self,
-        source: &KnowledgeGraph,
-        target: &KnowledgeGraph,
-        mem: &mut MemTracker,
-        store: &mut SpillStore,
-        rec: &Recorder,
-    ) -> Result<(SparseSimMatrix, f64), RunError> {
+        let RunCtx {
+            rec, mem, store, ..
+        } = ctx;
+        let rec = *rec;
         let mut span = rec.span("sens");
         span.field("dim", self.cfg.dim);
         span.field("top_k", self.cfg.top_k);
@@ -246,7 +169,7 @@ impl NameChannel {
         let n_q = source.num_entities();
         let n_b = target.num_entities();
         // MUST match `segmented_topk_streamed`'s segment arithmetic so the
-        // loader's `range.start / seg` lands on the right spilled artifact.
+        // loader's `range.start / seg` lands on the right stored artifact.
         let q_seg = n_q.div_ceil(segments).max(1);
         let b_seg = n_b.div_ceil(segments).max(1);
         {
@@ -259,9 +182,10 @@ impl NameChannel {
                     let end = (start + seg).min(labels.len());
                     let m = encoder.encode_batch(&labels[start..end]);
                     mem.charge("name_channel", m.nbytes())?;
-                    store
+                    let held = store
                         .put_matrix(&format!("sens.{side}{idx}"), &m, rec)
                         .map_err(RunError::Spill)?;
+                    mem.charge("name_channel", held)?;
                     mem.uncharge("name_channel", m.nbytes());
                 }
             }
@@ -293,10 +217,12 @@ impl NameChannel {
         mem.uncharge("name_channel", resident);
         for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
             for (idx, _) in (0..n).step_by(seg).enumerate() {
-                store.remove(&format!("sens.{side}{idx}"));
+                mem.uncharge("name_channel", store.remove(&format!("sens.{side}{idx}")));
             }
         }
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
+        // negative distances → [0,1] per row so γ-weighted fusion and the
+        // later channel fusion operate on one scale
         m_se.normalize_global_minmax();
         mem.charge("name_channel", m_se.nbytes())?;
         Ok((m_se, span.finish()))
@@ -308,10 +234,9 @@ impl NameChannel {
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
-        mem: &mut MemTracker,
-        rec: &Recorder,
-        out_of_core: bool,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
+        let (rec, mem) = (ctx.rec, &mut ctx.mem);
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
         let pool = Pool::global();
@@ -386,13 +311,9 @@ impl NameChannel {
         span.field("pruned", pruned_below_theta);
         m_st.truncate_topk(self.cfg.top_k);
         mem.charge("name_channel", m_st.nbytes())?;
-        if out_of_core {
-            // Signatures and the LSH index drop at return; give those bytes
-            // back so the bounded run's live total reflects reality. The
-            // in-RAM path keeps the legacy never-release accounting so its
-            // reported gauges stay comparable with historical traces.
-            mem.uncharge("name_channel", sigs_bytes);
-        }
+        // Signatures and the LSH index drop at return; give those bytes
+        // back so the live total reflects reality.
+        mem.uncharge("name_channel", sigs_bytes);
         Ok((m_st, span.finish()))
     }
 }
@@ -400,6 +321,8 @@ impl NameChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::MemTracker;
+    use crate::spill::SpillStore;
     use largeea_kg::EntityId;
 
     fn kgs() -> (KnowledgeGraph, KnowledgeGraph) {
@@ -432,28 +355,32 @@ mod tests {
     fn stns_exact_match_scores_one() {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
-        let out = nc.run(&s, &t);
-        assert_eq!(out.m_st.get(2, 2), Some(1.0));
+        let rec = Recorder::disabled();
+        let (m_st, _) = nc.stns(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
+        assert_eq!(m_st.get(2, 2), Some(1.0));
     }
 
     #[test]
     fn stns_skips_dissimilar_pairs() {
         let (s, t) = kgs();
-        let out = NameChannel::new(NameChannelConfig::default()).run(&s, &t);
+        let nc = NameChannel::new(NameChannelConfig::default());
+        let rec = Recorder::disabled();
+        let (m_st, _) = nc.stns(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
         // "London" vs "Allemagne" falls below θ = 0.5 → no stored entry
-        assert_eq!(out.m_st.get(0, 1), None);
+        assert_eq!(m_st.get(0, 1), None);
     }
 
     #[test]
     fn gamma_weights_string_contribution() {
         let (s, t) = kgs();
-        let cfg = NameChannelConfig {
+        let nc = NameChannel::new(NameChannelConfig {
             gamma: 0.5,
             ..Default::default()
-        };
-        let out = NameChannel::new(cfg).run(&s, &t);
-        let fused = out.m_n.get(2, 2).unwrap();
-        let se = out.m_se.get(2, 2).unwrap();
+        });
+        let fused = nc.run(&s, &t).m_n.get(2, 2).unwrap();
+        let rec = Recorder::disabled();
+        let (m_se, _) = nc.sens(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
+        let se = m_se.get(2, 2).unwrap();
         assert!((fused - (se + 0.5)).abs() < 1e-6, "fused {fused} se {se}");
     }
 
@@ -478,9 +405,12 @@ mod tests {
             top_k: 3,
             ..Default::default()
         };
-        let out = NameChannel::new(cfg).run(&s, &t);
+        let rec = Recorder::disabled();
+        let (m_se, _) = NameChannel::new(cfg)
+            .sens(&s, &t, &mut RunCtx::in_memory(&rec))
+            .unwrap();
         for r in 0..30 {
-            assert!(out.m_se.row(r).len() <= 3, "row {r} too wide");
+            assert!(m_se.row(r).len() <= 3, "row {r} too wide");
         }
     }
 
@@ -509,24 +439,27 @@ mod tests {
                 "largeea_sens_budget_{}_{budget}",
                 std::process::id()
             ));
-            let mut store = SpillStore::create(&dir).unwrap();
-            let mut mem = MemTracker::with_budget(budget);
-            let out = NameChannel::new(cfg).run_bounded(
-                &s,
-                &t,
-                &Recorder::disabled(),
-                &mut mem,
-                Some(&mut store),
-            );
-            drop(store);
-            std::fs::remove_dir_all(&dir).ok();
-            out.map(|out| (out, mem.peak("name_channel")))
+            let rec = Recorder::disabled();
+            let mut ctx = RunCtx {
+                mem: MemTracker::with_budget(budget),
+                store: SpillStore::create(&dir).unwrap(),
+                ..RunCtx::in_memory(&rec)
+            };
+            let out = NameChannel::new(cfg).run_in(&s, &t, &mut ctx);
+            out.map(|out| (out, ctx.mem.peak("name_channel")))
         };
         let (bounded, peak) = run(budget).expect("the residents are the whole budget");
         assert_eq!(peak, budget);
         assert!(matches!(run(budget - 1), Err(RunError::Budget(_))));
-        let in_ram = NameChannel::new(cfg).run(&s, &t);
+        // the memory backing also holds every segment it was handed
+        let rec = Recorder::disabled();
+        let mut ctx = RunCtx::in_memory(&rec);
+        let in_ram = NameChannel::new(cfg).run_in(&s, &t, &mut ctx).unwrap();
         assert_eq!(bounded.m_n, in_ram.m_n);
+        assert_eq!(
+            ctx.mem.peak("name_channel"),
+            budget + 400 * cfg.dim * std::mem::size_of::<f32>()
+        );
     }
 
     #[test]

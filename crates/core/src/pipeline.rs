@@ -11,10 +11,10 @@
 //! Every stage can be switched off independently, which is exactly what the
 //! ablation study (Figure 5) sweeps: `w/o structure`, `w/o name`, `w/o DA`.
 
+use crate::analysis::{top1_hits, ChannelAttribution};
 use crate::augment::augment_seeds;
 use crate::checkpoint::{fnv1a, Checkpoint, CkptError, RunMeta};
 use crate::eval::{evaluate, EvalResult};
-use crate::fusion::fuse;
 use crate::mem::{BudgetExceeded, MemAuditError, MemTracker};
 use crate::name_channel::{NameChannel, NameChannelConfig, NameChannelOutput};
 use crate::spill::SpillStore;
@@ -41,10 +41,10 @@ pub struct ExecOptions {
     /// a typed [`RunError::Budget`] the moment the [`MemTracker`] total
     /// would pass it. `None` = unbounded (tracking only).
     pub mem_budget: Option<usize>,
-    /// Spill directory for out-of-core execution: per-segment embeddings
-    /// and per-batch similarity blocks are written through a [`SpillStore`]
-    /// here instead of accumulating in RAM. `None` = fully in RAM (the
-    /// bit-exact reference path).
+    /// Which backing the run's [`SpillStore`] gets. Per-segment embeddings
+    /// and per-batch similarity blocks always go through the store; with
+    /// `Some(dir)` they wait on disk (out-of-core execution), with `None`
+    /// in memory. Same statements either way, hence the same bits.
     pub spill_dir: Option<PathBuf>,
     /// Audit the memory books (`--mem-audit`): after the run, compare the
     /// [`MemTracker`] tracked peak against the instrumented allocator's
@@ -78,6 +78,44 @@ impl ExecOptions {
             spill_dir,
             mem_audit: false,
             supervision: Supervision::default(),
+        }
+    }
+}
+
+/// What a channel runs against: where it records, what it charges, where
+/// its intermediate blocks wait, and — for the structure channel — which
+/// checkpoint round it persists, under which supervision. The pipeline
+/// builds one per run and lends it to both channels.
+#[derive(Debug)]
+pub struct RunCtx<'a> {
+    /// Telemetry sink.
+    pub rec: &'a Recorder,
+    /// Byte accounting and the `--mem-budget` enforcement point, shared
+    /// across channels. Whoever built the context folds it into the trace
+    /// ([`MemTracker::record_into`]).
+    pub mem: MemTracker,
+    /// Working storage for intermediate blocks (DESIGN.md §S0.8).
+    pub store: SpillStore,
+    /// Crash-safe checkpoint, when the run has one.
+    pub ckpt: Option<&'a mut Checkpoint>,
+    /// The bootstrap round that scopes the checkpoint's stage keys.
+    pub round: usize,
+    /// Transient-fault supervision (DESIGN.md §S0.12).
+    pub sup: Supervision,
+}
+
+impl<'a> RunCtx<'a> {
+    /// The context of a plain run — memory-backed store, no budget, no
+    /// checkpoint, default supervision — in which no [`RunError`] has a
+    /// source.
+    pub fn in_memory(rec: &'a Recorder) -> Self {
+        RunCtx {
+            rec,
+            mem: MemTracker::new(),
+            store: SpillStore::in_memory(),
+            ckpt: None,
+            round: 0,
+            sup: Supervision::default(),
         }
     }
 }
@@ -261,9 +299,10 @@ pub struct LargeEaReport {
     pub retention: Option<Retention>,
     /// Edge-cut rate `R_ec` (Figure 7), when the structure channel ran.
     pub edge_cut_rate: f64,
-    /// The structure channel's `M_s` (for post-hoc channel attribution).
-    pub m_s: Option<SparseSimMatrix>,
-    /// The name channel's `M_n` (for post-hoc channel attribution).
+    /// Which channel(s) solve each test pair, when both ran: the last
+    /// round's `M_s` and `M_n` each on their own against the fused `M`.
+    pub attribution: Option<ChannelAttribution>,
+    /// The name channel's `M_n`.
     pub m_n: Option<SparseSimMatrix>,
     /// What the run gave up to finish (DESIGN.md §S0.12). Empty unless
     /// `--degraded-ok` traded a lost channel or quarantined mini-batch for
@@ -291,97 +330,52 @@ impl LargeEa {
     /// Runs the pipeline on `pair` using `seeds.train` as supervision and
     /// evaluating on `seeds.test`. With an empty `seeds.train` and
     /// augmentation on, this is the paper's *unsupervised* mode (§3.5).
+    ///
+    /// One round of [`LargeEa::run_exec`] with default [`ExecOptions`]; a
+    /// private default recorder keeps the reported timings real even though
+    /// nobody asked for a trace.
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> LargeEaReport {
-        self.run_iterative(pair, seeds, 1)
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_exec(pair, seeds, 1, &rec, None, &ExecOptions::default())
+            .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
-    /// Bootstrapping extension (BootEA-style, cited as [34] by the paper):
-    /// after each round, entity pairs that are *mutually* each other's best
-    /// match in the fused matrix join the seed set, and the structure
-    /// channel retrains. The name channel runs once (it is seed-free).
-    /// `rounds = 1` is exactly [`LargeEa::run`].
-    pub fn run_iterative(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-    ) -> LargeEaReport {
-        // A private default recorder keeps the reported timings real even
-        // when nobody asked for a trace.
-        self.run_recorded(pair, seeds, rounds, &Recorder::new(ObsConfig::default()))
-    }
-
-    /// [`LargeEa::run_iterative`] recording into `rec`. The whole run is a
-    /// `pipeline` span; the report's `*_seconds` fields are read back out of
-    /// the recorded trace (single source of truth), so a disabled recorder
-    /// yields an empty trace and all-zero timings.
-    pub fn run_recorded(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-        rec: &Recorder,
-    ) -> LargeEaReport {
-        self.run_exec(pair, seeds, rounds, rec, None, &ExecOptions::default())
-            .unwrap_or_else(|e| unreachable!("unbudgeted in-RAM run cannot fail: {e}"))
-    }
-
-    /// [`LargeEa::run_recorded`] with crash-safe checkpointing: every
-    /// pipeline boundary (name-channel `M_n`, per-round partition /
-    /// per-batch embeddings and sim blocks / `M_s`, the fused `M`) is
-    /// durably persisted into `ckpt` as it completes, and any stage the
+    /// The full entry point: `rounds` bootstrap rounds recorded into `rec`,
+    /// with optional checkpointing and an execution regime
+    /// ([`ExecOptions`]).
+    ///
+    /// Bootstrapping (BootEA-style, cited as [34] by the paper): after each
+    /// round, entity pairs that are *mutually* each other's best match in
+    /// the fused matrix join the seed set, and the structure channel
+    /// retrains. The name channel runs once (it is seed-free).
+    ///
+    /// The whole run is a `pipeline` span; the report's `*_seconds` fields
+    /// are read back out of the recorded trace (single source of truth), so
+    /// a disabled recorder yields an empty trace and all-zero timings.
+    ///
+    /// With `ckpt`, every pipeline boundary (name-channel `M_n`, per-round
+    /// partition / per-batch embeddings and sim blocks / `M_s`, the fused
+    /// `M`) is durably persisted as it completes, and any stage the
     /// manifest already marks done is loaded instead of recomputed. The
     /// checkpoint must have been opened for *this* run
     /// ([`LargeEaConfig::run_meta`]); a mismatch is refused with
     /// [`CkptError::Mismatch`] before any work happens. A resumed run is
     /// bit-identical to an uninterrupted one (`tests/crash_recovery.rs`).
-    pub fn run_checkpointed(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rounds: usize,
-        rec: &Recorder,
-        ckpt: &mut Checkpoint,
-    ) -> Result<LargeEaReport, CkptError> {
-        self.run_exec(
-            pair,
-            seeds,
-            rounds,
-            rec,
-            Some(ckpt),
-            &ExecOptions::default(),
-        )
-        .map_err(|e| match e {
-            RunError::Ckpt(c) => c,
-            // A transient checkpoint fault that outlived every retry: this
-            // interface speaks CkptError, so fold the exhaustion back into
-            // the I/O variant it grew from (kind preserved via the message).
-            RunError::Exhausted(x) => {
-                CkptError::Io(io::Error::new(io::ErrorKind::Interrupted, x.to_string()))
-            }
-            other => unreachable!("default exec options cannot fail with {other}"),
-        })
-    }
-
-    /// The most general entry point: [`LargeEa::run_recorded`] with optional
-    /// checkpointing *and* an execution regime ([`ExecOptions`]).
     ///
-    /// With `exec.mem_budget`, every major allocation is charged against one
-    /// shared [`MemTracker`] and the run fails fast with a typed
-    /// [`RunError::Budget`] instead of thrashing. With `exec.spill_dir`, the
-    /// channels run out of core: per-segment name embeddings, per-batch
-    /// trained embeddings and similarity blocks write through a
-    /// [`SpillStore`] and are streamed back, so the tracked working set
-    /// stays bounded. The out-of-core path is bit-identical to the in-RAM
-    /// reference (`tests/spill_equivalence.rs`), because every streamed
-    /// computation visits blocks in exactly the in-RAM order.
+    /// Every major allocation is charged against one shared [`MemTracker`];
+    /// with `exec.mem_budget` the run fails fast with a typed
+    /// [`RunError::Budget`] instead of thrashing. Per-segment name
+    /// embeddings, per-batch trained embeddings and similarity blocks go
+    /// through one [`SpillStore`] and are streamed back; `exec.spill_dir`
+    /// only picks where they wait in between (memory or disk), so both
+    /// regimes execute the same statements (`tests/spill_equivalence.rs`).
     pub fn run_exec(
         &self,
         pair: &KgPair,
         seeds: &AlignmentSeeds,
         rounds: usize,
         rec: &Recorder,
-        mut ckpt: Option<&mut Checkpoint>,
+        ckpt: Option<&mut Checkpoint>,
         exec: &ExecOptions,
     ) -> Result<LargeEaReport, RunError> {
         assert!(rounds >= 1, "need at least one round");
@@ -403,12 +397,17 @@ impl LargeEa {
                 }
             }
         }
-        let mut mem = MemTracker::with_budget_opt(exec.mem_budget);
-        let mut spill = match &exec.spill_dir {
-            Some(dir) => Some(SpillStore::create(dir).map_err(RunError::Spill)?),
-            None => None,
+        let mut ctx = RunCtx {
+            rec,
+            mem: MemTracker::with_budget_opt(exec.mem_budget),
+            store: match &exec.spill_dir {
+                Some(dir) => SpillStore::create(dir).map_err(RunError::Spill)?,
+                None => SpillStore::in_memory(),
+            },
+            ckpt,
+            round: 0,
+            sup: exec.supervision.clone(),
         };
-        let out_of_core = spill.is_some();
         // Measured-memory window for the whole run, opened before the
         // pipeline span so the spans close LIFO inside it. Its peak is the
         // run's net heap growth on this thread — pool workers transfer
@@ -433,33 +432,23 @@ impl LargeEa {
             pipeline_span.field("spill.dir", dir.display().to_string());
         }
         rec.gauge("progress.rounds_total", rounds as f64);
-        let sup = exec.supervision.clone();
         let mut degraded = Degradations::default();
 
         // --- name channel (once — it does not depend on seeds) -------------
         let name_attempt = if self.cfg.use_name {
             let mut run_name = || -> Result<NameChannelOutput, RunError> {
-                if let Some(m_n) = ckpt.as_mut().and_then(|c| c.load_sim("name", rec)) {
-                    mem.charge("name_channel", m_n.nbytes())?;
+                if let Some(m_n) = ctx.ckpt.as_mut().and_then(|c| c.load_sim("name", rec)) {
+                    ctx.mem.charge("name_channel", m_n.nbytes())?;
                     return Ok(NameChannelOutput {
-                        // only M_n flows onward; the component matrices are
-                        // not checkpointed (report-only diagnostics)
-                        m_se: SparseSimMatrix::new(m_n.n_rows(), m_n.n_cols()),
-                        m_st: SparseSimMatrix::new(m_n.n_rows(), m_n.n_cols()),
                         m_n,
                         sens_seconds: 0.0,
                         stns_seconds: 0.0,
-                        peak_bytes: mem.peak("name_channel"),
+                        peak_bytes: ctx.mem.peak("name_channel"),
                     });
                 }
-                let out = NameChannel::new(self.cfg.name).run_bounded(
-                    &pair.source,
-                    &pair.target,
-                    rec,
-                    &mut mem,
-                    spill.as_mut(),
-                )?;
-                if let Some(c) = ckpt.as_mut() {
+                let out =
+                    NameChannel::new(self.cfg.name).run_in(&pair.source, &pair.target, &mut ctx)?;
+                if let Some(c) = ctx.ckpt.as_mut() {
                     c.save_sim("name", &out.m_n, rec)?;
                 }
                 Ok(out)
@@ -478,12 +467,12 @@ impl LargeEa {
                 channel_lost(
                     "name_channel",
                     e,
-                    &sup,
+                    &ctx.sup,
                     self.cfg.use_structure,
                     &mut degraded,
                     rec,
                 )?;
-                mem.release("name_channel");
+                ctx.mem.release("name_channel");
                 None
             }
         };
@@ -500,22 +489,14 @@ impl LargeEa {
 
         // --- structure channel + fusion, bootstrapped ------------------------
         let mut structure_out = None;
+        let mut structure_hits;
         let mut use_structure = self.cfg.use_structure;
         let mut sim;
-        let mut round = 0;
         loop {
-            rec.gauge("progress.round", (round + 1) as f64);
+            rec.gauge("progress.round", (ctx.round + 1) as f64);
             structure_out = if use_structure {
-                match StructureChannel::new(self.cfg.structure).run_bounded(
-                    pair,
-                    &train_seeds,
-                    rec,
-                    ckpt.as_deref_mut(),
-                    round,
-                    &mut mem,
-                    spill.as_mut(),
-                    &sup,
-                ) {
+                match StructureChannel::new(self.cfg.structure).run_in(pair, &train_seeds, &mut ctx)
+                {
                     Ok(out) => {
                         for key in &out.quarantined {
                             if !degraded.quarantined_batches.contains(key) {
@@ -528,12 +509,12 @@ impl LargeEa {
                         channel_lost(
                             "structure_channel",
                             e,
-                            &sup,
+                            &ctx.sup,
                             name_out.is_some(),
                             &mut degraded,
                             rec,
                         )?;
-                        mem.release("structure_channel");
+                        ctx.mem.release("structure_channel");
                         use_structure = false; // lost for good: don't retrain next round
                         None
                     }
@@ -541,45 +522,37 @@ impl LargeEa {
             } else {
                 structure_out // name-only pipelines don't benefit from rounds
             };
-            sim = if out_of_core {
-                // Move M_s out and fuse in place (same `merge_rows` kernel
-                // as the allocating `fuse` → bit-identical), so one fused
-                // matrix is live instead of three copies.
-                match (&mut structure_out, &name_out) {
-                    (Some(s), Some(n)) => {
-                        let mut fused = std::mem::replace(&mut s.m_s, SparseSimMatrix::new(0, 0));
-                        mem.release("structure_channel"); // M_s moved; transients gone
+            // M_s's own answers on the test rows, read before the in-place
+            // fusion below consumes the matrix.
+            structure_hits = structure_out
+                .as_ref()
+                .map(|s| top1_hits(&s.m_s, &seeds.test));
+            sim = match (&mut structure_out, &name_out) {
+                (Some(s), name) => {
+                    // Move M_s out and fuse in place, so one fused matrix
+                    // is live instead of three copies.
+                    let mut fused = std::mem::replace(&mut s.m_s, SparseSimMatrix::new(0, 0));
+                    ctx.mem.release("structure_channel"); // M_s moved; transients gone
+                    if let Some(n) = name {
                         fused.add_assign(&n.m_n);
-                        fused
                     }
-                    (Some(s), None) => {
-                        let fused = std::mem::replace(&mut s.m_s, SparseSimMatrix::new(0, 0));
-                        mem.release("structure_channel");
-                        fused
-                    }
-                    (None, Some(n)) => n.m_n.clone(),
-                    (None, None) => unreachable!("constructor enforces one channel"),
+                    fused
                 }
-            } else {
-                match (&structure_out, &name_out) {
-                    (Some(s), Some(n)) => fuse(&s.m_s, &n.m_n),
-                    (Some(s), None) => s.m_s.clone(),
-                    (None, Some(n)) => n.m_n.clone(),
-                    (None, None) => unreachable!("constructor enforces one channel"),
-                }
+                (None, Some(n)) => n.m_n.clone(),
+                (None, None) => unreachable!("constructor enforces one channel"),
             };
             if let Some(k) = self.cfg.csls_k {
                 sim.csls(k);
             }
-            mem.release("fused"); // the previous round's fused matrix is replaced
-            mem.set("fused", sim.nbytes());
-            mem.enforce("fused", sim.nbytes())?;
+            ctx.mem.release("fused"); // the previous round's fused matrix is replaced
+            ctx.mem.set("fused", sim.nbytes());
+            ctx.mem.enforce("fused", sim.nbytes())?;
             // end of a bootstrap round: refresh the live working-set gauge
             // and give the sampler a stage-boundary tick
-            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
             rec.live_tick();
-            round += 1;
-            if round >= rounds {
+            ctx.round += 1;
+            if ctx.round >= rounds {
                 break;
             }
             // harvest mutually-best pairs from the fused matrix as new seeds
@@ -591,18 +564,29 @@ impl LargeEa {
         }
 
         // --- fused matrix M: the run's final durable artifact ----------------
-        if let Some(c) = ckpt.as_mut() {
+        if let Some(c) = ctx.ckpt.as_mut() {
             match c.load_sim("fused", rec) {
                 Some(loaded) => {
                     sim = loaded;
-                    mem.release("fused");
-                    mem.set("fused", sim.nbytes());
+                    ctx.mem.release("fused");
+                    ctx.mem.set("fused", sim.nbytes());
                 }
                 None => c.save_sim("fused", &sim, rec)?,
             }
         }
 
         let eval = evaluate(&sim, &seeds.test);
+        let attribution = match (&structure_hits, &name_out) {
+            (Some(hs), Some(n)) => {
+                let hits = |m| top1_hits(m, &seeds.test);
+                Some(ChannelAttribution::from_hits(
+                    hs,
+                    &hits(&n.m_n),
+                    &hits(&sim),
+                ))
+            }
+            _ => None,
+        };
         pipeline_span.field("pseudo_seeds", pseudo_seeds);
         pipeline_span.field("hits1", eval.hits1);
         if degraded.is_degraded() {
@@ -617,8 +601,8 @@ impl LargeEa {
             );
         }
         let total_seconds = pipeline_span.finish();
-        let tracked_peak_bytes = mem.total_peak();
-        mem.record_into(rec);
+        let tracked_peak_bytes = ctx.mem.total_peak();
+        ctx.mem.record_into(rec);
         // Close the measured-memory window (after the pipeline span's own
         // window — LIFO) and settle the books. The window peak is the net
         // growth attributable to this run, which is the right comparand
@@ -636,7 +620,7 @@ impl LargeEa {
         }
         if exec.mem_audit {
             let measured = measured_heap_peak_bytes.ok_or(MemAuditError::Uninstrumented)?;
-            mem.audit(measured)?;
+            ctx.mem.audit(measured)?;
         }
         // Final live flush AFTER the last metric lands and BEFORE the trace
         // snapshot below: nothing records in between, so the flushed
@@ -663,13 +647,7 @@ impl LargeEa {
             edge_cut_rate: structure_out
                 .as_ref()
                 .map_or(0.0, |s| s.batches.edge_cut_rate(pair)),
-            // Out of core, M_s was moved into the fused matrix — the
-            // attribution diagnostics are an in-RAM-path feature.
-            m_s: if out_of_core {
-                None
-            } else {
-                structure_out.map(|s| s.m_s)
-            },
+            attribution,
             m_n: name_out.map(|n| n.m_n),
             sim,
             degraded,
@@ -862,7 +840,10 @@ mod tests {
         let pair = Preset::Ids15kEnFr.spec(0.015).generate();
         let seeds = pair.split_seeds(0.15, 31);
         let one = LargeEa::new(quick()).run(&pair, &seeds);
-        let boot = LargeEa::new(quick()).run_iterative(&pair, &seeds, 2);
+        let rec = Recorder::new(ObsConfig::default());
+        let boot = LargeEa::new(quick())
+            .run_exec(&pair, &seeds, 2, &rec, None, &ExecOptions::default())
+            .unwrap();
         assert!(
             boot.eval.hits1 >= one.eval.hits1 - 8.0,
             "bootstrapping collapsed: {} vs {}",
@@ -933,16 +914,24 @@ mod tests {
     fn measured_heap_peak_is_absent_without_the_allocator() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 6);
-        let r = LargeEa::new(quick()).run_iterative(&pair, &seeds, 1);
+        let r = LargeEa::new(quick()).run(&pair, &seeds);
         assert_eq!(r.measured_heap_peak_bytes, None);
     }
 
     #[test]
     fn disabled_recorder_yields_empty_trace_and_zero_timings() {
-        use largeea_common::obs::Recorder;
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 12);
-        let r = LargeEa::new(quick()).run_recorded(&pair, &seeds, 1, &Recorder::disabled());
+        let r = LargeEa::new(quick())
+            .run_exec(
+                &pair,
+                &seeds,
+                1,
+                &Recorder::disabled(),
+                None,
+                &ExecOptions::default(),
+            )
+            .unwrap();
         assert!(r.trace.spans.is_empty());
         assert_eq!(r.total_seconds, 0.0);
         assert!(r.eval.hits1 >= 0.0, "results still computed");
@@ -953,7 +942,9 @@ mod tests {
     fn zero_rounds_rejected() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 1);
-        LargeEa::new(quick()).run_iterative(&pair, &seeds, 0);
+        let rec = Recorder::disabled();
+        let _ =
+            LargeEa::new(quick()).run_exec(&pair, &seeds, 0, &rec, None, &ExecOptions::default());
     }
 
     #[test]

@@ -1,12 +1,20 @@
-//! Out-of-core working storage — the spill side of `--mem-budget`
+//! Working storage for pipeline intermediates — one store, two backings
 //! (DESIGN.md §S0.8, docs/ARTIFACT_FORMAT.md).
 //!
-//! A [`SpillStore`] is a directory of CRC-framed artifacts that pipeline
-//! stages write intermediate blocks *through* instead of accumulating them
-//! in RAM: per-segment name-channel embeddings, per-mini-batch trained
-//! embeddings, and per-batch similarity blocks. Fusion and top-k later
-//! stream the blocks back in, so the tracked working set stays under the
-//! budget enforced by [`crate::mem::MemTracker`].
+//! Pipeline stages write intermediate blocks *through* a [`SpillStore`]
+//! instead of accumulating them: per-segment name-channel embeddings,
+//! per-mini-batch trained embeddings, and per-batch similarity blocks.
+//! Fusion and top-k later stream the blocks back in. The backing decides
+//! where a block waits in between:
+//!
+//! - [`SpillStore::in_memory`] keeps the values themselves in a map — no
+//!   frame, no CRC, no failpoint, no trace traffic. `put_*`,
+//!   [`SpillStore::take_sim`] and [`SpillStore::remove`] report the bytes
+//!   the store keeps resident, for the caller to charge to its
+//!   [`crate::mem::MemTracker`].
+//! - [`SpillStore::create`] keeps a directory of CRC-framed artifacts (the
+//!   spill side of `--mem-budget`), so the tracked working set stays under
+//!   the budget; it keeps nothing resident and reports 0.
 //!
 //! Spill artifacts reuse the exact payload encodings of checkpoint
 //! artifacts (`LEAM1` dense matrices, `LEAS1` sparse similarities) inside
@@ -18,8 +26,8 @@
 //! silently loaded. Files are named `<key>.spill` and deleted as soon as
 //! their stage has streamed them back (or at [`Drop`], best-effort).
 //!
-//! Every write/read lands in the trace as `mem.spill.*` counters plus a
-//! `mem.spill.peak_disk_bytes` gauge, so a bounded run's disk traffic is
+//! Every disk write/read lands in the trace as `mem.spill.*` counters plus
+//! a `mem.spill.peak_disk_bytes` gauge, so a bounded run's disk traffic is
 //! as observable as its RAM peaks.
 
 use largeea_common::fsio;
@@ -36,12 +44,16 @@ use std::path::{Path, PathBuf};
 /// crash-mid-spill test in `tests/spill_equivalence.rs`.
 pub const FAILPOINTS: &[&str] = &["spill.write"];
 
-/// A directory of transient, CRC-framed spill artifacts (working storage
-/// for memory-bounded runs — see the module docs for the durability
-/// contract).
+/// Working storage for a run's intermediate blocks: the values themselves
+/// in memory, or a directory of transient, CRC-framed spill artifacts (see
+/// the module docs for the durability contract).
 #[derive(Debug)]
 pub struct SpillStore {
-    dir: PathBuf,
+    /// The spill directory. `None` is the memory backing, which keeps its
+    /// values in `dense` / `sims` and never touches the fields below them.
+    dir: Option<PathBuf>,
+    dense: BTreeMap<String, Matrix>,
+    sims: BTreeMap<String, SparseSimMatrix>,
     /// Live artifacts: key → framed bytes on disk.
     live: BTreeMap<String, u64>,
     disk_bytes: u64,
@@ -54,30 +66,41 @@ pub struct SpillStore {
     pub retry: RetryPolicy,
 }
 
+fn absent(key: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::NotFound, format!("nothing held as {key:?}"))
+}
+
 impl SpillStore {
+    fn new(dir: Option<PathBuf>) -> Self {
+        Self {
+            dir,
+            dense: BTreeMap::new(),
+            sims: BTreeMap::new(),
+            live: BTreeMap::new(),
+            disk_bytes: 0,
+            peak_disk_bytes: 0,
+            retry: RetryPolicy::default(),
+        }
+    }
+
+    /// A store that keeps the values themselves: nothing touches disk, the
+    /// trace, or a failpoint.
+    pub fn in_memory() -> Self {
+        Self::new(None)
+    }
+
     /// Creates (or reuses) `dir` as a spill directory. Pre-existing
     /// `.spill` files from a crashed run are simply overwritten — spill
     /// artifacts carry no cross-run state.
     pub fn create(dir: &Path) -> io::Result<Self> {
         std::fs::create_dir_all(dir)
             .map_err(|e| io::Error::new(e.kind(), format!("{}: {e}", dir.display())))?;
-        Ok(Self {
-            dir: dir.to_path_buf(),
-            live: BTreeMap::new(),
-            disk_bytes: 0,
-            peak_disk_bytes: 0,
-            retry: RetryPolicy::default(),
-        })
-    }
-
-    /// The spill directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+        Ok(Self::new(Some(dir.to_path_buf())))
     }
 
     /// Number of artifacts currently live.
     pub fn artifact_count(&self) -> usize {
-        self.live.len()
+        self.dense.len() + self.sims.len() + self.live.len()
     }
 
     /// Framed bytes currently on disk.
@@ -90,16 +113,16 @@ impl SpillStore {
         self.peak_disk_bytes
     }
 
-    fn path_of(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.spill"))
+    /// Where `key`'s artifact is written; `None` on the memory backing.
+    fn path_of(&self, key: &str) -> Option<PathBuf> {
+        Some(self.dir.as_ref()?.join(format!("{key}.spill")))
     }
 
-    fn put(&mut self, key: &str, payload: &[u8], rec: &Recorder) -> io::Result<()> {
+    fn put(&mut self, path: &Path, key: &str, payload: &[u8], rec: &Recorder) -> io::Result<()> {
         let mut span = rec.span_at(Level::Detail, "spill_write");
         span.field("key", key);
         span.field("bytes", payload.len());
-        let (out, stats) =
-            fsio::write_framed_retry(&self.path_of(key), payload, "spill.write", &self.retry);
+        let (out, stats) = fsio::write_framed_retry(path, payload, "spill.write", &self.retry);
         stats.record_into(rec);
         let framed = out?;
         rec.add("mem.spill.writes", 1);
@@ -111,10 +134,10 @@ impl SpillStore {
         Ok(())
     }
 
-    fn get(&self, key: &str, rec: &Recorder) -> io::Result<Vec<u8>> {
+    fn get(&self, path: &Path, key: &str, rec: &Recorder) -> io::Result<Vec<u8>> {
         let mut span = rec.span_at(Level::Detail, "spill_read");
         span.field("key", key);
-        let (out, stats) = fsio::read_framed_retry(&self.path_of(key), "spill.read", &self.retry);
+        let (out, stats) = fsio::read_framed_retry(path, "spill.read", &self.retry);
         stats.record_into(rec);
         let payload = out?;
         rec.add("mem.spill.reads", 1);
@@ -122,41 +145,70 @@ impl SpillStore {
         Ok(payload)
     }
 
-    /// Spills a dense matrix under `key` (`LEAM1` payload in a `LEAF1`
-    /// frame), replacing any previous artifact with that key.
-    pub fn put_matrix(&mut self, key: &str, m: &Matrix, rec: &Recorder) -> io::Result<()> {
+    /// Stores a dense matrix under `key`, replacing any previous artifact
+    /// with that key: a copy in memory, a `LEAM1` payload in a `LEAF1`
+    /// frame on disk. Returns the bytes the store now keeps resident for
+    /// `key` (0 on disk), for the caller to charge.
+    pub fn put_matrix(&mut self, key: &str, m: &Matrix, rec: &Recorder) -> io::Result<usize> {
+        let Some(path) = self.path_of(key) else {
+            self.dense.insert(key.to_owned(), m.clone());
+            return Ok(m.nbytes());
+        };
         let mut payload = Vec::new();
         largeea_tensor::io::write_matrix(m, &mut payload)?;
-        self.put(key, &payload, rec)
+        self.put(&path, key, &payload, rec).map(|()| 0)
     }
 
-    /// Streams a spilled dense matrix back in.
+    /// Streams a stored dense matrix back in; the artifact stays.
     pub fn get_matrix(&self, key: &str, rec: &Recorder) -> io::Result<Matrix> {
-        let payload = self.get(key, rec)?;
+        let Some(path) = self.path_of(key) else {
+            return self.dense.get(key).cloned().ok_or_else(|| absent(key));
+        };
+        let payload = self.get(&path, key, rec)?;
         largeea_tensor::io::read_matrix(&payload[..])
     }
 
-    /// Spills a sparse similarity matrix under `key` (`LEAS1` payload in a
-    /// `LEAF1` frame), replacing any previous artifact with that key.
-    pub fn put_sim(&mut self, key: &str, m: &SparseSimMatrix, rec: &Recorder) -> io::Result<()> {
+    /// Stores a sparse similarity matrix under `key`, replacing any
+    /// previous artifact with that key: the value itself in memory, a
+    /// `LEAS1` payload in a `LEAF1` frame on disk. Returns the bytes the
+    /// store now keeps resident for `key` (0 on disk).
+    pub fn put_sim(&mut self, key: &str, m: SparseSimMatrix, rec: &Recorder) -> io::Result<usize> {
+        let Some(path) = self.path_of(key) else {
+            let bytes = m.nbytes();
+            self.sims.insert(key.to_owned(), m);
+            return Ok(bytes);
+        };
         let mut payload = Vec::new();
-        largeea_sim::io::write_sparse_sim(m, &mut payload)?;
-        self.put(key, &payload, rec)
+        largeea_sim::io::write_sparse_sim(&m, &mut payload)?;
+        self.put(&path, key, &payload, rec).map(|()| 0)
     }
 
-    /// Streams a spilled sparse similarity matrix back in.
-    pub fn get_sim(&self, key: &str, rec: &Recorder) -> io::Result<SparseSimMatrix> {
-        let payload = self.get(key, rec)?;
-        largeea_sim::io::read_sparse_sim(&payload[..])
+    /// Hands `key`'s similarity matrix over and forgets the artifact: the
+    /// held value itself from memory, a read-back then a delete on disk
+    /// (where an unreadable artifact stays). Returns the matrix and the
+    /// resident bytes the store gave up (0 on disk).
+    pub fn take_sim(&mut self, key: &str, rec: &Recorder) -> io::Result<(SparseSimMatrix, usize)> {
+        let Some(path) = self.path_of(key) else {
+            let m = self.sims.remove(key).ok_or_else(|| absent(key))?;
+            let bytes = m.nbytes();
+            return Ok((m, bytes));
+        };
+        let payload = self.get(&path, key, rec)?;
+        let m = largeea_sim::io::read_sparse_sim(&payload[..])?;
+        self.remove(key);
+        Ok((m, 0))
     }
 
-    /// Deletes `key`'s artifact once its stage has streamed it back.
-    /// Best-effort: a leftover file only wastes disk until [`Drop`].
-    pub fn remove(&mut self, key: &str) {
-        if let Some(framed) = self.live.remove(key) {
+    /// Deletes `key`'s artifact once its stage has streamed it back and
+    /// returns the resident bytes that frees (0 on disk). Best-effort on
+    /// disk: a leftover file only wastes space until [`Drop`].
+    pub fn remove(&mut self, key: &str) -> usize {
+        if let (Some(path), Some(framed)) = (self.path_of(key), self.live.remove(key)) {
             self.disk_bytes -= framed;
-            std::fs::remove_file(self.path_of(key)).ok();
+            std::fs::remove_file(path).ok();
         }
+        let dense = self.dense.remove(key).map_or(0, |m| m.nbytes());
+        dense + self.sims.remove(key).map_or(0, |m| m.nbytes())
     }
 }
 
@@ -165,10 +217,11 @@ impl Drop for SpillStore {
     /// remove every live file and then the directory (which only succeeds
     /// if nothing else put files there).
     fn drop(&mut self) {
-        for key in std::mem::take(&mut self.live).into_keys() {
-            std::fs::remove_file(self.dir.join(format!("{key}.spill"))).ok();
+        let Some(dir) = &self.dir else { return };
+        for key in self.live.keys() {
+            std::fs::remove_file(dir.join(format!("{key}.spill"))).ok();
         }
-        std::fs::remove_dir(&self.dir).ok();
+        std::fs::remove_dir(dir).ok();
     }
 }
 
@@ -187,30 +240,49 @@ mod tests {
         Recorder::new(ObsConfig::default())
     }
 
+    /// The store contract, once: one script, both backings.
     #[test]
-    fn matrix_and_sim_roundtrip_with_counters() {
-        let dir = tmpdir("roundtrip");
-        let rec = rec();
-        let mut s = SpillStore::create(&dir).unwrap();
+    fn both_backings_answer_the_same_script() {
+        let dir = tmpdir("contract");
         let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.5);
-        s.put_matrix("sens.q0", &m, &rec).unwrap();
         let mut sim = SparseSimMatrix::new(3, 3);
         sim.insert(0, 1, 0.7);
         sim.insert(2, 0, 0.2);
-        s.put_sim("r0.b0.sim", &sim, &rec).unwrap();
-        assert_eq!(s.artifact_count(), 2);
-        assert_eq!(s.get_matrix("sens.q0", &rec).unwrap(), m);
-        assert_eq!(s.get_sim("r0.b0.sim", &rec).unwrap(), sim);
-        let t = rec.trace();
-        assert_eq!(t.counter("mem.spill.writes"), 2);
-        assert_eq!(t.counter("mem.spill.reads"), 2);
-        assert!(t.counter("mem.spill.write_bytes") > 0);
-        assert!(t.counter("mem.spill.read_bytes") > 0);
-        assert_eq!(
-            t.gauge("mem.spill.peak_disk_bytes"),
-            Some(s.peak_disk_bytes() as f64)
-        );
-        drop(s);
+        let disk = SpillStore::create(&dir).unwrap();
+        for (mut s, on_disk) in [(SpillStore::in_memory(), false), (disk, true)] {
+            let rec = rec();
+            let resident = |bytes: usize| if on_disk { 0 } else { bytes };
+            let (m_held, sim_held) = (resident(m.nbytes()), resident(sim.nbytes()));
+            assert_eq!(s.put_matrix("sens.q0", &m, &rec).unwrap(), m_held);
+            assert_eq!(s.put_sim("r0.b0.sim", sim.clone(), &rec).unwrap(), sim_held);
+            assert_eq!(s.artifact_count(), 2);
+            assert_eq!(s.get_matrix("sens.q0", &rec).unwrap(), m);
+            assert_eq!(s.artifact_count(), 2, "a get leaves the artifact");
+            let taken = s.take_sim("r0.b0.sim", &rec).unwrap();
+            assert_eq!(taken, (sim.clone(), sim_held));
+            assert_eq!(s.artifact_count(), 1, "a take forgets it");
+            assert!(s.take_sim("r0.b0.sim", &rec).is_err());
+            assert_eq!(s.remove("sens.q0"), m_held, "remove gives the bytes back");
+            assert_eq!(s.remove("sens.q0"), 0, "once");
+            assert_eq!(s.artifact_count(), 0);
+            assert!(s.get_matrix("sens.q0", &rec).is_err());
+            let t = rec.trace();
+            if on_disk {
+                assert_eq!(t.counter("mem.spill.writes"), 2);
+                assert_eq!(t.counter("mem.spill.reads"), 2);
+                assert!(t.counter("mem.spill.write_bytes") > 0);
+                assert!(t.counter("mem.spill.read_bytes") > 0);
+                assert!(s.peak_disk_bytes() > 0);
+                assert_eq!(
+                    t.gauge("mem.spill.peak_disk_bytes"),
+                    Some(s.peak_disk_bytes() as f64)
+                );
+            } else {
+                // nothing recorded: no `mem.spill.*`, no `spill_*` span
+                assert!(t.spans.is_empty() && t.counters.is_empty() && t.gauges.is_empty());
+                assert_eq!(s.peak_disk_bytes(), 0);
+            }
+        }
         assert!(!dir.exists(), "Drop removes artifacts and the directory");
     }
 

@@ -7,16 +7,14 @@
 //!    keep the top-k candidates — the block-sparse structural similarity
 //!    matrix `M_s`.
 
-use crate::checkpoint::{Checkpoint, CkptError};
-use crate::mem::MemTracker;
-use crate::pipeline::RunError;
-use crate::spill::SpillStore;
+use crate::checkpoint::Checkpoint;
+use crate::pipeline::{RunCtx, RunError};
 use crate::supervisor::{self, Exhausted, Supervision};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::retry::{with_retry, Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
-use largeea_models::{train_hooked, train_traced, BatchGraph, ModelKind, TrainConfig};
+use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::{metis_cps_traced, vps_traced, CpsConfig, MiniBatches};
 use largeea_sim::SparseSimMatrix;
 
@@ -147,35 +145,34 @@ impl StructureChannel {
         }
     }
 
-    /// Runs the full channel (Algorithm 1, given already-augmented seeds).
+    /// Runs the full channel (Algorithm 1, given already-augmented seeds):
+    /// [`StructureChannel::run_in`] a [`RunCtx::in_memory`]. A private
+    /// default recorder keeps the reported timings real even though nobody
+    /// asked for a trace (spans time whether stored or not).
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> StructureChannelOutput {
-        // A private default recorder keeps the reported timings real even
-        // when nobody asked for a trace (spans time whether stored or not).
-        self.run_traced(pair, seeds, &Recorder::new(ObsConfig::default()))
+        let rec = Recorder::new(ObsConfig::default());
+        self.run_in(pair, seeds, &mut RunCtx::in_memory(&rec))
+            .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
-    /// [`StructureChannel::run`] recording into `rec`: a
-    /// `structure_channel` span with `partition` and `train` children (the
-    /// reported `partition_seconds`/`training_seconds` are those spans'
-    /// durations — single source of truth), one `minibatch` span per
-    /// batch, per-epoch `epoch` spans from the trainer, and
-    /// `mem.structure_channel.peak_bytes`.
+    /// Runs the channel against `ctx` (DESIGN.md §S0.8).
     ///
-    /// With a disabled recorder the reported timings are `0.0`; call
-    /// [`StructureChannel::run`] when timings matter but no trace is wanted.
-    pub fn run_traced(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rec: &Recorder,
-    ) -> StructureChannelOutput {
-        self.run_traced_checkpointed(pair, seeds, rec, None, 0)
-            .expect("without a checkpoint no checkpoint error can occur")
-    }
-
-    /// [`StructureChannel::run_traced`] with crash-safe checkpointing. With
-    /// `ckpt = Some(..)` the channel persists its natural boundaries under
-    /// `round`-scoped stage keys — `r<R>.partition` (the mini-batch
+    /// Records into `ctx.rec` a `structure_channel` span with `partition`
+    /// and `train` children (the reported `partition_seconds` /
+    /// `training_seconds` are those spans' durations — single source of
+    /// truth, so `0.0` with a disabled recorder), one `minibatch` span per
+    /// batch and per-epoch `epoch` spans from the trainer.
+    ///
+    /// All byte accounting goes through `ctx.mem` (typically the pipeline's
+    /// shared budgeted tracker — whoever built the context folds it into
+    /// the trace). Each batch's similarity block is put into `ctx.store`
+    /// instead of growing `M_s`, its trained embeddings are written through
+    /// as a transient artifact, and `M_s` is assembled after the training
+    /// loop by taking the blocks back **in batch order** — one insert
+    /// sequence whatever the store's backing.
+    ///
+    /// With `ctx.ckpt` the channel persists its natural boundaries under
+    /// `ctx.round`-scoped stage keys — `r<R>.partition` (the mini-batch
     /// assignment), `r<R>.b<I>.emb` (each batch's trained embeddings),
     /// `r<R>.b<I>.sim` (each batch's similarity block) and `r<R>.ms` (the
     /// round's normalised `M_s`) — and skips any stage the manifest already
@@ -183,73 +180,28 @@ impl StructureChannel {
     /// (`cfg.seed ^ batch.index`) and `M_s` assembly merges blocks in batch
     /// order, a resumed channel produces a bit-identical `M_s`.
     ///
-    /// With `ckpt = None` this is exactly [`StructureChannel::run_traced`]
-    /// (similarity goes straight into `M_s`, nothing touches disk).
-    pub fn run_traced_checkpointed(
-        &self,
-        pair: &KgPair,
-        seeds: &AlignmentSeeds,
-        rec: &Recorder,
-        ckpt: Option<&mut Checkpoint>,
-        round: usize,
-    ) -> Result<StructureChannelOutput, CkptError> {
-        let mut mem = MemTracker::new();
-        let out = self
-            .run_bounded(
-                pair,
-                seeds,
-                rec,
-                ckpt,
-                round,
-                &mut mem,
-                None,
-                &Supervision::default(),
-            )
-            .map_err(|e| match e {
-                RunError::Ckpt(c) => c,
-                // a transient checkpoint fault that outlived every retry —
-                // this interface speaks CkptError, so fold it back into I/O
-                RunError::Exhausted(x) => CkptError::Io(std::io::Error::new(
-                    std::io::ErrorKind::Interrupted,
-                    x.to_string(),
-                )),
-                // without a budget or spill store the other variants have no
-                // source
-                other => unreachable!("in-RAM structure channel failed: {other}"),
-            })?;
-        mem.record_into(rec);
-        Ok(out)
-    }
-
-    /// The memory-bounded core of the channel (DESIGN.md §S0.8). All byte
-    /// accounting goes through the caller-supplied `mem` (typically the
-    /// pipeline's shared budgeted tracker — the caller folds it into the
-    /// trace); with `spill = Some(..)` the per-batch similarity blocks are
-    /// written through the [`SpillStore`] instead of accumulating into
-    /// `M_s`, per-batch embeddings are written through as transient
-    /// artifacts, and `M_s` is assembled after the training loop by
-    /// streaming the blocks back in **in batch order** — the identical
-    /// insert sequence to the in-RAM merge, so the result is bit-identical.
-    ///
-    /// `sup` is the transient-fault supervision regime (DESIGN.md §S0.12):
-    /// a mini-batch whose spill/checkpoint I/O exhausts site-level retries
-    /// is re-executed as a whole under `sup.retry` (per-batch seeds make
-    /// the re-run bit-identical), and with `sup.degraded_ok` a batch that
-    /// *still* fails is quarantined — recorded in the checkpoint manifest,
-    /// the `degraded.batches` trace counter and
+    /// `ctx.sup` is the transient-fault supervision regime (DESIGN.md
+    /// §S0.12): a mini-batch whose store/checkpoint I/O exhausts site-level
+    /// retries is re-executed as a whole under `sup.retry` (per-batch seeds
+    /// make the re-run bit-identical), and with `sup.degraded_ok` a batch
+    /// that *still* fails is quarantined — recorded in the checkpoint
+    /// manifest, the `degraded.batches` trace counter and
     /// [`StructureChannelOutput::quarantined`] — instead of failing the run.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_bounded(
+    pub fn run_in(
         &self,
         pair: &KgPair,
         seeds: &AlignmentSeeds,
-        rec: &Recorder,
-        mut ckpt: Option<&mut Checkpoint>,
-        round: usize,
-        mem: &mut MemTracker,
-        mut spill: Option<&mut SpillStore>,
-        sup: &Supervision,
+        ctx: &mut RunCtx<'_>,
     ) -> Result<StructureChannelOutput, RunError> {
+        let RunCtx {
+            rec,
+            mem,
+            store,
+            ckpt,
+            round,
+            sup,
+        } = ctx;
+        let (rec, round, sup) = (*rec, *round, &*sup);
         let channel_span = rec.span("structure_channel");
         let partition_span = rec.span("partition");
         let pkey = format!("r{round}.partition");
@@ -282,11 +234,9 @@ impl StructureChannel {
         }
 
         let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-        if spill.is_some() {
-            mem.charge("structure_channel", m_s.nbytes())?;
-        }
-        // keys of spilled blocks, in batch order — the merge order below
-        let mut spilled_blocks: Vec<String> = Vec::new();
+        mem.charge("structure_channel", m_s.nbytes())?;
+        // keys of stored blocks, in batch order — the merge order below
+        let mut stored_blocks: Vec<String> = Vec::new();
         let train_span = rec.span("train");
         // Live-telemetry progress gauges: how far along this round's
         // training loop is (`trace tail` reads these for its progress/ETA
@@ -300,29 +250,25 @@ impl StructureChannel {
             rec.gauge("progress.batch", (batch.index + 1) as f64);
             // The unit of batch-level supervision. The body below is
             // re-executable as a whole: per-batch seeds are independent
-            // (`cfg.seed ^ batch.index`) and `m_s` is only mutated after
-            // the last retryable operation of an attempt, so a failed
-            // attempt rolls back to `(mem_before, blocks_before)` and the
-            // re-run is bit-identical.
+            // (`cfg.seed ^ batch.index`), `m_s` is not touched until every
+            // batch is done, and a put replaces what a failed attempt left
+            // under the same key, so a failed attempt rolls back to
+            // `(mem_before, blocks_before)` and the re-run is bit-identical.
             let bkey = format!("r{round}.b{}", batch.index);
             let mem_before = mem.current("structure_channel");
-            let blocks_before = spilled_blocks.len();
+            let blocks_before = stored_blocks.len();
             let (res, stats) = with_retry(&sup.retry, &bkey, |attempt| {
                 if attempt > 1 {
                     mem.set("structure_channel", mem_before);
-                    spilled_blocks.truncate(blocks_before);
+                    stored_blocks.truncate(blocks_before);
                 }
                 let mut batch_span = rec.span_at(Level::Detail, "minibatch");
                 batch_span.field("batch", batch.index);
                 let skey = format!("r{round}.b{}.sim", batch.index);
                 if let Some(block) = ckpt.as_mut().and_then(|c| c.load_sim(&skey, rec)) {
-                    match spill.as_deref_mut() {
-                        Some(store) => {
-                            store.put_sim(&skey, &block, rec).map_err(RunError::Spill)?;
-                            spilled_blocks.push(skey.clone());
-                        }
-                        None => merge_block(&mut m_s, &block),
-                    }
+                    let held = store.put_sim(&skey, block, rec).map_err(RunError::Spill)?;
+                    stored_blocks.push(skey);
+                    mem.charge("structure_channel", held)?;
                     return Ok(None);
                 }
                 let bg = BatchGraph::from_mini_batch(pair, batch);
@@ -342,23 +288,19 @@ impl StructureChannel {
                                 self.cfg.train.dim,
                                 self.cfg.seed ^ batch.index as u64,
                             );
-                            let report = match ckpt.as_deref_mut() {
-                                Some(c) => {
-                                    let cref: &Checkpoint = c;
-                                    let bidx = batch.index;
-                                    let mut hook = |epoch: usize, loss: f32| {
-                                        cref.epoch_progress(round, bidx, epoch, loss, rec);
-                                    };
-                                    train_hooked(
-                                        model.as_mut(),
-                                        &bg,
-                                        &self.cfg.train,
-                                        rec,
-                                        Some(&mut hook),
-                                    )
+                            let cref = ckpt.as_deref();
+                            let mut progress = |epoch: usize, loss: f32| {
+                                if let Some(c) = cref {
+                                    c.epoch_progress(round, batch.index, epoch, loss, rec);
                                 }
-                                None => train_traced(model.as_mut(), &bg, &self.cfg.train, rec),
                             };
+                            let report = train_hooked(
+                                model.as_mut(),
+                                &bg,
+                                &self.cfg.train,
+                                rec,
+                                Some(&mut progress),
+                            );
                             if let Some(&last) = report.losses.last() {
                                 batch_loss = Some(last);
                                 batch_span.field("final_loss", last);
@@ -369,68 +311,40 @@ impl StructureChannel {
                             (report.embeddings, report.peak_bytes)
                         }
                     };
-                if let Some(store) = spill.as_deref_mut() {
-                    // write-through: the trained embeddings become a transient
-                    // spill artifact (removed at the end of the batch), so their
-                    // bytes are accounted and crash-injectable like every other
-                    // out-of-core write
-                    mem.charge("structure_channel", embeddings.nbytes())?;
-                    store
-                        .put_matrix(&ekey, &embeddings, rec)
-                        .map_err(RunError::Spill)?;
-                }
+                // write-through: the trained embeddings become a transient
+                // store artifact (removed at the end of the batch), so their
+                // bytes are accounted and, on disk, crash-injectable like
+                // every other out-of-core write
+                mem.charge("structure_channel", embeddings.nbytes())?;
+                let held = store
+                    .put_matrix(&ekey, &embeddings, rec)
+                    .map_err(RunError::Spill)?;
+                mem.charge("structure_channel", held)?;
                 {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
                     topk_span.field("batch", batch.index);
                     rec.add("topk.scored_pairs", (bg.n_source * bg.n_target) as u64);
-                    match spill.as_deref_mut() {
-                        Some(store) => {
-                            // fill a fresh block and spill it instead of growing
-                            // `m_s` — same content as the checkpointed merge path
-                            let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                            fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
-                            mem.charge("structure_channel", block.nbytes())?;
-                            if let Some(c) = ckpt.as_mut() {
-                                c.save_sim(&skey, &block, rec)?;
-                            }
-                            store.put_sim(&skey, &block, rec).map_err(RunError::Spill)?;
-                            spilled_blocks.push(skey.clone());
-                            mem.uncharge("structure_channel", block.nbytes());
-                        }
-                        None => match ckpt.as_mut() {
-                            Some(c) => {
-                                // fill a fresh block so it can be persisted before
-                                // merging — same final content as filling `m_s`
-                                // directly (each (row, col) is unique within a batch
-                                // and cross-batch duplicates accumulate by `+=`
-                                // either way)
-                                let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
-                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
-                                c.save_sim(&skey, &block, rec)?;
-                                merge_block(&mut m_s, &block);
-                            }
-                            None => {
-                                fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut m_s, rec)
-                            }
-                        },
+                    // fill a fresh block and store it instead of growing
+                    // `m_s` — same final content (each (row, col) is unique
+                    // within a batch and cross-batch duplicates accumulate
+                    // by `+=` either way), and it can be persisted first
+                    let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
+                    fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
+                    let block_bytes = block.nbytes();
+                    mem.charge("structure_channel", block_bytes)?;
+                    if let Some(c) = ckpt.as_mut() {
+                        c.save_sim(&skey, &block, rec)?;
                     }
+                    let held = store.put_sim(&skey, block, rec).map_err(RunError::Spill)?;
+                    stored_blocks.push(skey);
+                    mem.uncharge("structure_channel", block_bytes);
+                    mem.charge("structure_channel", held)?;
                 }
-                match spill.as_deref_mut() {
-                    Some(store) => {
-                        // the training transient counts against the budget too
-                        mem.charge("structure_channel", train_peak)?;
-                        mem.uncharge("structure_channel", train_peak);
-                        mem.uncharge("structure_channel", embeddings.nbytes());
-                        store.remove(&ekey);
-                    }
-                    None => {
-                        // one batch is live at a time — track the max (and, when
-                        // a budget is set, enforce it at the same point)
-                        let live = train_peak + embeddings.nbytes() + m_s.nbytes();
-                        mem.set("structure_channel", live);
-                        mem.enforce("structure_channel", live)?;
-                    }
-                }
+                // the training transient counts against the budget too
+                mem.charge("structure_channel", train_peak)?;
+                mem.uncharge("structure_channel", train_peak);
+                mem.uncharge("structure_channel", embeddings.nbytes());
+                mem.uncharge("structure_channel", store.remove(&ekey));
                 Ok(batch_loss)
             });
             stats.record_into(rec);
@@ -443,7 +357,7 @@ impl StructureChannel {
                 Err(e) => {
                     // roll back the failed final attempt before deciding
                     mem.set("structure_channel", mem_before);
-                    spilled_blocks.truncate(blocks_before);
+                    stored_blocks.truncate(blocks_before);
                     batch_fault(
                         e,
                         bkey,
@@ -460,23 +374,20 @@ impl StructureChannel {
             rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
             rec.live_tick();
         }
-        if let Some(store) = spill {
-            // assemble M_s by streaming blocks back in batch order — the
-            // same insert sequence as the in-RAM merge
-            for key in &spilled_blocks {
-                match store.get_sim(key, rec).map_err(RunError::Spill) {
-                    Ok(block) => {
-                        let before = m_s.nbytes();
-                        merge_block(&mut m_s, &block);
-                        mem.charge("structure_channel", m_s.nbytes() - before)?;
-                        store.remove(key);
-                    }
-                    Err(e) => {
-                        // a block written earlier became unreadable: same
-                        // fate as a batch that never produced one
-                        let unit = key.trim_end_matches(".sim").to_owned();
-                        batch_fault(e, unit, 1, sup, ckpt.as_deref_mut(), &mut quarantined, rec)?;
-                    }
+        // assemble M_s by taking the blocks back in batch order
+        for key in &stored_blocks {
+            match store.take_sim(key, rec).map_err(RunError::Spill) {
+                Ok((block, held)) => {
+                    let before = m_s.nbytes();
+                    merge_block(&mut m_s, &block);
+                    mem.charge("structure_channel", m_s.nbytes() - before)?;
+                    mem.uncharge("structure_channel", held);
+                }
+                Err(e) => {
+                    // a block written earlier became unreadable: same
+                    // fate as a batch that never produced one
+                    let unit = key.trim_end_matches(".sim").to_owned();
+                    batch_fault(e, unit, 1, sup, ckpt.as_deref_mut(), &mut quarantined, rec)?;
                 }
             }
         }

@@ -202,6 +202,29 @@ mod tests {
     }
 
     #[test]
+    fn mutated_payloads_fail_typed_or_decode_what_they_hold() {
+        use largeea_common::check::{for_each_case, mutate};
+        for_each_case(0x1EA5, 300, |rng| {
+            let mut m = SparseSimMatrix::new(rng.gen_range(0..9usize), 7);
+            for r in 0..m.n_rows() {
+                for c in 0..rng.gen_range(0..4u32) {
+                    m.insert(r, c * 2, r as f32 - 0.25 * c as f32);
+                }
+            }
+            let mut bytes = Vec::new();
+            write_sparse_sim(&m, &mut bytes).unwrap();
+            for _ in 0..rng.gen_range(1..4u32) {
+                mutate(rng, &mut bytes, &[], 64);
+            }
+            // no panic, nothing sized by the header: a matrix that decodes
+            // had every row's length and entries in the payload
+            if let Ok(back) = read_sparse_sim(&bytes[..]) {
+                assert!(22 + back.n_rows() * 8 + back.nnz() * 8 <= bytes.len());
+            }
+        });
+    }
+
+    #[test]
     fn path_errors_name_the_file() {
         let missing = std::path::Path::new("/nonexistent/leas_nope.bin");
         let err = load_sparse_sim(missing).unwrap_err();

@@ -15,17 +15,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod assignment;
 pub mod io;
 pub mod ivf;
 pub mod kmeans;
 pub mod sparse_sim;
 pub mod topk;
 
-pub use assignment::{assignment_weight, auction_assignment};
 pub use ivf::IvfIndex;
 pub use sparse_sim::SparseSimMatrix;
 pub use topk::{
-    resident_bytes, segmented_topk, segmented_topk_streamed, segmented_topk_traced, topk_search,
-    topk_search_in, topk_search_traced, Metric,
+    resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_in,
+    topk_search_traced, Metric,
 };

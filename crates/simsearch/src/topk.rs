@@ -463,35 +463,30 @@ pub fn segmented_topk(
     num_segments: usize,
 ) -> Vec<Vec<(u32, f32)>> {
     let quiet = Recorder::disabled();
-    segmented_topk_traced(queries, base, k, metric, num_segments, &quiet)
+    search_in_ram(
+        Pool::global(),
+        queries,
+        base,
+        k,
+        metric,
+        num_segments,
+        &quiet,
+    )
+    .0
 }
 
-/// [`segmented_topk`] with telemetry: each segment pair is a `sens_block`
-/// span ([`Level::Trace`]) with `q_start`/`q_rows`/`b_start`/`b_rows`/
-/// `scored`/`refined` fields (`refined`: the pairs the pre-filter could
-/// not rule out, scored in f32), totals land in the `sens.blocks` /
-/// `sens.candidates_scored` / `sens.refined_pairs` counters, and every
-/// sketch built is a `sketch` span ([`Level::Detail`]).
+/// Streamed [`segmented_topk`]: instead of borrowing whole embedding
+/// matrices, the caller supplies loaders that materialise one row segment
+/// at a time (the name channel's hand back what it put into its store —
+/// DESIGN.md §S0.8), so at most one query segment and one base segment are
+/// ever resident.
 ///
-/// # Panics
-///
-/// Same contract as [`segmented_topk`].
-pub fn segmented_topk_traced(
-    queries: &Matrix,
-    base: &Matrix,
-    k: usize,
-    metric: Metric,
-    num_segments: usize,
-    rec: &Recorder,
-) -> Vec<Vec<(u32, f32)>> {
-    search_in_ram(Pool::global(), queries, base, k, metric, num_segments, rec).0
-}
-
-/// Out-of-core [`segmented_topk_traced`]: instead of borrowing whole
-/// embedding matrices, the caller supplies loaders that materialise one
-/// row segment at a time (typically streaming spilled `LEAM1` frames back
-/// in — DESIGN.md §S0.8), so at most one query segment and one base
-/// segment are ever resident.
+/// Telemetry: each segment pair is a `sens_block` span ([`Level::Trace`])
+/// with `q_start`/`q_rows`/`b_start`/`b_rows`/`scored`/`refined` fields
+/// (`refined`: the pairs the pre-filter could not rule out, scored in
+/// f32), totals land in the `sens.blocks` / `sens.candidates_scored` /
+/// `sens.refined_pairs` counters, and every sketch built is a `sketch`
+/// span ([`Level::Detail`]).
 ///
 /// Every entry point of this module is this one search — the in-RAM ones
 /// hand it loaders that copy row ranges — and it is exact whatever the
@@ -511,7 +506,7 @@ pub fn segmented_topk_traced(
 /// range, or if a query segment's column count differs from the base
 /// segment's ("segment dim mismatch" — the streamed equivalent of the
 /// dimensionality check on the in-RAM entry points).
-#[allow(clippy::too_many_arguments)] // mirrors segmented_topk_traced plus two loaders
+#[allow(clippy::too_many_arguments)] // segmented_topk's, a recorder and two loaders
 pub fn segmented_topk_streamed<E>(
     n_queries: usize,
     n_base: usize,
@@ -704,7 +699,7 @@ mod tests {
         let q = Matrix::from_fn(10, 4, |i, j| (i * 4 + j) as f32);
         let b = Matrix::from_fn(12, 4, |i, j| (i + j) as f32);
         let rec = Recorder::new(ObsConfig::default());
-        let traced = segmented_topk_traced(&q, &b, 3, Metric::Manhattan, 2, &rec);
+        let traced = search_in_ram(Pool::global(), &q, &b, 3, Metric::Manhattan, 2, &rec).0;
         assert_eq!(traced, segmented_topk(&q, &b, 3, Metric::Manhattan, 2));
         let t = rec.trace();
         assert_eq!(t.span_count("sens_block"), 4, "2 × 2 segment pairs");
@@ -958,7 +953,7 @@ mod tests {
         let mut rng = largeea_common::rng::Rng::seed_from_u64(0xF17);
         let m = Matrix::from_fn(400, 64, |_, _| rng.gen::<f64>() as f32 - 0.5);
         let rec = Recorder::new(largeea_common::obs::ObsConfig::default());
-        segmented_topk_traced(&m, &m, 5, Metric::Manhattan, 2, &rec);
+        search_in_ram(Pool::global(), &m, &m, 5, Metric::Manhattan, 2, &rec);
         let refined = rec.trace().counter("sens.refined_pairs");
         assert!(refined < 400 * 400 / 4, "refined {refined} of 160000");
     }

@@ -39,18 +39,30 @@ pub fn read_matrix<R: Read>(mut r: R) -> io::Result<Matrix> {
     }
     let mut n = [0u8; 8];
     r.read_exact(&mut n)?;
-    let rows = u64::from_le_bytes(n) as usize;
+    let rows = u64::from_le_bytes(n);
     r.read_exact(&mut n)?;
-    let cols = u64::from_le_bytes(n) as usize;
+    let cols = u64::from_le_bytes(n);
+    // a body of `rows * cols * 4` bytes must be addressable
+    let overflow = || io::Error::new(io::ErrorKind::InvalidData, "matrix dimensions overflow");
+    let rows = usize::try_from(rows).map_err(|_| overflow())?;
+    let cols = usize::try_from(cols).map_err(|_| overflow())?;
     let elems = rows
         .checked_mul(cols)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "matrix dimensions overflow"))?;
-    let mut buf = vec![0u8; elems * 4];
-    r.read_exact(&mut buf)?;
-    let data = buf
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+        .filter(|e| e.checked_mul(4).is_some());
+    let elems = elems.ok_or_else(overflow)?;
+    // The header is untrusted: nothing is sized from it. The body is read
+    // in bounded chunks and `data` grows as bytes actually arrive, so an
+    // inflated claim runs into `UnexpectedEof` after at most the file's
+    // own bytes.
+    let mut data: Vec<f32> = Vec::new();
+    const CHUNK_FLOATS: usize = 1 << 14;
+    let mut chunk = [0u8; CHUNK_FLOATS * 4];
+    while data.len() < elems {
+        let bytes = &mut chunk[..(elems - data.len()).min(CHUNK_FLOATS) * 4];
+        r.read_exact(bytes)?;
+        let floats = bytes.chunks_exact(4);
+        data.extend(floats.map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])));
+    }
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
@@ -113,6 +125,56 @@ mod tests {
         write_matrix(&m, &mut buf).unwrap();
         buf.truncate(buf.len() - 5);
         assert!(read_matrix(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn inflated_header_fails_before_any_large_allocation() {
+        let header = |rows: u64, cols: u64| {
+            let mut buf = MAGIC.to_vec();
+            buf.extend_from_slice(&rows.to_le_bytes());
+            buf.extend_from_slice(&cols.to_le_bytes());
+            buf
+        };
+        // the product overflows; the product fits but its byte count does not
+        for (rows, cols) in [(1 << 63, 4), (1 << 62, 1), (u64::MAX, u64::MAX)] {
+            let err = read_matrix(&header(rows, cols)[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{rows}×{cols}");
+        }
+        // a huge but addressable claim over a 22-byte file (or one a few
+        // floats long): the reader runs out of file, not out of memory
+        for body in [0, 12] {
+            let mut buf = header(1 << 40, 1);
+            buf.resize(buf.len() + body, 0);
+            let err = read_matrix(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
+    }
+
+    #[test]
+    fn bodies_longer_than_one_chunk_roundtrip() {
+        let m = Matrix::from_fn(300, 129, |r, c| (r * 129 + c) as f32 * 0.5);
+        let mut buf = Vec::new();
+        write_matrix(&m, &mut buf).unwrap();
+        assert_eq!(read_matrix(&buf[..]).unwrap(), m);
+    }
+
+    #[test]
+    fn mutated_payloads_fail_typed_or_decode_what_they_hold() {
+        use largeea_common::check::{for_each_case, mutate};
+        for_each_case(0x1EA3, 300, |rng| {
+            let (rows, cols) = (rng.gen_range(0..9usize), rng.gen_range(0..9usize));
+            let m = Matrix::from_fn(rows, cols, |r, c| (r * 9 + c) as f32 - 3.5);
+            let mut bytes = Vec::new();
+            write_matrix(&m, &mut bytes).unwrap();
+            for _ in 0..rng.gen_range(1..4u32) {
+                mutate(rng, &mut bytes, &[], 64);
+            }
+            // no panic, nothing sized by the header: a matrix that decodes
+            // had all its floats in the payload
+            if let Ok(back) = read_matrix(&bytes[..]) {
+                assert!(22 + back.as_slice().len() * 4 <= bytes.len());
+            }
+        });
     }
 
     #[test]

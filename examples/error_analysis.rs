@@ -10,9 +10,9 @@
 //! whether to invest in better structure (more seeds, bigger K budget) or
 //! better names (cleaner labels) for *your* data.
 
+use largeea::core::accuracy_by_degree;
 use largeea::core::pipeline::{LargeEa, LargeEaConfig};
 use largeea::core::structure_channel::StructureChannelConfig;
-use largeea::core::{accuracy_by_degree, attribute_channels};
 use largeea::data::Preset;
 use largeea::models::{ModelKind, TrainConfig};
 
@@ -48,11 +48,7 @@ fn main() {
         }
     }
 
-    let (m_s, m_n) = (
-        report.m_s.as_ref().expect("structure channel ran"),
-        report.m_n.as_ref().expect("name channel ran"),
-    );
-    let a = attribute_channels(m_s, m_n, &report.sim, &seeds.test);
+    let a = report.attribution.expect("both channels ran");
     println!("\nchannel attribution over the test pairs:");
     println!("  solved by both channels alone : {}", a.both);
     println!("  structure channel only        : {}", a.structure_only);

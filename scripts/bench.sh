@@ -9,10 +9,10 @@
 #
 # Usage: scripts/bench.sh [repeats]   (default 5)
 #
-# The baseline is measured on the out-of-core path (MEM_BUDGET, default
-# 1 MiB — well under the ~1.2 MiB in-RAM tracked peak of this workload) so
+# The baseline is measured with the store on disk (MEM_BUDGET, default
+# 1 MiB — about twice this workload's tracked peak on either backing) so
 # it carries the deterministic mem.spill.* counters; set MEM_BUDGET=0 to
-# bench the unbounded in-RAM path instead.
+# bench the unbounded, memory-backed run instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

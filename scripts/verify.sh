@@ -63,24 +63,6 @@ fi
 cmp "$SMOKE/base.sim" "$SMOKE/resumed.sim"
 "$L" ckpt inspect "$SMOKE/ckpt_crash" > /dev/null
 
-stage "mem-budget smoke"
-# a tightly bounded run must spill, succeed, and reproduce base.sim
-# byte-for-byte; an impossible budget must fail with the typed error
-# (DESIGN.md §S0.8)
-"$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
-  --mem-budget 16M --spill-dir "$SMOKE/spill" \
-  --sim-out "$SMOKE/bounded.sim" > /dev/null
-cmp "$SMOKE/base.sim" "$SMOKE/bounded.sim"
-if [ -d "$SMOKE/spill" ]; then
-  echo "mem smoke: spill dir was not cleaned up" >&2
-  exit 1
-fi
-if "$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
-  --mem-budget 16K > /dev/null 2>&1; then
-  echo "mem smoke: impossible budget did not fail" >&2
-  exit 1
-fi
-
 stage "live-telemetry smoke"
 # a run with --live-dir must leave a final snapshot byte-identical to
 # --trace-out, and the whole offline tooling loop must accept it
@@ -178,4 +160,6 @@ grep -q 'degraded.name_channel' "$SMOKE/degraded.json"
 "$L" failpoints list | grep -q 'spill.write'
 
 stage ""
+# the size CHANGES.md quotes: every tracked product source line, tests inside them included
+echo "product lines: $(git ls-files 'crates/*/src/*.rs' 'src/*.rs' | xargs cat | wc -l)"
 echo "verify: OK in $SECONDS s"

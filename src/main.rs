@@ -552,8 +552,7 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
                 );
             }
         }
-        if let (Some(m_s), Some(m_n)) = (&report.m_s, &report.m_n) {
-            let a = largeea::core::attribute_channels(m_s, m_n, &report.sim, &seeds.test);
+        if let Some(a) = &report.attribution {
             outln!(
                 "channel attribution: both {} / structure-only {} / name-only {} / neither {} \
                  (fusion rescued {}, broke {})",

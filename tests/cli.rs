@@ -595,6 +595,54 @@ fn unsupervised_align_runs() {
 }
 
 #[test]
+fn analysis_and_sim_out_are_the_same_with_and_without_a_budget() {
+    let dir = tempdir("analysis");
+    let data = dir.join("data");
+    let out = bin()
+        .args([
+            "generate",
+            "--preset",
+            "ids15k-en-fr",
+            "--scale",
+            "0.01",
+            "--out",
+        ])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let spill = dir.join("spill");
+    let align = |tag: &str, bounded: bool| {
+        let sim = dir.join(format!("{tag}.sim"));
+        let mut cmd = bin();
+        cmd.args(["align", "--data"])
+            .arg(&data)
+            .args(["--model", "gcn", "--k", "2", "--epochs", "8", "--dim", "16"])
+            .args(["--analysis", "--sim-out"])
+            .arg(&sim);
+        if bounded {
+            cmd.args(["--mem-budget", "16M", "--spill-dir"]).arg(&spill);
+        }
+        let out = cmd.output().unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = text.lines().find(|l| l.starts_with("channel attribution:"));
+        let line = line.unwrap_or_else(|| panic!("[{tag}] no attribution line in:\n{text}"));
+        (line.to_owned(), std::fs::read(&sim).unwrap())
+    };
+    let (in_ram_line, in_ram_sim) = align("in_ram", false);
+    let (bounded_line, bounded_sim) = align("bounded", true);
+    assert_eq!(bounded_line, in_ram_line);
+    assert!(bounded_sim == in_ram_sim, "--sim-out bytes differ");
+    assert!(!spill.exists(), "the spill dir must be cleaned up");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn a_closed_stdout_stops_the_printing_not_the_work() {
     // `largeea align … | head -1`: the reader goes away while the command
     // still has lines to print and files to write. Here the read end is

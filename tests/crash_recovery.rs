@@ -13,7 +13,7 @@
 use largeea_common::failpoint;
 use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_core::checkpoint::{Checkpoint, CkptError, FAILPOINTS};
-use largeea_core::pipeline::{LargeEa, LargeEaConfig};
+use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea_core::structure_channel::StructureChannelConfig;
 use largeea_data::Preset;
 use largeea_kg::{AlignmentSeeds, KgPair};
@@ -60,10 +60,11 @@ fn run_in(
     seeds: &AlignmentSeeds,
     resume: bool,
     rec: &Recorder,
-) -> Result<(SparseSimMatrix, largeea_core::EvalResult), CkptError> {
+) -> Result<(SparseSimMatrix, largeea_core::EvalResult), RunError> {
     let c = cfg();
     let mut ckpt = Checkpoint::open(dir, c.run_meta(seeds, ROUNDS), resume, rec)?;
-    let report = LargeEa::new(c).run_checkpointed(pair, seeds, ROUNDS, rec, &mut ckpt)?;
+    let exec = ExecOptions::default();
+    let report = LargeEa::new(c).run_exec(pair, seeds, ROUNDS, rec, Some(&mut ckpt), &exec)?;
     Ok((report.sim, report.eval))
 }
 
@@ -77,9 +78,10 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     let (base_sim, base_eval) =
         run_in(&base_dir, &pair, &seeds, false, &rec).expect("baseline run");
 
-    // checkpointing itself must not change results: the block-merge path
-    // is bit-identical to the direct-fill path
-    let plain = LargeEa::new(cfg()).run_recorded(&pair, &seeds, ROUNDS, &rec);
+    // checkpointing itself must not change results
+    let plain = LargeEa::new(cfg())
+        .run_exec(&pair, &seeds, ROUNDS, &rec, None, &ExecOptions::default())
+        .expect("plain run");
     assert_eq!(
         plain.sim, base_sim,
         "checkpointing changed the fused matrix"
@@ -139,8 +141,9 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
         }));
         failpoint::clear();
         let died = match outcome {
-            Err(_) => true,                    // injected panic / torn write
-            Ok(Err(CkptError::Io(_))) => true, // injected clean error
+            Err(_) => true, // injected panic / torn write
+            // injected clean error, as it comes or after its retries ran out
+            Ok(Err(RunError::Ckpt(CkptError::Io(_)) | RunError::Exhausted(_))) => true,
             Ok(Err(e)) => panic!("[{spec}] unexpected checkpoint error: {e}"),
             Ok(Ok(_)) => false,
         };

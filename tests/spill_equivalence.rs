@@ -1,12 +1,8 @@
-//! Out-of-core equivalence suite (DESIGN.md §S0.8): a memory-bounded run
-//! that spills intermediate blocks to disk must be **bit-identical** to the
-//! in-RAM reference — same fused matrix bytes, same metrics — while its
+//! Store-backing equivalence suite (DESIGN.md §S0.8): the pipeline has one
+//! execution path over a store with two backings, so a memory-bounded run
+//! whose intermediate blocks wait on disk must be **bit-identical** to the
+//! memory-backed one — same fused matrix bytes, same metrics — while its
 //! tracked peak stays under the budget.
-//!
-//! The oracle is the same determinism chain the crash suite leans on:
-//! per-row-deterministic encoders (segment slices == row slices), the
-//! streamed top-k visiting block pairs in exactly the in-RAM order, and
-//! in-place fusion sharing the allocating path's merge kernel.
 //!
 //! Failpoint state is process-global, so the crash-mid-spill scenario runs
 //! inside one `#[test]` (the other tests never configure failpoints).
@@ -52,8 +48,8 @@ fn sim_bytes(m: &SparseSimMatrix) -> Vec<u8> {
     buf
 }
 
-/// Bounded runs spill, stay under budget, and reproduce the in-RAM fused
-/// matrix byte for byte — across several seed splits.
+/// Bounded runs spill, stay under budget, and reproduce the memory-backed
+/// fused matrix byte for byte — across several seed splits.
 #[test]
 fn bounded_runs_are_bit_identical_to_unbounded() {
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
@@ -61,6 +57,15 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         let seeds = pair.split_seeds(0.2, seed_split);
         let base = LargeEa::new(cfg()).run(&pair, &seeds);
         assert!(base.tracked_peak_bytes > 0);
+        // the memory backing leaves no spill traffic in the trace
+        let spans = |name| base.trace.span_count(name);
+        assert_eq!(spans("spill_write") + spans("spill_read"), 0);
+        let counters = base.trace.counters.iter();
+        assert_eq!(
+            counters.filter(|(k, _)| k.starts_with("mem.spill")).count(),
+            0
+        );
+        assert_eq!(base.trace.gauge("mem.spill.peak_disk_bytes"), None);
 
         // First pass: spill with no budget, to measure the out-of-core peak.
         let rec = Recorder::new(ObsConfig::default());
@@ -95,11 +100,14 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         // Second pass: enforce exactly the measured peak as the budget —
         // determinism means the same run must fit, and the tracked peak of
         // a successful bounded run can never exceed its budget.
+        // Both runs are charged by the same statements; the memory backing
+        // adds what it holds resident. At this size the peak is the fused
+        // stage, where neither store holds anything, so the two can tie.
         let budget = spilled.tracked_peak_bytes;
         assert!(
-            budget < base.tracked_peak_bytes,
-            "[split {seed_split}] spilling should need less than in-RAM \
-             ({budget} vs {})",
+            budget <= base.tracked_peak_bytes,
+            "[split {seed_split}] spilling cannot need more than the memory \
+             backing ({budget} vs {})",
             base.tracked_peak_bytes
         );
         let rec = Recorder::new(ObsConfig::default());
@@ -197,7 +205,13 @@ fn crash_mid_spill_resumes_bit_identically() {
 }
 
 /// Acceptance workload (ISSUE 6): the DBP1M-class CI preset completes
-/// under a budget well below the in-RAM peak, bit-identically.
+/// under a budget well below the memory-backed peak, bit-identically.
+///
+/// The ratio was 3/4 while the in-RAM run had its own, never-releasing
+/// accounting (peak 19 281 680 B). Charged by the bounded path's statements
+/// the memory-backed peak is 8 553 224 B — every SENS segment held beside
+/// the search's residents — and the bounded run's is 6 662 344 B as before,
+/// `M_n` beside the fused `M`, which no backing takes away: 0.78 of it.
 #[test]
 fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
     let pair = Preset::Dbp1mCi.spec(1.0).generate();
@@ -212,7 +226,7 @@ fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
     let ram_peak = base.tracked_peak_bytes;
     assert!(ram_peak > 0);
 
-    let budget = ram_peak * 3 / 4;
+    let budget = ram_peak * 4 / 5;
     let rec = Recorder::new(ObsConfig::default());
     let exec = ExecOptions {
         mem_budget: Some(budget),
@@ -221,7 +235,7 @@ fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
     };
     let bounded = LargeEa::new(c)
         .run_exec(&pair, &seeds, 1, &rec, None, &exec)
-        .expect("bounded DBP1M-CI run at 3/4 of the in-RAM peak");
+        .expect("bounded DBP1M-CI run at 4/5 of the memory-backed peak");
     assert!(
         bounded.tracked_peak_bytes <= budget,
         "peak {} exceeds budget {budget}",
