@@ -12,14 +12,11 @@
 
 //! 3. What does runtime SIMD dispatch (DESIGN.md §S0.11) buy over the
 //!    normative scalar kernels? `kernel_dispatch` times each kernel under
-//!    `Isa::Scalar` and under the dispatched ISA on identical inputs.
-//!    `--merge-into <BENCH.json>` records the dispatched medians as
-//!    `kernel.*` stages (plus `kernel_speedup_*` config entries) in the
-//!    pipeline baseline; `--require-win` exits non-zero if dot, l1,
-//!    l1_panel / sad_panel (the kernels the exact top-k scan runs) or
-//!    matmul fail to beat scalar while a SIMD ISA is active.
+//!    `Isa::Scalar` and under the dispatched ISA on identical inputs;
+//!    `--require-win` exits non-zero if dot, l1, l1_panel / sad_panel (the
+//!    kernels the exact top-k scan runs) or matmul fail to beat scalar
+//!    while a SIMD ISA is active.
 
-use largeea_bench::{arg_str, Baseline};
 use largeea_common::bench::{Bench, Measurement};
 use largeea_common::pool::Pool;
 use largeea_common::rng::Rng;
@@ -229,31 +226,11 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     out
 }
 
-/// Replaces-or-inserts the dispatched `kernel.*` stage stats and the
-/// `kernel_isa` / `kernel_speedup_*` config entries in `path` (a
-/// `BENCH_pipeline.json` baseline), preserving everything else.
-fn merge_into_baseline(path: &str, comparisons: &[Comparison]) {
-    Baseline::edit_file(path, |baseline| {
-        baseline.set_config("kernel_isa", active_isa().name().to_owned());
-        for c in comparisons {
-            baseline.set_config(
-                &format!("kernel_speedup_{}", c.name),
-                format!("{:.2}", c.speedup()),
-            );
-            baseline.set_stage(&format!("kernel.{}", c.name), c.dispatched.into());
-        }
-    });
-    println!("merged kernel.* stages into {path}");
-}
-
 fn main() {
     let mut bench = Bench::new();
     bench_skip_variants(&mut bench);
     bench_production_kernels(&mut bench);
     let comparisons = bench_dispatch_kernels(&mut bench);
-    if let Some(path) = arg_str("merge-into") {
-        merge_into_baseline(&path, &comparisons);
-    }
     if std::env::args().any(|arg| arg == "--require-win") && active_isa() != Isa::Scalar {
         let losers: Vec<&str> = comparisons
             .iter()

@@ -10,11 +10,8 @@
 //! vertices): `partition_kway` at K = 20 on the source graph of
 //! DBP1M(EN-FR) scale 0.025 — the shape of the `dbp1m-partition` benchmark
 //! workload — reported as edges/s, and `initial_partition` alone on the
-//! graph coarsening hands it. `--merge-into <BENCH.json>` records them
-//! as the `op.partition_kway` / `op.initial_partition` stages (plus
-//! `op_partition_*` config entries) in the pipeline baseline.
+//! graph coarsening hands it.
 
-use largeea_bench::{arg_str, Baseline};
 use largeea_common::bench::Bench;
 use largeea_data::Preset;
 use largeea_partition::coarsen::{coarsen_once, coarsen_to};
@@ -90,11 +87,9 @@ fn bench_ladder(bench: &mut Bench) {
             b.iter(|| partition_kway(&g, &cfg))
         })
         .expect("measured");
-    let initial = group
-        .bench_measured(format!("initial_partition_{}v/{K}", coarsest.nv()), |b| {
-            b.iter(|| initial_partition(coarsest, K, cfg.seed.wrapping_add(97)))
-        })
-        .expect("measured");
+    group.bench_function(format!("initial_partition_{}v/{K}", coarsest.nv()), |b| {
+        b.iter(|| initial_partition(coarsest, K, cfg.seed.wrapping_add(97)))
+    });
     group.finish();
 
     let edges_per_s = g.ne() as f64 / (kway.median_ns * 1e-9);
@@ -106,15 +101,6 @@ fn bench_ladder(bench: &mut Bench) {
         coarsest.ne()
     );
     println!("\npartition_kway on {graph}: {edges_per_s:.0} edges/s");
-    if let Some(path) = arg_str("merge-into") {
-        Baseline::edit_file(&path, |baseline| {
-            baseline.set_stage("op.partition_kway", kway.into());
-            baseline.set_stage("op.initial_partition", initial.into());
-            baseline.set_config("op_partition_graph", graph);
-            baseline.set_config("op_partition_kway_edges_per_s", format!("{edges_per_s:.0}"));
-        });
-        println!("merged op.partition_kway and op.initial_partition into {path}");
-    }
 }
 
 fn main() {

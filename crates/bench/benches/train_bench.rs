@@ -7,11 +7,8 @@
 //! `train_epoch` is the op-level row for the step the pipeline runs: one
 //! steady-state RREA epoch (forward, fused triplet loss, backward, Adam on
 //! the trainer's recycled tape) on a fixed synthetic batch, reported as
-//! epochs/s and bytes allocated per epoch. `--merge-into <BENCH.json>`
-//! records it as the `train_epoch` stage (plus `train_epoch_per_s` /
-//! `train_epoch_alloc_bytes` config entries) in the pipeline baseline.
+//! epochs/s and bytes allocated per epoch.
 
-use largeea_bench::{arg_str, Baseline, StageStat};
 use largeea_common::bench::Bench;
 use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_common::rng::Rng;
@@ -130,34 +127,22 @@ fn bench_train_epoch() {
     let steady = &trace.find("train_batch").expect("batch span").children[1..];
     let mut seconds: Vec<f64> = steady.iter().map(|e| e.seconds).collect();
     seconds.sort_by(f64::total_cmp);
-    let stat = StageStat {
-        median_seconds: seconds[seconds.len() / 2],
-        min_seconds: seconds[0],
-        max_seconds: seconds[seconds.len() - 1],
-    };
+    let median = seconds[seconds.len() / 2];
     let alloc_bytes = steady
         .iter()
         .map(|e| e.field_u64("alloc.bytes").expect("counting allocator"))
         .max()
         .expect("steady-state epochs");
-    let per_s = 1.0 / stat.median_seconds;
+    let per_s = 1.0 / median;
     println!(
         "\ntrain_epoch (rrea, 2000 entities, 700 pairs x 15 negatives, dim 64): \
          median {:.2} ms (min {:.2}, max {:.2}, {} epochs) = {per_s:.1} epochs/s, \
          {alloc_bytes} B allocated per steady-state epoch",
-        stat.median_seconds * 1e3,
-        stat.min_seconds * 1e3,
-        stat.max_seconds * 1e3,
+        median * 1e3,
+        seconds[0] * 1e3,
+        seconds[seconds.len() - 1] * 1e3,
         seconds.len(),
     );
-    if let Some(path) = arg_str("merge-into") {
-        Baseline::edit_file(&path, |baseline| {
-            baseline.set_stage("train_epoch", stat);
-            baseline.set_config("train_epoch_per_s", format!("{per_s:.1}"));
-            baseline.set_config("train_epoch_alloc_bytes", alloc_bytes.to_string());
-        });
-        println!("merged train_epoch into {path}");
-    }
 }
 
 fn main() {

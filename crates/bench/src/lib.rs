@@ -12,10 +12,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod baseline;
-
-pub use baseline::{thread_config, Baseline, StageStat};
-
 use largeea_common::json::ToJson;
 use largeea_common::obs::Recorder;
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig};

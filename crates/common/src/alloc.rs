@@ -61,7 +61,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
 use std::thread::ThreadId;
 
 // --- global (process-wide) counters --------------------------------------
@@ -75,9 +75,6 @@ static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 /// Peak of [`LIVE`] (monotone).
 static PEAK: AtomicI64 = AtomicI64::new(0);
-/// Benchmark-only pause switch (see [`set_counting`]). Checked first on
-/// both hot paths; one relaxed load + a predictable branch.
-static COUNTING: AtomicBool = AtomicBool::new(true);
 
 // --- per-thread counters --------------------------------------------------
 
@@ -96,9 +93,6 @@ thread_local! {
 
 #[inline]
 fn on_alloc(size: usize) {
-    if !COUNTING.load(Relaxed) {
-        return;
-    }
     let size = size as u64;
     TOTAL_BYTES.fetch_add(size, Relaxed);
     TOTAL_COUNT.fetch_add(1, Relaxed);
@@ -121,20 +115,8 @@ fn on_alloc(size: usize) {
 
 #[inline]
 fn on_dealloc(size: usize) {
-    if !COUNTING.load(Relaxed) {
-        return;
-    }
     LIVE.fetch_sub(size as i64, Relaxed);
     let _ = T_LIVE.try_with(|c| c.set(c.get() - size as i64));
-}
-
-/// Pauses (`false`) or resumes (`true`) counting — for overhead probes
-/// (`bench_pipeline`'s `alloc_overhead_pct`) ONLY. While paused the books
-/// stop moving, so live-byte accuracy is lost for the rest of the process
-/// (allocations made while paused are never subtracted when later freed,
-/// and vice versa); never pause in a run whose measurements you keep.
-pub fn set_counting(on: bool) {
-    COUNTING.store(on, Relaxed);
 }
 
 /// The instrumented allocator: [`System`] plus the counters above. A unit

@@ -105,7 +105,7 @@ impl Group<'_> {
 
     /// Like [`Group::bench_function`], but also returns the
     /// [`Measurement`] so callers can act on the numbers (compare
-    /// variants, merge into a baseline file, gate a regression).
+    /// variants, gate a regression).
     /// `None` if the closure never called [`Bencher::iter`].
     pub fn bench_measured<F>(&mut self, id: impl std::fmt::Display, mut f: F) -> Option<Measurement>
     where

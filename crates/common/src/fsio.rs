@@ -383,6 +383,33 @@ mod tests {
     }
 
     #[test]
+    fn mutated_frames_fail_typed_or_return_what_the_file_holds() {
+        use crate::check::{for_each_case, mutate};
+        let p = tmp("mutated.ckpt");
+        for_each_case(0x1EAF, 300, |rng| {
+            let payload: Vec<u8> = (0..rng.gen_range(0..200usize))
+                .map(|_| rng.next_u64() as u8)
+                .collect();
+            let mut raw = frame(&payload);
+            for _ in 0..rng.gen_range(1..4u32) {
+                mutate(rng, &mut raw, &[], 64);
+            }
+            fs::write(&p, &raw).unwrap();
+            // no panic, and the declared length is only ever compared with
+            // what was read: a frame that decodes is the file minus its
+            // header, checksum intact
+            match read_framed(&p) {
+                Ok(back) => {
+                    assert_eq!(back, raw[HEADER_LEN..]);
+                    assert_eq!(raw, frame(&back));
+                }
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            }
+        });
+        fs::remove_file(&p).ok();
+    }
+
+    #[test]
     fn wrong_magic_rejected_and_missing_keeps_not_found() {
         let p = tmp("magic.ckpt");
         fs::write(&p, b"LEAM1\0this is some other format").unwrap();

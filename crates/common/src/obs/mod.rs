@@ -366,8 +366,8 @@ fn sample_and_snapshot(st: &mut State, heap: bool) {
     let snapshot_path = live.cfg.dir.as_ref().map(|d| d.join("live.trace.json"));
     if heap {
         // Heap gauges refresh per sample so the ring shows residency over
-        // time ("heap.*" columns, schema v2 — additive, v1 readers skip
-        // them). They are sampled state, not run outputs: the determinism
+        // time ("heap.*" columns — additive, readers that don't know them
+        // skip them). They are sampled state, not run outputs: the determinism
         // comparison in tests strips them (`Sample::deterministic_view`).
         st.gauges
             .insert("heap.live".to_owned(), crate::alloc::heap_live() as f64);
@@ -635,18 +635,6 @@ impl Recorder {
     }
 }
 
-/// The `LARGEEA_SLOW_SPAN=<name>:<millis>` test hook, read once per
-/// process. `None` when unset or malformed.
-fn slow_span_hook() -> Option<&'static (String, u64)> {
-    static HOOK: std::sync::OnceLock<Option<(String, u64)>> = std::sync::OnceLock::new();
-    HOOK.get_or_init(|| {
-        let v = std::env::var("LARGEEA_SLOW_SPAN").ok()?;
-        let (name, ms) = v.rsplit_once(':')?;
-        Some((name.to_owned(), ms.parse().ok()?))
-    })
-    .as_ref()
-}
-
 /// RAII guard for an open span (see [`Recorder::span_at`]).
 ///
 /// Dropping the guard closes the span with its elapsed wall-clock time;
@@ -694,17 +682,6 @@ impl SpanGuard {
         let Some(start) = self.start else {
             return 0.0;
         };
-        // Test hook: LARGEEA_SLOW_SPAN=<name>:<millis> inflates every
-        // recorded span named <name> by sleeping before the clock is read —
-        // how the regression-gate tests manufacture a genuinely slower run
-        // without touching pipeline code.
-        if let (Some((name, ms)), Some(inner), Some(idx)) =
-            (slow_span_hook(), &self.inner, self.idx)
-        {
-            if inner.lock().spans[idx].name == *name {
-                std::thread::sleep(std::time::Duration::from_millis(*ms));
-            }
-        }
         let seconds = start.elapsed().as_secs_f64();
         if let (Some(inner), Some(idx)) = (&self.inner, self.idx) {
             let mut st = inner.lock();

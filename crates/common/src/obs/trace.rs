@@ -25,11 +25,9 @@
 //! }
 //! ```
 //!
-//! Version 2 adds the `"samples"` array: the live-telemetry sample ring
-//! (see [`Sample`](super::Sample)), oldest first. [`Trace::parse`] still
-//! accepts version-1 documents (they parse with an empty sample ring), so
-//! traces written by older builds keep loading; the emitter always writes
-//! version 2.
+//! `"samples"` is the live-telemetry sample ring (see
+//! [`Sample`](super::Sample)), oldest first; empty when sampling was off.
+//! Any other `"version"` is a typed parse error.
 //!
 //! Heap attribution (DESIGN.md §S0.10) extends the schema *additively*,
 //! with no version bump: recorded spans may carry `alloc.bytes` /
@@ -280,16 +278,15 @@ impl Trace {
     }
 
     /// Builds a trace from an already-parsed [`Json`] tree (see
-    /// [`Trace::parse`]). Accepts `"version": 2` (current) and
-    /// `"version": 1` (pre-live-telemetry; parses with an empty sample
-    /// ring); unknown extra keys are ignored so older readers keep working
-    /// across additive schema growth.
+    /// [`Trace::parse`]). Accepts `"version": 2` only; unknown extra keys
+    /// are ignored so older readers keep working across additive schema
+    /// growth.
     pub fn from_json(json: &Json) -> Result<Trace, String> {
         let version = json
             .get("version")
             .and_then(Json::as_u64)
             .ok_or_else(|| bad("root", "missing integer \"version\""))?;
-        if version != 1 && version != 2 {
+        if version != 2 {
             return Err(bad(
                 "root",
                 &format!("unsupported schema version {version}"),
@@ -305,16 +302,13 @@ impl Trace {
         let counters = parse_counter_table(json, "root")?;
         let gauges = parse_gauge_table(json, "root")?;
         let histograms = parse_histogram_table(json, "root")?;
-        let samples = if version >= 2 {
-            json.get("samples")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("root", "missing array \"samples\""))?
-                .iter()
-                .map(Sample::from_json)
-                .collect::<Result<Vec<_>, String>>()?
-        } else {
-            Vec::new()
-        };
+        let samples = json
+            .get("samples")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| bad("root", "missing array \"samples\""))?
+            .iter()
+            .map(Sample::from_json)
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(Trace {
             spans,
             counters,
@@ -572,18 +566,6 @@ mod tests {
         assert_eq!(t, Trace::default());
     }
 
-    /// Version-1 documents (pre-live-telemetry) still parse; they just have
-    /// no sample ring and no `"samples"` key.
-    #[test]
-    fn parse_accepts_version_1_without_samples() {
-        let t = Trace::parse(
-            r#"{"version":1,"spans":[],"counters":{"c":3},"gauges":{},"histograms":{}}"#,
-        )
-        .unwrap();
-        assert_eq!(t.counter("c"), 3);
-        assert!(t.samples.is_empty());
-    }
-
     #[test]
     fn samples_round_trip_through_json() {
         let mut t = sample_trace().map_seconds(|_| 0.25);
@@ -619,6 +601,10 @@ mod tests {
                 "version 3",
             ),
             (
+                r#"{"version":1,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
+                "unsupported schema version 1",
+            ),
+            (
                 r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
                 "samples",
             ),
@@ -627,23 +613,23 @@ mod tests {
                 "tick",
             ),
             (
-                r#"{"version":1,"counters":{},"gauges":{},"histograms":{}}"#,
+                r#"{"version":2,"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,
                 "spans",
             ),
             (
-                r#"{"version":1,"spans":[{"seconds":0.0,"fields":{},"children":[]}],"counters":{},"gauges":{},"histograms":{}}"#,
+                r#"{"version":2,"spans":[{"seconds":0.0,"fields":{},"children":[]}],"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,
                 "name",
             ),
             (
-                r#"{"version":1,"spans":[],"counters":{"c":-1},"gauges":{},"histograms":{}}"#,
+                r#"{"version":2,"spans":[],"counters":{"c":-1},"gauges":{},"histograms":{},"samples":[]}"#,
                 "unsigned",
             ),
             (
-                r#"{"version":1,"spans":[],"counters":{},"gauges":{"g":"x"},"histograms":{}}"#,
+                r#"{"version":2,"spans":[],"counters":{},"gauges":{"g":"x"},"histograms":{},"samples":[]}"#,
                 "number",
             ),
             (
-                r#"{"version":1,"spans":[],"counters":{},"gauges":{},"histograms":{"h":{"count":1}}}"#,
+                r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{"h":{"count":1}},"samples":[]}"#,
                 "sum",
             ),
             ("{not json", "parse error"),
@@ -656,7 +642,7 @@ mod tests {
     #[test]
     fn parse_ignores_unknown_extra_keys() {
         let t = Trace::parse(
-            r#"{"version":1,"future":"stuff","spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
+            r#"{"version":2,"future":"stuff","spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,
         )
         .unwrap();
         assert_eq!(t, Trace::default());

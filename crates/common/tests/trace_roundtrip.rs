@@ -1,73 +1,12 @@
-//! Trace ingestion contract tests: the golden schema-v1 fixture still
-//! parses (version-1 compat) into exactly the expected typed trace, and
-//! `Trace → JSON → Trace` is the identity over arbitrary schema-v2 traces
-//! including the live-telemetry sample ring (the property the diff/check
-//! tooling leans on: a trace can be written to disk and read back
-//! losslessly).
+//! Trace ingestion contract test: `Trace → JSON → Trace` is the identity
+//! over arbitrary schema-v2 traces including the live-telemetry sample ring
+//! (the property the diff tooling leans on: a trace can be written to disk
+//! and read back losslessly).
 
 use largeea_common::check::{for_each_case, string_from, unicode_string};
 use largeea_common::json::ToJson;
 use largeea_common::obs::{FieldValue, HistogramSummary, Sample, Trace, TraceSpan};
 use largeea_common::rng::Rng;
-
-/// The fixture is a hand-written schema-v1 document (the shape PR 2's
-/// golden emitter test pinned), NOT a dump of this crate's emitter — so it
-/// proves the reader accepts the on-disk format, not merely its own output.
-const FIXTURE: &str = include_str!("fixtures/trace_v1.json");
-
-#[test]
-fn golden_v1_fixture_parses_to_the_expected_trace() {
-    let t = Trace::parse(FIXTURE.trim_end()).expect("fixture parses");
-
-    assert_eq!(t.spans.len(), 1);
-    let pipeline = &t.spans[0];
-    assert_eq!(pipeline.name, "pipeline");
-    assert_eq!(pipeline.seconds, 1.5);
-    assert_eq!(
-        pipeline.fields,
-        vec![
-            ("rounds".to_owned(), FieldValue::U64(1)),
-            ("strategy".to_owned(), FieldValue::Str("cps".into())),
-            ("hits1".to_owned(), FieldValue::F64(88.4)),
-            ("converged".to_owned(), FieldValue::Bool(true)),
-            ("delta".to_owned(), FieldValue::I64(-3)),
-        ]
-    );
-    assert_eq!(pipeline.children.len(), 2);
-    assert_eq!(pipeline.self_seconds(), 0.25, "1.5 - (0.25 + 1.0)");
-
-    assert_eq!(t.span_count("epoch"), 2);
-    assert_eq!(t.total_seconds("epoch"), 1.0);
-    assert_eq!(t.counter("cps.virtual_edges"), 42);
-    assert_eq!(t.counter("train.negatives_resampled"), 7);
-    assert_eq!(t.gauge("mem.peak_bytes"), Some(1024.0));
-    assert_eq!(
-        t.histogram("train.epoch_loss"),
-        Some(&HistogramSummary {
-            count: 2,
-            sum: 0.1875,
-            min: 0.0625,
-            max: 0.125,
-            p50: 0.125,
-            p95: 0.125,
-        })
-    );
-}
-
-/// The emitter now writes schema v2, so a v1 fixture can no longer redump
-/// byte-identically — instead the upgrade must be canonical: the redump is
-/// a v2 document with an empty sample ring that parses back to the same
-/// trace, and *that* dump is a fixed point.
-#[test]
-fn golden_v1_fixture_upgrades_canonically_to_v2() {
-    let t = Trace::parse(FIXTURE.trim_end()).unwrap();
-    let dumped = t.to_json_string();
-    assert!(dumped.starts_with("{\"version\":2,"), "emitter writes v2");
-    assert!(dumped.ends_with(",\"samples\":[]}"), "v1 has no samples");
-    let back = Trace::parse(&dumped).expect("upgraded dump parses");
-    assert_eq!(back, t, "v1 → parse → v2 dump → parse is lossless");
-    assert_eq!(back.to_json_string(), dumped, "v2 dump is a fixed point");
-}
 
 /// A finite f64 drawn from the full bit pattern space.
 fn arb_f64(rng: &mut Rng) -> f64 {

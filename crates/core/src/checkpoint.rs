@@ -787,6 +787,58 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// Hostile manifests, damaged both outside the frame (torn bytes, bad
+    /// CRC) and inside an intact one (the JSON itself): a resume adopts the
+    /// manifest, refuses it as another run's, or degrades to a fresh run —
+    /// and whichever it did, the manifest on disk reads back afterwards.
+    #[test]
+    fn mutated_manifests_are_adopted_refused_or_replaced_never_a_panic() {
+        use largeea_common::check::{for_each_case, mutate};
+        use std::cell::Cell;
+        let dir = tmpdir("mutated_manifest");
+        let rec = rec();
+        let mut c = Checkpoint::open(&dir, meta(), false, &rec).unwrap();
+        c.save_sim("name", &SparseSimMatrix::new(1, 1), &rec)
+            .unwrap();
+        c.quarantine("r0.b1", &rec).unwrap();
+        let mpath = dir.join(MANIFEST_FILE);
+        let framed = fs::read(&mpath).unwrap();
+        let json = fsio::read_framed(&mpath).unwrap();
+        let (adopted, refused, fresh) = (Cell::new(0), Cell::new(0), Cell::new(0));
+        for_each_case(0xC4B7, 200, |rng| {
+            if rng.gen_bool(0.5) {
+                let mut raw = framed.clone();
+                mutate(rng, &mut raw, &[], 64);
+                fs::write(&mpath, &raw).unwrap();
+            } else {
+                let mut payload = json.clone();
+                for _ in 0..rng.gen_range(1..4u32) {
+                    mutate(rng, &mut payload, b",:\"[]{}", 64);
+                }
+                fsio::write_framed(&mpath, &payload, "test.none").unwrap();
+            }
+            let inspected = read_manifest(&dir);
+            match Checkpoint::open(&dir, meta(), true, &rec) {
+                Ok(c) => {
+                    read_manifest(&dir).expect("an opened checkpoint has a readable manifest");
+                    let seen = if c.is_done("name") { &adopted } else { &fresh };
+                    seen.set(seen.get() + 1);
+                }
+                Err(CkptError::Mismatch { .. }) => {
+                    inspected.expect("only a manifest that parses can belong to another run");
+                    refused.set(refused.get() + 1);
+                }
+                Err(other) => panic!("unexpected error for a damaged manifest: {other}"),
+            }
+        });
+        let outcomes = (adopted.get(), refused.get(), fresh.get());
+        assert!(
+            outcomes.0 > 0 && outcomes.1 > 0 && outcomes.2 > 0,
+            "the damage must reach all three outcomes: {outcomes:?}"
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn corrupt_artifact_is_unmarked_and_recomputed() {
         let dir = tmpdir("corrupt_artifact");

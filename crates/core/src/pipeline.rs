@@ -425,8 +425,8 @@ impl LargeEa {
         let mut pipeline_span = rec.span("pipeline");
         pipeline_span.field("rounds", rounds);
         // Which kernel ISA this run dispatched to (DESIGN.md §S0.11) —
-        // recorded so baselines and trace diffs attribute perf shifts to
-        // the instruction set, not the pipeline.
+        // recorded so trace diffs attribute perf shifts to the
+        // instruction set, not the pipeline.
         pipeline_span.field("kernel.isa", largeea_tensor::active_isa().name());
         if let Some(dir) = &exec.spill_dir {
             pipeline_span.field("spill.dir", dir.display().to_string());

@@ -311,15 +311,7 @@ impl StructureChannel {
                             (report.embeddings, report.peak_bytes)
                         }
                     };
-                // write-through: the trained embeddings become a transient
-                // store artifact (removed at the end of the batch), so their
-                // bytes are accounted and, on disk, crash-injectable like
-                // every other out-of-core write
                 mem.charge("structure_channel", embeddings.nbytes())?;
-                let held = store
-                    .put_matrix(&ekey, &embeddings, rec)
-                    .map_err(RunError::Spill)?;
-                mem.charge("structure_channel", held)?;
                 {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
                     topk_span.field("batch", batch.index);
@@ -344,7 +336,6 @@ impl StructureChannel {
                 mem.charge("structure_channel", train_peak)?;
                 mem.uncharge("structure_channel", train_peak);
                 mem.uncharge("structure_channel", embeddings.nbytes());
-                mem.uncharge("structure_channel", store.remove(&ekey));
                 Ok(batch_loss)
             });
             stats.record_into(rec);

@@ -27,8 +27,8 @@
 //! being self time of spans that have children — work no leaf names.
 //!
 //! The definitions live here — next to the pipeline that records the
-//! counters — so the trace CLI, the baseline reporter and any future
-//! dashboard all derive identical numbers from the same trace.
+//! counters — so the trace CLI and any future dashboard derive identical
+//! numbers from the same trace.
 
 use largeea_common::obs::{Trace, TraceSpan};
 

@@ -15,7 +15,6 @@
 //! | [`models`] | `largeea-models` | GCN-Align, RREA, baselines, trainer |
 //! | [`data`] | `largeea-data` | IDS15K/IDS100K/DBP1M-shaped synthetic benchmarks |
 //! | [`core`] | `largeea-core` | the LargeEA framework: channels, DA, fusion, metrics |
-//! | [`bench`] | `largeea-bench` | experiment harness + perf baselines (`BENCH_*.json`) |
 //!
 //! ## One-minute tour
 //!
@@ -53,7 +52,6 @@
 #[global_allocator]
 static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::CountingAlloc;
 
-pub use largeea_bench as bench;
 pub use largeea_common as common;
 pub use largeea_core as core;
 pub use largeea_data as data;

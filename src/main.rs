@@ -53,7 +53,6 @@ USAGE:
   largeea trace     summarize <trace.json>
   largeea trace     diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
   largeea trace     flame <trace.json>
-  largeea trace     check <trace.json> --baseline <BENCH.json> [--tolerance-pct f]
   largeea trace     tail <dir|live.trace.json> [--once] [--interval-ms n]
   largeea trace     expo <trace.json>
   largeea trace     heap <trace.json> [--top n] [--folded]
@@ -64,8 +63,7 @@ PRESETS: ids15k-en-fr  ids15k-en-de  ids100k-en-fr  ids100k-en-de
 `--trace-out` writes the run's span/metric trace as JSON (DESIGN.md §S0.5);
 set LARGEEA_LOG=stage|detail|trace to echo spans to stderr as they close.
 `trace` analyses those files: wall-clock trees with derived throughputs,
-span-by-span diffs with CI gating, folded flamegraph stacks, and budget
-checks against the BENCH_pipeline.json baseline (scripts/bench.sh).
+span-by-span diffs with CI gating, and folded flamegraph stacks.
 
 `--checkpoint-dir` makes `align` checkpoint every completed pipeline stage
 into a crash-safe run directory (DESIGN.md §S0.7); `--resume` continues an
@@ -110,8 +108,9 @@ never silent. `failpoints list` prints every fault-injection site that
 
 EXIT CODES (documented contract, asserted by tests/cli.rs):
   0  success
-  1  generic error (I/O, bad input data, invalid flag value)
-  2  usage error (unknown command or malformed flags)
+  1  generic error (I/O, bad input data)
+  2  usage error (unknown command, subcommand or flag; missing or
+     malformed flag value — the message names the flag)
   3  memory budget exceeded (RunError::Budget)
   4  checkpoint error (RunError::Ckpt)
   5  heap audit drift (RunError::Audit)
@@ -123,11 +122,12 @@ Every command is deterministic for fixed inputs and flags.";
 
 /// A CLI failure with its documented process exit code (see `USAGE`).
 enum CliError {
-    /// Malformed command line: unknown command, bad flag syntax. Exit 2.
+    /// Malformed command line: unknown command or flag, a required flag
+    /// missing, a flag value that does not parse. Exit 2.
     Usage(String),
     /// A typed pipeline failure; exit code is per-variant (3..=8).
     Run(Box<RunError>),
-    /// Everything else (I/O, bad input, invalid flag values). Exit 1.
+    /// Everything else (I/O, bad input data). Exit 1.
     Other(String),
 }
 
@@ -191,11 +191,11 @@ fn main() -> ExitCode {
         }
     };
     let result: Result<(), CliError> = match command.as_str() {
-        "generate" => cmd_generate(&flags).map_err(CliError::Other),
-        "stats" => cmd_stats(&flags).map_err(CliError::Other),
-        "partition" => cmd_partition(&flags).map_err(CliError::Other),
+        "generate" => cmd_generate(&flags),
+        "stats" => cmd_stats(&flags),
+        "partition" => cmd_partition(&flags),
         "align" => cmd_align(&flags),
-        "eval" => cmd_eval(&flags).map_err(CliError::Other),
+        "eval" => cmd_eval(&flags),
         "--help" | "-h" | "help" => {
             outln!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -259,23 +259,33 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, String> {
+fn required<'a>(flags: &'a Flags, name: &str) -> Result<&'a str, CliError> {
     flags
         .get(name)
         .map(String::as_str)
-        .ok_or_else(|| format!("--{name} is required"))
+        .ok_or_else(|| CliError::Usage(format!("--{name} is required")))
 }
 
-fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
-    match flags.get(name) {
-        None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} got invalid value {v:?}")),
-    }
+/// The usage error for a flag whose value is not one the flag takes.
+fn bad_value(name: &str, v: &str, want: &str) -> CliError {
+    CliError::Usage(format!("--{name} got invalid value {v:?}: expected {want}"))
 }
 
-fn preset_by_name(name: &str) -> Result<Preset, String> {
+fn parse_opt<T: std::str::FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, CliError> {
+    flags
+        .get(name)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| bad_value(name, v, std::any::type_name::<T>()))
+        })
+        .transpose()
+}
+
+fn parse_or<T: std::str::FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, CliError> {
+    Ok(parse_opt(flags, name)?.unwrap_or(default))
+}
+
+fn preset_by_name(name: &str) -> Result<Preset, CliError> {
     Ok(match name {
         "ids15k-en-fr" => Preset::Ids15kEnFr,
         "ids15k-en-de" => Preset::Ids15kEnDe,
@@ -284,50 +294,53 @@ fn preset_by_name(name: &str) -> Result<Preset, String> {
         "dbp1m-en-fr" => Preset::Dbp1mEnFr,
         "dbp1m-en-de" => Preset::Dbp1mEnDe,
         "dbp1m-ci" => Preset::Dbp1mCi,
-        other => return Err(format!("unknown preset {other:?} (see --help)")),
+        other => return Err(bad_value("preset", other, "a preset name (see --help)")),
     })
 }
 
-fn model_by_name(name: &str) -> Result<ModelKind, String> {
+fn model_by_name(name: &str) -> Result<ModelKind, CliError> {
     Ok(match name {
         "gcn" | "gcn-align" => ModelKind::GcnAlign,
         "rrea" => ModelKind::Rrea,
         "mtranse" => ModelKind::MTransE,
-        other => return Err(format!("unknown model {other:?} (gcn|rrea|mtranse)")),
+        other => return Err(bad_value("model", other, "gcn|rrea|mtranse")),
     })
 }
 
 /// Parses a byte size with optional 1024-based `K`/`M`/`G` suffix
-/// (case-insensitive): `"16M"` → 16 MiB, `"1073741824"` → 1 GiB.
-fn parse_bytes(v: &str) -> Result<usize, String> {
+/// (case-insensitive): `"16M"` → 16 MiB, `"1073741824"` → 1 GiB. `None`
+/// when `v` is not one or overflows.
+fn parse_bytes(v: &str) -> Option<usize> {
     let v = v.trim();
-    let bad = || format!("expected a byte count like 512M or 2G, got {v:?}");
-    let (digits, mult) = match v.char_indices().last().ok_or_else(bad)? {
+    let (digits, mult) = match v.char_indices().last()? {
         (i, 'k') | (i, 'K') => (&v[..i], 1usize << 10),
         (i, 'm') | (i, 'M') => (&v[..i], 1 << 20),
         (i, 'g') | (i, 'G') => (&v[..i], 1 << 30),
         _ => (v, 1),
     };
-    let n: usize = digits.parse().map_err(|_| bad())?;
-    n.checked_mul(mult).ok_or_else(bad)
+    digits.parse::<usize>().ok()?.checked_mul(mult)
 }
 
 /// Loads `--data`, as `rec`'s `load` span.
-fn load_data(flags: &Flags, rec: &Recorder) -> Result<KgPair, String> {
+fn load_data(flags: &Flags, rec: &Recorder) -> Result<KgPair, CliError> {
     let dir = required(flags, "data")?;
     io::load_pair_in(Pool::global(), Path::new(dir), "SRC", "TGT", rec)
-        .map_err(|e| format!("loading {dir}: {e}"))
+        .map_err(|e| CliError::Other(format!("loading {dir}: {e}")))
 }
 
-fn split(flags: &Flags, pair: &KgPair) -> Result<AlignmentSeeds, String> {
+fn split(flags: &Flags, pair: &KgPair) -> Result<AlignmentSeeds, CliError> {
     let ratio: f64 = parse_or(flags, "seed-ratio", 0.2)?;
     if !(0.0..=1.0).contains(&ratio) {
-        return Err(format!("--seed-ratio must lie in [0,1], got {ratio}"));
+        return Err(bad_value(
+            "seed-ratio",
+            &ratio.to_string(),
+            "a value in [0,1]",
+        ));
     }
     Ok(pair.split_seeds(ratio, 0x5EED))
 }
 
-fn cmd_generate(flags: &Flags) -> Result<(), String> {
+fn cmd_generate(flags: &Flags) -> Result<(), CliError> {
     let preset = preset_by_name(required(flags, "preset")?)?;
     let scale: f64 = parse_or(flags, "scale", 0.05)?;
     let out = PathBuf::from(required(flags, "out")?);
@@ -346,7 +359,7 @@ fn cmd_generate(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(flags: &Flags) -> Result<(), String> {
+fn cmd_stats(flags: &Flags) -> Result<(), CliError> {
     let pair = load_data(flags, &Recorder::disabled())?;
     outln!(
         "{:<8} {:>10} {:>10} {:>10} {:>10} {:>8}",
@@ -393,7 +406,7 @@ fn write_trace(flags: &Flags, rec: &Recorder) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_partition(flags: &Flags) -> Result<(), String> {
+fn cmd_partition(flags: &Flags) -> Result<(), CliError> {
     let rec = Recorder::from_env();
     let root = rec.span("partition");
     let pair = load_data(flags, &rec)?;
@@ -402,7 +415,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
     let strategy = match flags.get("strategy").map(String::as_str).unwrap_or("cps") {
         "cps" | "metis-cps" => Partitioner::MetisCps,
         "vps" => Partitioner::Vps,
-        other => return Err(format!("unknown strategy {other:?} (cps|vps)")),
+        other => return Err(bad_value("strategy", other, "cps|vps")),
     };
     let sc = StructureChannel::new(StructureChannelConfig {
         k,
@@ -428,7 +441,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), String> {
         );
     }
     root.finish();
-    write_trace(flags, &rec)
+    Ok(write_trace(flags, &rec)?)
 }
 
 fn cmd_align(flags: &Flags) -> Result<(), CliError> {
@@ -455,19 +468,18 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             },
             ..StructureChannelConfig::default()
         },
-        csls_k: flags
-            .get("csls")
-            .map(|v| v.parse().map_err(|_| format!("--csls got {v:?}")))
-            .transpose()?,
+        csls_k: parse_opt(flags, "csls")?,
         ..LargeEaConfig::default()
     };
     let rounds: usize = parse_or(flags, "rounds", 1)?.max(1);
     if flags.contains_key("resume") && !flags.contains_key("checkpoint-dir") {
-        return Err("--resume needs --checkpoint-dir".to_owned().into());
+        return Err(CliError::Usage("--resume needs --checkpoint-dir".into()));
     }
     let mem_budget = flags
         .get("mem-budget")
-        .map(|v| parse_bytes(v).map_err(|e| format!("--mem-budget: {e}")))
+        .map(|v| {
+            parse_bytes(v).ok_or_else(|| bad_value("mem-budget", v, "a byte count like 512M or 2G"))
+        })
         .transpose()?;
     // a budget without an explicit spill dir gets a per-process tempdir,
     // announced in the trace as the pipeline span's `spill.dir` field
@@ -475,12 +487,12 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     exec.mem_audit = flags.contains_key("mem-audit");
     exec.supervision.degraded_ok = flags.contains_key("degraded-ok");
     if flags.contains_key("live-every") && !flags.contains_key("live-dir") {
-        return Err("--live-every needs --live-dir".to_owned().into());
+        return Err(CliError::Usage("--live-every needs --live-dir".into()));
     }
     if let Some(dir) = flags.get("live-dir").map(PathBuf::from) {
         let every: u64 = parse_or(flags, "live-every", 32)?;
         if every == 0 {
-            return Err("--live-every must be at least 1".to_owned().into());
+            return Err(bad_value("live-every", "0", "at least 1"));
         }
         std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         rec.enable_live(LiveConfig {
@@ -585,7 +597,7 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     Ok(write_trace(flags, &rec)?)
 }
 
-fn cmd_eval(flags: &Flags) -> Result<(), String> {
+fn cmd_eval(flags: &Flags) -> Result<(), CliError> {
     let pair = load_data(flags, &Recorder::disabled())?;
     let path = required(flags, "predictions")?;
     let file = std::fs::File::open(path).map_err(|e| format!("reading {path}: {e}"))?;

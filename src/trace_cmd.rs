@@ -1,8 +1,7 @@
 //! The `largeea trace` subcommand family — analysis of `--trace-out` files.
 //!
-//! Everything here consumes the trace JSON the pipeline writes (schema v2,
-//! v1 accepted for old files; DESIGN.md §S0.5, §S0.9) and answers perf
-//! questions offline:
+//! Everything here consumes the trace JSON the pipeline writes (schema v2;
+//! DESIGN.md §S0.5, §S0.9) and answers perf questions offline:
 //!
 //! - `summarize <trace>` — wall-clock tree (total/self, same-name siblings
 //!   aggregated) with its attribution coverage, metric tables sorted by
@@ -11,12 +10,10 @@
 //!   optional `--threshold-pct` exit-code gating for CI;
 //! - `flame <trace>` — collapsed stacks (`a;b;c <self-µs>`), the folded
 //!   format flamegraph tooling eats;
-//! - `check <trace> --baseline <file>` — asserts the stage budgets and
-//!   exact counters of a `BENCH_*.json` baseline (see `scripts/bench.sh`);
 //! - `tail <dir>` — live view of a running `align --live-dir` job: polls
 //!   `live.trace.json`, shows the open span path, round/batch progress
 //!   with an ETA from `train.epochs_per_sec`, and sparklines over the
-//!   sample ring (on a schema-v1 trace with no ring, it degrades to
+//!   sample ring (a trace with no ring — sampling was off — degrades to
 //!   current gauge values without sparklines);
 //! - `expo <trace>` — Prometheus-style text exposition of the metric
 //!   tables (`largeea_common::obs::expo`);
@@ -25,7 +22,7 @@
 //!   bytes, allocation counts and peaks per span, a top-N table by self
 //!   bytes, and `--folded` flamegraph stacks weighted by self bytes.
 
-use largeea::bench::Baseline;
+use crate::{parse_opt, parse_or, CliError, Flags};
 use largeea::common::fmt_bytes;
 use largeea::common::obs::{expo, Sample, Trace, TraceSpan};
 use largeea::core::throughput::{attribution_coverage, derived_throughputs, filter_pass_pcts};
@@ -39,14 +36,12 @@ USAGE:
   largeea trace summarize <trace.json>
   largeea trace diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
   largeea trace flame <trace.json>
-  largeea trace check <trace.json> --baseline <BENCH.json> [--tolerance-pct f]
   largeea trace tail <dir|live.trace.json> [--once] [--interval-ms n]
   largeea trace expo <trace.json>
   largeea trace heap <trace.json> [--top n] [--folded]
 
 `diff` exits non-zero when --threshold-pct is given and any stage in <b>
-regressed past it; `check` exits non-zero on any budget or counter
-violation. Regenerate baselines with scripts/bench.sh.
+regressed past it.
 
 `tail` follows the live snapshot a run writes under `--live-dir`
 (a directory argument means `<dir>/live.trace.json`). It repolls every
@@ -63,28 +58,29 @@ stacks weighted by self bytes. Exits non-zero when the trace carries no
 allocation data.";
 
 /// Entry point from `main` (args exclude the leading `trace`). Returns the
-/// process exit code directly because `diff`/`check` encode their verdict
-/// in it.
+/// process exit code directly because `diff` encodes its verdict in it.
 pub fn cmd_trace(args: &[String]) -> ExitCode {
     match run(args) {
         Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}\n\n{TRACE_USAGE}");
-            ExitCode::FAILURE
+            ExitCode::from(e.code())
         }
     }
 }
 
-fn run(args: &[String]) -> Result<ExitCode, String> {
-    let (positionals, flags) = parse_mixed(args)?;
+fn run(args: &[String]) -> Result<ExitCode, CliError> {
+    let (positionals, flags) = parse_mixed(args).map_err(CliError::Usage)?;
     let Some(sub) = positionals.first() else {
-        return Err("trace needs a subcommand (summarize|diff|flame|check|tail|expo)".into());
+        return Err(CliError::Usage(
+            "trace needs a subcommand (summarize|diff|flame|tail|expo|heap)".into(),
+        ));
     };
-    let file = |i: usize| -> Result<Trace, String> {
+    let file = |i: usize| -> Result<Trace, CliError> {
         let path = positionals
             .get(i)
-            .ok_or_else(|| format!("{sub} needs a trace file argument"))?;
-        load_trace(path)
+            .ok_or_else(|| CliError::Usage(format!("{sub} needs a trace file argument")))?;
+        Ok(load_trace(path)?)
     };
     match sub.as_str() {
         "summarize" => {
@@ -92,68 +88,48 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
-            let threshold: Option<f64> = flags
-                .get("threshold-pct")
-                .map(|v| v.parse().map_err(|_| format!("--threshold-pct got {v:?}")))
-                .transpose()?;
-            let min_seconds: f64 = match flags.get("min-seconds") {
-                Some(v) => v.parse().map_err(|_| format!("--min-seconds got {v:?}"))?,
-                None => 0.001,
-            };
+            let threshold: Option<f64> = parse_opt(&flags, "threshold-pct")?;
+            let min_seconds: f64 = parse_or(&flags, "min-seconds", 0.001)?;
             Ok(diff(&file(1)?, &file(2)?, threshold, min_seconds))
         }
         "flame" => {
             flame(&file(1)?);
             Ok(ExitCode::SUCCESS)
         }
-        "check" => {
-            let baseline_path = flags
-                .get("baseline")
-                .ok_or("check needs --baseline <BENCH.json>")?;
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| format!("reading {baseline_path}: {e}"))?;
-            let baseline =
-                Baseline::parse(&text).map_err(|e| format!("parsing {baseline_path}: {e}"))?;
-            let tolerance: f64 = match flags.get("tolerance-pct") {
-                Some(v) => v
-                    .parse()
-                    .map_err(|_| format!("--tolerance-pct got {v:?}"))?,
-                None => 50.0,
-            };
-            Ok(check(&file(1)?, &baseline, tolerance, baseline_path))
-        }
         "tail" => {
-            let target = positionals
-                .get(1)
-                .ok_or("tail needs a --live-dir directory (or live.trace.json path)")?;
-            let interval_ms: u64 = match flags.get("interval-ms") {
-                Some(v) => v.parse().map_err(|_| format!("--interval-ms got {v:?}"))?,
-                None => 500,
-            };
-            tail(Path::new(target), flags.contains_key("once"), interval_ms)
+            let target = positionals.get(1).ok_or_else(|| {
+                CliError::Usage(
+                    "tail needs a --live-dir directory (or live.trace.json path)".into(),
+                )
+            })?;
+            let interval_ms: u64 = parse_or(&flags, "interval-ms", 500)?;
+            Ok(tail(
+                Path::new(target),
+                flags.contains_key("once"),
+                interval_ms,
+            )?)
         }
         "expo" => {
             out!("{}", expo::render_text(&file(1)?));
             Ok(ExitCode::SUCCESS)
         }
         "heap" => {
-            let top: usize = match flags.get("top") {
-                Some(v) => v.parse().map_err(|_| format!("--top got {v:?}"))?,
-                None => 10,
-            };
+            let top: usize = parse_or(&flags, "top", 10)?;
             Ok(heap(&file(1)?, top, flags.contains_key("folded")))
         }
-        other => Err(format!("unknown trace subcommand {other:?}")),
+        other => Err(CliError::Usage(format!(
+            "unknown trace subcommand {other:?}"
+        ))),
     }
 }
 
 /// Splits `args` into positionals and `--flag value` pairs (the trace
 /// subcommands mix both, unlike the flag-only pipeline commands).
 /// Boolean flags (`--once`) take no value and are stored as `"true"`.
-fn parse_mixed(args: &[String]) -> Result<(Vec<String>, BTreeMap<String, String>), String> {
+fn parse_mixed(args: &[String]) -> Result<(Vec<String>, Flags), String> {
     const BOOLEAN: &[&str] = &["once", "folded"];
     let mut positionals = Vec::new();
-    let mut flags = BTreeMap::new();
+    let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.strip_prefix("--") {
@@ -453,29 +429,6 @@ fn flame(trace: &Trace) {
     }
 }
 
-// --- check ---------------------------------------------------------------
-
-fn check(trace: &Trace, baseline: &Baseline, tolerance_pct: f64, baseline_path: &str) -> ExitCode {
-    let violations = baseline.check(trace, tolerance_pct);
-    if violations.is_empty() {
-        outln!(
-            "OK: within {baseline_path} budgets ({} stages at +{tolerance_pct}%, {} counters exact)",
-            baseline.stages.len(),
-            baseline.counters.len()
-        );
-        ExitCode::SUCCESS
-    } else {
-        outln!(
-            "FAIL: {} violation(s) against {baseline_path}:",
-            violations.len()
-        );
-        for v in &violations {
-            outln!("  {v}");
-        }
-        ExitCode::FAILURE
-    }
-}
-
 // --- heap ----------------------------------------------------------------
 
 /// Cumulative allocated bytes a span's attribution recorded (0 when the
@@ -754,9 +707,8 @@ fn render_tail(trace: &Trace, path: &Path) -> String {
         let _ = writeln!(out, "  {progress}");
     }
     if trace.samples.is_empty() {
-        // Schema-v1 snapshot (or sampling disabled): no ring to draw
-        // sparklines from — degrade to the current gauge values so old
-        // traces still tail usefully.
+        // Sampling was off: no ring to draw sparklines from — degrade to
+        // the current gauge values.
         for name in TAIL_GAUGE_SERIES {
             if let Some(v) = trace.gauge(name).filter(|&v| v > 0.0) {
                 let _ = writeln!(out, "  {name:<26} {}", fmt_bytes(v as usize));

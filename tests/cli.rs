@@ -384,17 +384,58 @@ fn exit_codes_follow_the_documented_taxonomy() {
     assert_eq!(retired.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&retired.stderr).contains("unknown flag --quantize"));
 
-    // 1: generic error — a missing required flag value
-    assert_eq!(
-        bin()
-            .args(["eval", "--data"])
-            .arg(&data)
+    // …a required flag left out, or a value its flag does not take — the
+    // message names the flag ("@data" stands for the generated directory)
+    for (args, flag) in [
+        (&["eval", "--data", "@data"][..], "--predictions"),
+        (&["stats"], "--data"),
+        (
+            &["generate", "--preset", "foo", "--out", "@data"],
+            "--preset",
+        ),
+        (&["align", "--data", "@data", "--k", "abc"], "--k"),
+        (&["align", "--data", "@data", "--epochs", "-3"], "--epochs"),
+        (
+            &["align", "--data", "@data", "--mem-budget", "12Q"],
+            "--mem-budget",
+        ),
+        (&["align", "--data", "@data", "--model", "foo"], "--model"),
+        (&["align", "--data", "@data", "--csls", "x"], "--csls"),
+        (
+            &["partition", "--data", "@data", "--strategy", "foo"],
+            "--strategy",
+        ),
+        (
+            &["trace", "diff", "a", "b", "--threshold-pct", "xyz"],
+            "--threshold-pct",
+        ),
+        (&["trace", "heap", "a", "--top", "foo"], "--top"),
+        // a retired subcommand is an unknown one
+        (&["trace", "check", "a"], "unknown trace subcommand"),
+    ] {
+        let out = bin()
+            .args(args.iter().map(|a| match *a {
+                "@data" => data.as_os_str(),
+                a => a.as_ref(),
+            }))
             .output()
-            .unwrap()
-            .status
-            .code(),
-        Some(1)
-    );
+            .unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(flag), "{args:?} must name {flag}: {err}");
+    }
+
+    // 1: generic error — well-formed flags, but the data is not there
+    for args in [
+        &["stats", "--data", "/nonexistent/largeea"][..],
+        &["trace", "summarize", "/nonexistent/largeea.json"],
+    ] {
+        assert_eq!(
+            bin().args(args).output().unwrap().status.code(),
+            Some(1),
+            "{args:?}"
+        );
+    }
 
     let align = |tag: &str, extra: &[&str], failpoints: Option<&str>| {
         let mut cmd = bin();

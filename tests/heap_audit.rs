@@ -189,14 +189,15 @@ fn align_audit(data: &Path, trace: Option<&Path>, leak: Option<u64>) -> std::pro
     if let Some(bytes) = leak {
         cmd.env("LARGEEA_HEAP_LEAK", bytes.to_string());
     }
-    cmd.output().unwrap()
+    // one thread: which span a pooled allocation lands in is then fixed
+    cmd.env("LARGEEA_THREADS", "1").output().unwrap()
 }
 
 #[test]
 fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
     let dir = tempdir("cli");
     let data = generate_data(&dir);
-    let trace = dir.join("run.json");
+    let trace = dir.join("run_a.json");
 
     let ok = align_audit(&data, Some(&trace), None);
     let stdout = String::from_utf8_lossy(&ok.stdout);
@@ -224,9 +225,9 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
 
     // The passing run's trace drives `trace heap`: tree, top table, and
     // byte-stable output.
-    let heap = |extra: &[&str]| {
+    let render = |sub: &str, trace: &Path, extra: &[&str]| {
         let mut cmd = bin();
-        cmd.args(["trace", "heap"]).arg(&trace).args(extra);
+        cmd.args(["trace", sub]).arg(trace).args(extra);
         let out = cmd.output().unwrap();
         assert!(
             out.status.success(),
@@ -235,6 +236,7 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
+    let heap = |extra: &[&str]| render("heap", &trace, extra);
     let tree = heap(&[]);
     assert!(tree.contains("pipeline"), "{tree}");
     assert!(tree.contains("top "), "{tree}");
@@ -251,6 +253,18 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
         let (_, bytes) = line.rsplit_once(' ').expect("folded line has a value");
         bytes.parse::<u64>().expect("self bytes are integers");
     }
+
+    // A second same-seed run attributes the same bytes to the same spans:
+    // every rendering of the profile repeats across runs, not only across
+    // renderings of one file (paths of one length: the process-wide heap
+    // gauges count the argument strings too).
+    let again = dir.join("run_b.json");
+    assert!(align_audit(&data, Some(&again), None).status.success());
+    assert_eq!(tree, render("heap", &again, &[]));
+    assert_eq!(folded, render("heap", &again, &["--folded"]));
+    let expo = render("expo", &trace, &[]);
+    assert!(expo.contains("\nlargeea_heap_live "), "{expo}");
+    assert_eq!(expo, render("expo", &again, &[]));
     std::fs::remove_dir_all(&dir).ok();
 }
 

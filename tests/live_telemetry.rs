@@ -111,6 +111,25 @@ fn final_snapshot_is_byte_identical_to_trace_out_and_counts_its_writes() {
         !trace.samples.is_empty(),
         "the sample ring must survive into the final trace"
     );
+
+    // the offline tooling takes what a real run left behind
+    let tail = bin()
+        .args(["trace", "tail"])
+        .arg(&live)
+        .arg("--once")
+        .output()
+        .unwrap();
+    expect_success(&tail);
+    let text = String::from_utf8_lossy(&tail.stdout);
+    assert!(text.contains("run complete"), "{text}");
+    let expo = bin()
+        .args(["trace", "expo"])
+        .arg(&snapshot_path)
+        .output()
+        .unwrap();
+    expect_success(&expo);
+    let text = String::from_utf8_lossy(&expo.stdout);
+    assert!(text.contains("\nlargeea_live_writes_total "), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

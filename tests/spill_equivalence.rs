@@ -4,8 +4,10 @@
 //! memory-backed one — same fused matrix bytes, same metrics — while its
 //! tracked peak stays under the budget.
 //!
-//! Failpoint state is process-global, so the crash-mid-spill scenario runs
-//! inside one `#[test]` (the other tests never configure failpoints).
+//! Failpoint state is process-global and every spill write of every test
+//! thread counts towards an armed `spill.write=…@N`, so the crash-mid-spill
+//! scenario arms its failpoint under the write half of [`FAILPOINTS`] and
+//! the other tests (which never configure one) run under the read half.
 
 use largeea_common::failpoint;
 use largeea_common::obs::{ObsConfig, Recorder};
@@ -18,6 +20,9 @@ use largeea_models::{ModelKind, TrainConfig};
 use largeea_sim::SparseSimMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::RwLock;
+
+static FAILPOINTS: RwLock<()> = RwLock::new(());
 
 fn cfg() -> LargeEaConfig {
     LargeEaConfig {
@@ -52,6 +57,7 @@ fn sim_bytes(m: &SparseSimMatrix) -> Vec<u8> {
 /// fused matrix byte for byte — across several seed splits.
 #[test]
 fn bounded_runs_are_bit_identical_to_unbounded() {
+    let _unarmed = FAILPOINTS.read().unwrap();
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     for seed_split in [5u64, 23, 71] {
         let seeds = pair.split_seeds(0.2, seed_split);
@@ -134,6 +140,7 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
 /// path, and still cleans up its working directory.
 #[test]
 fn impossible_budget_is_a_typed_error_and_cleans_up() {
+    let _unarmed = FAILPOINTS.read().unwrap();
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     let seeds = pair.split_seeds(0.2, 5);
     let dir = tmp("impossible");
@@ -183,12 +190,14 @@ fn crash_mid_spill_resumes_bit_identically() {
         LargeEa::new(c).run_exec(&pair, &seeds, 1, &rec, Some(&mut ckpt), &exec)
     };
 
+    let armed = FAILPOINTS.write().unwrap();
     let prev_hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     failpoint::configure("spill.write=panic@3").expect("valid spec");
     let outcome = catch_unwind(AssertUnwindSafe(|| run(false, "crash_spill_a")));
     failpoint::clear();
     std::panic::set_hook(prev_hook);
+    drop(armed);
     assert!(
         outcome.is_err(),
         "spill.write=panic@3 never fired — dead write site?"
@@ -214,6 +223,7 @@ fn crash_mid_spill_resumes_bit_identically() {
 /// `M_n` beside the fused `M`, which no backing takes away: 0.78 of it.
 #[test]
 fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
+    let _unarmed = FAILPOINTS.read().unwrap();
     let pair = Preset::Dbp1mCi.spec(1.0).generate();
     let seeds = pair.split_seeds(0.2, 5);
     let mut c = cfg();
