@@ -153,7 +153,7 @@ fn main() {
         };
         let rec = Recorder::new(ObsConfig::default());
         let report = LargeEa::new(cfg)
-            .run_exec(&pair, &seeds, rounds, &rec, None, &ExecOptions::default())
+            .run_exec(&pair, &seeds, rounds, &rec, &ExecOptions::default())
             .expect("default exec options: no RunError has a source");
         rounds_series.x.push(rounds as f64);
         rounds_series.y.push(report.eval.hits1);

@@ -13,8 +13,8 @@
 //! epochs suffice).
 
 use largeea_bench::make_dataset;
+use largeea_common::fmt_bytes;
 use largeea_common::json::{Json, ToJson};
-use largeea_core::mem::MemTracker;
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea_core::{NameChannel, NameChannelConfig};
 use largeea_data::Preset;
@@ -103,15 +103,15 @@ fn main() {
                     )),
                 )
             };
-            let fmt_opt = |v: Option<usize>| v.map_or("-".to_owned(), MemTracker::fmt_bytes);
+            let fmt_opt = |v: Option<usize>| v.map_or("-".to_owned(), fmt_bytes);
             println!(
                 "{:<18} {:<8} {:>12} {:>14} {:>14} {:>14} {:>14}",
                 preset.name(),
                 dir,
-                MemTracker::fmt_bytes(name_peak),
-                MemTracker::fmt_bytes(r_cps),
+                fmt_bytes(name_peak),
+                fmt_bytes(r_cps),
                 fmt_opt(r_raw),
-                MemTracker::fmt_bytes(g_cps),
+                fmt_bytes(g_cps),
                 fmt_opt(g_raw),
             );
             json_rows.push(MemRow {

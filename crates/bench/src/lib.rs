@@ -129,7 +129,7 @@ pub fn largeea_variant_row(
 ) -> MethodRow {
     let rec = Recorder::from_env();
     let report = LargeEa::new(largeea_config(model, k))
-        .run_exec(pair, seeds, 1, &rec, None, &ExecOptions::default())
+        .run_exec(pair, seeds, 1, &rec, &ExecOptions::default())
         .expect("default exec options: no RunError has a source");
     let method = format!("LargeEA-{}", model.short_name());
     maybe_write_trace(&format!("{dataset}.{method}"), &report.trace);

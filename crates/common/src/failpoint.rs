@@ -32,7 +32,7 @@
 //!   forever. Unlike the one-shot actions, `@N` here is a failure *count*,
 //!   not an ordinal: `transient@2` fails hits 1 and 2 and lets hit 3
 //!   through, which is exactly the shape a bounded-retry executor
-//!   (`common::retry`, DESIGN.md §S0.12) needs to be exercised end-to-end.
+//!   (`common::retry`, DESIGN.md §S0.7) needs to be exercised end-to-end.
 //!
 //! ## Zero overhead when disabled
 //!

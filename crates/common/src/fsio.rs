@@ -29,7 +29,6 @@
 //! what the filesystem contract normally prevents).
 
 use crate::failpoint::{self, FpAction};
-use crate::retry::{self, RetryPolicy, RetryStats};
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::Path;
@@ -234,46 +233,6 @@ pub fn write_atomic(path: &Path, payload: &[u8], fp: &str) -> io::Result<u64> {
     }
     atomic_replace(path, payload)?;
     Ok(payload.len() as u64)
-}
-
-/// [`write_framed_atomic`] under a bounded-retry policy: transient failures
-/// (classified by [`crate::retry::io_transience`] — including the
-/// `transient` failpoint action) are retried with deterministic backoff;
-/// the returned [`RetryStats`] is what the caller folds into its trace as
-/// `retry.*` counters. The failpoint is re-hit on every attempt, so a
-/// `transient@n` schedule fails the first `n` attempts and then lets the
-/// write through.
-pub fn write_framed_atomic_retry(
-    path: &Path,
-    payload: &[u8],
-    fp: &str,
-    policy: &RetryPolicy,
-) -> (io::Result<u64>, RetryStats) {
-    retry::retry_io(policy, fp, |_| write_framed_atomic(path, payload, fp))
-}
-
-/// [`write_framed`] (non-durable spill flavour) under a bounded-retry
-/// policy. Same semantics as [`write_framed_atomic_retry`].
-pub fn write_framed_retry(
-    path: &Path,
-    payload: &[u8],
-    fp: &str,
-    policy: &RetryPolicy,
-) -> (io::Result<u64>, RetryStats) {
-    retry::retry_io(policy, fp, |_| write_framed(path, payload, fp))
-}
-
-/// [`read_framed`] under a bounded-retry policy. Corruption
-/// (`InvalidData`) is fatal — a torn frame does not heal on re-read — but
-/// interrupted reads are retried. `site` keys the jitter stream and must be
-/// a stable logical name (not a path, which would vary across runs and
-/// break trace determinism).
-pub fn read_framed_retry(
-    path: &Path,
-    site: &str,
-    policy: &RetryPolicy,
-) -> (io::Result<Vec<u8>>, RetryStats) {
-    retry::retry_io(policy, site, |_| read_framed(path))
 }
 
 /// Reads a frame written by [`write_framed_atomic`] and returns its

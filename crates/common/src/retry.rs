@@ -1,4 +1,4 @@
-//! Deterministic bounded-exponential-backoff retry (DESIGN.md §S0.12).
+//! Deterministic bounded-exponential-backoff retry (DESIGN.md §S0.7).
 //!
 //! A transient I/O hiccup mid-run should cost one retried write, not a
 //! multi-hour job. This module supplies the retry *executor* used by every
@@ -102,7 +102,7 @@ pub struct RetryPolicy {
 
 impl Default for RetryPolicy {
     /// 4 attempts, 8-tick base, 64-tick cap — the schedule documented in
-    /// DESIGN.md §S0.12 and exercised by the chaos sweep.
+    /// DESIGN.md §S0.7 and exercised by the chaos sweep.
     fn default() -> Self {
         RetryPolicy {
             max_attempts: 4,

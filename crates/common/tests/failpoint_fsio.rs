@@ -3,7 +3,7 @@
 //! Failpoint state is process-global, so every scenario runs sequentially
 //! inside one `#[test]` — this binary owns the whole table.
 
-use largeea_common::retry::RetryPolicy;
+use largeea_common::retry::{retry_io, RetryPolicy};
 use largeea_common::{failpoint, fsio};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -117,8 +117,9 @@ fn injected_failures_follow_the_crash_contract() {
     assert!(e.to_string().contains("transient"), "{e}");
     assert!(!p.exists(), "transient mode must not touch the filesystem");
     // …and the next hit (hit 2 of 2) still fails, then the write lands.
-    let (out, stats) =
-        fsio::write_framed_atomic_retry(&p, b"payload", "io.flaky", &RetryPolicy::default());
+    let (out, stats) = retry_io(&RetryPolicy::default(), "io.flaky", |_| {
+        fsio::write_framed_atomic(&p, b"payload", "io.flaky")
+    });
     out.unwrap();
     assert_eq!(stats.retries, 1, "one failed attempt inside the retry loop");
     assert!(stats.backoff_ticks > 0 && !stats.gave_up);
@@ -127,8 +128,9 @@ fn injected_failures_follow_the_crash_contract() {
     // --- transient beyond the retry budget: typed give-up ----------------
     failpoint::configure("io.hopeless=transient@99").unwrap();
     let p = tmp("hopeless.ckpt");
-    let (out, stats) =
-        fsio::write_framed_atomic_retry(&p, b"payload", "io.hopeless", &RetryPolicy::default());
+    let (out, stats) = retry_io(&RetryPolicy::default(), "io.hopeless", |_| {
+        fsio::write_framed_atomic(&p, b"payload", "io.hopeless")
+    });
     assert_eq!(out.unwrap_err().kind(), std::io::ErrorKind::Interrupted);
     assert!(stats.gave_up);
     assert_eq!(stats.retries, 3, "default policy: 4 attempts total");
@@ -137,8 +139,9 @@ fn injected_failures_follow_the_crash_contract() {
     // --- err under retry: fatal, exactly one attempt ---------------------
     failpoint::configure("io.fatal=err").unwrap();
     let p = tmp("fatal.ckpt");
-    let (out, stats) =
-        fsio::write_framed_retry(&p, b"payload", "io.fatal", &RetryPolicy::default());
+    let (out, stats) = retry_io(&RetryPolicy::default(), "io.fatal", |_| {
+        fsio::write_framed(&p, b"payload", "io.fatal")
+    });
     assert!(out.is_err());
     assert_eq!(stats.retries, 0, "err is Fatal: never retried");
     assert!(!stats.gave_up);

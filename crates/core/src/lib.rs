@@ -51,7 +51,7 @@ pub mod throughput;
 
 pub use analysis::{accuracy_by_degree, attribute_channels, ChannelAttribution, DegreeBucket};
 pub use augment::{augment_seeds, AugmentReport};
-pub use checkpoint::{Checkpoint, CkptError, RunMeta};
+pub use checkpoint::{Checkpoint, CkptError, Payload, RunMeta, Stage};
 pub use eval::{evaluate, EvalResult};
 pub use fusion::fuse;
 pub use mem::{BudgetExceeded, MemTracker};
@@ -61,5 +61,5 @@ pub use pipeline::{
 };
 pub use spill::SpillStore;
 pub use structure_channel::{StructureChannel, StructureChannelConfig, StructureChannelOutput};
-pub use supervisor::{registered_failpoints, Degradations, Supervision};
+pub use supervisor::{registered_failpoints, Degradations};
 pub use throughput::{derived_throughputs, filter_pass_pcts, Throughput};

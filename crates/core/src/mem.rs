@@ -9,9 +9,8 @@
 //!
 //! For out-of-core runs the tracker additionally maintains a **total**
 //! (sum over labels) and an optional hard budget: [`MemTracker::charge`]
-//! behaves like [`MemTracker::add`] but returns a typed
-//! [`BudgetExceeded`] error the moment the tracked total would pass the
-//! budget, so the pipeline fails fast instead of thrashing.
+//! returns a typed [`BudgetExceeded`] error the moment the tracked total
+//! would pass the budget, so the pipeline fails fast instead of thrashing.
 //!
 //! Updates take `&str` labels and only allocate the label string the first
 //! time a label is seen; the per-update hot path is a map lookup, not a
@@ -55,10 +54,10 @@ impl std::fmt::Display for BudgetExceeded {
             f,
             "memory budget exceeded: charging {} to {:?} brings tracked bytes \
              to {} > budget {} — raise --mem-budget or shrink the workload",
-            MemTracker::fmt_bytes(self.requested),
+            largeea_common::fmt_bytes(self.requested),
             self.label,
-            MemTracker::fmt_bytes(self.tracked),
-            MemTracker::fmt_bytes(self.budget),
+            largeea_common::fmt_bytes(self.tracked),
+            largeea_common::fmt_bytes(self.budget),
         )
     }
 }
@@ -71,25 +70,12 @@ impl MemTracker {
         Self::default()
     }
 
-    /// An empty tracker enforcing `budget` bytes across all labels.
-    pub fn with_budget(budget: usize) -> Self {
-        Self {
-            budget: Some(budget),
-            ..Self::default()
-        }
-    }
-
     /// An empty tracker with an optional budget (`None` = tracking only).
     pub fn with_budget_opt(budget: Option<usize>) -> Self {
         Self {
             budget,
             ..Self::default()
         }
-    }
-
-    /// The configured budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
     }
 
     /// Writes `bytes` into `label`'s current slot (allocating the label key
@@ -118,18 +104,12 @@ impl MemTracker {
         self.update_current(label, bytes);
     }
 
-    /// Adds to the live byte count of `label`, updating its peak.
-    pub fn add(&mut self, label: &str, bytes: usize) {
-        let now = self.current.get(label).copied().unwrap_or(0) + bytes;
-        self.update_current(label, now);
-    }
-
-    /// Like [`MemTracker::add`], but fails with a typed [`BudgetExceeded`]
-    /// if the tracked total passes the budget. The charge is still recorded
-    /// either way, so the trace of a failed run shows the peak that broke
-    /// the budget.
+    /// Adds to the live byte count of `label`, updating its peak; fails
+    /// with a typed [`BudgetExceeded`] if the tracked total passes the
+    /// budget. The charge is still recorded either way, so the trace of a
+    /// failed run shows the peak that broke the budget.
     pub fn charge(&mut self, label: &str, bytes: usize) -> Result<(), BudgetExceeded> {
-        self.add(label, bytes);
+        self.update_current(label, self.current(label) + bytes);
         match self.budget {
             Some(budget) if self.total_current > budget => Err(BudgetExceeded {
                 label: label.to_owned(),
@@ -184,11 +164,6 @@ impl MemTracker {
         self.peak.get(label).copied().unwrap_or(0)
     }
 
-    /// The largest single-label peak.
-    pub fn max_peak(&self) -> usize {
-        self.peak.values().copied().max().unwrap_or(0)
-    }
-
     /// The current tracked total across all labels.
     pub fn total_current(&self) -> usize {
         self.total_current
@@ -201,11 +176,6 @@ impl MemTracker {
         self.total_peak
     }
 
-    /// `(label, peak_bytes)` rows in label order.
-    pub fn table(&self) -> Vec<(String, usize)> {
-        self.peak.iter().map(|(k, &v)| (k.clone(), v)).collect()
-    }
-
     /// Folds every per-label peak into `rec` as a `mem.<label>.peak_bytes`
     /// gauge (peak semantics: repeated folds keep the maximum), so time and
     /// memory land in one trace artifact. The total peak is folded as
@@ -215,15 +185,6 @@ impl MemTracker {
             rec.gauge_max(&format!("mem.{label}.peak_bytes"), bytes as f64);
         }
         rec.gauge_max("mem.tracked.peak_bytes", self.total_peak as f64);
-    }
-
-    /// Formats bytes the way the paper's tables do (`"4.04G"`, `"0.13G"`,
-    /// or MB below a gigabyte). Thin alias for
-    /// [`largeea_common::fmt_bytes`], where the logic moved once heap
-    /// reports needed the same rendering; kept so existing call sites and
-    /// the paper-facing name survive.
-    pub fn fmt_bytes(bytes: usize) -> String {
-        largeea_common::fmt_bytes(bytes)
     }
 
     /// Compares the tracked total peak against a *measured* peak from the
@@ -356,34 +317,17 @@ mod tests {
     }
 
     #[test]
-    fn add_accumulates() {
+    fn charge_accumulates() {
         let mut t = MemTracker::new();
-        t.add("sim", 10);
-        t.add("sim", 20);
+        t.charge("sim", 10).unwrap();
+        t.charge("sim", 20).unwrap();
         assert_eq!(t.peak("sim"), 30);
-    }
-
-    #[test]
-    fn max_peak_across_labels() {
-        let mut t = MemTracker::new();
-        t.set("a", 5);
-        t.set("b", 9);
-        assert_eq!(t.max_peak(), 9);
-        assert_eq!(t.table().len(), 2);
     }
 
     #[test]
     fn unknown_label_is_zero() {
         assert_eq!(MemTracker::new().peak("nope"), 0);
         assert_eq!(MemTracker::new().current("nope"), 0);
-    }
-
-    #[test]
-    fn byte_formatting() {
-        assert_eq!(MemTracker::fmt_bytes(4 * 1024 * 1024 * 1024), "4.00G");
-        assert_eq!(MemTracker::fmt_bytes(512 * 1024), "0.5M");
-        assert_eq!(MemTracker::fmt_bytes(16 * 1024), "16.0K");
-        assert_eq!(MemTracker::fmt_bytes(100), "100B");
     }
 
     #[test]
@@ -431,22 +375,22 @@ mod tests {
     }
 
     #[test]
-    fn add_after_release_restarts_from_zero() {
+    fn charge_after_release_restarts_from_zero() {
         let mut t = MemTracker::new();
-        t.add("sim", 40);
+        t.charge("sim", 40).unwrap();
         t.release("sim");
-        t.add("sim", 10);
+        t.charge("sim", 10).unwrap();
         // current restarted at 0 + 10, but the peak remembers 40
         assert_eq!(t.peak("sim"), 40);
-        t.add("sim", 35);
+        t.charge("sim", 35).unwrap();
         assert_eq!(t.peak("sim"), 45, "post-release growth can set a new peak");
     }
 
     #[test]
-    fn set_then_add_compose() {
+    fn set_then_charge_compose() {
         let mut t = MemTracker::new();
         t.set("model", 100);
-        t.add("model", 50);
+        t.charge("model", 50).unwrap();
         assert_eq!(t.peak("model"), 150);
         t.set("model", 20);
         assert_eq!(t.peak("model"), 150, "set below peak keeps the peak");
@@ -457,7 +401,7 @@ mod tests {
         let mut t = MemTracker::new();
         t.release("never_set");
         assert_eq!(t.peak("never_set"), 0);
-        assert_eq!(t.max_peak(), 0);
+        assert_eq!(t.total_peak(), 0);
     }
 
     #[test]
@@ -506,7 +450,7 @@ mod tests {
 
     #[test]
     fn charge_within_budget_succeeds_and_uncharge_reverses() {
-        let mut t = MemTracker::with_budget(1000);
+        let mut t = MemTracker::with_budget_opt(Some(1000));
         t.charge("emb", 400).unwrap();
         t.charge("sim", 500).unwrap();
         assert_eq!(t.total_current(), 900);
@@ -518,7 +462,7 @@ mod tests {
 
     #[test]
     fn charge_over_budget_is_a_typed_error() {
-        let mut t = MemTracker::with_budget(1000);
+        let mut t = MemTracker::with_budget_opt(Some(1000));
         t.charge("emb", 800).unwrap();
         let err = t.charge("sim", 300).unwrap_err();
         assert_eq!(err.label, "sim");
@@ -535,14 +479,13 @@ mod tests {
     #[test]
     fn no_budget_never_errors() {
         let mut t = MemTracker::new();
-        assert_eq!(t.budget(), None);
         t.charge("huge", usize::MAX / 2).unwrap();
         assert_eq!(t.total_peak(), usize::MAX / 2);
     }
 
     #[test]
     fn uncharge_saturates_at_zero() {
-        let mut t = MemTracker::with_budget(100);
+        let mut t = MemTracker::with_budget_opt(Some(100));
         t.charge("x", 30).unwrap();
         t.uncharge("x", 99);
         assert_eq!(t.current("x"), 0);
@@ -552,7 +495,7 @@ mod tests {
 
     #[test]
     fn enforce_checks_without_mutating() {
-        let mut t = MemTracker::with_budget(100);
+        let mut t = MemTracker::with_budget_opt(Some(100));
         t.set("x", 80);
         t.enforce("x", 80).unwrap();
         t.set("x", 130);
@@ -560,13 +503,6 @@ mod tests {
         assert_eq!(err.tracked, 130);
         assert_eq!(t.total_current(), 130, "enforce does not mutate");
         assert!(MemTracker::new().enforce("x", 999).is_ok(), "no budget");
-    }
-
-    #[test]
-    fn with_budget_opt_matches_both_constructors() {
-        assert_eq!(MemTracker::with_budget_opt(None).budget(), None);
-        assert_eq!(MemTracker::with_budget_opt(Some(7)).budget(), Some(7));
-        assert_eq!(MemTracker::with_budget(7).budget(), Some(7));
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //!   pairs whose estimated Jaccard clears θ, and only those pairs pay for a
 //!   Levenshtein computation.
 
+use crate::checkpoint::Stage;
+use crate::mem::MemTracker;
 use crate::pipeline::{RunCtx, RunError};
+use crate::spill::SpillStore;
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
@@ -108,6 +111,10 @@ impl NameChannel {
     /// pair, so the search holds at most one query + one base segment
     /// beside whatever the store's backing keeps resident.
     ///
+    /// `M_n` is the channel's one durable boundary ([`Stage::Name`]): a
+    /// `ctx.ckpt` that already holds it answers without any of the above
+    /// (no span, zero seconds), otherwise it is saved there once computed.
+    ///
     /// Does NOT call `ctx.mem.record_into` — whoever built the context owns
     /// the tracker's lifecycle (the pipeline shares one across channels).
     pub fn run_in(
@@ -116,25 +123,40 @@ impl NameChannel {
         target: &KnowledgeGraph,
         ctx: &mut RunCtx<'_>,
     ) -> Result<NameChannelOutput, RunError> {
-        let rec = ctx.rec;
-        let channel_span = rec.span("name_channel");
-        let (m_se, sens_seconds) = self.sens(source, target, ctx)?;
-        // end of SENS: refresh the working-set gauge and give the live
-        // sampler a stage-boundary tick (likewise after STNS below)
-        rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
-        rec.live_tick();
-        let (m_st, stns_seconds) = self.stns(source, target, ctx)?;
-        rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
-        rec.live_tick();
-        // In-place fusion: only the fused matrix stays live.
-        let m_st_bytes = m_st.nbytes();
-        let mut m_n = m_se;
-        let before = m_n.nbytes();
-        m_n.scaled_add_assign(&m_st, self.cfg.gamma);
-        let mem = &mut ctx.mem;
-        mem.charge("name_channel", m_n.nbytes().saturating_sub(before))?;
-        mem.uncharge("name_channel", m_st_bytes);
-        channel_span.finish();
+        let RunCtx {
+            rec,
+            mem,
+            store,
+            ckpt,
+            ..
+        } = ctx;
+        let rec = *rec;
+        let mut seconds = None;
+        let m_n = ckpt.load_or(Stage::Name, rec, |_| {
+            let channel_span = rec.span("name_channel");
+            let (m_se, sens_seconds) = self.sens(source, target, rec, mem, store)?;
+            // end of SENS: refresh the working-set gauge and give the live
+            // sampler a stage-boundary tick (likewise after STNS below)
+            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            rec.live_tick();
+            let (m_st, stns_seconds) = self.stns(source, target, rec, mem)?;
+            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            rec.live_tick();
+            // In-place fusion: only the fused matrix stays live.
+            let m_st_bytes = m_st.nbytes();
+            let mut m_n = m_se;
+            let before = m_n.nbytes();
+            m_n.scaled_add_assign(&m_st, self.cfg.gamma);
+            mem.charge("name_channel", m_n.nbytes().saturating_sub(before))?;
+            mem.uncharge("name_channel", m_st_bytes);
+            channel_span.finish();
+            seconds = Some((sens_seconds, stns_seconds));
+            Ok::<_, RunError>(m_n)
+        })?;
+        if seconds.is_none() {
+            mem.charge("name_channel", m_n.nbytes())?; // loaded, not grown charge by charge
+        }
+        let (sens_seconds, stns_seconds) = seconds.unwrap_or_default();
         Ok(NameChannelOutput {
             m_n,
             sens_seconds,
@@ -154,12 +176,10 @@ impl NameChannel {
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
-        ctx: &mut RunCtx<'_>,
+        rec: &Recorder,
+        mem: &mut MemTracker,
+        store: &mut SpillStore,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
-        let RunCtx {
-            rec, mem, store, ..
-        } = ctx;
-        let rec = *rec;
         let mut span = rec.span("sens");
         span.field("dim", self.cfg.dim);
         span.field("top_k", self.cfg.top_k);
@@ -234,9 +254,9 @@ impl NameChannel {
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
-        ctx: &mut RunCtx<'_>,
+        rec: &Recorder,
+        mem: &mut MemTracker,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
-        let (rec, mem) = (ctx.rec, &mut ctx.mem);
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
         let pool = Pool::global();
@@ -321,8 +341,6 @@ impl NameChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mem::MemTracker;
-    use crate::spill::SpillStore;
     use largeea_kg::EntityId;
 
     fn kgs() -> (KnowledgeGraph, KnowledgeGraph) {
@@ -356,7 +374,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
+        let (m_st, _) = nc.stns(&s, &t, &rec, &mut MemTracker::new()).unwrap();
         assert_eq!(m_st.get(2, 2), Some(1.0));
     }
 
@@ -365,7 +383,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
+        let (m_st, _) = nc.stns(&s, &t, &rec, &mut MemTracker::new()).unwrap();
         // "London" vs "Allemagne" falls below θ = 0.5 → no stored entry
         assert_eq!(m_st.get(0, 1), None);
     }
@@ -379,7 +397,8 @@ mod tests {
         });
         let fused = nc.run(&s, &t).m_n.get(2, 2).unwrap();
         let rec = Recorder::disabled();
-        let (m_se, _) = nc.sens(&s, &t, &mut RunCtx::in_memory(&rec)).unwrap();
+        let (mut mem, mut store) = (MemTracker::new(), SpillStore::in_memory());
+        let (m_se, _) = nc.sens(&s, &t, &rec, &mut mem, &mut store).unwrap();
         let se = m_se.get(2, 2).unwrap();
         assert!((fused - (se + 0.5)).abs() < 1e-6, "fused {fused} se {se}");
     }
@@ -406,8 +425,9 @@ mod tests {
             ..Default::default()
         };
         let rec = Recorder::disabled();
+        let (mut mem, mut store) = (MemTracker::new(), SpillStore::in_memory());
         let (m_se, _) = NameChannel::new(cfg)
-            .sens(&s, &t, &mut RunCtx::in_memory(&rec))
+            .sens(&s, &t, &rec, &mut mem, &mut store)
             .unwrap();
         for r in 0..30 {
             assert!(m_se.row(r).len() <= 3, "row {r} too wide");
@@ -441,7 +461,7 @@ mod tests {
             ));
             let rec = Recorder::disabled();
             let mut ctx = RunCtx {
-                mem: MemTracker::with_budget(budget),
+                mem: MemTracker::with_budget_opt(Some(budget)),
                 store: SpillStore::create(&dir).unwrap(),
                 ..RunCtx::in_memory(&rec)
             };

@@ -13,18 +13,19 @@
 
 use crate::analysis::{top1_hits, ChannelAttribution};
 use crate::augment::augment_seeds;
-use crate::checkpoint::{fnv1a, Checkpoint, CkptError, RunMeta};
+use crate::checkpoint::{Checkpoint, CkptError, RunMeta, Stage};
 use crate::eval::{evaluate, EvalResult};
 use crate::mem::{BudgetExceeded, MemAuditError, MemTracker};
-use crate::name_channel::{NameChannel, NameChannelConfig, NameChannelOutput};
+use crate::name_channel::{NameChannel, NameChannelConfig};
 use crate::spill::SpillStore;
 use crate::structure_channel::{StructureChannel, StructureChannelConfig};
-use crate::supervisor::{self, Degradations, Exhausted, Quarantined, Supervision};
+use crate::supervisor::{self, Degradations, Exhausted, Quarantined};
 use largeea_common::obs::{ObsConfig, Recorder, Trace};
-use largeea_common::retry::{Retryable, Transience};
+use largeea_common::retry::{RetryPolicy, Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_partition::batches::Retention;
 use largeea_sim::SparseSimMatrix;
+use largeea_text::hashing::fnv1a;
 use std::io;
 use std::path::PathBuf;
 
@@ -52,12 +53,19 @@ pub struct ExecOptions {
     /// drift exceeds tolerance (see [`MemTracker::audit`]). Requires the
     /// instrumented allocator to be installed in the process.
     pub mem_audit: bool,
-    /// Transient-fault supervision (DESIGN.md §S0.12): the retry schedule
-    /// shared by every durable write, and whether the run may *degrade*
-    /// (quarantine a mini-batch, drop a channel) instead of failing
-    /// (`align --degraded-ok`). Pure execution regime: a run that needed no
-    /// retries is bit-identical whatever the policy says.
-    pub supervision: Supervision,
+    /// Crash-safe checkpoint directory (`--checkpoint-dir`, DESIGN.md
+    /// §S0.7): every pipeline boundary is durably persisted there as it
+    /// completes. `None` = [`Checkpoint::disabled`].
+    pub checkpoint_dir: Option<PathBuf>,
+    /// Adopt the stages `checkpoint_dir` already holds (`--resume`) instead
+    /// of starting it over; refused with [`CkptError::Mismatch`] when they
+    /// belong to another run.
+    pub resume: bool,
+    /// Whether the run may *degrade* — quarantine a mini-batch, drop a
+    /// channel — instead of failing when an I/O fault outlives the retries
+    /// every durable write gets (`align --degraded-ok`, DESIGN.md §S0.7).
+    /// The retry schedule itself is one constant, `RetryPolicy::default()`.
+    pub degraded_ok: bool,
 }
 
 impl ExecOptions {
@@ -76,16 +84,15 @@ impl ExecOptions {
         ExecOptions {
             mem_budget,
             spill_dir,
-            mem_audit: false,
-            supervision: Supervision::default(),
+            ..ExecOptions::default()
         }
     }
 }
 
 /// What a channel runs against: where it records, what it charges, where
-/// its intermediate blocks wait, and — for the structure channel — which
-/// checkpoint round it persists, under which supervision. The pipeline
-/// builds one per run and lends it to both channels.
+/// its intermediate blocks wait, which checkpoint (and round of it) it
+/// persists its stages to, and whether it may degrade. The pipeline builds
+/// one per run and lends it to both channels.
 #[derive(Debug)]
 pub struct RunCtx<'a> {
     /// Telemetry sink.
@@ -96,26 +103,27 @@ pub struct RunCtx<'a> {
     pub mem: MemTracker,
     /// Working storage for intermediate blocks (DESIGN.md §S0.8).
     pub store: SpillStore,
-    /// Crash-safe checkpoint, when the run has one.
-    pub ckpt: Option<&'a mut Checkpoint>,
+    /// Crash-safe checkpoint ([`Checkpoint::disabled`] when the run has
+    /// none).
+    pub ckpt: Checkpoint,
     /// The bootstrap round that scopes the checkpoint's stage keys.
     pub round: usize,
-    /// Transient-fault supervision (DESIGN.md §S0.12).
-    pub sup: Supervision,
+    /// Whether I/O faults may cost a quarantined batch or a lost channel
+    /// instead of the run ([`ExecOptions::degraded_ok`]).
+    pub degraded_ok: bool,
 }
 
 impl<'a> RunCtx<'a> {
     /// The context of a plain run — memory-backed store, no budget, no
-    /// checkpoint, default supervision — in which no [`RunError`] has a
-    /// source.
+    /// checkpoint, no degradation — in which no [`RunError`] has a source.
     pub fn in_memory(rec: &'a Recorder) -> Self {
         RunCtx {
             rec,
             mem: MemTracker::new(),
             store: SpillStore::in_memory(),
-            ckpt: None,
+            ckpt: Checkpoint::disabled(),
             round: 0,
-            sup: Supervision::default(),
+            degraded_ok: false,
         }
     }
 }
@@ -304,7 +312,7 @@ pub struct LargeEaReport {
     pub attribution: Option<ChannelAttribution>,
     /// The name channel's `M_n`.
     pub m_n: Option<SparseSimMatrix>,
-    /// What the run gave up to finish (DESIGN.md §S0.12). Empty unless
+    /// What the run gave up to finish (DESIGN.md §S0.7). Empty unless
     /// `--degraded-ok` traded a lost channel or quarantined mini-batch for
     /// completion; the same facts are stamped on the trace as `degraded.*`
     /// counters and `pipeline`-span fields.
@@ -336,13 +344,12 @@ impl LargeEa {
     /// nobody asked for a trace.
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> LargeEaReport {
         let rec = Recorder::new(ObsConfig::default());
-        self.run_exec(pair, seeds, 1, &rec, None, &ExecOptions::default())
+        self.run_exec(pair, seeds, 1, &rec, &ExecOptions::default())
             .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
     /// The full entry point: `rounds` bootstrap rounds recorded into `rec`,
-    /// with optional checkpointing and an execution regime
-    /// ([`ExecOptions`]).
+    /// under an execution regime ([`ExecOptions`]).
     ///
     /// Bootstrapping (BootEA-style, cited as [34] by the paper): after each
     /// round, entity pairs that are *mutually* each other's best match in
@@ -353,50 +360,36 @@ impl LargeEa {
     /// are read back out of the recorded trace (single source of truth), so
     /// a disabled recorder yields an empty trace and all-zero timings.
     ///
-    /// With `ckpt`, every pipeline boundary (name-channel `M_n`, per-round
-    /// partition / per-batch embeddings and sim blocks / `M_s`, the fused
-    /// `M`) is durably persisted as it completes, and any stage the
-    /// manifest already marks done is loaded instead of recomputed. The
-    /// checkpoint must have been opened for *this* run
-    /// ([`LargeEaConfig::run_meta`]); a mismatch is refused with
-    /// [`CkptError::Mismatch`] before any work happens. A resumed run is
-    /// bit-identical to an uninterrupted one (`tests/crash_recovery.rs`).
+    /// With `exec.checkpoint_dir`, every pipeline boundary ([`Stage`]:
+    /// name-channel `M_n`, per-round partition / per-batch embeddings and
+    /// sim blocks / `M_s`, the fused `M`) is durably persisted as it
+    /// completes, and with `exec.resume` any stage the manifest already
+    /// marks done is loaded instead of recomputed. The checkpoint is opened
+    /// here, for *this* run ([`LargeEaConfig::run_meta`]); resuming another
+    /// run's directory is refused with [`CkptError::Mismatch`] before any
+    /// work happens. A resumed run is bit-identical to an uninterrupted one
+    /// (`tests/crash_recovery.rs`).
     ///
     /// Every major allocation is charged against one shared [`MemTracker`];
     /// with `exec.mem_budget` the run fails fast with a typed
     /// [`RunError::Budget`] instead of thrashing. Per-segment name
-    /// embeddings, per-batch trained embeddings and similarity blocks go
-    /// through one [`SpillStore`] and are streamed back; `exec.spill_dir`
-    /// only picks where they wait in between (memory or disk), so both
-    /// regimes execute the same statements (`tests/spill_equivalence.rs`).
+    /// embeddings and per-batch similarity blocks go through one
+    /// [`SpillStore`] and are streamed back; `exec.spill_dir` only picks
+    /// where they wait in between (memory or disk), so both regimes execute
+    /// the same statements (`tests/spill_equivalence.rs`).
     pub fn run_exec(
         &self,
         pair: &KgPair,
         seeds: &AlignmentSeeds,
         rounds: usize,
         rec: &Recorder,
-        ckpt: Option<&mut Checkpoint>,
         exec: &ExecOptions,
     ) -> Result<LargeEaReport, RunError> {
         assert!(rounds >= 1, "need at least one round");
-        if let Some(c) = ckpt.as_deref() {
-            let expect = self.cfg.run_meta(seeds, rounds);
-            let got = c.meta();
-            for (field, manifest, current) in [
-                ("config_hash", got.config_hash, expect.config_hash),
-                ("seed", got.seed, expect.seed),
-                ("rounds", got.rounds, expect.rounds),
-            ] {
-                if manifest != current {
-                    return Err(CkptError::Mismatch {
-                        field,
-                        manifest,
-                        current,
-                    }
-                    .into());
-                }
-            }
-        }
+        let ckpt = match &exec.checkpoint_dir {
+            Some(dir) => Checkpoint::open(dir, self.cfg.run_meta(seeds, rounds), exec.resume, rec)?,
+            None => Checkpoint::disabled(),
+        };
         let mut ctx = RunCtx {
             rec,
             mem: MemTracker::with_budget_opt(exec.mem_budget),
@@ -406,7 +399,7 @@ impl LargeEa {
             },
             ckpt,
             round: 0,
-            sup: exec.supervision.clone(),
+            degraded_ok: exec.degraded_ok,
         };
         // Measured-memory window for the whole run, opened before the
         // pipeline span so the spans close LIFO inside it. Its peak is the
@@ -435,28 +428,10 @@ impl LargeEa {
         let mut degraded = Degradations::default();
 
         // --- name channel (once — it does not depend on seeds) -------------
-        let name_attempt = if self.cfg.use_name {
-            let mut run_name = || -> Result<NameChannelOutput, RunError> {
-                if let Some(m_n) = ctx.ckpt.as_mut().and_then(|c| c.load_sim("name", rec)) {
-                    ctx.mem.charge("name_channel", m_n.nbytes())?;
-                    return Ok(NameChannelOutput {
-                        m_n,
-                        sens_seconds: 0.0,
-                        stns_seconds: 0.0,
-                        peak_bytes: ctx.mem.peak("name_channel"),
-                    });
-                }
-                let out =
-                    NameChannel::new(self.cfg.name).run_in(&pair.source, &pair.target, &mut ctx)?;
-                if let Some(c) = ctx.ckpt.as_mut() {
-                    c.save_sim("name", &out.m_n, rec)?;
-                }
-                Ok(out)
-            };
-            Some(run_name())
-        } else {
-            None
-        };
+        let name_attempt = self
+            .cfg
+            .use_name
+            .then(|| NameChannel::new(self.cfg.name).run_in(&pair.source, &pair.target, &mut ctx));
         let name_out = match name_attempt {
             None => None,
             Some(Ok(out)) => Some(out),
@@ -467,7 +442,7 @@ impl LargeEa {
                 channel_lost(
                     "name_channel",
                     e,
-                    &ctx.sup,
+                    ctx.degraded_ok,
                     self.cfg.use_structure,
                     &mut degraded,
                     rec,
@@ -509,7 +484,7 @@ impl LargeEa {
                         channel_lost(
                             "structure_channel",
                             e,
-                            &ctx.sup,
+                            ctx.degraded_ok,
                             name_out.is_some(),
                             &mut degraded,
                             rec,
@@ -564,15 +539,13 @@ impl LargeEa {
         }
 
         // --- fused matrix M: the run's final durable artifact ----------------
-        if let Some(c) = ctx.ckpt.as_mut() {
-            match c.load_sim("fused", rec) {
-                Some(loaded) => {
-                    sim = loaded;
-                    ctx.mem.release("fused");
-                    ctx.mem.set("fused", sim.nbytes());
-                }
-                None => c.save_sim("fused", &sim, rec)?,
+        match ctx.ckpt.load(Stage::Fused, rec) {
+            Some(loaded) => {
+                sim = loaded;
+                ctx.mem.release("fused");
+                ctx.mem.set("fused", sim.nbytes());
             }
+            None => ctx.ckpt.save(Stage::Fused, &sim, rec)?,
         }
 
         let eval = evaluate(&sim, &seeds.test);
@@ -666,12 +639,12 @@ impl LargeEa {
 fn channel_lost(
     channel: &'static str,
     e: RunError,
-    sup: &Supervision,
+    degraded_ok: bool,
     other_channel_available: bool,
     degraded: &mut Degradations,
     rec: &Recorder,
 ) -> Result<(), RunError> {
-    if sup.degraded_ok && supervisor::is_io_fault(&e) {
+    if degraded_ok && supervisor::is_io_fault(&e) {
         if other_channel_available {
             rec.add(&format!("degraded.{channel}"), 1);
             match channel {
@@ -690,7 +663,7 @@ fn channel_lost(
     if e.transience() == Transience::Transient {
         return Err(RunError::Exhausted(Exhausted {
             site: channel.to_owned(),
-            attempts: sup.retry.max_attempts,
+            attempts: RetryPolicy::default().max_attempts,
             last: Box::new(e),
         }));
     }
@@ -801,7 +774,7 @@ mod tests {
         };
         let rec = Recorder::new(ObsConfig::default());
         let err = LargeEa::new(quick())
-            .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+            .run_exec(&pair, &seeds, 1, &rec, &exec)
             .unwrap_err();
         match err {
             RunError::Budget(b) => {
@@ -828,7 +801,7 @@ mod tests {
         };
         let rec = Recorder::new(ObsConfig::default());
         let r = LargeEa::new(quick())
-            .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+            .run_exec(&pair, &seeds, 1, &rec, &exec)
             .unwrap();
         assert_eq!(r.sim, base.sim, "budget tracking must not change results");
         assert_eq!(r.eval.hits1, base.eval.hits1);
@@ -842,7 +815,7 @@ mod tests {
         let one = LargeEa::new(quick()).run(&pair, &seeds);
         let rec = Recorder::new(ObsConfig::default());
         let boot = LargeEa::new(quick())
-            .run_exec(&pair, &seeds, 2, &rec, None, &ExecOptions::default())
+            .run_exec(&pair, &seeds, 2, &rec, &ExecOptions::default())
             .unwrap();
         assert!(
             boot.eval.hits1 >= one.eval.hits1 - 8.0,
@@ -901,7 +874,7 @@ mod tests {
         };
         let rec = Recorder::new(ObsConfig::default());
         let err = LargeEa::new(quick())
-            .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+            .run_exec(&pair, &seeds, 1, &rec, &exec)
             .unwrap_err();
         match err {
             RunError::Audit(MemAuditError::Uninstrumented) => {}
@@ -928,7 +901,6 @@ mod tests {
                 &seeds,
                 1,
                 &Recorder::disabled(),
-                None,
                 &ExecOptions::default(),
             )
             .unwrap();
@@ -943,8 +915,7 @@ mod tests {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 1);
         let rec = Recorder::disabled();
-        let _ =
-            LargeEa::new(quick()).run_exec(&pair, &seeds, 0, &rec, None, &ExecOptions::default());
+        let _ = LargeEa::new(quick()).run_exec(&pair, &seeds, 0, &rec, &ExecOptions::default());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! regeneration and diffing).
 
 use crate::eval::EvalResult;
-use crate::mem::MemTracker;
+use largeea_common::fmt_bytes;
 use largeea_common::json::{Json, ToJson};
 use std::io::{self, Write};
 
@@ -64,7 +64,7 @@ impl MethodRow {
             self.hits5,
             self.mrr,
             self.seconds,
-            MemTracker::fmt_bytes(self.mem_bytes),
+            fmt_bytes(self.mem_bytes),
         )
     }
 }

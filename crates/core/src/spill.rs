@@ -2,10 +2,9 @@
 //! (DESIGN.md §S0.8, docs/ARTIFACT_FORMAT.md).
 //!
 //! Pipeline stages write intermediate blocks *through* a [`SpillStore`]
-//! instead of accumulating them: per-segment name-channel embeddings,
-//! per-mini-batch trained embeddings, and per-batch similarity blocks.
-//! Fusion and top-k later stream the blocks back in. The backing decides
-//! where a block waits in between:
+//! instead of accumulating them: per-segment name-channel embeddings and
+//! per-batch similarity blocks. Fusion and top-k later stream the blocks
+//! back in. The backing decides where a block waits in between:
 //!
 //! - [`SpillStore::in_memory`] keeps the values themselves in a map — no
 //!   frame, no CRC, no failpoint, no trace traffic. `put_*`,
@@ -16,9 +15,9 @@
 //!   spill side of `--mem-budget`), so the tracked working set stays under
 //!   the budget; it keeps nothing resident and reports 0.
 //!
-//! Spill artifacts reuse the exact payload encodings of checkpoint
-//! artifacts (`LEAM1` dense matrices, `LEAS1` sparse similarities) inside
-//! the same `LEAF1` frame, but differ in **durability class**: they are
+//! Spill artifacts are the [`Payload`] encodings of checkpoint artifacts
+//! (`LEAM1` dense matrices, `LEAS1` sparse similarities) inside the same
+//! `LEAF1` frame, but differ in **durability class**: they are
 //! written with [`fsio::write_framed`] (plain write — no temp file, no
 //! fsync, no rename) because they never outlive the run. A crash mid-spill
 //! loses nothing: resume recomputes from the last durable *checkpoint*
@@ -30,19 +29,23 @@
 //! a `mem.spill.peak_disk_bytes` gauge, so a bounded run's disk traffic is
 //! as observable as its RAM peaks.
 
+use crate::checkpoint::Payload;
+use crate::supervisor::{self, FailpointSite};
 use largeea_common::fsio;
 use largeea_common::obs::{Level, Recorder};
-use largeea_common::retry::RetryPolicy;
 use largeea_sim::SparseSimMatrix;
 use largeea_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Every failpoint the spill subsystem can die at. Spill writes share one
-/// failpoint (they are all the same durability class), exercised by the
-/// crash-mid-spill test in `tests/spill_equivalence.rs`.
-pub const FAILPOINTS: &[&str] = &["spill.write"];
+/// The failpoint every spill write shares (they are all the same
+/// durability class), exercised by the crash-mid-spill test in
+/// `tests/spill_equivalence.rs`.
+pub(crate) const WRITE_FAILPOINT: FailpointSite = FailpointSite {
+    name: "spill.write",
+    site: "out-of-core working-storage write (core::spill::SpillStore)",
+};
 
 /// Working storage for a run's intermediate blocks: the values themselves
 /// in memory, or a directory of transient, CRC-framed spill artifacts (see
@@ -58,12 +61,6 @@ pub struct SpillStore {
     live: BTreeMap<String, u64>,
     disk_bytes: u64,
     peak_disk_bytes: u64,
-    /// Backoff schedule for transient write/read faults (DESIGN.md §S0.12).
-    /// Every put/get runs under this policy; non-trivial outcomes fold
-    /// `retry.*` counters into the trace. The default policy retries a
-    /// handful of times with seeded-jitter exponential backoff; set
-    /// [`largeea_common::retry::RetryPolicy::none`] to fail fast.
-    pub retry: RetryPolicy,
 }
 
 fn absent(key: &str) -> io::Error {
@@ -79,7 +76,6 @@ impl SpillStore {
             live: BTreeMap::new(),
             disk_bytes: 0,
             peak_disk_bytes: 0,
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -118,31 +114,37 @@ impl SpillStore {
         Some(self.dir.as_ref()?.join(format!("{key}.spill")))
     }
 
-    fn put(&mut self, path: &Path, key: &str, payload: &[u8], rec: &Recorder) -> io::Result<()> {
+    /// Writes `value`'s [`Payload`] encoding as `key`'s artifact, under
+    /// site-level retry. Keeps nothing resident.
+    fn put<T: Payload>(
+        &mut self,
+        path: &Path,
+        key: &str,
+        value: &T,
+        rec: &Recorder,
+    ) -> io::Result<usize> {
+        let payload = value.encode()?;
         let mut span = rec.span_at(Level::Detail, "spill_write");
         span.field("key", key);
         span.field("bytes", payload.len());
-        let (out, stats) = fsio::write_framed_retry(path, payload, "spill.write", &self.retry);
-        stats.record_into(rec);
-        let framed = out?;
+        let fp = WRITE_FAILPOINT.name;
+        let framed = supervisor::retried(fp, rec, |_| fsio::write_framed(path, &payload, fp))?;
         rec.add("mem.spill.writes", 1);
         rec.add("mem.spill.write_bytes", framed);
         let old = self.live.insert(key.to_owned(), framed).unwrap_or(0);
         self.disk_bytes = self.disk_bytes - old + framed;
         self.peak_disk_bytes = self.peak_disk_bytes.max(self.disk_bytes);
         rec.gauge_max("mem.spill.peak_disk_bytes", self.peak_disk_bytes as f64);
-        Ok(())
+        Ok(0)
     }
 
-    fn get(&self, path: &Path, key: &str, rec: &Recorder) -> io::Result<Vec<u8>> {
+    fn get<T: Payload>(&self, path: &Path, key: &str, rec: &Recorder) -> io::Result<T> {
         let mut span = rec.span_at(Level::Detail, "spill_read");
         span.field("key", key);
-        let (out, stats) = fsio::read_framed_retry(path, "spill.read", &self.retry);
-        stats.record_into(rec);
-        let payload = out?;
+        let payload = supervisor::retried("spill.read", rec, |_| fsio::read_framed(path))?;
         rec.add("mem.spill.reads", 1);
         rec.add("mem.spill.read_bytes", payload.len() as u64);
-        Ok(payload)
+        T::decode(&payload)
     }
 
     /// Stores a dense matrix under `key`, replacing any previous artifact
@@ -154,9 +156,7 @@ impl SpillStore {
             self.dense.insert(key.to_owned(), m.clone());
             return Ok(m.nbytes());
         };
-        let mut payload = Vec::new();
-        largeea_tensor::io::write_matrix(m, &mut payload)?;
-        self.put(&path, key, &payload, rec).map(|()| 0)
+        self.put(&path, key, m, rec)
     }
 
     /// Streams a stored dense matrix back in; the artifact stays.
@@ -164,8 +164,7 @@ impl SpillStore {
         let Some(path) = self.path_of(key) else {
             return self.dense.get(key).cloned().ok_or_else(|| absent(key));
         };
-        let payload = self.get(&path, key, rec)?;
-        largeea_tensor::io::read_matrix(&payload[..])
+        self.get(&path, key, rec)
     }
 
     /// Stores a sparse similarity matrix under `key`, replacing any
@@ -178,9 +177,7 @@ impl SpillStore {
             self.sims.insert(key.to_owned(), m);
             return Ok(bytes);
         };
-        let mut payload = Vec::new();
-        largeea_sim::io::write_sparse_sim(&m, &mut payload)?;
-        self.put(&path, key, &payload, rec).map(|()| 0)
+        self.put(&path, key, &m, rec)
     }
 
     /// Hands `key`'s similarity matrix over and forgets the artifact: the
@@ -193,8 +190,7 @@ impl SpillStore {
             let bytes = m.nbytes();
             return Ok((m, bytes));
         };
-        let payload = self.get(&path, key, rec)?;
-        let m = largeea_sim::io::read_sparse_sim(&payload[..])?;
+        let m = self.get(&path, key, rec)?;
         self.remove(key);
         Ok((m, 0))
     }

@@ -7,11 +7,11 @@
 //!    keep the top-k candidates — the block-sparse structural similarity
 //!    matrix `M_s`.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, Stage};
 use crate::pipeline::{RunCtx, RunError};
-use crate::supervisor::{self, Exhausted, Supervision};
+use crate::supervisor::{self, Exhausted};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
-use largeea_common::retry::{with_retry, Retryable, Transience};
+use largeea_common::retry::{with_retry, RetryPolicy, Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
 use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
@@ -80,7 +80,7 @@ pub struct StructureChannelOutput {
     pub peak_bytes: usize,
     /// Mean final training loss across batches that trained.
     pub final_loss: f64,
-    /// Units quarantined under `--degraded-ok` (DESIGN.md §S0.12): batch
+    /// Units quarantined under `--degraded-ok` (DESIGN.md §S0.7): batch
     /// keys (`r<R>.b<I>`) whose similarity blocks are missing from `M_s`
     /// because their I/O outlived every retry. Empty on a healthy run.
     pub quarantined: Vec<String>,
@@ -166,26 +166,25 @@ impl StructureChannel {
     /// All byte accounting goes through `ctx.mem` (typically the pipeline's
     /// shared budgeted tracker — whoever built the context folds it into
     /// the trace). Each batch's similarity block is put into `ctx.store`
-    /// instead of growing `M_s`, its trained embeddings are written through
-    /// as a transient artifact, and `M_s` is assembled after the training
+    /// instead of growing `M_s`, and `M_s` is assembled after the training
     /// loop by taking the blocks back **in batch order** — one insert
     /// sequence whatever the store's backing.
     ///
-    /// With `ctx.ckpt` the channel persists its natural boundaries under
-    /// `ctx.round`-scoped stage keys — `r<R>.partition` (the mini-batch
-    /// assignment), `r<R>.b<I>.emb` (each batch's trained embeddings),
-    /// `r<R>.b<I>.sim` (each batch's similarity block) and `r<R>.ms` (the
-    /// round's normalised `M_s`) — and skips any stage the manifest already
-    /// marks done. Because per-batch training is seeded independently
-    /// (`cfg.seed ^ batch.index`) and `M_s` assembly merges blocks in batch
-    /// order, a resumed channel produces a bit-identical `M_s`.
+    /// The channel persists its natural boundaries to `ctx.ckpt` as the
+    /// `ctx.round`-scoped [`Stage`]s — `Partition` (the mini-batch
+    /// assignment), `Emb` (each batch's trained embeddings), `Sim` (each
+    /// batch's similarity block) and `Ms` (the round's normalised `M_s`) —
+    /// and skips any stage the manifest already marks done. Because
+    /// per-batch training is seeded independently (`cfg.seed ^
+    /// batch.index`) and `M_s` assembly merges blocks in batch order, a
+    /// resumed channel produces a bit-identical `M_s`.
     ///
-    /// `ctx.sup` is the transient-fault supervision regime (DESIGN.md
-    /// §S0.12): a mini-batch whose store/checkpoint I/O exhausts site-level
-    /// retries is re-executed as a whole under `sup.retry` (per-batch seeds
-    /// make the re-run bit-identical), and with `sup.degraded_ok` a batch
-    /// that *still* fails is quarantined — recorded in the checkpoint
-    /// manifest, the `degraded.batches` trace counter and
+    /// Transient faults are supervised (DESIGN.md §S0.7): a mini-batch
+    /// whose store/checkpoint I/O exhausts site-level retries is
+    /// re-executed as a whole under the same schedule (per-batch seeds make
+    /// the re-run bit-identical), and with `ctx.degraded_ok` a batch that
+    /// *still* fails is quarantined — recorded in the checkpoint manifest,
+    /// the `degraded.batches` trace counter and
     /// [`StructureChannelOutput::quarantined`] — instead of failing the run.
     pub fn run_in(
         &self,
@@ -199,27 +198,18 @@ impl StructureChannel {
             store,
             ckpt,
             round,
-            sup,
+            degraded_ok,
         } = ctx;
-        let (rec, round, sup) = (*rec, *round, &*sup);
+        let (rec, round, degraded_ok) = (*rec, *round, *degraded_ok);
         let channel_span = rec.span("structure_channel");
         let partition_span = rec.span("partition");
-        let pkey = format!("r{round}.partition");
-        let batches = match ckpt.as_mut().and_then(|c| c.load_batches(&pkey, rec)) {
-            Some(b) => b,
-            None => {
-                let b = self.make_batches_traced(pair, seeds, rec);
-                if let Some(c) = ckpt.as_mut() {
-                    c.save_batches(&pkey, &b, rec)?;
-                }
-                b
-            }
-        };
+        let batches = ckpt.load_or(Stage::Partition { round }, rec, |_| {
+            Ok::<_, RunError>(self.make_batches_traced(pair, seeds, rec))
+        })?;
         let partition_seconds = partition_span.finish();
 
         // A completed round short-circuits the whole training loop.
-        let mskey = format!("r{round}.ms");
-        if let Some(m_s) = ckpt.as_mut().and_then(|c| c.load_sim(&mskey, rec)) {
+        if let Some(m_s) = ckpt.load::<SparseSimMatrix>(Stage::Ms { round }, rec) {
             mem.charge("structure_channel", m_s.nbytes())?;
             channel_span.finish();
             return Ok(StructureChannelOutput {
@@ -235,8 +225,8 @@ impl StructureChannel {
 
         let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
         mem.charge("structure_channel", m_s.nbytes())?;
-        // keys of stored blocks, in batch order — the merge order below
-        let mut stored_blocks: Vec<String> = Vec::new();
+        // stages of the stored blocks, in batch order — the merge order below
+        let mut stored_blocks: Vec<Stage> = Vec::new();
         let train_span = rec.span("train");
         // Live-telemetry progress gauges: how far along this round's
         // training loop is (`trace tail` reads these for its progress/ETA
@@ -254,20 +244,24 @@ impl StructureChannel {
             // batch is done, and a put replaces what a failed attempt left
             // under the same key, so a failed attempt rolls back to
             // `(mem_before, blocks_before)` and the re-run is bit-identical.
-            let bkey = format!("r{round}.b{}", batch.index);
+            let sim = Stage::Sim {
+                round,
+                batch: batch.index,
+            };
             let mem_before = mem.current("structure_channel");
             let blocks_before = stored_blocks.len();
-            let (res, stats) = with_retry(&sup.retry, &bkey, |attempt| {
+            let (res, stats) = with_retry(&RetryPolicy::default(), &sim.unit(), |attempt| {
                 if attempt > 1 {
                     mem.set("structure_channel", mem_before);
                     stored_blocks.truncate(blocks_before);
                 }
                 let mut batch_span = rec.span_at(Level::Detail, "minibatch");
                 batch_span.field("batch", batch.index);
-                let skey = format!("r{round}.b{}.sim", batch.index);
-                if let Some(block) = ckpt.as_mut().and_then(|c| c.load_sim(&skey, rec)) {
-                    let held = store.put_sim(&skey, block, rec).map_err(RunError::Spill)?;
-                    stored_blocks.push(skey);
+                if let Some(block) = ckpt.load(sim, rec) {
+                    let held = store
+                        .put_sim(&sim.key(), block, rec)
+                        .map_err(RunError::Spill)?;
+                    stored_blocks.push(sim);
                     mem.charge("structure_channel", held)?;
                     return Ok(None);
                 }
@@ -277,40 +271,35 @@ impl StructureChannel {
                 if bg.n_source == 0 || bg.n_target == 0 {
                     return Ok(None);
                 }
-                let ekey = format!("r{round}.b{}.emb", batch.index);
-                let mut batch_loss = None;
-                let (embeddings, train_peak) =
-                    match ckpt.as_mut().and_then(|c| c.load_matrix(&ekey, rec)) {
-                        Some(m) => (m, 0usize),
-                        None => {
-                            let mut model = self.cfg.model.build(
-                                &bg,
-                                self.cfg.train.dim,
-                                self.cfg.seed ^ batch.index as u64,
-                            );
-                            let cref = ckpt.as_deref();
-                            let mut progress = |epoch: usize, loss: f32| {
-                                if let Some(c) = cref {
-                                    c.epoch_progress(round, batch.index, epoch, loss, rec);
-                                }
-                            };
-                            let report = train_hooked(
-                                model.as_mut(),
-                                &bg,
-                                &self.cfg.train,
-                                rec,
-                                Some(&mut progress),
-                            );
-                            if let Some(&last) = report.losses.last() {
-                                batch_loss = Some(last);
-                                batch_span.field("final_loss", last);
-                            }
-                            if let Some(c) = ckpt.as_mut() {
-                                c.save_matrix(&ekey, &report.embeddings, rec)?;
-                            }
-                            (report.embeddings, report.peak_bytes)
-                        }
+                // both stay as initialised when the embeddings are loaded
+                let (mut batch_loss, mut train_peak) = (None, 0usize);
+                let emb = Stage::Emb {
+                    round,
+                    batch: batch.index,
+                };
+                let embeddings = ckpt.load_or(emb, rec, |ckpt| {
+                    let mut model = self.cfg.model.build(
+                        &bg,
+                        self.cfg.train.dim,
+                        self.cfg.seed ^ batch.index as u64,
+                    );
+                    let mut progress = |epoch: usize, loss: f32| {
+                        ckpt.epoch_progress(round, batch.index, epoch, loss, rec);
                     };
+                    let report = train_hooked(
+                        model.as_mut(),
+                        &bg,
+                        &self.cfg.train,
+                        rec,
+                        Some(&mut progress),
+                    );
+                    if let Some(&last) = report.losses.last() {
+                        batch_loss = Some(last);
+                        batch_span.field("final_loss", last);
+                    }
+                    train_peak = report.peak_bytes;
+                    Ok::<_, RunError>(report.embeddings)
+                })?;
                 mem.charge("structure_channel", embeddings.nbytes())?;
                 {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
@@ -324,11 +313,11 @@ impl StructureChannel {
                     fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
                     let block_bytes = block.nbytes();
                     mem.charge("structure_channel", block_bytes)?;
-                    if let Some(c) = ckpt.as_mut() {
-                        c.save_sim(&skey, &block, rec)?;
-                    }
-                    let held = store.put_sim(&skey, block, rec).map_err(RunError::Spill)?;
-                    stored_blocks.push(skey);
+                    ckpt.save(sim, &block, rec)?;
+                    let held = store
+                        .put_sim(&sim.key(), block, rec)
+                        .map_err(RunError::Spill)?;
+                    stored_blocks.push(sim);
                     mem.uncharge("structure_channel", block_bytes);
                     mem.charge("structure_channel", held)?;
                 }
@@ -351,10 +340,10 @@ impl StructureChannel {
                     stored_blocks.truncate(blocks_before);
                     batch_fault(
                         e,
-                        bkey,
+                        sim.unit(),
                         stats.retries as u32 + 1,
-                        sup,
-                        ckpt.as_deref_mut(),
+                        degraded_ok,
+                        ckpt,
                         &mut quarantined,
                         rec,
                     )?;
@@ -366,8 +355,8 @@ impl StructureChannel {
             rec.live_tick();
         }
         // assemble M_s by taking the blocks back in batch order
-        for key in &stored_blocks {
-            match store.take_sim(key, rec).map_err(RunError::Spill) {
+        for block in &stored_blocks {
+            match store.take_sim(&block.key(), rec).map_err(RunError::Spill) {
                 Ok((block, held)) => {
                     let before = m_s.nbytes();
                     merge_block(&mut m_s, &block);
@@ -377,15 +366,12 @@ impl StructureChannel {
                 Err(e) => {
                     // a block written earlier became unreadable: same
                     // fate as a batch that never produced one
-                    let unit = key.trim_end_matches(".sim").to_owned();
-                    batch_fault(e, unit, 1, sup, ckpt.as_deref_mut(), &mut quarantined, rec)?;
+                    batch_fault(e, block.unit(), 1, degraded_ok, ckpt, &mut quarantined, rec)?;
                 }
             }
         }
         m_s.normalize_global_minmax();
-        if let Some(c) = ckpt.as_mut() {
-            c.save_sim(&mskey, &m_s, rec)?;
-        }
+        ckpt.save(Stage::Ms { round }, &m_s, rec)?;
         let training_seconds = train_span.finish();
         channel_span.finish();
 
@@ -406,7 +392,7 @@ impl StructureChannel {
 }
 
 /// Decides the fate of a mini-batch whose I/O outlived batch-level retry.
-/// With `sup.degraded_ok` and an I/O-fault error the batch is quarantined —
+/// With `degraded_ok` and an I/O-fault error the batch is quarantined —
 /// `degraded.batches` trace counter, checkpoint-manifest record, an entry in
 /// `quarantined` — and `Ok(())` lets the loop continue without its block.
 /// Otherwise the fault is terminal: [`RunError::Exhausted`] for transients
@@ -416,16 +402,14 @@ fn batch_fault(
     e: RunError,
     unit: String,
     attempts: u32,
-    sup: &Supervision,
-    ckpt: Option<&mut Checkpoint>,
+    degraded_ok: bool,
+    ckpt: &mut Checkpoint,
     quarantined: &mut Vec<String>,
     rec: &Recorder,
 ) -> Result<(), RunError> {
-    if sup.degraded_ok && supervisor::is_io_fault(&e) {
+    if degraded_ok && supervisor::is_io_fault(&e) {
         rec.add("degraded.batches", 1);
-        if let Some(c) = ckpt {
-            c.quarantine(&unit, rec)?;
-        }
+        ckpt.quarantine(&unit, rec)?;
         quarantined.push(unit);
         return Ok(());
     }

@@ -1,49 +1,48 @@
 //! Transient-fault supervision: retry, quarantine and graceful degradation
-//! (DESIGN.md §S0.12).
+//! (DESIGN.md §S0.7).
 //!
 //! The pipeline's unit of restartable work is small — one durable write,
 //! one mini-batch — so a transient I/O hiccup should cost one retried unit,
-//! not a multi-hour DBP1M run. Supervision happens at three nested levels:
+//! not a multi-hour DBP1M run. Three nested levels, one retry schedule:
 //!
-//! 1. **Site level**: every spill / checkpoint write runs under
-//!    [`largeea_common::retry`]'s bounded-exponential-backoff executor
-//!    (virtual clock, seeded jitter), folding `retry.*` counters into the
-//!    trace.
-//! 2. **Batch level**: a structure-channel mini-batch whose I/O exhausts
-//!    site-level retries is retried as a whole (deterministic per-batch
-//!    seeds make the re-run bit-identical); if it *still* fails and the run
-//!    allows degradation, the batch is **quarantined** — recorded in the
-//!    run manifest and the trace — and the pipeline continues without its
-//!    similarity block.
-//! 3. **Channel level**: behind `align --degraded-ok`, a name channel lost
-//!    to I/O faults degrades the run to structure-only fusion (and vice
-//!    versa), stamped as `degraded.*` span fields / counters and in
-//!    [`crate::pipeline::LargeEaReport`].
+//! 1. **Site**: every store / checkpoint read or write runs under
+//!    `retried` (bounded exponential backoff on a virtual clock, seeded
+//!    jitter), folding `retry.*` counters into the trace.
+//! 2. **Batch**: a structure-channel mini-batch whose I/O exhausts that is
+//!    re-executed as a whole (per-batch seeds make the re-run
+//!    bit-identical); if it *still* fails and the run allows degradation,
+//!    the batch is **quarantined** — recorded in the manifest and the trace
+//!    — and the pipeline continues without its similarity block.
+//! 3. **Channel**: behind `align --degraded-ok`, a channel lost to I/O
+//!    faults degrades the run to the other one, stamped as `degraded.*`
+//!    span fields / counters and in [`crate::pipeline::LargeEaReport`].
 //!
-//! Without `--degraded-ok` the same faults surface as typed errors:
-//! [`RunError::Exhausted`](crate::pipeline::RunError::Exhausted) when a
-//! transient fault outlived every retry, or the original typed I/O error
-//! when the fault was never retryable. With `--degraded-ok` but nothing
-//! left to degrade *to* (the only enabled channel died), the run fails with
-//! [`RunError::Quarantined`](crate::pipeline::RunError::Quarantined). The
-//! crash-only invariant — every outcome is bit-identical, honestly flagged,
-//! or a typed error with no durable partial artifact — is enforced for
-//! every registered failpoint × mode by `tests/chaos_sweep.rs`.
+//! Without `--degraded-ok` the same faults surface typed:
+//! [`RunError::Exhausted`] when a transient fault outlived every retry, the
+//! original I/O error when it was never retryable; with it but nothing left
+//! to degrade *to*, [`RunError::Quarantined`]. `tests/chaos_sweep.rs` holds
+//! every registered failpoint × mode to the crash-only invariant.
 
 use crate::checkpoint::CkptError;
 use crate::pipeline::RunError;
-use largeea_common::retry::{RetryPolicy, Retryable, Transience};
+use largeea_common::obs::Recorder;
+use largeea_common::retry::{retry_io, RetryPolicy, Retryable, Transience};
 use std::fmt;
+use std::io;
 
-/// Supervision policy for one pipeline run: the retry schedule shared by
-/// every level, and whether degradation may replace failure.
-#[derive(Debug, Clone, Default)]
-pub struct Supervision {
-    /// Backoff schedule for site-level and batch-level retries.
-    pub retry: RetryPolicy,
-    /// Allow quarantine / channel degradation instead of a typed error
-    /// (`align --degraded-ok`).
-    pub degraded_ok: bool,
+/// Site-level supervision: runs one store or checkpoint I/O operation under
+/// the run's one retry schedule, `RetryPolicy::default()`, and folds a
+/// non-trivial outcome into `rec` as `retry.*` counters. `site` keys the
+/// jitter stream and must be a stable logical name (a failpoint name, never
+/// a path, which would vary across runs and break trace determinism).
+pub(crate) fn retried<T>(
+    site: &str,
+    rec: &Recorder,
+    op: impl FnMut(u32) -> io::Result<T>,
+) -> io::Result<T> {
+    let (out, stats) = retry_io(&RetryPolicy::default(), site, op);
+    stats.record_into(rec);
+    out
 }
 
 /// A retried unit that failed every allowed attempt — the payload of
@@ -161,53 +160,17 @@ pub struct FailpointSite {
 }
 
 /// The authoritative registry of every failpoint in the system — what
-/// `largeea failpoints list` prints and what the chaos sweep enumerates.
-/// `tests/chaos_sweep.rs` asserts this list and the per-subsystem
-/// `FAILPOINTS` consts agree in both directions, so a write site cannot
-/// ship unregistered (and therefore unswept).
+/// `largeea failpoints list` prints and what the crash and chaos suites
+/// enumerate. Each subsystem contributes the sites it guards, so a write
+/// site cannot ship unregistered (and therefore unswept).
 pub fn registered_failpoints() -> Vec<FailpointSite> {
-    vec![
-        FailpointSite {
-            name: "ckpt.manifest",
-            site: "checkpoint manifest write (durable, atomic; core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.name",
-            site: "name-channel M_n checkpoint artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.partition",
-            site: "per-round mini-batch assignment artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.emb",
-            site: "per-batch trained-embeddings artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.sim",
-            site: "per-batch similarity-block artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.ms",
-            site: "per-round normalised M_s artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.fused",
-            site: "fused similarity matrix M artifact (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "ckpt.progress",
-            site: "best-effort epoch-progress file (core::checkpoint)",
-        },
-        FailpointSite {
-            name: "spill.write",
-            site: "out-of-core working-storage write (core::spill::SpillStore)",
-        },
-        FailpointSite {
-            name: "live.write",
-            site: "live trace snapshot live.trace.json (common::obs sampler)",
-        },
-    ]
+    let mut all = crate::checkpoint::failpoints();
+    all.push(crate::spill::WRITE_FAILPOINT);
+    all.push(FailpointSite {
+        name: "live.write",
+        site: "live trace snapshot live.trace.json (common::obs sampler)",
+    });
+    all
 }
 
 #[cfg(test)]
@@ -234,26 +197,6 @@ mod tests {
         assert_eq!(mismatch.transience(), Transience::Fatal);
         assert!(!is_io_fault(&mismatch));
         assert!(is_io_fault(&fatal), "fatal I/O is still an I/O fault");
-    }
-
-    #[test]
-    fn registry_covers_subsystem_failpoint_consts_both_ways() {
-        let reg: Vec<&str> = registered_failpoints().iter().map(|f| f.name).collect();
-        for fp in crate::checkpoint::FAILPOINTS
-            .iter()
-            .chain(crate::spill::FAILPOINTS)
-        {
-            assert!(reg.contains(fp), "registry is missing {fp:?}");
-        }
-        for fp in &reg {
-            let known = crate::checkpoint::FAILPOINTS.contains(fp)
-                || crate::spill::FAILPOINTS.contains(fp)
-                || *fp == "live.write";
-            assert!(known, "registry entry {fp:?} names no known subsystem site");
-        }
-        let mut sorted = reg.clone();
-        sorted.dedup();
-        assert_eq!(sorted.len(), reg.len(), "registry has duplicates");
     }
 
     #[test]

@@ -24,7 +24,6 @@ use largeea::common::fmt_bytes;
 use largeea::common::json::ToJson;
 use largeea::common::obs::{LiveConfig, Recorder};
 use largeea::common::pool::Pool;
-use largeea::core::checkpoint::Checkpoint;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea::data::Preset;
@@ -485,7 +484,9 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     // announced in the trace as the pipeline span's `spill.dir` field
     let mut exec = ExecOptions::from_flags(mem_budget, flags.get("spill-dir").map(PathBuf::from));
     exec.mem_audit = flags.contains_key("mem-audit");
-    exec.supervision.degraded_ok = flags.contains_key("degraded-ok");
+    exec.degraded_ok = flags.contains_key("degraded-ok");
+    exec.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
+    exec.resume = flags.contains_key("resume");
     if flags.contains_key("live-every") && !flags.contains_key("live-dir") {
         return Err(CliError::Usage("--live-every needs --live-dir".into()));
     }
@@ -501,20 +502,9 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             ..LiveConfig::default()
         });
     }
-    let report = match flags.get("checkpoint-dir") {
-        Some(dir) => {
-            let meta = cfg.run_meta(&seeds, rounds);
-            let resume = flags.contains_key("resume");
-            let mut ckpt = Checkpoint::open(Path::new(dir), meta, resume, &rec)
-                .map_err(|e| CliError::Run(Box::new(RunError::Ckpt(e))))?;
-            LargeEa::new(cfg)
-                .run_exec(&pair, &seeds, rounds, &rec, Some(&mut ckpt), &exec)
-                .map_err(|e| CliError::Run(Box::new(e)))?
-        }
-        None => LargeEa::new(cfg)
-            .run_exec(&pair, &seeds, rounds, &rec, None, &exec)
-            .map_err(|e| CliError::Run(Box::new(e)))?,
-    };
+    let report = LargeEa::new(cfg)
+        .run_exec(&pair, &seeds, rounds, &rec, &exec)
+        .map_err(|e| CliError::Run(Box::new(e)))?;
     if report.degraded.is_degraded() {
         outln!(
             "DEGRADED: completed without {} (see the trace's degraded.* fields)",

@@ -1,4 +1,4 @@
-//! Crash-consistency suite: for every registered checkpoint failpoint, run
+//! Crash-consistency suite: for every registered `ckpt.*` failpoint, run
 //! the pipeline to injected death, resume, and assert the final fused
 //! matrix and eval metrics are **bit-identical** to an uninterrupted run.
 //!
@@ -12,8 +12,9 @@
 
 use largeea_common::failpoint;
 use largeea_common::obs::{ObsConfig, Recorder};
-use largeea_core::checkpoint::{Checkpoint, CkptError, FAILPOINTS};
+use largeea_core::checkpoint::CkptError;
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
+use largeea_core::registered_failpoints;
 use largeea_core::structure_channel::StructureChannelConfig;
 use largeea_data::Preset;
 use largeea_kg::{AlignmentSeeds, KgPair};
@@ -53,6 +54,15 @@ fn ckpt_dir(name: &str) -> PathBuf {
     dir
 }
 
+/// The execution regime that checkpoints into `dir`.
+fn exec(dir: &Path, resume: bool) -> ExecOptions {
+    ExecOptions {
+        checkpoint_dir: Some(dir.to_path_buf()),
+        resume,
+        ..ExecOptions::default()
+    }
+}
+
 /// Runs the checkpointed pipeline in `dir`; returns `(sim, eval)`.
 fn run_in(
     dir: &Path,
@@ -61,10 +71,7 @@ fn run_in(
     resume: bool,
     rec: &Recorder,
 ) -> Result<(SparseSimMatrix, largeea_core::EvalResult), RunError> {
-    let c = cfg();
-    let mut ckpt = Checkpoint::open(dir, c.run_meta(seeds, ROUNDS), resume, rec)?;
-    let exec = ExecOptions::default();
-    let report = LargeEa::new(c).run_exec(pair, seeds, ROUNDS, rec, Some(&mut ckpt), &exec)?;
+    let report = LargeEa::new(cfg()).run_exec(pair, seeds, ROUNDS, rec, &exec(dir, resume))?;
     Ok((report.sim, report.eval))
 }
 
@@ -78,10 +85,23 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     let (base_sim, base_eval) =
         run_in(&base_dir, &pair, &seeds, false, &rec).expect("baseline run");
 
-    // checkpointing itself must not change results
+    // checkpointing itself must not change results — and a run without a
+    // checkpoint directory reaches none of the checkpoint's write sites,
+    // armed as they all are here
+    let ckpt_failpoints: Vec<&str> = registered_failpoints()
+        .iter()
+        .map(|fp| fp.name)
+        .filter(|name| name.starts_with("ckpt."))
+        .collect();
+    let all_armed: Vec<String> = ckpt_failpoints
+        .iter()
+        .map(|fp| format!("{fp}=panic"))
+        .collect();
+    failpoint::configure(&all_armed.join(",")).expect("valid spec");
     let plain = LargeEa::new(cfg())
-        .run_exec(&pair, &seeds, ROUNDS, &rec, None, &ExecOptions::default())
+        .run_exec(&pair, &seeds, ROUNDS, &rec, &ExecOptions::default())
         .expect("plain run");
+    failpoint::clear();
     assert_eq!(
         plain.sim, base_sim,
         "checkpointing changed the fused matrix"
@@ -120,9 +140,12 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     // every registered failpoint must have at least one scenario, and no
     // scenario may name an unregistered failpoint
     for (fp, _) in scenarios {
-        assert!(FAILPOINTS.contains(fp), "scenario uses unregistered {fp:?}");
+        assert!(
+            ckpt_failpoints.contains(fp),
+            "scenario uses unregistered {fp:?}"
+        );
     }
-    for fp in FAILPOINTS {
+    for fp in &ckpt_failpoints {
         assert!(
             scenarios.iter().any(|(s, _)| s == fp),
             "registered failpoint {fp:?} has no crash scenario"
@@ -182,19 +205,19 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
         let rec = Recorder::new(ObsConfig::default());
         let mut other = cfg();
         other.structure.seed ^= 1;
-        match Checkpoint::open(&base_dir, other.run_meta(&seeds, ROUNDS), true, &rec) {
-            Err(CkptError::Mismatch { field, .. }) => {
+        let resume = exec(&base_dir, true);
+        match LargeEa::new(other).run_exec(&pair, &seeds, ROUNDS, &rec, &resume) {
+            Err(RunError::Ckpt(CkptError::Mismatch { field, .. })) => {
                 assert!(field == "config_hash" || field == "seed", "field {field}");
             }
-            other => panic!("expected Mismatch, got {other:?}"),
+            other => panic!("expected Mismatch, got {:?}", other.map(|r| r.eval)),
         }
         // different round count: also refused
-        let c = cfg();
-        match Checkpoint::open(&base_dir, c.run_meta(&seeds, ROUNDS + 1), true, &rec) {
-            Err(CkptError::Mismatch { field, .. }) => {
+        match LargeEa::new(cfg()).run_exec(&pair, &seeds, ROUNDS + 1, &rec, &resume) {
+            Err(RunError::Ckpt(CkptError::Mismatch { field, .. })) => {
                 assert!(field == "config_hash" || field == "rounds", "field {field}");
             }
-            other => panic!("expected Mismatch, got {other:?}"),
+            other => panic!("expected Mismatch, got {:?}", other.map(|r| r.eval)),
         }
     }
     std::fs::remove_dir_all(&base_dir).ok();

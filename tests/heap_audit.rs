@@ -44,7 +44,7 @@ fn library_level_audit_passes_and_reports_a_measured_peak() {
         ..ExecOptions::default()
     };
     let report = LargeEa::new(quick_config())
-        .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+        .run_exec(&pair, &seeds, 1, &rec, &exec)
         .expect("tracked and measured peaks must reconcile on an in-RAM run");
     let measured = report
         .measured_heap_peak_bytes

@@ -1,4 +1,4 @@
-//! Retry determinism (DESIGN.md §S0.12): the backoff executor's virtual
+//! Retry determinism (DESIGN.md §S0.7): the backoff executor's virtual
 //! clock and seeded jitter make a faulted run as reproducible as a clean
 //! one. Same seed + same `transient@n` schedule ⇒ the same trace — the
 //! same span tree, the same `retry.attempts`/`retry.backoff_ticks`

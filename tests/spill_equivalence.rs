@@ -11,9 +11,8 @@
 
 use largeea_common::failpoint;
 use largeea_common::obs::{ObsConfig, Recorder};
-use largeea_core::checkpoint::Checkpoint;
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
-use largeea_core::spill;
+use largeea_core::registered_failpoints;
 use largeea_core::structure_channel::StructureChannelConfig;
 use largeea_data::Preset;
 use largeea_models::{ModelKind, TrainConfig};
@@ -81,7 +80,7 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
             ..ExecOptions::default()
         };
         let spilled = LargeEa::new(cfg())
-            .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+            .run_exec(&pair, &seeds, 1, &rec, &exec)
             .expect("unbudgeted spill run");
         assert_eq!(
             sim_bytes(&spilled.sim),
@@ -123,7 +122,7 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
             ..ExecOptions::default()
         };
         let bounded = LargeEa::new(cfg())
-            .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+            .run_exec(&pair, &seeds, 1, &rec, &exec)
             .expect("bounded run within its own measured peak");
         assert!(bounded.tracked_peak_bytes <= budget);
         assert_eq!(sim_bytes(&bounded.sim), sim_bytes(&base.sim));
@@ -151,7 +150,7 @@ fn impossible_budget_is_a_typed_error_and_cleans_up() {
     };
     let rec = Recorder::new(ObsConfig::default());
     let err = LargeEa::new(cfg())
-        .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+        .run_exec(&pair, &seeds, 1, &rec, &exec)
         .unwrap_err();
     match err {
         RunError::Budget(b) => {
@@ -169,9 +168,14 @@ fn impossible_budget_is_a_typed_error_and_cleans_up() {
 /// recomputation from the last checkpoint stage, never correctness.
 #[test]
 fn crash_mid_spill_resumes_bit_identically() {
-    // scenario spec must only use registered spill failpoints
-    for fp in spill::FAILPOINTS {
-        assert_eq!(*fp, "spill.write", "update this test for new failpoints");
+    // the scenario below covers every registered spill failpoint
+    for fp in registered_failpoints() {
+        if fp.name.starts_with("spill.") {
+            assert_eq!(
+                fp.name, "spill.write",
+                "update this test for new failpoints"
+            );
+        }
     }
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     let seeds = pair.split_seeds(0.2, 5);
@@ -180,14 +184,13 @@ fn crash_mid_spill_resumes_bit_identically() {
     let ckpt_dir = tmp("crash_ckpt");
     let run = |resume: bool, spill_name: &str| {
         let rec = Recorder::new(ObsConfig::default());
-        let c = cfg();
-        let mut ckpt = Checkpoint::open(&ckpt_dir, c.run_meta(&seeds, 1), resume, &rec)?;
         let exec = ExecOptions {
-            mem_budget: None,
             spill_dir: Some(tmp(spill_name)),
+            checkpoint_dir: Some(ckpt_dir.clone()),
+            resume,
             ..ExecOptions::default()
         };
-        LargeEa::new(c).run_exec(&pair, &seeds, 1, &rec, Some(&mut ckpt), &exec)
+        LargeEa::new(cfg()).run_exec(&pair, &seeds, 1, &rec, &exec)
     };
 
     let armed = FAILPOINTS.write().unwrap();
@@ -244,7 +247,7 @@ fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
         ..ExecOptions::default()
     };
     let bounded = LargeEa::new(c)
-        .run_exec(&pair, &seeds, 1, &rec, None, &exec)
+        .run_exec(&pair, &seeds, 1, &rec, &exec)
         .expect("bounded DBP1M-CI run at 4/5 of the memory-backed peak");
     assert!(
         bounded.tracked_peak_bytes <= budget,
