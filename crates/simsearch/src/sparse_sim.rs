@@ -7,6 +7,8 @@
 //! lives in this representation.
 
 use largeea_tensor::Matrix;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A sparse similarity matrix holding at most a few entries per row,
 /// each row sorted by column id.
@@ -305,16 +307,16 @@ impl SparseSimMatrix {
     }
 
     /// Greedily decodes a 1-to-1 alignment: entries are taken in descending
-    /// score order, skipping rows/columns already matched. This is the
-    /// standard assignment-extraction step when a downstream application
-    /// needs hard matches instead of ranked candidates.
+    /// score order (ties → lowest row, then column), skipping rows/columns
+    /// already matched. This is the standard assignment-extraction step when
+    /// a downstream application needs hard matches instead of ranked
+    /// candidates.
     pub fn greedy_one_to_one(&self) -> Vec<(u32, u32)> {
-        // Scores go in as integers that descend as the scores ascend, so the
-        // sort compares (score, row, col) word by word — no three-way float
-        // comparator — in the 12 bytes an entry always took.
-        let mut entries: Vec<(u32, u32, u32)> = Vec::with_capacity(self.nnz());
-        for (r, row) in self.rows.iter().enumerate() {
-            for &(c, s) in row {
+        // An entry's place in that order, as integers that compare word by
+        // word: (score bits that descend as the score ascends, row, col).
+        // `row`'s first key past `after` with a free column:
+        let first_free = |row: u32, after: Option<(u32, u32, u32)>, col_used: &[bool]| {
+            let keys = self.rows[row as usize].iter().map(|&(c, s)| {
                 assert!(!s.is_nan(), "similarity scores are finite");
                 // `+ 0.0` folds −0.0 into +0.0; flipping the sign bit of a
                 // non-negative float, or every bit of a negative one, makes
@@ -325,18 +327,26 @@ impl SparseSimMatrix {
                 } else {
                     !bits
                 };
-                entries.push((!ascending, r as u32, c));
-            }
-        }
-        entries.sort_unstable();
-        let mut row_used = vec![false; self.n_rows()];
+                (!ascending, row, c)
+            });
+            keys.filter(|&key| Some(key) > after && !col_used[key.2 as usize])
+                .min()
+        };
+        // Nothing is sorted. The heap holds each unmatched row's first key
+        // whose column was free when the row was last scanned, so its
+        // minimum is the next key the order reaches: every key before it
+        // was taken, or lost its row or its column. `O(rows)` extra memory.
         let mut col_used = vec![false; self.n_cols];
+        let mut heap: BinaryHeap<_> = (0..self.n_rows() as u32)
+            .filter_map(|r| first_free(r, None, &col_used).map(Reverse))
+            .collect();
         let mut out = Vec::new();
-        for (_, r, c) in entries {
-            if !row_used[r as usize] && !col_used[c as usize] {
-                row_used[r as usize] = true;
-                col_used[c as usize] = true;
+        while let Some(Reverse(key)) = heap.pop() {
+            let (_, r, c) = key;
+            if !std::mem::replace(&mut col_used[c as usize], true) {
                 out.push((r, c));
+            } else if let Some(next) = first_free(r, Some(key), &col_used) {
+                heap.push(Reverse(next));
             }
         }
         out.sort_unstable();
@@ -673,8 +683,9 @@ mod tests {
     #[test]
     fn greedy_one_to_one_takes_entries_in_the_comparator_order() {
         use largeea_common::check::for_each_case;
-        // The decode as it was before the keys were packed: a three-way
-        // comparator over (score desc, row asc, col asc).
+        // The decode as it was before the keys were packed and the sort
+        // went: every entry, sorted by a three-way comparator over
+        // (score desc, row asc, col asc), walked once.
         fn by_comparator(m: &SparseSimMatrix) -> Vec<(u32, u32)> {
             let mut entries: Vec<(f32, u32, u32)> = Vec::new();
             for r in 0..m.n_rows() {
@@ -714,6 +725,32 @@ mod tests {
                 let (r, c) = (rng.gen_range(0..n_rows), rng.gen_range(0..n_cols) as u32);
                 if m.get(r, c).is_none() {
                     m.insert(r, c, score);
+                }
+            }
+            assert_eq!(m.greedy_one_to_one(), by_comparator(&m));
+        });
+        // Contended shapes, where rows lose their column again and again:
+        // every row wants the same three columns most and falls back to a
+        // few others; fewer columns than rows; some rows empty.
+        for_each_case(0xC0DE, 64, |rng| {
+            let n_rows = rng.gen_range(4..40usize);
+            let n_cols = rng.gen_range(3..n_rows);
+            let scores: &[f32] = match rng.gen_range(0..4u32) {
+                0 => &[0.5],                     // all equal: row and column break every tie
+                1 => &[0.0, -0.0],               // one score, two bit patterns
+                2 => &[-1.0, -0.5, -0.25, -0.0], // nothing positive
+                _ => &[0.9, 0.8, 0.7, 0.1, -0.1],
+            };
+            let mut m = SparseSimMatrix::new(n_rows, n_cols);
+            for r in (0..n_rows).filter(|r| r % 7 != 3) {
+                for c in 0..3 {
+                    m.insert(r, c, scores[rng.gen_range(0..scores.len().min(3))]);
+                }
+                for _ in 0..rng.gen_range(0..6usize) {
+                    let c = rng.gen_range(0..n_cols) as u32;
+                    if m.get(r, c).is_none() {
+                        m.insert(r, c, scores[rng.gen_range(0..scores.len())]);
+                    }
                 }
             }
             assert_eq!(m.greedy_one_to_one(), by_comparator(&m));

@@ -567,23 +567,39 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             );
         }
     }
-    if let Some(path) = flags.get("out") {
-        let decoded = report.sim.greedy_one_to_one();
-        let mut body = String::new();
-        for (s, t) in &decoded {
-            body.push_str(pair.source.entity_key(EntityId(*s)));
-            body.push('\t');
-            body.push_str(pair.target.entity_key(EntityId(*t)));
-            body.push('\n');
+    // The tail runs under spans of its own and the heap gauges are read
+    // again after it, so a spike here shows in `trace heap` like any other.
+    let decoded = flags.get("out").map(|path| {
+        let mut span = rec.span("decode");
+        span.field("rows", report.sim.n_rows());
+        span.field("cols", report.sim.n_cols());
+        span.field("entries", report.sim.nnz());
+        (path, report.sim.greedy_one_to_one())
+    });
+    if decoded.is_some() || flags.contains_key("sim-out") {
+        let _span = rec.span("write_outputs");
+        if let Some((path, decoded)) = &decoded {
+            let mut body = String::new();
+            for (s, t) in decoded {
+                body.push_str(pair.source.entity_key(EntityId(*s)));
+                body.push('\t');
+                body.push_str(pair.target.entity_key(EntityId(*t)));
+                body.push('\n');
+            }
+            std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
+            outln!("wrote {} predicted links → {path}", decoded.len());
         }
-        std::fs::write(path, body).map_err(|e| format!("writing {path}: {e}"))?;
-        outln!("wrote {} predicted links → {path}", decoded.len());
+        if let Some(path) = flags.get("sim-out") {
+            largeea::sim::io::save_sparse_sim(&report.sim, Path::new(path))
+                .map_err(|e| format!("writing {path}: {e}"))?;
+            outln!("wrote similarity matrix → {path}");
+        }
     }
-    if let Some(path) = flags.get("sim-out") {
-        largeea::sim::io::save_sparse_sim(&report.sim, Path::new(path))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        outln!("wrote similarity matrix → {path}");
+    if rec.heap_enabled() {
+        rec.gauge_max("heap.peak", largeea::common::alloc::heap_peak() as f64);
     }
+    // again after the tail, so `live.trace.json` still equals `--trace-out`
+    rec.flush_live();
     Ok(write_trace(flags, &rec)?)
 }
 

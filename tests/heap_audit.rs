@@ -4,13 +4,15 @@
 //! `largeea` binary, including the deliberate-leak hook that must make the
 //! audit fail with the typed error, and `trace heap`'s rendering.
 
-use largeea::common::obs::{ObsConfig, Recorder};
+use largeea::common::obs::{ObsConfig, Recorder, Trace};
 use largeea::core::mem::MemAuditError;
-use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
+use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunCtx, RunError};
 use largeea::core::structure_channel::StructureChannelConfig;
+use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
 use largeea::models::baselines::whole_graph;
 use largeea::models::{train_traced, ModelKind, TrainConfig};
+use largeea::text::LshIndex;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -143,6 +145,44 @@ fn epochs_after_the_first_allocate_a_sliver_of_epoch_zero() {
     }
 }
 
+/// The sketch gate: STNS keeps one signature per target entity and an LSH
+/// index of flat arrays beside them — `perms · 8` bytes of signature and at
+/// most `bands · 32 + 8` of index per entity, in a number of allocations
+/// that does not grow with the number of buckets. A change that brings a
+/// per-bucket allocation back fails here.
+#[test]
+fn the_stns_sketch_allocates_per_entity_not_per_bucket() {
+    let pair = Preset::Ids15kEnFr.spec(0.05).generate();
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    let cfg = NameChannelConfig::default();
+    NameChannel::new(cfg)
+        .run_in(&pair.source, &pair.target, &mut RunCtx::in_memory(&rec))
+        .unwrap();
+    let trace = rec.trace();
+    let stns = trace.find("stns").expect("stns span");
+    let sketch = stns
+        .children
+        .iter()
+        .find(|s| s.name == "sketch")
+        .expect("sketch span under stns");
+    let n_t = pair.target.num_entities() as u64;
+    let (bands, _) = LshIndex::with_threshold(cfg.minhash_perms, cfg.theta).layout();
+    let per_entity = (cfg.minhash_perms * 8 + bands * 48) as u64;
+    let peak = sketch.field_u64("alloc.peak").expect("heap attribution");
+    assert!(
+        peak <= n_t * per_entity + (64 << 10),
+        "sketch peaked at {peak} B for {n_t} target entities ({per_entity} B each allowed)"
+    );
+    let count = sketch.field_u64("alloc.count").unwrap();
+    assert!(
+        count <= 6 * n_t + 256,
+        "sketch made {count} allocations for {n_t} target entities"
+    );
+}
+
 // --- CLI ------------------------------------------------------------------
 
 fn bin() -> Command {
@@ -155,7 +195,7 @@ fn tempdir(tag: &str) -> PathBuf {
     dir
 }
 
-fn generate_data(dir: &Path) -> PathBuf {
+fn generate_data(dir: &Path, scale: &str) -> PathBuf {
     let data = dir.join("data");
     let out = bin()
         .args([
@@ -163,7 +203,7 @@ fn generate_data(dir: &Path) -> PathBuf {
             "--preset",
             "ids15k-en-fr",
             "--scale",
-            "0.01",
+            scale,
             "--out",
         ])
         .arg(&data)
@@ -196,7 +236,7 @@ fn align_audit(data: &Path, trace: Option<&Path>, leak: Option<u64>) -> std::pro
 #[test]
 fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
     let dir = tempdir("cli");
-    let data = generate_data(&dir);
+    let data = generate_data(&dir, "0.01");
     let trace = dir.join("run_a.json");
 
     let ok = align_audit(&data, Some(&trace), None);
@@ -274,7 +314,7 @@ fn a_bounded_run_passes_the_audit_with_its_sketches_on_the_books() {
     // u8 sketches beside them; both are charged (the name channel's own
     // tests pin the bytes), and measured and tracked peaks still reconcile.
     let dir = tempdir("bounded");
-    let data = generate_data(&dir);
+    let data = generate_data(&dir, "0.01");
     let out = bin()
         .args(["align", "--data"])
         .arg(&data)
@@ -290,6 +330,53 @@ fn a_bounded_run_passes_the_audit_with_its_sketches_on_the_books() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("mem-audit OK: tracked peak"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The decode gate: `align`'s tail runs under spans, and the greedy decode
+/// keeps a heap entry per row and a flag per column — not a sorted copy of
+/// every entry of the fused matrix (12 B each).
+#[test]
+fn the_cli_tail_is_spanned_and_the_decode_allocates_per_row_not_per_entry() {
+    let dir = tempdir("tail");
+    let data = generate_data(&dir, "0.05");
+    let trace_path = dir.join("run.json");
+    let out = bin()
+        .args(["align", "--data"])
+        .arg(&data)
+        .args(["--model", "gcn", "--k", "2", "--epochs", "6", "--dim", "16"])
+        .arg("--out")
+        .arg(dir.join("links.tsv"))
+        .arg("--sim-out")
+        .arg(dir.join("fused.sim"))
+        .arg("--trace-out")
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = Trace::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let decode = trace.find("decode").expect("decode span");
+    let field = |key: &str| {
+        decode
+            .field_u64(key)
+            .unwrap_or_else(|| panic!("decode.{key}"))
+    };
+    let (rows, cols, entries) = (field("rows"), field("cols"), field("entries"));
+    assert!(
+        entries > 20 * (rows + cols),
+        "a fused matrix this sparse ({entries} entries) would not tell the two decodes apart"
+    );
+    let peak = field("alloc.peak");
+    assert!(
+        peak <= 48 * (rows + cols) + (64 << 10),
+        "decode peaked at {peak} B for {rows} rows, {cols} columns, {entries} entries"
+    );
+    let write = trace.find("write_outputs").expect("write_outputs span");
+    assert!(write.field_u64("alloc.bytes").is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
