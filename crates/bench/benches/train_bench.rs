@@ -7,7 +7,7 @@
 //! `train_epoch` is the op-level row for the step the pipeline runs: one
 //! steady-state RREA epoch (forward, fused triplet loss, backward, Adam on
 //! the trainer's recycled tape) on a fixed synthetic batch, reported as
-//! epochs/s and bytes allocated per epoch.
+//! epochs/s, bytes allocated per epoch and the bytes the tape retains.
 
 use largeea_common::bench::Bench;
 use largeea_common::obs::{ObsConfig, Recorder};
@@ -122,26 +122,30 @@ fn bench_train_epoch() {
         ..ObsConfig::default()
     });
     let mut model = ModelKind::Rrea.build(&bg, cfg.dim, 3);
-    train_traced(model.as_mut(), &bg, &cfg, &rec);
+    let tape_bytes = train_traced(model.as_mut(), &bg, &cfg, &rec).tape_bytes;
     let trace = rec.trace();
     let steady = &trace.find("train_batch").expect("batch span").children[1..];
     let mut seconds: Vec<f64> = steady.iter().map(|e| e.seconds).collect();
     seconds.sort_by(f64::total_cmp);
     let median = seconds[seconds.len() / 2];
-    let alloc_bytes = steady
+    // the median is the step's own odds and ends; the largest also holds
+    // the recorder's span table doubling under one of the epoch's children
+    let mut alloc_bytes: Vec<u64> = steady
         .iter()
         .map(|e| e.field_u64("alloc.bytes").expect("counting allocator"))
-        .max()
-        .expect("steady-state epochs");
+        .collect();
+    alloc_bytes.sort_unstable();
     let per_s = 1.0 / median;
     println!(
         "\ntrain_epoch (rrea, 2000 entities, 700 pairs x 15 negatives, dim 64): \
          median {:.2} ms (min {:.2}, max {:.2}, {} epochs) = {per_s:.1} epochs/s, \
-         {alloc_bytes} B allocated per steady-state epoch",
+         {} B allocated per steady-state epoch (max {}), tape {tape_bytes} B",
         median * 1e3,
         seconds[0] * 1e3,
         seconds[seconds.len() - 1] * 1e3,
         seconds.len(),
+        alloc_bytes[alloc_bytes.len() / 2],
+        alloc_bytes[alloc_bytes.len() - 1],
     );
 }
 

@@ -9,12 +9,18 @@
 //! paper (we additionally skip running it at harness scale to mirror the
 //! full-scale OOM).
 //!
+//! A structure column is the channel's tracked peak (similarity blocks,
+//! embeddings, parameters + Adam moments) plus what the tracker does not
+//! book: the largest batch's autograd tape (`train.tape_bytes`).
+//!
 //! Flags: `--scale <f>`, `--epochs <n>` (memory is epoch-independent; a few
 //! epochs suffice).
 
 use largeea_bench::make_dataset;
 use largeea_common::fmt_bytes;
 use largeea_common::json::{Json, ToJson};
+use largeea_common::obs::{ObsConfig, Recorder};
+use largeea_core::pipeline::RunCtx;
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea_core::{NameChannel, NameChannelConfig};
 use largeea_data::Preset;
@@ -63,7 +69,12 @@ fn structure_peak(
         top_k: 50,
         ..StructureChannelConfig::default()
     };
-    StructureChannel::new(cfg).run(pair, seeds).peak_bytes
+    let rec = Recorder::new(ObsConfig::default());
+    let out = StructureChannel::new(cfg)
+        .run_in(pair, seeds, &mut RunCtx::in_memory(&rec))
+        .expect("memory backing, no budget, no checkpoint: no RunError has a source");
+    let tape = rec.trace().gauge("train.tape_bytes").unwrap_or(0.0);
+    out.peak_bytes + tape as usize
 }
 
 fn main() {

@@ -265,7 +265,11 @@ impl StructureChannel {
                     mem.charge("structure_channel", held)?;
                     return Ok(None);
                 }
+                // graph assembly here and the model build below are both
+                // `batch_graph` spans: what a batch costs before it trains
+                let graph_span = rec.span_at(Level::Detail, "batch_graph");
                 let bg = BatchGraph::from_mini_batch(pair, batch);
+                drop(graph_span);
                 batch_span.field("source_entities", bg.n_source);
                 batch_span.field("target_entities", bg.n_target);
                 if bg.n_source == 0 || bg.n_target == 0 {
@@ -278,11 +282,13 @@ impl StructureChannel {
                     batch: batch.index,
                 };
                 let embeddings = ckpt.load_or(emb, rec, |ckpt| {
+                    let graph_span = rec.span_at(Level::Detail, "batch_graph");
                     let mut model = self.cfg.model.build(
                         &bg,
                         self.cfg.train.dim,
                         self.cfg.seed ^ batch.index as u64,
                     );
+                    drop(graph_span);
                     let mut progress = |epoch: usize, loss: f32| {
                         ckpt.epoch_progress(round, batch.index, epoch, loss, rec);
                     };

@@ -99,7 +99,7 @@ impl EaModel for GcnAlign {
         let ah1 = tape.spmm(&self.adj, h1);
         let h2 = tape.matmul(ah1, w2);
         let pre = if self.concat_input {
-            tape.hstack(x, h2)
+            tape.hstack(&[x, h2])
         } else {
             h2
         };

@@ -64,8 +64,8 @@ impl Rrea {
     /// One reflection-aggregation hop: reflects each message's source
     /// embedding through its relation and mean-aggregates onto the head.
     fn hop(&self, tape: &mut Tape, h: Var, rel_norm: Var) -> Var {
-        let msg = tape.reflect_rows(h, rel_norm, Rc::clone(&self.tails), Rc::clone(&self.rels));
-        tape.spmm(&self.agg, msg)
+        let (tails, rels) = (Rc::clone(&self.tails), Rc::clone(&self.rels));
+        tape.reflect_aggregate(&self.agg, h, rel_norm, tails, rels)
     }
 }
 
@@ -100,8 +100,7 @@ impl EaModel for Rrea {
         // keeping each hop's signal in its own column block: an unseeded
         // entity's random h0 adds a near-constant offset to every candidate
         // distance while the neighbour-driven h1/h2 blocks discriminate.
-        let h01 = tape.hstack(h0, h1);
-        let cat = tape.hstack(h01, h2);
+        let cat = tape.hstack(&[h0, h1, h2]);
         let out = tape.l2_normalize_rows(cat, 1e-9);
 
         ForwardPass {

@@ -1,13 +1,15 @@
 //! The mini-batch training loop (paper §2.2.2).
 //!
 //! Every epoch re-records the graph on the one autograd tape the batch
-//! owns — [`Tape::reset`] keeps last epoch's buffers, so from the second
-//! epoch on a step allocates (almost) nothing — runs the model forward,
-//! scores the batch's seed pairs with the margin-based triplet loss
-//! `Σ [f_p(h_s, h_t) + γ − f_n]₊` as one fused node ([`Tape::triplet_l1`]:
-//! distances are Manhattan, negatives come from nearest-neighbour sampling
-//! refreshed periodically, as in RREA), and takes one Adam step on the
-//! gradients it borrows from the tape.
+//! owns — [`Tape::reset`] keeps last epoch's value buffers and takes the
+//! parameter gradients back into the free list every gradient is leased
+//! from, so from the second epoch on a step allocates (almost) nothing and
+//! the tape holds the step's values plus the gradients live at once — runs
+//! the model forward, scores the batch's seed pairs with the margin-based
+//! triplet loss `Σ [f_p(h_s, h_t) + γ − f_n]₊` as one fused node
+//! ([`Tape::triplet_l1`]: distances are Manhattan, negatives come from
+//! nearest-neighbour sampling refreshed periodically, as in RREA), and
+//! takes one Adam step on the parameter gradients it borrows from the tape.
 
 use crate::batch_graph::BatchGraph;
 use crate::negative::{sample_negatives, NegStrategy, Negatives};
@@ -134,9 +136,10 @@ pub struct TrainReport {
     /// Peak bytes of parameters + optimiser state during training
     /// (the GPU-memory stand-in for Table 6).
     pub peak_bytes: usize,
-    /// Bytes the autograd tape held on to at the end of training
-    /// (activations, gradients and backward temporaries of one step) —
-    /// the rest of Table 6's "training memory".
+    /// Bytes the autograd tape held on to at the end of training (one
+    /// step's activations plus the free list its gradients and backward
+    /// temporaries are leased from) — the rest of Table 6's "training
+    /// memory".
     pub tape_bytes: usize,
 }
 
@@ -168,7 +171,8 @@ pub fn train(model: &mut dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> Tra
 /// [`train`] with telemetry: the whole batch is a `train_batch` span
 /// ([`Level::Detail`]) with `epochs`/`pairs`/`tape_bytes` fields; every
 /// epoch is an `epoch` span ([`Level::Trace`]) with `epoch`/`loss`/
-/// `grad_norm` fields. Each negatives regeneration bumps the
+/// `grad_norm` fields and `forward` / `negatives` (when resampled) / `loss`
+/// / `backward` / `step` children. Each negatives regeneration bumps the
 /// `train.negatives_resampled` counter, per-epoch losses feed the
 /// `train.epoch_loss` histogram, and the `train.peak_bytes` /
 /// `train.tape_bytes` gauges keep the largest batch's parameter + Adam
@@ -217,14 +221,18 @@ pub fn train_hooked(
         cfg.epochs
     };
     let mut triplets = None;
+    let phase = |name| rec.span_at(Level::Trace, name);
     for epoch in 0..epochs {
-        let mut epoch_span = rec.span_at(Level::Trace, "epoch");
+        let mut epoch_span = phase("epoch");
         epoch_span.field("epoch", epoch);
+        let span = phase("forward");
         tape.reset();
         let fp = model.forward(&mut tape);
+        drop(span);
         // Refresh negatives periodically, from the embeddings of this
         // epoch's one forward pass; the loss below joins the same tape.
         if triplets.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
+            let _span = phase("negatives");
             rec.add("train.negatives_resampled", 1);
             let negs = sample_negatives(
                 bg,
@@ -238,12 +246,16 @@ pub fn train_hooked(
         let [s, t, neg_t, neg_s] = triplets.clone().expect("negatives generated above");
 
         // [d_pos + γ − d_neg]₊ for both corruption sides
+        let span = phase("loss");
         let mut loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
         if let Some(aux) = model.auxiliary_loss(&mut tape, &fp.params, epoch) {
             loss = tape.add(loss, aux);
         }
+        drop(span);
 
+        let span = phase("backward");
         tape.backward(loss);
+        drop(span);
         let epoch_loss = tape.scalar(loss);
         losses.push(epoch_loss);
 
@@ -265,7 +277,9 @@ pub fn train_hooked(
             epoch_span.field("grad_norm", sq_sum.sqrt());
             rec.observe("train.epoch_loss", epoch_loss as f64);
         }
+        let span = phase("step");
         adam.step(model.store_mut(), &grads);
+        drop(span);
         peak_bytes = peak_bytes.max(model.store().nbytes() + adam.nbytes());
         if let Some(h) = hook.as_deref_mut() {
             h(epoch, epoch_loss);

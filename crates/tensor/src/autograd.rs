@@ -9,19 +9,24 @@
 //!
 //! The graph is still defined by running it (define-by-run), once per
 //! optimisation step, but the tape is **recycled** rather than rebuilt:
-//! [`Tape::reset`] forgets the graph and keeps every node's value and
-//! gradient buffer, and the next step's node *i* takes over node *i*'s old
-//! buffers when the element count matches (and allocates otherwise). A
-//! training loop runs the same graph every step, so after the first step a
-//! forward + backward pass allocates nothing; backward temporaries come
-//! from a small free list kept the same way. Learnable parameters live
-//! outside the tape in an [`optim::ParamStore`] and are copied into
+//! [`Tape::reset`] forgets the graph and keeps every node's value buffer,
+//! and the next step's node *i* takes over node *i*'s old buffer when the
+//! element count matches (and allocates otherwise). Gradients are **leased**:
+//! a node's gradient, like every backward temporary, comes from the tape's
+//! one free list (matched by element count) when its first contribution
+//! arrives and goes back as soon as the node has propagated, so the tape
+//! holds the gradients that are live, not one per node. Only parameter
+//! leaves keep theirs past [`Tape::backward`] — the optimiser reads them —
+//! and hand them back at `reset()`, so every step starts from the same free
+//! list: a training loop runs the same graph every step, and after the
+//! first a forward + backward pass allocates nothing. Learnable parameters
+//! live outside the tape in an [`optim::ParamStore`] and are copied into
 //! gradient-requiring leaves each step.
 //!
-//! Recycling never changes a result: every operation overwrites its whole
-//! output, and a gradient contribution is either written into an empty
-//! slot or — fully formed first, wherever it is itself a sum — added to
-//! the slot, the same `slot + delta` the allocating formulation computed.
+//! Neither changes a result: every operation overwrites its whole output,
+//! and a gradient contribution is either written into a fresh lease or —
+//! fully formed first, wherever it is itself a sum — added to the live one,
+//! the same `slot + delta` the allocating formulation computed.
 //!
 //! [`optim::ParamStore`]: crate::optim::ParamStore
 
@@ -79,11 +84,12 @@ enum Op {
     MulBroadcastCol(Var, Var),
     SumAll(Var),
     MeanAll(Var),
-    HStack(Var, Var),
-    ReflectRows {
+    HStack(Rc<[Var]>),
+    ReflectAggregate {
+        agg: Rc<SpOp>,
         h: Var,
         r: Var,
-        /// The `rows × 1` by-product node holding each row's `x·r`.
+        /// The `messages × 1` by-product node holding each message's `x·r`.
         dots: Var,
         h_rows: Rc<Vec<u32>>,
         r_rows: Rc<Vec<u32>>,
@@ -102,9 +108,8 @@ enum Op {
 struct Node {
     op: Op,
     value: Matrix,
-    /// Gradient buffer; its contents mean something only while `has_grad`.
-    grad: Matrix,
-    has_grad: bool,
+    /// The gradient, on lease from the tape's free list while it is live.
+    grad: Option<Matrix>,
     requires_grad: bool,
 }
 
@@ -116,7 +121,8 @@ pub struct Tape {
     /// pushes take over.
     nodes: Vec<Node>,
     live: usize,
-    /// Free list of backward temporaries, matched by element count.
+    /// Free list every gradient and backward temporary is leased from,
+    /// matched by element count.
     scratch: Vec<Matrix>,
 }
 
@@ -130,17 +136,27 @@ impl Tape {
     /// (see the [module docs](self)). Every [`Var`] handed out so far is
     /// invalid afterwards.
     pub fn reset(&mut self) {
+        self.release_grads();
         self.live = 0;
     }
 
-    /// Bytes of every buffer the tape holds on to: node values, gradients
-    /// and backward temporaries — the training-time working set beyond
-    /// parameters and optimiser state.
+    /// Returns every gradient still on lease (the leaves') to the free list.
+    fn release_grads(&mut self) {
+        let grads = self.nodes[..self.live]
+            .iter_mut()
+            .filter_map(|n| n.grad.take());
+        self.scratch.extend(grads);
+    }
+
+    /// Bytes of every buffer the tape holds on to: node values, the leaf
+    /// gradients still on lease and the free list (every other gradient and
+    /// backward temporary of the last step) — the training-time working set
+    /// beyond parameters and optimiser state.
     pub fn nbytes(&self) -> usize {
         let nodes = self
             .nodes
             .iter()
-            .map(|n| n.value.nbytes() + n.grad.nbytes());
+            .map(|n| n.value.nbytes() + n.grad.as_ref().map_or(0, Matrix::nbytes));
         nodes.chain(self.scratch.iter().map(Matrix::nbytes)).sum()
     }
 
@@ -160,14 +176,12 @@ impl Tape {
             Some(n) => {
                 n.op = op;
                 n.value = value;
-                n.has_grad = false;
                 n.requires_grad = requires_grad;
             }
             None => self.nodes.push(Node {
                 op,
                 value,
-                grad: Matrix::default(),
-                has_grad: false,
+                grad: None,
                 requires_grad,
             }),
         }
@@ -203,11 +217,11 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// The accumulated gradient of `v`, if any was produced by
-    /// [`Tape::backward`].
+    /// The accumulated gradient of leaf `v`, if [`Tape::backward`] produced
+    /// one. An operation's output has handed its gradient back by then and
+    /// answers `None`.
     pub fn grad(&self, v: Var) -> Option<&Matrix> {
-        let n = &self.nodes[..self.live][v.0];
-        n.has_grad.then_some(&n.grad)
+        self.nodes[..self.live][v.0].grad.as_ref()
     }
 
     /// Pushes `f` applied to every element of `a`.
@@ -363,51 +377,68 @@ impl Tape {
         self.push(Op::MulBroadcastCol(a, b), out, rg)
     }
 
-    /// RREA's relational reflection of gathered rows, as one node: row `i`
-    /// of the result is `x − 2(x·r)r` with `x = h[h_rows[i]]` and
-    /// `r = r[r_rows[i]]` (`r` rows are expected unit-normalised).
+    /// One RREA hop as one node: `agg @ reflect(h, r)`, where message `m`
+    /// (a column of `agg`) is the relational reflection `x − 2(x·r)r` of
+    /// `x = h[h_rows[m]]` through `r = r[r_rows[m]]` (`r` rows are expected
+    /// unit-normalised).
     ///
     /// Value and gradients are bit-identical to composing `gather_rows` ×2,
-    /// `row_dot`, `mul_broadcast_col`, `scale(2)` and `sub`, without the
-    /// five message-sized intermediates: backward forms each row's two
-    /// gradients from the same products in the same order and scatter-adds
-    /// them, first into `r`, then into `h`, as the composed tape would.
-    pub fn reflect_rows(
+    /// `row_dot`, `mul_broadcast_col`, `scale(2)`, `sub` and `spmm`, but no
+    /// `messages × dim` matrix exists in either direction: each output row
+    /// sums `v·(x − (r·(x·r))·2)` over its CSR entries in column order, and
+    /// backward rebuilds one message's upstream row at a time.
+    pub fn reflect_aggregate(
         &mut self,
+        agg: &Rc<SpOp>,
         h: Var,
         r: Var,
         h_rows: Rc<Vec<u32>>,
         r_rows: Rc<Vec<u32>>,
     ) -> Var {
-        let rows = h_rows.len();
-        assert_eq!(
-            r_rows.len(),
-            rows,
-            "reflect_rows index lists must be parallel"
+        let msgs = agg.mat.cols();
+        assert!(
+            h_rows.len() == msgs && r_rows.len() == msgs,
+            "reflect_aggregate needs one h and one r row per agg column"
         );
         let cols = self.value(h).cols();
-        assert_eq!(self.value(r).cols(), cols, "reflect_rows widths");
-        let mut dots = self.out(rows, 1);
-        for (i, d) in dots.as_mut_slice().iter_mut().enumerate() {
+        assert_eq!(self.value(r).cols(), cols, "reflect_aggregate widths");
+        let mut dots = self.out(msgs, 1);
+        for (m, d) in dots.as_mut_slice().iter_mut().enumerate() {
             *d = self
                 .value(h)
-                .row_dot(h_rows[i] as usize, self.value(r), r_rows[i] as usize);
+                .row_dot(h_rows[m] as usize, self.value(r), r_rows[m] as usize);
         }
         let dots = self.push(Op::Leaf, dots, false);
-        let mut out = self.out(rows, cols);
+        let mut out = self.out(agg.mat.rows(), cols);
         let (mh, mr, md) = (self.value(h), self.value(r), self.value(dots));
-        for i in 0..rows {
-            let d = md[(i, 0)];
-            let xr = mh
-                .row(h_rows[i] as usize)
-                .iter()
-                .zip(mr.row(r_rows[i] as usize));
-            for (o, (&x, &rv)) in out.row_mut(i).iter_mut().zip(xr) {
-                *o = x - (rv * d) * 2.0;
+        let SparseMatrix {
+            indptr,
+            indices,
+            values,
+            ..
+        } = &agg.mat;
+        let (h_of, r_of) = (&h_rows[..], &r_rows[..]);
+        // the split `spmm` makes, so the pool is used the same way
+        let min_rows = ((64 * 64) / cols.max(1)).max(1);
+        Pool::global().rows_mut(out.as_mut_slice(), cols, min_rows, |block, first_row| {
+            for (ri, out_row) in block.chunks_mut(cols).enumerate() {
+                out_row.fill(0.0);
+                for k in indptr[first_row + ri]..indptr[first_row + ri + 1] {
+                    let (m, v) = (indices[k] as usize, values[k]);
+                    let d = md[(m, 0)];
+                    let xr = mh
+                        .row(h_of[m] as usize)
+                        .iter()
+                        .zip(mr.row(r_of[m] as usize));
+                    for (o, (&x, &rv)) in out_row.iter_mut().zip(xr) {
+                        *o += v * (x - (rv * d) * 2.0);
+                    }
+                }
             }
-        }
+        });
         let rg = self.rg(h) || self.rg(r);
-        let op = Op::ReflectRows {
+        let op = Op::ReflectAggregate {
+            agg: Rc::clone(agg),
             h,
             r,
             dots,
@@ -417,14 +448,15 @@ impl Tape {
         self.push(op, out, rg)
     }
 
-    /// Horizontally concatenates two equal-row-count matrices (multi-hop
-    /// GNN outputs keep each hop in its own column block).
-    pub fn hstack(&mut self, a: Var, b: Var) -> Var {
-        let cols = self.value(a).cols() + self.value(b).cols();
-        let mut out = self.out(self.value(a).rows(), cols);
-        self.value(a).hstack_into(self.value(b), &mut out);
-        let rg = self.rg(a) || self.rg(b);
-        self.push(Op::HStack(a, b), out, rg)
+    /// Horizontally concatenates equal-row-count matrices (multi-hop GNN
+    /// outputs keep each hop in its own column block).
+    pub fn hstack(&mut self, parts: &[Var]) -> Var {
+        let cols = parts.iter().map(|&p| self.value(p).cols()).sum();
+        let mut out = self.out(self.value(parts[0]).rows(), cols);
+        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
+        Matrix::hstack_into(&values, &mut out);
+        let rg = parts.iter().any(|&p| self.rg(p));
+        self.push(Op::HStack(parts.into()), out, rg)
     }
 
     fn push_scalar(&mut self, op: Op, value: f32, requires_grad: bool) -> Var {
@@ -516,21 +548,20 @@ impl Tape {
             (1, 1),
             "backward() expects a scalar loss"
         );
-        for n in &mut self.nodes[..self.live] {
-            n.has_grad = false;
-        }
-        let mut seed = std::mem::take(&mut self.nodes[loss.0].grad).recycle(1, 1);
+        self.release_grads();
+        let mut seed = self.take_scratch(1, 1);
         seed[(0, 0)] = 1.0;
-        self.nodes[loss.0].grad = seed;
-        self.nodes[loss.0].has_grad = true;
+        self.nodes[loss.0].grad = Some(seed);
 
         for i in (0..self.live).rev() {
-            if !(self.nodes[i].requires_grad && self.nodes[i].has_grad) {
+            // a leaf keeps its gradient for the optimiser, until reset()
+            if !self.nodes[i].requires_grad || matches!(self.nodes[i].op, Op::Leaf) {
                 continue;
             }
-            let g = std::mem::take(&mut self.nodes[i].grad);
-            self.propagate(i, &g);
-            self.nodes[i].grad = g;
+            if let Some(g) = self.nodes[i].grad.take() {
+                self.propagate(i, &g);
+                self.scratch.push(g);
+            }
         }
     }
 
@@ -542,10 +573,10 @@ impl Tape {
         }
     }
 
-    /// `grad(v) += delta`, where `fill` overwrites the `shape`-sized buffer
-    /// it is handed with the delta. An empty slot takes the delta in place;
-    /// otherwise the delta is formed in a scratch buffer first, so a delta
-    /// that is itself a sum is added as one value.
+    /// `grad(v) += delta`, where `fill` overwrites the `shape`-sized lease it
+    /// is handed with the delta. The lease becomes `v`'s gradient if it had
+    /// none; otherwise it is added to the live one and handed back, so a
+    /// delta that is itself a sum is added as one value.
     fn accumulate_with(
         &mut self,
         v: Var,
@@ -555,16 +586,14 @@ impl Tape {
         if !self.rg(v) {
             return;
         }
-        if self.nodes[v.0].has_grad {
-            let mut delta = self.take_scratch(rows, cols);
-            fill(self, &mut delta);
-            self.nodes[v.0].grad.add_assign(&delta);
-            self.scratch.push(delta);
-        } else {
-            let mut grad = std::mem::take(&mut self.nodes[v.0].grad).recycle(rows, cols);
-            fill(self, &mut grad);
-            self.nodes[v.0].grad = grad;
-            self.nodes[v.0].has_grad = true;
+        let mut delta = self.take_scratch(rows, cols);
+        fill(self, &mut delta);
+        match &mut self.nodes[v.0].grad {
+            Some(grad) => {
+                grad.add_assign(&delta);
+                self.scratch.push(delta);
+            }
+            slot => *slot = Some(delta),
         }
     }
 
@@ -575,19 +604,17 @@ impl Tape {
         if !self.rg(v) {
             return;
         }
-        let n = &mut self.nodes[v.0];
-        if n.has_grad {
-            assert_eq!(n.grad.shape(), g.shape(), "add_assign shape mismatch");
-            for (d, &x) in n.grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
+        if let Some(grad) = &mut self.nodes[v.0].grad {
+            assert_eq!(grad.shape(), g.shape(), "add_assign shape mismatch");
+            for (d, &x) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
                 *d += f(x);
             }
         } else {
-            let mut grad = std::mem::take(&mut n.grad).recycle(g.rows(), g.cols());
+            let mut grad = self.take_scratch(g.rows(), g.cols());
             for (d, &x) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
                 *d = f(x);
             }
-            n.grad = grad;
-            n.has_grad = true;
+            self.nodes[v.0].grad = Some(grad);
         }
     }
 
@@ -726,41 +753,50 @@ impl Tape {
                 let s = g[(0, 0)] / (shape.0 * shape.1).max(1) as f32;
                 self.accumulate_with(a, shape, |_, out| out.as_mut_slice().fill(s));
             }
-            Op::HStack(a, b) => {
-                let ca = self.value(a).cols();
-                self.accumulate_with(a, (g.rows(), ca), |_, out| {
-                    for r in 0..g.rows() {
-                        out.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                    }
-                });
-                self.accumulate_with(b, (g.rows(), g.cols() - ca), |_, out| {
-                    for r in 0..g.rows() {
-                        out.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
-                    }
-                });
+            Op::HStack(parts) => {
+                let mut at = 0;
+                for &p in parts.iter() {
+                    let end = at + self.value(p).cols();
+                    self.accumulate_with(p, (g.rows(), end - at), |_, out| {
+                        for r in 0..g.rows() {
+                            out.row_mut(r).copy_from_slice(&g.row(r)[at..end]);
+                        }
+                    });
+                    at = end;
+                }
             }
-            Op::ReflectRows {
+            Op::ReflectAggregate {
+                agg,
                 h,
                 r,
                 dots,
                 h_rows,
                 r_rows,
             } => {
-                // The composed tape, per row with upstream g: the reflected
-                // term's gradient is p = (−g)·2; x·r's is q = Σ_k p_k r_k
-                // (summed in column order); then r's row gets p·(x·r) + q·x
-                // and x's row gets g + q·r, each scatter-added into a zeroed
-                // matrix in row order — r's gather is the later node, so its
-                // contribution lands first.
+                // The composed tape, per message with upstream row gm: `spmm`'s
+                // backward forms gm = 0 + Σ v·g[head] over the message's
+                // entries of aggᵀ in column order (rebuilt here, one message at
+                // a time); the reflected term's gradient is p = (−gm)·2; x·r's
+                // is q = Σ_k p_k r_k (summed in column order); then r's row
+                // gets p·(x·r) + q·x and x's row gets gm + q·r, each
+                // scatter-added into a zeroed matrix in message order — r's
+                // gather is the later node, so its contribution lands first.
+                let mut gm = self.take_scratch(1, g.cols());
                 for to_r in [true, false] {
                     let (target, target_rows) = if to_r { (r, &r_rows) } else { (h, &h_rows) };
                     self.accumulate_with(target, self.value(target).shape(), |tape, out| {
                         out.fill_zero();
                         let (mh, mr, md) = (tape.value(h), tape.value(r), tape.value(dots));
                         for (i, &dst) in target_rows.iter().enumerate() {
+                            let gr = gm.as_mut_slice();
+                            gr.fill(0.0);
+                            for (head, v) in agg.trans.row(i) {
+                                for (o, &s) in gr.iter_mut().zip(g.row(head as usize)) {
+                                    *o += v * s;
+                                }
+                            }
                             let x = mh.row(h_rows[i] as usize);
                             let rv = mr.row(r_rows[i] as usize);
-                            let gr = g.row(i);
                             let mut q = 0.0;
                             for (&gv, &rk) in gr.iter().zip(rv) {
                                 q += (-gv * 2.0) * rk;
@@ -768,17 +804,18 @@ impl Tape {
                             let dst = out.row_mut(dst as usize);
                             if to_r {
                                 let d = md[(i, 0)];
-                                for ((o, &gv), &xk) in dst.iter_mut().zip(gr).zip(x) {
+                                for ((o, &gv), &xk) in dst.iter_mut().zip(&*gr).zip(x) {
                                     *o += (-gv * 2.0) * d + q * xk;
                                 }
                             } else {
-                                for ((o, &gv), &rk) in dst.iter_mut().zip(gr).zip(rv) {
+                                for ((o, &gv), &rk) in dst.iter_mut().zip(&*gr).zip(rv) {
                                     *o += gv + q * rk;
                                 }
                             }
                         }
                     });
                 }
+                self.scratch.push(gm);
             }
             Op::TripletL1 {
                 emb,
@@ -1062,8 +1099,8 @@ mod tests {
         finite_diff_check(
             |t, p| {
                 let c = t.constant(&seeded(3, 2, 41));
-                let h = t.hstack(p, c);
-                let h2 = t.hstack(c, p);
+                let h = t.hstack(&[p, c]);
+                let h2 = t.hstack(&[c, p]);
                 let m = t.mul_elem(h, h2);
                 t.sum_all(m)
             },

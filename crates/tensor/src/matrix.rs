@@ -347,22 +347,21 @@ impl Matrix {
     /// Horizontally concatenates `self` with `other` (row counts must match).
     pub fn hstack(&self, other: &Matrix) -> Matrix {
         let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        self.hstack_into(other, &mut out);
+        Matrix::hstack_into(&[self, other], &mut out);
         out
     }
 
-    /// The body of [`Matrix::hstack`]: overwrites `out`
-    /// (`self.rows × (self.cols + other.cols)`).
-    pub(crate) fn hstack_into(&self, other: &Matrix, out: &mut Matrix) {
-        assert_eq!(self.rows, other.rows, "hstack row mismatch");
-        assert_eq!(
-            out.shape(),
-            (self.rows, self.cols + other.cols),
-            "hstack out shape"
-        );
-        for r in 0..self.rows {
-            out.row_mut(r)[..self.cols].copy_from_slice(self.row(r));
-            out.row_mut(r)[self.cols..].copy_from_slice(other.row(r));
+    /// Overwrites `out` with `parts` side by side (equal row counts, and
+    /// `out` as wide as all of them together).
+    pub(crate) fn hstack_into(parts: &[&Matrix], out: &mut Matrix) {
+        let cols: usize = parts.iter().map(|p| p.cols).sum();
+        let mut at = 0;
+        for p in parts {
+            assert_eq!((p.rows, cols), out.shape(), "hstack shapes");
+            for r in 0..p.rows {
+                out.row_mut(r)[at..at + p.cols].copy_from_slice(p.row(r));
+            }
+            at += p.cols;
         }
     }
 

@@ -10,11 +10,11 @@ use crate::parallel::Pool;
 /// favours clarity and `spmm` favours speed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SparseMatrix {
-    rows: usize,
-    cols: usize,
-    indptr: Vec<usize>,
-    indices: Vec<u32>,
-    values: Vec<f32>,
+    pub(crate) rows: usize,
+    pub(crate) cols: usize,
+    pub(crate) indptr: Vec<usize>,
+    pub(crate) indices: Vec<u32>,
+    pub(crate) values: Vec<f32>,
 }
 
 impl SparseMatrix {

@@ -1,9 +1,10 @@
 //! Property-based checks of the autograd tape: analytic gradients must
 //! match central finite differences for randomly composed expressions — on
 //! a fresh tape and on one `reset()` and reused across graphs of different
-//! shapes — the fused `triplet_l1` and `reflect_rows` nodes must equal the
-//! compositions of small nodes they replaced bit for bit, and training on the trainer's one recycled tape
-//! must equal a fresh-tape-per-epoch reference bit for bit.
+//! shapes — the fused `triplet_l1` and `reflect_aggregate` nodes must equal
+//! the compositions of small nodes they replaced bit for bit, and training
+//! on the trainer's one recycled tape must equal a fresh-tape-per-epoch
+//! reference bit for bit.
 
 use largeea::common::check::for_each_case;
 use largeea::common::rng::Rng;
@@ -11,7 +12,7 @@ use largeea::models::baselines::whole_graph;
 use largeea::models::negative::sample_negatives;
 use largeea::models::{train, BatchGraph, EaModel, ModelKind, TrainConfig};
 use largeea::tensor::optim::{Adam, AdamConfig};
-use largeea::tensor::{Matrix, Tape, Var};
+use largeea::tensor::{Matrix, SpOp, SparseMatrix, Tape, Var};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -31,7 +32,7 @@ enum Expr {
     TanhScale,
     HStackMul,
     TripletL1,
-    ReflectRows,
+    ReflectAggregate,
 }
 
 const EXPRS: [Expr; 7] = [
@@ -41,7 +42,7 @@ const EXPRS: [Expr; 7] = [
     Expr::TanhScale,
     Expr::HStackMul,
     Expr::TripletL1,
-    Expr::ReflectRows,
+    Expr::ReflectAggregate,
 ];
 
 fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
@@ -75,7 +76,7 @@ fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
         }
         Expr::HStackMul => {
             let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| ((r + c) % 2) as f32 - 0.5));
-            let h = tape.hstack(p, c);
+            let h = tape.hstack(&[p, c]);
             let hh = tape.mul_elem(h, h);
             tape.sum_all(hh)
         }
@@ -85,10 +86,14 @@ fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
             let (neg_t, neg_s) = (rows(&[2, 0, 2]), rows(&[2, 2, 0]));
             tape.triplet_l1(p, s, t, neg_t, neg_s, 0.5)
         }
-        Expr::ReflectRows => {
-            // rows of p reflected through (normalised) rows of p
+        Expr::ReflectAggregate => {
+            // rows of p reflected through (normalised) rows of p, then mixed:
+            // message 1 feeds two output rows, output row 0 takes two messages
             let r = tape.l2_normalize_rows(p, 1e-6);
-            let y = tape.reflect_rows(p, r, Rc::new(vec![0, 2, 2]), Rc::new(vec![1, 0, 1]));
+            let coo = vec![(0, 0, 0.5), (0, 2, 0.5), (1, 1, -0.25), (2, 1, 1.0)];
+            let agg = SpOp::new(SparseMatrix::from_coo(3, 3, coo));
+            let (h_rows, r_rows) = (Rc::new(vec![0, 2, 2]), Rc::new(vec![1, 0, 1]));
+            let y = tape.reflect_aggregate(&agg, p, r, h_rows, r_rows);
             let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| {
                 (r + 2 * c) as f32 * 0.3 - 0.7
             }));
@@ -220,8 +225,14 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
         let run = |fused: bool| {
             let mut tape = Tape::new();
             let leaf = tape.param(&e0);
+            // An op's output hands its gradient back once it has propagated;
+            // `add` passes the one it received on unchanged, so the zero leaf
+            // added to `emb` reads `emb`'s gradient bits.
+            let mut emb_grad = leaf;
             let emb = if through_op {
-                tape.l2_normalize_rows(leaf, 1e-9)
+                emb_grad = tape.param(&Matrix::zeros(n, dim));
+                let normed = tape.l2_normalize_rows(leaf, 1e-9);
+                tape.add(normed, emb_grad)
             } else {
                 leaf
             };
@@ -239,7 +250,7 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
             }
             tape.backward(loss);
             let grad = |v| bits(tape.grad(v).expect("emb requires grad"));
-            (value, grad(emb), grad(leaf))
+            (value, grad(emb_grad), grad(leaf))
         };
         let (fused, composed) = (run(true), run(false));
         assert_eq!(fused.0, composed.0, "loss value, margin {margin}");
@@ -254,35 +265,82 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
     });
 }
 
-/// RREA's reflection `x − 2(x·r)r` of gathered rows as the six tape nodes
-/// `reflect_rows` replaced.
-fn composed_reflect_rows(tape: &mut Tape, h: Var, r: Var, h_rows: &Rows, r_rows: &Rows) -> Var {
+/// One RREA hop as the seven tape nodes `reflect_aggregate` replaced: the
+/// reflection `x − 2(x·r)r` of gathered rows, then the aggregation.
+fn composed_reflect_aggregate(
+    tape: &mut Tape,
+    agg: &Rc<SpOp>,
+    (h, r): (Var, Var),
+    (h_rows, r_rows): (&Rows, &Rows),
+) -> Var {
     let et = tape.gather_rows(h, Rc::clone(h_rows));
     let rg = tape.gather_rows(r, Rc::clone(r_rows));
     let dot = tape.row_dot(et, rg);
     let proj = tape.mul_broadcast_col(rg, dot);
     let proj2 = tape.scale(proj, 2.0);
-    tape.sub(et, proj2)
+    let msg = tape.sub(et, proj2);
+    tape.spmm(agg, msg)
+}
+
+const WIDTH_CHILD: &str = "LARGEEA_TEST_WIDTH_CHILD";
+
+/// The pool is process-global (`LARGEEA_THREADS`, read once), so a test
+/// that must hold at every width calls this first: in the parent it runs
+/// the same test in one child process per other width.
+fn rerun_at_pool_widths(test: &str) {
+    if std::env::var_os(WIDTH_CHILD).is_some() {
+        return;
+    }
+    for width in ["1", "2", "4"] {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", test])
+            .env("LARGEEA_THREADS", width)
+            .env(WIDTH_CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "width {width}: {}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }
 
 #[test]
-fn reflect_rows_equals_the_composed_formulation_bitwise() {
+fn reflect_aggregate_equals_the_composed_formulation_bitwise() {
+    rerun_at_pool_widths("reflect_aggregate_equals_the_composed_formulation_bitwise");
     for_each_case(0xAD04, 120, |rng| {
-        let n = rng.gen_range(1..30usize);
-        let n_rel = rng.gen_range(1..6usize);
+        // a few entities, or enough output rows that the pool splits them
+        let n = [rng.gen_range(1..30usize), rng.gen_range(130..400usize)][rng.gen_range(0..2usize)];
+        // both operands may be one node (r's scatter lands before h's)
+        let same_operand = rng.gen_range(0..4u32) == 0;
+        let n_rel = if same_operand {
+            n
+        } else {
+            rng.gen_range(1..6usize)
+        };
         let dim = [1, 7, 8, 64][rng.gen_range(0..4usize)];
-        let rows = rng.gen_range(0..60usize);
+        let msgs = rng.gen_range(0..60usize);
         let h0 = random_param(rng, n, dim);
         let r0 = random_param(rng, n_rel, dim);
-        let weights = random_param(rng, rows, dim);
-        let h_rows: Rows = Rc::new((0..rows).map(|_| rng.gen_range(0..n as u32)).collect());
-        let r_rows: Rows = Rc::new((0..rows).map(|_| rng.gen_range(0..n_rel as u32)).collect());
-        // the operands are leaves or op outputs; `h`'s gradient slot may
-        // already be occupied when the reflection's contribution arrives;
-        // and both operands may be one node (r's scatter lands before h's)
+        let weights = random_param(rng, n, dim);
+        // few entities against many messages: indices repeat in both lists
+        let h_rows: Rows = Rc::new((0..msgs).map(|_| rng.gen_range(0..n as u32)).collect());
+        let r_rows: Rows = Rc::new((0..msgs).map(|_| rng.gen_range(0..n_rel as u32)).collect());
+        // twice as many entries as messages, so columns hold none, one or
+        // several; the last output row stays empty
+        let heads = (n as u32 - 1).max(1);
+        let coo = (0..2 * msgs)
+            .map(|_| {
+                let (row, col) = (rng.gen_range(0..heads), rng.gen_range(0..msgs as u32));
+                (row, col, rng.gen_range(-1.0f32..1.0))
+            })
+            .collect();
+        let agg = SpOp::new(SparseMatrix::from_coo(n, msgs, coo));
+        // the operands are leaves or op outputs, and `h`'s gradient slot may
+        // already be occupied when the hop's contribution arrives
         let through_op = rng.gen_range(0..2u32) == 0;
         let second_consumer = rng.gen_range(0..2u32) == 0;
-        let same_operand = n_rel >= n && rng.gen_range(0..2u32) == 0;
 
         let run = |fused: bool| {
             let mut tape = Tape::new();
@@ -296,9 +354,9 @@ fn reflect_rows_equals_the_composed_formulation_bitwise() {
                 h = r;
             }
             let y = if fused {
-                tape.reflect_rows(h, r, Rc::clone(&h_rows), Rc::clone(&r_rows))
+                tape.reflect_aggregate(&agg, h, r, Rc::clone(&h_rows), Rc::clone(&r_rows))
             } else {
-                composed_reflect_rows(&mut tape, h, r, &h_rows, &r_rows)
+                composed_reflect_aggregate(&mut tape, &agg, (h, r), (&h_rows, &r_rows))
             };
             let value = bits(tape.value(y));
             let w = tape.constant(&weights);
@@ -314,7 +372,7 @@ fn reflect_rows_equals_the_composed_formulation_bitwise() {
             (value, grad(h_leaf), grad(r_leaf))
         };
         let (fused, composed) = (run(true), run(false));
-        assert_eq!(fused.0, composed.0, "reflected rows");
+        assert_eq!(fused.0, composed.0, "aggregated rows");
         assert_eq!(fused.1, composed.1, "h gradient");
         assert_eq!(fused.2, composed.2, "r gradient");
     });
@@ -381,30 +439,9 @@ fn train_on_fresh_tapes(
     (forward(model), losses)
 }
 
-const WIDTH_CHILD: &str = "LARGEEA_TEST_WIDTH_CHILD";
-
 #[test]
 fn recycled_tape_training_equals_a_fresh_tape_per_epoch_bitwise() {
-    // The pool is process-global (`LARGEEA_THREADS`, read once), so the
-    // other widths run this same test in a child process each.
-    if std::env::var_os(WIDTH_CHILD).is_none() {
-        for width in ["1", "2", "4"] {
-            let out = std::process::Command::new(std::env::current_exe().unwrap())
-                .args([
-                    "--exact",
-                    "recycled_tape_training_equals_a_fresh_tape_per_epoch_bitwise",
-                ])
-                .env("LARGEEA_THREADS", width)
-                .env(WIDTH_CHILD, "1")
-                .output()
-                .unwrap();
-            assert!(
-                out.status.success(),
-                "width {width}: {}",
-                String::from_utf8_lossy(&out.stdout)
-            );
-        }
-    }
+    rerun_at_pool_widths("recycled_tape_training_equals_a_fresh_tape_per_epoch_bitwise");
     // big enough that matmul, spmm and the row kernels split across the
     // pool (≥ 64·64 output elements)
     let pair = largeea::data::Preset::Ids15kEnFr.spec(0.02).generate();

@@ -11,7 +11,8 @@ use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
 use largeea::models::baselines::whole_graph;
-use largeea::models::{train_traced, ModelKind, TrainConfig};
+use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
+use largeea::tensor::Tape;
 use largeea::text::LshIndex;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -142,6 +143,91 @@ fn epochs_after_the_first_allocate_a_sliver_of_epoch_zero() {
                 bytes(e)
             );
         }
+    }
+}
+
+/// A batch of `2 · side` entities with `triples` triples on each side (a
+/// fixed pseudo-random draw) and every third entity a training pair.
+fn synthetic_batch(side: u32, triples: u32) -> BatchGraph {
+    let draw = |i: u32, salt: u32| (i.wrapping_mul(2_654_435_761).rotate_left(salt) >> 7) % side;
+    let one_side =
+        |offset: u32| (0..triples).map(move |i| (offset + draw(i, 3), i % 7, offset + draw(i, 11)));
+    BatchGraph {
+        n_source: side as usize,
+        n_target: side as usize,
+        source_ids: (0..side).map(largeea::kg::EntityId).collect(),
+        target_ids: (0..side).map(largeea::kg::EntityId).collect(),
+        triples: one_side(0).chain(one_side(side)).collect(),
+        num_relations: 7,
+        train_pairs: (0..side).step_by(3).map(|i| (i, side + i)).collect(),
+    }
+}
+
+/// Bytes of the node values one training step records (forward, alignment
+/// loss, auxiliary loss): a tape that has run no backward pass holds
+/// nothing else.
+fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> usize {
+    let mut tape = Tape::new();
+    let fp = model.forward(&mut tape);
+    let rows = std::rc::Rc::new(vec![0u32; bg.train_pairs.len() * cfg.neg_samples]);
+    let [s, t, neg_t, neg_s] = [(); 4].map(|()| rows.clone());
+    tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
+    model.auxiliary_loss(&mut tape, &fp.params, 0);
+    tape.nbytes()
+}
+
+/// The lease gate: gradients are leased from the tape's free list while
+/// they are live and RREA's hop never materialises its messages, so (a) a
+/// message costs the tape its two `x·r` scalars, not rows of `dim` floats,
+/// and (b) a whole `train_batch` peaks at the step's values plus a handful
+/// of embedding-sized buffers — the gradients live at once, Adam's two
+/// moments, the returned embeddings, the negative sampler's scan — not at a
+/// second copy of every value (11, 9 and 12 such buffers with one gradient
+/// per node). (b) runs where a side has as many triples as entities, so
+/// MTransE's triple-sized buffers are embedding-sized too.
+#[test]
+fn a_training_step_holds_live_gradients_not_one_per_node() {
+    let cfg = TrainConfig {
+        epochs: 3,
+        dim: 32,
+        neg_samples: 5,
+        ..TrainConfig::default()
+    };
+    let tape_bytes = |bg: &BatchGraph| {
+        let mut model = ModelKind::Rrea.build(bg, cfg.dim, 3);
+        train(model.as_mut(), bg, &cfg).tape_bytes
+    };
+    let (sparse, dense) = (synthetic_batch(600, 2_400), synthetic_batch(600, 4_800));
+    let added_messages = 2 * (dense.triples.len() - sparse.triples.len());
+    let grown = tape_bytes(&dense) - tape_bytes(&sparse);
+    assert!(
+        grown <= 16 * added_messages,
+        "RREA's tape grew {grown} B for {added_messages} more messages"
+    );
+
+    let bg = synthetic_batch(600, 600);
+    let handful = [
+        (ModelKind::GcnAlign, 7),
+        (ModelKind::Rrea, 6),
+        (ModelKind::MTransE, 9),
+    ];
+    for (kind, buffers) in handful {
+        let rec = Recorder::new(ObsConfig {
+            heap: true,
+            ..ObsConfig::default()
+        });
+        let mut model = kind.build(&bg, cfg.dim, 3);
+        let values = step_value_bytes(model.as_ref(), &bg, &cfg) as u64;
+        let report = train_traced(model.as_mut(), &bg, &cfg, &rec);
+        let trace = rec.trace();
+        let batch = trace.find("train_batch").expect("batch span");
+        let peak = batch.field_u64("alloc.peak").expect("heap attribution");
+        let embedding = report.embeddings.nbytes() as u64;
+        assert!(
+            peak <= values + buffers * embedding,
+            "{kind:?}: train_batch peaked at {peak} B over {values} B of values \
+             ({buffers} buffers of {embedding} B allowed)"
+        );
     }
 }
 
