@@ -18,10 +18,9 @@ use largeea_models::negative::{sample_negatives, NegStrategy};
 use largeea_models::{train, train_traced, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::MiniBatches;
 
-// Per-epoch `alloc.bytes` needs the instrumented allocator the `largeea`
-// binary runs under.
-#[global_allocator]
-static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::CountingAlloc;
+// Per-epoch `alloc.bytes` needs the counting allocator, which the harness
+// library installs; naming the library links it in.
+use largeea_bench as _;
 
 fn batch_graph() -> BatchGraph {
     let pair = Preset::Ids15kEnFr.spec(0.05).generate();

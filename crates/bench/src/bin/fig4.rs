@@ -50,7 +50,6 @@ fn main() {
         let out = sc
             .run_in(&pair, &seeds, &mut ctx)
             .expect("in-memory context: no RunError has a source");
-        ctx.mem.record_into(&rec);
         maybe_write_trace(&format!("fig4.scale-{scale}"), &rec.trace());
 
         xs.push(entities);

@@ -8,8 +8,9 @@
 //!
 //! Flags: `--scale <f>`, `--epochs <n>`, `--dim <n>`, `--k <n>`.
 
-use largeea_bench::{arg_usize, direction_label, largeea_config};
-use largeea_core::pipeline::LargeEa;
+use largeea_bench::{arg_usize, channel_peak_bytes, direction_label, largeea_config};
+use largeea_common::obs::Recorder;
+use largeea_core::pipeline::{ExecOptions, LargeEa};
 use largeea_core::report::{print_table, MethodRow};
 use largeea_data::Preset;
 use largeea_kg::AlignmentSeeds;
@@ -34,7 +35,9 @@ fn main() {
         let mut rows: Vec<MethodRow> = Vec::new();
         for model in [ModelKind::GcnAlign, ModelKind::Rrea] {
             for (p, s) in [(&pair, &seeds), (&reversed, &seeds_rev)] {
-                let report = LargeEa::new(largeea_config(model, k)).run(p, s);
+                let report = LargeEa::new(largeea_config(model, k))
+                    .run_exec(p, s, 1, &Recorder::from_env(), &ExecOptions::default())
+                    .expect("default exec options: no RunError has a source");
                 println!(
                     "[DA] {} {}: generated {} pseudo seeds, accuracy {:.2}%",
                     preset.name(),
@@ -48,7 +51,7 @@ fn main() {
                     direction_label(p),
                     report.eval,
                     report.total_seconds,
-                    report.name_peak_bytes.max(report.structure_peak_bytes),
+                    channel_peak_bytes(&report.trace),
                 ));
             }
         }

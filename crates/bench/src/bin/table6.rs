@@ -9,17 +9,18 @@
 //! paper (we additionally skip running it at harness scale to mirror the
 //! full-scale OOM).
 //!
-//! A structure column is the channel's tracked peak (similarity blocks,
-//! embeddings, parameters + Adam moments) plus what the tracker does not
-//! book: the largest batch's autograd tape (`train.tape_bytes`).
+//! Every column is a channel's measured heap peak: the `alloc.peak` of its
+//! `name_channel` / `structure_channel` span under the counting allocator
+//! (the structure channel's covers every batch's tape, parameters, Adam
+//! moments, embeddings and similarity block).
 //!
 //! Flags: `--scale <f>`, `--epochs <n>` (memory is epoch-independent; a few
 //! epochs suffice).
 
-use largeea_bench::make_dataset;
+use largeea_bench::{channel_peak_bytes, make_dataset};
 use largeea_common::fmt_bytes;
 use largeea_common::json::{Json, ToJson};
-use largeea_common::obs::{ObsConfig, Recorder};
+use largeea_common::obs::Recorder;
 use largeea_core::pipeline::RunCtx;
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea_core::{NameChannel, NameChannelConfig};
@@ -69,12 +70,11 @@ fn structure_peak(
         top_k: 50,
         ..StructureChannelConfig::default()
     };
-    let rec = Recorder::new(ObsConfig::default());
-    let out = StructureChannel::new(cfg)
+    let rec = Recorder::from_env();
+    StructureChannel::new(cfg)
         .run_in(pair, seeds, &mut RunCtx::in_memory(&rec))
         .expect("memory backing, no budget, no checkpoint: no RunError has a source");
-    let tape = rec.trace().gauge("train.tape_bytes").unwrap_or(0.0);
-    out.peak_bytes + tape as usize
+    channel_peak_bytes(&rec.trace())
 }
 
 fn main() {
@@ -93,9 +93,11 @@ fn main() {
         let k = preset.default_k();
         for (p, s) in [(&pair, &seeds), (&reversed, &seeds_rev)] {
             let dir = format!("{}→{}", p.source.name(), p.target.name());
-            let name_peak = NameChannel::new(NameChannelConfig::default())
-                .run(&p.source, &p.target)
-                .peak_bytes;
+            let rec = Recorder::from_env();
+            NameChannel::new(NameChannelConfig::default())
+                .run_in(&p.source, &p.target, &mut RunCtx::in_memory(&rec))
+                .expect("memory backing, no budget, no checkpoint: no RunError has a source");
+            let name_peak = channel_peak_bytes(&rec.trace());
             let r_cps = structure_peak(p, s, ModelKind::Rrea, Partitioner::MetisCps, k);
             let g_cps = structure_peak(p, s, ModelKind::GcnAlign, Partitioner::MetisCps, k);
             // The paper's unpartitioned RREA OOMs beyond IDS15K and

@@ -12,8 +12,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+// The counting allocator, installed once for every binary and bench that
+// links this library: Table 6's memory columns are the channels' measured
+// `alloc.peak`, and `train_bench` reports bytes allocated per epoch. (The
+// attribute is safe code; the audited `unsafe impl` lives in
+// `largeea_common::alloc`.)
+#[global_allocator]
+static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::CountingAlloc;
+
 use largeea_common::json::ToJson;
-use largeea_common::obs::Recorder;
+use largeea_common::obs::{Recorder, Trace};
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig};
 use largeea_core::report::MethodRow;
 use largeea_core::structure_channel::{Partitioner, StructureChannelConfig};
@@ -119,6 +127,17 @@ pub fn largeea_config(model: ModelKind, k: usize) -> LargeEaConfig {
     }
 }
 
+/// Table 6's memory for one run: the larger of the `name_channel` and
+/// `structure_channel` spans' measured `alloc.peak` (0 for a span that is
+/// missing or was recorded without heap attribution).
+pub fn channel_peak_bytes(trace: &Trace) -> usize {
+    ["name_channel", "structure_channel"]
+        .iter()
+        .filter_map(|name| trace.find(name)?.field_u64("alloc.peak"))
+        .max()
+        .unwrap_or(0) as usize
+}
+
 /// Runs one LargeEA variant and renders the paper's table row.
 pub fn largeea_variant_row(
     dataset: &str,
@@ -139,7 +158,7 @@ pub fn largeea_variant_row(
         direction_label(pair),
         report.eval,
         report.total_seconds,
-        report.name_peak_bytes.max(report.structure_peak_bytes),
+        channel_peak_bytes(&report.trace),
     )
 }
 

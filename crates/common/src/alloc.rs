@@ -54,10 +54,18 @@
 //! ```
 //!
 //! The `largeea` facade crate installs it for the CLI and its integration
-//! tests; standalone binaries (benches, per-crate test binaries) install
-//! their own copy. [`is_instrumented`] reports whether *some* allocation
-//! has been counted in this process — the probe `--mem-audit` uses to fail
-//! with a typed error instead of auditing against all-zero measurements.
+//! tests, and `largeea-bench` for the experiment binaries; other binaries
+//! (per-crate test binaries) install their own copy or run uncounted.
+//! [`is_instrumented`] reports whether *some* allocation has been counted
+//! in this process, so a run can tell "no growth" from "no allocator".
+//!
+//! ## The memory budget
+//!
+//! This allocator is the run's only memory ledger (DESIGN.md §S0.8):
+//! `--mem-budget` admits a request against [`thread_live`]'s growth since
+//! the run's heap window opened. The per-thread level already includes
+//! every pool credit, so that growth is the same at any pool width and
+//! blind to whatever the process held before the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -181,6 +189,14 @@ pub fn heap_live() -> u64 {
 /// Peak of [`heap_live`] over the life of the process.
 pub fn heap_peak() -> u64 {
     PEAK.load(Relaxed).max(0) as u64
+}
+
+/// The current thread's live-byte level: what it allocated minus what it
+/// freed, plus what pool jobs credited to it ([`credit`]). Only the
+/// difference of two reads on one thread means anything — the heap growth
+/// between them, worker allocations included.
+pub fn thread_live() -> i64 {
+    T_LIVE.try_with(Cell::get).unwrap_or(0)
 }
 
 /// Cumulative `(bytes, count)` ever allocated process-wide.

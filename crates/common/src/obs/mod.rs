@@ -540,7 +540,7 @@ impl Recorder {
     }
 
     /// Raises the gauge `name` to `v` if `v` is larger (peak semantics —
-    /// what byte-accounting trackers fold their per-label peaks in with).
+    /// what `heap.peak` and `train.tape_bytes` are recorded with).
     pub fn gauge_max(&self, name: &str, v: f64) {
         if let Some(inner) = &self.inner {
             let mut st = inner.lock();
@@ -966,8 +966,7 @@ mod tests {
         let names: Vec<&str> = t.spans[0].fields.iter().map(|(k, _)| k.as_str()).collect();
         // The window machinery runs even without the instrumented
         // allocator installed (this test binary doesn't install it) — the
-        // fields are then present with zero values, which is exactly what
-        // `--mem-audit`'s Uninstrumented probe distinguishes.
+        // fields are then present with zero values.
         assert_eq!(names, ["alloc.bytes", "alloc.count", "alloc.peak"]);
         for (_, v) in &t.spans[0].fields {
             assert!(matches!(v, FieldValue::U64(_)));

@@ -1,11 +1,9 @@
 //! Human-readable unit formatting shared across the workspace.
 //!
 //! [`fmt_bytes`] renders byte counts the way the paper's tables do
-//! (`"4.04G"`, `"0.5M"`, `"16.0K"`, `"100B"`). It used to live on
-//! `MemTracker` in `largeea-core`; once heap reports existed in three more
-//! places (`trace heap`, `trace tail`, the budget error message) the
-//! formatting moved here so every memory number in the tree prints
-//! identically. `MemTracker::fmt_bytes` now delegates to this function.
+//! (`"4.04G"`, `"0.5M"`, `"16.0K"`, `"100B"`), so every memory number in
+//! the tree — `trace heap`, `trace tail`, the budget error message, the
+//! table binaries — prints identically.
 
 /// Formats bytes the way the paper's tables do (`"4.04G"`, `"0.13G"`, MB
 /// below a gigabyte, KB below a tenth of a megabyte, raw bytes below 1K).

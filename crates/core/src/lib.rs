@@ -54,7 +54,7 @@ pub use augment::{augment_seeds, AugmentReport};
 pub use checkpoint::{Checkpoint, CkptError, Payload, RunMeta, Stage};
 pub use eval::{evaluate, EvalResult};
 pub use fusion::fuse;
-pub use mem::{BudgetExceeded, MemTracker};
+pub use mem::{BudgetExceeded, MemBudget};
 pub use name_channel::{NameChannel, NameChannelConfig, NameChannelOutput};
 pub use pipeline::{
     ExecOptions, LargeEa, LargeEaConfig, LargeEaReport, PartitionStrategy, RunCtx, RunError,

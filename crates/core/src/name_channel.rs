@@ -12,7 +12,7 @@
 //!   Levenshtein computation.
 
 use crate::checkpoint::Stage;
-use crate::mem::MemTracker;
+use crate::mem::MemBudget;
 use crate::pipeline::{RunCtx, RunError};
 use crate::spill::SpillStore;
 use largeea_common::obs::{Level, ObsConfig, Recorder};
@@ -68,8 +68,6 @@ pub struct NameChannelOutput {
     pub sens_seconds: f64,
     /// Wall-clock seconds of STNS (sketching + Levenshtein).
     pub stns_seconds: f64,
-    /// Peak bytes of the channel's live state.
-    pub peak_bytes: usize,
 }
 
 /// The name channel runner.
@@ -96,17 +94,19 @@ impl NameChannel {
             .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
-    /// Runs NFF against `ctx`: recording into `ctx.rec`, charging
-    /// `ctx.mem`, and streaming the SENS embeddings through `ctx.store`.
+    /// Runs NFF against `ctx`: recording into `ctx.rec`, admitting against
+    /// `ctx.budget`, and streaming the SENS embeddings through `ctx.store`.
     ///
-    /// Records a `name_channel` span with `sens`/`stns` children (the
-    /// reported `*_seconds` are those spans' durations — single source of
-    /// truth, so `0.0` with a disabled recorder), per-block `sens_block`
-    /// spans from the segmented search and `stns.*` candidate counters.
+    /// Records a `name_channel` span with `stns`/`sens` children, in that
+    /// order (the reported `*_seconds` are those spans' durations — single
+    /// source of truth, so `0.0` with a disabled recorder), per-block
+    /// `sens_block` spans from the segmented search and `stns.*` candidate
+    /// counters.
     ///
-    /// Every major allocation is charged against `ctx.mem` (typed
-    /// [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set). SENS
-    /// runs segment at a time (paper §2.3): embeddings are encoded per
+    /// STNS runs first, so its signatures and index are never live beside
+    /// `M_se`; each stage asks `ctx.budget` for what it is about to hold
+    /// (typed [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set).
+    /// SENS runs segment at a time (paper §2.3): embeddings are encoded per
     /// segment, put into the store, and streamed back block pair by block
     /// pair, so the search holds at most one query + one base segment
     /// beside whatever the store's backing keeps resident.
@@ -114,9 +114,6 @@ impl NameChannel {
     /// `M_n` is the channel's one durable boundary ([`Stage::Name`]): a
     /// `ctx.ckpt` that already holds it answers without any of the above
     /// (no span, zero seconds), otherwise it is saved there once computed.
-    ///
-    /// Does NOT call `ctx.mem.record_into` — whoever built the context owns
-    /// the tracker's lifecycle (the pipeline shares one across channels).
     pub fn run_in(
         &self,
         source: &KnowledgeGraph,
@@ -125,7 +122,7 @@ impl NameChannel {
     ) -> Result<NameChannelOutput, RunError> {
         let RunCtx {
             rec,
-            mem,
+            budget,
             store,
             ckpt,
             ..
@@ -134,34 +131,24 @@ impl NameChannel {
         let mut seconds = None;
         let m_n = ckpt.load_or(Stage::Name, rec, |_| {
             let channel_span = rec.span("name_channel");
-            let (m_se, sens_seconds) = self.sens(source, target, rec, mem, store)?;
-            // end of SENS: refresh the working-set gauge and give the live
-            // sampler a stage-boundary tick (likewise after STNS below)
-            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            let (m_st, stns_seconds) = self.stns(source, target, rec, budget)?;
+            // end of STNS: a stage-boundary tick for the live sampler
+            // (likewise after SENS below)
             rec.live_tick();
-            let (m_st, stns_seconds) = self.stns(source, target, rec, mem)?;
-            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            let (m_se, sens_seconds) = self.sens(source, target, rec, budget, store)?;
             rec.live_tick();
             // In-place fusion: only the fused matrix stays live.
-            let m_st_bytes = m_st.nbytes();
             let mut m_n = m_se;
-            let before = m_n.nbytes();
             m_n.scaled_add_assign(&m_st, self.cfg.gamma);
-            mem.charge("name_channel", m_n.nbytes().saturating_sub(before))?;
-            mem.uncharge("name_channel", m_st_bytes);
             channel_span.finish();
             seconds = Some((sens_seconds, stns_seconds));
             Ok::<_, RunError>(m_n)
         })?;
-        if seconds.is_none() {
-            mem.charge("name_channel", m_n.nbytes())?; // loaded, not grown charge by charge
-        }
         let (sens_seconds, stns_seconds) = seconds.unwrap_or_default();
         Ok(NameChannelOutput {
             m_n,
             sens_seconds,
             stns_seconds,
-            peak_bytes: mem.peak("name_channel"),
         })
     }
 
@@ -171,13 +158,14 @@ impl NameChannel {
     /// (`HashEncoder::encode_batch` is per-row deterministic, so segment
     /// slices equal row slices of a full encoding), put into the store
     /// under `sens.q<i>` / `sens.b<i>` keys, and the streamed top-k search
-    /// loads at most one query + one base segment at a time.
+    /// loads at most one query + one base segment at a time — the resident
+    /// set `budget` is asked for once every segment is stored.
     fn sens(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
         rec: &Recorder,
-        mem: &mut MemTracker,
+        budget: &MemBudget,
         store: &mut SpillStore,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
         let mut span = rec.span("sens");
@@ -201,21 +189,15 @@ impl NameChannel {
                 for (idx, start) in (0..labels.len()).step_by(seg).enumerate() {
                     let end = (start + seg).min(labels.len());
                     let m = encoder.encode_batch(&labels[start..end]);
-                    mem.charge("name_channel", m.nbytes())?;
-                    let held = store
+                    store
                         .put_matrix(&format!("sens.{side}{idx}"), &m, rec)
                         .map_err(RunError::Spill)?;
-                    mem.charge("name_channel", held)?;
-                    mem.uncharge("name_channel", m.nbytes());
                 }
             }
         }
         // The streamed search holds one query + one base segment resident,
-        // plus the sketches of every query row and of that base segment;
-        // charge that bound up front (the loaders can't borrow the tracker
-        // while both borrow the store).
-        let resident = resident_bytes(n_q, n_b, self.cfg.dim, segments);
-        mem.charge("name_channel", resident)?;
+        // plus the sketches of every query row and of that base segment.
+        budget.admit("sens", resident_bytes(n_q, n_b, self.cfg.dim, segments))?;
         let store_ref = &*store;
         let load_q = |r: std::ops::Range<usize>| {
             store_ref.get_matrix(&format!("sens.q{}", r.start / q_seg), rec)
@@ -234,35 +216,37 @@ impl NameChannel {
             load_b,
         )
         .map_err(RunError::Spill)?;
-        mem.uncharge("name_channel", resident);
         for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
             for (idx, _) in (0..n).step_by(seg).enumerate() {
-                mem.uncharge("name_channel", store.remove(&format!("sens.{side}{idx}")));
+                store.remove(&format!("sens.{side}{idx}"));
             }
         }
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
         // negative distances → [0,1] per row so γ-weighted fusion and the
         // later channel fusion operate on one scale
         m_se.normalize_global_minmax();
-        mem.charge("name_channel", m_se.nbytes())?;
         Ok((m_se, span.finish()))
     }
 
     /// STNS: string name similarity via MinHash-LSH candidates + banded
-    /// Levenshtein.
+    /// Levenshtein. The target side's signatures and index are asked of
+    /// `budget` before they are built.
     fn stns(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
         rec: &Recorder,
-        mem: &mut MemTracker,
+        budget: &MemBudget,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
         let pool = Pool::global();
         let hasher = MinHasher::new(self.cfg.minhash_perms, self.cfg.seed);
-        let normalized_t: Vec<String> = target.labels().iter().map(|l| normalize_name(l)).collect();
         let mut index = LshIndex::with_threshold(self.cfg.minhash_perms, self.cfg.theta);
+        let n_t = target.num_entities();
+        let signatures = n_t * self.cfg.minhash_perms * std::mem::size_of::<u64>();
+        budget.admit("stns", signatures + index.max_bytes(n_t))?;
+        let normalized_t: Vec<String> = target.labels().iter().map(|l| normalize_name(l)).collect();
         let sigs_t = {
             let mut s = rec.span_at(Level::Detail, "sketch");
             s.field("threads", pool.threads());
@@ -277,8 +261,6 @@ impl NameChannel {
             }
             sigs
         };
-        let sigs_bytes = sigs_t.len() * self.cfg.minhash_perms * std::mem::size_of::<u64>();
-        mem.charge("name_channel", sigs_bytes)?;
 
         // Hot loop, parallel over source rows: each block scores its rows
         // against the read-only index and returns (hits, local counters);
@@ -331,10 +313,6 @@ impl NameChannel {
         span.field("candidates", lsh_candidates);
         span.field("pruned", pruned_below_theta);
         m_st.truncate_topk(self.cfg.top_k);
-        mem.charge("name_channel", m_st.nbytes())?;
-        // Signatures and the LSH index drop at return; give those bytes
-        // back so the live total reflects reality.
-        mem.uncharge("name_channel", sigs_bytes);
         Ok((m_st, span.finish()))
     }
 }
@@ -375,7 +353,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &rec, &mut MemTracker::new()).unwrap();
+        let (m_st, _) = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         assert_eq!(m_st.get(2, 2), Some(1.0));
     }
 
@@ -384,7 +362,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &rec, &mut MemTracker::new()).unwrap();
+        let (m_st, _) = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         // "London" vs "Allemagne" falls below θ = 0.5 → no stored entry
         assert_eq!(m_st.get(0, 1), None);
     }
@@ -398,19 +376,27 @@ mod tests {
         });
         let fused = nc.run(&s, &t).m_n.get(2, 2).unwrap();
         let rec = Recorder::disabled();
-        let (mut mem, mut store) = (MemTracker::new(), SpillStore::in_memory());
-        let (m_se, _) = nc.sens(&s, &t, &rec, &mut mem, &mut store).unwrap();
+        let mut store = SpillStore::in_memory();
+        let (m_se, _) = nc
+            .sens(&s, &t, &rec, &MemBudget::open(None), &mut store)
+            .unwrap();
         let se = m_se.get(2, 2).unwrap();
         assert!((fused - (se + 0.5)).abs() < 1e-6, "fused {fused} se {se}");
     }
 
     #[test]
-    fn timings_and_memory_reported() {
+    fn timings_reported_stns_first() {
         let (s, t) = kgs();
-        let out = NameChannel::new(NameChannelConfig::default()).run(&s, &t);
+        let rec = Recorder::new(ObsConfig::default());
+        let out = NameChannel::new(NameChannelConfig::default())
+            .run_in(&s, &t, &mut RunCtx::in_memory(&rec))
+            .unwrap();
         assert!(out.sens_seconds >= 0.0);
         assert!(out.stns_seconds >= 0.0);
-        assert!(out.peak_bytes > 0);
+        let trace = rec.trace();
+        let children = &trace.find("name_channel").expect("channel span").children;
+        let names: Vec<&str> = children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["stns", "sens"]);
     }
 
     #[test]
@@ -426,9 +412,9 @@ mod tests {
             ..Default::default()
         };
         let rec = Recorder::disabled();
-        let (mut mem, mut store) = (MemTracker::new(), SpillStore::in_memory());
+        let mut store = SpillStore::in_memory();
         let (m_se, _) = NameChannel::new(cfg)
-            .sens(&s, &t, &rec, &mut mem, &mut store)
+            .sens(&s, &t, &rec, &MemBudget::open(None), &mut store)
             .unwrap();
         for r in 0..30 {
             assert!(m_se.row(r).len() <= 3, "row {r} too wide");
@@ -436,11 +422,12 @@ mod tests {
     }
 
     #[test]
-    fn streamed_sens_fits_its_budget_only_with_the_sketches_counted() {
+    fn streamed_sens_asks_for_its_residents_with_the_sketches_counted() {
         // 200 + 200 long-dimension embeddings in one segment per side, a
         // tiny top-k and few MinHash permutations: the streamed search's
         // residents — both f32 segments, every query sketch and one base
-        // segment's — are the channel's peak, to the byte.
+        // segment's — are SENS's request, to the byte. This binary runs
+        // without the counting allocator, so nothing is live beside it.
         let mut s = KnowledgeGraph::new("EN");
         let mut t = KnowledgeGraph::new("FR");
         for i in 0..200 {
@@ -462,25 +449,21 @@ mod tests {
             ));
             let rec = Recorder::disabled();
             let mut ctx = RunCtx {
-                mem: MemTracker::with_budget_opt(Some(budget)),
+                budget: MemBudget::open(Some(budget)),
                 store: SpillStore::create(&dir).unwrap(),
                 ..RunCtx::in_memory(&rec)
             };
-            let out = NameChannel::new(cfg).run_in(&s, &t, &mut ctx);
-            out.map(|out| (out, ctx.mem.peak("name_channel")))
+            NameChannel::new(cfg).run_in(&s, &t, &mut ctx)
         };
-        let (bounded, peak) = run(budget).expect("the residents are the whole budget");
-        assert_eq!(peak, budget);
-        assert!(matches!(run(budget - 1), Err(RunError::Budget(_))));
-        // the memory backing also holds every segment it was handed
-        let rec = Recorder::disabled();
-        let mut ctx = RunCtx::in_memory(&rec);
-        let in_ram = NameChannel::new(cfg).run_in(&s, &t, &mut ctx).unwrap();
+        let bounded = run(budget).expect("the residents are the whole budget");
+        match run(budget - 1) {
+            Err(RunError::Budget(b)) => {
+                assert_eq!((b.label.as_str(), b.requested), ("sens", budget));
+            }
+            other => panic!("expected SENS to be refused, got {other:?}"),
+        }
+        let in_ram = NameChannel::new(cfg).run(&s, &t);
         assert_eq!(bounded.m_n, in_ram.m_n);
-        assert_eq!(
-            ctx.mem.peak("name_channel"),
-            budget + 400 * cfg.dim * std::mem::size_of::<f32>()
-        );
     }
 
     #[test]

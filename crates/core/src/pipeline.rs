@@ -15,7 +15,7 @@ use crate::analysis::{top1_hits, ChannelAttribution};
 use crate::augment::augment_seeds;
 use crate::checkpoint::{Checkpoint, CkptError, RunMeta, Stage};
 use crate::eval::{evaluate, EvalResult};
-use crate::mem::{BudgetExceeded, MemAuditError, MemTracker};
+use crate::mem::{BudgetExceeded, MemBudget};
 use crate::name_channel::{NameChannel, NameChannelConfig};
 use crate::spill::SpillStore;
 use crate::structure_channel::{StructureChannel, StructureChannelConfig};
@@ -38,21 +38,16 @@ pub use crate::structure_channel::Partitioner as PartitionStrategy;
 /// resumed bounded or unbounded.
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// Hard cap on tracked live bytes (`--mem-budget`): the run fails with
-    /// a typed [`RunError::Budget`] the moment the [`MemTracker`] total
-    /// would pass it. `None` = unbounded (tracking only).
+    /// Hard cap on the run's measured heap growth (`--mem-budget`): an
+    /// admission point whose request would pass it fails the run with a
+    /// typed [`RunError::Budget`] ([`MemBudget::admit`]). `None` =
+    /// unbounded.
     pub mem_budget: Option<usize>,
     /// Which backing the run's [`SpillStore`] gets. Per-segment embeddings
     /// and per-batch similarity blocks always go through the store; with
     /// `Some(dir)` they wait on disk (out-of-core execution), with `None`
     /// in memory. Same statements either way, hence the same bits.
     pub spill_dir: Option<PathBuf>,
-    /// Audit the memory books (`--mem-audit`): after the run, compare the
-    /// [`MemTracker`] tracked peak against the instrumented allocator's
-    /// measured peak and fail with a typed [`RunError::Audit`] when the
-    /// drift exceeds tolerance (see [`MemTracker::audit`]). Requires the
-    /// instrumented allocator to be installed in the process.
-    pub mem_audit: bool,
     /// Crash-safe checkpoint directory (`--checkpoint-dir`, DESIGN.md
     /// §S0.7): every pipeline boundary is durably persisted there as it
     /// completes. `None` = [`Checkpoint::disabled`].
@@ -89,18 +84,17 @@ impl ExecOptions {
     }
 }
 
-/// What a channel runs against: where it records, what it charges, where
-/// its intermediate blocks wait, which checkpoint (and round of it) it
-/// persists its stages to, and whether it may degrade. The pipeline builds
-/// one per run and lends it to both channels.
+/// What a channel runs against: where it records, what budget it admits
+/// against, where its intermediate blocks wait, which checkpoint (and round
+/// of it) it persists its stages to, and whether it may degrade. The
+/// pipeline builds one per run and lends it to both channels.
 #[derive(Debug)]
 pub struct RunCtx<'a> {
     /// Telemetry sink.
     pub rec: &'a Recorder,
-    /// Byte accounting and the `--mem-budget` enforcement point, shared
-    /// across channels. Whoever built the context folds it into the trace
-    /// ([`MemTracker::record_into`]).
-    pub mem: MemTracker,
+    /// The `--mem-budget` every admission point asks, over the run's heap
+    /// window (read on the thread that opened it).
+    pub budget: MemBudget,
     /// Working storage for intermediate blocks (DESIGN.md §S0.8).
     pub store: SpillStore,
     /// Crash-safe checkpoint ([`Checkpoint::disabled`] when the run has
@@ -119,7 +113,7 @@ impl<'a> RunCtx<'a> {
     pub fn in_memory(rec: &'a Recorder) -> Self {
         RunCtx {
             rec,
-            mem: MemTracker::new(),
+            budget: MemBudget::open(None),
             store: SpillStore::in_memory(),
             ckpt: Checkpoint::disabled(),
             round: 0,
@@ -133,14 +127,10 @@ impl<'a> RunCtx<'a> {
 pub enum RunError {
     /// Checkpoint store failure or resume-validation mismatch.
     Ckpt(CkptError),
-    /// The tracked live bytes passed the `--mem-budget`.
+    /// An admission point's request did not fit the `--mem-budget`.
     Budget(BudgetExceeded),
     /// I/O failure in the spill store (out-of-core working storage).
     Spill(io::Error),
-    /// `--mem-audit` found the memory books broken: the MemTracker peak
-    /// and the allocator-measured peak drifted past tolerance (or there
-    /// was no instrumented allocator to measure with).
-    Audit(MemAuditError),
     /// A transient fault outlived every allowed retry (site-level backoff
     /// *and* batch-level re-execution). Carries the unit that gave up and
     /// the error its final attempt failed with.
@@ -156,7 +146,6 @@ impl std::fmt::Display for RunError {
             RunError::Ckpt(e) => write!(f, "checkpoint: {e}"),
             RunError::Budget(e) => write!(f, "{e}"),
             RunError::Spill(e) => write!(f, "spill store: {e}"),
-            RunError::Audit(e) => write!(f, "{e}"),
             RunError::Exhausted(e) => write!(f, "{e}"),
             RunError::Quarantined(e) => write!(f, "{e}"),
         }
@@ -169,7 +158,6 @@ impl std::error::Error for RunError {
             RunError::Ckpt(e) => Some(e),
             RunError::Budget(e) => Some(e),
             RunError::Spill(e) => Some(e),
-            RunError::Audit(e) => Some(e),
             RunError::Exhausted(e) => Some(e.last.as_ref()),
             RunError::Quarantined(_) => None,
         }
@@ -185,12 +173,6 @@ impl From<CkptError> for RunError {
 impl From<BudgetExceeded> for RunError {
     fn from(e: BudgetExceeded) -> Self {
         RunError::Budget(e)
-    }
-}
-
-impl From<MemAuditError> for RunError {
-    fn from(e: MemAuditError) -> Self {
-        RunError::Audit(e)
     }
 }
 
@@ -284,18 +266,10 @@ pub struct LargeEaReport {
     /// The full run trace: every span, counter, gauge and histogram the
     /// pipeline recorded (export with `trace.to_json_string()`).
     pub trace: Trace,
-    /// Name-channel peak bytes (Table 6).
-    pub name_peak_bytes: usize,
-    /// Structure-channel peak bytes (Table 6).
-    pub structure_peak_bytes: usize,
-    /// Peak of the tracked live-byte *total* across all components — the
-    /// quantity `--mem-budget` bounds (also exported as the
-    /// `mem.tracked.peak_bytes` gauge).
-    pub tracked_peak_bytes: usize,
-    /// The *measured* peak net heap growth over the run, from the
-    /// instrumented allocator (`heap.measured.peak_bytes` gauge) — the
-    /// ground truth `--mem-audit` holds [`LargeEaReport::tracked_peak_bytes`]
-    /// against. `None` when the process doesn't install
+    /// The peak net heap growth over the run, measured by the counting
+    /// allocator (`heap.measured.peak_bytes` gauge; per channel, the
+    /// `alloc.peak` of the `name_channel` / `structure_channel` spans —
+    /// Table 6). `None` when the process doesn't install
     /// `largeea_common::alloc::CountingAlloc`.
     pub measured_heap_peak_bytes: Option<usize>,
     /// Pseudo seeds generated by data augmentation (§3.5).
@@ -370,13 +344,13 @@ impl LargeEa {
     /// work happens. A resumed run is bit-identical to an uninterrupted one
     /// (`tests/crash_recovery.rs`).
     ///
-    /// Every major allocation is charged against one shared [`MemTracker`];
-    /// with `exec.mem_budget` the run fails fast with a typed
-    /// [`RunError::Budget`] instead of thrashing. Per-segment name
-    /// embeddings and per-batch similarity blocks go through one
-    /// [`SpillStore`] and are streamed back; `exec.spill_dir` only picks
-    /// where they wait in between (memory or disk), so both regimes execute
-    /// the same statements (`tests/spill_equivalence.rs`).
+    /// With `exec.mem_budget`, the admission points of both channels and of
+    /// fusion ask the run's measured heap growth ([`MemBudget`]) and the run
+    /// fails fast with a typed [`RunError::Budget`] instead of thrashing.
+    /// Per-segment name embeddings and per-batch similarity blocks go
+    /// through one [`SpillStore`] and are streamed back; `exec.spill_dir`
+    /// only picks where they wait in between (memory or disk), so both
+    /// regimes execute the same statements (`tests/spill_equivalence.rs`).
     pub fn run_exec(
         &self,
         pair: &KgPair,
@@ -386,13 +360,20 @@ impl LargeEa {
         exec: &ExecOptions,
     ) -> Result<LargeEaReport, RunError> {
         assert!(rounds >= 1, "need at least one round");
+        // Measured-memory window for the whole run, opened before the
+        // pipeline span so the spans close LIFO inside it. Its peak is the
+        // run's net heap growth on this thread — pool workers transfer
+        // their task deltas back here, so it covers parallel stages too —
+        // and the budget admits against the same growth.
+        let heap_window = largeea_common::alloc::span_open();
+        let budget = MemBudget::open(exec.mem_budget);
         let ckpt = match &exec.checkpoint_dir {
             Some(dir) => Checkpoint::open(dir, self.cfg.run_meta(seeds, rounds), exec.resume, rec)?,
             None => Checkpoint::disabled(),
         };
         let mut ctx = RunCtx {
             rec,
-            mem: MemTracker::with_budget_opt(exec.mem_budget),
+            budget,
             store: match &exec.spill_dir {
                 Some(dir) => SpillStore::create(dir).map_err(RunError::Spill)?,
                 None => SpillStore::in_memory(),
@@ -401,20 +382,6 @@ impl LargeEa {
             round: 0,
             degraded_ok: exec.degraded_ok,
         };
-        // Measured-memory window for the whole run, opened before the
-        // pipeline span so the spans close LIFO inside it. Its peak is the
-        // run's net heap growth on this thread — pool workers transfer
-        // their task deltas back here, so it covers parallel stages too.
-        let heap_window = largeea_common::alloc::span_open();
-        // Test hook for the audit: LARGEEA_HEAP_LEAK=<bytes> holds an
-        // uncharged allocation across the run. `with_capacity` counts the
-        // bytes without touching the pages, so tests can "leak" gigabytes
-        // for free and the audit must notice.
-        let _leak: Option<Vec<u8>> = std::env::var("LARGEEA_HEAP_LEAK")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .map(Vec::with_capacity);
         let mut pipeline_span = rec.span("pipeline");
         pipeline_span.field("rounds", rounds);
         // Which kernel ISA this run dispatched to (DESIGN.md §S0.11) —
@@ -447,7 +414,6 @@ impl LargeEa {
                     &mut degraded,
                     rec,
                 )?;
-                ctx.mem.release("name_channel");
                 None
             }
         };
@@ -489,7 +455,6 @@ impl LargeEa {
                             &mut degraded,
                             rec,
                         )?;
-                        ctx.mem.release("structure_channel");
                         use_structure = false; // lost for good: don't retrain next round
                         None
                     }
@@ -502,12 +467,14 @@ impl LargeEa {
             structure_hits = structure_out
                 .as_ref()
                 .map(|s| top1_hits(&s.m_s, &seeds.test));
+            // Fusion grows the fused matrix by at most `M_n`'s entries.
+            let fused_growth = name_out.as_ref().map_or(0, |n| n.m_n.nbytes());
+            ctx.budget.admit("fused", fused_growth)?;
             sim = match (&mut structure_out, &name_out) {
                 (Some(s), name) => {
                     // Move M_s out and fuse in place, so one fused matrix
                     // is live instead of three copies.
                     let mut fused = std::mem::replace(&mut s.m_s, SparseSimMatrix::new(0, 0));
-                    ctx.mem.release("structure_channel"); // M_s moved; transients gone
                     if let Some(n) = name {
                         fused.add_assign(&n.m_n);
                     }
@@ -519,12 +486,7 @@ impl LargeEa {
             if let Some(k) = self.cfg.csls_k {
                 sim.csls(k);
             }
-            ctx.mem.release("fused"); // the previous round's fused matrix is replaced
-            ctx.mem.set("fused", sim.nbytes());
-            ctx.mem.enforce("fused", sim.nbytes())?;
-            // end of a bootstrap round: refresh the live working-set gauge
-            // and give the sampler a stage-boundary tick
-            rec.gauge("mem.tracked.bytes", ctx.mem.total_current() as f64);
+            // end of a bootstrap round: a stage-boundary tick for the sampler
             rec.live_tick();
             ctx.round += 1;
             if ctx.round >= rounds {
@@ -540,11 +502,7 @@ impl LargeEa {
 
         // --- fused matrix M: the run's final durable artifact ----------------
         match ctx.ckpt.load(Stage::Fused, rec) {
-            Some(loaded) => {
-                sim = loaded;
-                ctx.mem.release("fused");
-                ctx.mem.set("fused", sim.nbytes());
-            }
+            Some(loaded) => sim = loaded,
             None => ctx.ckpt.save(Stage::Fused, &sim, rec)?,
         }
 
@@ -574,13 +532,10 @@ impl LargeEa {
             );
         }
         let total_seconds = pipeline_span.finish();
-        let tracked_peak_bytes = ctx.mem.total_peak();
-        ctx.mem.record_into(rec);
         // Close the measured-memory window (after the pipeline span's own
-        // window — LIFO) and settle the books. The window peak is the net
-        // growth attributable to this run, which is the right comparand
-        // for the tracker: pre-existing allocations (interned strings, the
-        // generated KG pair) are neither tracked nor in the window.
+        // window — LIFO). Its peak is the net growth attributable to this
+        // run: pre-existing allocations (interned strings, the generated KG
+        // pair) are not in the window.
         let measured_heap_peak_bytes = largeea_common::alloc::span_close(heap_window)
             .filter(|_| largeea_common::alloc::is_instrumented())
             .map(|d| d.peak_bytes as usize);
@@ -590,10 +545,6 @@ impl LargeEa {
             }
             rec.gauge("heap.live", largeea_common::alloc::heap_live() as f64);
             rec.gauge_max("heap.peak", largeea_common::alloc::heap_peak() as f64);
-        }
-        if exec.mem_audit {
-            let measured = measured_heap_peak_bytes.ok_or(MemAuditError::Uninstrumented)?;
-            ctx.mem.audit(measured)?;
         }
         // Final live flush AFTER the last metric lands and BEFORE the trace
         // snapshot below: nothing records in between, so the flushed
@@ -610,9 +561,6 @@ impl LargeEa {
             training_seconds: trace.total_seconds("train"),
             total_seconds,
             trace,
-            name_peak_bytes: name_out.as_ref().map_or(0, |n| n.peak_bytes),
-            structure_peak_bytes: structure_out.as_ref().map_or(0, |s| s.peak_bytes),
-            tracked_peak_bytes,
             measured_heap_peak_bytes,
             pseudo_seeds,
             pseudo_seed_accuracy,
@@ -748,17 +696,11 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_timings_and_memory() {
+    fn report_carries_timings_and_batch_quality() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 7);
         let r = LargeEa::new(quick()).run(&pair, &seeds);
         assert!(r.total_seconds > 0.0);
-        assert!(r.name_peak_bytes > 0);
-        assert!(r.structure_peak_bytes > 0);
-        assert!(
-            r.tracked_peak_bytes >= r.name_peak_bytes.max(r.structure_peak_bytes),
-            "the tracked total peak bounds every per-label peak"
-        );
         assert!(r.retention.is_some());
         assert!(r.edge_cut_rate >= 0.0 && r.edge_cut_rate <= 1.0);
     }
@@ -778,11 +720,9 @@ mod tests {
             .unwrap_err();
         match err {
             RunError::Budget(b) => {
-                assert!(
-                    b.tracked > 1024,
-                    "tracked {} should exceed budget",
-                    b.tracked
-                );
+                // no counting allocator here: the first request alone fails
+                assert_eq!(b.label, "stns");
+                assert!(b.requested > 1024, "request {} fits", b.requested);
                 assert_eq!(b.budget, 1024);
             }
             other => panic!("expected a budget error, got {other}"),
@@ -805,7 +745,6 @@ mod tests {
             .unwrap();
         assert_eq!(r.sim, base.sim, "budget tracking must not change results");
         assert_eq!(r.eval.hits1, base.eval.hits1);
-        assert!(r.tracked_peak_bytes > 0 && r.tracked_peak_bytes <= 1 << 30);
     }
 
     #[test]
@@ -850,37 +789,6 @@ mod tests {
             t.span_count("sens_block") > 0,
             "per-block spans from the name channel"
         );
-        // memory gauges folded in from MemTracker
-        assert_eq!(
-            t.gauge("mem.name_channel.peak_bytes"),
-            Some(r.name_peak_bytes as f64)
-        );
-        assert_eq!(
-            t.gauge("mem.structure_channel.peak_bytes"),
-            Some(r.structure_peak_bytes as f64)
-        );
-    }
-
-    #[test]
-    fn mem_audit_without_instrumented_allocator_is_a_typed_error() {
-        // This unit-test binary does not install CountingAlloc, so asking
-        // for an audit must fail up front with the Uninstrumented variant
-        // rather than comparing against all-zero measurements.
-        let pair = Preset::Ids15kEnFr.spec(0.01).generate();
-        let seeds = pair.split_seeds(0.2, 5);
-        let exec = ExecOptions {
-            mem_audit: true,
-            ..ExecOptions::default()
-        };
-        let rec = Recorder::new(ObsConfig::default());
-        let err = LargeEa::new(quick())
-            .run_exec(&pair, &seeds, 1, &rec, &exec)
-            .unwrap_err();
-        match err {
-            RunError::Audit(MemAuditError::Uninstrumented) => {}
-            other => panic!("expected Audit(Uninstrumented), got {other}"),
-        }
-        assert!(err.to_string().contains("allocator"));
     }
 
     #[test]

@@ -7,13 +7,10 @@
 //! back in. The backing decides where a block waits in between:
 //!
 //! - [`SpillStore::in_memory`] keeps the values themselves in a map — no
-//!   frame, no CRC, no failpoint, no trace traffic. `put_*`,
-//!   [`SpillStore::take_sim`] and [`SpillStore::remove`] report the bytes
-//!   the store keeps resident, for the caller to charge to its
-//!   [`crate::mem::MemTracker`].
+//!   frame, no CRC, no failpoint, no trace traffic.
 //! - [`SpillStore::create`] keeps a directory of CRC-framed artifacts (the
-//!   spill side of `--mem-budget`), so the tracked working set stays under
-//!   the budget; it keeps nothing resident and reports 0.
+//!   spill side of `--mem-budget`), so the blocks waiting between stages
+//!   hold no heap; the counting allocator sees the difference.
 //!
 //! Spill artifacts are the [`Payload`] encodings of checkpoint artifacts
 //! (`LEAM1` dense matrices, `LEAS1` sparse similarities) inside the same
@@ -122,7 +119,7 @@ impl SpillStore {
         key: &str,
         value: &T,
         rec: &Recorder,
-    ) -> io::Result<usize> {
+    ) -> io::Result<()> {
         let payload = value.encode()?;
         let mut span = rec.span_at(Level::Detail, "spill_write");
         span.field("key", key);
@@ -135,7 +132,7 @@ impl SpillStore {
         self.disk_bytes = self.disk_bytes - old + framed;
         self.peak_disk_bytes = self.peak_disk_bytes.max(self.disk_bytes);
         rec.gauge_max("mem.spill.peak_disk_bytes", self.peak_disk_bytes as f64);
-        Ok(0)
+        Ok(())
     }
 
     fn get<T: Payload>(&self, path: &Path, key: &str, rec: &Recorder) -> io::Result<T> {
@@ -149,12 +146,11 @@ impl SpillStore {
 
     /// Stores a dense matrix under `key`, replacing any previous artifact
     /// with that key: a copy in memory, a `LEAM1` payload in a `LEAF1`
-    /// frame on disk. Returns the bytes the store now keeps resident for
-    /// `key` (0 on disk), for the caller to charge.
-    pub fn put_matrix(&mut self, key: &str, m: &Matrix, rec: &Recorder) -> io::Result<usize> {
+    /// frame on disk.
+    pub fn put_matrix(&mut self, key: &str, m: &Matrix, rec: &Recorder) -> io::Result<()> {
         let Some(path) = self.path_of(key) else {
             self.dense.insert(key.to_owned(), m.clone());
-            return Ok(m.nbytes());
+            return Ok(());
         };
         self.put(&path, key, m, rec)
     }
@@ -169,42 +165,37 @@ impl SpillStore {
 
     /// Stores a sparse similarity matrix under `key`, replacing any
     /// previous artifact with that key: the value itself in memory, a
-    /// `LEAS1` payload in a `LEAF1` frame on disk. Returns the bytes the
-    /// store now keeps resident for `key` (0 on disk).
-    pub fn put_sim(&mut self, key: &str, m: SparseSimMatrix, rec: &Recorder) -> io::Result<usize> {
+    /// `LEAS1` payload in a `LEAF1` frame on disk.
+    pub fn put_sim(&mut self, key: &str, m: SparseSimMatrix, rec: &Recorder) -> io::Result<()> {
         let Some(path) = self.path_of(key) else {
-            let bytes = m.nbytes();
             self.sims.insert(key.to_owned(), m);
-            return Ok(bytes);
+            return Ok(());
         };
         self.put(&path, key, &m, rec)
     }
 
     /// Hands `key`'s similarity matrix over and forgets the artifact: the
     /// held value itself from memory, a read-back then a delete on disk
-    /// (where an unreadable artifact stays). Returns the matrix and the
-    /// resident bytes the store gave up (0 on disk).
-    pub fn take_sim(&mut self, key: &str, rec: &Recorder) -> io::Result<(SparseSimMatrix, usize)> {
+    /// (where an unreadable artifact stays).
+    pub fn take_sim(&mut self, key: &str, rec: &Recorder) -> io::Result<SparseSimMatrix> {
         let Some(path) = self.path_of(key) else {
-            let m = self.sims.remove(key).ok_or_else(|| absent(key))?;
-            let bytes = m.nbytes();
-            return Ok((m, bytes));
+            return self.sims.remove(key).ok_or_else(|| absent(key));
         };
         let m = self.get(&path, key, rec)?;
         self.remove(key);
-        Ok((m, 0))
+        Ok(m)
     }
 
-    /// Deletes `key`'s artifact once its stage has streamed it back and
-    /// returns the resident bytes that frees (0 on disk). Best-effort on
-    /// disk: a leftover file only wastes space until [`Drop`].
-    pub fn remove(&mut self, key: &str) -> usize {
+    /// Deletes `key`'s artifact once its stage has streamed it back.
+    /// Best-effort on disk: a leftover file only wastes space until
+    /// [`Drop`].
+    pub fn remove(&mut self, key: &str) {
         if let (Some(path), Some(framed)) = (self.path_of(key), self.live.remove(key)) {
             self.disk_bytes -= framed;
             std::fs::remove_file(path).ok();
         }
-        let dense = self.dense.remove(key).map_or(0, |m| m.nbytes());
-        dense + self.sims.remove(key).map_or(0, |m| m.nbytes())
+        self.dense.remove(key);
+        self.sims.remove(key);
     }
 }
 
@@ -247,20 +238,18 @@ mod tests {
         let disk = SpillStore::create(&dir).unwrap();
         for (mut s, on_disk) in [(SpillStore::in_memory(), false), (disk, true)] {
             let rec = rec();
-            let resident = |bytes: usize| if on_disk { 0 } else { bytes };
-            let (m_held, sim_held) = (resident(m.nbytes()), resident(sim.nbytes()));
-            assert_eq!(s.put_matrix("sens.q0", &m, &rec).unwrap(), m_held);
-            assert_eq!(s.put_sim("r0.b0.sim", sim.clone(), &rec).unwrap(), sim_held);
+            s.put_matrix("sens.q0", &m, &rec).unwrap();
+            s.put_sim("r0.b0.sim", sim.clone(), &rec).unwrap();
             assert_eq!(s.artifact_count(), 2);
             assert_eq!(s.get_matrix("sens.q0", &rec).unwrap(), m);
             assert_eq!(s.artifact_count(), 2, "a get leaves the artifact");
-            let taken = s.take_sim("r0.b0.sim", &rec).unwrap();
-            assert_eq!(taken, (sim.clone(), sim_held));
+            assert_eq!(s.take_sim("r0.b0.sim", &rec).unwrap(), sim);
             assert_eq!(s.artifact_count(), 1, "a take forgets it");
             assert!(s.take_sim("r0.b0.sim", &rec).is_err());
-            assert_eq!(s.remove("sens.q0"), m_held, "remove gives the bytes back");
-            assert_eq!(s.remove("sens.q0"), 0, "once");
+            s.remove("sens.q0");
             assert_eq!(s.artifact_count(), 0);
+            s.remove("sens.q0");
+            assert_eq!(s.artifact_count(), 0, "a second remove is a no-op");
             assert!(s.get_matrix("sens.q0", &rec).is_err());
             let t = rec.trace();
             if on_disk {

@@ -76,8 +76,6 @@ pub struct StructureChannelOutput {
     pub partition_seconds: f64,
     /// Seconds spent training + scoring across all batches.
     pub training_seconds: f64,
-    /// Peak bytes across batch trainings (one batch live at a time).
-    pub peak_bytes: usize,
     /// Mean final training loss across batches that trained.
     pub final_loss: f64,
     /// Units quarantined under `--degraded-ok` (DESIGN.md §S0.7): batch
@@ -163,12 +161,12 @@ impl StructureChannel {
     /// truth, so `0.0` with a disabled recorder), one `minibatch` span per
     /// batch and per-epoch `epoch` spans from the trainer.
     ///
-    /// All byte accounting goes through `ctx.mem` (typically the pipeline's
-    /// shared budgeted tracker — whoever built the context folds it into
-    /// the trace). Each batch's similarity block is put into `ctx.store`
-    /// instead of growing `M_s`, and `M_s` is assembled after the training
-    /// loop by taking the blocks back **in batch order** — one insert
-    /// sequence whatever the store's backing.
+    /// Each batch asks `ctx.budget` for its training state (Adam's two
+    /// moments, once the model is built) and for its similarity block
+    /// before it builds them. The block is put into `ctx.store` instead of
+    /// growing `M_s`, and `M_s` is assembled after the training loop by
+    /// taking the blocks back **in batch order** — one insert sequence
+    /// whatever the store's backing.
     ///
     /// The channel persists its natural boundaries to `ctx.ckpt` as the
     /// `ctx.round`-scoped [`Stage`]s — `Partition` (the mini-batch
@@ -194,7 +192,7 @@ impl StructureChannel {
     ) -> Result<StructureChannelOutput, RunError> {
         let RunCtx {
             rec,
-            mem,
+            budget,
             store,
             ckpt,
             round,
@@ -210,10 +208,8 @@ impl StructureChannel {
 
         // A completed round short-circuits the whole training loop.
         if let Some(m_s) = ckpt.load::<SparseSimMatrix>(Stage::Ms { round }, rec) {
-            mem.charge("structure_channel", m_s.nbytes())?;
             channel_span.finish();
             return Ok(StructureChannelOutput {
-                peak_bytes: mem.peak("structure_channel"),
                 m_s,
                 batches,
                 partition_seconds,
@@ -224,7 +220,6 @@ impl StructureChannel {
         }
 
         let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
-        mem.charge("structure_channel", m_s.nbytes())?;
         // stages of the stored blocks, in batch order — the merge order below
         let mut stored_blocks: Vec<Stage> = Vec::new();
         let train_span = rec.span("train");
@@ -243,26 +238,23 @@ impl StructureChannel {
             // (`cfg.seed ^ batch.index`), `m_s` is not touched until every
             // batch is done, and a put replaces what a failed attempt left
             // under the same key, so a failed attempt rolls back to
-            // `(mem_before, blocks_before)` and the re-run is bit-identical.
+            // `blocks_before` and the re-run is bit-identical.
             let sim = Stage::Sim {
                 round,
                 batch: batch.index,
             };
-            let mem_before = mem.current("structure_channel");
             let blocks_before = stored_blocks.len();
             let (res, stats) = with_retry(&RetryPolicy::default(), &sim.unit(), |attempt| {
                 if attempt > 1 {
-                    mem.set("structure_channel", mem_before);
                     stored_blocks.truncate(blocks_before);
                 }
                 let mut batch_span = rec.span_at(Level::Detail, "minibatch");
                 batch_span.field("batch", batch.index);
                 if let Some(block) = ckpt.load(sim, rec) {
-                    let held = store
+                    store
                         .put_sim(&sim.key(), block, rec)
                         .map_err(RunError::Spill)?;
                     stored_blocks.push(sim);
-                    mem.charge("structure_channel", held)?;
                     return Ok(None);
                 }
                 // graph assembly here and the model build below are both
@@ -275,8 +267,8 @@ impl StructureChannel {
                 if bg.n_source == 0 || bg.n_target == 0 {
                     return Ok(None);
                 }
-                // both stay as initialised when the embeddings are loaded
-                let (mut batch_loss, mut train_peak) = (None, 0usize);
+                // stays as initialised when the embeddings are loaded
+                let mut batch_loss = None;
                 let emb = Stage::Emb {
                     round,
                     batch: batch.index,
@@ -289,6 +281,8 @@ impl StructureChannel {
                         self.cfg.seed ^ batch.index as u64,
                     );
                     drop(graph_span);
+                    // Adam's two moments of every (already live) parameter
+                    budget.admit("train", 2 * model.store().nbytes())?;
                     let mut progress = |epoch: usize, loss: f32| {
                         ckpt.epoch_progress(round, batch.index, epoch, loss, rec);
                     };
@@ -303,10 +297,8 @@ impl StructureChannel {
                         batch_loss = Some(last);
                         batch_span.field("final_loss", last);
                     }
-                    train_peak = report.peak_bytes;
                     Ok::<_, RunError>(report.embeddings)
                 })?;
-                mem.charge("structure_channel", embeddings.nbytes())?;
                 {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
                     topk_span.field("batch", batch.index);
@@ -316,21 +308,15 @@ impl StructureChannel {
                     // within a batch and cross-batch duplicates accumulate
                     // by `+=` either way), and it can be persisted first
                     let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
+                    let entries = bg.n_source * self.cfg.top_k;
+                    budget.admit("sim_block", entries * std::mem::size_of::<(u32, f32)>())?;
                     fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
-                    let block_bytes = block.nbytes();
-                    mem.charge("structure_channel", block_bytes)?;
                     ckpt.save(sim, &block, rec)?;
-                    let held = store
+                    store
                         .put_sim(&sim.key(), block, rec)
                         .map_err(RunError::Spill)?;
                     stored_blocks.push(sim);
-                    mem.uncharge("structure_channel", block_bytes);
-                    mem.charge("structure_channel", held)?;
                 }
-                // the training transient counts against the budget too
-                mem.charge("structure_channel", train_peak)?;
-                mem.uncharge("structure_channel", train_peak);
-                mem.uncharge("structure_channel", embeddings.nbytes());
                 Ok(batch_loss)
             });
             stats.record_into(rec);
@@ -342,7 +328,6 @@ impl StructureChannel {
                 Ok(None) => {}
                 Err(e) => {
                     // roll back the failed final attempt before deciding
-                    mem.set("structure_channel", mem_before);
                     stored_blocks.truncate(blocks_before);
                     batch_fault(
                         e,
@@ -355,20 +340,13 @@ impl StructureChannel {
                     )?;
                 }
             }
-            // end of a mini-batch: refresh the working-set gauge and give
-            // the sampler a stage-boundary tick
-            rec.gauge("mem.tracked.bytes", mem.total_current() as f64);
+            // end of a mini-batch: a stage-boundary tick for the sampler
             rec.live_tick();
         }
         // assemble M_s by taking the blocks back in batch order
         for block in &stored_blocks {
             match store.take_sim(&block.key(), rec).map_err(RunError::Spill) {
-                Ok((block, held)) => {
-                    let before = m_s.nbytes();
-                    merge_block(&mut m_s, &block);
-                    mem.charge("structure_channel", m_s.nbytes() - before)?;
-                    mem.uncharge("structure_channel", held);
-                }
+                Ok(block) => merge_block(&mut m_s, &block),
                 Err(e) => {
                     // a block written earlier became unreadable: same
                     // fate as a batch that never produced one
@@ -386,7 +364,6 @@ impl StructureChannel {
             batches,
             partition_seconds,
             training_seconds,
-            peak_bytes: mem.peak("structure_channel"),
             final_loss: if loss_count == 0 {
                 0.0
             } else {
@@ -403,7 +380,7 @@ impl StructureChannel {
 /// `quarantined` — and `Ok(())` lets the loop continue without its block.
 /// Otherwise the fault is terminal: [`RunError::Exhausted`] for transients
 /// that were actually retried, the unchanged error for deterministic
-/// failures (budget, audit, fatal I/O).
+/// failures (budget, fatal I/O).
 fn batch_fault(
     e: RunError,
     unit: String,
@@ -485,7 +462,6 @@ mod tests {
             eval.hits1
         );
         assert!(out.training_seconds > 0.0);
-        assert!(out.peak_bytes > 0);
     }
 
     #[test]

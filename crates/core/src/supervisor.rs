@@ -125,7 +125,7 @@ impl Degradations {
 
 impl Retryable for RunError {
     /// Only I/O-rooted errors can be transient: an interrupted spill or
-    /// checkpoint write is worth re-executing, while budget, audit and
+    /// checkpoint write is worth re-executing, while budget and
     /// resume-mismatch failures are deterministic — retrying replays the
     /// same failure. `Exhausted` is fatal by construction (its retries are
     /// already spent).
@@ -140,7 +140,7 @@ impl Retryable for RunError {
 
 /// Whether an error is an I/O *fault* — the class `--degraded-ok` may trade
 /// for a quarantined batch or a lost channel. Deterministic failures
-/// (budget, audit, resume mismatch) are never degradable: they would recur
+/// (budget, resume mismatch) are never degradable: they would recur
 /// identically on the surviving work.
 pub fn is_io_fault(e: &RunError) -> bool {
     matches!(

@@ -159,8 +159,8 @@ fn below(sads: &[u32; PANEL_ROWS], bound: u32) -> u64 {
 
 /// Bytes a Manhattan [`segmented_topk_streamed`] keeps resident while it
 /// runs — one query and one base segment in f32, the [`Sketch`]es of every
-/// query row and of that base segment — for a caller keeping a memory
-/// budget to charge.
+/// query row and of that base segment: what SENS asks a memory budget to
+/// admit before it starts the scan.
 pub fn resident_bytes(n_queries: usize, n_base: usize, dim: usize, num_segments: usize) -> usize {
     let q_seg = n_queries.div_ceil(num_segments).min(n_queries);
     let b_seg = n_base.div_ceil(num_segments).min(n_base);
@@ -497,7 +497,7 @@ pub fn segmented_topk(
 /// — any scale is sound, see [`Sketch`] — each base segment is sketched
 /// when it is loaded, and each query segment the first time it is; the
 /// query sketches stay resident for the later base segments
-/// ([`resident_bytes`] is the total a budgeted caller charges).
+/// ([`resident_bytes`] is the total a budgeted caller asks for).
 ///
 /// # Panics
 ///

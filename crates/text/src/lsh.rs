@@ -72,6 +72,13 @@ impl LshIndex {
         (self.bands, self.rows)
     }
 
+    /// The most bytes the index holds after `n` inserts (the bound in the
+    /// type's docs): what a caller keeping a memory budget asks for before
+    /// it builds one.
+    pub fn max_bytes(&self, n: usize) -> usize {
+        n * (32 * self.bands + 8)
+    }
+
     /// Where band `band`'s chain for `key` starts in `heads`.
     fn slot(&self, band: usize, key: u64) -> usize {
         band * self.slots + (key as usize & (self.slots - 1))

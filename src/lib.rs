@@ -45,10 +45,10 @@
 #![forbid(unsafe_code)]
 
 // Install the instrumented allocator for every binary that links the
-// facade: the `largeea` CLI, its integration tests, and doctests. This is
-// what gives `--mem-audit` and `trace heap` a measured ground truth — the
-// attribute itself is safe code; the audited `unsafe impl` lives in
-// `largeea_common::alloc`.
+// facade: the `largeea` CLI, its integration tests, and doctests. It is the
+// one memory ledger — what `--mem-budget` admits against and what `trace
+// heap` renders. The attribute itself is safe code; the audited `unsafe
+// impl` lives in `largeea_common::alloc`.
 #[global_allocator]
 static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::CountingAlloc;
 

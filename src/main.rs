@@ -44,7 +44,7 @@ USAGE:
                     [--epochs n] [--dim n] [--seed-ratio f] [--unsupervised]
                     [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
-                    [--mem-budget <bytes>] [--spill-dir <dir>] [--mem-audit]
+                    [--mem-budget <bytes>] [--spill-dir <dir>]
                     [--live-dir <dir>] [--live-every n] [--degraded-ok]
   largeea eval      --data <dir> --predictions <file>
   largeea failpoints list
@@ -72,17 +72,16 @@ prints a checkpoint directory's manifest and training progress.
 `--mem-budget <bytes>` (suffixes K/M/G, 1024-based) runs `align` out of
 core (DESIGN.md §S0.8): intermediate blocks spill to `--spill-dir`
 (default: a per-process directory under the system temp dir, announced as
-the `spill.dir` field of the trace's `pipeline` span) and the run fails
-fast with a typed error if tracked live bytes would pass the budget.
-Results are bit-identical to the unbounded run.
-
-`--mem-audit` closes the loop on those tracked numbers (DESIGN.md §S0.10):
-the binary's instrumented allocator measures the run's real peak heap
-growth, and the run fails with a typed error when measured and tracked
-peaks drift past tolerance. Per-span allocation attribution lands in the
-trace (`alloc.bytes`/`alloc.count`/`alloc.peak` fields) — render it with
-`largeea trace heap` (allocation tree, top-N table, `--folded` flamegraph
-stacks).
+the `spill.dir` field of the trace's `pipeline` span). The binary's
+instrumented allocator measures the run's heap growth; before a stage
+sizes a segment set, sketch index, batch, similarity block or the fused
+matrix, it asks whether its request fits on top of that growth, and the
+run fails fast with a typed error naming the stage if not. A bounded run
+prints its measured peak as `tracked peak <size> (budget <size>)`.
+Results are bit-identical to the unbounded run. Per-span allocation
+attribution lands in the trace (`alloc.bytes`/`alloc.count`/`alloc.peak`
+fields) — render it with `largeea trace heap` (allocation tree, top-N
+table, `--folded` flamegraph stacks).
 
 All dense kernels dispatch to the best available SIMD ISA at runtime
 (DESIGN.md §S0.11; see the `kernel.isa` field on the trace's `pipeline`
@@ -112,7 +111,6 @@ EXIT CODES (documented contract, asserted by tests/cli.rs):
      malformed flag value — the message names the flag)
   3  memory budget exceeded (RunError::Budget)
   4  checkpoint error (RunError::Ckpt)
-  5  heap audit drift (RunError::Audit)
   6  spill I/O error (RunError::Spill)
   7  retries exhausted on a transient fault (RunError::Exhausted)
   8  degraded run lost every channel (RunError::Quarantined)
@@ -124,7 +122,7 @@ enum CliError {
     /// Malformed command line: unknown command or flag, a required flag
     /// missing, a flag value that does not parse. Exit 2.
     Usage(String),
-    /// A typed pipeline failure; exit code is per-variant (3..=8).
+    /// A typed pipeline failure; exit code is per-variant (3, 4, 6..=8).
     Run(Box<RunError>),
     /// Everything else (I/O, bad input data). Exit 1.
     Other(String),
@@ -154,7 +152,6 @@ impl CliError {
             CliError::Run(e) => match e.as_ref() {
                 RunError::Budget(_) => 3,
                 RunError::Ckpt(_) => 4,
-                RunError::Audit(_) => 5,
                 RunError::Spill(_) => 6,
                 RunError::Exhausted(_) => 7,
                 RunError::Quarantined(_) => 8,
@@ -233,7 +230,7 @@ type Flags = HashMap<String, String>;
 /// Flags that take no value, then flags that take one. A name in neither
 /// list is a usage error — a mistyped or retired flag must not be swallowed
 /// together with the argument after it.
-const BOOL_FLAGS: &str = "unsupervised analysis resume mem-audit degraded-ok";
+const BOOL_FLAGS: &str = "unsupervised analysis resume degraded-ok";
 const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
     csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir live-every predictions";
 
@@ -483,7 +480,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     // a budget without an explicit spill dir gets a per-process tempdir,
     // announced in the trace as the pipeline span's `spill.dir` field
     let mut exec = ExecOptions::from_flags(mem_budget, flags.get("spill-dir").map(PathBuf::from));
-    exec.mem_audit = flags.contains_key("mem-audit");
     exec.degraded_ok = flags.contains_key("degraded-ok");
     exec.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
     exec.resume = flags.contains_key("resume");
@@ -512,24 +508,13 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         );
     }
     if exec.mem_budget.is_some() || exec.spill_dir.is_some() {
+        // the run window's measured peak, in the shape scripts parse
         outln!(
             "tracked peak {}{}",
-            fmt_bytes(report.tracked_peak_bytes),
+            fmt_bytes(report.measured_heap_peak_bytes.unwrap_or_default()),
             exec.mem_budget
                 .map(|b| format!(" (budget {})", fmt_bytes(b)))
                 .unwrap_or_default()
-        );
-    }
-    if exec.mem_audit {
-        // run_exec already failed with a typed RunError::Audit if the
-        // books were broken; reaching here means they reconcile.
-        let measured = report
-            .measured_heap_peak_bytes
-            .expect("a passed audit has a measured peak");
-        outln!(
-            "mem-audit OK: tracked peak {} vs measured heap peak {}",
-            fmt_bytes(report.tracked_peak_bytes),
-            fmt_bytes(measured),
         );
     }
     outln!(

@@ -619,11 +619,9 @@ const TAIL_COUNTER_SERIES: &[&str] = &[
     "mem.spill.read_bytes",
     "ckpt.write_bytes",
 ];
-/// Memory gauges shown as sparklines: tracked bytes (MemTracker's books),
-/// measured live heap (instrumented allocator), and OS RSS (linux only —
-/// absent elsewhere). Tracked vs heap.live vs mem.rss side by side is the
-/// quick visual drift check `--mem-audit` formalises.
-const TAIL_GAUGE_SERIES: &[&str] = &["mem.tracked.bytes", "heap.live", "mem.rss"];
+/// Memory gauges shown as sparklines: measured live heap (instrumented
+/// allocator) and OS RSS (linux only — absent elsewhere), side by side.
+const TAIL_GAUGE_SERIES: &[&str] = &["heap.live", "mem.rss"];
 /// How many trailing samples a sparkline covers.
 const TAIL_WINDOW: usize = 32;
 

@@ -338,9 +338,7 @@ fn failpoints_list_matches_the_registry() {
 /// The documented exit-code taxonomy (see `largeea --help`): every
 /// `RunError` variant maps to its own process exit code so scripts and
 /// supervisors can tell a budget blow-up from a fault that outlived its
-/// retries. (`RunError::Audit` → 5 is exercised by `tests/heap_audit.rs`
-/// at the library layer; forcing real allocator drift from the CLI would
-/// need an uninstrumented binary.)
+/// retries. Code 5 is retired (it was a heap-audit failure) and not reused.
 #[test]
 fn exit_codes_follow_the_documented_taxonomy() {
     let dir = tempdir("exitcodes");
@@ -455,14 +453,12 @@ fn exit_codes_follow_the_documented_taxonomy() {
         cmd.output().unwrap()
     };
 
-    // 3: RunError::Budget — a 1-byte budget is exceeded by the first charge
+    // 3: RunError::Budget — a 1-byte budget refuses the first admission
+    // point, and the message names it
     let out = align("budget", &["--mem-budget", "1"], None);
-    assert_eq!(
-        out.status.code(),
-        Some(3),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{err}");
+    assert!(err.contains("memory budget exceeded at \"stns\""), "{err}");
 
     // 4: RunError::Ckpt — a fatal (non-retryable) injected manifest failure
     let out = align(

@@ -1,13 +1,14 @@
-//! The `--mem-audit` loop end to end (DESIGN.md §S0.10): this facade test
-//! binary runs under the instrumented allocator `src/lib.rs` installs, so
-//! library-level runs really measure heap peaks; the CLI tests drive the
-//! `largeea` binary, including the deliberate-leak hook that must make the
-//! audit fail with the typed error, and `trace heap`'s rendering.
+//! The measured memory ledger end to end (DESIGN.md §S0.8, §S0.10): this
+//! facade test binary runs under the instrumented allocator `src/lib.rs`
+//! installs, so library-level runs really measure heap peaks and a budget
+//! sees every allocation, declared or not; the CLI tests drive the
+//! `largeea` binary's admission points and `trace heap`'s rendering.
 
+use largeea::common::fmt_bytes;
 use largeea::common::obs::{ObsConfig, Recorder, Trace};
-use largeea::core::mem::MemAuditError;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunCtx, RunError};
 use largeea::core::structure_channel::StructureChannelConfig;
+use largeea::core::MemBudget;
 use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
 use largeea::models::baselines::whole_graph;
@@ -35,27 +36,23 @@ fn quick_config() -> LargeEaConfig {
 }
 
 #[test]
-fn library_level_audit_passes_and_reports_a_measured_peak() {
+fn library_level_run_reports_a_measured_peak() {
     let pair = Preset::Ids15kEnFr.spec(0.01).generate();
     let seeds = pair.split_seeds(0.2, 42);
     let rec = Recorder::new(ObsConfig {
         heap: true,
         ..ObsConfig::default()
     });
-    let exec = ExecOptions {
-        mem_audit: true,
-        ..ExecOptions::default()
-    };
     let report = LargeEa::new(quick_config())
-        .run_exec(&pair, &seeds, 1, &rec, &exec)
-        .expect("tracked and measured peaks must reconcile on an in-RAM run");
+        .run_exec(&pair, &seeds, 1, &rec, &ExecOptions::default())
+        .unwrap();
     let measured = report
         .measured_heap_peak_bytes
         .expect("instrumented process reports a measured peak");
     assert!(measured > 0);
-    assert!(
-        report.tracked_peak_bytes > 0,
-        "the pipeline charges its big buffers"
+    assert_eq!(
+        report.trace.gauge("heap.measured.peak_bytes"),
+        Some(measured as f64)
     );
 
     // The heap-enabled recorder attributed allocations to spans: the trace
@@ -72,33 +69,37 @@ fn library_level_audit_passes_and_reports_a_measured_peak() {
     assert!(measured as u64 >= root.field_u64("alloc.peak").unwrap());
 }
 
+/// One ledger: a budget counts what the allocator counts, so an allocation
+/// that no code declares still refuses the next admission. (`with_capacity`
+/// counts its bytes without touching the pages.)
 #[test]
-fn audit_failure_surfaces_as_a_typed_error_under_the_leak_hook() {
-    // The leak hook is read from the environment inside run_exec, so this
-    // must stay a subprocess concern for the CLI; at the library level we
-    // simulate the same drift by auditing a tracker against an impossible
-    // measured peak.
-    let tracker = largeea::core::MemTracker::new();
-    let err = tracker
-        .audit(1 << 30)
-        .expect_err("1 GiB measured against empty books must fail");
-    match err {
-        MemAuditError::Untracked {
-            tracked, measured, ..
-        } => {
-            assert_eq!(tracked, 0);
-            assert_eq!(measured, 1 << 30);
+fn an_undeclared_allocation_refuses_the_next_admission() {
+    const BUDGET: usize = 64 << 20;
+    let pair = Preset::Ids15kEnFr.spec(0.01).generate();
+    let run = |hold: usize| {
+        let rec = Recorder::new(ObsConfig::default());
+        let mut ctx = RunCtx {
+            budget: MemBudget::open(Some(BUDGET)),
+            ..RunCtx::in_memory(&rec)
+        };
+        let held: Vec<u8> = Vec::with_capacity(hold);
+        let out = NameChannel::new(NameChannelConfig::default()).run_in(
+            &pair.source,
+            &pair.target,
+            &mut ctx,
+        );
+        drop(held);
+        out
+    };
+    run(0).expect("a few hundred names fit in 64 MiB");
+    match run(BUDGET) {
+        Err(RunError::Budget(b)) => {
+            assert_eq!(b.label, "stns", "the channel's first admission point");
+            assert!(b.live >= BUDGET, "live {} misses the held bytes", b.live);
+            assert_eq!(b.budget, BUDGET);
         }
-        other => panic!("wrong variant: {other}"),
+        other => panic!("expected a budget refusal, got {other:?}"),
     }
-    // ...and the pipeline wraps it in RunError::Audit (exercised via the
-    // typed conversion the run path uses).
-    let run_err: RunError = err.into();
-    assert!(matches!(
-        run_err,
-        RunError::Audit(MemAuditError::Untracked { .. })
-    ));
-    assert!(run_err.to_string().contains("mem-audit"));
 }
 
 /// The churn gate: the trainer records every epoch on one recycled tape,
@@ -303,51 +304,68 @@ fn generate_data(dir: &Path, scale: &str) -> PathBuf {
     data
 }
 
-fn align_audit(data: &Path, trace: Option<&Path>, leak: Option<u64>) -> std::process::Output {
-    let mut cmd = bin();
-    cmd.args(["align", "--data"])
+fn align(data: &Path, extra: &[&str], threads: &str) -> std::process::Output {
+    bin()
+        .args(["align", "--data"])
         .arg(data)
         .args(["--model", "gcn", "--k", "2", "--epochs", "6", "--dim", "16"])
-        .arg("--mem-audit");
-    if let Some(path) = trace {
-        cmd.arg("--trace-out").arg(path);
-    }
-    if let Some(bytes) = leak {
-        cmd.env("LARGEEA_HEAP_LEAK", bytes.to_string());
-    }
-    // one thread: which span a pooled allocation lands in is then fixed
-    cmd.env("LARGEEA_THREADS", "1").output().unwrap()
+        .args(extra)
+        .env("LARGEEA_THREADS", threads)
+        .output()
+        .unwrap()
+}
+
+/// An impossible budget is refused at one admission point whatever the pool
+/// width: live bytes are read on the calling thread after pool credits.
+/// 512-d training makes a batch's Adam state the largest request, so the
+/// refusal comes after the name channel, with its output and the batch's
+/// model live.
+#[test]
+fn an_impossible_budget_refuses_at_one_admission_point_at_any_width() {
+    let dir = tempdir("widths");
+    let data = generate_data(&dir, "0.01");
+    let refusals: Vec<String> = ["1", "2", "4"]
+        .iter()
+        .map(|threads| {
+            let out = bin()
+                .args(["align", "--data"])
+                .arg(&data)
+                .args([
+                    "--model", "gcn", "--k", "2", "--epochs", "2", "--dim", "512",
+                ])
+                .args(["--mem-budget", "1M"])
+                .env("LARGEEA_THREADS", threads)
+                .output()
+                .unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+            assert_eq!(out.status.code(), Some(3), "{stderr}");
+            // the admission point and its request: `at "<label>": <size> requested`
+            let (_, rest) = stderr
+                .split_once("memory budget exceeded at ")
+                .unwrap_or_else(|| panic!("no admission point named: {stderr}"));
+            rest.split(" requested").next().unwrap().to_owned()
+        })
+        .collect();
+    assert!(refusals[0].starts_with("\"train\""), "{refusals:?}");
+    assert!(refusals.iter().all(|r| *r == refusals[0]), "{refusals:?}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
+fn cli_heap_profile_is_byte_stable_across_same_seed_runs() {
     let dir = tempdir("cli");
     let data = generate_data(&dir, "0.01");
     let trace = dir.join("run_a.json");
-
-    let ok = align_audit(&data, Some(&trace), None);
-    let stdout = String::from_utf8_lossy(&ok.stdout);
-    assert!(
-        ok.status.success(),
-        "stdout: {stdout}\nstderr: {}",
-        String::from_utf8_lossy(&ok.stderr)
-    );
-    assert!(stdout.contains("mem-audit OK: tracked peak"), "{stdout}");
-
-    // An un-charged 256 MiB reservation blows past ratio × tracked + slack
-    // on this tiny workload: the audit must fail with the typed message,
-    // not a panic and not a silent pass.
-    let leaked = align_audit(&data, None, Some(1 << 28));
-    assert!(
-        !leaked.status.success(),
-        "the leak hook must fail the audit"
-    );
-    let stderr = String::from_utf8_lossy(&leaked.stderr);
-    assert!(
-        stderr.contains("mem-audit: measured heap peak"),
-        "expected the Untracked audit error, got: {stderr}"
-    );
-    assert!(stderr.contains("missing its MemTracker charge"), "{stderr}");
+    // one thread: which span a pooled allocation lands in is then fixed
+    let traced = |path: &Path| {
+        let out = align(&data, &["--trace-out", path.to_str().unwrap()], "1");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    traced(&trace);
 
     // The passing run's trace drives `trace heap`: tree, top table, and
     // byte-stable output.
@@ -385,7 +403,7 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
     // renderings of one file (paths of one length: the process-wide heap
     // gauges count the argument strings too).
     let again = dir.join("run_b.json");
-    assert!(align_audit(&data, Some(&again), None).status.success());
+    traced(&again);
     assert_eq!(tree, render("heap", &again, &[]));
     assert_eq!(folded, render("heap", &again, &["--folded"]));
     let expo = render("expo", &trace, &[]);
@@ -394,28 +412,44 @@ fn cli_mem_audit_passes_and_a_deliberate_leak_fails_it() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A bounded run that passes prints its measured peak — the run window's,
+/// `heap.measured.peak_bytes` — in the line scripts parse, and that peak is
+/// within the budget it was admitted against.
 #[test]
-fn a_bounded_run_passes_the_audit_with_its_sketches_on_the_books() {
-    // Out of core the name channel streams segments and keeps the scan's
-    // u8 sketches beside them; both are charged (the name channel's own
-    // tests pin the bytes), and measured and tracked peaks still reconcile.
+fn a_bounded_run_prints_a_measured_peak_within_its_budget() {
     let dir = tempdir("bounded");
     let data = generate_data(&dir, "0.01");
-    let out = bin()
-        .args(["align", "--data"])
-        .arg(&data)
-        .args(["--model", "gcn", "--k", "2", "--epochs", "6", "--dim", "16"])
-        .args(["--mem-budget", "16M", "--mem-audit", "--spill-dir"])
-        .arg(dir.join("spill"))
-        .output()
-        .unwrap();
+    let (spill, trace) = (dir.join("spill"), dir.join("run.json"));
+    let out = align(
+        &data,
+        &[
+            "--mem-budget",
+            "16M",
+            "--spill-dir",
+            spill.to_str().unwrap(),
+            "--trace-out",
+            trace.to_str().unwrap(),
+        ],
+        "2",
+    );
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
         out.status.success(),
         "stdout: {stdout}\nstderr: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    assert!(stdout.contains("mem-audit OK: tracked peak"), "{stdout}");
+    let trace = Trace::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+    let peak = trace.gauge("heap.measured.peak_bytes").expect("measured") as usize;
+    assert!(peak > 0 && peak <= 16 << 20, "measured peak {peak} B");
+    let line = format!(
+        "tracked peak {} (budget {})",
+        fmt_bytes(peak),
+        fmt_bytes(16 << 20)
+    );
+    assert!(
+        stdout.lines().any(|l| l == line),
+        "{line:?} not in {stdout}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

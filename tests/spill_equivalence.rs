@@ -2,21 +2,23 @@
 //! execution path over a store with two backings, so a memory-bounded run
 //! whose intermediate blocks wait on disk must be **bit-identical** to the
 //! memory-backed one — same fused matrix bytes, same metrics — while its
-//! tracked peak stays under the budget.
+//! measured peak stays under the budget. This facade test binary runs
+//! under the counting allocator `src/lib.rs` installs, so every peak and
+//! every admission below is measured, not declared.
 //!
 //! Failpoint state is process-global and every spill write of every test
 //! thread counts towards an armed `spill.write=…@N`, so the crash-mid-spill
 //! scenario arms its failpoint under the write half of [`FAILPOINTS`] and
 //! the other tests (which never configure one) run under the read half.
 
-use largeea_common::failpoint;
-use largeea_common::obs::{ObsConfig, Recorder};
-use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
-use largeea_core::registered_failpoints;
-use largeea_core::structure_channel::StructureChannelConfig;
-use largeea_data::Preset;
-use largeea_models::{ModelKind, TrainConfig};
-use largeea_sim::SparseSimMatrix;
+use largeea::common::failpoint;
+use largeea::common::obs::{ObsConfig, Recorder};
+use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, LargeEaReport, RunError};
+use largeea::core::registered_failpoints;
+use largeea::core::structure_channel::StructureChannelConfig;
+use largeea::data::Preset;
+use largeea::models::{ModelKind, TrainConfig};
+use largeea::sim::SparseSimMatrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::RwLock;
@@ -48,8 +50,20 @@ fn tmp(name: &str) -> PathBuf {
 
 fn sim_bytes(m: &SparseSimMatrix) -> Vec<u8> {
     let mut buf = Vec::new();
-    largeea_sim::io::write_sparse_sim(m, &mut buf).expect("in-memory serialize");
+    largeea::sim::io::write_sparse_sim(m, &mut buf).expect("in-memory serialize");
     buf
+}
+
+fn heap_recorder() -> Recorder {
+    Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    })
+}
+
+fn measured(r: &LargeEaReport) -> usize {
+    r.measured_heap_peak_bytes
+        .expect("the facade installs the counting allocator")
 }
 
 /// Bounded runs spill, stay under budget, and reproduce the memory-backed
@@ -61,7 +75,6 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
     for seed_split in [5u64, 23, 71] {
         let seeds = pair.split_seeds(0.2, seed_split);
         let base = LargeEa::new(cfg()).run(&pair, &seeds);
-        assert!(base.tracked_peak_bytes > 0);
         // the memory backing leaves no spill traffic in the trace
         let spans = |name| base.trace.span_count(name);
         assert_eq!(spans("spill_write") + spans("spill_read"), 0);
@@ -72,8 +85,9 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         );
         assert_eq!(base.trace.gauge("mem.spill.peak_disk_bytes"), None);
 
-        // First pass: spill with no budget, to measure the out-of-core peak.
-        let rec = Recorder::new(ObsConfig::default());
+        // First pass: spill with no budget, to measure the out-of-core peak
+        // (both passes record alike: the recorder's own tables are heap too).
+        let rec = heap_recorder();
         let exec = ExecOptions {
             mem_budget: None,
             spill_dir: Some(tmp(&format!("measure_{seed_split}"))),
@@ -102,20 +116,12 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
             "[split {seed_split}] spill dir must be cleaned up"
         );
 
-        // Second pass: enforce exactly the measured peak as the budget —
-        // determinism means the same run must fit, and the tracked peak of
-        // a successful bounded run can never exceed its budget.
-        // Both runs are charged by the same statements; the memory backing
-        // adds what it holds resident. At this size the peak is the fused
-        // stage, where neither store holds anything, so the two can tie.
-        let budget = spilled.tracked_peak_bytes;
-        assert!(
-            budget <= base.tracked_peak_bytes,
-            "[split {seed_split}] spilling cannot need more than the memory \
-             backing ({budget} vs {})",
-            base.tracked_peak_bytes
-        );
-        let rec = Recorder::new(ObsConfig::default());
+        // Second pass: the measured out-of-core peak plus BOUNDED_MARGIN as
+        // the budget must fit, and a bounded run that passes peaks within
+        // it. (At this size the peak is a batch's training, which neither
+        // backing changes; `dbp1m_ci_…` gates bounded ≤ memory-backed.)
+        let budget = measured(&spilled) + BOUNDED_MARGIN;
+        let rec = heap_recorder();
         let exec = ExecOptions {
             mem_budget: Some(budget),
             spill_dir: Some(tmp(&format!("bounded_{seed_split}"))),
@@ -123,17 +129,24 @@ fn bounded_runs_are_bit_identical_to_unbounded() {
         };
         let bounded = LargeEa::new(cfg())
             .run_exec(&pair, &seeds, 1, &rec, &exec)
-            .expect("bounded run within its own measured peak");
-        assert!(bounded.tracked_peak_bytes <= budget);
+            .expect("bounded run within its own measured peak plus the margin");
+        assert!(measured(&bounded) <= budget);
         assert_eq!(sim_bytes(&bounded.sim), sim_bytes(&base.sim));
         assert_eq!(bounded.eval, base.eval);
         assert_eq!(
-            rec.trace().gauge("mem.tracked.peak_bytes"),
-            Some(bounded.tracked_peak_bytes as f64),
-            "report and trace must agree on the tracked peak"
+            rec.trace().gauge("heap.measured.peak_bytes"),
+            Some(measured(&bounded) as f64),
+            "report and trace must agree on the measured peak"
         );
     }
 }
+
+/// Slack over the measured peak for the bounded pass. Admissions ask for
+/// what a stage is about to hold, and at these splits the smallest budget
+/// that passes sits about 110 K *below* the 0.42 M peak (the peak is a
+/// batch's training transient, of which only Adam's state is asked for),
+/// so the margin only absorbs allocation-order noise.
+const BOUNDED_MARGIN: usize = 16 << 10;
 
 /// An impossible budget fails fast with the typed error, through the spill
 /// path, and still cleans up its working directory.
@@ -155,7 +168,7 @@ fn impossible_budget_is_a_typed_error_and_cleans_up() {
     match err {
         RunError::Budget(b) => {
             assert_eq!(b.budget, 16 << 10);
-            assert!(b.tracked > b.budget);
+            assert!(b.live + b.requested > b.budget);
         }
         other => panic!("expected a budget error, got {other}"),
     }
@@ -216,14 +229,13 @@ fn crash_mid_spill_resumes_bit_identically() {
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
-/// Acceptance workload (ISSUE 6): the DBP1M-class CI preset completes
-/// under a budget well below the memory-backed peak, bit-identically.
+/// The DBP1M-class CI preset completes under a budget well below the
+/// memory-backed measured peak, bit-identically.
 ///
-/// The ratio was 3/4 while the in-RAM run had its own, never-releasing
-/// accounting (peak 19 281 680 B). Charged by the bounded path's statements
-/// the memory-backed peak is 8 553 224 B — every SENS segment held beside
-/// the search's residents — and the bounded run's is 6 662 344 B as before,
-/// `M_n` beside the fused `M`, which no backing takes away: 0.78 of it.
+/// Measured, the memory-backed run peaks at 12.1 M with every SENS segment
+/// resident, the out-of-core one at 8.2 M (0.67 of it), and the smallest
+/// budget that passes is 7.8 M (0.65): 4/5 leaves room for allocation
+/// noise, and a bounded peak within it is below the memory-backed one.
 #[test]
 fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
     let _unarmed = FAILPOINTS.read().unwrap();
@@ -236,7 +248,7 @@ fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
     c.name.minhash_perms = 32;
 
     let base = LargeEa::new(c).run(&pair, &seeds);
-    let ram_peak = base.tracked_peak_bytes;
+    let ram_peak = measured(&base);
     assert!(ram_peak > 0);
 
     let budget = ram_peak * 4 / 5;
@@ -250,9 +262,9 @@ fn dbp1m_ci_bounded_run_fits_well_under_the_in_ram_peak() {
         .run_exec(&pair, &seeds, 1, &rec, &exec)
         .expect("bounded DBP1M-CI run at 4/5 of the memory-backed peak");
     assert!(
-        bounded.tracked_peak_bytes <= budget,
+        measured(&bounded) <= budget,
         "peak {} exceeds budget {budget}",
-        bounded.tracked_peak_bytes
+        measured(&bounded)
     );
     assert_eq!(
         sim_bytes(&bounded.sim),

@@ -233,13 +233,13 @@ fn handcrafted_live_snapshot() -> String {
         r#""counters":{"zeta.ops":3,"mem.spill.write_bytes":4096,"alpha.ops":1},"#,
         r#""gauges":{"progress.rounds_total":1.0,"progress.round":1.0,"#,
         r#""progress.batches_total":2.0,"progress.batch":1.0,"#,
-        r#""progress.epochs_total":4.0,"mem.tracked.bytes":2048.0},"#,
+        r#""progress.epochs_total":4.0,"heap.live":2048.0},"#,
         r#""histograms":{"z.h":{"count":1,"sum":0.5,"min":0.5,"max":0.5,"p50":0.5,"p95":0.5},"#,
         r#""a.h":{"count":2,"sum":1.0,"min":0.25,"max":0.75,"p50":0.25,"p95":0.75}},"#,
         r#""samples":["#,
-        r#"{"tick":2,"seconds":0.1,"counters":{"mem.spill.write_bytes":1024},"gauges":{"mem.tracked.bytes":512.0},"histograms":{}},"#,
-        r#"{"tick":4,"seconds":0.2,"counters":{"mem.spill.write_bytes":1024},"gauges":{"mem.tracked.bytes":2048.0},"histograms":{}},"#,
-        r#"{"tick":6,"seconds":0.3,"counters":{"mem.spill.write_bytes":4096},"gauges":{"mem.tracked.bytes":2048.0},"histograms":{}}"#,
+        r#"{"tick":2,"seconds":0.1,"counters":{"mem.spill.write_bytes":1024},"gauges":{"heap.live":512.0},"histograms":{}},"#,
+        r#"{"tick":4,"seconds":0.2,"counters":{"mem.spill.write_bytes":1024},"gauges":{"heap.live":2048.0},"histograms":{}},"#,
+        r#"{"tick":6,"seconds":0.3,"counters":{"mem.spill.write_bytes":4096},"gauges":{"heap.live":2048.0},"histograms":{}}"#,
         r#"]}"#,
     )
     .to_owned()
@@ -303,7 +303,7 @@ fn handcrafted_ringless_trace() -> String {
         r#"{"name":"train","seconds":0.0,"fields":{},"children":[]}]}],"#,
         r#""counters":{"mem.spill.write_bytes":4096},"#,
         r#""gauges":{"progress.rounds_total":1.0,"progress.round":1.0,"#,
-        r#""mem.tracked.bytes":2048.0},"#,
+        r#""heap.live":2048.0},"#,
         r#""histograms":{},"samples":[]}"#,
     )
     .to_owned()
@@ -326,7 +326,7 @@ fn tail_without_a_sample_ring_shows_current_gauges() {
     assert!(text.contains("open: pipeline > train"), "{text}");
     assert!(text.contains("round 1/1"), "{text}");
     // gauges degrade to their current values in human units...
-    assert!(text.contains("mem.tracked.bytes"), "{text}");
+    assert!(text.contains("heap.live"), "{text}");
     assert!(text.contains("2.0K"), "{text}");
     // ...with no sparklines (there is no ring to draw them from)
     for block in ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'] {
