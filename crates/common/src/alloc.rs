@@ -1,5 +1,5 @@
 //! Instrumented global allocator: span-attributed heap accounting
-//! (DESIGN.md §S0.10).
+//! (DESIGN.md §S0.5).
 //!
 //! [`CountingAlloc`] wraps [`std::alloc::System`] and counts every
 //! allocation twice on the way through:

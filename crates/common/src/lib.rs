@@ -5,7 +5,7 @@
 //! *LargeEA* (Ge et al., VLDB 2021) compiles and tests **fully offline**:
 //! no crates.io registry, no network, no vendored third-party code.
 //!
-//! Ten subsystems (DESIGN.md §S0, §S0.5, §S0.6, §S0.7, §S0.10):
+//! Ten subsystems (DESIGN.md §S0, §S0.5, §S0.6, §S0.7):
 //!
 //! | Module | Replaces | Provides |
 //! |--------|----------|----------|

@@ -70,11 +70,11 @@ impl Histogram {
     /// Approximate `q`-quantile: the upper bound of the bucket containing
     /// the rank-`ceil(q·count)` observation, clamped into `[min, max]`.
     ///
-    /// Total on every input — the exposition renderer must never panic on
-    /// a quiet metric or a malformed quantile request: an empty histogram
-    /// returns `0.0` for every `q`, and `q` outside `0.0 ..= 1.0` is
-    /// clamped into that range first (`NaN` clamps to `0.0`, i.e. the
-    /// minimum observation).
+    /// Total on every input, so no caller can make it panic with a quiet
+    /// metric or a malformed quantile request: an empty histogram returns
+    /// `0.0` for every `q`, and `q` outside `0.0 ..= 1.0` is clamped into
+    /// that range first (`NaN` clamps to `0.0`, i.e. the minimum
+    /// observation).
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

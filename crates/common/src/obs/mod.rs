@@ -13,15 +13,14 @@
 //!   fixed-bucket [`Histogram`]s with `p50`/`p95`/`max` summaries.
 //! - **Trace export** — [`Recorder::trace`] snapshots everything into a
 //!   [`Trace`]: a JSON-serialisable span tree plus metric tables (using the
-//!   `ToJson` machinery from [`crate::json`]) and a human-readable tree
-//!   printer.
-//! - **Live telemetry** (DESIGN.md §S0.9) — [`Recorder::enable_live`] turns
+//!   `ToJson` machinery from [`crate::json`]).
+//! - **Live telemetry** (DESIGN.md §S0.5) — [`Recorder::enable_live`] turns
 //!   on a tick-driven sampler: every recorded span exit (and every explicit
 //!   [`Recorder::live_tick`]) advances a tick counter, every
 //!   [`LiveConfig::every`]-th tick captures a [`Sample`] of the metric
-//!   tables into a bounded [`SampleRing`], and — when a snapshot directory
-//!   is configured — atomically rewrites `<dir>/live.trace.json` with the
-//!   partial trace so a long run can be watched mid-flight
+//!   tables into a [`SampleRing`] of the newest 64, and — when a snapshot
+//!   directory is configured — atomically rewrites `<dir>/live.trace.json`
+//!   with the partial trace so a long run can be watched mid-flight
 //!   (`largeea trace tail`). Deterministic by tick-count, not wall-clock;
 //!   no extra threads.
 //!
@@ -37,14 +36,11 @@
 //!
 //! ## Verbosity
 //!
-//! Two independent gates, both per-[`Level`] ([`ObsConfig`]):
-//!
-//! - `record` — spans *above* this level are timed but not stored
-//!   (default: [`Level::Trace`], i.e. store everything);
-//! - `echo` — spans at or below this level print a live line to stderr when
-//!   they close (default: [`Level::Off`]). The `LARGEEA_LOG` env var sets
-//!   this gate (`off` | `stage` | `detail` | `trace`) via
-//!   [`ObsConfig::from_env`].
+//! Spans of every [`Level`] above `Off` are stored. One per-level gate,
+//! [`ObsConfig::echo`], prints a live line to stderr for each span at or
+//! below it as the span closes (default: [`Level::Off`]). The
+//! `LARGEEA_LOG` env var sets it (`off` | `stage` | `detail` | `trace`) via
+//! [`ObsConfig::from_env`].
 //!
 //! ```
 //! use largeea_common::obs::{Level, ObsConfig, Recorder};
@@ -64,7 +60,6 @@
 //! assert_eq!(trace.counter("cps.virtual_edges"), 42);
 //! ```
 
-pub mod expo;
 mod metrics;
 mod sample;
 mod trace;
@@ -130,11 +125,10 @@ impl Level {
     }
 }
 
-/// Recorder configuration: what gets stored and what gets echoed live.
+/// Recorder configuration: what gets echoed live, and whether spans carry
+/// heap attribution.
 #[derive(Debug, Clone, Copy)]
 pub struct ObsConfig {
-    /// Spans above this level are timed but not stored in the trace.
-    pub record: Level,
     /// Spans at or below this level print one line to stderr on close.
     pub echo: Level,
     /// Attribute heap allocations to spans (`alloc.bytes` / `alloc.count`
@@ -146,11 +140,10 @@ pub struct ObsConfig {
 }
 
 impl Default for ObsConfig {
-    /// Record everything, echo nothing — the right configuration for
-    /// library use, where the caller inspects the [`Trace`] afterwards.
+    /// Echo nothing — the right configuration for library use, where the
+    /// caller inspects the [`Trace`] afterwards.
     fn default() -> Self {
         Self {
-            record: Level::Trace,
             echo: Level::Off,
             heap: false,
         }
@@ -170,7 +163,6 @@ impl ObsConfig {
         Self {
             echo,
             heap: crate::alloc::is_instrumented(),
-            ..Self::default()
         }
     }
 }
@@ -258,8 +250,6 @@ pub struct LiveConfig {
     /// recorded span exit or one explicit [`Recorder::live_tick`]).
     /// Clamped to a minimum of 1.
     pub every: u64,
-    /// Maximum samples retained in the ring (oldest evicted first).
-    pub capacity: usize,
     /// When set, every captured sample also rewrites
     /// `<dir>/live.trace.json` via an atomic temp→fsync→rename
     /// ([`crate::fsio::write_atomic`]), so the file is always either the
@@ -268,15 +258,17 @@ pub struct LiveConfig {
 }
 
 impl Default for LiveConfig {
-    /// Sample every 32 ticks, keep the newest 64 samples, no snapshots.
+    /// Sample every 32 ticks, no snapshots.
     fn default() -> Self {
         Self {
             every: 32,
-            capacity: 64,
             dir: None,
         }
     }
 }
+
+/// Samples the live ring retains; the oldest is evicted first.
+const RING_CAPACITY: usize = 64;
 
 /// Sampler state, live only after [`Recorder::enable_live`].
 #[derive(Debug)]
@@ -468,8 +460,8 @@ impl Recorder {
 
     /// Opens a span at `level` named `name`, timed from now until the
     /// returned guard is dropped or [`SpanGuard::finish`]ed. The span nests
-    /// under the innermost span currently open *on this thread*. Spans
-    /// above the configured `record` level are timed but not stored.
+    /// under the innermost span currently open *on this thread*. A
+    /// [`Level::Off`] span is timed but not stored.
     pub fn span_at(&self, level: Level, name: &str) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard {
@@ -480,7 +472,7 @@ impl Recorder {
                 heap: None,
             };
         };
-        let idx = if level != Level::Off && level <= inner.cfg.record {
+        let idx = if level != Level::Off {
             let mut st = inner.lock();
             let idx = st.spans.len();
             let stack = st.stacks.entry(std::thread::current().id()).or_default();
@@ -582,7 +574,7 @@ impl Recorder {
         if let Some(inner) = &self.inner {
             let mut st = inner.lock();
             st.live = Some(LiveState {
-                ring: SampleRing::new(cfg.capacity),
+                ring: SampleRing::new(RING_CAPACITY),
                 cfg,
                 ticks: 0,
                 origin: Instant::now(),
@@ -605,19 +597,6 @@ impl Recorder {
     /// [`ObsConfig::heap`]). `false` on a disabled recorder.
     pub fn heap_enabled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.cfg.heap)
-    }
-
-    /// The samples captured so far, oldest first (empty unless live
-    /// telemetry is on).
-    pub fn samples(&self) -> Vec<Sample> {
-        match &self.inner {
-            Some(inner) => inner
-                .lock()
-                .live
-                .as_ref()
-                .map_or_else(Vec::new, |l| l.ring.to_vec()),
-            None => Vec::new(),
-        }
     }
 
     /// Forces a final sample + snapshot regardless of cadence. Call at the
@@ -781,23 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn record_gate_skips_fine_spans_but_keeps_timing() {
-        let cfg = ObsConfig {
-            record: Level::Stage,
-            echo: Level::Off,
-            ..ObsConfig::default()
-        };
-        let rec = Recorder::new(cfg);
-        let _a = rec.span("kept");
-        let skipped = rec.span_at(Level::Detail, "skipped");
-        assert!(skipped.finish() >= 0.0);
-        drop(_a);
-        let t = rec.trace();
-        assert_eq!(t.spans.len(), 1);
-        assert!(t.spans[0].children.is_empty());
-    }
-
-    #[test]
     fn counters_gauges_histograms_accumulate() {
         let rec = Recorder::new(ObsConfig::default());
         rec.add("c", 2);
@@ -855,14 +817,13 @@ mod tests {
         let rec = Recorder::new(ObsConfig::default());
         rec.enable_live(LiveConfig {
             every: 2,
-            capacity: 8,
             dir: None,
         });
         for _ in 0..6 {
             rec.add("c", 1);
             drop(rec.span("s"));
         }
-        let samples = rec.samples();
+        let samples = rec.trace().samples;
         let ticks: Vec<u64> = samples.iter().map(|s| s.tick).collect();
         assert_eq!(ticks, vec![2, 4, 6], "every 2nd span exit samples");
         assert_eq!(samples[0].counter("c"), 2, "counter value as of tick 2");
@@ -876,14 +837,17 @@ mod tests {
         let rec = Recorder::new(ObsConfig::default());
         rec.enable_live(LiveConfig {
             every: 1,
-            capacity: 3,
             dir: None,
         });
-        for _ in 0..5 {
+        for _ in 0..70 {
             rec.live_tick();
         }
-        let ticks: Vec<u64> = rec.samples().iter().map(|s| s.tick).collect();
-        assert_eq!(ticks, vec![3, 4, 5], "ring keeps the newest 3");
+        let ticks: Vec<u64> = rec.trace().samples.iter().map(|s| s.tick).collect();
+        assert_eq!(
+            ticks,
+            (7..=70).collect::<Vec<u64>>(),
+            "ring keeps the newest 64"
+        );
     }
 
     #[test]
@@ -891,11 +855,10 @@ mod tests {
         let rec = Recorder::new(ObsConfig::default());
         rec.enable_live(LiveConfig {
             every: 1000,
-            capacity: 8,
             dir: None,
         });
         drop(rec.span("s"));
-        assert!(rec.samples().is_empty(), "cadence 1000 never fires");
+        assert!(rec.trace().samples.is_empty(), "cadence 1000 never fires");
         rec.flush_live();
         let t = rec.trace();
         assert_eq!(t.samples.len(), 1, "flush forces one sample");
@@ -909,7 +872,6 @@ mod tests {
         let rec = Recorder::new(ObsConfig::default());
         rec.enable_live(LiveConfig {
             every: 1,
-            capacity: 8,
             dir: Some(dir.clone()),
         });
         rec.add("c", 5);
@@ -941,7 +903,7 @@ mod tests {
         rec.enable_live(LiveConfig::default());
         rec.live_tick();
         rec.flush_live();
-        assert!(rec.samples().is_empty());
+        assert!(rec.trace().samples.is_empty());
     }
 
     #[test]
@@ -994,11 +956,11 @@ mod tests {
         });
         with_heap.enable_live(LiveConfig {
             every: 1,
-            capacity: 4,
             dir: None,
         });
         with_heap.live_tick();
-        let s = &with_heap.samples()[0];
+        let t = with_heap.trace();
+        let s = &t.samples[0];
         assert!(s.gauge("heap.live").is_some());
         assert!(s.gauge("heap.peak").is_some());
         if cfg!(target_os = "linux") {
@@ -1008,11 +970,11 @@ mod tests {
         let without = Recorder::new(ObsConfig::default());
         without.enable_live(LiveConfig {
             every: 1,
-            capacity: 4,
             dir: None,
         });
         without.live_tick();
-        let s = &without.samples()[0];
+        let t = without.trace();
+        let s = &t.samples[0];
         assert!(s.gauge("heap.live").is_none());
         assert!(s.gauge("mem.rss").is_none());
     }

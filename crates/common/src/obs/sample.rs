@@ -157,11 +157,6 @@ impl SampleRing {
         self.buf.is_empty()
     }
 
-    /// Maximum number of retained samples.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// The retained samples in chronological order (oldest first).
     pub fn to_vec(&self) -> Vec<Sample> {
         self.buf.iter().cloned().collect()
@@ -190,7 +185,6 @@ mod tests {
             r.push(sample(t));
         }
         assert_eq!(r.len(), 3);
-        assert_eq!(r.capacity(), 3);
         let ticks: Vec<u64> = r.to_vec().iter().map(|s| s.tick).collect();
         assert_eq!(ticks, vec![3, 4, 5], "oldest evicted, chronological order");
     }

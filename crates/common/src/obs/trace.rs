@@ -2,8 +2,7 @@
 //!
 //! A [`Trace`] is the immutable snapshot a [`Recorder`](super::Recorder)
 //! produces: everything a run measured, in one value. It serialises through
-//! the in-tree [`ToJson`] machinery (schema below, pinned by a golden test)
-//! and renders as a human-readable tree for terminal inspection.
+//! the in-tree [`ToJson`] machinery (schema below, pinned by a golden test).
 //!
 //! ## JSON schema (version 2)
 //!
@@ -29,7 +28,7 @@
 //! [`Sample`](super::Sample)), oldest first; empty when sampling was off.
 //! Any other `"version"` is a typed parse error.
 //!
-//! Heap attribution (DESIGN.md §S0.10) extends the schema *additively*,
+//! Heap attribution (DESIGN.md §S0.5) extends the schema *additively*,
 //! with no version bump: recorded spans may carry `alloc.bytes` /
 //! `alloc.count` / `alloc.peak` fields (allocation traffic, allocation
 //! count and peak net live-byte growth attributed to the span), the gauge
@@ -86,6 +85,15 @@ impl TraceSpan {
     pub fn self_seconds(&self) -> f64 {
         let children: f64 = self.children.iter().map(|c| c.seconds).sum();
         (self.seconds - children).max(0.0)
+    }
+
+    /// Allocated bytes attributed to this span *excluding* its children —
+    /// [`TraceSpan::self_seconds`] over the `alloc.bytes` fields (absent
+    /// counts as 0). Saturates at zero rather than going negative.
+    pub fn self_bytes(&self) -> u64 {
+        let bytes = |s: &TraceSpan| s.field_u64("alloc.bytes").unwrap_or(0);
+        let children: u64 = self.children.iter().map(bytes).sum();
+        bytes(self).saturating_sub(children)
     }
 
     fn for_each(&self, f: &mut impl FnMut(&TraceSpan)) {
@@ -404,39 +412,6 @@ impl Trace {
         }
         t
     }
-
-    /// Renders the span tree (plus metric tables) as indented
-    /// human-readable text — the terminal companion to the JSON export.
-    pub fn render_tree(&self) -> String {
-        let mut out = String::new();
-        fn render(s: &TraceSpan, depth: usize, out: &mut String) {
-            out.push_str(&"  ".repeat(depth));
-            out.push_str(&format!("{} {:.4}s", s.name, s.seconds));
-            for (k, v) in &s.fields {
-                out.push_str(&format!(" {k}={v}"));
-            }
-            out.push('\n');
-            for c in &s.children {
-                render(c, depth + 1, out);
-            }
-        }
-        for s in &self.spans {
-            render(s, 0, &mut out);
-        }
-        for (k, v) in &self.counters {
-            out.push_str(&format!("counter {k} = {v}\n"));
-        }
-        for (k, v) in &self.gauges {
-            out.push_str(&format!("gauge {k} = {v}\n"));
-        }
-        for (k, h) in &self.histograms {
-            out.push_str(&format!(
-                "hist {k}: count={} sum={} min={} max={} p50={} p95={}\n",
-                h.count, h.sum, h.min, h.max, h.p50, h.p95
-            ));
-        }
-        out
-    }
 }
 
 impl ToJson for Trace {
@@ -567,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn samples_round_trip_through_json() {
+    fn sample_rings_round_trip_through_json() {
         let mut t = sample_trace().map_seconds(|_| 0.25);
         t.samples = vec![Sample {
             tick: 8,
@@ -655,14 +630,5 @@ mod tests {
         // pipeline 0.25s with one 0.25s child → zero self time
         assert_eq!(pipeline.self_seconds(), 0.0);
         assert_eq!(t.find("partition").unwrap().self_seconds(), 0.25);
-    }
-
-    #[test]
-    fn render_tree_is_indented() {
-        let text = sample_trace().map_seconds(|_| 0.25).render_tree();
-        assert!(text.contains("pipeline 0.2500s rounds=1 strategy=cps"));
-        assert!(text.contains("\n  partition 0.2500s balance=1.02"));
-        assert!(text.contains("counter cps.virtual_edges = 42"));
-        assert!(text.contains("hist train.epoch_loss: count=3"));
     }
 }

@@ -1,5 +1,5 @@
 //! End-to-end reconciliation of the instrumented allocator (DESIGN.md
-//! §S0.10): this test binary installs [`CountingAlloc`] as its global
+//! §S0.5): this test binary installs [`CountingAlloc`] as its global
 //! allocator — which the `largeea-common` *unit*-test binary deliberately
 //! does not — and proves that scripted allocations reconcile **exactly**
 //! with the span-attributed books: every byte a script allocates inside a

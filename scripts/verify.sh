@@ -35,19 +35,11 @@ cargo fmt --check
 stage "clippy"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
-stage "trace smoke"
-# the full loop on a tiny dataset: traced run → summarize → self-diff
-# (exactly zero deltas, so --threshold-pct 0 must exit 0)
+stage "kernel-dispatch smoke"
+# scratch for this smoke and the ledger lines below
 SMOKE="$(mktemp -d -t largeea_smoke.XXXXXX)"
 trap 'rm -rf "$SMOKE"' EXIT
 L="target/release/largeea"
-"$L" generate --preset ids15k-en-fr --scale 0.01 --out "$SMOKE/data" > /dev/null
-"$L" align --data "$SMOKE/data" --model gcn --k 2 --epochs 8 --dim 16 \
-  --trace-out "$SMOKE/run.json" > /dev/null
-"$L" trace summarize "$SMOKE/run.json" > /dev/null
-"$L" trace diff "$SMOKE/run.json" "$SMOKE/run.json" --threshold-pct 0 > /dev/null
-
-stage "kernel-dispatch smoke"
 # runtime SIMD dispatch (DESIGN.md §S0.11): a scalar-forced run
 # (LARGEEA_NO_SIMD=1) must reproduce the default run's similarity matrix
 # byte-for-byte — the SIMD kernels are transcriptions, not approximations

@@ -45,7 +45,7 @@ USAGE:
                     [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
                     [--mem-budget <bytes>] [--spill-dir <dir>]
-                    [--live-dir <dir>] [--live-every n] [--degraded-ok]
+                    [--live-dir <dir>] [--degraded-ok]
   largeea eval      --data <dir> --predictions <file>
   largeea failpoints list
   largeea ckpt      inspect <dir>
@@ -53,7 +53,6 @@ USAGE:
   largeea trace     diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
   largeea trace     flame <trace.json>
   largeea trace     tail <dir|live.trace.json> [--once] [--interval-ms n]
-  largeea trace     expo <trace.json>
   largeea trace     heap <trace.json> [--top n] [--folded]
 
 PRESETS: ids15k-en-fr  ids15k-en-de  ids100k-en-fr  ids100k-en-de
@@ -88,12 +87,11 @@ All dense kernels dispatch to the best available SIMD ISA at runtime
 span); results are bit-identical to the scalar reference, which
 LARGEEA_NO_SIMD=1 forces for A/B verification.
 
-`--live-dir <dir>` turns on live telemetry (DESIGN.md §S0.9): every
-`--live-every` sampler ticks (default 32; ticks are recorded span exits,
-so sampling is deterministic for a fixed seed) the run captures a metric
-sample and atomically rewrites `<dir>/live.trace.json` — watch it from
-another terminal with `largeea trace tail <dir>`. `trace expo` renders a
-trace's metric tables as Prometheus text exposition.
+`--live-dir <dir>` turns on live telemetry (DESIGN.md §S0.5): every 32
+sampler ticks (ticks are recorded span exits, so sampling is
+deterministic for a fixed seed) the run captures a metric sample and
+atomically rewrites `<dir>/live.trace.json` — watch it from another
+terminal with `largeea trace tail <dir>`.
 
 `--degraded-ok` lets `align` finish on partial results when transient
 I/O faults outlive the retry budget (DESIGN.md §S0.12): a mini-batch
@@ -232,7 +230,7 @@ type Flags = HashMap<String, String>;
 /// together with the argument after it.
 const BOOL_FLAGS: &str = "unsupervised analysis resume degraded-ok";
 const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
-    csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir live-every predictions";
+    csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir predictions";
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
@@ -483,17 +481,9 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     exec.degraded_ok = flags.contains_key("degraded-ok");
     exec.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
     exec.resume = flags.contains_key("resume");
-    if flags.contains_key("live-every") && !flags.contains_key("live-dir") {
-        return Err(CliError::Usage("--live-every needs --live-dir".into()));
-    }
     if let Some(dir) = flags.get("live-dir").map(PathBuf::from) {
-        let every: u64 = parse_or(flags, "live-every", 32)?;
-        if every == 0 {
-            return Err(bad_value("live-every", "0", "at least 1"));
-        }
         std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
         rec.enable_live(LiveConfig {
-            every,
             dir: Some(dir),
             ..LiveConfig::default()
         });

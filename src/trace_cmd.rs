@@ -1,7 +1,7 @@
 //! The `largeea trace` subcommand family — analysis of `--trace-out` files.
 //!
 //! Everything here consumes the trace JSON the pipeline writes (schema v2;
-//! DESIGN.md §S0.5, §S0.9) and answers perf questions offline:
+//! DESIGN.md §S0.5) and answers perf questions offline:
 //!
 //! - `summarize <trace>` — wall-clock tree (total/self, same-name siblings
 //!   aggregated) with its attribution coverage, metric tables sorted by
@@ -15,18 +15,20 @@
 //!   with an ETA from `train.epochs_per_sec`, and sparklines over the
 //!   sample ring (a trace with no ring — sampling was off — degrades to
 //!   current gauge values without sparklines);
-//! - `expo <trace>` — Prometheus-style text exposition of the metric
-//!   tables (`largeea_common::obs::expo`);
-//! - `heap <trace>` — the per-span allocation tree from the `alloc.*`
-//!   fields heap attribution records (DESIGN.md §S0.10): cumulative/self
-//!   bytes, allocation counts and peaks per span, a top-N table by self
-//!   bytes, and `--folded` flamegraph stacks weighted by self bytes.
+//! - `heap <trace>` — the same tree over the `alloc.*` fields heap
+//!   attribution records: cumulative/self bytes, allocation counts and
+//!   peaks per span, a top-N table by self bytes, and `--folded`
+//!   flamegraph stacks weighted by self bytes.
+//!
+//! Time and bytes are columns of the same folds: [`rollup`] feeds both
+//! trees, [`by_name`] feeds `diff` and the top-N table, and [`folded`]
+//! feeds both stack renderings.
 
 use crate::{parse_opt, parse_or, CliError, Flags};
 use largeea::common::fmt_bytes;
-use largeea::common::obs::{expo, Sample, Trace, TraceSpan};
+use largeea::common::obs::{Sample, Trace, TraceSpan};
 use largeea::core::throughput::{attribution_coverage, derived_throughputs, filter_pass_pcts};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -37,8 +39,9 @@ USAGE:
   largeea trace diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
   largeea trace flame <trace.json>
   largeea trace tail <dir|live.trace.json> [--once] [--interval-ms n]
-  largeea trace expo <trace.json>
   largeea trace heap <trace.json> [--top n] [--folded]
+
+Each subcommand takes only the flags shown for it.
 
 `diff` exits non-zero when --threshold-pct is given and any stage in <b>
 regressed past it.
@@ -47,8 +50,7 @@ regressed past it.
 (a directory argument means `<dir>/live.trace.json`). It repolls every
 --interval-ms (default 500) until the run's root span closes; --once
 prints a single status block and exits (non-zero if the snapshot is
-missing or unparseable). `expo` renders the counters/gauges/histograms
-of any trace file in Prometheus text exposition format.
+missing or unparseable).
 
 `heap` renders the span-attributed allocation profile (alloc.bytes /
 alloc.count / alloc.peak fields, written when the run's binary installs
@@ -73,8 +75,20 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let (positionals, flags) = parse_mixed(args).map_err(CliError::Usage)?;
     let Some(sub) = positionals.first() else {
         return Err(CliError::Usage(
-            "trace needs a subcommand (summarize|diff|flame|tail|expo|heap)".into(),
+            "trace needs a subcommand (summarize|diff|flame|tail|heap)".into(),
         ));
+    };
+    // Checked before any file is read: a mistyped `diff` gate must fail,
+    // not exit 0 without ever gating.
+    let takes = |allowed: &[&str]| match flags
+        .keys()
+        .filter(|k| !allowed.contains(&k.as_str()))
+        .min()
+    {
+        Some(name) => Err(CliError::Usage(format!(
+            "unknown flag --{name} for trace {sub}"
+        ))),
+        None => Ok(()),
     };
     let file = |i: usize| -> Result<Trace, CliError> {
         let path = positionals
@@ -84,19 +98,23 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     };
     match sub.as_str() {
         "summarize" => {
+            takes(&[])?;
             summarize(&file(1)?);
             Ok(ExitCode::SUCCESS)
         }
         "diff" => {
+            takes(&["threshold-pct", "min-seconds"])?;
             let threshold: Option<f64> = parse_opt(&flags, "threshold-pct")?;
             let min_seconds: f64 = parse_or(&flags, "min-seconds", 0.001)?;
             Ok(diff(&file(1)?, &file(2)?, threshold, min_seconds))
         }
         "flame" => {
+            takes(&[])?;
             flame(&file(1)?);
             Ok(ExitCode::SUCCESS)
         }
         "tail" => {
+            takes(&["once", "interval-ms"])?;
             let target = positionals.get(1).ok_or_else(|| {
                 CliError::Usage(
                     "tail needs a --live-dir directory (or live.trace.json path)".into(),
@@ -109,11 +127,8 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
                 interval_ms,
             )?)
         }
-        "expo" => {
-            out!("{}", expo::render_text(&file(1)?));
-            Ok(ExitCode::SUCCESS)
-        }
         "heap" => {
+            takes(&["top", "folded"])?;
             let top: usize = parse_or(&flags, "top", 10)?;
             Ok(heap(&file(1)?, top, flags.contains_key("folded")))
         }
@@ -151,59 +166,126 @@ fn load_trace(path: &str) -> Result<Trace, String> {
     Trace::parse(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-// --- summarize -----------------------------------------------------------
+// --- folds ---------------------------------------------------------------
+
+/// What a fold keeps for a set of spans: wall clock, span count and
+/// allocation traffic summed, the allocation peak maxed. `summarize` and
+/// `diff` read the time columns, `heap` the byte columns.
+#[derive(Default)]
+struct Totals {
+    seconds: f64,
+    self_seconds: f64,
+    spans: usize,
+    bytes: u64,
+    self_bytes: u64,
+    allocs: u64,
+    peak: u64,
+}
+
+impl Totals {
+    fn add(&mut self, s: &TraceSpan) {
+        // absent when the run's binary had no instrumented allocator
+        let field = |key| s.field_u64(key).unwrap_or(0);
+        self.seconds += s.seconds;
+        self.self_seconds += s.self_seconds();
+        self.spans += 1;
+        self.bytes += field("alloc.bytes");
+        self.self_bytes += s.self_bytes();
+        self.allocs += field("alloc.count");
+        self.peak = self.peak.max(field("alloc.peak"));
+    }
+}
 
 /// Same-name siblings folded into one row (50 `epoch` spans are one line).
 struct Rollup<'a> {
     name: &'a str,
-    total: f64,
-    self_secs: f64,
-    count: usize,
+    totals: Totals,
+    /// Every folded span's children, rolled up again one level down.
     children: Vec<&'a TraceSpan>,
 }
 
+/// Rolls `spans` up by name, rows in first-seen order.
 fn rollup<'a>(spans: &[&'a TraceSpan]) -> Vec<Rollup<'a>> {
     let mut rows: Vec<Rollup> = Vec::new();
-    for s in spans {
-        match rows.iter_mut().find(|r| r.name == s.name) {
-            Some(r) => {
-                r.total += s.seconds;
-                r.self_secs += s.self_seconds();
-                r.count += 1;
-                r.children.extend(s.children.iter());
+    for &s in spans {
+        let i = match rows.iter().position(|r| r.name == s.name) {
+            Some(i) => i,
+            None => {
+                rows.push(Rollup {
+                    name: &s.name,
+                    totals: Totals::default(),
+                    children: Vec::new(),
+                });
+                rows.len() - 1
             }
-            None => rows.push(Rollup {
-                name: &s.name,
-                total: s.seconds,
-                self_secs: s.self_seconds(),
-                count: 1,
-                children: s.children.iter().collect(),
-            }),
-        }
+        };
+        rows[i].totals.add(s);
+        rows[i].children.extend(&s.children);
     }
     rows
 }
 
-fn print_rollup(spans: &[&TraceSpan], depth: usize, root_total: f64) {
+/// Prints the rollup of `spans` as an indented tree: the label column,
+/// then the columns `row` formats from each row's totals.
+fn print_tree(spans: &[&TraceSpan], depth: usize, row: &dyn Fn(&Totals) -> String) {
     for r in rollup(spans) {
-        let label = if r.count > 1 {
-            format!("{}{} ×{}", "  ".repeat(depth), r.name, r.count)
-        } else {
-            format!("{}{}", "  ".repeat(depth), r.name)
+        let indent = "  ".repeat(depth);
+        let label = match r.totals.spans {
+            1 => format!("{indent}{}", r.name),
+            n => format!("{indent}{} ×{n}", r.name),
         };
-        outln!(
-            "  {label:<38} {:>9.3}s {:>9.3}s {:>5.1}%",
-            r.total,
-            r.self_secs,
-            if root_total > 0.0 {
-                100.0 * r.total / root_total
-            } else {
-                0.0
-            }
-        );
-        print_rollup(&r.children, depth + 1, root_total);
+        outln!("  {label:<38} {}", row(&r.totals));
+        print_tree(&r.children, depth + 1, row);
     }
 }
+
+/// Totals per span name over the whole tree, sorted by name.
+fn by_name(trace: &Trace) -> BTreeMap<&str, Totals> {
+    fn walk<'a>(spans: &'a [TraceSpan], into: &mut BTreeMap<&'a str, Totals>) {
+        for s in spans {
+            into.entry(s.name.as_str()).or_default().add(s);
+            walk(&s.children, into);
+        }
+    }
+    let mut m = BTreeMap::new();
+    walk(&trace.spans, &mut m);
+    m
+}
+
+/// Collapsed stacks (`a;b;c`), each with `weight` summed over the spans on
+/// that path — the folded format flamegraph tooling eats.
+fn folded(trace: &Trace, weight: fn(&TraceSpan) -> u64) -> BTreeMap<String, u64> {
+    fn walk(
+        spans: &[TraceSpan],
+        prefix: &str,
+        weight: fn(&TraceSpan) -> u64,
+        into: &mut BTreeMap<String, u64>,
+    ) {
+        for s in spans {
+            let stack = if prefix.is_empty() {
+                s.name.clone()
+            } else {
+                format!("{prefix};{}", s.name)
+            };
+            *into.entry(stack.clone()).or_insert(0) += weight(s);
+            walk(&s.children, &stack, weight, into);
+        }
+    }
+    let mut m = BTreeMap::new();
+    walk(&trace.spans, "", weight, &mut m);
+    m
+}
+
+/// `part` as a percentage of `whole`, 0 when there is no whole.
+fn share(part: f64, whole: f64) -> f64 {
+    if whole > 0.0 {
+        100.0 * part / whole
+    } else {
+        0.0
+    }
+}
+
+// --- summarize -----------------------------------------------------------
 
 fn summarize(trace: &Trace) {
     let roots: Vec<&TraceSpan> = trace.spans.iter().collect();
@@ -215,7 +297,14 @@ fn summarize(trace: &Trace) {
         "self",
         "share"
     );
-    print_rollup(&roots, 0, root_total);
+    print_tree(&roots, 0, &|t| {
+        format!(
+            "{:>9.3}s {:>9.3}s {:>5.1}%",
+            t.seconds,
+            t.self_seconds,
+            share(t.seconds, root_total)
+        )
+    });
     if let Some(cov) = attribution_coverage(trace) {
         let largest = cov.largest.as_ref().filter(|(_, secs)| *secs > 0.0);
         outln!(
@@ -297,40 +386,20 @@ fn summarize(trace: &Trace) {
 
 // --- diff ----------------------------------------------------------------
 
-/// Per-name totals over the whole tree: `name → (seconds, span count)`.
-fn aggregate(trace: &Trace) -> BTreeMap<String, (f64, usize)> {
-    fn walk(spans: &[TraceSpan], into: &mut BTreeMap<String, (f64, usize)>) {
-        for s in spans {
-            let e = into.entry(s.name.clone()).or_insert((0.0, 0));
-            e.0 += s.seconds;
-            e.1 += 1;
-            walk(&s.children, into);
-        }
-    }
-    let mut m = BTreeMap::new();
-    walk(&trace.spans, &mut m);
-    m
-}
-
 fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> ExitCode {
-    let (agg_a, agg_b) = (aggregate(a), aggregate(b));
-    let names: Vec<&String> = {
-        let mut n: Vec<&String> = agg_a.keys().chain(agg_b.keys()).collect();
-        n.sort();
-        n.dedup();
-        n
-    };
+    let (agg_a, agg_b) = (by_name(a), by_name(b));
+    let names: BTreeSet<&str> = agg_a.keys().chain(agg_b.keys()).copied().collect();
     struct Row<'a> {
         name: &'a str,
         a: f64,
         b: f64,
         delta: f64,
     }
+    let seconds = |agg: &BTreeMap<&str, Totals>, name| agg.get(name).map_or(0.0, |t| t.seconds);
     let mut rows: Vec<Row> = names
         .into_iter()
         .map(|name| {
-            let sa = agg_a.get(name).map_or(0.0, |v| v.0);
-            let sb = agg_b.get(name).map_or(0.0, |v| v.0);
+            let (sa, sb) = (seconds(&agg_a, name), seconds(&agg_b, name));
             Row {
                 name,
                 a: sa,
@@ -410,125 +479,14 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
 // --- flame ---------------------------------------------------------------
 
 fn flame(trace: &Trace) {
-    fn walk(spans: &[TraceSpan], prefix: &str, into: &mut BTreeMap<String, u64>) {
-        for s in spans {
-            let stack = if prefix.is_empty() {
-                s.name.clone()
-            } else {
-                format!("{prefix};{}", s.name)
-            };
-            let micros = (s.self_seconds() * 1e6).round() as u64;
-            *into.entry(stack.clone()).or_insert(0) += micros;
-            walk(&s.children, &stack, into);
-        }
-    }
-    let mut folded = BTreeMap::new();
-    walk(&trace.spans, "", &mut folded);
-    for (stack, micros) in folded {
+    for (stack, micros) in folded(trace, |s| (s.self_seconds() * 1e6).round() as u64) {
         outln!("{stack} {micros}");
     }
 }
 
 // --- heap ----------------------------------------------------------------
 
-/// Cumulative allocated bytes a span's attribution recorded (0 when the
-/// run's binary had no instrumented allocator, so the field is absent).
-fn span_alloc_bytes(s: &TraceSpan) -> u64 {
-    s.field_u64("alloc.bytes").unwrap_or(0)
-}
-
-/// Bytes attributed to the span itself: cumulative minus what its direct
-/// children account for, clamped at zero (a child window can outlive its
-/// parent's arithmetic only through clock-free counting races we clamp
-/// away rather than print as negative).
-fn span_self_bytes(s: &TraceSpan) -> u64 {
-    let children: u64 = s.children.iter().map(span_alloc_bytes).sum();
-    span_alloc_bytes(s).saturating_sub(children)
-}
-
-/// Same-name siblings folded into one allocation row (mirrors [`Rollup`]
-/// for wall clock): 50 `epoch` spans are one line with summed bytes and
-/// the maximum peak.
-struct HeapRow<'a> {
-    name: &'a str,
-    bytes: u64,
-    self_bytes: u64,
-    count: u64,
-    peak: u64,
-    spans: usize,
-    children: Vec<&'a TraceSpan>,
-}
-
-fn heap_rollup<'a>(spans: &[&'a TraceSpan]) -> Vec<HeapRow<'a>> {
-    let mut rows: Vec<HeapRow> = Vec::new();
-    for s in spans {
-        let bytes = span_alloc_bytes(s);
-        let count = s.field_u64("alloc.count").unwrap_or(0);
-        let peak = s.field_u64("alloc.peak").unwrap_or(0);
-        match rows.iter_mut().find(|r| r.name == s.name) {
-            Some(r) => {
-                r.bytes += bytes;
-                r.self_bytes += span_self_bytes(s);
-                r.count += count;
-                r.peak = r.peak.max(peak);
-                r.spans += 1;
-                r.children.extend(s.children.iter());
-            }
-            None => rows.push(HeapRow {
-                name: &s.name,
-                bytes,
-                self_bytes: span_self_bytes(s),
-                count,
-                peak,
-                spans: 1,
-                children: s.children.iter().collect(),
-            }),
-        }
-    }
-    rows
-}
-
-fn print_heap_rollup(spans: &[&TraceSpan], depth: usize, root_total: u64) {
-    for r in heap_rollup(spans) {
-        let label = if r.spans > 1 {
-            format!("{}{} ×{}", "  ".repeat(depth), r.name, r.spans)
-        } else {
-            format!("{}{}", "  ".repeat(depth), r.name)
-        };
-        outln!(
-            "  {label:<38} {:>8} {:>8} {:>10} {:>8} {:>5.1}%",
-            fmt_bytes(r.bytes as usize),
-            fmt_bytes(r.self_bytes as usize),
-            r.count,
-            fmt_bytes(r.peak as usize),
-            if root_total > 0 {
-                100.0 * r.bytes as f64 / root_total as f64
-            } else {
-                0.0
-            }
-        );
-        print_heap_rollup(&r.children, depth + 1, root_total);
-    }
-}
-
-/// Per-name totals over the whole tree: `name → (self, cum, allocs, peak)`.
-fn aggregate_heap(trace: &Trace) -> BTreeMap<String, (u64, u64, u64, u64)> {
-    fn walk(spans: &[TraceSpan], into: &mut BTreeMap<String, (u64, u64, u64, u64)>) {
-        for s in spans {
-            let e = into.entry(s.name.clone()).or_insert((0, 0, 0, 0));
-            e.0 += span_self_bytes(s);
-            e.1 += span_alloc_bytes(s);
-            e.2 += s.field_u64("alloc.count").unwrap_or(0);
-            e.3 = e.3.max(s.field_u64("alloc.peak").unwrap_or(0));
-            walk(&s.children, into);
-        }
-    }
-    let mut m = BTreeMap::new();
-    walk(&trace.spans, &mut m);
-    m
-}
-
-fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
+fn heap(trace: &Trace, top: usize, folded_stacks: bool) -> ExitCode {
     fn has_alloc(spans: &[TraceSpan]) -> bool {
         spans
             .iter()
@@ -543,33 +501,23 @@ fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
         return ExitCode::FAILURE;
     }
 
-    if folded {
-        // Collapsed stacks weighted by self bytes — same format `flame`
-        // emits for wall clock, so the same flamegraph tooling applies.
-        fn walk(spans: &[TraceSpan], prefix: &str, into: &mut BTreeMap<String, u64>) {
-            for s in spans {
-                let stack = if prefix.is_empty() {
-                    s.name.clone()
-                } else {
-                    format!("{prefix};{}", s.name)
-                };
-                let bytes = span_self_bytes(s);
-                if bytes > 0 {
-                    *into.entry(stack.clone()).or_insert(0) += bytes;
-                }
-                walk(&s.children, &stack, into);
+    if folded_stacks {
+        // the same stacks `flame` emits, weighted by self bytes; a path
+        // that allocated nothing is left out
+        for (stack, bytes) in folded(trace, TraceSpan::self_bytes) {
+            if bytes > 0 {
+                outln!("{stack} {bytes}");
             }
-        }
-        let mut stacks = BTreeMap::new();
-        walk(&trace.spans, "", &mut stacks);
-        for (stack, bytes) in stacks {
-            outln!("{stack} {bytes}");
         }
         return ExitCode::SUCCESS;
     }
 
     let roots: Vec<&TraceSpan> = trace.spans.iter().collect();
-    let root_total: u64 = trace.spans.iter().map(span_alloc_bytes).sum();
+    let root_total: u64 = trace
+        .spans
+        .iter()
+        .map(|s| s.field_u64("alloc.bytes").unwrap_or(0))
+        .sum();
     outln!(
         "  {:<38} {:>9} {:>9} {:>10} {:>8} {:>6}",
         "span",
@@ -579,15 +527,24 @@ fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
         "peak",
         "share"
     );
-    print_heap_rollup(&roots, 0, root_total);
+    print_tree(&roots, 0, &|t| {
+        format!(
+            "{:>8} {:>8} {:>10} {:>8} {:>5.1}%",
+            fmt_bytes(t.bytes as usize),
+            fmt_bytes(t.self_bytes as usize),
+            t.allocs,
+            fmt_bytes(t.peak as usize),
+            share(t.bytes as f64, root_total as f64)
+        )
+    });
 
-    let mut rows: Vec<(String, (u64, u64, u64, u64))> = aggregate_heap(trace)
+    let mut rows: Vec<(&str, Totals)> = by_name(trace)
         .into_iter()
-        .filter(|(_, v)| v.0 > 0)
+        .filter(|(_, t)| t.self_bytes > 0)
         .collect();
-    // Self bytes descending; name breaks ties so the table is
-    // deterministic (and golden-testable) for any input.
-    rows.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then_with(|| a.0.cmp(&b.0)));
+    // Self bytes descending; the sort is stable over the name-sorted fold,
+    // so ties keep name order and the table is deterministic for any input.
+    rows.sort_by_key(|(_, t)| std::cmp::Reverse(t.self_bytes));
     rows.truncate(top);
     if !rows.is_empty() {
         outln!("\ntop {} span(s) by self bytes:", rows.len());
@@ -599,12 +556,13 @@ fn heap(trace: &Trace, top: usize, folded: bool) -> ExitCode {
             "allocs",
             "peak"
         );
-        for (name, (self_b, cum, count, peak)) in &rows {
+        for (name, t) in &rows {
             outln!(
-                "  {name:<38} {:>9} {:>9} {count:>10} {:>8}",
-                fmt_bytes(*self_b as usize),
-                fmt_bytes(*cum as usize),
-                fmt_bytes(*peak as usize)
+                "  {name:<38} {:>9} {:>9} {:>10} {:>8}",
+                fmt_bytes(t.self_bytes as usize),
+                fmt_bytes(t.bytes as usize),
+                t.allocs,
+                fmt_bytes(t.peak as usize)
             );
         }
     }

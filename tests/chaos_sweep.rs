@@ -70,7 +70,6 @@ fn recorder(live_dir: &Path) -> Recorder {
     rec.enable_live(LiveConfig {
         every: 4,
         dir: Some(live_dir.to_path_buf()),
-        ..LiveConfig::default()
     });
     rec
 }

@@ -408,8 +408,20 @@ fn exit_codes_follow_the_documented_taxonomy() {
             "--threshold-pct",
         ),
         (&["trace", "heap", "a", "--top", "foo"], "--top"),
-        // a retired subcommand is an unknown one
+        // each trace subcommand takes only its own flags, checked before
+        // any file is read: a typo'd gate must not pass silently
+        (
+            &["trace", "diff", "a", "b", "--threshold-pc", "10"],
+            "--threshold-pc",
+        ),
+        (&["trace", "summarize", "a", "--folded"], "--folded"),
+        // a retired subcommand or flag is an unknown one
         (&["trace", "check", "a"], "unknown trace subcommand"),
+        (&["trace", "expo", "a"], "unknown trace subcommand"),
+        (
+            &["align", "--data", "@data", "--live-every", "2"],
+            "--live-every",
+        ),
     ] {
         let out = bin()
             .args(args.iter().map(|a| match *a {

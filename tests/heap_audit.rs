@@ -1,4 +1,4 @@
-//! The measured memory ledger end to end (DESIGN.md §S0.8, §S0.10): this
+//! The measured memory ledger end to end (DESIGN.md §S0.8, §S0.5): this
 //! facade test binary runs under the instrumented allocator `src/lib.rs`
 //! installs, so library-level runs really measure heap peaks and a budget
 //! sees every allocation, declared or not; the CLI tests drive the
@@ -369,9 +369,9 @@ fn cli_heap_profile_is_byte_stable_across_same_seed_runs() {
 
     // The passing run's trace drives `trace heap`: tree, top table, and
     // byte-stable output.
-    let render = |sub: &str, trace: &Path, extra: &[&str]| {
+    let render = |trace: &Path, extra: &[&str]| {
         let mut cmd = bin();
-        cmd.args(["trace", sub]).arg(trace).args(extra);
+        cmd.args(["trace", "heap"]).arg(trace).args(extra);
         let out = cmd.output().unwrap();
         assert!(
             out.status.success(),
@@ -380,7 +380,7 @@ fn cli_heap_profile_is_byte_stable_across_same_seed_runs() {
         );
         String::from_utf8_lossy(&out.stdout).into_owned()
     };
-    let heap = |extra: &[&str]| render("heap", &trace, extra);
+    let heap = |extra: &[&str]| render(&trace, extra);
     let tree = heap(&[]);
     assert!(tree.contains("pipeline"), "{tree}");
     assert!(tree.contains("top "), "{tree}");
@@ -400,15 +400,12 @@ fn cli_heap_profile_is_byte_stable_across_same_seed_runs() {
 
     // A second same-seed run attributes the same bytes to the same spans:
     // every rendering of the profile repeats across runs, not only across
-    // renderings of one file (paths of one length: the process-wide heap
-    // gauges count the argument strings too).
+    // renderings of one file (paths of one length: a span that builds a
+    // path from an argument counts its bytes).
     let again = dir.join("run_b.json");
     traced(&again);
-    assert_eq!(tree, render("heap", &again, &[]));
-    assert_eq!(folded, render("heap", &again, &["--folded"]));
-    let expo = render("expo", &trace, &[]);
-    assert!(expo.contains("\nlargeea_heap_live "), "{expo}");
-    assert_eq!(expo, render("expo", &again, &[]));
+    assert_eq!(tree, render(&again, &[]));
+    assert_eq!(folded, render(&again, &["--folded"]));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -520,18 +517,22 @@ fn trace_heap_renders_a_handcrafted_profile_deterministically() {
 
     let out = bin().args(["trace", "heap"]).arg(&path).output().unwrap();
     assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout).into_owned();
-    // tree: cumulative and self bytes per span, human units
-    assert!(text.contains("pipeline"), "{text}");
-    assert!(text.contains("10.0K"), "cumulative bytes in {text}");
-    assert!(text.contains("6.0K"), "train cumulative in {text}");
-    // top table sorted by self bytes: train (6K) first
-    let top = text.find("by self bytes").expect("top table header");
-    let train = text[top..].find("train").expect("train in top table");
-    let pipe = text[top..].find("pipeline").expect("pipeline in top table");
-    assert!(
-        train < pipe,
-        "train (6K self) must outrank pipeline:\n{text}"
+    // tree: cumulative and self bytes per span, human units; top table by
+    // self bytes, train (6K) first and the 2K tie in name order
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            "  span                                         cum      self     allocs     peak  share\n",
+            "  pipeline                                  10.0K     2.0K         10     8.0K 100.0%\n",
+            "    train                                    6.0K     6.0K          6     4.0K  60.0%\n",
+            "    fusion                                   2.0K     2.0K          2     2.0K  20.0%\n",
+            "\n",
+            "top 3 span(s) by self bytes:\n",
+            "  span                                        self       cum     allocs     peak\n",
+            "  train                                       6.0K      6.0K          6     4.0K\n",
+            "  fusion                                      2.0K      2.0K          2     2.0K\n",
+            "  pipeline                                    2.0K     10.0K         10     8.0K\n",
+        )
     );
 
     let folded = bin()

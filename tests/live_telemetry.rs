@@ -1,5 +1,5 @@
 //! Integration tests for live telemetry (`align --live-dir`, DESIGN.md
-//! §S0.9): mid-run snapshots parse and the final one is byte-identical to
+//! §S0.5): mid-run snapshots parse and the final one is byte-identical to
 //! `--trace-out`; sampling is tick-deterministic across same-seed runs; a
 //! crash mid-snapshot never corrupts the previous snapshot; and
 //! `--mem-budget` without `--spill-dir` announces its tempdir in the trace.
@@ -48,8 +48,8 @@ fn generate_data(dir: &Path) -> PathBuf {
     data
 }
 
-/// A live-telemetry align run: snapshots every 2 ticks into `live_dir`,
-/// final trace to `trace_out`. Extra args/env let callers add `--mem-budget`
+/// A live-telemetry align run: snapshots at the CLI's fixed cadence (every
+/// 32 ticks) into `live_dir`, final trace to `trace_out`. Extra args/env let callers add `--mem-budget`
 /// or arm failpoints.
 fn live_align(
     data: &Path,
@@ -64,7 +64,6 @@ fn live_align(
         .args(["--model", "gcn", "--k", "2", "--epochs", "8", "--dim", "16"])
         .arg("--live-dir")
         .arg(live_dir)
-        .args(["--live-every", "2"])
         .arg("--trace-out")
         .arg(trace_out);
     cmd.args(extra_args);
@@ -99,8 +98,8 @@ fn final_snapshot_is_byte_identical_to_trace_out_and_counts_its_writes() {
     let trace = parse_file(&snapshot_path);
     // Every periodic snapshot plus the final flush bumps `live.writes`
     // before writing, so the count in the file includes itself. The run
-    // has far more than 2 ticks at cadence 2 — this is the "at least two
-    // mid-run snapshots" acceptance bar with margin.
+    // has 160 ticks, five snapshots at cadence 32 — this is the "at least
+    // two mid-run snapshots" acceptance bar with margin.
     assert!(
         trace.counter("live.writes") >= 3,
         "expected >= 3 snapshot writes, got {}",
@@ -122,14 +121,6 @@ fn final_snapshot_is_byte_identical_to_trace_out_and_counts_its_writes() {
     expect_success(&tail);
     let text = String::from_utf8_lossy(&tail.stdout);
     assert!(text.contains("run complete"), "{text}");
-    let expo = bin()
-        .args(["trace", "expo"])
-        .arg(&snapshot_path)
-        .output()
-        .unwrap();
-    expect_success(&expo);
-    let text = String::from_utf8_lossy(&expo.stdout);
-    assert!(text.contains("\nlargeea_live_writes_total "), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

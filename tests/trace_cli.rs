@@ -219,17 +219,22 @@ fn trace_errors_are_reported_not_panicked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A handcrafted schema-v2 live snapshot: one still-open span chain, the
-/// `progress.*` gauges a run maintains, and a three-sample ring with
-/// spill activity — tables deliberately NOT sorted to prove the tooling
-/// sorts defensively.
+/// A handcrafted schema-v2 live snapshot: a closed `load` whose one child
+/// holds all its time (zero self seconds), one still-open span chain whose
+/// epoch has a same-name sibling pair, the `progress.*` gauges a run
+/// maintains, and a three-sample ring with spill activity — tables
+/// deliberately NOT sorted to prove the tooling sorts defensively.
 fn handcrafted_live_snapshot() -> String {
     concat!(
         r#"{"version":2,"#,
-        r#""spans":[{"name":"pipeline","seconds":0.0,"fields":{},"children":["#,
+        r#""spans":[{"name":"load","seconds":0.25,"fields":{},"children":["#,
+        r#"{"name":"parse","seconds":0.25,"fields":{},"children":[]}]},"#,
+        r#"{"name":"pipeline","seconds":0.0,"fields":{},"children":["#,
         r#"{"name":"structure_channel","seconds":0.0,"fields":{},"children":["#,
         r#"{"name":"train","seconds":0.0,"fields":{},"children":["#,
-        r#"{"name":"epoch","seconds":0.5,"fields":{},"children":[]}]}]}]}],"#,
+        r#"{"name":"epoch","seconds":0.5,"fields":{},"children":["#,
+        r#"{"name":"step","seconds":0.125,"fields":{},"children":[]},"#,
+        r#"{"name":"step","seconds":0.125,"fields":{},"children":[]}]}]}]}]}],"#,
         r#""counters":{"zeta.ops":3,"mem.spill.write_bytes":4096,"alpha.ops":1},"#,
         r#""gauges":{"progress.rounds_total":1.0,"progress.round":1.0,"#,
         r#""progress.batches_total":2.0,"progress.batch":1.0,"#,
@@ -377,22 +382,79 @@ fn summarize_output_is_sorted_and_byte_deterministic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The reader's renderings of the handcrafted snapshot, byte for byte: the
+/// `×N` fold of same-name siblings, zero-µs flame lines, and the diff's
+/// ordering (largest |delta| first, ties by name) and verdict.
 #[test]
-fn expo_renders_prometheus_text_from_any_trace() {
-    let dir = tempdir("expo");
+fn tree_flame_and_diff_renderings_are_pinned() {
+    let dir = tempdir("pins");
     let path = dir.join("live.trace.json");
     std::fs::write(&path, handcrafted_live_snapshot()).unwrap();
+    let run = |sub: &str| bin().args(["trace", sub]).arg(&path).output().unwrap();
 
-    let out = bin().arg("trace").arg("expo").arg(&path).output().unwrap();
-    let text = stdout_of(&out);
-    assert!(
-        text.contains("# TYPE largeea_alpha_ops_total counter\nlargeea_alpha_ops_total 1\n"),
-        "{text}"
+    let text = stdout_of(&run("summarize"));
+    let tree = text.split("\n\n").next().unwrap();
+    assert_eq!(
+        tree,
+        concat!(
+            "  span                                        total       self  share\n",
+            "  load                                       0.250s     0.000s 100.0%\n",
+            "    parse                                    0.250s     0.250s 100.0%\n",
+            "  pipeline                                   0.000s     0.000s   0.0%\n",
+            "    structure_channel                        0.000s     0.000s   0.0%\n",
+            "      train                                  0.000s     0.000s   0.0%\n",
+            "        epoch                                0.500s     0.250s 200.0%\n",
+            "          step ×2                            0.250s     0.250s 100.0%",
+        )
     );
-    assert!(text.contains("largeea_progress_rounds_total 1.0"), "{text}");
-    assert!(
-        text.contains("largeea_z_h{quantile=\"0.95\"} 0.5"),
-        "{text}"
+
+    let flame = stdout_of(&run("flame"));
+    assert_eq!(
+        flame,
+        concat!(
+            "load 0\n",
+            "load;parse 250000\n",
+            "pipeline 0\n",
+            "pipeline;structure_channel 0\n",
+            "pipeline;structure_channel;train 0\n",
+            "pipeline;structure_channel;train;epoch 250000\n",
+            "pipeline;structure_channel;train;epoch;step 250000\n",
+        )
+    );
+
+    // the copy's first `step` takes 0.25 s more
+    let mut trace = Trace::parse(&handcrafted_live_snapshot()).unwrap();
+    let epoch = &mut trace.spans[1].children[0].children[0].children[0];
+    epoch.children[0].seconds += 0.25;
+    let slow = dir.join("slow.json");
+    std::fs::write(&slow, trace.to_json_string()).unwrap();
+    let out = bin()
+        .args(["trace", "diff"])
+        .arg(&path)
+        .arg(&slow)
+        .args(["--threshold-pct", "10"])
+        .output()
+        .unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "a 100% regression trips the gate"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        concat!(
+            "  span                                  a          b      delta      pct\n",
+            "  step                             0.250s     0.500s    +0.250s  +100.0%\n",
+            "  epoch                            0.500s     0.500s    +0.000s    +0.0%\n",
+            "  load                             0.250s     0.250s    +0.000s    +0.0%\n",
+            "  parse                            0.250s     0.250s    +0.000s    +0.0%\n",
+            "  pipeline                         0.000s     0.000s    +0.000s      new\n",
+            "  structure_channel                0.000s     0.000s    +0.000s      new\n",
+            "  train                            0.000s     0.000s    +0.000s      new\n",
+            "\n",
+            "REGRESSION: 1 span(s) past the 10% threshold:\n",
+            "  step: 0.250s → 0.500s (+0.250s)\n",
+        )
     );
     std::fs::remove_dir_all(&dir).ok();
 }
