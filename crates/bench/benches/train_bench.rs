@@ -68,15 +68,28 @@ fn bench_negative_sampling(bench: &mut Bench) {
         },
     );
     let mut group = bench.group("ablation_d5_negatives");
+    let quiet = Recorder::disabled();
     for (label, strat) in [
         ("random", NegStrategy::Random),
         ("nearest", NegStrategy::Nearest),
     ] {
         group.bench_function(label, |b| {
-            b.iter(|| sample_negatives(&bg, &report.embeddings, 15, strat, 9))
+            b.iter(|| sample_negatives(&bg, &report.embeddings, 15, strat, 9, &quiet))
         });
     }
     group.finish();
+    // what the nearest search's pre-filter let through to f32, once
+    let rec = Recorder::new(ObsConfig::default());
+    sample_negatives(&bg, &report.embeddings, 15, NegStrategy::Nearest, 9, &rec);
+    let trace = rec.trace();
+    let (refined, scanned) = (
+        trace.counter("negatives.refined_pairs"),
+        trace.counter("negatives.scored_pairs"),
+    );
+    println!(
+        "nearest negatives: {refined} of {scanned} pairs scored in f32 ({:.1} %)",
+        100.0 * refined as f64 / scanned.max(1) as f64
+    );
 }
 
 /// The fixed `train_epoch` batch: 1 000 + 1 000 entities, 4 000 triples

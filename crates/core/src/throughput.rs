@@ -21,7 +21,9 @@
 //! top-k scan was handed its u8 pre-filter could not rule out and the scan
 //! scored in f32 (DESIGN.md §S0.11): `sens.filter_pass_pct` from
 //! `sens.refined_pairs` / `sens.candidates_scored`, `topk.filter_pass_pct`
-//! from `topk.refined_pairs` / `topk.scored_pairs`. And
+//! from `topk.refined_pairs` / `topk.scored_pairs`, and
+//! `negatives.filter_pass_pct` from the negative sampler's
+//! `negatives.refined_pairs` / `negatives.scored_pairs`. And
 //! [`attribution_coverage`] says how much of the run the tree explains: the
 //! share of the roots' wall-clock that lies inside leaf spans, the rest
 //! being self time of spans that have children — work no leaf names.
@@ -161,6 +163,7 @@ pub fn filter_pass_pcts(trace: &Trace) -> Vec<(String, f64, u64, u64)> {
     let scans = [
         ("sens", "sens.candidates_scored"),
         ("topk", "topk.scored_pairs"),
+        ("negatives", "negatives.scored_pairs"),
     ];
     let pass = |(scan, scanned): (&str, &str)| {
         let refined = trace.counter(&format!("{scan}.refined_pairs"));
@@ -277,9 +280,14 @@ mod tests {
         let rec = Recorder::new(ObsConfig::default());
         rec.add("sens.candidates_scored", 4_000);
         rec.add("sens.refined_pairs", 150);
+        rec.add("negatives.scored_pairs", 800);
+        rec.add("negatives.refined_pairs", 152);
         assert_eq!(
             filter_pass_pcts(&rec.trace()),
-            vec![("sens.filter_pass_pct".to_owned(), 3.75, 150, 4_000)]
+            vec![
+                ("sens.filter_pass_pct".to_owned(), 3.75, 150, 4_000),
+                ("negatives.filter_pass_pct".to_owned(), 19.0, 152, 800)
+            ]
         );
         assert!(filter_pass_pcts(&Trace::default()).is_empty());
     }

@@ -143,7 +143,7 @@ impl crate::trainer::EaModel for NameProj {
         let x = tape.constant(&self.names);
         let w = tape.param(self.store.get(self.w));
         let h = tape.matmul(x, w);
-        let out = tape.l2_normalize_rows(h, 1e-9);
+        let out = tape.l2_normalize_rows(&[h], 1e-9);
         crate::trainer::ForwardPass {
             embeddings: out,
             params: vec![(self.w, w)],

@@ -14,7 +14,7 @@ use std::rc::Rc;
 
 /// The triple-level message structure returned by [`BatchGraph::messages`]:
 /// `(agg, heads, rels, tails)`.
-pub type Messages = (Rc<SpOp>, Rc<Vec<u32>>, Rc<Vec<u32>>, Rc<Vec<u32>>);
+pub type Messages = (Rc<SpOp>, Vec<u32>, Vec<u32>, Vec<u32>);
 
 /// A mini-batch lowered to dense local ids, ready for GNN training.
 #[derive(Debug, Clone)]
@@ -130,20 +130,19 @@ impl BatchGraph {
             .map(|(msg, &h)| (h, msg as u32, 1.0 / indeg[h as usize] as f32))
             .collect();
         let agg = SparseMatrix::from_coo(n, m, coo);
-        (
-            SpOp::new(agg),
-            Rc::new(heads),
-            Rc::new(rels),
-            Rc::new(tails),
-        )
+        (SpOp::new(agg), heads, rels, tails)
     }
 
-    /// Local target indices (`n_source..n_total`) as a gather list.
+    /// Local target indices (`n_source..n_total`) as a gather list. The
+    /// library reads the sides in place (`row_range`); this and
+    /// [`BatchGraph::source_locals`] stay because the benchmark harness's
+    /// probes bind them.
     pub fn target_locals(&self) -> Vec<u32> {
         (self.n_source as u32..self.n_total() as u32).collect()
     }
 
-    /// Local source indices (`0..n_source`) as a gather list.
+    /// Local source indices (`0..n_source`) as a gather list (see
+    /// [`BatchGraph::target_locals`]).
     pub fn source_locals(&self) -> Vec<u32> {
         (0..self.n_source as u32).collect()
     }

@@ -98,12 +98,11 @@ impl EaModel for GcnAlign {
         let h1 = tape.relu(h1);
         let ah1 = tape.spmm(&self.adj, h1);
         let h2 = tape.matmul(ah1, w2);
-        let pre = if self.concat_input {
-            tape.hstack(&[x, h2])
+        let out = if self.concat_input {
+            tape.l2_normalize_rows(&[x, h2], 1e-9)
         } else {
-            h2
+            tape.l2_normalize_rows(&[h2], 1e-9)
         };
-        let out = tape.l2_normalize_rows(pre, 1e-9);
 
         ForwardPass {
             embeddings: out,

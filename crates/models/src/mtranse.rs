@@ -80,7 +80,7 @@ impl EaModel for MTransE {
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
         let ent = tape.param(self.store.get(self.ent));
         let rel = tape.param(self.store.get(self.rel));
-        let out = tape.l2_normalize_rows(ent, 1e-9);
+        let out = tape.l2_normalize_rows(&[ent], 1e-9);
         ForwardPass {
             embeddings: out,
             params: vec![(self.ent, ent), (self.rel, rel)],
@@ -99,7 +99,7 @@ impl EaModel for MTransE {
             return None;
         }
         let (ent_var, rel_var) = (params[0].1, params[1].1);
-        let emb = tape.l2_normalize_rows(ent_var, 1e-9);
+        let emb = tape.l2_normalize_rows(&[ent_var], 1e-9);
 
         // deterministic corruption: shift each tail by an epoch-dependent
         // odd stride, guaranteed ≠ original for n > 1

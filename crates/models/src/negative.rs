@@ -6,10 +6,12 @@
 //! baseline (ablation D5 in DESIGN.md).
 
 use crate::batch_graph::BatchGraph;
+use largeea_common::obs::Recorder;
 use largeea_common::pool::Pool;
 use largeea_common::rng::{splitmix64, Rng};
-use largeea_sim::{topk_search, Metric};
+use largeea_sim::{topk_search_counted, Metric};
 use largeea_tensor::Matrix;
+use std::ops::Range;
 
 /// How negatives are drawn.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,17 +37,22 @@ pub struct Negatives {
 ///
 /// Falls back to the anchor's own side partner when a side has a single
 /// entity (degenerate batches) so callers never index an empty list.
+///
+/// Telemetry: [`NegStrategy::Nearest`]'s two searches add the pairs they
+/// scan to `rec`'s `negatives.scored_pairs` counter and the pairs the
+/// scan's pre-filter let through to f32 to `negatives.refined_pairs`.
 pub fn sample_negatives(
     bg: &BatchGraph,
     embeddings: &Matrix,
     n_neg: usize,
     strategy: NegStrategy,
     seed: u64,
+    rec: &Recorder,
 ) -> Negatives {
     let n_neg = n_neg.max(1);
     match strategy {
         NegStrategy::Random => random_negatives(bg, n_neg, seed),
-        NegStrategy::Nearest => nearest_negatives(bg, embeddings, n_neg, seed),
+        NegStrategy::Nearest => nearest_negatives(bg, embeddings, n_neg, seed, rec),
     }
 }
 
@@ -99,7 +106,13 @@ fn draw(rng: &mut Rng, n: usize, lo: u32, hi: u32, exclude: u32) -> Vec<u32> {
         .collect()
 }
 
-fn nearest_negatives(bg: &BatchGraph, emb: &Matrix, n_neg: usize, seed: u64) -> Negatives {
+fn nearest_negatives(
+    bg: &BatchGraph,
+    emb: &Matrix,
+    n_neg: usize,
+    seed: u64,
+    rec: &Recorder,
+) -> Negatives {
     if bg.train_pairs.is_empty() {
         return Negatives {
             corrupt_target: vec![],
@@ -109,29 +122,19 @@ fn nearest_negatives(bg: &BatchGraph, emb: &Matrix, n_neg: usize, seed: u64) -> 
     if bg.n_source <= 1 || bg.n_target <= 1 {
         return random_negatives(bg, n_neg, seed);
     }
-    // Slice out the two sides once.
-    let src_rows: Vec<u32> = bg.source_locals();
-    let tgt_rows: Vec<u32> = bg.target_locals();
-    let src_emb = emb.gather_rows(&src_rows);
-    let tgt_emb = emb.gather_rows(&tgt_rows);
-
-    let anchors_s: Vec<u32> = bg.train_pairs.iter().map(|&(s, _)| s).collect();
-    let anchors_t: Vec<u32> = bg
-        .train_pairs
-        .iter()
-        .map(|&(_, t)| t - bg.n_source as u32)
-        .collect();
-    let qs = emb.gather_rows(&anchors_s);
-    let qt = emb.gather_rows(
-        &anchors_t
-            .iter()
-            .map(|&t| t + bg.n_source as u32)
-            .collect::<Vec<_>>(),
-    );
-
-    // +2: the true partner may rank first, and one spare for ties.
-    let hits_t = topk_search(&qs, &tgt_emb, n_neg + 2, Metric::Manhattan);
-    let hits_s = topk_search(&qt, &src_emb, n_neg + 2, Metric::Manhattan);
+    // Each side's anchors (gathered, one side at a time) against the other
+    // side, a row range of the batch's embeddings searched in place. +2:
+    // the true partner may rank first, and one spare for ties.
+    let search = |anchor: fn(&(u32, u32)) -> u32, side: Range<usize>| {
+        let locals: Vec<u32> = bg.train_pairs.iter().map(anchor).collect();
+        let anchors = emb.gather_rows(&locals);
+        topk_search_counted(&anchors, emb.row_range(side), n_neg + 2, Metric::Manhattan)
+    };
+    let (hits_t, refined_t) = search(|&(s, _)| s, bg.n_source..bg.n_total());
+    let (hits_s, refined_s) = search(|&(_, t)| t, 0..bg.n_source);
+    let scanned = bg.train_pairs.len() * bg.n_total();
+    rec.add("negatives.scored_pairs", scanned as u64);
+    rec.add("negatives.refined_pairs", refined_t + refined_s);
 
     // Assembly is pure per-pair filtering; parallel blocks concatenate in
     // pair order, so the result matches the sequential loop exactly.
@@ -204,7 +207,7 @@ mod tests {
     fn random_negatives_exclude_true_partner() {
         let bg = small_bg();
         let emb = Matrix::zeros(bg.n_total(), 4);
-        let negs = sample_negatives(&bg, &emb, 8, NegStrategy::Random, 3);
+        let negs = sample_negatives(&bg, &emb, 8, NegStrategy::Random, 3, &Recorder::disabled());
         for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
             assert!(negs.corrupt_target[pi].iter().all(|&c| c != t));
             assert!(negs.corrupt_source[pi].iter().all(|&c| c != s));
@@ -227,7 +230,7 @@ mod tests {
             emb[(i, 0)] = i as f32;
         }
         // anchor s=0 (value 0); targets are 6..12 with values 6..12; true t=6
-        let negs = sample_negatives(&bg, &emb, 2, NegStrategy::Nearest, 1);
+        let negs = sample_negatives(&bg, &emb, 2, NegStrategy::Nearest, 1, &Recorder::disabled());
         // nearest non-partner target to s=0 is local 7
         assert_eq!(negs.corrupt_target[0][0], 7);
     }
@@ -237,7 +240,7 @@ mod tests {
         let bg = small_bg();
         let emb = Matrix::zeros(bg.n_total(), 4);
         for strat in [NegStrategy::Random, NegStrategy::Nearest] {
-            let negs = sample_negatives(&bg, &emb, 3, strat, 5);
+            let negs = sample_negatives(&bg, &emb, 3, strat, 5, &Recorder::disabled());
             assert_eq!(negs.corrupt_target.len(), bg.train_pairs.len());
             for v in &negs.corrupt_target {
                 assert!(!v.is_empty() && v.len() <= 3);
@@ -249,8 +252,8 @@ mod tests {
     fn deterministic_per_seed() {
         let bg = small_bg();
         let emb = Matrix::zeros(bg.n_total(), 4);
-        let a = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11);
-        let b = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11);
+        let a = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11, &Recorder::disabled());
+        let b = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11, &Recorder::disabled());
         assert_eq!(a.corrupt_target, b.corrupt_target);
     }
 }

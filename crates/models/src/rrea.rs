@@ -22,7 +22,7 @@ use crate::batch_graph::BatchGraph;
 use crate::trainer::{EaModel, ForwardPass};
 use largeea_tensor::init::xavier_uniform;
 use largeea_tensor::optim::{ParamId, ParamStore};
-use largeea_tensor::{SpOp, Tape, Var};
+use largeea_tensor::{IndexList, SpOp, Tape, Var};
 use std::rc::Rc;
 
 /// RREA model state for one mini-batch.
@@ -30,8 +30,10 @@ pub struct Rrea {
     n: usize,
     dim: usize,
     agg: Rc<SpOp>,
-    rels: Rc<Vec<u32>>,
-    tails: Rc<Vec<u32>>,
+    /// Each message's relation, grouped by relation for the hop's backward.
+    rels: Rc<IndexList>,
+    /// Each message's tail entity, grouped by entity.
+    tails: Rc<IndexList>,
     store: ParamStore,
     ent: ParamId,
     rel: ParamId,
@@ -42,12 +44,15 @@ impl Rrea {
     pub fn new(bg: &BatchGraph, dim: usize, seed: u64) -> Self {
         let (agg, _heads, rels, tails) = bg.messages();
         let n = bg.n_total();
+        let tails = Rc::new(IndexList::new(tails, n));
+        let n_rels = bg.num_relations * 2;
+        let rels = Rc::new(IndexList::new(rels, n_rels));
         let mut store = ParamStore::new();
         let ent = store.register("entities", xavier_uniform(n, dim, seed));
         // forward + inverse relation embeddings
         let rel = store.register(
             "relations",
-            xavier_uniform(bg.num_relations * 2, dim, seed.wrapping_add(1)),
+            xavier_uniform(n_rels, dim, seed.wrapping_add(1)),
         );
         Self {
             n,
@@ -89,19 +94,20 @@ impl EaModel for Rrea {
     fn forward(&self, tape: &mut Tape) -> ForwardPass {
         let ent = tape.param(self.store.get(self.ent));
         let rel = tape.param(self.store.get(self.rel));
-        let rel_norm = tape.l2_normalize_rows(rel, 1e-9);
+        let rel_norm = tape.l2_normalize_rows(&[rel], 1e-9);
 
-        let h0 = tape.l2_normalize_rows(ent, 1e-9);
+        let h0 = tape.l2_normalize_rows(&[ent], 1e-9);
         let m1 = self.hop(tape, h0, rel_norm);
-        let h1 = tape.l2_normalize_rows(m1, 1e-9);
+        let h1 = tape.l2_normalize_rows(&[m1], 1e-9);
         let m2 = self.hop(tape, h1, rel_norm);
-        let h2 = tape.l2_normalize_rows(m2, 1e-9);
+        let h2 = tape.l2_normalize_rows(&[m2], 1e-9);
         // RREA concatenates the outputs of every depth (`[h0; h1; h2]`),
         // keeping each hop's signal in its own column block: an unseeded
         // entity's random h0 adds a near-constant offset to every candidate
         // distance while the neighbour-driven h1/h2 blocks discriminate.
-        let cat = tape.hstack(&[h0, h1, h2]);
-        let out = tape.l2_normalize_rows(cat, 1e-9);
+        // One node normalises the three side by side, so the concatenation
+        // itself never exists.
+        let out = tape.l2_normalize_rows(&[h0, h1, h2], 1e-9);
 
         ForwardPass {
             embeddings: out,
@@ -163,6 +169,6 @@ mod tests {
         let fp = model.forward(&mut tape);
         // implicitly tested via unit rows above; check a middle value sane
         let emb = tape.value(fp.embeddings);
-        assert!(emb.max_abs() <= 1.0 + 1e-4);
+        assert!(emb.as_slice().iter().all(|x| x.abs() <= 1.0 + 1e-4));
     }
 }

@@ -8,14 +8,15 @@
 
 use crate::batch_graph::BatchGraph;
 use largeea_common::obs::Recorder;
-use largeea_sim::{topk_search_traced, Metric, SparseSimMatrix};
+use largeea_sim::{topk_search_counted, Metric, SparseSimMatrix};
 use largeea_tensor::Matrix;
 
 /// Scores `bg`'s source entities against its target entities with the
 /// trained embeddings and writes the top-`k` candidates per source entity
 /// into `m_s` (global coordinates). Scores are negative Manhattan
-/// distances (larger = more similar). The search's `topk.refined_pairs`
-/// counter goes to `rec`.
+/// distances (larger = more similar). The two sides are row ranges of
+/// `emb`, searched in place; the search's `topk.refined_pairs` counter goes
+/// to `rec`.
 pub fn fill_similarity(
     bg: &BatchGraph,
     emb: &Matrix,
@@ -26,9 +27,10 @@ pub fn fill_similarity(
     if bg.n_source == 0 || bg.n_target == 0 {
         return;
     }
-    let src = emb.gather_rows(&bg.source_locals());
-    let tgt = emb.gather_rows(&bg.target_locals());
-    let hits = topk_search_traced(&src, &tgt, k, Metric::Manhattan, rec);
+    let src = emb.row_range(0..bg.n_source);
+    let tgt = emb.row_range(bg.n_source..bg.n_total());
+    let (hits, refined) = topk_search_counted(src, tgt, k, Metric::Manhattan);
+    rec.add("topk.refined_pairs", refined);
     for (local_s, row_hits) in hits.into_iter().enumerate() {
         let global = |(local_t, score): (u32, f32)| (bg.target_ids[local_t as usize].0, score);
         m_s.insert_row(

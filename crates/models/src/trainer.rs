@@ -15,7 +15,7 @@ use crate::batch_graph::BatchGraph;
 use crate::negative::{sample_negatives, NegStrategy, Negatives};
 use largeea_common::obs::{Level, Recorder};
 use largeea_tensor::optim::{Adam, AdamConfig, ParamId, ParamStore};
-use largeea_tensor::{Matrix, Tape, Var};
+use largeea_tensor::{IndexList, Matrix, Tape, Var};
 use std::rc::Rc;
 
 /// The result of one forward pass: the final entity embeddings plus the
@@ -146,7 +146,9 @@ pub struct TrainReport {
 /// The triplet batch as four parallel row-index lists `[s, t, neg_t,
 /// neg_s]`, one entry per (training pair, negative): each pair repeated
 /// once per negative beside its corrupted target and corrupted source.
-fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<Vec<u32>>; 4] {
+/// Each list comes grouped by the batch local it names, for the loss's
+/// backward, so a resample (not an epoch) pays for the grouping.
+fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<IndexList>; 4] {
     let rows = bg.train_pairs.len() * n_neg;
     let [mut s_rep, mut t_rep, mut neg_t, mut neg_s] = [(); 4].map(|()| Vec::with_capacity(rows));
     for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
@@ -157,7 +159,7 @@ fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<Vec<u32>
             neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
         }
     }
-    [s_rep, t_rep, neg_t, neg_s].map(Rc::new)
+    [s_rep, t_rep, neg_t, neg_s].map(|list| Rc::new(IndexList::new(list, bg.n_total())))
 }
 
 /// Trains `model` on `bg` and returns the final embeddings.
@@ -173,7 +175,8 @@ pub fn train(model: &mut dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> Tra
 /// epoch is an `epoch` span ([`Level::Trace`]) with `epoch`/`loss`/
 /// `grad_norm` fields and `forward` / `negatives` (when resampled) / `loss`
 /// / `backward` / `step` children. Each negatives regeneration bumps the
-/// `train.negatives_resampled` counter, per-epoch losses feed the
+/// `train.negatives_resampled` counter (and the sampler's own
+/// `negatives.*` counters, see [`sample_negatives`]), per-epoch losses feed the
 /// `train.epoch_loss` histogram, and the `train.peak_bytes` /
 /// `train.tape_bytes` gauges keep the largest batch's parameter + Adam
 /// state and retained tape.
@@ -233,6 +236,9 @@ pub fn train_hooked(
         // epoch's one forward pass; the loss below joins the same tape.
         if triplets.is_none() || epoch % cfg.neg_refresh.max(1) == 0 {
             let _span = phase("negatives");
+            // the last lists go before the next are built (the tape's reset
+            // let go of its handles on them)
+            drop(triplets.take());
             rec.add("train.negatives_resampled", 1);
             let negs = sample_negatives(
                 bg,
@@ -240,6 +246,7 @@ pub fn train_hooked(
                 cfg.neg_samples,
                 cfg.neg_strategy,
                 cfg.seed.wrapping_add(epoch as u64),
+                rec,
             );
             triplets = Some(triplet_rows(bg, &negs, cfg.neg_samples.max(1)));
         }
@@ -293,7 +300,7 @@ pub fn train_hooked(
     batch_span.field("tape_bytes", tape_bytes);
     rec.gauge_max("train.tape_bytes", tape_bytes as f64);
     TrainReport {
-        embeddings: tape.value(fp.embeddings).clone(),
+        embeddings: tape.into_value(fp.embeddings),
         losses,
         peak_bytes,
         tape_bytes,

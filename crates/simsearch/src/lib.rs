@@ -24,6 +24,6 @@ pub mod topk;
 pub use ivf::IvfIndex;
 pub use sparse_sim::SparseSimMatrix;
 pub use topk::{
-    resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_in,
-    topk_search_traced, Metric,
+    resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_counted,
+    topk_search_in, Metric,
 };

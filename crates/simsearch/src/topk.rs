@@ -3,7 +3,7 @@
 use largeea_common::obs::{Level, Recorder};
 use largeea_tensor::kernels::{dot_panel, l1_panel, sad_panel};
 use largeea_tensor::parallel::Pool;
-use largeea_tensor::{dot, l1_distance, Matrix};
+use largeea_tensor::{dot, l1_distance, Matrix, Rows};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -208,8 +208,9 @@ impl Sketch {
     /// steps span the base's largest magnitude. A base of zeros (or small
     /// enough for the division to underflow) or with an infinity has no
     /// such scale; 1.0 stands in — any positive finite value is sound.
-    fn scale_for(base: &Matrix) -> f32 {
-        let s = base.max_abs() / 127.0;
+    fn scale_for(base: Rows<'_>) -> f32 {
+        let max_abs = (base.as_slice().iter()).fold(0.0f32, |m, &x| m.max(x.abs()));
+        let s = max_abs / 127.0;
         if s.is_finite() && s > 0.0 {
             s
         } else {
@@ -217,7 +218,7 @@ impl Sketch {
         }
     }
 
-    fn build(m: &Matrix, scale: f32, pool: &Pool) -> Sketch {
+    fn build(m: Rows<'_>, scale: f32, pool: &Pool) -> Sketch {
         assert!(scale.is_finite() && scale > 0.0, "sketch scale {scale}");
         let (dim, s) = (m.cols(), f64::from(scale));
         let stride = Self::stride_for(dim);
@@ -276,8 +277,8 @@ impl Sketch {
 /// One exact scan of `queries` against `base` — the only place a
 /// (query, base-row) pair is scored.
 struct Scan<'a> {
-    queries: &'a Matrix,
-    base: &'a Matrix,
+    queries: Rows<'a>,
+    base: Rows<'a>,
     metric: Metric,
     /// Sketches of `queries` and `base` under one scale; without them
     /// (always, for [`Metric::InnerProduct`]) every pair is scored in f32.
@@ -387,6 +388,8 @@ impl Scan<'_> {
 
 /// For each row of `queries`, finds the `k` most similar rows of `base`
 /// under `metric`. Exact (no approximation), parallel over query blocks.
+/// Either side is a whole [`Matrix`] (`&m`) or borrowed rows of one
+/// ([`Matrix::row_range`]); nothing is copied.
 ///
 /// Returns one descending-sorted `(base_row, score)` list per query row.
 ///
@@ -395,32 +398,31 @@ impl Scan<'_> {
 /// If `queries.cols() != base.cols()` ("query/base dimensionality
 /// mismatch") or `k == 0` — checked up front so no mismatched pair is
 /// ever silently prefix-scored (see [`Metric::similarity`]).
-pub fn topk_search(
-    queries: &Matrix,
-    base: &Matrix,
+pub fn topk_search<'q, 'b>(
+    queries: impl Into<Rows<'q>>,
+    base: impl Into<Rows<'b>>,
     k: usize,
     metric: Metric,
 ) -> Vec<Vec<(u32, f32)>> {
-    topk_search_traced(queries, base, k, metric, &Recorder::disabled())
+    topk_search_in(queries, base, k, metric, Pool::global())
 }
 
-/// [`topk_search`] with telemetry: the pairs the pre-filter could not rule
-/// out and the scan scored in f32 land in the `topk.refined_pairs` counter.
+/// [`topk_search`], also returning how many pairs the scan scored in f32 —
+/// the ones its lossless pre-filter could not rule out — for the caller's
+/// `*.refined_pairs` counter.
 ///
 /// # Panics
 ///
 /// Same contract as [`topk_search`].
-pub fn topk_search_traced(
-    queries: &Matrix,
-    base: &Matrix,
+pub fn topk_search_counted<'q, 'b>(
+    queries: impl Into<Rows<'q>>,
+    base: impl Into<Rows<'b>>,
     k: usize,
     metric: Metric,
-    rec: &Recorder,
-) -> Vec<Vec<(u32, f32)>> {
+) -> (Vec<Vec<(u32, f32)>>, u64) {
     let quiet = Recorder::disabled();
-    let (hits, refined) = search_in_ram(Pool::global(), queries, base, k, metric, 1, &quiet);
-    rec.add("topk.refined_pairs", refined);
-    hits
+    let (queries, base) = (queries.into(), base.into());
+    search_in_ram(Pool::global(), queries, base, k, metric, 1, &quiet)
 }
 
 /// [`topk_search`] on an explicit pool, so tests can pin the width. Each
@@ -430,13 +432,14 @@ pub fn topk_search_traced(
 /// # Panics
 ///
 /// Same contract as [`topk_search`].
-pub fn topk_search_in(
-    queries: &Matrix,
-    base: &Matrix,
+pub fn topk_search_in<'q, 'b>(
+    queries: impl Into<Rows<'q>>,
+    base: impl Into<Rows<'b>>,
     k: usize,
     metric: Metric,
     pool: &Pool,
 ) -> Vec<Vec<(u32, f32)>> {
+    let (queries, base) = (queries.into(), base.into());
     search_in_ram(pool, queries, base, k, metric, 1, &Recorder::disabled()).0
 }
 
@@ -462,6 +465,7 @@ pub fn segmented_topk(
     metric: Metric,
     num_segments: usize,
 ) -> Vec<Vec<(u32, f32)>> {
+    let (queries, base) = (queries.into(), base.into());
     let quiet = Recorder::disabled();
     search_in_ram(
         Pool::global(),
@@ -489,7 +493,7 @@ pub fn segmented_topk(
 /// span ([`Level::Detail`]).
 ///
 /// Every entry point of this module is this one search — the in-RAM ones
-/// hand it loaders that copy row ranges — and it is exact whatever the
+/// hand it loaders that borrow row ranges — and it is exact whatever the
 /// segments, so all of them return the same bits. Loader errors abort the
 /// search.
 ///
@@ -525,11 +529,11 @@ pub fn segmented_topk_streamed<E>(
 /// One descending-sorted `(base_row, score)` list per query row.
 type Hits = Vec<Vec<(u32, f32)>>;
 
-/// [`search`] over loaders that copy the row ranges out of two matrices.
+/// [`search`] over loaders that borrow row ranges of two in-RAM blocks.
 fn search_in_ram(
     pool: &Pool,
-    queries: &Matrix,
-    base: &Matrix,
+    queries: Rows<'_>,
+    base: Rows<'_>,
     k: usize,
     metric: Metric,
     num_segments: usize,
@@ -540,31 +544,39 @@ fn search_in_ram(
         base.cols(),
         "query/base dimensionality mismatch"
     );
-    let rows = |m: &Matrix, r: Range<usize>| {
-        let flat = &m.as_slice()[r.start * m.cols()..r.end * m.cols()];
-        Ok::<_, std::convert::Infallible>(Matrix::from_vec(r.len(), m.cols(), flat.to_vec()))
-    };
     let sizes = (queries.rows(), base.rows(), k, num_segments);
-    search(
-        pool,
-        sizes,
-        metric,
-        rec,
-        |r| rows(queries, r),
-        |r| rows(base, r),
-    )
-    .unwrap_or_else(|never| match never {})
+    let (q_rows, b_rows) = (|r| Ok(queries.row_range(r)), |r| Ok(base.row_range(r)));
+    search(pool, sizes, metric, rec, q_rows, b_rows)
+        .unwrap_or_else(|never: std::convert::Infallible| match never {})
+}
+
+/// A segment a loader hands [`search`]: one it owns (streamed in from
+/// storage) or one it borrows (rows of a block in RAM).
+trait Segment {
+    fn view(&self) -> Rows<'_>;
+}
+
+impl Segment for Matrix {
+    fn view(&self) -> Rows<'_> {
+        self.into()
+    }
+}
+
+impl Segment for Rows<'_> {
+    fn view(&self) -> Rows<'_> {
+        *self
+    }
 }
 
 /// The search behind every entry point, over `sizes = (n_queries, n_base,
 /// k, num_segments)`; also returns how many pairs were scored in f32.
-fn search<E>(
+fn search<E, Q: Segment, B: Segment>(
     pool: &Pool,
     (n_queries, n_base, k, num_segments): (usize, usize, usize, usize),
     metric: Metric,
     rec: &Recorder,
-    mut load_queries: impl FnMut(Range<usize>) -> Result<Matrix, E>,
-    mut load_base: impl FnMut(Range<usize>) -> Result<Matrix, E>,
+    mut load_queries: impl FnMut(Range<usize>) -> Result<Q, E>,
+    mut load_base: impl FnMut(Range<usize>) -> Result<B, E>,
 ) -> Result<(Hits, u64), E> {
     assert!(k >= 1, "k must be at least 1");
     assert!(num_segments >= 1, "need at least one segment");
@@ -572,7 +584,7 @@ fn search<E>(
     let b_seg = n_base.div_ceil(num_segments).max(1);
     let mut merged: Vec<TopK> = (0..n_queries).map(|_| TopK::new(k)).collect();
     let (mut blocks, mut scored, mut refined) = (0u64, 0u64, 0u64);
-    let sketch = |m: &Matrix, scale: f32| {
+    let sketch = |m: Rows<'_>, scale: f32| {
         let mut span = rec.span_at(Level::Detail, "sketch");
         span.field("rows", m.rows());
         Sketch::build(m, scale, pool)
@@ -582,23 +594,25 @@ fn search<E>(
 
     for b_start in (0..n_base).step_by(b_seg) {
         let b_rows = b_start..(b_start + b_seg).min(n_base);
-        let b_block = load_base(b_rows.clone())?;
+        let b_segment = load_base(b_rows.clone())?;
+        let b_block = b_segment.view();
         assert_eq!(b_block.rows(), b_rows.len(), "base segment row count");
         let b_sketch = (metric == Metric::Manhattan).then(|| {
-            let scale = *scale.get_or_insert_with(|| Sketch::scale_for(&b_block));
-            sketch(&b_block, scale)
+            let scale = *scale.get_or_insert_with(|| Sketch::scale_for(b_block));
+            sketch(b_block, scale)
         });
         for (qi, q_start) in (0..n_queries).step_by(q_seg).enumerate() {
             let q_rows = q_start..(q_start + q_seg).min(n_queries);
-            let q_block = load_queries(q_rows.clone())?;
+            let q_segment = load_queries(q_rows.clone())?;
+            let q_block = q_segment.view();
             assert_eq!(q_block.rows(), q_rows.len(), "query segment row count");
             assert_eq!(q_block.cols(), b_block.cols(), "segment dim mismatch");
             if let (Some(scale), true) = (scale, qi == q_sketches.len()) {
-                q_sketches.push(sketch(&q_block, scale));
+                q_sketches.push(sketch(q_block, scale));
             }
             let scan = Scan {
-                queries: &q_block,
-                base: &b_block,
+                queries: q_block,
+                base: b_block,
                 metric,
                 sketches: b_sketch.as_ref().map(|b| (&q_sketches[qi], b)),
             };
@@ -699,7 +713,16 @@ mod tests {
         let q = Matrix::from_fn(10, 4, |i, j| (i * 4 + j) as f32);
         let b = Matrix::from_fn(12, 4, |i, j| (i + j) as f32);
         let rec = Recorder::new(ObsConfig::default());
-        let traced = search_in_ram(Pool::global(), &q, &b, 3, Metric::Manhattan, 2, &rec).0;
+        let traced = search_in_ram(
+            Pool::global(),
+            (&q).into(),
+            (&b).into(),
+            3,
+            Metric::Manhattan,
+            2,
+            &rec,
+        )
+        .0;
         assert_eq!(traced, segmented_topk(&q, &b, 3, Metric::Manhattan, 2));
         let t = rec.trace();
         assert_eq!(t.span_count("sens_block"), 4, "2 × 2 segment pairs");
@@ -882,7 +905,7 @@ mod tests {
             // fitting, clamping nearly everything, zeroing every code, and
             // the two ends of the float range
             let scale_for = |rng: &mut largeea_common::rng::Rng, b: &Matrix| {
-                let fitting = Sketch::scale_for(b);
+                let fitting = Sketch::scale_for(b.into());
                 match rng.gen_range(0..5u32) {
                     0 => fitting,
                     1 => (fitting / 1000.0).max(f32::MIN_POSITIVE),
@@ -902,8 +925,8 @@ mod tests {
                 (a, b, scale)
             };
             let (sa, sb) = (
-                Sketch::build(&a, scale, &pool),
-                Sketch::build(&b, scale, &pool),
+                Sketch::build((&a).into(), scale, &pool),
+                Sketch::build((&b).into(), scale, &pool),
             );
             let (s, gamma) = (
                 f64::from(scale),
@@ -953,7 +976,15 @@ mod tests {
         let mut rng = largeea_common::rng::Rng::seed_from_u64(0xF17);
         let m = Matrix::from_fn(400, 64, |_, _| rng.gen::<f64>() as f32 - 0.5);
         let rec = Recorder::new(largeea_common::obs::ObsConfig::default());
-        search_in_ram(Pool::global(), &m, &m, 5, Metric::Manhattan, 2, &rec);
+        search_in_ram(
+            Pool::global(),
+            (&m).into(),
+            (&m).into(),
+            5,
+            Metric::Manhattan,
+            2,
+            &rec,
+        );
         let refined = rec.trace().counter("sens.refined_pairs");
         assert!(refined < 400 * 400 / 4, "refined {refined} of 160000");
     }
@@ -974,15 +1005,15 @@ mod tests {
             let centre = |rng: &mut largeea_common::rng::Rng| rng.gen_range(-2i32..3) as f32;
             let q = Matrix::from_fn(nq, dim, |_, _| centre(rng) + rng.gen::<f64>() as f32 * 0.01);
             let b = Matrix::from_fn(nb, dim, |_, _| centre(rng) + rng.gen::<f64>() as f32 * 0.01);
-            let fitting = Sketch::scale_for(&b);
+            let fitting = Sketch::scale_for((&b).into());
             for scale in [fitting, fitting / 50.0, fitting * 300.0] {
                 let sketches = (
-                    Sketch::build(&q, scale, &pool),
-                    Sketch::build(&b, scale, &pool),
+                    Sketch::build((&q).into(), scale, &pool),
+                    Sketch::build((&b).into(), scale, &pool),
                 );
                 let scan = |sketches| Scan {
-                    queries: &q,
-                    base: &b,
+                    queries: (&q).into(),
+                    base: (&b).into(),
                     metric: Metric::Manhattan,
                     sketches,
                 };

@@ -28,13 +28,91 @@
 //! fully formed first, wherever it is itself a sum — added to the live one,
 //! the same `slot + delta` the allocating formulation computed.
 //!
+//! Nor does the pool. The fused nodes' passes are **destination-ordered**:
+//! one task owns each output row — of a value or of a gradient — and sums
+//! into it in a fixed order (a scatter-add visits a row's sources through
+//! the row's [`IndexList`] group, ascending), so every row holds the same
+//! bits at any pool width.
+//!
 //! [`optim::ParamStore`]: crate::optim::ParamStore
 
 use crate::kernels::active_isa;
 use crate::matrix::Matrix;
 use crate::parallel::Pool;
 use crate::sparse::SparseMatrix;
+use std::ops::{Deref, Range};
 use std::rc::Rc;
+
+/// Output elements a pool task gets at least — the split `spmm` makes.
+const PAR_ELEMS: usize = 64 * 64;
+
+/// Rows a pool task gets at least when a row costs about `cols` elements'
+/// work.
+fn min_rows(cols: usize) -> usize {
+    (PAR_ELEMS / cols.max(1)).max(1)
+}
+
+/// Columns a destination-ordered backward pass sums at once, on the stack.
+const BLOCK: usize = 64;
+
+/// A row-index list (a gather list into a matrix of `n_rows` rows) with its
+/// positions grouped by the row they name, ascending within a row: the
+/// order a scatter-add back into that matrix visits them, so one pass per
+/// destination row reproduces the sequential scatter's sums. Build it once
+/// per index list — RREA's message lists per model, the triplet lists per
+/// negative resample.
+#[derive(Debug, Clone)]
+pub struct IndexList {
+    idx: Vec<u32>,
+    /// Row `r`'s positions are `order[starts[r]..starts[r + 1]]`.
+    starts: Vec<u32>,
+    order: Vec<u32>,
+}
+
+impl IndexList {
+    /// Groups `idx`, whose every entry is below `n_rows`, by row: one
+    /// stable counting sort.
+    pub fn new(idx: Vec<u32>, n_rows: usize) -> Self {
+        // counts, then each row's first position, then (as cursors) each
+        // row's end, which is the next row's start
+        let mut starts = vec![0u32; n_rows + 1];
+        for &r in &idx {
+            assert!((r as usize) < n_rows, "index {r} of {n_rows} rows");
+            starts[r as usize] += 1;
+        }
+        let mut sum = 0;
+        for s in &mut starts {
+            (*s, sum) = (sum, sum + *s);
+        }
+        let mut order = vec![0u32; idx.len()];
+        for (i, &r) in idx.iter().enumerate() {
+            let cursor = &mut starts[r as usize];
+            order[*cursor as usize] = i as u32;
+            *cursor += 1;
+        }
+        starts.rotate_right(1);
+        starts[0] = 0;
+        Self { idx, starts, order }
+    }
+
+    /// Number of rows the list indexes into.
+    fn n_rows(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// The positions naming row `r`, ascending.
+    fn positions(&self, r: usize) -> &[u32] {
+        &self.order[self.starts[r] as usize..self.starts[r + 1] as usize]
+    }
+}
+
+impl Deref for IndexList {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.idx
+    }
+}
 
 /// A sparse operand for [`Tape::spmm`]: the matrix plus its precomputed
 /// transpose (needed by the backward pass). Build once per mini-batch.
@@ -78,30 +156,33 @@ enum Op {
     Relu(Var),
     Tanh(Var),
     GatherRows(Var, Rc<Vec<u32>>),
-    L2NormRows(Var, f32),
+    L2NormRows {
+        /// The normalised parts, side by side: a range of the tape's `parts`.
+        parts: Range<usize>,
+        eps: f32,
+    },
     RowL1(Var, Var),
     RowDot(Var, Var),
     MulBroadcastCol(Var, Var),
     SumAll(Var),
     MeanAll(Var),
-    HStack(Rc<[Var]>),
     ReflectAggregate {
         agg: Rc<SpOp>,
         h: Var,
         r: Var,
         /// The `messages × 1` by-product node holding each message's `x·r`.
         dots: Var,
-        h_rows: Rc<Vec<u32>>,
-        r_rows: Rc<Vec<u32>>,
+        h_rows: Rc<IndexList>,
+        r_rows: Rc<IndexList>,
     },
     TripletL1 {
         emb: Var,
-        /// The `2 × rows` by-product node holding both hinge columns.
+        /// The `rows × 2` by-product node holding both hinges of each row.
         hinges: Var,
-        s: Rc<Vec<u32>>,
-        t: Rc<Vec<u32>>,
-        neg_t: Rc<Vec<u32>>,
-        neg_s: Rc<Vec<u32>>,
+        s: Rc<IndexList>,
+        t: Rc<IndexList>,
+        neg_t: Rc<IndexList>,
+        neg_s: Rc<IndexList>,
     },
 }
 
@@ -124,6 +205,9 @@ pub struct Tape {
     /// Free list every gradient and backward temporary is leased from,
     /// matched by element count.
     scratch: Vec<Matrix>,
+    /// The part lists of the current graph's normalisation nodes, end to
+    /// end (cleared, not freed, by [`Tape::reset`]).
+    parts: Vec<Var>,
 }
 
 impl Tape {
@@ -133,11 +217,16 @@ impl Tape {
     }
 
     /// Forgets the recorded graph but keeps its buffers for the next one
-    /// (see the [module docs](self)). Every [`Var`] handed out so far is
-    /// invalid afterwards.
+    /// (see the [module docs](self)), letting go of the index lists and
+    /// sparse operands its operations shared. Every [`Var`] handed out so
+    /// far is invalid afterwards.
     pub fn reset(&mut self) {
         self.release_grads();
+        for node in &mut self.nodes[..self.live] {
+            node.op = Op::Leaf;
+        }
         self.live = 0;
+        self.parts.clear();
     }
 
     /// Returns every gradient still on lease (the leaves') to the free list.
@@ -215,6 +304,13 @@ impl Tape {
     pub fn value(&self, v: Var) -> &Matrix {
         assert!(v.0 < self.live, "Var from before the last reset()");
         &self.nodes[v.0].value
+    }
+
+    /// The forward value of `v`, handed over without a copy as the tape
+    /// goes (the rest of its buffers are freed).
+    pub fn into_value(mut self, v: Var) -> Matrix {
+        assert!(v.0 < self.live, "Var from before the last reset()");
+        std::mem::take(&mut self.nodes[v.0].value)
     }
 
     /// The accumulated gradient of leaf `v`, if [`Tape::backward`] produced
@@ -309,14 +405,36 @@ impl Tape {
         self.push(Op::GatherRows(a, indices), out, rg)
     }
 
-    /// Row-wise L2 normalisation `x ← x / (‖x‖ + eps)`.
-    pub fn l2_normalize_rows(&mut self, a: Var, eps: f32) -> Var {
-        let (rows, cols) = self.value(a).shape();
+    /// Row-wise L2 normalisation `x ← x / (‖x‖ + eps)` of `parts` side by
+    /// side (equal row counts): row `r` is `[p₀[r], p₁[r], …]` normalised as
+    /// one row. Multi-hop GNN outputs keep each hop in its own column block
+    /// this way without a concatenated matrix existing in either direction:
+    /// forward writes each part into its block of the output row and
+    /// normalises the row in place, backward hands each part its block of
+    /// the row's gradient — the bits a concatenated input gives.
+    pub fn l2_normalize_rows(&mut self, parts: &[Var], eps: f32) -> Var {
+        assert!(!parts.is_empty(), "l2_normalize_rows needs a part");
+        let rows = self.value(parts[0]).rows();
+        let cols = parts.iter().map(|&p| self.value(p).cols()).sum();
         let mut out = self.out(rows, cols);
-        out.as_mut_slice().copy_from_slice(self.value(a).as_slice());
+        let mut at = 0;
+        for &p in parts {
+            let x = self.value(p);
+            assert_eq!(x.rows(), rows, "l2_normalize_rows part rows");
+            for r in 0..rows {
+                out.row_mut(r)[at..at + x.cols()].copy_from_slice(x.row(r));
+            }
+            at += x.cols();
+        }
         out.l2_normalize_rows(eps);
-        let rg = self.rg(a);
-        self.push(Op::L2NormRows(a, eps), out, rg)
+        let rg = parts.iter().any(|&p| self.rg(p));
+        let first = self.parts.len();
+        self.parts.extend_from_slice(parts);
+        let op = Op::L2NormRows {
+            parts: first..self.parts.len(),
+            eps,
+        };
+        self.push(op, out, rg)
     }
 
     /// Pushes the `n × 1` column of `f(a, b, row)` over equal-shaped
@@ -386,14 +504,16 @@ impl Tape {
     /// `row_dot`, `mul_broadcast_col`, `scale(2)`, `sub` and `spmm`, but no
     /// `messages × dim` matrix exists in either direction: each output row
     /// sums `v·(x − (r·(x·r))·2)` over its CSR entries in column order, and
-    /// backward rebuilds one message's upstream row at a time.
+    /// backward rebuilds a message's upstream row as it scatters it, one
+    /// destination row of `r` (grouped by `r_rows`) and then of `h`
+    /// (grouped by `h_rows`) at a time.
     pub fn reflect_aggregate(
         &mut self,
         agg: &Rc<SpOp>,
         h: Var,
         r: Var,
-        h_rows: Rc<Vec<u32>>,
-        r_rows: Rc<Vec<u32>>,
+        h_rows: Rc<IndexList>,
+        r_rows: Rc<IndexList>,
     ) -> Var {
         let msgs = agg.mat.cols();
         assert!(
@@ -402,12 +522,16 @@ impl Tape {
         );
         let cols = self.value(h).cols();
         assert_eq!(self.value(r).cols(), cols, "reflect_aggregate widths");
+        assert!(
+            h_rows.n_rows() == self.value(h).rows() && r_rows.n_rows() == self.value(r).rows(),
+            "reflect_aggregate's lists must group h's and r's rows"
+        );
+        let (h_of, r_of) = (&h_rows[..], &r_rows[..]);
         let mut dots = self.out(msgs, 1);
-        for (m, d) in dots.as_mut_slice().iter_mut().enumerate() {
-            *d = self
-                .value(h)
-                .row_dot(h_rows[m] as usize, self.value(r), r_rows[m] as usize);
-        }
+        let (mh, mr) = (self.value(h), self.value(r));
+        par_rows(&mut dots, min_rows(cols), |m, d| {
+            d[0] = mh.row_dot(h_of[m] as usize, mr, r_of[m] as usize);
+        });
         let dots = self.push(Op::Leaf, dots, false);
         let mut out = self.out(agg.mat.rows(), cols);
         let (mh, mr, md) = (self.value(h), self.value(r), self.value(dots));
@@ -417,22 +541,17 @@ impl Tape {
             values,
             ..
         } = &agg.mat;
-        let (h_of, r_of) = (&h_rows[..], &r_rows[..]);
-        // the split `spmm` makes, so the pool is used the same way
-        let min_rows = ((64 * 64) / cols.max(1)).max(1);
-        Pool::global().rows_mut(out.as_mut_slice(), cols, min_rows, |block, first_row| {
-            for (ri, out_row) in block.chunks_mut(cols).enumerate() {
-                out_row.fill(0.0);
-                for k in indptr[first_row + ri]..indptr[first_row + ri + 1] {
-                    let (m, v) = (indices[k] as usize, values[k]);
-                    let d = md[(m, 0)];
-                    let xr = mh
-                        .row(h_of[m] as usize)
-                        .iter()
-                        .zip(mr.row(r_of[m] as usize));
-                    for (o, (&x, &rv)) in out_row.iter_mut().zip(xr) {
-                        *o += v * (x - (rv * d) * 2.0);
-                    }
+        par_rows(&mut out, min_rows(cols), |row, out_row| {
+            out_row.fill(0.0);
+            for k in indptr[row]..indptr[row + 1] {
+                let (m, v) = (indices[k] as usize, values[k]);
+                let d = md[(m, 0)];
+                let xr = mh
+                    .row(h_of[m] as usize)
+                    .iter()
+                    .zip(mr.row(r_of[m] as usize));
+                for (o, (&x, &rv)) in out_row.iter_mut().zip(xr) {
+                    *o += v * (x - (rv * d) * 2.0);
                 }
             }
         });
@@ -446,17 +565,6 @@ impl Tape {
             r_rows,
         };
         self.push(op, out, rg)
-    }
-
-    /// Horizontally concatenates equal-row-count matrices (multi-hop GNN
-    /// outputs keep each hop in its own column block).
-    pub fn hstack(&mut self, parts: &[Var]) -> Var {
-        let cols = parts.iter().map(|&p| self.value(p).cols()).sum();
-        let mut out = self.out(self.value(parts[0]).rows(), cols);
-        let values: Vec<&Matrix> = parts.iter().map(|&p| self.value(p)).collect();
-        Matrix::hstack_into(&values, &mut out);
-        let rg = parts.iter().any(|&p| self.rg(p));
-        self.push(Op::HStack(parts.into()), out, rg)
     }
 
     fn push_scalar(&mut self, op: Op, value: f32, requires_grad: bool) -> Var {
@@ -488,19 +596,20 @@ impl Tape {
     /// ```
     ///
     /// The four index lists are parallel (one entry per (pair, negative)
-    /// row). Value and gradient are bit-identical to composing
-    /// `gather_rows` ×4, `row_l1` ×3, `sub`/`add_scalar`/`relu`/`mean_all`
-    /// ×2 and `add`, without materialising the four gathered batches: the
-    /// distances are scored straight from `emb`'s rows, and backward
-    /// contributes the four scatter-added gradients to `emb` in the order
-    /// the composed tape would (`neg_s`, `neg_t`, `t`, `s` rows).
+    /// row) and group `emb`'s rows. Value and gradient are bit-identical to
+    /// composing `gather_rows` ×4, `row_l1` ×3, `sub`/`add_scalar`/`relu`/
+    /// `mean_all` ×2 and `add`, without materialising the four gathered
+    /// batches: the distances are scored straight from `emb`'s rows, and
+    /// backward writes `emb`'s gradient once, each row summing the four
+    /// scatter-adds the composed tape would make into it in that tape's
+    /// order (`neg_s`, `neg_t`, `t`, `s` rows).
     pub fn triplet_l1(
         &mut self,
         emb: Var,
-        s: Rc<Vec<u32>>,
-        t: Rc<Vec<u32>>,
-        neg_t: Rc<Vec<u32>>,
-        neg_s: Rc<Vec<u32>>,
+        s: Rc<IndexList>,
+        t: Rc<IndexList>,
+        neg_t: Rc<IndexList>,
+        neg_s: Rc<IndexList>,
         margin: f32,
     ) -> Var {
         let rows = s.len();
@@ -508,18 +617,28 @@ impl Tape {
             t.len() == rows && neg_t.len() == rows && neg_s.len() == rows,
             "triplet_l1 index lists must be parallel"
         );
-        let mut hinges = self.out(2, rows);
+        let n = self.value(emb).rows();
+        assert!(
+            [&s, &t, &neg_t, &neg_s].iter().all(|l| l.n_rows() == n),
+            "triplet_l1 index lists must group emb's rows"
+        );
+        let mut hinges = self.out(rows, 2);
         let e = self.value(emb);
-        let (side1, side2) = hinges.as_mut_slice().split_at_mut(rows);
-        for i in 0..rows {
-            let (si, ti) = (s[i] as usize, t[i] as usize);
+        let (s_of, t_of, nt_of, ns_of) = (&s[..], &t[..], &neg_t[..], &neg_s[..]);
+        par_rows(&mut hinges, min_rows(e.cols()), |i, hinge| {
+            let (si, ti) = (s_of[i] as usize, t_of[i] as usize);
             let d_pos = e.manhattan(si, e, ti);
-            let d_neg1 = e.manhattan(si, e, neg_t[i] as usize);
-            let d_neg2 = e.manhattan(neg_s[i] as usize, e, ti);
-            side1[i] = relu((d_pos - d_neg1) + margin);
-            side2[i] = relu((d_pos - d_neg2) + margin);
-        }
-        let loss = mean(side1) + mean(side2);
+            let d_neg1 = e.manhattan(si, e, nt_of[i] as usize);
+            let d_neg2 = e.manhattan(ns_of[i] as usize, e, ti);
+            hinge[0] = relu((d_pos - d_neg1) + margin);
+            hinge[1] = relu((d_pos - d_neg2) + margin);
+        });
+        // each side's mean, summed down its column in row order
+        let side_mean = |side: usize| {
+            let column = hinges.as_slice().iter().skip(side).step_by(2);
+            column.sum::<f32>() / rows.max(1) as f32
+        };
+        let loss = side_mean(0) + side_mean(1);
         let rg = self.rg(emb);
         let hinges = self.push(Op::Leaf, hinges, false);
         let op = Op::TripletL1 {
@@ -597,25 +716,30 @@ impl Tape {
         }
     }
 
-    /// `grad(v) += f(g)` element-wise. Each delta element is one value, so
-    /// adding it straight into an occupied slot is the same sum as forming
-    /// the delta matrix first.
-    fn accumulate_map(&mut self, v: Var, g: &Matrix, f: impl Fn(f32) -> f32) {
+    /// `grad(v) += delta` for a delta whose every element is one value
+    /// (formed before it meets the gradient): `fill(tape, grad, add)`
+    /// overwrites a fresh lease (`add == false`) or adds each element
+    /// straight into the live gradient (`add == true`) — the same sum as
+    /// forming the delta matrix first.
+    fn accumulate_in_place(&mut self, v: Var, fill: impl FnOnce(&Tape, &mut Matrix, bool)) {
         if !self.rg(v) {
             return;
         }
-        if let Some(grad) = &mut self.nodes[v.0].grad {
+        let (rows, cols) = self.value(v).shape();
+        let (mut grad, add) = match self.nodes[v.0].grad.take() {
+            Some(grad) => (grad, true),
+            None => (self.take_scratch(rows, cols), false),
+        };
+        fill(self, &mut grad, add);
+        self.nodes[v.0].grad = Some(grad);
+    }
+
+    /// `grad(v) += f(g)` element-wise.
+    fn accumulate_map(&mut self, v: Var, g: &Matrix, f: impl Fn(f32) -> f32) {
+        self.accumulate_in_place(v, |_, grad, add| {
             assert_eq!(grad.shape(), g.shape(), "add_assign shape mismatch");
-            for (d, &x) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *d += f(x);
-            }
-        } else {
-            let mut grad = self.take_scratch(g.rows(), g.cols());
-            for (d, &x) in grad.as_mut_slice().iter_mut().zip(g.as_slice()) {
-                *d = f(x);
-            }
-            self.nodes[v.0].grad = Some(grad);
-        }
+            put(grad.as_mut_slice(), g.as_slice().iter().map(|&x| f(x)), add);
+        });
     }
 
     fn propagate(&mut self, i: usize, g: &Matrix) {
@@ -677,20 +801,48 @@ impl Tape {
                     }
                 });
             }
-            Op::L2NormRows(a, eps) => self.accumulate_with(a, g.shape(), |t, out| {
-                let x = t.value(a);
-                for r in 0..x.rows() {
-                    let xr = x.row(r);
-                    let gr = g.row(r);
-                    let n = xr.iter().map(|v| v * v).sum::<f32>().sqrt();
-                    let s = n + eps;
-                    let gx_dot: f32 = gr.iter().zip(xr).map(|(gv, xv)| gv * xv).sum();
-                    let coef = if n > 1e-20 { gx_dot / (n * s * s) } else { 0.0 };
-                    for ((d, &gv), &xv) in out.row_mut(r).iter_mut().zip(gr).zip(xr) {
-                        *d = gv / s - xv * coef;
-                    }
+            Op::L2NormRows { parts, eps } => {
+                // Per row of the parts side by side x: n = ‖x‖ and g·x, each
+                // one sum in column order from where `Iterator::sum` starts
+                // (each part's pass carries both on from the last part's),
+                // so the bits of a concatenated row; then s = n + eps and
+                // each part gets its block of g/s − x·(g·x)/(n·s²).
+                let mut sums = self.take_scratch(g.rows(), 2);
+                sums.as_mut_slice().fill(std::iter::empty::<f32>().sum());
+                let min = min_rows(g.cols());
+                let mut at = 0;
+                for j in parts.clone() {
+                    let x = self.value(self.parts[j]);
+                    let cols = at..at + x.cols();
+                    par_rows(&mut sums, min, |r, sum| {
+                        let (xr, gr) = (x.row(r), &g.row(r)[cols.clone()]);
+                        sum[0] = xr.iter().fold(sum[0], |acc, &v| acc + v * v);
+                        sum[1] = (gr.iter().zip(xr)).fold(sum[1], |acc, (&gv, &xv)| acc + gv * xv);
+                    });
+                    at = cols.end;
                 }
-            }),
+                let mut at = 0;
+                for j in parts {
+                    let p = self.parts[j];
+                    let cols = at..at + self.value(p).cols();
+                    self.accumulate_in_place(p, |tape, grad, add| {
+                        let x = tape.value(p);
+                        par_rows(grad, min, |r, d| {
+                            let (n, gx_dot) = (sums[(r, 0)].sqrt(), sums[(r, 1)]);
+                            let s = n + eps;
+                            let coef = if n > 1e-20 { gx_dot / (n * s * s) } else { 0.0 };
+                            let gr = g.row(r)[cols.clone()].iter();
+                            put(
+                                d,
+                                gr.zip(x.row(r)).map(|(&gv, &xv)| gv / s - xv * coef),
+                                add,
+                            );
+                        });
+                    });
+                    at = cols.end;
+                }
+                self.scratch.push(sums);
+            }
             Op::RowL1(a, b) => {
                 let shape = self.value(a).shape();
                 for (v, negate) in [(a, false), (b, true)] {
@@ -753,18 +905,6 @@ impl Tape {
                 let s = g[(0, 0)] / (shape.0 * shape.1).max(1) as f32;
                 self.accumulate_with(a, shape, |_, out| out.as_mut_slice().fill(s));
             }
-            Op::HStack(parts) => {
-                let mut at = 0;
-                for &p in parts.iter() {
-                    let end = at + self.value(p).cols();
-                    self.accumulate_with(p, (g.rows(), end - at), |_, out| {
-                        for r in 0..g.rows() {
-                            out.row_mut(r).copy_from_slice(&g.row(r)[at..end]);
-                        }
-                    });
-                    at = end;
-                }
-            }
             Op::ReflectAggregate {
                 agg,
                 h,
@@ -773,49 +913,68 @@ impl Tape {
                 h_rows,
                 r_rows,
             } => {
-                // The composed tape, per message with upstream row gm: `spmm`'s
-                // backward forms gm = 0 + Σ v·g[head] over the message's
-                // entries of aggᵀ in column order (rebuilt here, one message at
-                // a time); the reflected term's gradient is p = (−gm)·2; x·r's
-                // is q = Σ_k p_k r_k (summed in column order); then r's row
-                // gets p·(x·r) + q·x and x's row gets gm + q·r, each
-                // scatter-added into a zeroed matrix in message order — r's
-                // gather is the later node, so its contribution lands first.
-                let mut gm = self.take_scratch(1, g.cols());
+                // The composed tape, per message i with upstream row gm:
+                // `spmm`'s backward forms gm_k = 0 + Σ v·g[head][k] over the
+                // message's entries of aggᵀ in column order (rebuilt here as
+                // it is needed); the reflected term's gradient is p = (−gm)·2;
+                // x·r's is q = Σ_k p_k r_k (summed in column order); then r's
+                // row gets p·(x·r) + q·x and x's row gets gm + q·r, each
+                // scatter-added into a zeroed matrix in message order and
+                // added to any live gradient — r's gather is the later node,
+                // so its contribution lands first. Here each destination row
+                // sums its messages (its `IndexList` group, ascending) from
+                // 0.0 a column block at a time, then joins the gradient.
+                let trans = &agg.trans;
                 for to_r in [true, false] {
-                    let (target, target_rows) = if to_r { (r, &r_rows) } else { (h, &h_rows) };
-                    self.accumulate_with(target, self.value(target).shape(), |tape, out| {
-                        out.fill_zero();
+                    let (target, list) = if to_r { (r, &*r_rows) } else { (h, &*h_rows) };
+                    self.accumulate_in_place(target, |tape, grad, add| {
                         let (mh, mr, md) = (tape.value(h), tape.value(r), tape.value(dots));
-                        for (i, &dst) in target_rows.iter().enumerate() {
-                            let gr = gm.as_mut_slice();
-                            gr.fill(0.0);
-                            for (head, v) in agg.trans.row(i) {
-                                for (o, &s) in gr.iter_mut().zip(g.row(head as usize)) {
+                        let (h_of, r_of) = (&h_rows[..], &r_rows[..]);
+                        // message i's upstream row over columns `cols`, into `gm`
+                        let upstream = |i: usize, cols: Range<usize>, gm: &mut [f32; BLOCK]| {
+                            gm.fill(0.0);
+                            for e in trans.indptr[i]..trans.indptr[i + 1] {
+                                let (head, v) = (trans.indices[e] as usize, trans.values[e]);
+                                for (o, &s) in gm.iter_mut().zip(&g.row(head)[cols.clone()]) {
                                     *o += v * s;
                                 }
                             }
-                            let x = mh.row(h_rows[i] as usize);
-                            let rv = mr.row(r_rows[i] as usize);
-                            let mut q = 0.0;
-                            for (&gv, &rk) in gr.iter().zip(rv) {
-                                q += (-gv * 2.0) * rk;
-                            }
-                            let dst = out.row_mut(dst as usize);
-                            if to_r {
-                                let d = md[(i, 0)];
-                                for ((o, &gv), &xk) in dst.iter_mut().zip(&*gr).zip(x) {
-                                    *o += (-gv * 2.0) * d + q * xk;
+                        };
+                        let dim = mh.cols();
+                        let blocks = || (0..dim).step_by(BLOCK).map(|c| c..(c + BLOCK).min(dim));
+                        par_rows(grad, min_rows(dim), |dst, out| {
+                            for cols in blocks() {
+                                let (mut gm, mut other) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
+                                let mut sum = [0.0f32; BLOCK];
+                                for &i in list.positions(dst) {
+                                    let i = i as usize;
+                                    let (x, rv) =
+                                        (mh.row(h_of[i] as usize), mr.row(r_of[i] as usize));
+                                    // q over every column in order, keeping this
+                                    // block's upstream values in gm
+                                    let mut q = 0.0;
+                                    for q_cols in blocks() {
+                                        let buf = if q_cols == cols { &mut gm } else { &mut other };
+                                        upstream(i, q_cols.clone(), buf);
+                                        for (&gv, &rk) in buf.iter().zip(&rv[q_cols]) {
+                                            q += (-gv * 2.0) * rk;
+                                        }
+                                    }
+                                    let d = md[(i, 0)];
+                                    for ((acc, &gv), k) in sum.iter_mut().zip(&gm).zip(cols.clone())
+                                    {
+                                        *acc += if to_r {
+                                            (-gv * 2.0) * d + q * x[k]
+                                        } else {
+                                            gv + q * rv[k]
+                                        };
+                                    }
                                 }
-                            } else {
-                                for ((o, &gv), &rk) in dst.iter_mut().zip(&*gr).zip(rv) {
-                                    *o += gv + q * rk;
-                                }
+                                put(&mut out[cols], sum.into_iter(), add);
                             }
-                        }
+                        });
                     });
                 }
-                self.scratch.push(gm);
             }
             Op::TripletL1 {
                 emb,
@@ -832,76 +991,109 @@ impl Tape {
                 //   g_pos = g2 + g1; then the gathers scatter-add their row
                 //   gradients into a zeroed matrix each, in tape-reverse
                 //   order: ens, ent, et (d_neg2's part, then d_pos's), es
-                //   (d_neg1's part, then d_pos's).
+                //   (d_neg1's part, then d_pos's), each added to the live
+                //   gradient as it is formed.
+                // So each element of emb's gradient is ((S_s′ + S_t′) + S_t)
+                // + S_s after any prior gradient, with S_s′ the sum from 0.0,
+                // in row order, of what the neg_s rows naming it contribute
+                // (and so on): each destination row forms its four sums (its
+                // `IndexList` groups, ascending) a column block at a time and
+                // joins them the same way.
                 // A row whose hinges are inactive contributes only ±0.0,
                 // and adding ±0.0 to a sum that started at +0.0 (so is never
                 // −0.0) leaves it unchanged — such rows are skipped.
                 let rows = s.len();
                 let share = g[(0, 0)] / rows.max(1) as f32;
-                let shape = self.value(emb).shape();
-                for part in [Part::NegS, Part::NegT, Part::T, Part::S] {
-                    self.accumulate_with(emb, shape, |tape, out| {
-                        out.fill_zero();
-                        let e = tape.value(emb);
-                        let (side1, side2) = tape.value(hinges).as_slice().split_at(rows);
-                        for i in 0..rows {
-                            let g1 = if side1[i] <= 0.0 { 0.0 } else { share };
-                            let g2 = if side2[i] <= 0.0 { 0.0 } else { share };
-                            if g1 == 0.0 && g2 == 0.0 {
-                                continue;
+                self.accumulate_in_place(emb, |tape, grad, add| {
+                    let (e, hinge) = (tape.value(emb), tape.value(hinges));
+                    let (s_of, t_of, nt_of, ns_of) = (&s[..], &t[..], &neg_t[..], &neg_s[..]);
+                    let parts = [
+                        (Part::NegS, &*neg_s),
+                        (Part::NegT, &*neg_t),
+                        (Part::T, &*t),
+                        (Part::S, &*s),
+                    ];
+                    par_rows(grad, min_rows(e.cols()), |dst, out| {
+                        for c0 in (0..out.len()).step_by(BLOCK) {
+                            let cols = c0..(c0 + BLOCK).min(out.len());
+                            let mut sums = [[0.0f32; BLOCK]; 4];
+                            for ((part, list), sum) in parts.iter().zip(&mut sums) {
+                                for &i in list.positions(dst) {
+                                    let i = i as usize;
+                                    let g1 = if hinge[(i, 0)] <= 0.0 { 0.0 } else { share };
+                                    let g2 = if hinge[(i, 1)] <= 0.0 { 0.0 } else { share };
+                                    if g1 == 0.0 && g2 == 0.0 {
+                                        continue;
+                                    }
+                                    let (g_neg1, g_neg2, g_pos) = (-g1, -g2, g2 + g1);
+                                    let row = |of: &[u32]| &e.row(of[i] as usize)[cols.clone()];
+                                    let (es, et) = (row(s_of), row(t_of));
+                                    let (ent, ens) = (row(nt_of), row(ns_of));
+                                    let terms = sum.iter_mut().zip(es).zip(et).zip(ent).zip(ens);
+                                    for ((((d, &s), &t), &nt), &ns) in terms {
+                                        *d += match part {
+                                            Part::NegS => g_neg2 * signum_or_zero(ns - t),
+                                            Part::NegT => -(g_neg1 * signum_or_zero(s - nt)),
+                                            Part::T => {
+                                                -(g_neg2 * signum_or_zero(ns - t))
+                                                    + -(g_pos * signum_or_zero(s - t))
+                                            }
+                                            Part::S => {
+                                                g_neg1 * signum_or_zero(s - nt)
+                                                    + g_pos * signum_or_zero(s - t)
+                                            }
+                                        };
+                                    }
+                                }
                             }
-                            let (g_neg1, g_neg2, g_pos) = (-g1, -g2, g2 + g1);
-                            let es = e.row(s[i] as usize);
-                            let et = e.row(t[i] as usize);
-                            let ent = e.row(neg_t[i] as usize);
-                            let ens = e.row(neg_s[i] as usize);
-                            match part {
-                                Part::NegS => {
-                                    let dst = out.row_mut(neg_s[i] as usize);
-                                    for ((d, &ns), &t) in dst.iter_mut().zip(ens).zip(et) {
-                                        *d += g_neg2 * signum_or_zero(ns - t);
-                                    }
-                                }
-                                Part::NegT => {
-                                    let dst = out.row_mut(neg_t[i] as usize);
-                                    for ((d, &s), &nt) in dst.iter_mut().zip(es).zip(ent) {
-                                        *d += -(g_neg1 * signum_or_zero(s - nt));
-                                    }
-                                }
-                                Part::T => {
-                                    let dst = out.row_mut(t[i] as usize);
-                                    for (((d, &ns), &t), &s) in
-                                        dst.iter_mut().zip(ens).zip(et).zip(es)
-                                    {
-                                        *d += -(g_neg2 * signum_or_zero(ns - t))
-                                            + -(g_pos * signum_or_zero(s - t));
-                                    }
-                                }
-                                Part::S => {
-                                    let dst = out.row_mut(s[i] as usize);
-                                    for (((d, &s), &nt), &t) in
-                                        dst.iter_mut().zip(es).zip(ent).zip(et)
-                                    {
-                                        *d += g_neg1 * signum_or_zero(s - nt)
-                                            + g_pos * signum_or_zero(s - t);
-                                    }
-                                }
+                            let [by_ns, by_nt, by_t, by_s] = &sums;
+                            for (j, d) in out[cols].iter_mut().enumerate() {
+                                *d = if add {
+                                    (((*d + by_ns[j]) + by_nt[j]) + by_t[j]) + by_s[j]
+                                } else {
+                                    ((by_ns[j] + by_nt[j]) + by_t[j]) + by_s[j]
+                                };
                             }
                         }
                     });
-                }
+                });
             }
         }
     }
 }
 
-/// Which of the four row sets of a triplet batch a scatter pass feeds.
+/// Which of the four row sets of a triplet batch a scatter sum feeds.
 #[derive(Clone, Copy)]
 enum Part {
     NegS,
     NegT,
     T,
     S,
+}
+
+/// Runs `f(r, row)` on every row of `m`, split over the global pool in
+/// blocks of at least `min_rows` rows.
+fn par_rows(m: &mut Matrix, min_rows: usize, f: impl Fn(usize, &mut [f32]) + Sync) {
+    let cols = m.cols();
+    if cols == 0 {
+        return;
+    }
+    Pool::global().rows_mut(m.as_mut_slice(), cols, min_rows, |block, first_row| {
+        for (i, row) in block.chunks_mut(cols).enumerate() {
+            f(first_row + i, row);
+        }
+    });
+}
+
+/// Writes `values` over `dst`, or adds them to it with `add`.
+fn put(dst: &mut [f32], values: impl Iterator<Item = f32>, add: bool) {
+    for (d, v) in dst.iter_mut().zip(values) {
+        if add {
+            *d += v;
+        } else {
+            *d = v;
+        }
+    }
 }
 
 #[inline]
@@ -1049,7 +1241,7 @@ mod tests {
     fn grad_l2_normalize() {
         finite_diff_check(
             |t, p| {
-                let n = t.l2_normalize_rows(p, 1e-6);
+                let n = t.l2_normalize_rows(&[p], 1e-6);
                 let c = t.constant(&seeded(2, 3, 17));
                 let m = t.mul_elem(n, c);
                 t.sum_all(m)
@@ -1081,7 +1273,7 @@ mod tests {
         // Reflection-ish computation: y = x - 2 (x·r) r
         finite_diff_check(
             |t, p| {
-                let r = t.l2_normalize_rows(p, 1e-9);
+                let r = t.l2_normalize_rows(&[p], 1e-9);
                 let x = t.constant(&seeded(3, 4, 23));
                 let xd = t.row_dot(x, r);
                 let proj = t.mul_broadcast_col(r, xd);
@@ -1095,13 +1287,14 @@ mod tests {
     }
 
     #[test]
-    fn grad_hstack() {
+    fn grad_l2_normalize_parts() {
+        // the parameter on both sides of a constant, one row normalised
         finite_diff_check(
             |t, p| {
                 let c = t.constant(&seeded(3, 2, 41));
-                let h = t.hstack(&[p, c]);
-                let h2 = t.hstack(&[c, p]);
-                let m = t.mul_elem(h, h2);
+                let n = t.l2_normalize_rows(&[p, c, p], 1e-6);
+                let w = t.constant(&seeded(3, 6, 43));
+                let m = t.mul_elem(n, w);
                 t.sum_all(m)
             },
             seeded(3, 2, 37),

@@ -3,7 +3,8 @@
 //! The paper trains GNN-based entity-alignment models with TensorFlow on a
 //! GPU. This crate is that substrate rebuilt in pure Rust:
 //!
-//! - [`Matrix`] — dense row-major `f32` matrix with parallel blocked kernels;
+//! - [`Matrix`] — dense row-major `f32` matrix with parallel blocked kernels,
+//!   and [`Rows`], a borrowed view of some of its rows;
 //! - [`SparseMatrix`] — CSR sparse matrix with `spmm` (the GNN propagation
 //!   primitive) and construction from COO triplets;
 //! - [`autograd`] — a reverse-mode tape ([`Tape`]/[`Var`]) covering exactly
@@ -37,9 +38,9 @@ pub mod optim;
 pub mod parallel;
 pub mod sparse;
 
-pub use autograd::{SpOp, Tape, Var};
+pub use autograd::{IndexList, SpOp, Tape, Var};
 pub use kernels::{active_isa, Isa};
-pub use matrix::{dot, l1_distance, Matrix};
+pub use matrix::{dot, l1_distance, Matrix, Rows};
 pub use optim::{Adam, AdamConfig, ParamStore, Sgd};
 pub use parallel::Pool;
 pub use sparse::SparseMatrix;

@@ -3,7 +3,7 @@
 use crate::kernels::{self, Isa};
 use crate::parallel::{par_rows_mut, Pool};
 use std::fmt;
-use std::ops::{Index, IndexMut};
+use std::ops::{Index, IndexMut, Range};
 
 /// Minimum number of output elements before a kernel goes parallel.
 const PAR_THRESHOLD: usize = 64 * 64;
@@ -344,30 +344,9 @@ impl Matrix {
         Matrix::from_vec(self.rows + other.rows, self.cols, data)
     }
 
-    /// Horizontally concatenates `self` with `other` (row counts must match).
-    pub fn hstack(&self, other: &Matrix) -> Matrix {
-        let mut out = Matrix::zeros(self.rows, self.cols + other.cols);
-        Matrix::hstack_into(&[self, other], &mut out);
-        out
-    }
-
-    /// Overwrites `out` with `parts` side by side (equal row counts, and
-    /// `out` as wide as all of them together).
-    pub(crate) fn hstack_into(parts: &[&Matrix], out: &mut Matrix) {
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut at = 0;
-        for p in parts {
-            assert_eq!((p.rows, cols), out.shape(), "hstack shapes");
-            for r in 0..p.rows {
-                out.row_mut(r)[at..at + p.cols].copy_from_slice(p.row(r));
-            }
-            at += p.cols;
-        }
-    }
-
-    /// Maximum absolute element (0 for the empty matrix).
-    pub fn max_abs(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
+    /// Borrows rows `range` — a view, not a copy.
+    pub fn row_range(&self, range: Range<usize>) -> Rows<'_> {
+        Rows::from(self).row_range(range)
     }
 }
 
@@ -432,6 +411,63 @@ fn matmul_block(
                 kernels::mk1_on(isa, a_strip(first_row + r), packed, nc_len, out_row);
                 r += 1;
             }
+        }
+    }
+}
+
+/// A borrowed `rows × cols` block of row-major floats: a whole [`Matrix`]
+/// (`Rows::from(&m)`) or a row range of one ([`Matrix::row_range`]). Code
+/// that only reads rows takes this, so its callers hand it part of a matrix
+/// without copying that part out.
+#[derive(Debug, Clone, Copy)]
+pub struct Rows<'a> {
+    rows: usize,
+    cols: usize,
+    data: &'a [f32],
+}
+
+impl<'a> Rows<'a> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Row `r`.
+    pub fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.cols..(r + 1) * self.cols]
+    }
+
+    /// Every row, row-major.
+    pub fn as_slice(&self) -> &'a [f32] {
+        self.data
+    }
+
+    /// Rows `range` of this view.
+    pub fn row_range(&self, range: Range<usize>) -> Rows<'a> {
+        assert!(
+            range.start <= range.end && range.end <= self.rows,
+            "row range {range:?} of {} rows",
+            self.rows
+        );
+        Rows {
+            rows: range.len(),
+            cols: self.cols,
+            data: &self.data[range.start * self.cols..range.end * self.cols],
+        }
+    }
+}
+
+impl<'a> From<&'a Matrix> for Rows<'a> {
+    fn from(m: &'a Matrix) -> Self {
+        Rows {
+            rows: m.rows,
+            cols: m.cols,
+            data: &m.data,
         }
     }
 }
@@ -533,8 +569,19 @@ mod tests {
         let a = m(1, 2, &[1., 2.]);
         let b = m(1, 2, &[3., 4.]);
         assert_eq!(a.vstack(&b).as_slice(), &[1., 2., 3., 4.]);
-        assert_eq!(a.hstack(&b).as_slice(), &[1., 2., 3., 4.]);
-        assert_eq!(a.hstack(&b).shape(), (1, 4));
+    }
+
+    #[test]
+    fn row_ranges_borrow_the_rows_they_name() {
+        let a = m(3, 2, &[1., 2., 3., 4., 5., 6.]);
+        let mid = a.row_range(1..3);
+        assert_eq!((mid.rows(), mid.cols()), (2, 2));
+        assert_eq!(mid.as_slice(), &[3., 4., 5., 6.]);
+        assert_eq!(mid.row(1), a.row(2));
+        assert_eq!(mid.row_range(1..2).as_slice(), &[5., 6.]);
+        assert_eq!(a.row_range(3..3).rows(), 0);
+        let whole = Rows::from(&a);
+        assert_eq!(whole.as_slice(), a.as_slice());
     }
 
     #[test]

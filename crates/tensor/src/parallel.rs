@@ -10,32 +10,11 @@
 
 pub use largeea_common::pool::Pool;
 
-/// Number of worker threads the global kernel pool runs on.
-///
-/// Resolution order (fixed at first use, when the global pool is built):
-/// `LARGEEA_THREADS` env var (if a positive integer), then
-/// `std::thread::available_parallelism()`, then 1. Code that needs a
-/// *different* width must construct its own [`Pool`] — see
-/// [`largeea_common::pool::Pool::new`].
-pub fn num_threads() -> usize {
-    Pool::global().threads()
-}
-
-/// Applies `f` to contiguous chunks of `data` in parallel on the global
-/// pool. `f` receives the chunk and the index of its first element.
-///
-/// Falls back to a single sequential call for inputs below `min_len`.
-/// Chunk boundaries are arbitrary — use [`par_rows_mut`] when chunks must
-/// align to logical rows.
-pub fn par_chunks_mut<T: Send>(data: &mut [T], min_len: usize, f: impl Fn(&mut [T], usize) + Sync) {
-    Pool::global().rows_mut(data, 1, min_len, f);
-}
-
-/// Row-aligned variant of [`par_chunks_mut`]: treats `data` as rows of
-/// `row_len` elements, hands `f` chunks that are exact row multiples plus
-/// the index of the chunk's first **row**. Kernels whose closures do
-/// `block.chunks_mut(row_len)` must use this — element-aligned splitting
-/// would silently shear rows at chunk boundaries on multi-core hosts.
+/// Applies `f` in parallel on the global pool to chunks of `data`, which it
+/// treats as rows of `row_len` elements: each chunk is an exact multiple of
+/// a row, and `f` also gets the index of the chunk's first **row**, so
+/// `block.chunks_mut(row_len)` inside `f` never shears a row. Fewer than
+/// `min_rows` rows run as one sequential call.
 pub fn par_rows_mut<T: Send>(
     data: &mut [T],
     row_len: usize,
@@ -61,14 +40,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn num_threads_is_positive() {
-        assert!(num_threads() >= 1);
-    }
-
-    #[test]
-    fn par_chunks_mut_touches_every_element() {
+    fn par_rows_mut_touches_every_element() {
         let mut v = vec![0u64; 10_000];
-        par_chunks_mut(&mut v, 16, |chunk, start| {
+        par_rows_mut(&mut v, 1, 16, |chunk, start| {
             for (i, x) in chunk.iter_mut().enumerate() {
                 *x = (start + i) as u64;
             }
@@ -79,9 +53,9 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_small_input_sequential() {
+    fn par_rows_mut_small_input_sequential() {
         let mut v = vec![1, 2, 3];
-        par_chunks_mut(&mut v, 1000, |chunk, start| {
+        par_rows_mut(&mut v, 1, 1000, |chunk, start| {
             assert_eq!(start, 0);
             assert_eq!(chunk.len(), 3);
         });

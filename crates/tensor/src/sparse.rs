@@ -141,22 +141,6 @@ impl SparseMatrix {
         out
     }
 
-    /// Row-stochastic normalisation `D^{-1} A` (mean aggregation).
-    pub fn row_normalized(&self) -> SparseMatrix {
-        let sums = self.row_sums();
-        let mut out = self.clone();
-        for (r, &s) in sums.iter().enumerate() {
-            if s == 0.0 {
-                continue;
-            }
-            let inv = 1.0 / s;
-            for k in out.indptr[r]..out.indptr[r + 1] {
-                out.values[k] *= inv;
-            }
-        }
-        out
-    }
-
     /// Sparse × dense product `self @ dense` (parallel over output-row
     /// blocks on the global pool).
     pub fn spmm(&self, dense: &Matrix) -> Matrix {
@@ -299,16 +283,6 @@ mod tests {
         // isolated vertex keeps a unit self-loop
         let d1: f32 = n.row(1).find(|&(c, _)| c == 1).unwrap().1;
         assert!((d1 - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn row_normalized_is_stochastic() {
-        let s = sample();
-        let n = s.row_normalized();
-        let sums = n.row_sums();
-        assert!((sums[0] - 1.0).abs() < 1e-6);
-        assert_eq!(sums[1], 0.0); // empty row left untouched
-        assert!((sums[2] - 1.0).abs() < 1e-6);
     }
 
     #[test]

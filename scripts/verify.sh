@@ -41,18 +41,23 @@ SMOKE="$(mktemp -d -t largeea_smoke.XXXXXX)"
 trap 'rm -rf "$SMOKE"' EXIT
 L="target/release/largeea"
 # runtime SIMD dispatch (DESIGN.md §S0.11): a scalar-forced run
-# (LARGEEA_NO_SIMD=1) must reproduce the default run's similarity matrix
-# byte-for-byte — the SIMD kernels are transcriptions, not approximations
-# (and the scan's u8 pre-filter is exact integers on either side). No
-# tests/*.rs runs the CLI under LARGEEA_NO_SIMD=1.
+# (LARGEEA_NO_SIMD=1) on one thread must reproduce the default run's
+# similarity matrix byte-for-byte — the SIMD kernels are transcriptions,
+# not approximations (and the scan's u8 pre-filter is exact integers on
+# either side), and every parallel pass is width-independent, so one cmp
+# covers both. GCN and RREA, whose fused training nodes run on the pool.
+# No tests/*.rs runs the CLI under LARGEEA_NO_SIMD=1.
 "$L" generate --preset dbp1m-ci --scale 1.0 --out "$SMOKE/dbp_ci" > /dev/null
-"$L" align --data "$SMOKE/dbp_ci" --model gcn --k 4 --epochs 4 --dim 16 \
-  --sim-out "$SMOKE/simd.sim" --trace-out "$SMOKE/simd.json" > /dev/null
-LARGEEA_NO_SIMD=1 "$L" align --data "$SMOKE/dbp_ci" --model gcn --k 4 \
-  --epochs 4 --dim 16 --sim-out "$SMOKE/nosimd.sim" > /dev/null
-cmp "$SMOKE/simd.sim" "$SMOKE/nosimd.sim"
-grep -q '"kernel.isa"' "$SMOKE/simd.json"
-grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
+for model in gcn rrea; do
+  "$L" align --data "$SMOKE/dbp_ci" --model $model --k 4 --epochs 4 --dim 16 \
+    --sim-out "$SMOKE/simd.sim" --trace-out "$SMOKE/simd.json" > /dev/null
+  LARGEEA_NO_SIMD=1 LARGEEA_THREADS=1 "$L" align --data "$SMOKE/dbp_ci" --model $model \
+    --k 4 --epochs 4 --dim 16 --sim-out "$SMOKE/nosimd.sim" > /dev/null
+  cmp "$SMOKE/simd.sim" "$SMOKE/nosimd.sim"
+  grep -q '"kernel.isa"' "$SMOKE/simd.json"
+  grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
+done
+grep -q '"negatives.refined_pairs"' "$SMOKE/simd.json"
 
 stage ""
 # the costs the ROADMAP's north star names, measured: what CHANGES.md quotes

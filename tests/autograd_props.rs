@@ -2,17 +2,20 @@
 //! match central finite differences for randomly composed expressions — on
 //! a fresh tape and on one `reset()` and reused across graphs of different
 //! shapes — the fused `triplet_l1` and `reflect_aggregate` nodes must equal
-//! the compositions of small nodes they replaced bit for bit, and training
-//! on the trainer's one recycled tape must equal a fresh-tape-per-epoch
-//! reference bit for bit.
+//! the compositions of small nodes they replaced bit for bit, a normalised
+//! row of several parts must equal one concatenated leaf normalised, bit
+//! for bit, and training on the trainer's one recycled tape must equal a
+//! fresh-tape-per-epoch reference bit for bit. Each bitwise check holds at
+//! pool widths 1, 2 and 4, which it runs itself.
 
 use largeea::common::check::for_each_case;
+use largeea::common::obs::Recorder;
 use largeea::common::rng::Rng;
 use largeea::models::baselines::whole_graph;
 use largeea::models::negative::sample_negatives;
 use largeea::models::{train, BatchGraph, EaModel, ModelKind, TrainConfig};
 use largeea::tensor::optim::{Adam, AdamConfig};
-use largeea::tensor::{Matrix, SpOp, SparseMatrix, Tape, Var};
+use largeea::tensor::{IndexList, Matrix, SpOp, SparseMatrix, Tape, Var};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -30,7 +33,7 @@ enum Expr {
     GatherL1,
     NormalizeDot,
     TanhScale,
-    HStackMul,
+    NormalizeParts,
     TripletL1,
     ReflectAggregate,
 }
@@ -40,10 +43,15 @@ const EXPRS: [Expr; 7] = [
     Expr::GatherL1,
     Expr::NormalizeDot,
     Expr::TanhScale,
-    Expr::HStackMul,
+    Expr::NormalizeParts,
     Expr::TripletL1,
     Expr::ReflectAggregate,
 ];
+
+/// `idx` grouped over `n_rows` rows, as the fused nodes take it.
+fn grouped(idx: &[u32], n_rows: usize) -> Rc<IndexList> {
+    Rc::new(IndexList::new(idx.to_vec(), n_rows))
+}
 
 fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
     match expr {
@@ -64,7 +72,7 @@ fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
             tape.sum_all(d)
         }
         Expr::NormalizeDot => {
-            let n = tape.l2_normalize_rows(p, 1e-6);
+            let n = tape.l2_normalize_rows(&[p], 1e-6);
             let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| (r * c) as f32 * 0.1 + 0.2));
             let d = tape.row_dot(n, c);
             tape.sum_all(d)
@@ -74,25 +82,26 @@ fn build(expr: Expr, tape: &mut Tape, p: Var) -> Var {
             let s = tape.scale(t, 1.5);
             tape.mean_all(s)
         }
-        Expr::HStackMul => {
+        Expr::NormalizeParts => {
+            // p on both sides of a constant, normalised as one 9-wide row
             let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| ((r + c) % 2) as f32 - 0.5));
-            let h = tape.hstack(&[p, c]);
-            let hh = tape.mul_elem(h, h);
-            tape.sum_all(hh)
+            let n = tape.l2_normalize_rows(&[p, c, p], 1e-6);
+            let w = tape.constant(&Matrix::from_fn(3, 9, |r, c| (r + c) as f32 * 0.2 - 0.9));
+            let m = tape.mul_elem(n, w);
+            tape.sum_all(m)
         }
         Expr::TripletL1 => {
-            let rows = |v: &[u32]| Rc::new(v.to_vec());
-            let (s, t) = (rows(&[0, 1, 0]), rows(&[1, 2, 1]));
-            let (neg_t, neg_s) = (rows(&[2, 0, 2]), rows(&[2, 2, 0]));
+            let (s, t) = (grouped(&[0, 1, 0], 3), grouped(&[1, 2, 1], 3));
+            let (neg_t, neg_s) = (grouped(&[2, 0, 2], 3), grouped(&[2, 2, 0], 3));
             tape.triplet_l1(p, s, t, neg_t, neg_s, 0.5)
         }
         Expr::ReflectAggregate => {
             // rows of p reflected through (normalised) rows of p, then mixed:
             // message 1 feeds two output rows, output row 0 takes two messages
-            let r = tape.l2_normalize_rows(p, 1e-6);
+            let r = tape.l2_normalize_rows(&[p], 1e-6);
             let coo = vec![(0, 0, 0.5), (0, 2, 0.5), (1, 1, -0.25), (2, 1, 1.0)];
             let agg = SpOp::new(SparseMatrix::from_coo(3, 3, coo));
-            let (h_rows, r_rows) = (Rc::new(vec![0, 2, 2]), Rc::new(vec![1, 0, 1]));
+            let (h_rows, r_rows) = (grouped(&[0, 2, 2], 3), grouped(&[1, 0, 1], 3));
             let y = tape.reflect_aggregate(&agg, p, r, h_rows, r_rows);
             let c = tape.constant(&Matrix::from_fn(3, 3, |r, c| {
                 (r + 2 * c) as f32 * 0.3 - 0.7
@@ -156,14 +165,14 @@ fn a_tape_reset_and_reused_for_other_shapes_passes_the_gradient_checks() {
     for_each_case(0xAD02, 64, |rng| gradient_case(rng, &mut tape.borrow_mut()));
 }
 
-type Rows = Rc<Vec<u32>>;
+type List = Rc<Vec<u32>>;
 
 /// The triplet loss as the 16 tape nodes `triplet_l1` replaced — the
 /// oracle the fused node must reproduce bit for bit.
 fn composed_triplet_l1(
     tape: &mut Tape,
     emb: Var,
-    [s, t, neg_t, neg_s]: [&Rows; 4],
+    [s, t, neg_t, neg_s]: [&List; 4],
     margin: f32,
 ) -> Var {
     let es = tape.gather_rows(emb, Rc::clone(s));
@@ -190,10 +199,20 @@ fn bits(m: &Matrix) -> Vec<u32> {
 
 #[test]
 fn triplet_l1_equals_the_composed_formulation_bitwise() {
+    rerun_at_pool_widths("triplet_l1_equals_the_composed_formulation_bitwise");
     for_each_case(0xAD03, 160, |rng| {
-        let n = rng.gen_range(1..40usize);
-        let dim = [1, 7, 8, 192][rng.gen_range(0..4usize)];
-        let p = rng.gen_range(0..30usize);
+        // a few entities, or enough gradient rows that the pool splits them
+        let (n, dim, p) = if rng.gen_range(0..3u32) == 0 {
+            let dim = [64, 192][rng.gen_range(0..2usize)];
+            (
+                rng.gen_range(130..400usize),
+                dim,
+                rng.gen_range(0..200usize),
+            )
+        } else {
+            let dim = [1, 7, 8, 192][rng.gen_range(0..4usize)];
+            (rng.gen_range(1..40usize), dim, rng.gen_range(0..30usize))
+        };
         let n_neg = rng.gen_range(1..4usize);
         let e0 = random_param(rng, n, dim);
         // each pair repeated per negative, as the trainer lays rows out;
@@ -231,14 +250,14 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
             let mut emb_grad = leaf;
             let emb = if through_op {
                 emb_grad = tape.param(&Matrix::zeros(n, dim));
-                let normed = tape.l2_normalize_rows(leaf, 1e-9);
+                let normed = tape.l2_normalize_rows(&[leaf], 1e-9);
                 tape.add(normed, emb_grad)
             } else {
                 leaf
             };
             let [s, t, neg_t, neg_s] = &rows;
             let mut loss = if fused {
-                let [s, t, neg_t, neg_s] = [s, t, neg_t, neg_s].map(Rc::clone);
+                let [s, t, neg_t, neg_s] = [s, t, neg_t, neg_s].map(|l| grouped(l, n));
                 tape.triplet_l1(emb, s, t, neg_t, neg_s, margin)
             } else {
                 composed_triplet_l1(&mut tape, emb, [s, t, neg_t, neg_s], margin)
@@ -265,13 +284,103 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
     });
 }
 
+#[test]
+fn normalize_concat_equals_the_concatenated_leaf_bitwise() {
+    rerun_at_pool_widths("normalize_concat_equals_the_concatenated_leaf_bitwise");
+    for_each_case(0xAD05, 120, |rng| {
+        // a few rows, or enough that the pool splits them
+        let n = [rng.gen_range(1..20usize), rng.gen_range(130..300usize)][rng.gen_range(0..2usize)];
+        let widths: Vec<usize> = (0..rng.gen_range(1..4usize))
+            .map(|_| [1, 7, 64][rng.gen_range(0..3usize)])
+            .collect();
+        let values: Vec<Matrix> = widths.iter().map(|&w| random_param(rng, n, w)).collect();
+        // the parts name those values, one of them possibly twice
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        if rng.gen_range(0..3u32) == 0 {
+            order.insert(
+                rng.gen_range(0..=order.len()),
+                rng.gen_range(0..values.len()),
+            );
+        }
+        let total: usize = order.iter().map(|&j| widths[j]).sum();
+        let weights = random_param(rng, n, total);
+        // part 0's gradient slot already holds another consumer's
+        // contribution when the normalisation's arrives
+        let occupied = rng.gen_range(0..2u32) == 0;
+
+        // One node over the parts: the output bits, the weighted sum's bits
+        // and each value's gradient.
+        let mut tape = Tape::new();
+        let leaves: Vec<Var> = values.iter().map(|v| tape.param(v)).collect();
+        let parts: Vec<Var> = order.iter().map(|&j| leaves[j]).collect();
+        let y = tape.l2_normalize_rows(&parts, 1e-9);
+        let w = tape.constant(&weights);
+        let weighted = tape.mul_elem(y, w);
+        let mut loss = tape.sum_all(weighted);
+        let value = (bits(tape.value(y)), tape.scalar(loss).to_bits());
+        if occupied {
+            let extra = tape.sum_all(leaves[0]);
+            loss = tape.add(loss, extra);
+        }
+        tape.backward(loss);
+
+        // One leaf holding the concatenation: its gradient's column blocks
+        // are what each part receives, added up in part order after the
+        // other consumer's 1.0.
+        let mut cat_tape = Tape::new();
+        let cat = Matrix::from_fn(n, total, |r, c| {
+            let mut c = c;
+            for &j in &order {
+                if c < widths[j] {
+                    return values[j][(r, c)];
+                }
+                c -= widths[j];
+            }
+            unreachable!()
+        });
+        let leaf = cat_tape.param(&cat);
+        let y = cat_tape.l2_normalize_rows(&[leaf], 1e-9);
+        let w = cat_tape.constant(&weights);
+        let weighted = cat_tape.mul_elem(y, w);
+        let loss = cat_tape.sum_all(weighted);
+        assert_eq!(value.0, bits(cat_tape.value(y)), "normalised rows");
+        assert_eq!(value.1, cat_tape.scalar(loss).to_bits(), "loss value");
+        cat_tape.backward(loss);
+        let cat_grad = cat_tape.grad(leaf).unwrap();
+        let mut expect: Vec<Option<Matrix>> = vec![None; values.len()];
+        if occupied {
+            expect[0] = Some(Matrix::from_fn(n, widths[0], |_, _| 1.0));
+        }
+        let mut at = 0;
+        for &j in &order {
+            let block = Matrix::from_fn(n, widths[j], |r, c| cat_grad[(r, at + c)]);
+            expect[j] = Some(match expect[j].take() {
+                Some(mut sum) => {
+                    sum.add_assign(&block);
+                    sum
+                }
+                None => block,
+            });
+            at += widths[j];
+        }
+        for (j, &leaf) in leaves.iter().enumerate() {
+            let want = bits(expect[j].as_ref().unwrap());
+            assert_eq!(
+                bits(tape.grad(leaf).unwrap()),
+                want,
+                "part {j} of {order:?}"
+            );
+        }
+    });
+}
+
 /// One RREA hop as the seven tape nodes `reflect_aggregate` replaced: the
 /// reflection `x − 2(x·r)r` of gathered rows, then the aggregation.
 fn composed_reflect_aggregate(
     tape: &mut Tape,
     agg: &Rc<SpOp>,
     (h, r): (Var, Var),
-    (h_rows, r_rows): (&Rows, &Rows),
+    (h_rows, r_rows): (&List, &List),
 ) -> Var {
     let et = tape.gather_rows(h, Rc::clone(h_rows));
     let rg = tape.gather_rows(r, Rc::clone(r_rows));
@@ -324,9 +433,18 @@ fn reflect_aggregate_equals_the_composed_formulation_bitwise() {
         let h0 = random_param(rng, n, dim);
         let r0 = random_param(rng, n_rel, dim);
         let weights = random_param(rng, n, dim);
-        // few entities against many messages: indices repeat in both lists
-        let h_rows: Rows = Rc::new((0..msgs).map(|_| rng.gen_range(0..n as u32)).collect());
-        let r_rows: Rows = Rc::new((0..msgs).map(|_| rng.gen_range(0..n_rel as u32)).collect());
+        // few entities against many messages: indices repeat in both lists;
+        // in a quarter of the cases one relation row takes most messages
+        let heavy = rng.gen_range(0..4u32) == 0;
+        let h_rows: List = Rc::new((0..msgs).map(|_| rng.gen_range(0..n as u32)).collect());
+        let mut relation = || {
+            if heavy && rng.gen_range(0..10u32) != 0 {
+                0
+            } else {
+                rng.gen_range(0..n_rel as u32)
+            }
+        };
+        let r_rows: List = Rc::new((0..msgs).map(|_| relation()).collect());
         // twice as many entries as messages, so columns hold none, one or
         // several; the last output row stays empty
         let heads = (n as u32 - 1).max(1);
@@ -347,14 +465,15 @@ fn reflect_aggregate_equals_the_composed_formulation_bitwise() {
             let (h_leaf, r_leaf) = (tape.param(&h0), tape.param(&r0));
             let (mut h, mut r) = (h_leaf, r_leaf);
             if through_op {
-                h = tape.l2_normalize_rows(h, 1e-9);
-                r = tape.l2_normalize_rows(r, 1e-9);
+                h = tape.l2_normalize_rows(&[h], 1e-9);
+                r = tape.l2_normalize_rows(&[r], 1e-9);
             }
             if same_operand {
                 h = r;
             }
             let y = if fused {
-                tape.reflect_aggregate(&agg, h, r, Rc::clone(&h_rows), Rc::clone(&r_rows))
+                let (h_list, r_list) = (grouped(&h_rows, n), grouped(&r_rows, n_rel));
+                tape.reflect_aggregate(&agg, h, r, h_list, r_list)
             } else {
                 composed_reflect_aggregate(&mut tape, &agg, (h, r), (&h_rows, &r_rows))
             };
@@ -406,6 +525,7 @@ fn train_on_fresh_tapes(
                 cfg.neg_samples,
                 cfg.neg_strategy,
                 cfg.seed.wrapping_add(epoch as u64),
+                &Recorder::disabled(),
             ));
         }
         let negs = negatives.as_ref().unwrap();

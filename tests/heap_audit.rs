@@ -12,8 +12,10 @@ use largeea::core::MemBudget;
 use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
 use largeea::models::baselines::whole_graph;
+use largeea::models::scoring::fill_similarity;
 use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
-use largeea::tensor::Tape;
+use largeea::sim::SparseSimMatrix;
+use largeea::tensor::{IndexList, Tape};
 use largeea::text::LshIndex;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -170,7 +172,8 @@ fn synthetic_batch(side: u32, triples: u32) -> BatchGraph {
 fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> usize {
     let mut tape = Tape::new();
     let fp = model.forward(&mut tape);
-    let rows = std::rc::Rc::new(vec![0u32; bg.train_pairs.len() * cfg.neg_samples]);
+    let zeros = vec![0u32; bg.train_pairs.len() * cfg.neg_samples];
+    let rows = std::rc::Rc::new(IndexList::new(zeros, bg.n_total()));
     let [s, t, neg_t, neg_s] = [(); 4].map(|()| rows.clone());
     tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
     model.auxiliary_loss(&mut tape, &fp.params, 0);
@@ -182,10 +185,13 @@ fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> 
 /// message costs the tape its two `x·r` scalars, not rows of `dim` floats,
 /// and (b) a whole `train_batch` peaks at the step's values plus a handful
 /// of embedding-sized buffers — the gradients live at once, Adam's two
-/// moments, the returned embeddings, the negative sampler's scan — not at a
-/// second copy of every value (11, 9 and 12 such buffers with one gradient
-/// per node). (b) runs where a side has as many triples as entities, so
-/// MTransE's triple-sized buffers are embedding-sized too.
+/// moments — not at a second copy of every value
+/// (11, 9 and 12 such buffers with one gradient per node), nor at a
+/// concatenation RREA's output normalisation reads in place, four triplet
+/// gradients where one suffices, copies of the sides the negative sampler
+/// searches or a copy of the embeddings handed back (7, 6 and 9 buffers
+/// before those went). (b) runs where a side has as many triples as
+/// entities, so MTransE's triple-sized buffers are embedding-sized too.
 #[test]
 fn a_training_step_holds_live_gradients_not_one_per_node() {
     let cfg = TrainConfig {
@@ -208,9 +214,9 @@ fn a_training_step_holds_live_gradients_not_one_per_node() {
 
     let bg = synthetic_batch(600, 600);
     let handful = [
-        (ModelKind::GcnAlign, 7),
-        (ModelKind::Rrea, 6),
-        (ModelKind::MTransE, 9),
+        (ModelKind::GcnAlign, 6),
+        (ModelKind::Rrea, 4),
+        (ModelKind::MTransE, 8),
     ];
     for (kind, buffers) in handful {
         let rec = Recorder::new(ObsConfig {
@@ -230,6 +236,85 @@ fn a_training_step_holds_live_gradients_not_one_per_node() {
              ({buffers} buffers of {embedding} B allowed)"
         );
     }
+}
+
+/// Bytes a Manhattan top-k search of `queries` against `base` rows of
+/// `dim` floats holds beyond its inputs: both sides' u8 sketches and slacks,
+/// one `k`-entry collector per query and the `k` sorted hits it returns.
+fn search_bytes(queries: usize, base: usize, dim: usize, k: usize) -> u64 {
+    let sketch = dim.next_multiple_of(32) + 4;
+    let per_query = (k + 1) * 8 + 32 + k * 8 + 24;
+    ((queries + base) * sketch + queries * per_query) as u64
+}
+
+/// The in-place gate: the negative sampler and the batch scorer search the
+/// two sides of a batch as row ranges of its embeddings, so neither holds
+/// an `n_side × dim` copy of a side — the negatives span peaks at the
+/// anchors it gathers, the searches' sketches and collectors, and the
+/// triplet lists (grouped) it hands the loss; the topk span at its search
+/// and the block it fills. A side copy is 384 B per entity here, against
+/// a sketch of 100.
+#[test]
+fn the_negative_sampler_and_the_batch_scorer_copy_no_side() {
+    let bg = synthetic_batch(600, 1_200);
+    let cfg = TrainConfig {
+        epochs: 6,
+        dim: 32,
+        neg_samples: 5,
+        ..TrainConfig::default()
+    };
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    let mut model = ModelKind::Rrea.build(&bg, cfg.dim, 3);
+    let report = train_traced(model.as_mut(), &bg, &cfg, &rec);
+    let dim = report.embeddings.cols();
+    let (pairs, n) = (bg.train_pairs.len(), bg.n_total());
+
+    // one side's anchors and search at a time, the first search's hits
+    // held through the second; the negatives (and a copy as the pool's
+    // blocks are joined) and the four grouped lists
+    let k = cfg.neg_samples + 2;
+    let anchors = pairs * dim * 4;
+    let first_hits = pairs * (k * 8 + 24);
+    let negatives = 2 * 2 * pairs * (24 + cfg.neg_samples * 4);
+    let rows = pairs * cfg.neg_samples;
+    let triplets = 4 * (2 * rows + n + 1) * 4;
+    let held = anchors + first_hits + negatives + triplets + (16 << 10);
+    let allowed = search_bytes(pairs, bg.n_source.max(bg.n_target), dim, k) + held as u64;
+    let trace = rec.trace();
+    let epochs = &trace.find("train_batch").expect("batch span").children;
+    let resamples: Vec<u64> = epochs
+        .iter()
+        .flat_map(|e| e.children.iter().filter(|c| c.name == "negatives"))
+        .map(|s| s.field_u64("alloc.peak").expect("heap attribution"))
+        .collect();
+    assert_eq!(resamples.len(), 2, "resampled at epochs 0 and 5");
+    for peak in resamples {
+        assert!(
+            peak <= allowed,
+            "negatives peaked at {peak} B, {allowed} B allowed ({n} entities of {dim} floats)"
+        );
+    }
+
+    let top_k = 10;
+    let mut block = SparseSimMatrix::new(bg.n_source, bg.n_target);
+    let span = rec.span_at(largeea::common::obs::Level::Detail, "topk");
+    fill_similarity(&bg, &report.embeddings, top_k, &mut block, &rec);
+    drop(span);
+    let filled = (bg.n_source * (top_k * 8 + 24)) as u64;
+    let allowed = search_bytes(bg.n_source, bg.n_target, dim, top_k) + filled + (16 << 10);
+    let trace = rec.trace();
+    let peak = trace
+        .find("topk")
+        .expect("topk span")
+        .field_u64("alloc.peak")
+        .unwrap();
+    assert!(
+        peak <= allowed,
+        "topk peaked at {peak} B, {allowed} B allowed ({n} entities of {dim} floats)"
+    );
 }
 
 /// The sketch gate: STNS keeps one signature per target entity and an LSH

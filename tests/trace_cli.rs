@@ -83,6 +83,7 @@ fn summarize_prints_tree_metrics_and_throughputs() {
         "derived ratios:",
         "sens.filter_pass_pct",
         "topk.filter_pass_pct",
+        "negatives.filter_pass_pct",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
