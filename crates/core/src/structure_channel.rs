@@ -45,7 +45,7 @@ pub struct StructureChannelConfig {
     /// Overlap degree `D_ov` (Appendix C); 1 = disjoint batches.
     pub d_ov: usize,
     /// METIS-CPS virtual-edge weight `w′`.
-    pub virtual_edge_weight: f64,
+    pub virtual_edge_weight: u32,
     /// RNG seed.
     pub seed: u64,
 }
@@ -59,7 +59,7 @@ impl Default for StructureChannelConfig {
             train: TrainConfig::default(),
             top_k: 50,
             d_ov: 1,
-            virtual_edge_weight: 1000.0,
+            virtual_edge_weight: 1000,
             seed: 0x57C,
         }
     }

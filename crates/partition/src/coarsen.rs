@@ -8,9 +8,10 @@
 //! weights accumulate all fine edges between the clusters.
 //!
 //! A round is one pass over the adjacency for the matching and one for the
-//! contraction, which writes the coarse graph's merged edges row by row —
-//! `O(nv + |E|)` plus a sort of each coarse row's few neighbours, with no
-//! edge list to sort again and nothing hashed.
+//! contraction, which writes the coarse graph's merged edges row by row and
+//! hands those rows to the CSR layout as they are — `O(nv + |E|)` plus a
+//! sort of each coarse row's few neighbours, with no edge list to flatten or
+//! sort again and nothing hashed.
 
 use crate::graph::{Edge, PartGraph};
 use largeea_common::obs::Recorder;
@@ -38,12 +39,9 @@ pub fn coarsen_once(g: &PartGraph, seed: u64) -> CoarseLevel {
         if mate[v as usize] != UNMATCHED {
             continue;
         }
-        let mut best: Option<(u32, f64)> = None;
+        let mut best: Option<(u32, u32)> = None;
         for (n, w) in g.neighbors(v) {
-            if n != v
-                && mate[n as usize] == UNMATCHED
-                && w > 0.0
-                && best.is_none_or(|(_, bw)| w > bw)
+            if n != v && mate[n as usize] == UNMATCHED && w > 0 && best.is_none_or(|(_, bw)| w > bw)
             {
                 best = Some((n, w));
             }
@@ -73,23 +71,22 @@ pub fn coarsen_once(g: &PartGraph, seed: u64) -> CoarseLevel {
         members.push((v, m));
     }
 
+    // a coarse vertex weighs at most the input's vertex count, a u32
     let vwgt = members
         .iter()
-        .map(|&(v, m)| g.vwgt(v) + if m != v { g.vwgt(m) } else { 0 })
+        .map(|&(v, m)| (g.vwgt(v) + if m != v { g.vwgt(m) } else { 0 }) as u32)
         .collect();
 
     // Contract straight into merged, key-ordered edges. The matching above
     // is inherently sequential (each decision depends on all earlier ones);
     // the contraction is not: coarse row `c` gathers the edges its members
-    // send to higher-numbered coarse vertices — smaller fine id first, each
-    // in adjacency order — then a stable sort by coarse neighbour and a
-    // left-to-right sum per neighbour merge them. That is the order in which
-    // a walk over the fine vertices would have emitted them, so each coarse
-    // weight is the same `0.0 + w₁ + w₂ + …` for any thread count. Blocks of
-    // rows concatenate in key order, which is what `from_merged` takes.
+    // send to higher-numbered coarse vertices, sorts them by coarse neighbour
+    // and sums each neighbour's run. Integer sums do not depend on the order
+    // of their terms, so the rows are the same for any thread count. Blocks
+    // of rows, read in order, are the key-ordered edges `from_merged` takes.
     let blocks = Pool::global().map_blocks(members.len(), 1024, |rows| {
         let mut out: Vec<Edge> = Vec::new();
-        let mut row: Vec<(u32, f64)> = Vec::new();
+        let mut row: Vec<(u32, u32)> = Vec::new();
         for c in rows {
             let (v, m) = members[c];
             row.clear();
@@ -100,19 +97,25 @@ pub fn coarsen_once(g: &PartGraph, seed: u64) -> CoarseLevel {
                         .filter(|&(cn, _)| cn as usize > c),
                 );
             }
-            row.sort_by_key(|&(cn, _)| cn);
+            row.sort_unstable_by_key(|&(cn, _)| cn);
             for &(cn, w) in &row {
                 match out.last_mut() {
                     Some(last) if (last.0, last.1) == (c as u32, cn) => last.2 += w,
-                    _ => out.push((c as u32, cn, 0.0 + w)),
+                    _ => out.push((c as u32, cn, w)),
                 }
             }
         }
         out
     });
-    let merged: Vec<Edge> = blocks.into_iter().flatten().collect();
-    let graph = PartGraph::from_merged(members.len(), &merged).with_vertex_weights(vwgt);
+    let graph = PartGraph::from_merged(blocks.iter().flatten().copied(), vwgt);
     CoarseLevel { graph, map }
+}
+
+impl CoarseLevel {
+    /// Bytes the level holds on the heap: its graph and its map.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.graph.heap_bytes() + 4 * self.map.capacity()
+    }
 }
 
 /// Coarsens repeatedly until the graph has at most `target_nv` vertices or
@@ -159,18 +162,18 @@ mod tests {
     use largeea_common::check::for_each_case;
 
     fn ring(n: usize) -> PartGraph {
-        PartGraph::from_edges(n, (0..n as u32).map(|i| (i, (i + 1) % n as u32, 1.0)))
+        PartGraph::from_edges(n, (0..n as u32).map(|i| (i, (i + 1) % n as u32, 1)))
     }
 
     /// The contraction as an edge list handed to `from_edges`: walk the fine
     /// vertices in order and emit each edge from its lower coarse endpoint.
     fn contract_by_edge_list(g: &PartGraph, map: &[u32]) -> PartGraph {
         let next = map.iter().max().map_or(0, |&c| c as usize + 1);
-        let mut vwgt = vec![0u64; next];
+        let mut vwgt = vec![0u32; next];
         let mut edges = Vec::new();
         for v in 0..g.nv() as u32 {
             let cv = map[v as usize];
-            vwgt[cv as usize] += g.vwgt(v);
+            vwgt[cv as usize] += g.vwgt(v) as u32;
             for (n, w) in g.neighbors(v) {
                 if cv < map[n as usize] {
                     edges.push((cv, map[n as usize], w));
@@ -181,25 +184,25 @@ mod tests {
     }
 
     #[test]
-    fn contraction_equals_the_edge_list_reference_bit_for_bit() {
+    fn contraction_equals_the_edge_list_reference() {
         for_each_case(0xC0A_0001, 100, |rng| {
             let nv = rng.gen_range(1..300usize);
             let m = rng.gen_range(0..6 * nv);
-            let edges: Vec<(u32, u32, f64)> = (0..m)
+            let edges: Vec<Edge> = (0..m)
                 .map(|_| {
-                    let w = [0.0, 0.1, 0.2, 0.3, 1.0, 1000.0][rng.gen_range(0..6usize)];
+                    let w = [0, 1, 2, 3, 1000][rng.gen_range(0..5usize)];
                     (rng.gen_range(0..nv as u32), rng.gen_range(0..nv as u32), w)
                 })
                 .collect();
-            let vwgt = (0..nv).map(|_| rng.gen_range(1..9u64)).collect();
+            let vwgt = (0..nv).map(|_| rng.gen_range(1..9u32)).collect();
             let mut g = PartGraph::from_edges(nv, edges).with_vertex_weights(vwgt);
             // a few rounds, so coarse weights are themselves sums
             for round in 0..3 {
                 let level = coarsen_once(&g, rng.next_u64());
                 let reference = contract_by_edge_list(&g, &level.map);
                 assert_eq!(
-                    level.graph.adjacency_bits(),
-                    reference.adjacency_bits(),
+                    level.graph.adjacency(),
+                    reference.adjacency(),
                     "round {round}"
                 );
                 for c in 0..reference.nv() as u32 {
@@ -238,7 +241,7 @@ mod tests {
     #[test]
     fn heaviest_edge_preferred() {
         // 0-1 (w=10), 1-2 (w=1): vertex 1 must match 0 whenever 0 available
-        let g = PartGraph::from_edges(3, vec![(0, 1, 10.0), (1, 2, 1.0)]);
+        let g = PartGraph::from_edges(3, vec![(0, 1, 10), (1, 2, 1)]);
         let lvl = coarsen_once(&g, 0);
         assert_eq!(lvl.map[0], lvl.map[1]);
         assert_ne!(lvl.map[1], lvl.map[2]);
@@ -246,7 +249,7 @@ mod tests {
 
     #[test]
     fn zero_weight_edges_never_contracted() {
-        let g = PartGraph::from_edges(2, vec![(0, 1, 0.0)]);
+        let g = PartGraph::from_edges(2, vec![(0, 1, 0)]);
         let lvl = coarsen_once(&g, 0);
         assert_ne!(lvl.map[0], lvl.map[1]);
         assert_eq!(lvl.graph.nv(), 2);
@@ -264,7 +267,7 @@ mod tests {
 
     #[test]
     fn coarsen_isolated_vertices() {
-        let g = PartGraph::from_edges(5, vec![(0, 1, 1.0)]);
+        let g = PartGraph::from_edges(5, vec![(0, 1, 1)]);
         let lvl = coarsen_once(&g, 1);
         // isolated vertices stay as singletons
         assert_eq!(lvl.graph.nv(), 4);

@@ -21,7 +21,7 @@
 //! never modified.
 
 use crate::batches::MiniBatches;
-use crate::graph::{merge_edges, Edge, PartGraph};
+use crate::graph::{check_fits, merge_edges, Edge, PartGraph};
 use crate::kway::{partition_kway_traced, PartitionConfig};
 use largeea_common::obs::{Level, Recorder};
 use largeea_common::rng::Rng;
@@ -33,7 +33,7 @@ pub struct CpsConfig {
     /// Number of mini-batches `K`.
     pub k: usize,
     /// Virtual/group edge weight `w′ ≫ 1`.
-    pub virtual_edge_weight: f64,
+    pub virtual_edge_weight: u32,
     /// Number of pivot entities `q` per seed group (the paper uses 1).
     pub q: usize,
     /// RNG seed.
@@ -47,7 +47,7 @@ impl CpsConfig {
     pub fn new(k: usize) -> Self {
         Self {
             k,
-            virtual_edge_weight: 1000.0,
+            virtual_edge_weight: 1000,
             q: 1,
             seed: 0xC95,
             imbalance: 1.05,
@@ -119,8 +119,11 @@ pub fn metis_cps_traced(
     // Step 4: partition the re-weighted target graph.
     let target_part = {
         let _s = rec.span_at(Level::Detail, "cps_target_partition");
-        let target_graph = PartGraph::from_merged(pair.target.num_entities(), &target_edges);
-        drop(target_edges); // 16 B an edge, dead weight while partitioning
+        let target_graph = PartGraph::from_merged(
+            target_edges.iter().copied(),
+            vec![1; pair.target.num_entities()],
+        );
+        drop(target_edges); // 12 B an edge, dead weight while partitioning
         partition_kway_traced(
             &target_graph,
             &cfg.partition_config().with_seed(cfg.seed.wrapping_add(1)),
@@ -187,6 +190,10 @@ struct Reweighted {
 /// added — the stars, sorted, merge into the key-ordered edges, and a star
 /// edge the KG already has is that edge, which the pass has given the weight
 /// the star would (both ends are seed targets).
+///
+/// # Panics
+/// If the re-weighted total edge weight exceeds `u32::MAX` (`w′` times the
+/// seed edges and star edges, plus the other triples).
 fn reweight_target(target: &KnowledgeGraph, groups: &SeedGroups, cfg: &CpsConfig) -> Reweighted {
     let mut released_edges = 0u64;
     // `w′` inside a group; `0`, counted as released, between two groups
@@ -195,13 +202,13 @@ fn reweight_target(target: &KnowledgeGraph, groups: &SeedGroups, cfg: &CpsConfig
             cfg.virtual_edge_weight
         } else {
             released_edges += 1;
-            0.0
+            0
         }
     };
 
     let mut edges = merge_edges(
         target.num_entities(),
-        target.triples().iter().map(|t| (t.head.0, t.tail.0, 1.0)),
+        target.triples().iter().map(|t| (t.head.0, t.tail.0, 1)),
     );
     for (a, b, w) in &mut edges {
         if groups.of[*a as usize] != NO_GROUP && groups.of[*b as usize] != NO_GROUP {
@@ -235,6 +242,7 @@ fn reweight_target(target: &KnowledgeGraph, groups: &SeedGroups, cfg: &CpsConfig
         }
     }
     merged.extend(kg_edges);
+    check_fits(merged.iter().map(|e| u64::from(e.2)).sum(), merged.len());
     Reweighted {
         edges: merged,
         virtual_edges,
@@ -341,10 +349,10 @@ mod tests {
         cfg: &CpsConfig,
     ) -> Reweighted {
         let key = |a: u32, b: u32| (a.min(b), a.max(b));
-        let mut edges: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+        let mut edges: BTreeMap<(u32, u32), u32> = BTreeMap::new();
         for t in target.triples() {
             if t.head != t.tail {
-                *edges.entry(key(t.head.0, t.tail.0)).or_insert(0.0) += 1.0;
+                *edges.entry(key(t.head.0, t.tail.0)).or_insert(0) += 1;
             }
         }
         let mut virtual_edges = 0u64;
@@ -369,7 +377,7 @@ mod tests {
         for (&(a, b), w) in edges.iter_mut() {
             let (ga, gb) = (groups.of[a as usize], groups.of[b as usize]);
             if ga != NO_GROUP && gb != NO_GROUP && ga != gb {
-                *w = 0.0;
+                *w = 0;
                 released_edges += 1;
             }
         }
@@ -409,14 +417,29 @@ mod tests {
                 cfg.q = q;
                 let got = reweight_target(&target, &groups, &cfg);
                 let want = reweight_by_map(&target, &groups, &cfg);
-                let bits = |r: &Reweighted| -> Vec<(u32, u32, u64)> {
-                    r.edges.iter().map(|e| (e.0, e.1, e.2.to_bits())).collect()
-                };
-                assert_eq!(bits(&got), bits(&want), "q = {q}");
+                assert_eq!(got.edges, want.edges, "q = {q}");
                 assert_eq!(got.virtual_edges, want.virtual_edges, "q = {q}");
                 assert_eq!(got.released_edges, want.released_edges, "q = {q}");
             }
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "total edge weight 8589934590 exceeds u32::MAX")]
+    fn a_reweighted_total_past_u32_is_refused_not_wrapped() {
+        // three seed targets of one group: the pivot's two star edges
+        // weigh w′ each
+        let mut target = KnowledgeGraph::new("FR");
+        for i in 0..3 {
+            target.add_entity(&format!("t{i}"));
+        }
+        let groups = SeedGroups {
+            of: vec![0; 3],
+            members: vec![vec![0, 1, 2]],
+        };
+        let mut cfg = CpsConfig::new(1);
+        cfg.virtual_edge_weight = u32::MAX;
+        reweight_target(&target, &groups, &cfg);
     }
 
     #[test]

@@ -7,11 +7,7 @@
 //! constant (under 2 ms at 5 000 vertices); an FM pass is `O(m · log n)` —
 //! every vertex is scored once, and a move is picked from, and its
 //! neighbours re-seated in, a candidate index in `log n` each
-//! (`Candidates`). That holds while edge weights are integers, which a
-//! KG's triple counts, CPS's `w′` and `0`, and every sum of them are; a
-//! vertex with a fractional weight is summed again (`deg(v)`) whenever a
-//! neighbour moves, so that its gain keeps the bits of a fresh sum (see
-//! `Fm::pass`). Coarsening can stall far above the `k · coarsen_factor`
+//! (`Candidates`). Coarsening can stall far above the `k · coarsen_factor`
 //! vertices it aims for (the `coarsen` span's `stalled` field), so this
 //! stage has to follow `m`, not `n²`: the selection it replaced scored every
 //! unlocked vertex before every move, `O(n · m)` a pass.
@@ -122,7 +118,7 @@ impl Bisector<'_> {
 
         // Greedy growing: add the frontier vertex with maximum attachment.
         let mut in_left = vec![false; n];
-        let mut attach = vec![0.0f64; n]; // edge weight into the region
+        let mut attach = vec![0u64; n]; // edge weight into the region
         let mut visited = vec![false; n];
         let mut left_weight = 0u64;
         let mut current = Some(start);
@@ -131,14 +127,14 @@ impl Bisector<'_> {
                 Some(u) => u,
                 None => {
                     // frontier selection: max attachment among unvisited
-                    let mut best: Option<(usize, f64)> = None;
+                    let mut best: Option<(usize, u64)> = None;
                     for i in 0..n {
                         if !visited[i] {
                             let better = match best {
                                 None => true,
-                                Some((_, bw)) => attach[i] > bw + 1e-12,
+                                Some((_, bw)) => attach[i] > bw,
                             };
-                            if better && (attach[i] > 0.0 || best.is_none()) {
+                            if better && (attach[i] > 0 || best.is_none()) {
                                 best = Some((i, attach[i]));
                             }
                         }
@@ -155,7 +151,7 @@ impl Bisector<'_> {
             for (nb, w) in g.neighbors(vertices[u]) {
                 let li = local[nb as usize];
                 if li != NOT_LOCAL && !visited[li as usize] {
-                    attach[li as usize] += w;
+                    attach[li as usize] += u64::from(w);
                 }
             }
         }
@@ -229,25 +225,25 @@ fn balance_tolerance(g: &PartGraph, vertices: &[u32]) -> u64 {
 }
 
 /// The weight of local vertex `u`'s edges into the other side and into its
-/// own, each summed in adjacency order over the subproblem's vertices.
+/// own, over the subproblem's vertices.
 fn cut_and_kept(
     g: &PartGraph,
     vertices: &[u32],
     local: &[u32],
     in_left: &[bool],
     u: usize,
-) -> (f64, f64) {
-    let mut external = 0.0;
-    let mut internal = 0.0;
+) -> (u64, u64) {
+    let mut external = 0;
+    let mut internal = 0;
     for (nb, w) in g.neighbors(vertices[u]) {
         let li = local[nb as usize];
         if li == NOT_LOCAL {
             continue;
         }
         if in_left[li as usize] == in_left[u] {
-            internal += w;
+            internal += u64::from(w);
         } else {
-            external += w;
+            external += u64::from(w);
         }
     }
     (external, internal)
@@ -257,14 +253,12 @@ fn cut_and_kept(
 const NONE: u32 = u32::MAX;
 
 /// The better move of two: higher gain, then lower index — the vertex a scan
-/// over `0..n` keeping the first strictly greater gain ends on. Gains are
-/// stored `+ 0.0`, so `-0.0` cannot rank below `+0.0`, and compared with
-/// `total_cmp`, so a NaN weight gives some order instead of a panic.
-fn better(gain: &[f64], a: u32, b: u32) -> u32 {
+/// over `0..n` keeping the first strictly greater gain ends on.
+fn better(gain: &[i64], a: u32, b: u32) -> u32 {
     if a == NONE || b == NONE {
         return a.min(b);
     }
-    match gain[a as usize].total_cmp(&gain[b as usize]) {
+    match gain[a as usize].cmp(&gain[b as usize]) {
         Ordering::Greater => a,
         Ordering::Less => b,
         Ordering::Equal => a.min(b),
@@ -295,7 +289,7 @@ impl Candidates {
     }
 
     /// Refills the leaves from `leaf(rank)` and replays every match.
-    fn rebuild(&mut self, gain: &[f64], leaf: impl Fn(usize) -> u32) {
+    fn rebuild(&mut self, gain: &[i64], leaf: impl Fn(usize) -> u32) {
         let n = self.leaves();
         for r in 0..n {
             self.node[n + r] = leaf(r);
@@ -309,7 +303,7 @@ impl Candidates {
     /// re-seat a vertex whose gain changed — and replays its matches towards
     /// the root, stopping at the first one that some other vertex keeps
     /// winning: nothing above it can tell the difference.
-    fn set(&mut self, gain: &[f64], r: usize, u: u32) {
+    fn set(&mut self, gain: &[i64], r: usize, u: u32) {
         let mut i = self.leaves() + r;
         let changed = if u == NONE { self.node[i] } else { u };
         self.node[i] = u;
@@ -324,7 +318,7 @@ impl Candidates {
     }
 
     /// The best vertex among the leaves of rank below `end`.
-    fn best_below(&self, gain: &[f64], end: usize) -> u32 {
+    fn best_below(&self, gain: &[i64], end: usize) -> u32 {
         let (mut lo, mut hi) = (self.leaves(), self.leaves() + end);
         let mut best = NONE;
         while lo < hi {
@@ -356,14 +350,9 @@ struct Fm<'a> {
     rank: Vec<u32>,
     by_rank: Vec<u32>,
     weight_at_rank: Vec<u64>,
-    /// Whether sums over the vertex's edges are exact in any order: every
-    /// weight an integer and their magnitudes summing to at most 2⁵³.
-    exact: Vec<bool>,
-    /// [`cut_and_kept`] of each unlocked vertex.
-    external: Vec<f64>,
-    internal: Vec<f64>,
-    /// Current gain of each unlocked vertex: `external - internal + 0.0`.
-    gain: Vec<f64>,
+    /// Current gain of each unlocked vertex: its [`cut_and_kept`] weights'
+    /// difference, cut minus kept.
+    gain: Vec<i64>,
     locked: Vec<bool>,
     /// Unlocked vertices by the side they are on: `[right, left]`.
     side: [Candidates; 2],
@@ -379,44 +368,23 @@ impl<'a> Fm<'a> {
         for (r, &u) in by_rank.iter().enumerate() {
             rank[u as usize] = r as u32;
         }
-        let exact = vertices
-            .iter()
-            .map(|&v| {
-                let mut magnitude = 0.0f64;
-                g.neighbors(v).all(|(_, w)| {
-                    magnitude += w.abs();
-                    w.fract() == 0.0
-                }) && magnitude <= 9_007_199_254_740_992.0
-            })
-            .collect();
         Self {
             g,
             vertices,
             local,
             target_left,
             tol: balance_tolerance(g, vertices),
-            exact,
-            external: vec![0.0; n],
-            internal: vec![0.0; n],
             rank,
             weight_at_rank: by_rank
                 .iter()
                 .map(|&u| g.vwgt(vertices[u as usize]))
                 .collect(),
             by_rank,
-            gain: vec![0.0; n],
+            gain: vec![0; n],
             locked: vec![false; n],
             side: [Candidates::new(n), Candidates::new(n)],
             moves: Vec::with_capacity(n),
         }
-    }
-
-    /// Sums local vertex `u`'s edges afresh.
-    fn score(&mut self, in_left: &[bool], u: usize) {
-        let (external, internal) = cut_and_kept(self.g, self.vertices, self.local, in_left, u);
-        self.external[u] = external;
-        self.internal[u] = internal;
-        self.gain[u] = external - internal + 0.0;
     }
 
     /// One pass: every vertex moves at most once, each step taking the
@@ -424,15 +392,9 @@ impl<'a> Fm<'a> {
     /// then everything after the best prefix is undone. Returns whether the
     /// pass gained anything, and how many moves it made.
     ///
-    /// Every gain read here has the bits a fresh [`cut_and_kept`] would give.
-    /// A move of `u` changes the sums of `u`'s neighbours only, and not of
-    /// those across a zero-weight edge: each sum starts at `+0.0`, so it is
-    /// never `-0.0`, and adding `±0.0` to it or leaving that term out gives
-    /// the same bits. A neighbour whose sums are `exact` has `w` moved from
-    /// one sum to the other — all values involved are integers below 2⁵³, so
-    /// no addition rounds and the order of summation cannot show. Any other
-    /// neighbour is summed again in adjacency order, because a running
-    /// `± w` would round differently.
+    /// Every gain read here equals what a fresh [`cut_and_kept`] would give:
+    /// a move of `u` changes the gains of `u`'s neighbours across a non-zero
+    /// edge only, each by `w` moving between its cut and kept weight.
     fn pass(&mut self, in_left: &mut [bool]) -> (bool, usize) {
         let Self {
             g,
@@ -444,7 +406,8 @@ impl<'a> Fm<'a> {
         } = *self;
         let n = vertices.len();
         for u in 0..n {
-            self.score(in_left, u);
+            let (external, internal) = cut_and_kept(g, vertices, local, in_left, u);
+            self.gain[u] = external as i64 - internal as i64;
         }
         self.locked.fill(false);
         for (is_left, side) in self.side.iter_mut().enumerate() {
@@ -462,8 +425,8 @@ impl<'a> Fm<'a> {
             .map(|i| g.vwgt(vertices[i]))
             .sum();
         self.moves.clear();
-        let mut cum_gain = 0.0f64;
-        let mut best_gain = 0.0f64;
+        let mut cum_gain = 0i64;
+        let mut best_gain = 0i64;
         let mut best_prefix = 0usize;
 
         for _ in 0..n {
@@ -498,29 +461,19 @@ impl<'a> Fm<'a> {
             self.locked[u] = true;
             self.moves.push(u as u32);
             cum_gain += self.gain[u];
-            if cum_gain > best_gain + 1e-9 {
+            if cum_gain > best_gain {
                 best_gain = cum_gain;
                 best_prefix = self.moves.len();
             }
             for (nb, w) in g.neighbors(vertices[u]) {
                 let li = local[nb as usize];
-                if li == NOT_LOCAL || self.locked[li as usize] || w == 0.0 {
+                if li == NOT_LOCAL || self.locked[li as usize] || w == 0 {
                     continue;
                 }
                 let nb = li as usize;
-                if !self.exact[nb] {
-                    self.score(in_left, nb);
-                } else {
-                    // `u` has just joined or left `nb`'s side
-                    let (to, from) = if in_left[nb] == in_left[u] {
-                        (&mut self.internal[nb], &mut self.external[nb])
-                    } else {
-                        (&mut self.external[nb], &mut self.internal[nb])
-                    };
-                    *to += w;
-                    *from -= w;
-                    self.gain[nb] = self.external[nb] - self.internal[nb] + 0.0;
-                }
+                // `u` has just joined (kept += w, cut -= w) or left `nb`'s side
+                let dw = 2 * i64::from(w);
+                self.gain[nb] += if in_left[nb] == in_left[u] { -dw } else { dw };
                 self.side[in_left[nb] as usize].set(&self.gain, self.rank[nb] as usize, li);
             }
         }
@@ -528,7 +481,7 @@ impl<'a> Fm<'a> {
         for &u in &self.moves[best_prefix..] {
             in_left[u as usize] = !in_left[u as usize];
         }
-        (best_gain > 1e-9, self.moves.len())
+        (best_gain > 0, self.moves.len())
     }
 }
 
@@ -543,20 +496,20 @@ mod tests {
         let mut edges = Vec::new();
         for i in 0..6u32 {
             for j in (i + 1)..6 {
-                edges.push((i, j, 1.0));
-                edges.push((i + 6, j + 6, 1.0));
+                edges.push((i, j, 10));
+                edges.push((i + 6, j + 6, 10));
             }
         }
-        edges.push((0, 6, 0.1));
+        edges.push((0, 6, 1));
         PartGraph::from_edges(12, edges)
     }
 
-    fn cut(g: &PartGraph, a: &[u32]) -> f64 {
-        let mut c = 0.0;
+    fn cut(g: &PartGraph, a: &[u32]) -> u64 {
+        let mut c = 0;
         for v in 0..g.nv() as u32 {
             for (n, w) in g.neighbors(v) {
                 if v < n && a[v as usize] != a[n as usize] {
-                    c += w;
+                    c += u64::from(w);
                 }
             }
         }
@@ -567,7 +520,7 @@ mod tests {
     fn bisection_finds_the_weak_link() {
         let g = two_clusters();
         let a = initial_partition(&g, 2, 42);
-        assert!((cut(&g, &a) - 0.1).abs() < 1e-9, "cut = {}", cut(&g, &a));
+        assert_eq!(cut(&g, &a), 1);
         // parts are the two cliques
         for i in 1..6 {
             assert_eq!(a[i], a[0]);
@@ -579,7 +532,7 @@ mod tests {
     #[test]
     fn k_parts_cover_and_balance() {
         // ring of 40
-        let g = PartGraph::from_edges(40, (0..40u32).map(|i| (i, (i + 1) % 40, 1.0)));
+        let g = PartGraph::from_edges(40, (0..40u32).map(|i| (i, (i + 1) % 40, 1)));
         for k in [2, 3, 4, 5] {
             let a = initial_partition(&g, k, 7);
             let mut sizes = vec![0u64; k];
@@ -606,7 +559,7 @@ mod tests {
 
     #[test]
     fn handles_disconnected_graphs() {
-        let g = PartGraph::from_edges(6, vec![(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]);
+        let g = PartGraph::from_edges(6, vec![(0, 1, 1), (2, 3, 1), (4, 5, 1)]);
         let a = initial_partition(&g, 3, 9);
         let distinct: std::collections::BTreeSet<u32> = a.iter().copied().collect();
         assert_eq!(distinct.len(), 3);
@@ -614,7 +567,7 @@ mod tests {
 
     #[test]
     fn more_parts_than_vertices() {
-        let g = PartGraph::from_edges(2, vec![(0, 1, 1.0)]);
+        let g = PartGraph::from_edges(2, vec![(0, 1, 1)]);
         let a = initial_partition(&g, 4, 0);
         assert_eq!(a.len(), 2);
         assert!(a.iter().all(|&p| p < 4));
@@ -622,9 +575,9 @@ mod tests {
     }
 
     /// Cut weight saved by moving local vertex `u` to the other side.
-    fn gain_of(g: &PartGraph, vertices: &[u32], local: &[u32], in_left: &[bool], u: usize) -> f64 {
+    fn gain_of(g: &PartGraph, vertices: &[u32], local: &[u32], in_left: &[bool], u: usize) -> i64 {
         let (external, internal) = cut_and_kept(g, vertices, local, in_left, u);
-        external - internal
+        external as i64 - internal as i64
     }
 
     /// The selection FM used before the candidate index, kept as the oracle:
@@ -646,11 +599,11 @@ mod tests {
             .map(|i| g.vwgt(vertices[i]))
             .sum();
         let mut moves: Vec<usize> = Vec::new();
-        let mut cum_gain = 0.0f64;
-        let mut best_gain = 0.0f64;
+        let mut cum_gain = 0i64;
+        let mut best_gain = 0i64;
         let mut best_prefix = 0usize;
         for _ in 0..n {
-            let mut best: Option<(usize, f64)> = None;
+            let mut best: Option<(usize, i64)> = None;
             for u in 0..n {
                 if locked[u] {
                     continue;
@@ -680,7 +633,7 @@ mod tests {
             locked[u] = true;
             moves.push(u);
             cum_gain += gain;
-            if cum_gain > best_gain + 1e-9 {
+            if cum_gain > best_gain {
                 best_gain = cum_gain;
                 best_prefix = moves.len();
             }
@@ -688,7 +641,7 @@ mod tests {
         for &u in &moves[best_prefix..] {
             in_left[u] = !in_left[u];
         }
-        best_gain > 1e-9
+        best_gain > 0
     }
 
     /// A random bisection problem: a graph, the ascending subset of its
@@ -709,25 +662,19 @@ mod tests {
         // edges stay inside one of `pieces` residue classes: disconnected
         // pieces when there are several
         let pieces = rng.gen_range(1..4u32);
-        // a vertex with only integer weights is re-scored incrementally
-        let fractional_share = [0.0, 0.1, 1.0][rng.gen_range(0..3usize)];
         let zero_share = [0.0, 0.2, 0.6][rng.gen_range(0..3usize)];
         let m = rng.gen_range(0..6 * nv);
-        let edges: Vec<(u32, u32, f64)> = (0..m)
+        let edges: Vec<(u32, u32, u32)> = (0..m)
             .map(|_| {
                 let u = rng.gen_range(0..nv as u32);
                 let v = rng.gen_range(0..nv as u32);
                 let v = v - v % pieces + u % pieces;
                 let w = if rng.gen_bool(zero_share) {
-                    0.0
+                    0
                 } else if rng.gen_bool(0.05) {
-                    1000.0
-                } else if rng.gen_bool(fractional_share) {
-                    // sums of these tie in exact arithmetic and differ in
-                    // the last bit by summation order
-                    [0.1, 0.2, 0.3][rng.gen_range(0..3usize)]
+                    1000
                 } else {
-                    rng.gen_range(1..6u32) as f64
+                    rng.gen_range(1..6u32)
                 };
                 (u, v.min(nv as u32 - 1), w)
             })
@@ -735,12 +682,12 @@ mod tests {
         // unit-ish weights with a few vertices heavy enough to fail the
         // balance test from either side
         let heavy_share = [0.0, 0.02, 0.1][rng.gen_range(0..3usize)];
-        let vwgt: Vec<u64> = (0..nv)
+        let vwgt: Vec<u32> = (0..nv)
             .map(|_| {
                 if rng.gen_bool(heavy_share) {
-                    rng.gen_range(n as u64 / 8 + 1..n as u64 / 2 + 2)
+                    rng.gen_range(n as u32 / 8 + 1..n as u32 / 2 + 2)
                 } else {
-                    rng.gen_range(1..4u64)
+                    rng.gen_range(1..4u32)
                 }
             })
             .collect();
@@ -775,20 +722,22 @@ mod tests {
     }
 
     #[test]
-    fn nan_weights_do_not_panic() {
+    fn zero_weight_edges_are_free_to_cut() {
+        // a ring whose zero-weight edges split it into three weighted arcs
         let g = PartGraph::from_edges(
             6,
             vec![
-                (0, 1, f64::NAN),
-                (1, 2, 1.0),
-                (2, 3, -0.0),
-                (3, 4, 2.0),
-                (4, 5, f64::NAN),
-                (0, 5, 1.0),
+                (0, 1, 0),
+                (1, 2, 5),
+                (2, 3, 0),
+                (3, 4, 5),
+                (4, 5, 0),
+                (5, 0, 5),
             ],
         );
         let a = initial_partition(&g, 3, 1);
         assert!(a.iter().all(|&p| p < 3));
+        assert_eq!(cut(&g, &a), 0, "{a:?}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::coarsen::coarsen_to_traced;
 use crate::graph::PartGraph;
 use crate::initial::initial_partition_with_stats;
-use crate::refine::refine_kway_traced;
+use crate::refine::{projected_boundary, refine_kway_traced};
 use largeea_common::obs::{Level, Recorder};
 
 /// Configuration for [`partition_kway`].
@@ -89,17 +89,18 @@ impl Partitioning {
     }
 }
 
-/// Total weight of edges crossing parts (each undirected edge counted once).
+/// Total weight of edges crossing parts (each undirected edge counted once),
+/// an integer below 2³² and so exact as `f64`.
 pub fn edge_cut(g: &PartGraph, assignment: &[u32]) -> f64 {
-    let mut cut = 0.0;
+    let mut cut = 0u64;
     for v in 0..g.nv() as u32 {
         for (n, w) in g.neighbors(v) {
             if v < n && assignment[v as usize] != assignment[n as usize] {
-                cut += w;
+                cut += u64::from(w);
             }
         }
     }
-    cut
+    cut as f64
 }
 
 /// Partitions `g` into `cfg.k` parts using the multilevel scheme:
@@ -111,9 +112,9 @@ pub fn edge_cut(g: &PartGraph, assignment: &[u32]) -> f64 {
 ///
 /// // two triangles joined by one weak edge
 /// let g = PartGraph::from_edges(6, vec![
-///     (0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
-///     (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0),
-///     (2, 3, 0.1),
+///     (0, 1, 10), (1, 2, 10), (0, 2, 10),
+///     (3, 4, 10), (4, 5, 10), (3, 5, 10),
+///     (2, 3, 1),
 /// ]);
 /// let p = partition_kway(&g, &PartitionConfig::new(2));
 /// assert_eq!(p.assignment[0], p.assignment[1]); // triangle stays together
@@ -128,7 +129,9 @@ pub fn partition_kway(g: &PartGraph, cfg: &PartitionConfig) -> Partitioning {
 /// — final `edge_cut`/`balance` fields; coarsening (`levels`, `coarsest_nv`,
 /// `stalled`), the initial partition (`nv`, `bisections`, `fm_passes`,
 /// `fm_moves`) and each uncoarsening level get child spans, with refinement
-/// sweeps nested under them as `refine_pass` spans.
+/// sweeps nested under them as `refine_pass` spans. The `coarsen` span also
+/// says what the levels hold: `level_edges` (their edges, summed) and
+/// `level_bytes` (their graphs and maps on the heap).
 pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorder) -> Partitioning {
     let k = cfg.k;
     assert!(k >= 1, "k must be positive");
@@ -160,6 +163,14 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
         // stopped by the < 10 % shrink rule, short of `target_nv`: the
         // initial partitioner gets a larger graph than it was meant to
         s.field("stalled", coarsest_nv > target_nv);
+        s.field(
+            "level_edges",
+            levels.iter().map(|l| l.graph.ne()).sum::<usize>(),
+        );
+        s.field(
+            "level_bytes",
+            levels.iter().map(|l| l.heap_bytes()).sum::<usize>(),
+        );
         levels
     };
 
@@ -181,6 +192,7 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
             k,
             cap,
             cfg.refine_passes * 2,
+            vec![true; coarsest.nv()],
             rec,
         );
         assignment
@@ -204,6 +216,7 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
             k,
             cap.max(max_part_weight),
             cfg.refine_passes,
+            projected_boundary(&levels[i].graph, &assignment, map),
             rec,
         );
         assignment = fine_assignment;
@@ -236,12 +249,12 @@ mod tests {
                 for _ in 0..4 {
                     let j = rng.gen_range(0..n as u32);
                     if i != j {
-                        edges.push((base + i, base + j, 1.0));
+                        edges.push((base + i, base + j, 2));
                     }
                 }
             }
             if ci + 1 < c {
-                edges.push((base, base + n as u32, 0.5));
+                edges.push((base, base + n as u32, 1));
             }
         }
         PartGraph::from_edges(c * n, edges)
@@ -280,7 +293,7 @@ mod tests {
 
     #[test]
     fn degenerate_more_parts_than_vertices() {
-        let g = PartGraph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
+        let g = PartGraph::from_edges(3, vec![(0, 1, 1), (1, 2, 1)]);
         let p = partition_kway(&g, &PartitionConfig::new(8));
         assert_eq!(p.assignment.len(), 3);
         assert!(p.assignment.iter().all(|&a| a < 8));
@@ -298,12 +311,12 @@ mod tests {
                 for _ in 0..4 {
                     let j = rng.gen_range(0..60u32);
                     if i != j {
-                        g_edges.push((base + i, base + j, 1.0));
+                        g_edges.push((base + i, base + j, 1));
                     }
                 }
             }
         }
-        g_edges.push((0, 60, 10_000.0));
+        g_edges.push((0, 60, 10_000));
         let g = PartGraph::from_edges(120, g_edges);
         let p = partition_kway(&g, &PartitionConfig::new(2));
         assert_eq!(
@@ -354,6 +367,10 @@ mod tests {
         assert!(root.field("balance").is_some());
         let coarsen = t.find("coarsen").expect("coarsen span");
         assert!(coarsen.field("stalled").is_some());
+        // each level edge sits in two adjacencies at 4 B + 4 B
+        let level_edges = coarsen.field_u64("level_edges").unwrap();
+        assert!(level_edges > 0);
+        assert!(coarsen.field_u64("level_bytes").unwrap() >= 16 * level_edges);
         let initial = t.find("initial_partition").expect("initial span");
         assert_eq!(
             initial.field_u64("nv"),

@@ -10,18 +10,42 @@
 //! parts and — only when some part offers a positive gain — the part
 //! weights. So a vertex that was looked at and stayed is left alone until
 //! it or a neighbour moves, unless the balance cap was all that held it
-//! back; every look a full sweep would add ends in "stay". The first pass
-//! costs `O(|E|)`, a later one the edges around what the last one moved.
+//! back; every look a full sweep would add ends in "stay". A later pass
+//! costs the edges around what the last one moved.
+//!
+//! The first pass starts from a worklist the caller hands in. On the
+//! coarsest level that is every vertex. After a projection it is the
+//! members of the coarse vertices that had a neighbour in another part
+//! ([`projected_boundary`]): a fine vertex whose coarse vertex was interior
+//! has all its neighbours in its own part — its edges to other clusters are
+//! edges of that coarse vertex — so a look at it ends in "stay".
 
 use crate::graph::PartGraph;
 use largeea_common::obs::{Level, Recorder};
+
+/// The first-pass worklist after projecting `coarse_assignment` through
+/// `map` (`map[fine] = coarse`): the fine vertices whose coarse vertex has a
+/// neighbour in another part. `O(nv_coarse + |E_coarse| + nv_fine)`.
+pub fn projected_boundary(coarse: &PartGraph, coarse_assignment: &[u32], map: &[u32]) -> Vec<bool> {
+    let boundary: Vec<bool> = (0..coarse.nv() as u32)
+        .map(|c| {
+            let own = coarse_assignment[c as usize];
+            coarse
+                .neighbors(c)
+                .any(|(n, _)| coarse_assignment[n as usize] != own)
+        })
+        .collect();
+    map.iter().map(|&c| boundary[c as usize]).collect()
+}
 
 /// Refines `assignment` in place.
 ///
 /// * `k` — number of parts;
 /// * `max_part_weight` — hard balance cap per part;
 /// * `passes` — maximum sweeps over the vertices (early-exits when a sweep
-///   moves nothing).
+///   moves nothing);
+/// * `first_pass` — the vertices the first pass looks at (module docs):
+///   `vec![true; nv]`, or a [`projected_boundary`].
 ///
 /// Returns the number of vertices moved in total.
 pub fn refine_kway(
@@ -30,6 +54,7 @@ pub fn refine_kway(
     k: usize,
     max_part_weight: u64,
     passes: usize,
+    first_pass: Vec<bool>,
 ) -> usize {
     refine_kway_traced(
         g,
@@ -37,6 +62,7 @@ pub fn refine_kway(
         k,
         max_part_weight,
         passes,
+        first_pass,
         &Recorder::disabled(),
     )
 }
@@ -50,9 +76,11 @@ pub fn refine_kway_traced(
     k: usize,
     max_part_weight: u64,
     passes: usize,
+    first_pass: Vec<bool>,
     rec: &Recorder,
 ) -> usize {
     assert_eq!(assignment.len(), g.nv(), "assignment length mismatch");
+    assert_eq!(first_pass.len(), g.nv(), "worklist length mismatch");
     let mut part_weight = vec![0u64; k];
     for (v, &p) in assignment.iter().enumerate() {
         part_weight[p as usize] += g.vwgt(v as u32);
@@ -61,10 +89,10 @@ pub fn refine_kway_traced(
     let mut total_moved = 0usize;
     // scratch: connectivity of the current vertex to each part, with a
     // touched-list so we don't clear the whole k-vector per vertex.
-    let mut conn = vec![0.0f64; k];
+    let mut conn = vec![0u64; k];
     let mut touched: Vec<u32> = Vec::with_capacity(16);
     // the vertices whose next look may end in a move (module docs)
-    let mut dirty = vec![true; g.nv()];
+    let mut dirty = first_pass;
 
     for pass in 0..passes {
         let mut span = rec.span_at(Level::Trace, "refine_pass");
@@ -79,16 +107,16 @@ pub fn refine_kway_traced(
             touched.clear();
             for (n, w) in g.neighbors(v) {
                 let p = assignment[n as usize];
-                if conn[p as usize] == 0.0 {
+                if conn[p as usize] == 0 {
                     touched.push(p);
                 }
-                conn[p as usize] += w;
+                conn[p as usize] += u64::from(w);
             }
             let own_conn = conn[own as usize];
-            let mut best: Option<(u32, f64)> = None;
+            let mut best: Option<(u32, u64)> = None;
             for &p in &touched {
-                let gain = conn[p as usize] - own_conn;
-                if p != own && gain > 1e-12 {
+                if p != own && conn[p as usize] > own_conn {
+                    let gain = conn[p as usize] - own_conn;
                     if part_weight[p as usize] + g.vwgt(v) > max_part_weight {
                         // only the cap says no, and the cap can lift
                         dirty[v as usize] = true;
@@ -108,7 +136,7 @@ pub fn refine_kway_traced(
                 }
             }
             for &p in &touched {
-                conn[p as usize] = 0.0;
+                conn[p as usize] = 0;
             }
         }
         span.field("pass", pass);
@@ -126,6 +154,7 @@ pub fn refine_kway_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::coarsen::coarsen_once;
     use largeea_common::check::for_each_case;
     use largeea_common::obs::ObsConfig;
 
@@ -142,7 +171,7 @@ mod tests {
         for (v, &p) in assignment.iter().enumerate() {
             part_weight[p as usize] += g.vwgt(v as u32);
         }
-        let mut conn = vec![0.0f64; k];
+        let mut conn = vec![0u64; k];
         let mut touched: Vec<u32> = Vec::new();
         let mut moves = Vec::new();
         for _ in 0..passes {
@@ -153,23 +182,23 @@ mod tests {
                 let mut is_boundary = false;
                 for (n, w) in g.neighbors(v) {
                     let p = assignment[n as usize];
-                    if conn[p as usize] == 0.0 {
+                    if conn[p as usize] == 0 {
                         touched.push(p);
                     }
-                    conn[p as usize] += w;
+                    conn[p as usize] += u64::from(w);
                     if p != own {
                         is_boundary = true;
                     }
                 }
                 if is_boundary {
-                    let own_conn = conn[own as usize];
-                    let mut best: Option<(u32, f64)> = None;
+                    let own_conn = conn[own as usize] as i64;
+                    let mut best: Option<(u32, i64)> = None;
                     for &p in &touched {
                         if p == own {
                             continue;
                         }
-                        let gain = conn[p as usize] - own_conn;
-                        if gain > 1e-12
+                        let gain = conn[p as usize] as i64 - own_conn;
+                        if gain > 0
                             && part_weight[p as usize] + g.vwgt(v) <= max_part_weight
                             && best.is_none_or(|(_, bg)| gain > bg)
                         {
@@ -184,7 +213,7 @@ mod tests {
                     }
                 }
                 for &p in &touched {
-                    conn[p as usize] = 0.0;
+                    conn[p as usize] = 0;
                 }
             }
             moves.push(moved);
@@ -193,6 +222,17 @@ mod tests {
             }
         }
         moves
+    }
+
+    fn all(g: &PartGraph) -> Vec<bool> {
+        vec![true; g.nv()]
+    }
+
+    /// The vertices with a neighbour in another part.
+    fn boundary(g: &PartGraph, a: &[u32]) -> Vec<bool> {
+        (0..g.nv() as u32)
+            .map(|v| g.neighbors(v).any(|(n, _)| a[n as usize] != a[v as usize]))
+            .collect()
     }
 
     #[test]
@@ -209,13 +249,12 @@ mod tests {
             let k = rng.gen_range(2..=20usize);
             let weights = rng.gen_range(0..3u32);
             let ne = rng.gen_range(0..nv * 4);
-            let edges: Vec<(u32, u32, f64)> = (0..ne)
+            let edges: Vec<(u32, u32, u32)> = (0..ne)
                 .map(|_| {
                     let w = match weights {
-                        0 => rng.gen_range(1..5u32) as f64,
-                        // sums of these round differently in different orders
-                        1 => [0.1, 0.2, 0.3][rng.gen_range(0..3usize)],
-                        _ => [0.0, 0.0, 1.0][rng.gen_range(0..3usize)],
+                        0 => rng.gen_range(1..5u32),
+                        1 => [1, 2, 1000][rng.gen_range(0..3usize)],
+                        _ => [0, 0, 1][rng.gen_range(0..3usize)],
                     };
                     let (a, b) = (rng.gen_range(0..nv as u32), rng.gen_range(0..nv as u32));
                     (a, b, w)
@@ -223,8 +262,8 @@ mod tests {
                 .filter(|&(a, b, _)| a != b)
                 .collect();
             // mostly unit vertices, now and then one worth a good share of a part
-            let heavy = (nv / k).max(2) as u64;
-            let vwgt: Vec<u64> = (0..nv)
+            let heavy = (nv / k).max(2) as u32;
+            let vwgt: Vec<u32> = (0..nv)
                 .map(|_| {
                     if rng.gen_bool(0.1) {
                         rng.gen_range(2..=heavy)
@@ -234,7 +273,30 @@ mod tests {
                 })
                 .collect();
             let g = PartGraph::from_edges(nv, edges).with_vertex_weights(vwgt);
-            let start: Vec<u32> = (0..nv).map(|_| rng.gen_range(0..k as u32)).collect();
+            // half the cases start from a random assignment and look at
+            // everything first; half project a random assignment of a
+            // coarser level and start from its boundary
+            let projected = rng.gen_bool(0.5);
+            let (start, first_pass) = if projected {
+                let level = coarsen_once(&g, rng.next_u64());
+                let coarse: Vec<u32> = (0..level.graph.nv())
+                    .map(|_| rng.gen_range(0..k as u32))
+                    .collect();
+                let start: Vec<u32> = level.map.iter().map(|&c| coarse[c as usize]).collect();
+                let first_pass = projected_boundary(&level.graph, &coarse, &level.map);
+                (start, first_pass)
+            } else {
+                let start: Vec<u32> = (0..nv).map(|_| rng.gen_range(0..k as u32)).collect();
+                (start, all(&g))
+            };
+            let fine_boundary = boundary(&g, &start);
+            assert!(
+                fine_boundary
+                    .iter()
+                    .zip(&first_pass)
+                    .all(|(&b, &f)| !b || f),
+                "the worklist misses a boundary vertex"
+            );
             // from "nothing may grow" to "anything goes", so moves are
             // blocked, and unblocked once a neighbour leaves the full part
             let heaviest = *part_weights(&g, &start, k).iter().max().unwrap();
@@ -245,7 +307,8 @@ mod tests {
             let sweep_moves = refine_sweep(&g, &mut swept, k, cap, passes);
             let rec = Recorder::new(ObsConfig::default());
             let mut listed = start.clone();
-            let total = refine_kway_traced(&g, &mut listed, k, cap, passes, &rec);
+            let total =
+                refine_kway_traced(&g, &mut listed, k, cap, passes, first_pass.clone(), &rec);
 
             assert_eq!(listed, swept, "assignments");
             assert_eq!(part_weights(&g, &listed, k), part_weights(&g, &swept, k));
@@ -257,12 +320,32 @@ mod tests {
             assert_eq!(field("moved"), sweep_moves, "moves of each pass");
             assert_eq!(total, sweep_moves.iter().sum::<usize>());
             assert_eq!(trace.counter("partition.refine.moves"), total as u64);
-            assert_eq!(
-                field("examined")[0],
-                nv,
-                "the first pass looks at everything"
-            );
             assert!(field("examined").iter().all(|&e| e <= nv));
+            if !projected {
+                assert_eq!(
+                    field("examined")[0],
+                    nv,
+                    "the first pass looks at everything"
+                );
+                return;
+            }
+            // pass 0 looks at the worklist and at what a move in the same
+            // pass made dirty (the movers' neighbours), nothing else
+            let mut after_one = start.clone();
+            refine_sweep(&g, &mut after_one, k, cap, 1);
+            let mut may_look = first_pass;
+            for v in 0..nv {
+                if after_one[v] != start[v] {
+                    g.neighbors(v as u32)
+                        .for_each(|(n, _)| may_look[n as usize] = true);
+                }
+            }
+            let bound = may_look.iter().filter(|&&l| l).count();
+            assert!(
+                field("examined")[0] <= bound,
+                "pass 0 examined {}, beyond the worklist and the movers' neighbours ({bound})",
+                field("examined")[0]
+            );
         });
     }
 
@@ -271,12 +354,12 @@ mod tests {
         // part 0 = {1, 2, 3, 6} is full (cap 4). 0 wants in: blocked. 3
         // wants out to part 1 and goes, in the same pass but after 0 was
         // looked at — and 3 is no neighbour of 0, so nothing around 0 moves.
-        let glue = [(1, 2, 5.0), (1, 6, 5.0), (2, 6, 5.0), (4, 5, 5.0)];
-        let pulls = [(0, 1, 1.0), (0, 2, 1.0), (3, 4, 1.0), (3, 5, 1.0)];
+        let glue = [(1, 2, 5), (1, 6, 5), (2, 6, 5), (4, 5, 5)];
+        let pulls = [(0, 1, 1), (0, 2, 1), (3, 4, 1), (3, 5, 1)];
         let g = PartGraph::from_edges(7, glue.into_iter().chain(pulls));
         let mut a = vec![1, 0, 0, 0, 1, 1, 0];
         let rec = Recorder::new(ObsConfig::default());
-        assert_eq!(refine_kway_traced(&g, &mut a, 2, 4, 5, &rec), 2);
+        assert_eq!(refine_kway_traced(&g, &mut a, 2, 4, 5, all(&g), &rec), 2);
         assert_eq!(a, vec![0, 0, 0, 1, 1, 1, 0]);
         let trace = rec.trace();
         let passes: Vec<(u64, u64)> = trace
@@ -297,12 +380,24 @@ mod tests {
         assert_eq!(swept, a);
     }
 
-    fn cut(g: &PartGraph, a: &[u32]) -> f64 {
-        let mut c = 0.0;
+    #[test]
+    fn the_projected_worklist_holds_the_members_of_boundary_coarse_vertices() {
+        // coarse path 0 - 1 - 2 in parts [0, 0, 1]: 1 and 2 are boundary
+        let coarse = PartGraph::from_edges(3, vec![(0, 1, 1), (1, 2, 1)]);
+        let map = [0, 0, 1, 1, 2, 2, 0];
+        assert_eq!(
+            projected_boundary(&coarse, &[0, 0, 1], &map),
+            [false, false, true, true, true, true, false]
+        );
+        assert_eq!(projected_boundary(&coarse, &[1, 1, 1], &map), [false; 7]);
+    }
+
+    fn cut(g: &PartGraph, a: &[u32]) -> u64 {
+        let mut c = 0;
         for v in 0..g.nv() as u32 {
             for (n, w) in g.neighbors(v) {
                 if v < n && a[v as usize] != a[n as usize] {
-                    c += w;
+                    c += u64::from(w);
                 }
             }
         }
@@ -315,56 +410,56 @@ mod tests {
         let g = PartGraph::from_edges(
             6,
             vec![
-                (0, 1, 1.0),
-                (1, 2, 1.0),
-                (0, 2, 1.0),
-                (3, 4, 1.0),
-                (4, 5, 1.0),
-                (3, 5, 1.0),
-                (2, 3, 0.1),
+                (0, 1, 10),
+                (1, 2, 10),
+                (0, 2, 10),
+                (3, 4, 10),
+                (4, 5, 10),
+                (3, 5, 10),
+                (2, 3, 1),
             ],
         );
         let mut a = vec![0, 0, 1, 1, 1, 1]; // vertex 2 should be in part 0
-        let moved = refine_kway(&g, &mut a, 2, 4, 4);
+        let moved = refine_kway(&g, &mut a, 2, 4, 4, all(&g));
         assert!(moved >= 1);
         assert_eq!(a, vec![0, 0, 0, 1, 1, 1]);
-        assert!((cut(&g, &a) - 0.1).abs() < 1e-9);
+        assert_eq!(cut(&g, &a), 1);
     }
 
     #[test]
     fn refinement_never_worsens_cut() {
         let g = PartGraph::from_edges(
             8,
-            (0..8u32).flat_map(|i| ((i + 1)..8).map(move |j| (i, j, ((i + j) % 3 + 1) as f64))),
+            (0..8u32).flat_map(|i| ((i + 1)..8).map(move |j| (i, j, (i + j) % 3 + 1))),
         );
         let mut a = vec![0, 1, 0, 1, 0, 1, 0, 1];
         let before = cut(&g, &a);
-        refine_kway(&g, &mut a, 2, 6, 5);
+        refine_kway(&g, &mut a, 2, 6, 5, all(&g));
         assert!(cut(&g, &a) <= before);
     }
 
     #[test]
     fn balance_cap_is_respected() {
         // star: center 0 pulls everything toward its own part, but cap stops it
-        let g = PartGraph::from_edges(5, (1..5u32).map(|i| (0, i, 1.0)));
+        let g = PartGraph::from_edges(5, (1..5u32).map(|i| (0, i, 1)));
         let mut a = vec![0, 0, 1, 1, 1];
-        refine_kway(&g, &mut a, 2, 3, 5);
+        refine_kway(&g, &mut a, 2, 3, 5, all(&g));
         let w0 = a.iter().filter(|&&p| p == 0).count();
         assert!(w0 <= 3);
     }
 
     #[test]
     fn empty_graph_is_noop() {
-        let g = PartGraph::from_edges(0, Vec::<(u32, u32, f64)>::new());
+        let g = PartGraph::from_edges(0, Vec::<(u32, u32, u32)>::new());
         let mut a: Vec<u32> = vec![];
-        assert_eq!(refine_kway(&g, &mut a, 2, 1, 3), 0);
+        assert_eq!(refine_kway(&g, &mut a, 2, 1, 3, Vec::new()), 0);
     }
 
     #[test]
     fn zero_weight_edges_exert_no_pull() {
-        let g = PartGraph::from_edges(4, vec![(0, 1, 0.0), (2, 3, 1.0)]);
+        let g = PartGraph::from_edges(4, vec![(0, 1, 0), (2, 3, 1)]);
         let mut a = vec![0, 1, 1, 1];
-        let moved = refine_kway(&g, &mut a, 2, 4, 3);
+        let moved = refine_kway(&g, &mut a, 2, 4, 3, all(&g));
         // no positive gain anywhere → nothing moves
         assert_eq!(moved, 0);
         assert_eq!(a, vec![0, 1, 1, 1]);

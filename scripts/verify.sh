@@ -58,6 +58,15 @@ for model in gcn rrea; do
   grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
 done
 grep -q '"negatives.refined_pairs"' "$SMOKE/simd.json"
+# partition (DESIGN.md §S2): METIS-CPS at K = 20 on the same files, at the
+# default pool width and at one thread. The partitioner's weights are
+# integers and its contraction's rows width-independent, so the batches and
+# the edge-cut rate printed from them match byte for byte.
+"$L" partition --data "$SMOKE/dbp_ci" --k 20 --strategy cps > "$SMOKE/part.txt"
+LARGEEA_THREADS=1 "$L" partition --data "$SMOKE/dbp_ci" --k 20 --strategy cps \
+  > "$SMOKE/part1.txt"
+cmp "$SMOKE/part.txt" "$SMOKE/part1.txt"
+grep -q '^K=20 MetisCps: retention' "$SMOKE/part.txt"
 
 stage ""
 # the costs the ROADMAP's north star names, measured: what CHANGES.md quotes

@@ -14,6 +14,8 @@ use largeea::data::Preset;
 use largeea::models::baselines::whole_graph;
 use largeea::models::scoring::fill_similarity;
 use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
+use largeea::partition::coarsen::coarsen_to;
+use largeea::partition::{partition_kway_traced, PartGraph, PartitionConfig};
 use largeea::sim::SparseSimMatrix;
 use largeea::tensor::{IndexList, Tape};
 use largeea::text::LshIndex;
@@ -353,6 +355,43 @@ fn the_stns_sketch_allocates_per_entity_not_per_bucket() {
         count <= 6 * n_t + 256,
         "sketch made {count} allocations for {n_t} target entities"
     );
+}
+
+/// The coarsening gate: the multilevel hierarchy is stored at METIS's
+/// integer width — a `u32` neighbour and a `u32` weight per adjacency entry
+/// — so the `coarsen` span peaks at no more than 10 B per entry of its
+/// levels (each undirected edge counts twice), offsets, vertex weights,
+/// fine-to-coarse maps and the contraction's scratch included. `f64`
+/// weights and offsets measure about 13 B.
+#[test]
+fn coarsening_holds_its_levels_at_integer_width() {
+    let pair = Preset::Dbp1mEnFr.spec(0.01).generate();
+    let g = PartGraph::from_kg(&pair.source);
+    let cfg = PartitionConfig::new(20);
+    let target_nv = (cfg.k * cfg.coarsen_factor).max(64);
+    let entries: usize = coarsen_to(&g, target_nv, cfg.seed)
+        .iter()
+        .map(|l| 2 * l.graph.ne())
+        .sum();
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    partition_kway_traced(&g, &cfg, &rec);
+    let trace = rec.trace();
+    let coarsen = trace.find("coarsen").expect("coarsen span");
+    let peak = coarsen.field_u64("alloc.peak").expect("heap attribution");
+    let per_entry = peak as f64 / entries as f64;
+    assert!(
+        per_entry <= 10.0,
+        "coarsen peaked at {peak} B for {entries} level adjacency entries ({per_entry:.2} B each)"
+    );
+    assert_eq!(
+        coarsen.field_u64("level_edges"),
+        Some(entries as u64 / 2),
+        "the span's level_edges"
+    );
+    assert!(coarsen.field_u64("level_bytes").unwrap() <= peak);
 }
 
 // --- CLI ------------------------------------------------------------------
