@@ -43,6 +43,13 @@
 //! deltas is independent of which worker ran which task, so attribution is
 //! deterministic at any pool width.
 //!
+//! A task on a spawned worker that returns still holding bytes it allocated
+//! (a positive net live delta) adds them to [`worker_kept_bytes`]. Such
+//! bytes sit in the worker thread's own malloc arena, which keeps the pages
+//! resident after the caller frees them (DESIGN.md §S0.6), so pool tasks
+//! return their results through buffers the caller allocated and this total
+//! stays near zero.
+//!
 //! ## Installing
 //!
 //! The wrapper only counts when installed as the `#[global_allocator]`:
@@ -83,6 +90,9 @@ static TOTAL_COUNT: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 /// Peak of [`LIVE`] (monotone).
 static PEAK: AtomicI64 = AtomicI64::new(0);
+/// Bytes pool tasks on spawned workers still held when they returned
+/// (monotone; see [`worker_kept_bytes`]).
+static WORKER_KEPT: AtomicU64 = AtomicU64::new(0);
 
 // --- per-thread counters --------------------------------------------------
 
@@ -358,6 +368,21 @@ pub fn credit(d: &ThreadAllocDelta) {
             }
         });
     });
+}
+
+/// Books `task`, the delta a pool task on a spawned worker just returned
+/// with: its positive net live bytes join [`worker_kept_bytes`].
+pub fn note_worker_task(task: &ThreadAllocDelta) {
+    if task.live > 0 {
+        WORKER_KEPT.fetch_add(task.live as u64, Relaxed);
+    }
+}
+
+/// Total bytes that pool tasks on spawned workers were still holding when
+/// they returned, over the life of the process (module docs). Only the
+/// difference of two reads means anything.
+pub fn worker_kept_bytes() -> u64 {
+    WORKER_KEPT.load(Relaxed)
 }
 
 /// Called by pool workers on spawn: touches the thread-local counters so

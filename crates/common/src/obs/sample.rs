@@ -65,14 +65,16 @@ impl Sample {
     }
 
     /// A copy with every run-varying column removed: `seconds` zeroed and
-    /// the sampled OS/allocator gauges (`mem.rss`, `heap.*`) dropped.
+    /// the sampled OS/allocator gauges (`mem.rss`, `heap.*`,
+    /// `pool.worker_kept_bytes`) dropped.
     /// Residency depends on allocator reuse and pool interleaving, so —
     /// unlike tick-indexed counters — those gauges are not seed-stable
     /// across runs; determinism comparisons use this view.
     pub fn deterministic_view(&self) -> Sample {
         let mut s = self.without_seconds();
-        s.gauges
-            .retain(|(k, _)| k != "mem.rss" && !k.starts_with("heap."));
+        s.gauges.retain(|(k, _)| {
+            !matches!(k.as_str(), "mem.rss" | "pool.worker_kept_bytes") && !k.starts_with("heap.")
+        });
         s
     }
 

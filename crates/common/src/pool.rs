@@ -29,6 +29,19 @@
 //! accumulation order independent of chunk boundaries. Results are
 //! therefore bit-identical for any thread count, including 1.
 //!
+//! ## Results go into the caller's memory
+//!
+//! glibc gives every thread that calls `malloc` its own arena, and a block
+//! freed by another thread goes back to the arena it came from. Whatever a
+//! worker allocates and hands back keeps pages resident in the worker's
+//! arena for the rest of the run, even after the caller frees it. So the
+//! align path's tasks write into buffers the caller allocated
+//! ([`Pool::rows_mut`], [`Pool::segments_mut`]) and allocate only scratch
+//! they free before returning; [`Pool::map_blocks`] is for small results or
+//! data the run keeps anyway (the two parsed KG sides). What a task on a
+//! worker still holds when it returns is counted in
+//! [`crate::alloc::worker_kept_bytes`] (DESIGN.md §S0.6).
+//!
 //! ## Sizing
 //!
 //! [`Pool::global`] sizes itself once from `LARGEEA_THREADS` (if a positive
@@ -87,8 +100,14 @@ struct Inner {
 
 impl Inner {
     /// Claims and executes tasks from the current job until none remain.
-    /// Called with the state lock held; returns with it held.
-    fn participate<'a>(&'a self, mut guard: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+    /// Called with the state lock held; returns with it held. `on_worker`:
+    /// this is a spawned worker, whose tasks' kept bytes are booked
+    /// ([`crate::alloc::note_worker_task`]).
+    fn participate<'a>(
+        &'a self,
+        mut guard: MutexGuard<'a, State>,
+        on_worker: bool,
+    ) -> MutexGuard<'a, State> {
         loop {
             let Some(job) = guard.job.as_mut() else {
                 return guard;
@@ -107,6 +126,9 @@ impl Inner {
             // the job drains. For the caller's own participation the
             // take + credit round-trip is a net no-op.
             let task_alloc = crate::alloc::take_since(&mark);
+            if on_worker {
+                crate::alloc::note_worker_task(&task_alloc);
+            }
             guard = self.state.lock().unwrap();
             // Between unlock and relock the job cannot have been replaced:
             // a job is only removed by the caller in `run`, and only after
@@ -137,7 +159,7 @@ impl Inner {
             }
             if guard.epoch != seen_epoch {
                 seen_epoch = guard.epoch;
-                guard = self.participate(guard);
+                guard = self.participate(guard, true);
                 continue; // re-check: a new job may already be published
             }
             guard = self.work.wait(guard).unwrap();
@@ -237,7 +259,7 @@ impl Pool {
                     alloc: crate::alloc::ThreadAllocDelta::default(),
                 });
                 self.inner.work.notify_all();
-                guard = self.inner.participate(guard);
+                guard = self.inner.participate(guard, false);
                 while guard.job.as_ref().expect("job owned by caller").finished < n_tasks {
                     guard = self.inner.done.wait(guard).unwrap();
                 }
@@ -327,6 +349,50 @@ impl Pool {
                 .take()
                 .expect("each task claims its own block once");
             f(block, first_row);
+        });
+    }
+
+    /// [`Pool::rows_mut`] for rows of varying length: row `i` of `data` is
+    /// `data[ends[i - 1]..ends[i]]` (row 0 starts at 0, and `ends` is
+    /// non-decreasing and ends at `data.len()`). Each task gets a run of
+    /// whole rows — their indices and the slice they span — so `ends`
+    /// locates each row inside the slice.
+    ///
+    /// Fewer than `min_rows` rows run as a single inline call.
+    pub fn segments_mut<T: Send>(
+        &self,
+        data: &mut [T],
+        ends: &[usize],
+        min_rows: usize,
+        f: impl Fn(&mut [T], Range<usize>) + Sync,
+    ) {
+        assert_eq!(
+            ends.last().copied().unwrap_or(0),
+            data.len(),
+            "the last row must end the data"
+        );
+        let rows = ends.len();
+        if self.threads <= 1 || rows < min_rows.max(1) {
+            f(data, 0..rows);
+            return;
+        }
+        let rows_per_task = chunk_len(rows, min_rows.max(1), self.threads);
+        type SegmentSlot<'a, T> = Mutex<Option<(&'a mut [T], Range<usize>)>>;
+        let mut slots: Vec<SegmentSlot<'_, T>> = Vec::new();
+        let (mut rest, mut start) = (data, 0);
+        for first in (0..rows).step_by(rows_per_task) {
+            let last = (first + rows_per_task).min(rows);
+            let (block, tail) = rest.split_at_mut(ends[last - 1] - start);
+            slots.push(Mutex::new(Some((block, first..last))));
+            (rest, start) = (tail, ends[last - 1]);
+        }
+        self.run(slots.len(), |i| {
+            let (block, rows) = slots[i]
+                .lock()
+                .unwrap()
+                .take()
+                .expect("each task claims its own rows once");
+            f(block, rows);
         });
     }
 }
@@ -443,6 +509,38 @@ mod tests {
             for (i, &x) in data.iter().enumerate() {
                 assert_eq!(x, (i / cols) as u64);
             }
+        }
+    }
+
+    #[test]
+    fn segments_mut_hands_out_whole_rows() {
+        for threads in [1, 2, 4] {
+            let pool = Pool::new(threads);
+            // row i holds i % 5 elements, some rows empty
+            let ends: Vec<usize> = (0..97)
+                .map(|i| i % 5)
+                .scan(0, |e, len| {
+                    *e += len;
+                    Some(*e)
+                })
+                .collect();
+            let mut data = vec![usize::MAX; *ends.last().unwrap()];
+            pool.segments_mut(&mut data, &ends, 3, |block, rows| {
+                let base = if rows.start == 0 {
+                    0
+                } else {
+                    ends[rows.start - 1]
+                };
+                for r in rows {
+                    let start = if r == 0 { 0 } else { ends[r - 1] };
+                    block[start - base..ends[r] - base].fill(r);
+                }
+            });
+            let mut want = Vec::new();
+            for i in 0..97 {
+                want.extend(std::iter::repeat_n(i, i % 5));
+            }
+            assert_eq!(data, want, "threads={threads}");
         }
     }
 

@@ -49,7 +49,7 @@ use largeea_common::json::{self, Json};
 use largeea_common::obs::{Level, Recorder};
 use largeea_kg::EntityId;
 use largeea_partition::{MiniBatch, MiniBatches};
-use largeea_sim::SparseSimMatrix;
+use largeea_sim::{SimRows, SparseSimMatrix};
 use largeea_tensor::Matrix;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -216,6 +216,19 @@ impl Payload for SparseSimMatrix {
     }
     fn decode(bytes: &[u8]) -> io::Result<Self> {
         largeea_sim::io::read_sparse_sim(bytes)
+    }
+}
+
+/// A mini-batch's similarity block: the `LEAS1` encoding of the matrix
+/// holding just its rows.
+impl Payload for SimRows {
+    fn encode(&self) -> io::Result<Vec<u8>> {
+        let mut out = Vec::new();
+        largeea_sim::io::write_sim_rows(self, &mut out)?;
+        Ok(out)
+    }
+    fn decode(bytes: &[u8]) -> io::Result<Self> {
+        largeea_sim::io::read_sim_rows(bytes)
     }
 }
 

@@ -14,12 +14,16 @@
 use crate::checkpoint::Stage;
 use crate::mem::MemBudget;
 use crate::pipeline::{RunCtx, RunError};
-use crate::spill::SpillStore;
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::KnowledgeGraph;
 use largeea_sim::{resident_bytes, segmented_topk_streamed, Metric, SparseSimMatrix};
-use largeea_text::{batch, normalize_name, HashEncoder, LshIndex, MinHasher};
+use largeea_text::{
+    batch, levenshtein_similarity, normalize_name, HashEncoder, LshIndex, MinHasher,
+};
+use std::convert::Infallible;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Name-channel hyper-parameters (paper defaults in §3.1).
 #[derive(Debug, Clone, Copy)]
@@ -94,8 +98,8 @@ impl NameChannel {
             .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
-    /// Runs NFF against `ctx`: recording into `ctx.rec`, admitting against
-    /// `ctx.budget`, and streaming the SENS embeddings through `ctx.store`.
+    /// Runs NFF against `ctx`: recording into `ctx.rec` and admitting
+    /// against `ctx.budget`.
     ///
     /// Records a `name_channel` span with `stns`/`sens` children, in that
     /// order (the reported `*_seconds` are those spans' durations — single
@@ -106,10 +110,9 @@ impl NameChannel {
     /// STNS runs first, so its signatures and index are never live beside
     /// `M_se`; each stage asks `ctx.budget` for what it is about to hold
     /// (typed [`crate::mem::BudgetExceeded`] when a `--mem-budget` is set).
-    /// SENS runs segment at a time (paper §2.3): embeddings are encoded per
-    /// segment, put into the store, and streamed back block pair by block
-    /// pair, so the search holds at most one query + one base segment
-    /// beside whatever the store's backing keeps resident.
+    /// SENS runs segment at a time (paper §2.3): the search encodes each
+    /// segment when it loads it, so it holds at most one query + one base
+    /// segment whatever `ctx.store`'s backing.
     ///
     /// `M_n` is the channel's one durable boundary ([`Stage::Name`]): a
     /// `ctx.ckpt` that already holds it answers without any of the above
@@ -121,11 +124,7 @@ impl NameChannel {
         ctx: &mut RunCtx<'_>,
     ) -> Result<NameChannelOutput, RunError> {
         let RunCtx {
-            rec,
-            budget,
-            store,
-            ckpt,
-            ..
+            rec, budget, ckpt, ..
         } = ctx;
         let rec = *rec;
         let mut seconds = None;
@@ -135,7 +134,7 @@ impl NameChannel {
             // end of STNS: a stage-boundary tick for the live sampler
             // (likewise after SENS below)
             rec.live_tick();
-            let (m_se, sens_seconds) = self.sens(source, target, rec, budget, store)?;
+            let (m_se, sens_seconds) = self.sens(source, target, rec, budget)?;
             rec.live_tick();
             // In-place fusion: only the fused matrix stays live.
             let mut m_n = m_se;
@@ -154,19 +153,19 @@ impl NameChannel {
 
     /// SENS: semantic name similarity via hash-encoder embeddings +
     /// segment-at-a-time Manhattan top-k. The embeddings never exist as
-    /// whole matrices: each side is encoded one segment at a time
-    /// (`HashEncoder::encode_batch` is per-row deterministic, so segment
-    /// slices equal row slices of a full encoding), put into the store
-    /// under `sens.q<i>` / `sens.b<i>` keys, and the streamed top-k search
-    /// loads at most one query + one base segment at a time — the resident
-    /// set `budget` is asked for once every segment is stored.
+    /// whole matrices: the streamed top-k search asks for one segment of
+    /// rows at a time and its loaders encode just those labels
+    /// (`HashEncoder::encode_batch` is per-row deterministic, so a segment
+    /// equals those rows of a full encoding), each call an `encode` span
+    /// with a `rows` field. The query side is encoded once per base
+    /// segment; in exchange the search holds one query + one base segment,
+    /// the resident set `budget` is asked for, and nothing is stored.
     fn sens(
         &self,
         source: &KnowledgeGraph,
         target: &KnowledgeGraph,
         rec: &Recorder,
         budget: &MemBudget,
-        store: &mut SpillStore,
     ) -> Result<(SparseSimMatrix, f64), RunError> {
         let mut span = rec.span("sens");
         span.field("dim", self.cfg.dim);
@@ -176,34 +175,14 @@ impl NameChannel {
         assert!(segments >= 1, "need at least one segment");
         let n_q = source.num_entities();
         let n_b = target.num_entities();
-        // MUST match `segmented_topk_streamed`'s segment arithmetic so the
-        // loader's `range.start / seg` lands on the right stored artifact.
-        let q_seg = n_q.div_ceil(segments).max(1);
-        let b_seg = n_b.div_ceil(segments).max(1);
-        {
-            let _s = rec.span_at(Level::Detail, "encode");
-            let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
-            for (labels, seg, side) in
-                [(source.labels(), q_seg, 'q'), (target.labels(), b_seg, 'b')]
-            {
-                for (idx, start) in (0..labels.len()).step_by(seg).enumerate() {
-                    let end = (start + seg).min(labels.len());
-                    let m = encoder.encode_batch(&labels[start..end]);
-                    store
-                        .put_matrix(&format!("sens.{side}{idx}"), &m, rec)
-                        .map_err(RunError::Spill)?;
-                }
-            }
-        }
         // The streamed search holds one query + one base segment resident,
         // plus the sketches of every query row and of that base segment.
         budget.admit("sens", resident_bytes(n_q, n_b, self.cfg.dim, segments))?;
-        let store_ref = &*store;
-        let load_q = |r: std::ops::Range<usize>| {
-            store_ref.get_matrix(&format!("sens.q{}", r.start / q_seg), rec)
-        };
-        let load_b = |r: std::ops::Range<usize>| {
-            store_ref.get_matrix(&format!("sens.b{}", r.start / b_seg), rec)
+        let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
+        let encode = |labels: &[String], rows: Range<usize>| {
+            let mut s = rec.span_at(Level::Detail, "encode");
+            s.field("rows", rows.len());
+            Ok::<_, Infallible>(encoder.encode_batch(&labels[rows]))
         };
         let hits = segmented_topk_streamed(
             n_q,
@@ -212,15 +191,10 @@ impl NameChannel {
             Metric::Manhattan,
             segments,
             rec,
-            load_q,
-            load_b,
+            |rows| encode(source.labels(), rows),
+            |rows| encode(target.labels(), rows),
         )
-        .map_err(RunError::Spill)?;
-        for (seg, side, n) in [(q_seg, 'q', n_q), (b_seg, 'b', n_b)] {
-            for (idx, _) in (0..n).step_by(seg).enumerate() {
-                store.remove(&format!("sens.{side}{idx}"));
-            }
-        }
+        .unwrap_or_else(|never| match never {});
         let mut m_se = SparseSimMatrix::from_topk(target.num_entities(), hits);
         // negative distances → [0,1] per row so γ-weighted fusion and the
         // later channel fusion operate on one scale
@@ -241,70 +215,94 @@ impl NameChannel {
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
         let pool = Pool::global();
-        let hasher = MinHasher::new(self.cfg.minhash_perms, self.cfg.seed);
-        let mut index = LshIndex::with_threshold(self.cfg.minhash_perms, self.cfg.theta);
+        let (perms, shingle_k, theta) =
+            (self.cfg.minhash_perms, self.cfg.shingle_k, self.cfg.theta);
+        let hasher = MinHasher::new(perms, self.cfg.seed);
+        let mut index = LshIndex::with_threshold(perms, theta);
         let n_t = target.num_entities();
-        let signatures = n_t * self.cfg.minhash_perms * std::mem::size_of::<u64>();
+        let signatures = n_t * perms * std::mem::size_of::<u64>();
         budget.admit("stns", signatures + index.max_bytes(n_t))?;
         let normalized_t: Vec<String> = target.labels().iter().map(|l| normalize_name(l)).collect();
         let sigs_t = {
             let mut s = rec.span_at(Level::Detail, "sketch");
             s.field("threads", pool.threads());
-            // Signatures in parallel (allocation-free per item); the index
-            // itself needs `&mut`, so inserts stay sequential — one append
-            // per band into flat arrays, under a third of this span at two
-            // threads (12 of 42 ms on DBP1M@0.008).
-            let sigs =
-                batch::minhash_signatures_in(&hasher, &normalized_t, self.cfg.shingle_k, pool);
+            // Signatures in parallel, into one buffer; the index itself
+            // needs `&mut`, so inserts stay sequential — one append per band
+            // into arrays sized up front.
+            let sigs = batch::minhash_signatures_in(&hasher, &normalized_t, shingle_k, pool);
+            index.reserve(sigs.len());
             for (i, sig) in sigs.iter().enumerate() {
                 index.insert(i as u32, sig);
             }
             sigs
         };
 
-        // Hot loop, parallel over source rows: each block scores its rows
-        // against the read-only index and returns (hits, local counters);
-        // blocks merge in row order, so the matrix and the counters are
-        // identical to the sequential loop for any thread count.
+        // Hot loop, parallel over source rows, in two passes that write
+        // only into buffers allocated here (DESIGN.md §S0.6): the first
+        // counts each row's candidates that clear the cheap
+        // estimated-Jaccard gate, the second revisits the rows that have
+        // any and pays Levenshtein for exactly those, into the row's slots
+        // of one flat buffer. Each row is
+        // computed alone and lands in its own slots, so the matrix and the
+        // counters are the sequential loop's for any thread count.
         let mut score_span = rec.span_at(Level::Detail, "score");
         score_span.field("threads", pool.threads());
         let source_labels = source.labels();
-        let blocks = pool.map_blocks(source_labels.len(), 32, |range| {
-            let mut hits: Vec<(usize, u32, f32)> = Vec::new();
-            let (mut cands, mut pruned, mut pairs) = (0u64, 0u64, 0u64);
-            for s in range {
-                let label = normalize_name(&source_labels[s]);
-                let sig = hasher.signature_of(&label, self.cfg.shingle_k);
-                for cand in index.candidates(&sig) {
-                    cands += 1;
-                    // cheap estimated-Jaccard gate before paying for
-                    // Levenshtein
-                    if hasher.estimate(&sig, &sigs_t[cand as usize]) < self.cfg.theta {
-                        pruned += 1;
-                        continue;
-                    }
-                    pairs += 1;
-                    let sim =
-                        largeea_text::levenshtein_similarity(&label, &normalized_t[cand as usize]);
-                    if sim > 0.0 {
-                        hits.push((s, cand, sim as f32));
-                    }
+        // Hands source row `s`'s gated candidates to `pass`, in ascending id
+        // order, with the row's normalised label; returns how many
+        // candidates the index proposed.
+        let gated = |s: usize, sig: &mut [u64], pass: &mut dyn FnMut(&str, u32)| {
+            let label = normalize_name(&source_labels[s]);
+            hasher.signature_into(&label, shingle_k, sig);
+            let cands = index.candidates(sig);
+            for &cand in &cands {
+                if hasher.estimate(sig, sigs_t.get(cand as usize)) >= theta {
+                    pass(&label, cand);
                 }
             }
-            (hits, cands, pruned, pairs)
-        });
-        let mut lsh_candidates = 0u64;
-        let mut pruned_below_theta = 0u64;
-        let mut levenshtein_pairs = 0u64;
-        let mut m_st = SparseSimMatrix::new(source.num_entities(), target.num_entities());
-        for (hits, cands, pruned, pairs) in blocks {
-            lsh_candidates += cands;
-            pruned_below_theta += pruned;
-            levenshtein_pairs += pairs;
-            for (s, cand, sim) in hits {
-                m_st.insert(s, cand, sim);
+            cands.len() as u64
+        };
+        // a statistic, not a result: nothing is published through it
+        let lsh_candidates = AtomicU64::new(0);
+        let mut ends = vec![0usize; source_labels.len()];
+        pool.rows_mut(&mut ends, 1, 32, |block, first| {
+            let (mut sig, mut cands) = (vec![0; perms], 0);
+            for (i, count) in block.iter_mut().enumerate() {
+                cands += gated(first + i, &mut sig, &mut |_, _| *count += 1);
             }
+            lsh_candidates.fetch_add(cands, Ordering::Relaxed);
+        });
+        // counts → ends: row `s`'s pairs take slots `ends[s - 1]..ends[s]`
+        let mut end = 0;
+        for e in &mut ends {
+            end += *e;
+            *e = end;
         }
+        let mut scored = vec![(0u32, 0.0f32); end];
+        pool.segments_mut(&mut scored, &ends, 32, |block, rows| {
+            let (mut sig, mut slots) = (vec![0; perms], block.iter_mut());
+            for s in rows {
+                if ends[s] == s.checked_sub(1).map_or(0, |p| ends[p]) {
+                    continue; // no gated candidate: nothing to score
+                }
+                gated(s, &mut sig, &mut |label, cand| {
+                    let sim = levenshtein_similarity(label, &normalized_t[cand as usize]);
+                    *slots.next().expect("the first pass counted this pair") = (cand, sim as f32);
+                });
+            }
+        });
+        let mut m_st = SparseSimMatrix::new(source.num_entities(), target.num_entities());
+        let mut start = 0;
+        for (s, &end) in ends.iter().enumerate() {
+            // a similarity of 0 is no match: not stored
+            let row = scored[start..end].iter().filter(|&&(_, sim)| sim > 0.0);
+            m_st.insert_row(s, row.copied().collect());
+            start = end;
+        }
+        drop(scored);
+        let lsh_candidates = lsh_candidates.into_inner();
+        let levenshtein_pairs = end as u64;
+        let pruned_below_theta = lsh_candidates - levenshtein_pairs;
         score_span.field("pairs", levenshtein_pairs);
         score_span.finish();
         rec.add("stns.lsh_candidates", lsh_candidates);
@@ -320,6 +318,7 @@ impl NameChannel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spill::SpillStore;
     use largeea_kg::EntityId;
 
     fn kgs() -> (KnowledgeGraph, KnowledgeGraph) {
@@ -376,10 +375,7 @@ mod tests {
         });
         let fused = nc.run(&s, &t).m_n.get(2, 2).unwrap();
         let rec = Recorder::disabled();
-        let mut store = SpillStore::in_memory();
-        let (m_se, _) = nc
-            .sens(&s, &t, &rec, &MemBudget::open(None), &mut store)
-            .unwrap();
+        let (m_se, _) = nc.sens(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         let se = m_se.get(2, 2).unwrap();
         assert!((fused - (se + 0.5)).abs() < 1e-6, "fused {fused} se {se}");
     }
@@ -412,9 +408,8 @@ mod tests {
             ..Default::default()
         };
         let rec = Recorder::disabled();
-        let mut store = SpillStore::in_memory();
         let (m_se, _) = NameChannel::new(cfg)
-            .sens(&s, &t, &rec, &MemBudget::open(None), &mut store)
+            .sens(&s, &t, &rec, &MemBudget::open(None))
             .unwrap();
         for r in 0..30 {
             assert!(m_se.row(r).len() <= 3, "row {r} too wide");

@@ -545,6 +545,10 @@ impl LargeEa {
             }
             rec.gauge("heap.live", largeea_common::alloc::heap_live() as f64);
             rec.gauge_max("heap.peak", largeea_common::alloc::heap_peak() as f64);
+            // what pool workers kept of their own allocations (DESIGN.md
+            // §S0.6): resident in their malloc arenas for the whole run
+            let kept = largeea_common::alloc::worker_kept_bytes();
+            rec.gauge_max("pool.worker_kept_bytes", kept as f64);
         }
         // Final live flush AFTER the last metric lands and BEFORE the trace
         // snapshot below: nothing records in between, so the flushed

@@ -2,9 +2,9 @@
 //! (DESIGN.md §S0.8, docs/ARTIFACT_FORMAT.md).
 //!
 //! Pipeline stages write intermediate blocks *through* a [`SpillStore`]
-//! instead of accumulating them: per-segment name-channel embeddings and
-//! per-batch similarity blocks. Fusion and top-k later stream the blocks
-//! back in. The backing decides where a block waits in between:
+//! instead of accumulating them: the per-batch similarity blocks, which the
+//! structure channel streams back in to assemble `M_s`. The backing decides
+//! where a block waits in between:
 //!
 //! - [`SpillStore::in_memory`] keeps the values themselves in a map — no
 //!   frame, no CRC, no failpoint, no trace traffic.
@@ -30,7 +30,7 @@ use crate::checkpoint::Payload;
 use crate::supervisor::{self, FailpointSite};
 use largeea_common::fsio;
 use largeea_common::obs::{Level, Recorder};
-use largeea_sim::SparseSimMatrix;
+use largeea_sim::SimRows;
 use largeea_tensor::Matrix;
 use std::collections::BTreeMap;
 use std::io;
@@ -53,7 +53,7 @@ pub struct SpillStore {
     /// values in `dense` / `sims` and never touches the fields below them.
     dir: Option<PathBuf>,
     dense: BTreeMap<String, Matrix>,
-    sims: BTreeMap<String, SparseSimMatrix>,
+    sims: BTreeMap<String, SimRows>,
     /// Live artifacts: key → framed bytes on disk.
     live: BTreeMap<String, u64>,
     disk_bytes: u64,
@@ -163,10 +163,10 @@ impl SpillStore {
         self.get(&path, key, rec)
     }
 
-    /// Stores a sparse similarity matrix under `key`, replacing any
-    /// previous artifact with that key: the value itself in memory, a
-    /// `LEAS1` payload in a `LEAF1` frame on disk.
-    pub fn put_sim(&mut self, key: &str, m: SparseSimMatrix, rec: &Recorder) -> io::Result<()> {
+    /// Stores a similarity block under `key`, replacing any previous
+    /// artifact with that key: the value itself in memory, a `LEAS1`
+    /// payload in a `LEAF1` frame on disk.
+    pub fn put_sim(&mut self, key: &str, m: SimRows, rec: &Recorder) -> io::Result<()> {
         let Some(path) = self.path_of(key) else {
             self.sims.insert(key.to_owned(), m);
             return Ok(());
@@ -174,10 +174,10 @@ impl SpillStore {
         self.put(&path, key, &m, rec)
     }
 
-    /// Hands `key`'s similarity matrix over and forgets the artifact: the
+    /// Hands `key`'s similarity block over and forgets the artifact: the
     /// held value itself from memory, a read-back then a delete on disk
     /// (where an unreadable artifact stays).
-    pub fn take_sim(&mut self, key: &str, rec: &Recorder) -> io::Result<SparseSimMatrix> {
+    pub fn take_sim(&mut self, key: &str, rec: &Recorder) -> io::Result<SimRows> {
         let Some(path) = self.path_of(key) else {
             return self.sims.remove(key).ok_or_else(|| absent(key));
         };
@@ -232,25 +232,25 @@ mod tests {
     fn both_backings_answer_the_same_script() {
         let dir = tmpdir("contract");
         let m = Matrix::from_fn(4, 3, |r, c| (r * 3 + c) as f32 * 0.5);
-        let mut sim = SparseSimMatrix::new(3, 3);
-        sim.insert(0, 1, 0.7);
-        sim.insert(2, 0, 0.2);
+        let mut sim = SimRows::new(3, 3);
+        sim.push(0, vec![(1, 0.7)]);
+        sim.push(2, vec![(0, 0.2)]);
         let disk = SpillStore::create(&dir).unwrap();
         for (mut s, on_disk) in [(SpillStore::in_memory(), false), (disk, true)] {
             let rec = rec();
-            s.put_matrix("sens.q0", &m, &rec).unwrap();
+            s.put_matrix("probe.q0", &m, &rec).unwrap();
             s.put_sim("r0.b0.sim", sim.clone(), &rec).unwrap();
             assert_eq!(s.artifact_count(), 2);
-            assert_eq!(s.get_matrix("sens.q0", &rec).unwrap(), m);
+            assert_eq!(s.get_matrix("probe.q0", &rec).unwrap(), m);
             assert_eq!(s.artifact_count(), 2, "a get leaves the artifact");
             assert_eq!(s.take_sim("r0.b0.sim", &rec).unwrap(), sim);
             assert_eq!(s.artifact_count(), 1, "a take forgets it");
             assert!(s.take_sim("r0.b0.sim", &rec).is_err());
-            s.remove("sens.q0");
+            s.remove("probe.q0");
             assert_eq!(s.artifact_count(), 0);
-            s.remove("sens.q0");
+            s.remove("probe.q0");
             assert_eq!(s.artifact_count(), 0, "a second remove is a no-op");
-            assert!(s.get_matrix("sens.q0", &rec).is_err());
+            assert!(s.get_matrix("probe.q0", &rec).is_err());
             let t = rec.trace();
             if on_disk {
                 assert_eq!(t.counter("mem.spill.writes"), 2);

@@ -163,10 +163,11 @@ impl StructureChannel {
     ///
     /// Each batch asks `ctx.budget` for its training state (Adam's two
     /// moments, once the model is built) and for its similarity block
-    /// before it builds them. The block is put into `ctx.store` instead of
-    /// growing `M_s`, and `M_s` is assembled after the training loop by
-    /// taking the blocks back **in batch order** — one insert sequence
-    /// whatever the store's backing.
+    /// before it builds them. The block ([`largeea_sim::SimRows`]: the
+    /// batch's own rows, nothing for the others) is put into `ctx.store`
+    /// instead of growing `M_s`, and `M_s` is assembled after the training
+    /// loop by taking the blocks back **in batch order**, one `insert_row`
+    /// per held row — one insert sequence whatever the store's backing.
     ///
     /// The channel persists its natural boundaries to `ctx.ckpt` as the
     /// `ctx.round`-scoped [`Stage`]s — `Partition` (the mini-batch
@@ -303,14 +304,15 @@ impl StructureChannel {
                     let mut topk_span = rec.span_at(Level::Detail, "topk");
                     topk_span.field("batch", batch.index);
                     rec.add("topk.scored_pairs", (bg.n_source * bg.n_target) as u64);
-                    // fill a fresh block and store it instead of growing
-                    // `m_s` — same final content (each (row, col) is unique
-                    // within a batch and cross-batch duplicates accumulate
-                    // by `+=` either way), and it can be persisted first
-                    let mut block = SparseSimMatrix::new(m_s.n_rows(), m_s.n_cols());
+                    // fill a block of the batch's own rows and store it
+                    // instead of growing `m_s` — same final content (each
+                    // (row, col) is unique within a batch and cross-batch
+                    // duplicates accumulate by `+=` either way), and it can
+                    // be persisted first
                     let entries = bg.n_source * self.cfg.top_k;
                     budget.admit("sim_block", entries * std::mem::size_of::<(u32, f32)>())?;
-                    fill_similarity(&bg, &embeddings, self.cfg.top_k, &mut block, rec);
+                    let shape = (m_s.n_rows(), m_s.n_cols());
+                    let block = fill_similarity(&bg, &embeddings, self.cfg.top_k, shape, rec);
                     ckpt.save(sim, &block, rec)?;
                     store
                         .put_sim(&sim.key(), block, rec)
@@ -346,7 +348,7 @@ impl StructureChannel {
         // assemble M_s by taking the blocks back in batch order
         for block in &stored_blocks {
             match store.take_sim(&block.key(), rec).map_err(RunError::Spill) {
-                Ok(block) => merge_block(&mut m_s, &block),
+                Ok(block) => block.merge_into(&mut m_s),
                 Err(e) => {
                     // a block written earlier became unreadable: same
                     // fate as a batch that never produced one
@@ -404,15 +406,6 @@ fn batch_fault(
         }));
     }
     Err(e)
-}
-
-/// Accumulates a persisted per-batch similarity block into `m_s`.
-fn merge_block(m_s: &mut SparseSimMatrix, block: &SparseSimMatrix) {
-    for r in 0..block.n_rows() {
-        for &(c, s) in block.row(r) {
-            m_s.insert(r, c, s);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! | `topk.pairs_per_sec` | `topk.scored_pairs` counter (similarity pairs scored into `M_s`) | `topk` |
 //! | `train.epochs_per_sec` | number of `epoch` spans | `train` |
 //! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `stns` |
-//! | `sens.encodes_per_sec` | number of `encode` spans | `sens` |
+//! | `sens.encodes_per_sec` | the `encode` spans' `rows` fields (names encoded, each loader call's segment) | `sens` |
 //! | `kg.load_mib_per_sec` | the `load` spans' `bytes` field, in MiB (input files read and parsed) | `load` |
 //!
 //! Beside the rates, [`filter_pass_pcts`] derives what share of the pairs a
@@ -43,7 +43,7 @@ pub struct Throughput {
     pub stage: &'static str,
     /// Work-unit label for display, e.g. `"epochs"`.
     pub unit: &'static str,
-    /// Work units performed (counter value or span count).
+    /// Work units performed (counter value, span count or summed field).
     pub count: f64,
     /// Summed wall-clock seconds of the stage.
     pub seconds: f64,
@@ -57,6 +57,8 @@ enum Work {
     Counter(&'static str),
     /// How many spans of this name were recorded.
     Spans(&'static str),
+    /// A field of every span of this name, summed.
+    Field(&'static str, &'static str),
     /// The stage's spans' `bytes` fields, summed, in MiB.
     MibOfStage,
 }
@@ -89,9 +91,9 @@ const DEFINITIONS: &[(&str, Work, &str, &str)] = &[
     ),
     (
         "sens.encodes_per_sec",
-        Work::Spans("encode"),
+        Work::Field("encode", "rows"),
         "sens",
-        "encodes",
+        "names",
     ),
     ("kg.load_mib_per_sec", Work::MibOfStage, "load", "MiB"),
 ];
@@ -137,6 +139,7 @@ pub fn derived_throughputs(trace: &Trace) -> Vec<Throughput> {
             let count = match work {
                 Work::Counter(c) => trace.counter(c) as f64,
                 Work::Spans(s) => trace.span_count(s) as f64,
+                Work::Field(s, f) => field_sum(&trace.spans, s, f) as f64,
                 Work::MibOfStage => {
                     field_sum(&trace.spans, stage, "bytes") as f64 / (1u64 << 20) as f64
                 }

@@ -63,7 +63,8 @@ fn run_structural(
     let report = train(model.as_mut(), &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
     let off = Recorder::disabled();
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
+    let shape = (sim.n_rows(), sim.n_cols());
+    fill_similarity(&bg, &report.embeddings, top_k, shape, &off).merge_into(&mut sim);
     let peak_bytes = report.peak_bytes + report.embeddings.nbytes() + sim.nbytes();
     BaselineResult {
         sim,
@@ -173,7 +174,8 @@ pub fn bert_int_lite(
     let report = train(&mut model, &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
     let off = Recorder::disabled();
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
+    let shape = (sim.n_rows(), sim.n_cols());
+    fill_similarity(&bg, &report.embeddings, top_k, shape, &off).merge_into(&mut sim);
     let peak_bytes =
         report.peak_bytes + names_bytes * 2 + report.embeddings.nbytes() + sim.nbytes();
     BaselineResult {
@@ -207,7 +209,8 @@ pub fn rdgcn_lite(
     let report = train(&mut model, &bg, cfg);
     let mut sim = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
     let off = Recorder::disabled();
-    fill_similarity(&bg, &report.embeddings, top_k, &mut sim, &off);
+    let shape = (sim.n_rows(), sim.n_cols());
+    fill_similarity(&bg, &report.embeddings, top_k, shape, &off).merge_into(&mut sim);
     let peak_bytes = report.peak_bytes
         + report.embeddings.nbytes()
         + name_s.nbytes()

@@ -22,15 +22,60 @@ pub enum NegStrategy {
     Nearest,
 }
 
-/// Negatives per training pair. `corrupt_target[p]` replaces the pair's
-/// target; `corrupt_source[p]` replaces its source. All ids are batch
-/// locals (targets already offset).
-#[derive(Debug)]
+/// Negatives per training pair: `per_pair` replacement targets and
+/// `per_pair` replacement sources each, pair `p`'s in row `p` of one flat
+/// buffer (targets first). A pair with fewer distinct candidates repeats
+/// them in order to fill its row. All ids are batch locals (targets already
+/// offset).
+#[derive(Debug, PartialEq, Eq)]
 pub struct Negatives {
-    /// Replacement target locals, per positive pair.
-    pub corrupt_target: Vec<Vec<u32>>,
-    /// Replacement source locals, per positive pair.
-    pub corrupt_source: Vec<Vec<u32>>,
+    per_pair: usize,
+    rows: Vec<u32>,
+}
+
+impl Negatives {
+    /// Room for `pairs` rows of `per_pair` negatives per side.
+    fn buffer(pairs: usize, per_pair: usize) -> Self {
+        Self {
+            per_pair,
+            rows: vec![0; pairs * 2 * per_pair],
+        }
+    }
+
+    /// Negatives per pair and corruption side.
+    pub fn per_pair(&self) -> usize {
+        self.per_pair
+    }
+
+    /// Replacement target locals of pair `p`.
+    pub fn corrupt_target(&self, p: usize) -> &[u32] {
+        let row = 2 * self.per_pair * p;
+        &self.rows[row..row + self.per_pair]
+    }
+
+    /// Replacement source locals of pair `p`.
+    pub fn corrupt_source(&self, p: usize) -> &[u32] {
+        let row = 2 * self.per_pair * p;
+        &self.rows[row + self.per_pair..row + 2 * self.per_pair]
+    }
+
+    /// Fills every pair's row on the pool: `fill(p, targets, sources)`.
+    /// The buffer is allocated here, on the caller (DESIGN.md §S0.6).
+    fn fill(
+        pairs: usize,
+        per_pair: usize,
+        min_rows: usize,
+        fill: impl Fn(usize, &mut [u32], &mut [u32]) + Sync,
+    ) -> Self {
+        let mut negs = Self::buffer(pairs, per_pair);
+        Pool::global().rows_mut(&mut negs.rows, 2 * per_pair, min_rows, |block, first| {
+            for (i, row) in block.chunks_exact_mut(2 * per_pair).enumerate() {
+                let (targets, sources) = row.split_at_mut(per_pair);
+                fill(first + i, targets, sources);
+            }
+        });
+        negs
+    }
 }
 
 /// Draws `n_neg` negatives per training pair and corruption side.
@@ -61,49 +106,53 @@ fn random_negatives(bg: &BatchGraph, n_neg: usize, seed: u64) -> Negatives {
     // sees is independent of how pairs are chunked across threads, so the
     // sample is identical for any pool width (and for the sequential path).
     let pairs = &bg.train_pairs;
-    let blocks = Pool::global().map_blocks(pairs.len(), 256, |range| {
-        let mut ct = Vec::with_capacity(range.len());
-        let mut cs = Vec::with_capacity(range.len());
-        for pi in range {
-            let (s, t) = pairs[pi];
-            let mut derive = seed ^ (pi as u64).wrapping_mul(0x9E3779B97F4A7C15);
-            let mut rng = Rng::seed_from_u64(splitmix64(&mut derive));
-            ct.push(draw(
-                &mut rng,
-                n_neg,
-                bg.n_source as u32,
-                bg.n_total() as u32,
-                t,
-            ));
-            cs.push(draw(&mut rng, n_neg, 0, bg.n_source as u32, s));
-        }
-        (ct, cs)
-    });
-    let mut corrupt_target = Vec::with_capacity(pairs.len());
-    let mut corrupt_source = Vec::with_capacity(pairs.len());
-    for (ct, cs) in blocks {
-        corrupt_target.extend(ct);
-        corrupt_source.extend(cs);
-    }
-    Negatives {
-        corrupt_target,
-        corrupt_source,
-    }
+    Negatives::fill(pairs.len(), n_neg, 256, |pi, targets, sources| {
+        let (s, t) = pairs[pi];
+        let mut derive = seed ^ (pi as u64).wrapping_mul(0x9E3779B97F4A7C15);
+        let mut rng = Rng::seed_from_u64(splitmix64(&mut derive));
+        draw(
+            &mut rng,
+            targets,
+            bg.n_source as u32,
+            bg.n_total() as u32,
+            t,
+        );
+        draw(&mut rng, sources, 0, bg.n_source as u32, s);
+    })
 }
 
-fn draw(rng: &mut Rng, n: usize, lo: u32, hi: u32, exclude: u32) -> Vec<u32> {
+/// Fills `out` with draws from `lo..hi` other than `exclude`.
+fn draw(rng: &mut Rng, out: &mut [u32], lo: u32, hi: u32, exclude: u32) {
     let span = hi.saturating_sub(lo);
     if span <= 1 {
-        return vec![exclude; n.max(1)]; // degenerate: nothing else to draw
+        out.fill(exclude); // degenerate: nothing else to draw
+        return;
     }
-    (0..n)
-        .map(|_| loop {
+    for slot in out {
+        *slot = loop {
             let c = lo + rng.gen_range(0..span);
             if c != exclude {
                 break c;
             }
-        })
-        .collect()
+        };
+    }
+}
+
+/// Fills `out` with the first of `candidates`, repeating them in order when
+/// there are fewer; with none, with `fallback`.
+fn fill_cycled(out: &mut [u32], candidates: impl Iterator<Item = u32>, fallback: u32) {
+    let n = out
+        .iter_mut()
+        .zip(candidates)
+        .map(|(slot, c)| *slot = c)
+        .count();
+    if n == 0 {
+        out.fill(fallback); // degenerate single-candidate side
+        return;
+    }
+    for i in n..out.len() {
+        out[i] = out[i % n];
+    }
 }
 
 fn nearest_negatives(
@@ -114,10 +163,7 @@ fn nearest_negatives(
     rec: &Recorder,
 ) -> Negatives {
     if bg.train_pairs.is_empty() {
-        return Negatives {
-            corrupt_target: vec![],
-            corrupt_source: vec![],
-        };
+        return Negatives::buffer(0, n_neg);
     }
     if bg.n_source <= 1 || bg.n_target <= 1 {
         return random_negatives(bg, n_neg, seed);
@@ -136,46 +182,16 @@ fn nearest_negatives(
     rec.add("negatives.scored_pairs", scanned as u64);
     rec.add("negatives.refined_pairs", refined_t + refined_s);
 
-    // Assembly is pure per-pair filtering; parallel blocks concatenate in
-    // pair order, so the result matches the sequential loop exactly.
-    let blocks = Pool::global().map_blocks(bg.train_pairs.len(), 512, |range| {
-        let mut ct_block = Vec::with_capacity(range.len());
-        let mut cs_block = Vec::with_capacity(range.len());
-        for pi in range {
-            let (s, t) = bg.train_pairs[pi];
-            let mut ct: Vec<u32> = hits_t[pi]
-                .iter()
-                .map(|&(id, _)| id + bg.n_source as u32)
-                .filter(|&c| c != t)
-                .take(n_neg)
-                .collect();
-            if ct.is_empty() {
-                ct.push(t); // degenerate single-candidate side
-            }
-            ct_block.push(ct);
-            let mut cs: Vec<u32> = hits_s[pi]
-                .iter()
-                .map(|&(id, _)| id)
-                .filter(|&c| c != s)
-                .take(n_neg)
-                .collect();
-            if cs.is_empty() {
-                cs.push(s);
-            }
-            cs_block.push(cs);
-        }
-        (ct_block, cs_block)
-    });
-    let mut corrupt_target = Vec::with_capacity(bg.train_pairs.len());
-    let mut corrupt_source = Vec::with_capacity(bg.train_pairs.len());
-    for (ct, cs) in blocks {
-        corrupt_target.extend(ct);
-        corrupt_source.extend(cs);
-    }
-    Negatives {
-        corrupt_target,
-        corrupt_source,
-    }
+    // Assembly is pure per-pair filtering into each pair's own row, so the
+    // result matches the sequential loop exactly.
+    let offset = bg.n_source as u32;
+    Negatives::fill(bg.train_pairs.len(), n_neg, 512, |pi, targets, sources| {
+        let (s, t) = bg.train_pairs[pi];
+        let near_t = hits_t[pi].iter().map(|&(id, _)| id + offset);
+        fill_cycled(targets, near_t.filter(|&c| c != t), t);
+        let near_s = hits_s[pi].iter().map(|&(id, _)| id);
+        fill_cycled(sources, near_s.filter(|&c| c != s), s);
+    })
 }
 
 #[cfg(test)]
@@ -209,13 +225,15 @@ mod tests {
         let emb = Matrix::zeros(bg.n_total(), 4);
         let negs = sample_negatives(&bg, &emb, 8, NegStrategy::Random, 3, &Recorder::disabled());
         for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
-            assert!(negs.corrupt_target[pi].iter().all(|&c| c != t));
-            assert!(negs.corrupt_source[pi].iter().all(|&c| c != s));
+            assert!(negs.corrupt_target(pi).iter().all(|&c| c != t));
+            assert!(negs.corrupt_source(pi).iter().all(|&c| c != s));
             // ranges respected
-            assert!(negs.corrupt_target[pi]
+            assert!(negs
+                .corrupt_target(pi)
                 .iter()
                 .all(|&c| (c as usize) >= bg.n_source));
-            assert!(negs.corrupt_source[pi]
+            assert!(negs
+                .corrupt_source(pi)
                 .iter()
                 .all(|&c| (c as usize) < bg.n_source));
         }
@@ -232,7 +250,7 @@ mod tests {
         // anchor s=0 (value 0); targets are 6..12 with values 6..12; true t=6
         let negs = sample_negatives(&bg, &emb, 2, NegStrategy::Nearest, 1, &Recorder::disabled());
         // nearest non-partner target to s=0 is local 7
-        assert_eq!(negs.corrupt_target[0][0], 7);
+        assert_eq!(negs.corrupt_target(0)[0], 7);
     }
 
     #[test]
@@ -241,9 +259,10 @@ mod tests {
         let emb = Matrix::zeros(bg.n_total(), 4);
         for strat in [NegStrategy::Random, NegStrategy::Nearest] {
             let negs = sample_negatives(&bg, &emb, 3, strat, 5, &Recorder::disabled());
-            assert_eq!(negs.corrupt_target.len(), bg.train_pairs.len());
-            for v in &negs.corrupt_target {
-                assert!(!v.is_empty() && v.len() <= 3);
+            assert_eq!(negs.per_pair(), 3);
+            for pi in 0..bg.train_pairs.len() {
+                assert_eq!(negs.corrupt_target(pi).len(), 3);
+                assert_eq!(negs.corrupt_source(pi).len(), 3);
             }
         }
     }
@@ -254,6 +273,17 @@ mod tests {
         let emb = Matrix::zeros(bg.n_total(), 4);
         let a = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11, &Recorder::disabled());
         let b = sample_negatives(&bg, &emb, 4, NegStrategy::Random, 11, &Recorder::disabled());
-        assert_eq!(a.corrupt_target, b.corrupt_target);
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fewer_candidates_than_slots_repeat_in_order() {
+        let mut out = [0u32; 5];
+        fill_cycled(&mut out, [7, 9].into_iter(), 1);
+        assert_eq!(out, [7, 9, 7, 9, 7]);
+        fill_cycled(&mut out, std::iter::empty(), 1);
+        assert_eq!(out, [1; 5]);
+        fill_cycled(&mut out, 10..20, 1);
+        assert_eq!(out, [10, 11, 12, 13, 14]);
     }
 }

@@ -151,13 +151,12 @@ pub struct TrainReport {
 fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<IndexList>; 4] {
     let rows = bg.train_pairs.len() * n_neg;
     let [mut s_rep, mut t_rep, mut neg_t, mut neg_s] = [(); 4].map(|()| Vec::with_capacity(rows));
+    assert_eq!(negs.per_pair(), n_neg, "negatives per pair");
     for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
-        for ni in 0..n_neg {
-            s_rep.push(s);
-            t_rep.push(t);
-            neg_t.push(negs.corrupt_target[pi][ni % negs.corrupt_target[pi].len()]);
-            neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
-        }
+        s_rep.extend(std::iter::repeat_n(s, n_neg));
+        t_rep.extend(std::iter::repeat_n(t, n_neg));
+        neg_t.extend_from_slice(negs.corrupt_target(pi));
+        neg_s.extend_from_slice(negs.corrupt_source(pi));
     }
     [s_rep, t_rep, neg_t, neg_s].map(|list| Rc::new(IndexList::new(list, bg.n_total())))
 }

@@ -10,20 +10,46 @@
 //! magic "LEAS1\0" | n_rows u64 | n_cols u64
 //! per row: len u64 | len × (col u32, score f32)
 //! ```
+//!
+//! A [`SimRows`] block is written in the same layout, `len 0` for every row
+//! it does not hold, so a block and the matrix with just its rows encode to
+//! the same bytes.
 
-use crate::sparse_sim::SparseSimMatrix;
+use crate::sparse_sim::{SimRows, SparseSimMatrix};
 use std::io::{self, Read, Write};
 
 const MAGIC: &[u8; 6] = b"LEAS1\0";
 
 /// Writes `m` in the binary sparse-similarity format.
-pub fn write_sparse_sim<W: Write>(m: &SparseSimMatrix, mut w: W) -> io::Result<()> {
+pub fn write_sparse_sim<W: Write>(m: &SparseSimMatrix, w: W) -> io::Result<()> {
+    let rows = (0..m.n_rows()).map(|r| (r, m.row(r)));
+    write_rows(w, m.n_rows(), m.n_cols(), rows)
+}
+
+/// Writes `block` in the binary sparse-similarity format.
+pub fn write_sim_rows<W: Write>(block: &SimRows, w: W) -> io::Result<()> {
+    write_rows(w, block.n_rows(), block.n_cols(), block.rows())
+}
+
+/// The format's header, then `n_rows` rows of which `rows` (ascending) are
+/// the non-empty ones.
+fn write_rows<'a, W: Write>(
+    mut w: W,
+    n_rows: usize,
+    n_cols: usize,
+    rows: impl Iterator<Item = (usize, &'a [(u32, f32)])>,
+) -> io::Result<()> {
     w.write_all(MAGIC)?;
-    w.write_all(&(m.n_rows() as u64).to_le_bytes())?;
-    w.write_all(&(m.n_cols() as u64).to_le_bytes())?;
+    w.write_all(&(n_rows as u64).to_le_bytes())?;
+    w.write_all(&(n_cols as u64).to_le_bytes())?;
+    let empty = 0u64.to_le_bytes();
+    let mut next = 0;
     let mut buf = Vec::new();
-    for r in 0..m.n_rows() {
-        let row = m.row(r);
+    for (r, row) in rows {
+        for _ in next..r {
+            w.write_all(&empty)?;
+        }
+        next = r + 1;
         buf.clear();
         buf.extend_from_slice(&(row.len() as u64).to_le_bytes());
         for &(c, s) in row {
@@ -32,11 +58,39 @@ pub fn write_sparse_sim<W: Write>(m: &SparseSimMatrix, mut w: W) -> io::Result<(
         }
         w.write_all(&buf)?;
     }
+    for _ in next..n_rows {
+        w.write_all(&empty)?;
+    }
     Ok(())
 }
 
 /// Reads a matrix previously written by [`write_sparse_sim`].
 pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
+    let (n_rows, n_cols) = read_header(&mut r)?;
+    // The header is untrusted: nothing is sized from `n_rows` or a row's
+    // `len`. Rows are collected as they are actually read, so an inflated
+    // count runs into `UnexpectedEof` after at most the file's own bytes.
+    let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
+    for row in 0..n_rows {
+        rows.push(read_row(&mut r, row, n_cols)?);
+    }
+    Ok(SparseSimMatrix::from_topk(n_cols, rows))
+}
+
+/// Reads a block written by [`write_sim_rows`] (or any matrix in the
+/// format): its empty rows are skipped, not held.
+pub fn read_sim_rows<R: Read>(mut r: R) -> io::Result<SimRows> {
+    let (n_rows, n_cols) = read_header(&mut r)?;
+    let mut block = SimRows::new(n_rows as usize, n_cols);
+    for row in 0..n_rows {
+        let hits = read_row(&mut r, row, n_cols)?;
+        block.push(row as usize, hits);
+    }
+    Ok(block)
+}
+
+/// The magic and `(n_rows, n_cols)`.
+fn read_header<R: Read>(r: &mut R) -> io::Result<(u64, usize)> {
     let mut magic = [0u8; 6];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -49,40 +103,36 @@ pub fn read_sparse_sim<R: Read>(mut r: R) -> io::Result<SparseSimMatrix> {
     r.read_exact(&mut n)?;
     let n_rows = u64::from_le_bytes(n);
     r.read_exact(&mut n)?;
-    let n_cols = match u64::from_le_bytes(n) {
+    match u64::from_le_bytes(n) {
         // column ids are u32: a wider matrix cannot have been written
-        c if c <= 1 << 32 => c as usize,
-        c => {
+        c if c <= 1 << 32 => Ok((n_rows, c as usize)),
+        c => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{c} columns, more than a u32 column id can name"),
+        )),
+    }
+}
+
+/// One row's `len` and entries; every column is checked against `n_cols`.
+fn read_row<R: Read>(r: &mut R, row: u64, n_cols: usize) -> io::Result<Vec<(u32, f32)>> {
+    let mut n = [0u8; 8];
+    r.read_exact(&mut n)?;
+    let len = u64::from_le_bytes(n);
+    let mut hits = Vec::new();
+    let mut entry = [0u8; 8];
+    for _ in 0..len {
+        r.read_exact(&mut entry)?;
+        let col = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
+        let score = f32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
+        if (col as usize) >= n_cols {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("{c} columns, more than a u32 column id can name"),
-            ))
+                format!("column {col} out of range in row {row}"),
+            ));
         }
-    };
-    // The header is untrusted: nothing is sized from `n_rows` or a row's
-    // `len`. Rows are collected as they are actually read, so an inflated
-    // count runs into `UnexpectedEof` after at most the file's own bytes.
-    let mut rows: Vec<Vec<(u32, f32)>> = Vec::new();
-    let mut entry = [0u8; 8];
-    for row in 0..n_rows {
-        r.read_exact(&mut n)?;
-        let len = u64::from_le_bytes(n);
-        let mut hits = Vec::new();
-        for _ in 0..len {
-            r.read_exact(&mut entry)?;
-            let col = u32::from_le_bytes([entry[0], entry[1], entry[2], entry[3]]);
-            let score = f32::from_le_bytes([entry[4], entry[5], entry[6], entry[7]]);
-            if (col as usize) >= n_cols {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("column {col} out of range in row {row}"),
-                ));
-            }
-            hits.push((col, score));
-        }
-        rows.push(hits);
+        hits.push((col, score));
     }
-    Ok(SparseSimMatrix::from_topk(n_cols, rows))
+    Ok(hits)
 }
 
 /// Prefixes `path` onto an I/O error so callers see *which* file failed —
@@ -122,6 +172,23 @@ mod tests {
         let mut buf = Vec::new();
         write_sparse_sim(&m, &mut buf).unwrap();
         assert_eq!(read_sparse_sim(&buf[..]).unwrap(), m);
+    }
+
+    #[test]
+    fn a_block_encodes_as_the_matrix_of_its_rows() {
+        let mut block = SimRows::new(5, 6);
+        block.push(1, vec![(5, -2.25), (1, 0.5)]);
+        block.push(2, vec![]);
+        block.push(3, vec![(0, 1e-8)]);
+        let mut m = SparseSimMatrix::new(5, 6);
+        block.clone().merge_into(&mut m);
+        let (mut from_block, mut from_matrix) = (Vec::new(), Vec::new());
+        write_sim_rows(&block, &mut from_block).unwrap();
+        write_sparse_sim(&m, &mut from_matrix).unwrap();
+        assert_eq!(from_block, from_matrix);
+        assert_eq!(read_sim_rows(&from_block[..]).unwrap(), block);
+        assert_eq!(read_sparse_sim(&from_block[..]).unwrap(), m);
+        assert_eq!(read_sim_rows(&from_block[..]).unwrap().rows().count(), 2);
     }
 
     #[test]
@@ -220,6 +287,9 @@ mod tests {
             // had every row's length and entries in the payload
             if let Ok(back) = read_sparse_sim(&bytes[..]) {
                 assert!(22 + back.n_rows() * 8 + back.nnz() * 8 <= bytes.len());
+            }
+            if let Ok(block) = read_sim_rows(&bytes[..]) {
+                assert!(22 + block.nnz() * 8 <= bytes.len());
             }
         });
     }

@@ -10,7 +10,7 @@
 //! - [`sparse_sim`] — [`SparseSimMatrix`], the top-k row-sparse similarity
 //!   matrix every channel produces and the fusion step combines
 //!   (`M = M_s + M_n`), with mutual-top-1 extraction for the name-based
-//!   data augmentation.
+//!   data augmentation, and [`SimRows`], the rows one mini-batch fills.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -22,7 +22,7 @@ pub mod sparse_sim;
 pub mod topk;
 
 pub use ivf::IvfIndex;
-pub use sparse_sim::SparseSimMatrix;
+pub use sparse_sim::{SimRows, SparseSimMatrix};
 pub use topk::{
     resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_counted,
     topk_search_in, Metric,

@@ -75,23 +75,10 @@ impl SparseSimMatrix {
     /// `row`, in one merge instead of a search and a shift per entry.
     /// Entry by entry the sums are formed in the order `insert` would form
     /// them: a column's stored score first, then its `hits` left to right.
-    pub fn insert_row(&mut self, row: usize, mut hits: Vec<(u32, f32)>) {
-        hits.sort_by_key(|&(c, _)| c); // stable: equal columns keep their order
-        if let Some(&(c, _)) = hits.last() {
-            assert!((c as usize) < self.n_cols, "col {c} out of range");
-        }
+    /// The row is left at exact length.
+    pub fn insert_row(&mut self, row: usize, hits: Vec<(u32, f32)>) {
         let stored = std::mem::take(&mut self.rows[row]);
-        let mut merged: Vec<(u32, f32)> = Vec::with_capacity(stored.len() + hits.len());
-        let mut stored = stored.into_iter().peekable();
-        for (c, s) in hits {
-            merged.extend(std::iter::from_fn(|| stored.next_if(|e| e.0 <= c)));
-            match merged.last_mut() {
-                Some(last) if last.0 == c => last.1 += s,
-                _ => merged.push((c, s)),
-            }
-        }
-        merged.extend(stored);
-        self.rows[row] = merged;
+        self.rows[row] = merge_hits(stored, hits, self.n_cols);
     }
 
     /// The stored `(col, score)` entries of `row`, ascending by column.
@@ -429,6 +416,125 @@ fn top_mean(it: impl Iterator<Item = f32>, k: usize) -> f32 {
     v.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite scores"));
     v.truncate(k);
     v.iter().sum::<f32>() / v.len() as f32
+}
+
+/// `stored` (a column-sorted row) with `hits` added as
+/// [`SparseSimMatrix::insert_row`] adds them, at exact length.
+fn merge_hits(
+    stored: Vec<(u32, f32)>,
+    mut hits: Vec<(u32, f32)>,
+    n_cols: usize,
+) -> Vec<(u32, f32)> {
+    hits.sort_by_key(|&(c, _)| c); // stable: equal columns keep their order
+    if let Some(&(c, _)) = hits.last() {
+        assert!((c as usize) < n_cols, "col {c} out of range");
+    }
+    if stored.is_empty() {
+        // the merge below, in place: each column's hits summed left to right
+        hits.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 += later.1;
+            }
+            same
+        });
+        hits.shrink_to_fit();
+        return hits;
+    }
+    let mut merged: Vec<(u32, f32)> = Vec::with_capacity(stored.len() + hits.len());
+    let mut stored = stored.into_iter().peekable();
+    for (c, s) in hits {
+        merged.extend(std::iter::from_fn(|| stored.next_if(|e| e.0 <= c)));
+        match merged.last_mut() {
+            Some(last) if last.0 == c => last.1 += s,
+            _ => merged.push((c, s)),
+        }
+    }
+    merged.extend(stored);
+    merged.shrink_to_fit();
+    merged
+}
+
+/// Some rows of an `n_rows × n_cols` similarity matrix: the block one
+/// mini-batch fills (paper §2.2.2). Rows are held as `(row, entries)` in
+/// ascending row order, each row's entries ascending by column at exact
+/// length, so a block costs its own rows and nothing for the rows it lacks.
+/// [`SimRows::merge_into`] adds it into a whole [`SparseSimMatrix`].
+///
+/// ```
+/// use largeea_sim::{SimRows, SparseSimMatrix};
+///
+/// let mut block = SimRows::new(1000, 4);
+/// block.push(7, vec![(3, 0.5), (1, 0.25)]);
+/// let mut m = SparseSimMatrix::new(1000, 4);
+/// block.merge_into(&mut m);
+/// assert_eq!(m.row(7), &[(1, 0.25), (3, 0.5)]);
+/// ```
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimRows {
+    n_rows: usize,
+    n_cols: usize,
+    rows: Vec<(usize, Vec<(u32, f32)>)>,
+}
+
+impl SimRows {
+    /// A block of an `n_rows × n_cols` matrix that holds no row yet.
+    pub fn new(n_rows: usize, n_cols: usize) -> Self {
+        Self {
+            n_rows,
+            n_cols,
+            rows: Vec::new(),
+        }
+    }
+
+    /// Makes room to hold `rows` more rows without growing.
+    pub fn reserve(&mut self, rows: usize) {
+        self.rows.reserve_exact(rows);
+    }
+
+    /// Rows of the whole matrix (held or not).
+    pub fn n_rows(&self) -> usize {
+        self.n_rows
+    }
+
+    /// Columns of the whole matrix.
+    pub fn n_cols(&self) -> usize {
+        self.n_cols
+    }
+
+    /// Adds `row` with `hits` stored as [`SparseSimMatrix::insert_row`]
+    /// stores them in an empty row. Rows come in ascending order, each at
+    /// most once; a row without entries is not held.
+    pub fn push(&mut self, row: usize, hits: Vec<(u32, f32)>) {
+        assert!(row < self.n_rows, "row {row} out of range");
+        if let Some(&(last, _)) = self.rows.last() {
+            assert!(row > last, "row {row} pushed after row {last}");
+        }
+        if !hits.is_empty() {
+            self.rows
+                .push((row, merge_hits(Vec::new(), hits, self.n_cols)));
+        }
+    }
+
+    /// The held rows as `(row, entries)`, ascending.
+    pub fn rows(&self) -> impl Iterator<Item = (usize, &[(u32, f32)])> {
+        self.rows.iter().map(|(r, e)| (*r, e.as_slice()))
+    }
+
+    /// Total number of stored entries.
+    pub fn nnz(&self) -> usize {
+        self.rows.iter().map(|(_, e)| e.len()).sum()
+    }
+
+    /// Adds every held row into `m` with one [`SparseSimMatrix::insert_row`]
+    /// each, so the sums are the ones per-entry inserts would form.
+    pub fn merge_into(self, m: &mut SparseSimMatrix) {
+        assert_eq!(m.n_rows(), self.n_rows, "row count mismatch");
+        assert_eq!(m.n_cols(), self.n_cols, "col count mismatch");
+        for (row, hits) in self.rows {
+            m.insert_row(row, hits);
+        }
+    }
 }
 
 fn merge_rows(a: &[(u32, f32)], b: &[(u32, f32)], gamma: f32) -> Vec<(u32, f32)> {

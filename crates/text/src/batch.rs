@@ -2,24 +2,25 @@
 //!
 //! The NFF string matrix is O(n²) string operations; these helpers fan the
 //! per-item work out over the persistent pool (DESIGN.md §S0.6). Every
-//! function collects per-block results in block order, and every item is
-//! computed independently, so outputs are bit-identical for any thread
-//! count. The `*_in` variants take an explicit [`Pool`] so tests can pin
+//! function keeps its items in input order (signatures are written in place
+//! into one caller-side buffer, similarities collected per block in block
+//! order), and every item is computed independently, so outputs are
+//! bit-identical for any thread count. The `*_in` variants take an explicit [`Pool`] so tests can pin
 //! the width; the plain variants use [`Pool::global`].
 
 use crate::jaccard::{jaccard, shingles};
 use crate::levenshtein::levenshtein_similarity;
-use crate::minhash::{MinHasher, Signature};
+use crate::minhash::{MinHasher, Signatures};
 use largeea_tensor::parallel::Pool;
 
 /// MinHash signatures of `texts` (already-normalised labels), in input
-/// order, parallel over text blocks. Uses the allocation-free
-/// [`MinHasher::signature_of`] path per item.
+/// order, parallel over text blocks: one buffer allocated here and filled
+/// in place through [`MinHasher::signature_into`], so no task allocates.
 pub fn minhash_signatures<S: AsRef<str> + Sync>(
     hasher: &MinHasher,
     texts: &[S],
     shingle_k: usize,
-) -> Vec<Signature> {
+) -> Signatures {
     minhash_signatures_in(hasher, texts, shingle_k, Pool::global())
 }
 
@@ -29,15 +30,15 @@ pub fn minhash_signatures_in<S: AsRef<str> + Sync>(
     texts: &[S],
     shingle_k: usize,
     pool: &Pool,
-) -> Vec<Signature> {
-    pool.map_blocks(texts.len(), 64, |range| {
-        range
-            .map(|i| hasher.signature_of(texts[i].as_ref(), shingle_k))
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+) -> Signatures {
+    let mut sigs = Signatures::buffer(hasher, texts.len());
+    let perms = hasher.num_perms();
+    pool.rows_mut(sigs.as_mut_slice(), perms, 64, |block, first| {
+        for (i, sig) in block.chunks_exact_mut(perms).enumerate() {
+            hasher.signature_into(texts[first + i].as_ref(), shingle_k, sig);
+        }
+    });
+    sigs
 }
 
 /// Normalised Levenshtein similarity for each `(a, b)` pair, in pair
@@ -102,9 +103,11 @@ mod tests {
         let mh = MinHasher::new(32, 7);
         let texts: Vec<String> = (0..200).map(|i| format!("entity number {i}")).collect();
         let par = minhash_signatures(&mh, &texts, 3);
+        assert_eq!(par.len(), texts.len());
         for (i, t) in texts.iter().enumerate() {
-            assert_eq!(par[i], mh.signature_of(t, 3), "text {i}");
+            assert_eq!(par.get(i), mh.signature_of(t, 3), "text {i}");
         }
+        assert!(minhash_signatures(&mh, &[""; 0], 3).is_empty());
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub use hash_encoder::HashEncoder;
 pub use jaccard::{jaccard, shingles};
 pub use levenshtein::{levenshtein, levenshtein_bounded, levenshtein_similarity};
 pub use lsh::LshIndex;
-pub use minhash::{MinHasher, Signature};
+pub use minhash::{MinHasher, Signature, Signatures};
 pub use normalize::normalize_name;
 pub use tokenize::{char_ngrams, tokens};

@@ -8,7 +8,6 @@
 //! `(b, r)` to put that inflection at θ, like datasketch does.
 
 use crate::hashing::mix;
-use crate::minhash::Signature;
 
 /// End of a bucket chain.
 const NIL: u32 = u32::MAX;
@@ -16,8 +15,10 @@ const NIL: u32 = u32::MAX;
 /// An LSH index over MinHash signatures, in flat arrays: an insert appends
 /// one entry per band (entry `e` is insert `e / bands`, band `e % bands`),
 /// chained from its band's table of `slots` heads by the low bits of its
-/// key, which is already a [`mix`]ed hash. No allocation per bucket, and at
-/// most `32 · bands + 8` bytes per inserted id.
+/// key, which is already a [`mix`]ed hash. No allocation per bucket. An
+/// index [`LshIndex::reserve`]d for its inserts holds exactly
+/// [`LshIndex::max_bytes`]; one that grows doubles its arrays and relinks
+/// every entry each time the inserts outnumber the slots.
 #[derive(Debug)]
 pub struct LshIndex {
     bands: usize,
@@ -72,11 +73,39 @@ impl LshIndex {
         (self.bands, self.rows)
     }
 
-    /// The most bytes the index holds after `n` inserts (the bound in the
-    /// type's docs): what a caller keeping a memory budget asks for before
-    /// it builds one.
+    /// The bytes an empty index [`LshIndex::reserve`]d for `n` inserts
+    /// holds, to the byte: per insert its id and `bands` entries of a key
+    /// and a link, and `bands` head tables of `n` rounded up to a power of
+    /// two slots. What a caller keeping a memory budget asks for before it
+    /// builds one.
     pub fn max_bytes(&self, n: usize) -> usize {
-        n * (32 * self.bands + 8)
+        let entry = std::mem::size_of::<u64>() + std::mem::size_of::<u32>();
+        n * (std::mem::size_of::<u32>() + self.bands * entry)
+            + self.bands * n.next_power_of_two() * std::mem::size_of::<u32>()
+    }
+
+    /// Sizes the index for `n` more inserts at once, so they grow no array
+    /// and relink nothing.
+    pub fn reserve(&mut self, n: usize) {
+        let total = self.ids.len() + n;
+        self.ids.reserve_exact(n);
+        self.keys.reserve_exact(n * self.bands);
+        self.next.reserve_exact(n * self.bands);
+        self.resize_slots(total.next_power_of_two().max(self.slots));
+    }
+
+    /// Gives every band's table `slots` heads and relinks every entry.
+    fn resize_slots(&mut self, slots: usize) {
+        if slots == self.slots {
+            return;
+        }
+        self.slots = slots;
+        self.heads.clear();
+        self.heads.reserve_exact(self.bands * slots);
+        self.heads.resize(self.bands * slots, NIL);
+        for e in 0..self.keys.len() {
+            self.link(e);
+        }
     }
 
     /// Where band `band`'s chain for `key` starts in `heads`.
@@ -92,15 +121,10 @@ impl LshIndex {
 
     /// Inserts `id` with its signature. When the inserts outnumber the
     /// slots, every band's table doubles and all entries are relinked.
-    pub fn insert(&mut self, id: u32, sig: &Signature) {
+    pub fn insert(&mut self, id: u32, sig: &[u64]) {
         let keys = band_keys(self.bands, self.rows, sig);
         if self.ids.len() == self.slots {
-            self.slots *= 2;
-            self.heads.fill(NIL);
-            self.heads.resize(self.bands * self.slots, NIL);
-            for e in 0..self.keys.len() {
-                self.link(e);
-            }
+            self.resize_slots(2 * self.slots);
         }
         self.ids.push(id);
         for key in keys {
@@ -113,7 +137,7 @@ impl LshIndex {
 
     /// All ids that share at least one band bucket with `sig`, deduplicated,
     /// in ascending order.
-    pub fn candidates(&self, sig: &Signature) -> Vec<u32> {
+    pub fn candidates(&self, sig: &[u64]) -> Vec<u32> {
         let mut out = Vec::new();
         for (band, key) in band_keys(self.bands, self.rows, sig).enumerate() {
             let mut e = self.heads[self.slot(band, key)];
@@ -132,7 +156,7 @@ impl LshIndex {
 
 /// One key per band: the band's `rows` signature values hashed together
 /// under the band's own seed.
-fn band_keys(bands: usize, rows: usize, sig: &Signature) -> impl Iterator<Item = u64> + '_ {
+fn band_keys(bands: usize, rows: usize, sig: &[u64]) -> impl Iterator<Item = u64> + '_ {
     assert_eq!(
         sig.len(),
         bands * rows,
@@ -154,7 +178,7 @@ mod tests {
     use super::*;
     use crate::hashing::seed_key;
     use crate::jaccard::shingles;
-    use crate::minhash::MinHasher;
+    use crate::minhash::{MinHasher, Signature};
     use largeea_common::check::for_each_case;
     use largeea_common::rng::Rng;
     use std::collections::HashMap;
@@ -272,9 +296,32 @@ mod tests {
     }
 
     #[test]
+    fn a_reserved_index_answers_like_a_grown_one_in_exactly_its_bytes() {
+        let mh = MinHasher::new(32, 4);
+        let names: Vec<String> = (0..300).map(|i| format!("name {}", i % 97)).collect();
+        let sigs: Vec<Signature> = names.iter().map(|n| mh.signature_of(n, 3)).collect();
+        let mut grown = LshIndex::new(8, 4);
+        let mut reserved = LshIndex::new(8, 4);
+        reserved.reserve(sigs.len());
+        for (i, sig) in sigs.iter().enumerate() {
+            grown.insert(i as u32, sig);
+            reserved.insert(i as u32, sig);
+        }
+        for sig in &sigs {
+            assert_eq!(reserved.candidates(sig), grown.candidates(sig));
+        }
+        let held = reserved.ids.capacity() * 4
+            + reserved.keys.capacity() * 8
+            + reserved.next.capacity() * 4
+            + reserved.heads.capacity() * 4;
+        assert_eq!(held, reserved.max_bytes(sigs.len()));
+        assert_eq!(reserved.slots, grown.slots, "the same tables either way");
+    }
+
+    #[test]
     #[should_panic(expected = "signature length")]
     fn wrong_signature_length_panics() {
         let mut idx = LshIndex::new(4, 4);
-        idx.insert(0, &vec![1, 2, 3]);
+        idx.insert(0, &[1, 2, 3]);
     }
 }

@@ -7,6 +7,50 @@ use std::collections::BTreeSet;
 /// A MinHash signature: one minimum per permutation.
 pub type Signature = Vec<u64>;
 
+/// The signatures of many texts in one flat buffer, `num_perms` values per
+/// text: one allocation however many texts, made by the caller of the
+/// parallel fill ([`crate::batch::minhash_signatures`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Signatures {
+    num_perms: usize,
+    data: Vec<u64>,
+}
+
+impl Signatures {
+    /// Number of signatures.
+    pub fn len(&self) -> usize {
+        self.data.len() / self.num_perms
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    /// Signature `i`.
+    pub fn get(&self, i: usize) -> &[u64] {
+        &self.data[i * self.num_perms..(i + 1) * self.num_perms]
+    }
+
+    /// The signatures in order.
+    pub fn iter(&self) -> std::slice::ChunksExact<'_, u64> {
+        self.data.chunks_exact(self.num_perms)
+    }
+
+    /// `n` signatures' worth of buffer for `hasher`, and the signature
+    /// length: what a parallel fill writes into.
+    pub(crate) fn buffer(hasher: &MinHasher, n: usize) -> Self {
+        Self {
+            num_perms: hasher.num_perms(),
+            data: vec![0; n * hasher.num_perms()],
+        }
+    }
+
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u64] {
+        &mut self.data
+    }
+}
+
 /// Computes MinHash signatures whose component-wise equality rate is an
 /// unbiased estimator of Jaccard similarity.
 ///
@@ -54,8 +98,17 @@ impl MinHasher {
         sig
     }
 
-    /// The signature of `text`'s character `k`-shingles, computed directly
-    /// from the string — no `BTreeSet`, no per-shingle `String`.
+    /// The signature of `text`'s character `k`-shingles: a fresh
+    /// [`MinHasher::signature_into`].
+    pub fn signature_of(&self, text: &str, k: usize) -> Signature {
+        let mut sig = vec![0; self.num_perms];
+        self.signature_into(text, k, &mut sig);
+        sig
+    }
+
+    /// Writes the signature of `text`'s character `k`-shingles into `sig`
+    /// (`num_perms` long), computed directly from the string — no
+    /// `BTreeSet`, no per-shingle `String`, no allocation at all.
     ///
     /// Bit-identical to `signature(&shingles(text, k))`: a signature keeps
     /// component-wise minima, which are invariant to shingle order and
@@ -63,28 +116,24 @@ impl MinHasher {
     /// set-based path would. This is the STNS sketching hot path — the
     /// set-based construction allocated one `String` plus a tree node per
     /// shingle per entity name.
-    pub fn signature_of(&self, text: &str, k: usize) -> Signature {
+    pub fn signature_into(&self, text: &str, k: usize, sig: &mut [u64]) {
         assert!(k >= 1, "shingle size must be >= 1");
-        let mut sig = vec![u64::MAX; self.num_perms];
+        assert_eq!(sig.len(), self.num_perms, "signature length");
+        sig.fill(u64::MAX);
         if text.is_empty() {
-            return sig;
+            return;
         }
-        // Byte offset of each char start, plus the end sentinel, so every
-        // shingle is a borrowed subslice of `text`.
-        let starts: Vec<usize> = text
-            .char_indices()
-            .map(|(i, _)| i)
-            .chain(std::iter::once(text.len()))
-            .collect();
-        let n_chars = starts.len() - 1;
+        let n_chars = text.chars().count();
         if n_chars <= k {
-            self.absorb(&mut sig, text.as_bytes());
-        } else {
-            for w in starts.windows(k + 1) {
-                self.absorb(&mut sig, &text.as_bytes()[w[0]..w[k]]);
-            }
+            self.absorb(sig, text.as_bytes());
+            return;
         }
-        sig
+        // Each shingle is the borrowed bytes from a char start to the start
+        // of the char `k` further on (or the end of `text`).
+        for (start, _) in text.char_indices().take(n_chars - k + 1) {
+            let end = (text[start..].char_indices().nth(k)).map_or(text.len(), |(j, _)| start + j);
+            self.absorb(sig, &text.as_bytes()[start..end]);
+        }
     }
 
     /// Folds one shingle's hash into the running component-wise minima.
@@ -100,7 +149,7 @@ impl MinHasher {
     }
 
     /// Estimates Jaccard similarity from two signatures.
-    pub fn estimate(&self, a: &Signature, b: &Signature) -> f64 {
+    pub fn estimate(&self, a: &[u64], b: &[u64]) -> f64 {
         assert_eq!(a.len(), b.len(), "signature length mismatch");
         let eq = a.iter().zip(b).filter(|(x, y)| x == y).count();
         eq as f64 / a.len() as f64

@@ -534,8 +534,8 @@ fn train_on_fresh_tapes(
             for ni in 0..cfg.neg_samples {
                 s.push(ps);
                 t.push(pt);
-                neg_t.push(negs.corrupt_target[pi][ni % negs.corrupt_target[pi].len()]);
-                neg_s.push(negs.corrupt_source[pi][ni % negs.corrupt_source[pi].len()]);
+                neg_t.push(negs.corrupt_target(pi)[ni % negs.corrupt_target(pi).len()]);
+                neg_s.push(negs.corrupt_source(pi)[ni % negs.corrupt_source(pi).len()]);
             }
         }
         let [s, t, neg_t, neg_s] = [s, t, neg_t, neg_s].map(Rc::new);

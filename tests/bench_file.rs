@@ -1,5 +1,6 @@
-//! The committed `BENCH_pipeline.json` is the repo benchmark's own output
-//! (`scripts/bench.sh`): this pins its shape against `BENCHMARK.json`, so a
+//! The committed `BENCH_pipeline.json` and `BENCH_pairs.json` are the repo
+//! benchmark's own output (`scripts/bench.sh`, without and with
+//! `--parent`): this pins their shapes against `BENCHMARK.json`, so a
 //! hand-edited file or one from a stale workload list fails the gate.
 
 use largeea::common::json::{self, Json};
@@ -37,7 +38,7 @@ fn the_committed_file_holds_one_timed_and_one_traced_result_per_workload() {
         .and_then(Json::as_str)
         .expect("host.git_commit");
     assert!(
-        commit.len() == 40 && commit.bytes().all(|b| b.is_ascii_hexdigit()),
+        is_commit(commit),
         "host.git_commit {commit:?} is not a commit"
     );
 
@@ -81,6 +82,84 @@ fn the_committed_file_holds_one_timed_and_one_traced_result_per_workload() {
         if *trace == 0 {
             let have: Vec<&str> = metrics.iter().map(|(n, _)| n.as_str()).collect();
             assert_eq!(have, end_to_end, "{workload}: the end-to-end metrics");
+        }
+    }
+}
+
+fn is_commit(s: &str) -> bool {
+    s.len() == 40 && s.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
+#[test]
+fn the_committed_pairs_file_compares_every_end_to_end_metric() {
+    let manifest = root_file("BENCHMARK.json");
+    let pairs = root_file("BENCH_pairs.json");
+    assert_eq!(
+        pairs.get("schema").and_then(Json::as_str),
+        Some("largeea-benchmark-pairs")
+    );
+    let parent = pairs.get("parent").and_then(Json::as_str).expect("parent");
+    assert!(is_commit(parent), "parent {parent:?} is not a commit");
+    // the change is a commit, or the working tree on top of one
+    let change = pairs.get("change").and_then(Json::as_str).expect("change");
+    assert!(
+        is_commit(change.strip_suffix("+dirty").unwrap_or(change)),
+        "change {change:?}"
+    );
+    assert!(pairs.get("seconds").and_then(Json::as_f64).unwrap() > 0.0);
+
+    let workloads = names(&manifest, "workloads");
+    let end_to_end = names(&manifest, "end_to_end");
+    let rows = pairs
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .expect("workloads");
+    assert!(!rows.is_empty());
+    let mut last = None;
+    for row in rows {
+        let workload = row
+            .get("workload")
+            .and_then(Json::as_str)
+            .expect("workload");
+        let at = workloads.iter().position(|w| w == workload);
+        assert!(at > last, "{workload}: unknown, or out of manifest order");
+        last = at;
+        let seeds = row.get("seeds").and_then(Json::as_u64).expect("seeds");
+        assert!(seeds >= 1, "{workload}: no pairs");
+        let metrics = row.get("metrics").and_then(Json::as_arr).expect("metrics");
+        let have: Vec<&str> = metrics
+            .iter()
+            .map(|m| m.get("name").and_then(Json::as_str).expect("name"))
+            .collect();
+        assert_eq!(have, end_to_end, "{workload}: the end-to-end metrics");
+        for m in metrics {
+            let name = m.get("name").and_then(Json::as_str).unwrap();
+            let n = m.get("pairs").and_then(Json::as_u64).expect("pairs");
+            assert_eq!(n, seeds, "{workload} {name}: a pair lacks a side");
+            for side in ["parent", "change"] {
+                let q = |k: &str| {
+                    m.get(side)
+                        .and_then(|s| s.get(k))
+                        .and_then(Json::as_f64)
+                        .unwrap_or_else(|| panic!("{workload} {name}: {side}.{k}"))
+                };
+                assert!(
+                    q("q1") <= q("median") && q("median") <= q("q3"),
+                    "{workload} {name}: {side} quartiles out of order"
+                );
+            }
+            let wins = m.get("wins").and_then(Json::as_u64).expect("wins");
+            let losses = m.get("losses").and_then(Json::as_u64).expect("losses");
+            assert!(
+                wins + losses <= n,
+                "{workload} {name}: wins + losses > pairs"
+            );
+            let verdict = m.get("verdict").and_then(Json::as_str);
+            assert!(
+                matches!(verdict, Some("moved" | "inside noise")),
+                "{workload} {name}: verdict {verdict:?}"
+            );
+            assert!(m.get("past_bound").and_then(Json::as_bool).is_some());
         }
     }
 }

@@ -207,10 +207,11 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
     std::panic::set_hook(prev_hook);
 
     // --- outcome 2: honest degradation under --degraded-ok ----------------
-    // (a) losing the whole name channel degrades to structure-only
+    // (a) losing the whole name channel degrades to structure-only (the
+    // channel's one write is its checkpoint: SENS spills nothing)
     {
         let dir = scratch("degraded_name");
-        failpoint::configure("spill.write=err@1").unwrap();
+        failpoint::configure("ckpt.name=err@1").unwrap();
         let rec = recorder(&dir.join("live"));
         let report = run_in(&dir, false, true, &pair, &seeds, &rec)
             .expect("--degraded-ok absorbs the lost channel");

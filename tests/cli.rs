@@ -550,17 +550,18 @@ fn degraded_ok_completes_structure_only_and_flags_it() {
         .unwrap();
     assert!(out.status.success());
 
+    // the name channel's one write is its checkpoint (SENS spills nothing)
     let trace_path = dir.join("degraded_trace.json");
     let out = bin()
         .args(["align", "--data"])
         .arg(&data)
         .args(["--model", "gcn", "--k", "2", "--epochs", "3", "--dim", "16"])
-        .arg("--spill-dir")
-        .arg(dir.join("spill"))
+        .arg("--checkpoint-dir")
+        .arg(dir.join("ckpt"))
         .arg("--degraded-ok")
         .arg("--trace-out")
         .arg(&trace_path)
-        .env("LARGEEA_FAILPOINTS", "spill.write=err@1")
+        .env("LARGEEA_FAILPOINTS", "ckpt.name=err@1")
         .output()
         .unwrap();
     assert!(
@@ -585,17 +586,17 @@ fn degraded_ok_completes_structure_only_and_flags_it() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("degraded.name_channel"), "{text}");
 
-    // without --degraded-ok the same fault is terminal (exit 6: Spill)
+    // without --degraded-ok the same fault is terminal (exit 4: Ckpt)
     let out = bin()
         .args(["align", "--data"])
         .arg(&data)
         .args(["--model", "gcn", "--k", "2", "--epochs", "3", "--dim", "16"])
-        .arg("--spill-dir")
-        .arg(dir.join("spill2"))
-        .env("LARGEEA_FAILPOINTS", "spill.write=err@1")
+        .arg("--checkpoint-dir")
+        .arg(dir.join("ckpt2"))
+        .env("LARGEEA_FAILPOINTS", "ckpt.name=err@1")
         .output()
         .unwrap();
-    assert_eq!(out.status.code(), Some(6));
+    assert_eq!(out.status.code(), Some(4));
 
     std::fs::remove_dir_all(&dir).ok();
 }

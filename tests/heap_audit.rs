@@ -4,21 +4,26 @@
 //! sees every allocation, declared or not; the CLI tests drive the
 //! `largeea` binary's admission points and `trace heap`'s rendering.
 
+use largeea::common::alloc::worker_kept_bytes;
 use largeea::common::fmt_bytes;
-use largeea::common::obs::{ObsConfig, Recorder, Trace};
+use largeea::common::obs::{Level, ObsConfig, Recorder, Trace};
+use largeea::common::pool::Pool;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunCtx, RunError};
 use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::core::MemBudget;
 use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
+use largeea::kg::KnowledgeGraph;
 use largeea::models::baselines::whole_graph;
+use largeea::models::negative::{sample_negatives, NegStrategy};
 use largeea::models::scoring::fill_similarity;
 use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
 use largeea::partition::coarsen::coarsen_to;
 use largeea::partition::{partition_kway_traced, PartGraph, PartitionConfig};
-use largeea::sim::SparseSimMatrix;
-use largeea::tensor::{IndexList, Tape};
-use largeea::text::LshIndex;
+use largeea::sim::resident_bytes;
+use largeea::tensor::{IndexList, Matrix, Tape};
+use largeea::text::batch::minhash_signatures_in;
+use largeea::text::{LshIndex, MinHasher};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -301,11 +306,12 @@ fn the_negative_sampler_and_the_batch_scorer_copy_no_side() {
     }
 
     let top_k = 10;
-    let mut block = SparseSimMatrix::new(bg.n_source, bg.n_target);
-    let span = rec.span_at(largeea::common::obs::Level::Detail, "topk");
-    fill_similarity(&bg, &report.embeddings, top_k, &mut block, &rec);
+    let span = rec.span_at(Level::Detail, "topk");
+    let shape = (bg.n_source, bg.n_target);
+    let block = fill_similarity(&bg, &report.embeddings, top_k, shape, &rec);
     drop(span);
-    let filled = (bg.n_source * (top_k * 8 + 24)) as u64;
+    assert_eq!(block.nnz(), bg.n_source * top_k);
+    let filled = (bg.n_source * (top_k * 8 + 32)) as u64;
     let allowed = search_bytes(bg.n_source, bg.n_target, dim, top_k) + filled + (16 << 10);
     let trace = rec.trace();
     let peak = trace
@@ -316,6 +322,137 @@ fn the_negative_sampler_and_the_batch_scorer_copy_no_side() {
     assert!(
         peak <= allowed,
         "topk peaked at {peak} B, {allowed} B allowed ({n} entities of {dim} floats)"
+    );
+}
+
+/// The block gate: a batch's similarity block holds the batch's rows, so
+/// the `topk` span that fills it peaks at the same bytes whether the whole
+/// matrix has as many rows as the batch or a thousand times more. A block
+/// that sized itself by the whole matrix (an empty row header for every
+/// global row) would cost 24 B for each of those 600 000 rows.
+#[test]
+fn a_batch_block_holds_its_rows() {
+    let bg = synthetic_batch(600, 1_200);
+    let emb = Matrix::from_fn(bg.n_total(), 32, |r, c| {
+        ((r * 31 + c * 17) % 97) as f32 * 0.01
+    });
+    let peak = |n_rows: usize| {
+        let rec = Recorder::new(ObsConfig {
+            heap: true,
+            ..ObsConfig::default()
+        });
+        let span = rec.span_at(Level::Detail, "topk");
+        let block = fill_similarity(&bg, &emb, 10, (n_rows, bg.n_target), &rec);
+        drop(span);
+        assert_eq!(block.rows().count(), bg.n_source);
+        let trace = rec.trace();
+        let topk = trace.find("topk").expect("topk span");
+        topk.field_u64("alloc.peak").expect("heap attribution")
+    };
+    let (own, wide) = (peak(bg.n_source), peak(1_000 * bg.n_source));
+    assert!(
+        wide <= own + (4 << 10),
+        "a block of {} rows peaked at {wide} B in a 1000× taller matrix, {own} B in its own",
+        bg.n_source
+    );
+}
+
+/// The segment gate: SENS encodes each segment when the search loads it,
+/// so with the memory backing the `sens` span holds one query and one base
+/// segment and the scan's sketches — `resident_bytes`, what it admits —
+/// plus the query rows' collectors, not every segment of both sides (here
+/// 600 KiB more).
+#[test]
+fn sens_holds_one_segment_pair_in_ram() {
+    let mut s = KnowledgeGraph::new("EN");
+    let mut t = KnowledgeGraph::new("FR");
+    for i in 0..800 {
+        s.add_entity_with_label(&format!("en/{i}"), &format!("Concept {i} of the source"));
+        t.add_entity_with_label(&format!("fr/{i}"), &format!("Notion {i} de la cible"));
+    }
+    let cfg = NameChannelConfig {
+        segments: 4,
+        ..NameChannelConfig::default()
+    };
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    NameChannel::new(cfg)
+        .run_in(&s, &t, &mut RunCtx::in_memory(&rec))
+        .unwrap();
+    let trace = rec.trace();
+    let sens = trace.find("sens").expect("sens span");
+    let peak = sens.field_u64("alloc.peak").expect("heap attribution");
+    let (n_q, n_b) = (s.num_entities(), t.num_entities());
+    let resident = resident_bytes(n_q, n_b, cfg.dim, cfg.segments);
+    let collectors = n_q * (cfg.top_k + 1) * 8;
+    let allowed = (resident + collectors + (64 << 10)) as u64;
+    assert!(
+        peak <= allowed,
+        "sens peaked at {peak} B, {allowed} B allowed ({resident} B resident)"
+    );
+    let encodes = sens.children.iter().filter(|c| c.name == "encode");
+    let rows: u64 = encodes
+        .map(|c| c.field_u64("rows").expect("encode rows"))
+        .sum();
+    // every base segment once, the query side once per base segment
+    assert_eq!(rows, (n_b + cfg.segments * n_q) as u64);
+}
+
+const KEPT_CHILD: &str = "LARGEEA_TEST_KEPT_CHILD";
+
+/// The arena gate (DESIGN.md §S0.6): a pool task on a spawned worker
+/// returns its results through memory the caller allocated, so the STNS
+/// signatures and a negative resample leave nothing behind in a worker's
+/// malloc arena — while a task that hands back what it allocated is
+/// counted. The negative sampler runs on the global pool, so the test
+/// reruns itself in a child at width 2.
+#[test]
+fn pool_workers_keep_nothing_they_allocate() {
+    if std::env::var_os(KEPT_CHILD).is_none() {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "pool_workers_keep_nothing_they_allocate"])
+            .env("LARGEEA_THREADS", "2")
+            .env(KEPT_CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        return;
+    }
+    assert_eq!(Pool::global().threads(), 2);
+    let pool = Pool::new(2);
+    let names: Vec<String> = (0..4_000).map(|i| format!("entity name {i}")).collect();
+    let hasher = MinHasher::new(128, 7);
+    let before = worker_kept_bytes();
+    let sigs = minhash_signatures_in(&hasher, &names, 3, &pool);
+    assert_eq!(worker_kept_bytes() - before, 0, "the signatures");
+    assert_eq!(sigs.len(), names.len());
+
+    let bg = synthetic_batch(600, 1_200);
+    let emb = Matrix::from_fn(bg.n_total(), 32, |r, c| {
+        ((r * 13 + c * 7) % 89) as f32 * 0.01
+    });
+    let before = worker_kept_bytes();
+    let negs = sample_negatives(&bg, &emb, 5, NegStrategy::Nearest, 3, &Recorder::disabled());
+    assert_eq!(worker_kept_bytes() - before, 0, "a negative resample");
+    assert_eq!(negs.per_pair(), 5);
+
+    // the count is live: blocks allocated on a worker and handed back are
+    // kept (a slow task makes sure the worker takes some)
+    let before = worker_kept_bytes();
+    let blocks = pool.map_blocks(8, 1, |r| {
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        vec![0u8; 4096 * r.len()]
+    });
+    assert_eq!(blocks.len(), 8);
+    assert!(
+        worker_kept_bytes() > before,
+        "returned blocks went uncounted"
     );
 }
 

@@ -14,7 +14,8 @@
 //! than the work itself, and that legitimately vary run-to-run:
 //! wall-clock `seconds`, the declared pool width (`threads` span fields),
 //! and instrumented-allocator readings (`alloc.*` span fields, `heap.*`
-//! gauges; allocator totals shift with std's per-process hasher seeds).
+//! and `pool.worker_kept_bytes` gauges; allocator totals shift with std's
+//! per-process hasher seeds, and what a pool worker keeps with the width).
 //! Everything else — span structure, result fields, every counter
 //! including `retry.*` — must match exactly.
 
@@ -47,7 +48,8 @@ fn canonical(mut t: Trace) -> String {
     for s in &mut t.spans {
         scrub(s);
     }
-    t.gauges.retain(|(k, _)| !k.starts_with("heap."));
+    t.gauges
+        .retain(|(k, _)| !k.starts_with("heap.") && k != "pool.worker_kept_bytes");
     t.to_json_string()
 }
 
