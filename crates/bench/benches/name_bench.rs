@@ -12,7 +12,12 @@ use largeea_text::{levenshtein, HashEncoder, LshIndex, MinHasher};
 
 fn labels(n: usize) -> Vec<String> {
     let pair = Preset::Ids15kEnFr.spec(0.1).generate();
-    pair.source.labels().iter().take(n).cloned().collect()
+    pair.source
+        .labels()
+        .iter()
+        .take(n)
+        .map(str::to_owned)
+        .collect()
 }
 
 fn bench_sens(bench: &mut Bench) {

@@ -16,10 +16,10 @@ use crate::mem::MemBudget;
 use crate::pipeline::{RunCtx, RunError};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_common::pool::Pool;
-use largeea_kg::KnowledgeGraph;
+use largeea_kg::{KnowledgeGraph, NameSlice, Names};
 use largeea_sim::{resident_bytes, segmented_topk_streamed, Metric, SparseSimMatrix};
 use largeea_text::{
-    batch, levenshtein_similarity, normalize_name, HashEncoder, LshIndex, MinHasher,
+    batch, levenshtein_similarity, normalize_into, HashEncoder, LshIndex, MinHasher,
 };
 use std::convert::Infallible;
 use std::ops::Range;
@@ -179,10 +179,10 @@ impl NameChannel {
         // plus the sketches of every query row and of that base segment.
         budget.admit("sens", resident_bytes(n_q, n_b, self.cfg.dim, segments))?;
         let encoder = HashEncoder::new(self.cfg.dim, self.cfg.seed);
-        let encode = |labels: &[String], rows: Range<usize>| {
+        let encode = |labels: NameSlice<'_>, rows: Range<usize>| {
             let mut s = rec.span_at(Level::Detail, "encode");
             s.field("rows", rows.len());
-            Ok::<_, Infallible>(encoder.encode_batch(&labels[rows]))
+            Ok::<_, Infallible>(encoder.encode_batch(labels.rows(rows)))
         };
         let hits = segmented_topk_streamed(
             n_q,
@@ -222,14 +222,24 @@ impl NameChannel {
         let n_t = target.num_entities();
         let signatures = n_t * perms * std::mem::size_of::<u64>();
         budget.admit("stns", signatures + index.max_bytes(n_t))?;
-        let normalized_t: Vec<String> = target.labels().iter().map(|l| normalize_name(l)).collect();
+        // the target's normalised labels, in one arena
+        let labels_t = target.labels();
+        let mut normalized_t = Names::with_capacity(n_t, labels_t.text_len());
+        let mut label = String::new();
+        for raw in labels_t.iter() {
+            normalize_into(raw, &mut label);
+            normalized_t
+                .push(&label)
+                .expect("normalised labels fit in 4 GiB");
+        }
         let sigs_t = {
             let mut s = rec.span_at(Level::Detail, "sketch");
             s.field("threads", pool.threads());
             // Signatures in parallel, into one buffer; the index itself
             // needs `&mut`, so inserts stay sequential — one append per band
             // into arrays sized up front.
-            let sigs = batch::minhash_signatures_in(&hasher, &normalized_t, shingle_k, pool);
+            let sigs =
+                batch::minhash_signatures_in(&hasher, normalized_t.as_slice(), shingle_k, pool);
             index.reserve(sigs.len());
             for (i, sig) in sigs.iter().enumerate() {
                 index.insert(i as u32, sig);
@@ -249,26 +259,27 @@ impl NameChannel {
         score_span.field("threads", pool.threads());
         let source_labels = source.labels();
         // Hands source row `s`'s gated candidates to `pass`, in ascending id
-        // order, with the row's normalised label; returns how many
-        // candidates the index proposed.
-        let gated = |s: usize, sig: &mut [u64], pass: &mut dyn FnMut(&str, u32)| {
-            let label = normalize_name(&source_labels[s]);
-            hasher.signature_into(&label, shingle_k, sig);
-            let cands = index.candidates(sig);
-            for &cand in &cands {
-                if hasher.estimate(sig, sigs_t.get(cand as usize)) >= theta {
-                    pass(&label, cand);
+        // order, with the row's label normalised into the task's `label`;
+        // returns how many candidates the index proposed.
+        let gated =
+            |s: usize, sig: &mut [u64], label: &mut String, pass: &mut dyn FnMut(&str, u32)| {
+                normalize_into(source_labels.get(s), label);
+                hasher.signature_into(label, shingle_k, sig);
+                let cands = index.candidates(sig);
+                for &cand in &cands {
+                    if hasher.estimate(sig, sigs_t.get(cand as usize)) >= theta {
+                        pass(label, cand);
+                    }
                 }
-            }
-            cands.len() as u64
-        };
+                cands.len() as u64
+            };
         // a statistic, not a result: nothing is published through it
         let lsh_candidates = AtomicU64::new(0);
         let mut ends = vec![0usize; source_labels.len()];
         pool.rows_mut(&mut ends, 1, 32, |block, first| {
-            let (mut sig, mut cands) = (vec![0; perms], 0);
+            let (mut sig, mut label, mut cands) = (vec![0; perms], String::new(), 0);
             for (i, count) in block.iter_mut().enumerate() {
-                cands += gated(first + i, &mut sig, &mut |_, _| *count += 1);
+                cands += gated(first + i, &mut sig, &mut label, &mut |_, _| *count += 1);
             }
             lsh_candidates.fetch_add(cands, Ordering::Relaxed);
         });
@@ -280,13 +291,13 @@ impl NameChannel {
         }
         let mut scored = vec![(0u32, 0.0f32); end];
         pool.segments_mut(&mut scored, &ends, 32, |block, rows| {
-            let (mut sig, mut slots) = (vec![0; perms], block.iter_mut());
+            let (mut sig, mut label, mut slots) = (vec![0; perms], String::new(), block.iter_mut());
             for s in rows {
                 if ends[s] == s.checked_sub(1).map_or(0, |p| ends[p]) {
                     continue; // no gated candidate: nothing to score
                 }
-                gated(s, &mut sig, &mut |label, cand| {
-                    let sim = levenshtein_similarity(label, &normalized_t[cand as usize]);
+                gated(s, &mut sig, &mut label, &mut |label, cand| {
+                    let sim = levenshtein_similarity(label, normalized_t.get(cand as usize));
                     *slots.next().expect("the first pass counted this pair") = (cand, sim as f32);
                 });
             }

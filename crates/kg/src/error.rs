@@ -26,6 +26,12 @@ pub enum KgError {
         /// `"source"` or `"target"`.
         side: &'static str,
     },
+    /// An input's names would take a name arena past the `u32::MAX` bytes
+    /// its offsets address.
+    TooLarge {
+        /// Path or logical name of the input whose names overflowed.
+        source_name: String,
+    },
     /// Underlying IO failure.
     Io(io::Error),
 }
@@ -43,6 +49,10 @@ impl fmt::Display for KgError {
             KgError::UnknownAlignmentEntity { name, side } => {
                 write!(f, "alignment references unknown {side} entity {name:?}")
             }
+            KgError::TooLarge { source_name } => write!(
+                f,
+                "{source_name}: names exceed the 4 GiB a name arena addresses"
+            ),
             KgError::Io(e) => write!(f, "io error: {e}"),
         }
     }
@@ -76,6 +86,10 @@ mod tests {
             message: "expected 3 fields".into(),
         };
         assert_eq!(p.to_string(), "triples.txt:12: expected 3 fields");
+        let big = KgError::TooLarge {
+            source_name: "ent_labels_1".into(),
+        };
+        assert!(big.to_string().starts_with("ent_labels_1: names exceed"));
     }
 
     #[test]

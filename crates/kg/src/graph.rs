@@ -3,7 +3,7 @@
 use crate::adjacency::Adjacency;
 use crate::error::KgError;
 use crate::ids::{EntityId, RelationId};
-use crate::interner::Interner;
+use crate::interner::{Interner, NameSlice, Names};
 use crate::triple::Triple;
 
 /// A knowledge graph `G = (E, R, T)`: entities, relations and triples.
@@ -11,7 +11,10 @@ use crate::triple::Triple;
 /// Entities carry two strings: a unique *key* (think URI) used for identity
 /// and IO, and a human-readable *label* used by the name channel. When no
 /// label is provided the key doubles as the label, mirroring how DBpedia
-/// URIs embed the entity name.
+/// URIs embed the entity name. Keys live in one [`Names`] arena (the
+/// entity interner's), labels in a second one — which exists only once
+/// some label differs from its key, so a KG whose labels are its keys
+/// stores each name once.
 ///
 /// Construction is append-only; ids are dense and stable, so every
 /// per-entity array downstream (embeddings, partitions, similarity rows) is
@@ -20,7 +23,9 @@ use crate::triple::Triple;
 pub struct KnowledgeGraph {
     name: String,
     entities: Interner,
-    labels: Vec<String>,
+    /// `labels[id]` is entity `id`'s label; `None` while every label is
+    /// its key.
+    labels: Option<Names>,
     relations: Interner,
     triples: Vec<Triple>,
 }
@@ -39,22 +44,23 @@ impl KnowledgeGraph {
         Self {
             name: name.into(),
             entities: Interner::with_capacity(entities),
-            labels: Vec::with_capacity(entities),
+            labels: None,
             relations: Interner::new(),
             triples: Vec::with_capacity(triples),
         }
     }
 
     /// Assembles a KG the loader built piecewise; `labels[id]` belongs to
-    /// entity `id`.
+    /// entity `id`, and `None` means every label is its key.
     pub(crate) fn from_parts(
         name: &str,
         entities: Interner,
-        labels: Vec<String>,
+        labels: Option<Names>,
         relations: Interner,
         triples: Vec<Triple>,
     ) -> Self {
-        assert_eq!(labels.len(), entities.len(), "one label per entity");
+        let n = labels.as_ref().map_or(entities.len(), Names::len);
+        assert_eq!(n, entities.len(), "one label per entity");
         Self {
             name: name.to_owned(),
             entities,
@@ -81,8 +87,12 @@ impl KnowledgeGraph {
     pub fn add_entity_with_label(&mut self, key: &str, label: &str) -> EntityId {
         let before = self.entities.len();
         let id = self.entities.intern(key);
-        if self.entities.len() > before {
-            self.labels.push(label.to_owned());
+        if self.entities.len() > before && (self.labels.is_some() || label != key) {
+            // the first label that is not its key: the keys so far become
+            // the labels so far
+            let keys = self.entities.names().as_slice().rows(0..before);
+            let labels = self.labels.get_or_insert_with(|| keys.to_names());
+            labels.push(label).expect("labels fit in 4 GiB");
         }
         EntityId(id)
     }
@@ -154,12 +164,15 @@ impl KnowledgeGraph {
 
     /// The human-readable label of an entity (used by the name channel).
     pub fn entity_label(&self, id: EntityId) -> &str {
-        &self.labels[id.idx()]
+        self.labels().get(id.idx())
     }
 
     /// All entity labels, indexed by entity id.
-    pub fn labels(&self) -> &[String] {
-        &self.labels
+    pub fn labels(&self) -> NameSlice<'_> {
+        self.labels
+            .as_ref()
+            .unwrap_or(self.entities.names())
+            .as_slice()
     }
 
     /// Looks up a relation id by name.
@@ -247,6 +260,24 @@ mod tests {
         let id2 = kg.add_entity_with_label("http://x/Paris", "NotParis");
         assert_eq!(id, id2);
         assert_eq!(kg.entity_label(id), "Paris");
+    }
+
+    #[test]
+    fn labels_fall_back_to_keys_until_one_differs() {
+        let mut kg = KnowledgeGraph::new("EN");
+        kg.add_entity("a");
+        kg.add_entity_with_label("b", "b");
+        assert!(kg.labels.is_none(), "labels that are keys are not stored");
+        kg.add_entity_with_label("c", "Cee");
+        kg.add_entity("d");
+        kg.add_entity_with_label("a", "not a");
+        let labels = kg.labels();
+        assert_eq!(labels.iter().collect::<Vec<_>>(), ["a", "b", "Cee", "d"]);
+        assert_eq!(labels.rows(1..3).iter().collect::<Vec<_>>(), ["b", "Cee"]);
+        assert_eq!(labels.rows(2..4).get(1), "d");
+        assert_eq!(labels.rows(2..4).text_len(), 4);
+        assert!(labels.rows(4..4).is_empty());
+        assert_eq!(kg.entity_key(EntityId(2)), "c");
     }
 
     #[test]

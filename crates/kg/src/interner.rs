@@ -1,26 +1,157 @@
-//! String interning with stable, insertion-ordered ids.
+//! String interning with stable, insertion-ordered ids, over one arena of
+//! names.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
+use std::ops::Range;
 
 /// Marks a free slot of the lookup table.
 const EMPTY: u32 = u32::MAX;
 
+/// Strings stored once, back to back in one arena, in push order.
+///
+/// `ends[i]` is one past the last arena byte of string `i`, a `u32`: an
+/// arena holds at most `u32::MAX` bytes, and [`Names::push`] refuses the
+/// string that would take it past that. Each string costs its bytes plus
+/// four — no header, no allocation of its own.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
+pub struct Names {
+    text: String,
+    ends: Vec<u32>,
+}
+
+impl Names {
+    /// An empty arena with room for `n` strings of `bytes` bytes in all.
+    pub fn with_capacity(n: usize, bytes: usize) -> Self {
+        Self {
+            text: String::with_capacity(bytes),
+            ends: Vec::with_capacity(n),
+        }
+    }
+
+    /// Appends `name` and returns its index, or `None` (and appends
+    /// nothing) when the arena would grow past `u32::MAX` bytes.
+    pub fn push(&mut self, name: &str) -> Option<usize> {
+        let end = u32::try_from(self.text.len() + name.len()).ok()?;
+        self.text.push_str(name);
+        self.ends.push(end);
+        Some(self.ends.len() - 1)
+    }
+
+    /// Number of strings.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// String `i`. Panics if `i` is out of range.
+    pub fn get(&self, i: usize) -> &str {
+        self.as_slice().get(i)
+    }
+
+    /// Drops the capacity growth left beyond what is held.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.text.shrink_to_fit();
+        self.ends.shrink_to_fit();
+    }
+
+    /// Heap bytes held: the text and four per string.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.text.capacity() + 4 * self.ends.capacity()
+    }
+
+    /// All the strings, as a view.
+    pub fn as_slice(&self) -> NameSlice<'_> {
+        NameSlice {
+            text: &self.text,
+            start: 0,
+            ends: &self.ends,
+        }
+    }
+}
+
+/// A borrowed run of a [`Names`] arena: strings `first..first + len` of it,
+/// read by index. `Copy`, like the `&[String]` it stands in for.
+#[derive(Debug, Clone, Copy)]
+pub struct NameSlice<'a> {
+    text: &'a str,
+    /// Where the first string starts.
+    start: u32,
+    ends: &'a [u32],
+}
+
+impl<'a> NameSlice<'a> {
+    /// Number of strings.
+    pub fn len(self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are none.
+    pub fn is_empty(self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// String `i` of the view. Panics if `i` is out of range.
+    pub fn get(self, i: usize) -> &'a str {
+        let start = match i {
+            0 => self.start,
+            i => self.ends[i - 1],
+        };
+        &self.text[start as usize..self.ends[i] as usize]
+    }
+
+    /// The strings in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a str> + Clone {
+        (0..self.len()).map(move |i| self.get(i))
+    }
+
+    /// Strings `rows` of the view. Panics if `rows` is out of range.
+    pub fn rows(self, rows: Range<usize>) -> NameSlice<'a> {
+        NameSlice {
+            text: self.text,
+            start: match rows.start {
+                0 => self.start,
+                i => self.ends[i - 1],
+            },
+            ends: &self.ends[rows],
+        }
+    }
+
+    /// Bytes of text the view covers.
+    pub fn text_len(self) -> usize {
+        self.ends
+            .last()
+            .map_or(0, |&end| (end - self.start) as usize)
+    }
+
+    /// The view's strings in an arena of their own.
+    pub(crate) fn to_names(self) -> Names {
+        let start = self.start as usize;
+        Names {
+            text: self.text[start..start + self.text_len()].to_owned(),
+            ends: self.ends.iter().map(|&end| end - self.start).collect(),
+        }
+    }
+}
+
 /// Interns strings to dense `u32` ids.
 ///
-/// Ids are assigned in insertion order, so iterating [`Interner::iter`]
-/// yields strings in id order. This keeps every derived array (names,
+/// Ids are assigned in insertion order, so [`Interner::names`] holds the
+/// strings in id order. This keeps every derived array (names,
 /// embeddings, partitions) aligned by index.
 ///
-/// Each string is stored once, back to back in one arena; lookups go
-/// through an open-addressed `(hash, id)` table that never owns a key. The
+/// Each string is stored once, in one [`Names`] arena; lookups go through
+/// an open-addressed `(hash, id)` table that never owns a key. The
 /// hasher is std's randomly keyed default (keys come from input files);
 /// its keys move table slots, never ids.
 #[derive(Debug, Default, Clone)]
 pub struct Interner {
-    arena: String,
-    /// `ends[id]`: one past the last arena byte of string `id`.
-    ends: Vec<usize>,
+    /// String `id` is `names.get(id)`.
+    names: Names,
     /// Linear-probed, power-of-two sized (or empty), at most 3/4 full.
     slots: Vec<(u32, u32)>,
     hasher: RandomState,
@@ -39,7 +170,7 @@ impl Interner {
             n => (n * 4 / 3 + 1).next_power_of_two(),
         };
         Self {
-            ends: Vec::with_capacity(n),
+            names: Names::with_capacity(n, 0),
             slots: vec![(0, EMPTY); slots],
             ..Self::default()
         }
@@ -80,19 +211,29 @@ impl Interner {
     }
 
     /// Interns `name`, returning its id (existing or freshly assigned).
+    /// Panics past `u32::MAX - 1` strings or `u32::MAX` bytes of them.
     pub fn intern(&mut self, name: &str) -> u32 {
-        if (self.ends.len() + 1) * 4 > self.slots.len() * 3 {
+        self.try_intern(name)
+            .expect("an interner holds fewer than 2^32 - 1 strings, in at most 4 GiB")
+    }
+
+    /// Interns `name`, returning its id (existing or freshly assigned), or
+    /// `None` when a new id would pass `u32::MAX - 1` or the arena would
+    /// pass `u32::MAX` bytes; nothing is interned then.
+    pub(crate) fn try_intern(&mut self, name: &str) -> Option<u32> {
+        if (self.len() + 1) * 4 > self.slots.len() * 3 {
             self.grow();
         }
         let hash = self.hash(name);
-        self.probe(hash, name).unwrap_or_else(|slot| {
-            let id = u32::try_from(self.ends.len()).unwrap_or(EMPTY);
-            assert!(id != EMPTY, "an interner holds fewer than 2^32 - 1 strings");
-            self.arena.push_str(name);
-            self.ends.push(self.arena.len());
-            self.slots[slot] = (hash, id);
-            id
-        })
+        match self.probe(hash, name) {
+            Ok(id) => Some(id),
+            Err(slot) => {
+                let id = u32::try_from(self.len()).ok().filter(|&id| id != EMPTY)?;
+                self.names.push(name)?;
+                self.slots[slot] = (hash, id);
+                Some(id)
+            }
+        }
     }
 
     /// Looks up the id of `name` without interning it.
@@ -105,11 +246,7 @@ impl Interner {
 
     /// Resolves `id` back to its string. Panics if `id` was never assigned.
     pub fn resolve(&self, id: u32) -> &str {
-        let start = match id {
-            0 => 0,
-            id => self.ends[id as usize - 1],
-        };
-        &self.arena[start..self.ends[id as usize]]
+        self.names.get(id as usize)
     }
 
     /// Resolves `id` back to its string, or `None` if out of range.
@@ -119,17 +256,22 @@ impl Interner {
 
     /// Number of interned strings.
     pub fn len(&self) -> usize {
-        self.ends.len()
+        self.names.len()
     }
 
     /// Whether the interner is empty.
     pub fn is_empty(&self) -> bool {
-        self.ends.is_empty()
+        self.names.is_empty()
     }
 
-    /// Iterates `(id, name)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &str)> {
-        (0..self.len() as u32).map(|id| (id, self.resolve(id)))
+    /// Drops the arena's capacity growth; the lookup table keeps its size.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.names.shrink_to_fit();
+    }
+
+    /// The interned strings, in id order.
+    pub fn names(&self) -> &Names {
+        &self.names
     }
 }
 
@@ -162,8 +304,32 @@ mod tests {
         for s in ["z", "y", "x"] {
             it.intern(s);
         }
-        let order: Vec<_> = it.iter().map(|(_, s)| s.to_owned()).collect();
+        let order: Vec<_> = it.names().as_slice().iter().collect();
         assert_eq!(order, vec!["z", "y", "x"]);
+    }
+
+    #[test]
+    fn names_views_cut_rows_and_copy_out() {
+        let mut names = Names::default();
+        for s in ["", "ab", "é", "", "xyz"] {
+            names.push(s).unwrap();
+        }
+        assert_eq!(names.len(), 5);
+        let all = names.as_slice();
+        assert_eq!(all.iter().collect::<Vec<_>>(), ["", "ab", "é", "", "xyz"]);
+        assert_eq!(all.text_len(), 7);
+        for a in 0..=5 {
+            for b in a..=5 {
+                let rows = all.rows(a..b);
+                let want: Vec<_> = all.iter().skip(a).take(b - a).collect();
+                assert_eq!(rows.iter().collect::<Vec<_>>(), want);
+                assert_eq!(rows.text_len(), want.concat().len());
+                let owned = rows.to_names();
+                assert_eq!(owned.as_slice().iter().collect::<Vec<_>>(), want);
+                assert!(owned.heap_bytes() >= rows.text_len());
+            }
+        }
+        assert_eq!(all.rows(1..4).rows(1..3).get(0), "é");
     }
 
     #[test]

@@ -31,14 +31,13 @@
 use std::collections::HashSet;
 use std::fs::{self, File};
 use std::io::{BufRead, BufWriter, ErrorKind, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use largeea_common::obs::Recorder;
-use largeea_common::pool::Pool;
 
 use crate::error::KgError;
 use crate::graph::KnowledgeGraph;
-use crate::interner::Interner;
+use crate::interner::{Interner, Names};
 use crate::pair::KgPair;
 use crate::{EntityId, RelationId, Triple};
 
@@ -154,44 +153,85 @@ struct Side {
     triples: Vec<Triple>,
 }
 
+/// The error for an input whose names overflow an arena.
+fn too_large(source_name: &str) -> KgError {
+    KgError::TooLarge {
+        source_name: source_name.to_owned(),
+    }
+}
+
+/// Interns `name` into `names`, or the error naming `source_name`.
+fn intern(names: &mut Interner, name: &str, source_name: &str) -> Result<u32, KgError> {
+    names.try_intern(name).ok_or_else(|| too_large(source_name))
+}
+
 impl Side {
     fn scan(reader: impl Read, source_name: &str) -> Result<(Side, Scanned), KgError> {
         let mut side = Side::default();
         let seen = scan_tsv(reader, source_name, |[h, r, t]| {
+            let (entities, relations) = (&mut side.entities, &mut side.relations);
             side.triples.push(Triple {
-                head: EntityId(side.entities.intern(h)),
-                relation: RelationId(side.relations.intern(r)),
-                tail: EntityId(side.entities.intern(t)),
+                head: EntityId(intern(entities, h, source_name)?),
+                relation: RelationId(intern(relations, r, source_name)?),
+                tail: EntityId(intern(entities, t, source_name)?),
             });
             Ok(())
         })?;
         Ok((side, seen))
     }
 
-    /// Every entity's label: the last one the `ent_labels_*` file at `path`
-    /// (which may be absent) gives its key, else the key itself. Lines for
-    /// keys the KG does not have are skipped.
-    fn labels(&self, path: &Path) -> Result<(Vec<String>, Scanned), KgError> {
-        let mut given: Vec<Option<String>> = vec![None; self.entities.len()];
-        let seen = match File::open(path) {
-            Ok(file) => scan_tsv(file, &path.display().to_string(), |[key, label]| {
-                if let Some(id) = self.entities.get(key) {
-                    given[id as usize] = Some(label.to_owned());
-                }
-                Ok(())
-            })?,
-            Err(e) if e.kind() == ErrorKind::NotFound => Scanned::default(),
+    /// Every entity's label, in id order: the last one the `ent_labels_*`
+    /// file at `path` (which may be absent) gives its key, else the key
+    /// itself; `None` when every label is its key. Lines for keys the KG
+    /// does not have are skipped.
+    ///
+    /// The file's labels are appended to one buffer in file order, each
+    /// key's latest `(start, len)` in it noted by id; one last pass lays
+    /// them out in id order.
+    fn labels(&self, path: &Path) -> Result<(Option<Names>, Scanned), KgError> {
+        /// `given[id]` of an entity no line names.
+        const NONE: (u32, u32) = (u32::MAX, 0);
+        let source_name = path.display().to_string();
+        let file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok((None, Scanned::default())),
             Err(e) => return Err(e.into()),
         };
-        let labels = given
-            .into_iter()
-            .zip(self.entities.iter())
-            .map(|(label, (_, key))| label.unwrap_or_else(|| key.to_owned()))
-            .collect();
+        let mut text = String::new();
+        let mut given = vec![NONE; self.entities.len()];
+        let seen = scan_tsv(file, &source_name, |[key, label]| {
+            if let Some(id) = self.entities.get(key) {
+                // ends below u32::MAX, so no span is NONE
+                if text.len() + label.len() >= u32::MAX as usize {
+                    return Err(too_large(&source_name));
+                }
+                given[id as usize] = (text.len() as u32, label.len() as u32);
+                text.push_str(label);
+            }
+            Ok(())
+        })?;
+        let keys = self.entities.names().as_slice();
+        let label = |id: usize| match given[id] {
+            NONE => keys.get(id),
+            (start, len) => &text[start as usize..(start + len) as usize],
+        };
+        let bytes = (0..given.len()).map(|id| label(id).len()).sum();
+        let mut labels = Names::with_capacity(given.len(), bytes);
+        for id in 0..given.len() {
+            labels
+                .push(label(id))
+                .ok_or_else(|| too_large(&source_name))?;
+        }
+        let labels = (labels != *self.entities.names()).then_some(labels);
         Ok((labels, seen))
     }
 
-    fn into_kg(self, name: &str, labels: Vec<String>) -> KnowledgeGraph {
+    /// The KG, holding no more than its data: the arenas and the triple
+    /// store give back what doubling left unused.
+    fn into_kg(mut self, name: &str, labels: Option<Names>) -> KnowledgeGraph {
+        self.entities.shrink_to_fit();
+        self.relations.shrink_to_fit();
+        self.triples.shrink_to_fit();
         KnowledgeGraph::from_parts(name, self.entities, labels, self.relations, self.triples)
     }
 }
@@ -203,9 +243,7 @@ pub fn read_triples<R: BufRead>(
     kg_name: &str,
 ) -> Result<KnowledgeGraph, KgError> {
     let (side, _) = Side::scan(reader, source_name)?;
-    let labels = side.entities.iter().map(|(_, key)| key.to_owned());
-    let labels = labels.collect();
-    Ok(side.into_kg(kg_name, labels))
+    Ok(side.into_kg(kg_name, None))
 }
 
 /// The links of an `ent_links` file (two tab-separated entity keys per
@@ -252,22 +290,20 @@ pub fn read_links<R: BufRead>(
 
 /// Loads a full [`KgPair`] from an OpenEA-layout directory.
 pub fn load_pair(dir: &Path, source_name: &str, target_name: &str) -> Result<KgPair, KgError> {
-    let rec = Recorder::disabled();
-    load_pair_in(Pool::global(), dir, source_name, target_name, &rec)
+    load_pair_traced(dir, source_name, target_name, &Recorder::disabled())
 }
 
-/// [`load_pair`] on `pool`, recorded as one `load` span (`bytes`, `lines`,
-/// `entities`, `triples`, `threads`).
+/// [`load_pair`], recorded as one `load` span (`bytes`, `lines`,
+/// `entities`, `triples`, `label_bytes` — what the label arenas hold, 0 for
+/// a side whose labels are its keys).
 ///
-/// The two triple files are parsed side by side, then `ent_links` (which
-/// interns entities no triple mentions — isolated entities are
-/// representable there but not in the triple files), then the two label
-/// files side by side. Each side's interner is only ever touched by one
-/// task, in file order, so ids, labels, triples and alignment are the same
-/// at any pool width; of several bad files the first in that order is
-/// reported.
-pub fn load_pair_in(
-    pool: &Pool,
+/// The files are parsed on the calling thread, in turn: `rel_triples_1`,
+/// `rel_triples_2`, then `ent_links` (which interns entities no triple
+/// mentions — isolated entities are representable there but not in the
+/// triple files), then `ent_labels_1` and `ent_labels_2`. The loaded KGs
+/// are the run's own data, so no pool worker allocates them (DESIGN.md
+/// §S0.6); of several bad files the first in that order is reported.
+pub fn load_pair_traced(
     dir: &Path,
     source_name: &str,
     target_name: &str,
@@ -275,43 +311,32 @@ pub fn load_pair_in(
 ) -> Result<KgPair, KgError> {
     let mut span = rec.span("load");
     let both = |stem: &str| [1, 2].map(|side| dir.join(format!("{stem}_{side}")));
-    let triples = both("rel_triples");
-    let ((mut source, seen_1), (mut target, seen_2)) = on_both(pool, |side| {
-        let path = &triples[side];
-        Side::scan(File::open(path)?, &path.display().to_string())
-    })?;
+    let scan = |path: &PathBuf| Side::scan(File::open(path)?, &path.display().to_string());
+    let [triples_1, triples_2] = both("rel_triples");
+    let (mut source, seen_1) = scan(&triples_1)?;
+    let (mut target, seen_2) = scan(&triples_2)?;
     let links = dir.join("ent_links");
-    let (alignment, seen_links) = scan_links(
+    let links_name = links.display().to_string();
+    let (mut alignment, seen_links) = scan_links(
         File::open(&links)?,
-        &links.display().to_string(),
-        |key| Ok(EntityId(source.entities.intern(key))),
-        |key| Ok(EntityId(target.entities.intern(key))),
+        &links_name,
+        |key| Ok(EntityId(intern(&mut source.entities, key, &links_name)?)),
+        |key| Ok(EntityId(intern(&mut target.entities, key, &links_name)?)),
     )?;
-    let labels = both("ent_labels");
-    let sides = [&source, &target];
-    let ((labels_1, seen_3), (labels_2, seen_4)) =
-        on_both(pool, |side| sides[side].labels(&labels[side]))?;
+    let [labels_1, labels_2] = both("ent_labels");
+    let (labels_1, seen_3) = source.labels(&labels_1)?;
+    let (labels_2, seen_4) = target.labels(&labels_2)?;
     let seen = [seen_1, seen_2, seen_links, seen_3, seen_4];
     span.field("bytes", seen.iter().map(|s| s.bytes).sum::<u64>());
     span.field("lines", seen.iter().map(|s| s.lines).sum::<u64>());
     span.field("entities", source.entities.len() + target.entities.len());
     span.field("triples", source.triples.len() + target.triples.len());
-    span.field("threads", pool.threads());
+    let label_bytes = [&labels_1, &labels_2].map(|l| l.as_ref().map_or(0, Names::heap_bytes));
+    span.field("label_bytes", label_bytes.iter().sum::<usize>());
     let source = source.into_kg(source_name, labels_1);
     let target = target.into_kg(target_name, labels_2);
+    alignment.shrink_to_fit();
     Ok(KgPair::new(source, target, alignment))
-}
-
-/// `f(0)` and `f(1)`, on two of the pool's threads when it has them. The
-/// first side's error wins, as it would running them in turn.
-fn on_both<T: Send>(
-    pool: &Pool,
-    f: impl Fn(usize) -> Result<T, KgError> + Sync,
-) -> Result<(T, T), KgError> {
-    let halves = pool.map_blocks(2, 1, |sides| sides.map(&f).collect::<Vec<_>>());
-    let mut done = halves.into_iter().flatten();
-    let mut next = || done.next().expect("map_blocks covers 0..2");
-    Ok((next()?, next()?))
 }
 
 /// Writes one KG's triples in the OpenEA text format.
@@ -352,7 +377,7 @@ pub fn save_pair(pair: &KgPair, dir: &Path) -> Result<(), KgError> {
 }
 
 /// Writes the `key \t label` side-file if any entity has a distinct label.
-fn write_labels(kg: &KnowledgeGraph, path: std::path::PathBuf) -> Result<(), KgError> {
+fn write_labels(kg: &KnowledgeGraph, path: PathBuf) -> Result<(), KgError> {
     let any = kg
         .entity_ids()
         .any(|e| kg.entity_key(e) != kg.entity_label(e));

@@ -3,7 +3,8 @@
 //! This crate provides the storage layer every other crate builds on:
 //!
 //! - [`EntityId`] / [`RelationId`] — index newtypes interned per KG;
-//! - [`Interner`] — string ↔ id interning with stable iteration order;
+//! - [`Interner`] — string ↔ id interning with stable iteration order, over
+//!   one [`Names`] arena (read through [`NameSlice`] views);
 //! - [`Triple`] — a `(head, relation, tail)` edge;
 //! - [`KnowledgeGraph`] — entity names, relation names, triple store and a
 //!   lazily built CSR [`Adjacency`] over the undirected entity graph;
@@ -33,7 +34,7 @@ pub use adjacency::Adjacency;
 pub use error::KgError;
 pub use graph::KnowledgeGraph;
 pub use ids::{EntityId, RelationId};
-pub use interner::Interner;
+pub use interner::{Interner, NameSlice, Names};
 pub use pair::{AlignmentSeeds, KgPair};
 pub use stats::KgStats;
 pub use triple::Triple;

@@ -3,11 +3,10 @@
 //! line, a `HashMap` per interner, the five files strictly one after the
 //! other. Equal on everything a caller can see — ids, keys, labels, triple
 //! and alignment order, which line of which file an error names — over
-//! generated and over damaged directories, at pool widths 1, 2 and 4.
+//! generated and over damaged directories.
 
 use largeea_common::check::{for_each_case, mutate, string_from};
 use largeea_common::obs::{ObsConfig, Recorder};
-use largeea_common::pool::Pool;
 use largeea_common::rng::Rng;
 use largeea_kg::io::{self, Scanned};
 use largeea_kg::{KgError, KgPair, KnowledgeGraph};
@@ -135,9 +134,8 @@ fn seen(kg: &KnowledgeGraph) -> Seen {
     }
 }
 
-fn new_load(dir: &Path, width: usize) -> Result<(Seen, Seen, Links), Failure> {
-    let rec = Recorder::disabled();
-    match io::load_pair_in(&Pool::new(width), dir, "S", "T", &rec) {
+fn new_load(dir: &Path) -> Result<(Seen, Seen, Links), Failure> {
+    match io::load_pair(dir, "S", "T") {
         Ok(KgPair {
             source,
             target,
@@ -158,12 +156,10 @@ fn new_load(dir: &Path, width: usize) -> Result<(Seen, Seen, Links), Failure> {
     }
 }
 
-/// Old and new agree on `dir`, at every width; returns what they agree on.
+/// Old and new agree on `dir`; returns what they agree on.
 fn assert_equal_on(dir: &Path) -> Result<(Seen, Seen, Links), Failure> {
     let old = old_load(dir);
-    for width in [1, 2, 4] {
-        assert_eq!(new_load(dir, width), old, "pool width {width}");
-    }
+    assert_eq!(new_load(dir), old);
     old
 }
 
@@ -415,9 +411,10 @@ fn a_missing_triple_or_link_file_is_an_io_error_and_the_load_span_counts() {
     ];
     dir.fill(&files);
     let rec = Recorder::new(ObsConfig::default());
-    let pair = io::load_pair_in(&Pool::new(2), &dir.0, "S", "T", &rec).unwrap();
+    let pair = io::load_pair_traced(&dir.0, "S", "T", &rec).unwrap();
     assert_eq!(pair.alignment.len(), 2);
-    assert_eq!(pair.source.labels(), ["Alpha", "b", "c", "lonely"]);
+    let labels: Vec<&str> = pair.source.labels().iter().collect();
+    assert_eq!(labels, ["Alpha", "b", "c", "lonely"]);
     let trace = rec.trace();
     let load = trace.find("load").expect("one load span");
     let bytes: usize = files.iter().flatten().map(Vec::len).sum();
@@ -425,7 +422,9 @@ fn a_missing_triple_or_link_file_is_an_io_error_and_the_load_span_counts() {
     assert_eq!(field("bytes"), bytes as u64);
     assert_eq!(field("lines"), 3 + 1 + 3 + 2);
     assert_eq!((field("entities"), field("triples")), (4 + 2, 2 + 1));
-    assert_eq!(field("threads"), 2);
+    // the source's label arena (13 bytes of text, 4 offsets); the target's
+    // labels are its keys
+    assert_eq!(field("label_bytes"), 13 + 4 * 4);
 
     for missing in 0..3 {
         let mut files = files.clone();

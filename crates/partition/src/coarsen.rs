@@ -8,14 +8,13 @@
 //! weights accumulate all fine edges between the clusters.
 //!
 //! A round is one pass over the adjacency for the matching and one for the
-//! contraction, which writes the coarse graph's merged edges row by row and
-//! hands those rows to the CSR layout as they are — `O(nv + |E|)` plus a
-//! sort of each coarse row's few neighbours, with no edge list to flatten or
+//! contraction, which writes the coarse graph's merged edges row by row into
+//! one edge list and hands it to the CSR layout as it is — `O(nv + |E|)`
+//! plus a sort of each coarse row's few neighbours, with no edge list to
 //! sort again and nothing hashed.
 
 use crate::graph::{Edge, PartGraph};
 use largeea_common::obs::Recorder;
-use largeea_common::pool::Pool;
 use largeea_common::rng::{Rng, SliceRandom};
 
 /// One coarsening step: the coarse graph and the fine→coarse vertex map.
@@ -77,37 +76,33 @@ pub fn coarsen_once(g: &PartGraph, seed: u64) -> CoarseLevel {
         .map(|&(v, m)| (g.vwgt(v) + if m != v { g.vwgt(m) } else { 0 }) as u32)
         .collect();
 
-    // Contract straight into merged, key-ordered edges. The matching above
-    // is inherently sequential (each decision depends on all earlier ones);
-    // the contraction is not: coarse row `c` gathers the edges its members
-    // send to higher-numbered coarse vertices, sorts them by coarse neighbour
-    // and sums each neighbour's run. Integer sums do not depend on the order
-    // of their terms, so the rows are the same for any thread count. Blocks
-    // of rows, read in order, are the key-ordered edges `from_merged` takes.
-    let blocks = Pool::global().map_blocks(members.len(), 1024, |rows| {
-        let mut out: Vec<Edge> = Vec::new();
-        let mut row: Vec<(u32, u32)> = Vec::new();
-        for c in rows {
-            let (v, m) = members[c];
-            row.clear();
-            for fine in std::iter::once(v).chain((m != v).then_some(m)) {
-                row.extend(
-                    g.neighbors(fine)
-                        .map(|(n, w)| (map[n as usize], w))
-                        .filter(|&(cn, _)| cn as usize > c),
-                );
-            }
-            row.sort_unstable_by_key(|&(cn, _)| cn);
-            for &(cn, w) in &row {
-                match out.last_mut() {
-                    Some(last) if (last.0, last.1) == (c as u32, cn) => last.2 += w,
-                    _ => out.push((c as u32, cn, w)),
-                }
+    // Contract straight into merged, key-ordered edges, on the calling
+    // thread like the matching above: coarse row `c` gathers the edges its
+    // members send to higher-numbered coarse vertices, sorts them by coarse
+    // neighbour and sums each neighbour's run, appended to one edge list
+    // in row order — the key-ordered edges `from_merged` takes. The level
+    // is the run's own data, so no pool worker allocates it (DESIGN.md
+    // §S0.6).
+    let mut merged: Vec<Edge> = Vec::new();
+    let mut row: Vec<(u32, u32)> = Vec::new();
+    for (c, &(v, m)) in members.iter().enumerate() {
+        row.clear();
+        for fine in std::iter::once(v).chain((m != v).then_some(m)) {
+            row.extend(
+                g.neighbors(fine)
+                    .map(|(n, w)| (map[n as usize], w))
+                    .filter(|&(cn, _)| cn as usize > c),
+            );
+        }
+        row.sort_unstable_by_key(|&(cn, _)| cn);
+        for &(cn, w) in &row {
+            match merged.last_mut() {
+                Some(last) if (last.0, last.1) == (c as u32, cn) => last.2 += w,
+                _ => merged.push((c as u32, cn, w)),
             }
         }
-        out
-    });
-    let graph = PartGraph::from_merged(blocks.iter().flatten().copied(), vwgt);
+    }
+    let graph = PartGraph::from_merged(merged.iter().copied(), vwgt);
     CoarseLevel { graph, map }
 }
 
@@ -127,7 +122,7 @@ pub fn coarsen_to(g: &PartGraph, target_nv: usize, seed: u64) -> Vec<CoarseLevel
 
 /// [`coarsen_to`] with telemetry: totals across rounds land in the
 /// `coarsen.rounds` and `coarsen.edges_projected` counters (the latter
-/// counts coarse edges built by the parallel graph projection).
+/// counts coarse edges built by the graph projection).
 pub fn coarsen_to_traced(
     g: &PartGraph,
     target_nv: usize,

@@ -251,38 +251,38 @@ fn reweight_target(target: &KnowledgeGraph, groups: &SeedGroups, cfg: &CpsConfig
 }
 
 /// Greedy maximum matching of target parts onto source parts by descending
-/// co-occurrence count. Unmatched target parts take the leftover source
-/// part ids. Returns `remap[target_part] = batch (= source part) id`.
+/// co-occurrence count (ties to the smaller source, then target, id).
+/// Parts the seeds leave unmatched pair up by ascending id: the `i`-th free
+/// target part takes the `i`-th free source part. Returns
+/// `remap[target_part] = batch (= source part) id`.
+///
+/// Only the `(source, target)` pairs the seeds produce are counted, so the
+/// cost follows the seeds, not `k²`; the result is the dense `k × k`
+/// table's, whose zero-count tail (in id order) is the ascending pairing.
 fn match_parts(k: usize, pairs: impl Iterator<Item = (u32, u32)>) -> Vec<u32> {
-    let mut counts = vec![vec![0usize; k]; k]; // [source][target]
+    let mut pairs: Vec<(u32, u32)> = pairs.collect();
+    pairs.sort_unstable();
+    let mut counts: Vec<(usize, u32, u32)> = Vec::new();
     for (s, t) in pairs {
-        counts[s as usize][t as usize] += 1;
-    }
-    let mut entries: Vec<(usize, u32, u32)> = Vec::with_capacity(k * k);
-    for (s, row) in counts.iter().enumerate() {
-        for (t, &c) in row.iter().enumerate() {
-            entries.push((c, s as u32, t as u32));
+        match counts.last_mut() {
+            Some(last) if (last.1, last.2) == (s, t) => last.0 += 1,
+            _ => counts.push((1, s, t)),
         }
     }
-    entries.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+    counts.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
     let mut remap = vec![u32::MAX; k];
     let mut source_used = vec![false; k];
-    for (_, s, t) in entries {
+    for (_, s, t) in counts {
         if remap[t as usize] == u32::MAX && !source_used[s as usize] {
             remap[t as usize] = s;
             source_used[s as usize] = true;
         }
     }
-    // leftovers (no seeds at all): assign remaining source ids in order
-    let mut free: Vec<u32> = (0..k as u32)
-        .filter(|&s| !source_used[s as usize])
-        .collect();
-    for slot in remap.iter_mut() {
-        if *slot == u32::MAX {
-            *slot = free
-                .pop()
-                .expect("one free source part per unmatched target part");
-        }
+    let mut free = (0..k as u32).filter(|&s| !source_used[s as usize]);
+    for slot in remap.iter_mut().filter(|slot| **slot == u32::MAX) {
+        *slot = free
+            .next()
+            .expect("one free source part per unmatched target part");
     }
     remap
 }
@@ -512,8 +512,47 @@ mod tests {
     #[test]
     fn match_parts_fills_unmatched() {
         let remap = match_parts(3, std::iter::empty());
-        let mut sorted = remap.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, vec![0, 1, 2]);
+        assert_eq!(remap, vec![0, 1, 2]);
+    }
+
+    /// The dense formulation: a `k × k` count table, every cell sorted by
+    /// descending count, then source, then target id, taken greedily.
+    fn match_parts_dense(k: usize, pairs: &[(u32, u32)]) -> Vec<u32> {
+        let mut counts = vec![vec![0usize; k]; k];
+        for &(s, t) in pairs {
+            counts[s as usize][t as usize] += 1;
+        }
+        let mut entries: Vec<(usize, u32, u32)> = Vec::new();
+        for (s, row) in counts.iter().enumerate() {
+            for (t, &c) in row.iter().enumerate() {
+                entries.push((c, s as u32, t as u32));
+            }
+        }
+        entries.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+        let mut remap = vec![u32::MAX; k];
+        let mut source_used = vec![false; k];
+        for (_, s, t) in entries {
+            if remap[t as usize] == u32::MAX && !source_used[s as usize] {
+                remap[t as usize] = s;
+                source_used[s as usize] = true;
+            }
+        }
+        remap
+    }
+
+    #[test]
+    fn match_parts_equals_the_dense_table() {
+        for_each_case(0x3A7C_0001, 200, |rng| {
+            let k = rng.gen_range(1..120usize);
+            // from no seeds to many per part, K ≫ seeds included
+            let n = rng.gen_range(0..3 * k);
+            // few distinct parts, so counts tie and collide
+            let spread = rng.gen_range(1..=k) as u32;
+            let pairs: Vec<(u32, u32)> = (0..n)
+                .map(|_| (rng.gen_range(0..spread), rng.gen_range(0..spread)))
+                .collect();
+            let remap = match_parts(k, pairs.iter().copied());
+            assert_eq!(remap, match_parts_dense(k, &pairs), "k = {k}, {n} pairs");
+        });
     }
 }

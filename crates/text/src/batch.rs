@@ -11,31 +11,74 @@
 use crate::jaccard::{jaccard, shingles};
 use crate::levenshtein::levenshtein_similarity;
 use crate::minhash::{MinHasher, Signatures};
+use largeea_kg::NameSlice;
 use largeea_tensor::parallel::Pool;
+
+/// Strings a batch entry point reads by index: a slice, array or `Vec` of
+/// strings, or a KG's [`NameSlice`] (its labels, straight from the arena).
+/// `Copy`, so every task of a parallel pass can hold it.
+pub trait Texts: Copy + Sync {
+    /// Number of strings.
+    fn count(&self) -> usize;
+    /// String `i`.
+    fn text(&self, i: usize) -> &str;
+}
+
+impl<S: AsRef<str> + Sync> Texts for &[S] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn text(&self, i: usize) -> &str {
+        self[i].as_ref()
+    }
+}
+
+impl<S: AsRef<str> + Sync, const N: usize> Texts for &[S; N] {
+    fn count(&self) -> usize {
+        N
+    }
+    fn text(&self, i: usize) -> &str {
+        self[i].as_ref()
+    }
+}
+
+impl<S: AsRef<str> + Sync> Texts for &Vec<S> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn text(&self, i: usize) -> &str {
+        self[i].as_ref()
+    }
+}
+
+impl Texts for NameSlice<'_> {
+    fn count(&self) -> usize {
+        self.len()
+    }
+    fn text(&self, i: usize) -> &str {
+        self.get(i)
+    }
+}
 
 /// MinHash signatures of `texts` (already-normalised labels), in input
 /// order, parallel over text blocks: one buffer allocated here and filled
 /// in place through [`MinHasher::signature_into`], so no task allocates.
-pub fn minhash_signatures<S: AsRef<str> + Sync>(
-    hasher: &MinHasher,
-    texts: &[S],
-    shingle_k: usize,
-) -> Signatures {
+pub fn minhash_signatures(hasher: &MinHasher, texts: impl Texts, shingle_k: usize) -> Signatures {
     minhash_signatures_in(hasher, texts, shingle_k, Pool::global())
 }
 
 /// [`minhash_signatures`] on an explicit pool.
-pub fn minhash_signatures_in<S: AsRef<str> + Sync>(
+pub fn minhash_signatures_in(
     hasher: &MinHasher,
-    texts: &[S],
+    texts: impl Texts,
     shingle_k: usize,
     pool: &Pool,
 ) -> Signatures {
-    let mut sigs = Signatures::buffer(hasher, texts.len());
+    let mut sigs = Signatures::buffer(hasher, texts.count());
     let perms = hasher.num_perms();
     pool.rows_mut(sigs.as_mut_slice(), perms, 64, |block, first| {
         for (i, sig) in block.chunks_exact_mut(perms).enumerate() {
-            hasher.signature_into(texts[first + i].as_ref(), shingle_k, sig);
+            hasher.signature_into(texts.text(first + i), shingle_k, sig);
         }
     });
     sigs

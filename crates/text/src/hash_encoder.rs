@@ -14,8 +14,9 @@
 //! vectors are L2-normalised and max-pooled exactly as the paper pools BERT
 //! token embeddings.
 
+use crate::batch::Texts;
 use crate::hashing::{fnv1a, mix};
-use crate::normalize::normalize_name;
+use crate::normalize::normalize_into;
 use crate::tokenize::tokens;
 use largeea_tensor::parallel::Pool;
 use largeea_tensor::Matrix;
@@ -98,13 +99,18 @@ impl HashEncoder {
     }
 
     /// [`HashEncoder::encode`] into a caller's row, with buffers the caller
-    /// keeps from one name to the next.
+    /// keeps from one name to the next (the normalised name among them).
     fn encode_into(&self, raw_name: &str, pooled: &mut [f32], scratch: &mut Scratch) {
-        let (token_vec, padded, starts) = scratch;
-        let name = normalize_name(raw_name);
+        let Scratch {
+            name,
+            token_vec,
+            padded,
+            starts,
+        } = scratch;
+        normalize_into(raw_name, name);
         pooled.fill(0.0);
         token_vec.resize(self.dim, 0.0);
-        for tok in tokens(&name) {
+        for tok in tokens(name) {
             token_vec.fill(0.0);
             self.scatter(tok.as_bytes(), 2.0, token_vec); // whole token, up-weighted
 
@@ -143,20 +149,20 @@ impl HashEncoder {
     /// Encodes a batch of labels into a row-per-name matrix with
     /// L2-normalised rows (the paper's `h_e ← h_e / (‖h_e‖₂ + ε)`).
     /// Parallel over name blocks on the global pool.
-    pub fn encode_batch<S: AsRef<str> + Sync>(&self, names: &[S]) -> Matrix {
+    pub fn encode_batch(&self, names: impl Texts) -> Matrix {
         self.encode_batch_in(names, Pool::global())
     }
 
     /// [`HashEncoder::encode_batch`] on an explicit pool, so tests can pin
     /// the width. Each row is encoded independently and rows never span
     /// task boundaries, so results are bit-identical for any thread count.
-    pub fn encode_batch_in<S: AsRef<str> + Sync>(&self, names: &[S], pool: &Pool) -> Matrix {
-        let mut out = Matrix::zeros(names.len(), self.dim);
+    pub fn encode_batch_in(&self, names: impl Texts, pool: &Pool) -> Matrix {
+        let mut out = Matrix::zeros(names.count(), self.dim);
         let dim = self.dim;
         pool.rows_mut(out.as_mut_slice(), dim, 64, |block, first_row| {
             let mut scratch = Scratch::default();
             for (ri, row) in block.chunks_mut(dim).enumerate() {
-                self.encode_into(names[first_row + ri].as_ref(), row, &mut scratch);
+                self.encode_into(names.text(first_row + ri), row, &mut scratch);
             }
         });
         out.l2_normalize_rows(1e-12);
@@ -164,10 +170,18 @@ impl HashEncoder {
     }
 }
 
-/// Buffers [`HashEncoder::encode_into`] reuses across names: the token's
-/// vector, the token between its `^`/`$` markers, and the byte offset of
-/// each char of that (plus its length).
-type Scratch = (Vec<f32>, Vec<u8>, Vec<usize>);
+/// Buffers [`HashEncoder::encode_into`] reuses across names.
+#[derive(Default)]
+struct Scratch {
+    /// The normalised name.
+    name: String,
+    /// The token's vector.
+    token_vec: Vec<f32>,
+    /// The token between its `^`/`$` markers.
+    padded: Vec<u8>,
+    /// The byte offset of each char of `padded` (plus its length).
+    starts: Vec<usize>,
+}
 
 #[cfg(test)]
 mod tests {

@@ -29,10 +29,11 @@ pub mod minhash;
 pub mod normalize;
 pub mod tokenize;
 
+pub use batch::Texts;
 pub use hash_encoder::HashEncoder;
 pub use jaccard::{jaccard, shingles};
 pub use levenshtein::{levenshtein, levenshtein_bounded, levenshtein_similarity};
 pub use lsh::LshIndex;
 pub use minhash::{MinHasher, Signature, Signatures};
-pub use normalize::normalize_name;
+pub use normalize::{normalize_into, normalize_name};
 pub use tokenize::{char_ngrams, tokens};

@@ -37,12 +37,20 @@ fn fold_diacritic(c: char) -> char {
 /// whitespace trimmed, and a trailing parenthetical qualifier — DBpedia's
 /// disambiguation suffix, e.g. `"T-Minus (producer)"` — removed.
 pub fn normalize_name(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    normalize_into(raw, &mut out);
+    out
+}
+
+/// [`normalize_name`] into `out`, which is cleared first — so one buffer
+/// serves a whole batch of names.
+pub fn normalize_into(raw: &str, out: &mut String) {
+    out.clear();
     // Strip a final "(...)" qualifier if present.
     let stripped = match (raw.rfind('('), raw.ends_with(')')) {
         (Some(open), true) if open > 0 => &raw[..open],
         _ => raw,
     };
-    let mut out = String::with_capacity(stripped.len());
     let mut pending_space = false;
     for c in stripped.chars() {
         let c = fold_diacritic(
@@ -60,7 +68,6 @@ pub fn normalize_name(raw: &str) -> String {
             pending_space = true;
         }
     }
-    out
 }
 
 /// Extracts a human-readable label from a URI-like entity key: the last
@@ -109,6 +116,21 @@ mod tests {
             "New York"
         );
         assert_eq!(label_from_key("plain name"), "plain name");
+    }
+
+    #[test]
+    fn normalize_into_reuses_its_buffer() {
+        let mut out = String::from("stale contents");
+        for s in [
+            "São Paulo",
+            "",
+            "T-Minus (producer)",
+            "!!!",
+            "New_York--City",
+        ] {
+            normalize_into(s, &mut out);
+            assert_eq!(out, normalize_name(s), "{s:?}");
+        }
     }
 
     #[test]

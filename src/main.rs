@@ -23,7 +23,6 @@ mod trace_cmd;
 use largeea::common::fmt_bytes;
 use largeea::common::json::ToJson;
 use largeea::common::obs::{LiveConfig, Recorder};
-use largeea::common::pool::Pool;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea::data::Preset;
@@ -101,6 +100,11 @@ degrades the run to the surviving channel. Degradations are stamped as
 `degraded.*` counters/fields in the trace and reported on stdout —
 never silent. `failpoints list` prints every fault-injection site that
 `LARGEEA_FAILPOINTS=<name>=err|panic|partial|transient[@N]` can arm.
+
+`--k n` (default 5) is the number of mini-batches K: 1 up to the smaller
+KG's entity count, as every batch needs an entity of each side; partitioning
+costs O(K) beyond the graphs. `--csls n` re-scores the fused similarity
+with CSLS over each entity's n nearest neighbours, n ≥ 1.
 
 EXIT CODES (documented contract, asserted by tests/cli.rs):
   0  success
@@ -318,8 +322,19 @@ fn parse_bytes(v: &str) -> Option<usize> {
 /// Loads `--data`, as `rec`'s `load` span.
 fn load_data(flags: &Flags, rec: &Recorder) -> Result<KgPair, CliError> {
     let dir = required(flags, "data")?;
-    io::load_pair_in(Pool::global(), Path::new(dir), "SRC", "TGT", rec)
+    io::load_pair_traced(Path::new(dir), "SRC", "TGT", rec)
         .map_err(|e| CliError::Other(format!("loading {dir}: {e}")))
+}
+
+/// `--k`, the batch count: from 1 up to the smaller side's entity count.
+fn parse_k(flags: &Flags, pair: &KgPair) -> Result<usize, CliError> {
+    let k = parse_or(flags, "k", 5)?;
+    let most = pair.source.num_entities().min(pair.target.num_entities());
+    if !(1..=most).contains(&k) {
+        let want = format!("a batch count in 1..={most} (the smaller side's entities)");
+        return Err(bad_value("k", &k.to_string(), &want));
+    }
+    Ok(k)
 }
 
 fn split(flags: &Flags, pair: &KgPair) -> Result<AlignmentSeeds, CliError> {
@@ -405,7 +420,7 @@ fn cmd_partition(flags: &Flags) -> Result<(), CliError> {
     let root = rec.span("partition");
     let pair = load_data(flags, &rec)?;
     let seeds = split(flags, &pair)?;
-    let k: usize = parse_or(flags, "k", 5)?;
+    let k = parse_k(flags, &pair)?;
     let strategy = match flags.get("strategy").map(String::as_str).unwrap_or("cps") {
         "cps" | "metis-cps" => Partitioner::MetisCps,
         "vps" => Partitioner::Vps,
@@ -435,6 +450,12 @@ fn cmd_partition(flags: &Flags) -> Result<(), CliError> {
         );
     }
     root.finish();
+    if rec.heap_enabled() {
+        // as `align` gauges them (DESIGN.md §S0.6)
+        rec.gauge_max("heap.peak", largeea::common::alloc::heap_peak() as f64);
+        let kept = largeea::common::alloc::worker_kept_bytes();
+        rec.gauge_max("pool.worker_kept_bytes", kept as f64);
+    }
     Ok(write_trace(flags, &rec)?)
 }
 
@@ -451,9 +472,13 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         split(flags, &pair)?
     };
     let model = model_by_name(flags.get("model").map(String::as_str).unwrap_or("rrea"))?;
+    let csls_k = parse_opt(flags, "csls")?;
+    if csls_k == Some(0) {
+        return Err(bad_value("csls", "0", "a neighbourhood size of at least 1"));
+    }
     let cfg = LargeEaConfig {
         structure: StructureChannelConfig {
-            k: parse_or(flags, "k", 5)?,
+            k: parse_k(flags, &pair)?,
             model,
             train: TrainConfig {
                 epochs: parse_or(flags, "epochs", 50)?,
@@ -462,7 +487,7 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
             },
             ..StructureChannelConfig::default()
         },
-        csls_k: parse_opt(flags, "csls")?,
+        csls_k,
         ..LargeEaConfig::default()
     };
     let rounds: usize = parse_or(flags, "rounds", 1)?.max(1);

@@ -399,6 +399,12 @@ fn exit_codes_follow_the_documented_taxonomy() {
         ),
         (&["align", "--data", "@data", "--model", "foo"], "--model"),
         (&["align", "--data", "@data", "--csls", "x"], "--csls"),
+        // …or a value out of its range: no batch, more batches than the
+        // smaller side has entities, an empty CSLS neighbourhood
+        (&["partition", "--data", "@data", "--k", "0"], "--k"),
+        (&["partition", "--data", "@data", "--k", "100000"], "--k"),
+        (&["align", "--data", "@data", "--k", "100000"], "--k"),
+        (&["align", "--data", "@data", "--csls", "0"], "--csls"),
         (
             &["partition", "--data", "@data", "--strategy", "foo"],
             "--strategy",

@@ -4,7 +4,7 @@
 //! sees every allocation, declared or not; the CLI tests drive the
 //! `largeea` binary's admission points and `trace heap`'s rendering.
 
-use largeea::common::alloc::worker_kept_bytes;
+use largeea::common::alloc::{thread_live, worker_kept_bytes};
 use largeea::common::fmt_bytes;
 use largeea::common::obs::{Level, ObsConfig, Recorder, Trace};
 use largeea::common::pool::Pool;
@@ -13,13 +13,13 @@ use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::core::MemBudget;
 use largeea::core::{NameChannel, NameChannelConfig};
 use largeea::data::Preset;
-use largeea::kg::KnowledgeGraph;
+use largeea::kg::{io, KnowledgeGraph};
 use largeea::models::baselines::whole_graph;
 use largeea::models::negative::{sample_negatives, NegStrategy};
 use largeea::models::scoring::fill_similarity;
 use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
 use largeea::partition::coarsen::coarsen_to;
-use largeea::partition::{partition_kway_traced, PartGraph, PartitionConfig};
+use largeea::partition::{metis_cps, partition_kway_traced, CpsConfig, PartGraph, PartitionConfig};
 use largeea::sim::resident_bytes;
 use largeea::tensor::{IndexList, Matrix, Tape};
 use largeea::text::batch::minhash_signatures_in;
@@ -456,6 +456,101 @@ fn pool_workers_keep_nothing_they_allocate() {
     );
 }
 
+/// The `dbp1m-ci` files, saved once per test under `tag`.
+fn dbp1m_ci_files(tag: &str) -> PathBuf {
+    let dir = tempdir(tag).join("data");
+    io::save_pair(&Preset::Dbp1mCi.spec(1.0).generate(), &dir).unwrap();
+    dir
+}
+
+/// The load-and-partition arena gate (DESIGN.md §S0.6): the loader and the
+/// partitioner run their stages on the calling thread, so a load followed
+/// by METIS-CPS (two `partition_kway` runs) leaves nothing in a worker's
+/// malloc arena. Reruns itself in a child at width 2, as
+/// `pool_workers_keep_nothing_they_allocate` does.
+#[test]
+fn a_load_and_a_partition_keep_nothing_on_workers() {
+    if std::env::var_os(KEPT_CHILD).is_none() {
+        let out = Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "a_load_and_a_partition_keep_nothing_on_workers"])
+            .env("LARGEEA_THREADS", "2")
+            .env(KEPT_CHILD, "1")
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+        return;
+    }
+    assert_eq!(Pool::global().threads(), 2);
+    let data = dbp1m_ci_files("kept_load");
+    let before = worker_kept_bytes();
+    let pair = io::load_pair(&data, "S", "T").unwrap();
+    let seeds = pair.split_seeds(0.2, 7);
+    let batches = metis_cps(&pair, &seeds, &CpsConfig::new(20));
+    assert_eq!(
+        worker_kept_bytes() - before,
+        0,
+        "the load and the partition"
+    );
+    assert_eq!(batches.k(), 20);
+    std::fs::remove_dir_all(data.parent().unwrap()).ok();
+}
+
+/// The KG gate (DESIGN.md §S1): a loaded pair holds each key, and each
+/// label that is not its key, as bytes in one arena per side. What it keeps
+/// live is its name, that text, 4 B of offsets an entity for each arena,
+/// 12 B a triple, 8 B a link and the lookup tables; the relation names are
+/// the same again. The load makes a number of allocations that grows with
+/// the logarithm of its files (buffers doubling), not one per line.
+#[test]
+fn a_loaded_pair_holds_its_names_as_bytes_once() {
+    let data = dbp1m_ci_files("kg_bytes");
+    let live0 = thread_live();
+    let pair = io::load_pair(&data, "S", "T").unwrap();
+    let held = (thread_live() - live0) as usize;
+    // a table of 8 B slots at most 3/4 full with one more key, 16 at least
+    let table = |n: usize| 8 * (4 * (n + 1)).div_ceil(3).next_power_of_two().max(16);
+    let side = |kg: &KnowledgeGraph| {
+        let keys: usize = kg.entity_ids().map(|e| kg.entity_key(e).len()).sum();
+        let labelled = kg
+            .entity_ids()
+            .any(|e| kg.entity_key(e) != kg.entity_label(e));
+        let labels = if labelled { kg.labels().text_len() } else { 0 };
+        let relations: usize = (0..kg.num_relations() as u32)
+            .map(|r| kg.relation_name(largeea::kg::RelationId(r)).len() + 4)
+            .sum();
+        kg.name().len()
+            + keys
+            + labels
+            + 8 * kg.num_entities()
+            + 12 * kg.num_triples()
+            + relations
+            + table(kg.num_entities())
+            + table(kg.num_relations())
+    };
+    let allowed = side(&pair.source) + side(&pair.target) + 8 * pair.alignment.len();
+    assert!(
+        held <= allowed,
+        "the loaded pair holds {held} B, its data {allowed} B"
+    );
+    // the same load again, traced
+    let rec = Recorder::new(ObsConfig {
+        heap: true,
+        ..ObsConfig::default()
+    });
+    io::load_pair_traced(&data, "S", "T", &rec).unwrap();
+    let trace = rec.trace();
+    let load = trace.find("load").expect("load span");
+    let count = load.field_u64("alloc.count").unwrap();
+    assert!(count <= 400, "the load made {count} allocations");
+    let label_bytes = load.field_u64("label_bytes").unwrap();
+    assert!(label_bytes as usize >= pair.source.labels().text_len());
+    std::fs::remove_dir_all(data.parent().unwrap()).ok();
+}
+
 /// The sketch gate: STNS keeps one signature per target entity and an LSH
 /// index of flat arrays beside them — `perms · 8` bytes of signature and at
 /// most `bands · 32 + 8` of index per entity, in a number of allocations
@@ -574,6 +669,39 @@ fn align(data: &Path, extra: &[&str], threads: &str) -> std::process::Output {
         .env("LARGEEA_THREADS", threads)
         .output()
         .unwrap()
+}
+
+/// The `--k` gate: target parts pair with source parts through the part
+/// pairs the seeds produce, never a `K × K` table, so beyond the graphs
+/// `partition` holds O(K): its root span peaks within 8 MB at K = 2000 of
+/// its peak at K = 20 (a dense table of counts measured ≈96 MB more).
+#[test]
+fn partition_memory_follows_k_not_k_squared() {
+    let data = dbp1m_ci_files("k_sweep");
+    let peak = |k: &str| {
+        let path = data.with_file_name(format!("k{k}.json"));
+        let out = bin()
+            .args(["partition", "--data"])
+            .arg(&data)
+            .args(["--k", k, "--trace-out"])
+            .arg(&path)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let trace = Trace::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let root = trace.find("partition").expect("partition span");
+        root.field_u64("alloc.peak").expect("heap attribution")
+    };
+    let (small, large) = (peak("20"), peak("2000"));
+    assert!(
+        large <= small + (8 << 20),
+        "partition peaked at {large} B for K = 2000, {small} B for K = 20"
+    );
+    std::fs::remove_dir_all(data.parent().unwrap()).ok();
 }
 
 /// An impossible budget is refused at one admission point whatever the pool

@@ -84,3 +84,54 @@ fn generator_respects_arbitrary_configs() {
         assert!(stats.max_degree >= 1);
     });
 }
+
+/// Label side-files as they come from other tools: a key given twice (the
+/// last line wins), a key the KG does not have (skipped), CRLF line ends
+/// (not part of the label), an empty label (kept: it is not the key), a
+/// blank line, and a file without a final newline. Invalid UTF-8 is a
+/// typed parse error naming its line.
+#[test]
+fn hostile_label_files_load_the_labels_the_line_loader_did() {
+    use largeea::kg::KgError;
+    let dir = std::env::temp_dir().join(format!("largeea_labels_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, bytes: &[u8]| std::fs::write(dir.join(name), bytes).unwrap();
+    write("rel_triples_1", b"a\tr\tb\nb\tr\tc\nc\tr\td\n");
+    write("rel_triples_2", b"w\tq\tx\nx\tq\ty\n");
+    write("ent_links", b"a\tw\nb\tx\nlonely\ty\n");
+    write(
+        "ent_labels_1",
+        b"a\tFirst\r\nghost\tNobody\nb\t\n\nc\tSee (letter)\r\na\tAlpha\nlonely\tSolo",
+    );
+    write("ent_labels_2", b"x\tEx\n");
+    let pair = io::load_pair(&dir, "S", "T").expect("load");
+    fn labels(kg: &largeea::kg::KnowledgeGraph) -> Vec<&str> {
+        kg.labels().iter().collect()
+    }
+    // ids: a b c d from the triples, then the link-only `lonely`
+    assert_eq!(
+        labels(&pair.source),
+        ["Alpha", "", "See (letter)", "d", "Solo"]
+    );
+    assert_eq!(labels(&pair.target), ["w", "Ex", "y"]);
+    assert!(pair.source.entity_id("ghost").is_none());
+
+    // a file of labels that are all their keys loads as keys
+    write("ent_labels_2", b"w\tw\nx\tx\r\n");
+    let pair = io::load_pair(&dir, "S", "T").expect("load");
+    assert_eq!(labels(&pair.target), ["w", "x", "y"]);
+
+    write("ent_labels_1", b"a\tAlpha\n\nb\tB\xffeta\nc\tC\n");
+    match io::load_pair(&dir, "S", "T") {
+        Err(KgError::Parse {
+            source_name,
+            line,
+            message,
+        }) => {
+            assert!(source_name.ends_with("ent_labels_1"), "{source_name}");
+            assert_eq!((line, message.as_str()), (3, "invalid UTF-8"));
+        }
+        other => panic!("expected a parse error, got {other:?}"),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
