@@ -3,9 +3,7 @@
 //!
 //! Input (`--runs <file>`): one JSON object a line,
 //! `{"seed":N,"side":"parent"|"change","workload":W,"result":{…}}`, where
-//! `result` is the harness's result line of one timed run, and before each
-//! pair `{"seed":N,"workload":W,"calibration":{…}}`, what `bench_pairs
-//! --calibrate` measured of the host just then. `--manifest`
+//! `result` is the harness's result line of one timed run. `--manifest`
 //! names `BENCHMARK.json`, whose `end_to_end` table gives every metric's
 //! direction and bound. The report goes to stdout.
 //!
@@ -17,18 +15,12 @@
 //! pairs, *inside noise* otherwise. `past_bound` flags a change median
 //! worse than the parent's by more than the metric's relative bound.
 //!
-//! Each workload row also carries the calibrations of its pairs, so a pair
-//! that ran while the host was slow shows as such.
-//!
 //! Flags: `--runs <file>`, `--manifest <file>`, `--parent <sha>`,
-//! `--change <label>`, `--seconds <s>`; or `--calibrate` alone.
+//! `--change <label>`, `--seconds <s>`.
 
 use largeea_bench::arg_str;
 use largeea_common::json::{self, Json, ToJson};
-use largeea_tensor::kernels::dot;
 use std::collections::BTreeMap;
-use std::hint::black_box;
-use std::time::Instant;
 
 /// One end-to-end metric of the manifest.
 struct Metric {
@@ -42,10 +34,6 @@ struct Metric {
 type Pairs = BTreeMap<u64, (Option<f64>, Option<f64>)>;
 
 fn main() {
-    if std::env::args().any(|a| a == "--calibrate") {
-        println!("{}", calibrate().dump());
-        return;
-    }
     let read = |flag: &str| {
         let path = arg_str(flag).unwrap_or_else(|| panic!("--{flag} <file> is required"));
         std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
@@ -66,55 +54,6 @@ fn main() {
         ("workloads", report),
     ]);
     println!("{}", out.dump());
-}
-
-/// The host's pace at a fixed shape, on one thread, best of three timed
-/// passes each: the triad `a[i] = b[i] + 3·c[i]` over three 32 MiB `f32`
-/// arrays (GiB/s, each array counted once) and the dot kernel on two
-/// L1-resident 1024-float vectors (GFLOP/s, the `tensor.dot_gflops` shape).
-fn calibrate() -> Json {
-    const TRIAD_LEN: usize = 8 << 20;
-    const DOT_LEN: usize = 1024;
-    const DOT_CALLS: usize = 20_000;
-    fn best(mut pass: impl FnMut()) -> f64 {
-        pass(); // untimed: page faults, caches
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                pass();
-                start.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
-    }
-    let (mut a, b, c) = (
-        vec![0.0f32; TRIAD_LEN],
-        vec![1.5f32; TRIAD_LEN],
-        vec![0.25f32; TRIAD_LEN],
-    );
-    let triad_s = best(|| {
-        for ((a, b), c) in a.iter_mut().zip(&b).zip(&c) {
-            *a = b + 3.0 * c;
-        }
-        black_box(&a);
-    });
-    drop((a, b, c));
-    let x: Vec<f32> = (0..DOT_LEN).map(|i| (i % 7) as f32 * 0.25).collect();
-    let y: Vec<f32> = (0..DOT_LEN).map(|i| (i % 5) as f32 * 0.5).collect();
-    let dot_s = best(|| {
-        let mut acc = 0.0f32;
-        for _ in 0..DOT_CALLS {
-            acc += dot(black_box(&x), black_box(&y));
-        }
-        black_box(acc);
-    });
-    let triad_gib = (3 * TRIAD_LEN * std::mem::size_of::<f32>()) as f64 / (1u64 << 30) as f64;
-    Json::obj([
-        ("triad_gib_s", (triad_gib / triad_s).to_json()),
-        (
-            "dot_gflops",
-            ((2 * DOT_LEN * DOT_CALLS) as f64 / 1e9 / dot_s).to_json(),
-        ),
-    ])
 }
 
 fn metrics(manifest: &Json) -> Vec<Metric> {
@@ -151,21 +90,8 @@ fn fold(manifest: &Json, runs: &[Json]) -> Json {
         }
         let mut failed = [0u64; 2];
         let mut pairs: Vec<Pairs> = metrics.iter().map(|_| Pairs::new()).collect();
-        let mut calibrations = BTreeMap::new();
         for run in mine {
             let seed = run.get("seed").and_then(Json::as_u64).expect("seed");
-            if let Some(host) = run.get("calibration") {
-                let field = |k: &str| host.get(k).cloned().unwrap_or(Json::Null);
-                calibrations.insert(
-                    seed,
-                    Json::obj([
-                        ("seed", seed.to_json()),
-                        ("triad_gib_s", field("triad_gib_s")),
-                        ("dot_gflops", field("dot_gflops")),
-                    ]),
-                );
-                continue;
-            }
             let side = match run.get("side").and_then(Json::as_str) {
                 Some("parent") => 0,
                 Some("change") => 1,
@@ -207,10 +133,6 @@ fn fold(manifest: &Json, runs: &[Json]) -> Json {
                         .map(|(m, p)| compare(m, p))
                         .collect(),
                 ),
-            ),
-            (
-                "calibration",
-                Json::Arr(calibrations.into_values().collect()),
             ),
         ]));
     }
@@ -320,8 +242,8 @@ mod tests {
     #[test]
     fn a_clear_cut_moves_and_a_tie_stays_inside_noise() {
         // the change is faster on every seed, by far more than the spread;
-        // quality is identical everywhere; one pair was calibrated
-        let mut runs: Vec<Json> = (1..=10)
+        // quality is identical everywhere
+        let runs: Vec<Json> = (1..=10)
             .flat_map(|s| {
                 let jitter = s as f64 * 0.01;
                 [
@@ -330,22 +252,9 @@ mod tests {
                 ]
             })
             .collect();
-        runs.push(
-            json::parse(
-                r#"{"seed":3,"workload":"a","calibration":{"triad_gib_s":9.5,"dot_gflops":12.0}}"#,
-            )
-            .unwrap(),
-        );
         let report = fold(&manifest(), &runs);
         let rows = report.as_arr().unwrap();
         assert_eq!(rows.len(), 1, "workload b has no runs");
-        let calibration = rows[0].get("calibration").unwrap().as_arr().unwrap();
-        assert_eq!(calibration.len(), 1);
-        assert_eq!(calibration[0].get("seed").unwrap().as_u64(), Some(3));
-        assert_eq!(
-            calibration[0].get("dot_gflops").unwrap().as_f64(),
-            Some(12.0)
-        );
         let metrics = rows[0].get("metrics").unwrap().as_arr().unwrap();
         let wall = &metrics[0];
         assert_eq!(wall.get("wins").unwrap().as_u64(), Some(10));

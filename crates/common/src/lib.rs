@@ -5,7 +5,7 @@
 //! *LargeEA* (Ge et al., VLDB 2021) compiles and tests **fully offline**:
 //! no crates.io registry, no network, no vendored third-party code.
 //!
-//! Ten subsystems (DESIGN.md §S0, §S0.5, §S0.6, §S0.7):
+//! Eleven subsystems (DESIGN.md §S0, §S0.5, §S0.6, §S0.7, §S1):
 //!
 //! | Module | Replaces | Provides |
 //! |--------|----------|----------|
@@ -18,6 +18,7 @@
 //! | [`failpoint`] | `fail` crate | named deterministic fault-injection points (`LARGEEA_FAILPOINTS`), branch-on-disabled-flag no-ops in normal runs |
 //! | [`fsio`] | `tempfile`+`crc32fast` | atomic durable writes (temp → fsync → rename) and CRC32-checksummed framed reads — torn writes are detected, never silently loaded |
 //! | [`alloc`] | `jemalloc`-style stats / `dhat` | [`alloc::CountingAlloc`] instrumented `#[global_allocator]`: per-thread byte/count/peak accounting with span attribution and pool-worker transfer |
+//! | [`names`] | `Vec<String>` | [`names::Names`] string arena (one `String`, `u32` ends) and its `Copy` view [`names::NameSlice`] |
 //! | [`units`] | `humansize` | [`fmt_bytes`] human-readable byte formatting shared by every memory report |
 //!
 //! ## Determinism contract
@@ -42,6 +43,7 @@ pub mod check;
 pub mod failpoint;
 pub mod fsio;
 pub mod json;
+pub mod names;
 pub mod obs;
 pub mod pool;
 pub mod retry;

@@ -3,8 +3,9 @@
 use crate::adjacency::Adjacency;
 use crate::error::KgError;
 use crate::ids::{EntityId, RelationId};
-use crate::interner::{Interner, NameSlice, Names};
+use crate::interner::Interner;
 use crate::triple::Triple;
+use largeea_common::names::{NameSlice, Names};
 
 /// A knowledge graph `G = (E, R, T)`: entities, relations and triples.
 ///

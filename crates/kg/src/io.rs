@@ -37,9 +37,9 @@ use largeea_common::obs::Recorder;
 
 use crate::error::KgError;
 use crate::graph::KnowledgeGraph;
-use crate::interner::{Interner, Names};
+use crate::interner::Interner;
 use crate::pair::KgPair;
-use crate::{EntityId, RelationId, Triple};
+use crate::{EntityId, Names, RelationId, Triple};
 
 /// Bytes asked of the reader at a time.
 const BLOCK: usize = 1 << 20;
@@ -186,8 +186,9 @@ impl Side {
     /// does not have are skipped.
     ///
     /// The file's labels are appended to one buffer in file order, each
-    /// key's latest `(start, len)` in it noted by id; one last pass lays
-    /// them out in id order.
+    /// key's latest `(start, len)` in it noted by id, and a count kept of
+    /// the ids whose latest label is not their key; unless that ends at
+    /// zero, one last pass lays the labels out in id order.
     fn labels(&self, path: &Path) -> Result<(Option<Names>, Scanned), KgError> {
         /// `given[id]` of an entity no line names.
         const NONE: (u32, u32) = (u32::MAX, 0);
@@ -199,17 +200,28 @@ impl Side {
         };
         let mut text = String::new();
         let mut given = vec![NONE; self.entities.len()];
+        let mut differing = 0usize;
         let seen = scan_tsv(file, &source_name, |[key, label]| {
             if let Some(id) = self.entities.get(key) {
                 // ends below u32::MAX, so no span is NONE
                 if text.len() + label.len() >= u32::MAX as usize {
                     return Err(too_large(&source_name));
                 }
-                given[id as usize] = (text.len() as u32, label.len() as u32);
+                let (start, len) = std::mem::replace(
+                    &mut given[id as usize],
+                    (text.len() as u32, label.len() as u32),
+                );
+                if start != NONE.0 && text[start as usize..(start + len) as usize] != *key {
+                    differing -= 1; // a repeated key: its earlier label is overridden
+                }
+                differing += usize::from(label != key);
                 text.push_str(label);
             }
             Ok(())
         })?;
+        if differing == 0 {
+            return Ok((None, seen));
+        }
         let keys = self.entities.names().as_slice();
         let label = |id: usize| match given[id] {
             NONE => keys.get(id),
@@ -222,8 +234,7 @@ impl Side {
                 .push(label(id))
                 .ok_or_else(|| too_large(&source_name))?;
         }
-        let labels = (labels != *self.entities.names()).then_some(labels);
-        Ok((labels, seen))
+        Ok((Some(labels), seen))
     }
 
     /// The KG, holding no more than its data: the arenas and the triple

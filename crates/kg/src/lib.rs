@@ -34,7 +34,8 @@ pub use adjacency::Adjacency;
 pub use error::KgError;
 pub use graph::KnowledgeGraph;
 pub use ids::{EntityId, RelationId};
-pub use interner::{Interner, NameSlice, Names};
+pub use interner::Interner;
+pub use largeea_common::names::{NameSlice, Names};
 pub use pair::{AlignmentSeeds, KgPair};
 pub use stats::KgStats;
 pub use triple::Triple;

@@ -11,11 +11,11 @@
 use crate::jaccard::{jaccard, shingles};
 use crate::levenshtein::levenshtein_similarity;
 use crate::minhash::{MinHasher, Signatures};
-use largeea_kg::NameSlice;
+use largeea_common::names::NameSlice;
 use largeea_tensor::parallel::Pool;
 
-/// Strings a batch entry point reads by index: a slice, array or `Vec` of
-/// strings, or a KG's [`NameSlice`] (its labels, straight from the arena).
+/// Strings a batch entry point reads by index: a slice or `Vec` of
+/// strings, or a [`NameSlice`] of an arena (a KG's labels, read in place).
 /// `Copy`, so every task of a parallel pass can hold it.
 pub trait Texts: Copy + Sync {
     /// Number of strings.
@@ -27,15 +27,6 @@ pub trait Texts: Copy + Sync {
 impl<S: AsRef<str> + Sync> Texts for &[S] {
     fn count(&self) -> usize {
         self.len()
-    }
-    fn text(&self, i: usize) -> &str {
-        self[i].as_ref()
-    }
-}
-
-impl<S: AsRef<str> + Sync, const N: usize> Texts for &[S; N] {
-    fn count(&self) -> usize {
-        N
     }
     fn text(&self, i: usize) -> &str {
         self[i].as_ref()
@@ -150,7 +141,7 @@ mod tests {
         for (i, t) in texts.iter().enumerate() {
             assert_eq!(par.get(i), mh.signature_of(t, 3), "text {i}");
         }
-        assert!(minhash_signatures(&mh, &[""; 0], 3).is_empty());
+        assert!(minhash_signatures(&mh, &[""; 0][..], 3).is_empty());
     }
 
     #[test]

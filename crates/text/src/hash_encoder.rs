@@ -27,7 +27,7 @@ use largeea_tensor::Matrix;
 /// use largeea_text::HashEncoder;
 ///
 /// let enc = HashEncoder::new(64, 42);
-/// let emb = enc.encode_batch(&["London", "Londres", "Beijing"]);
+/// let emb = enc.encode_batch(&["London", "Londres", "Beijing"][..]);
 /// let cos = |a: &[f32], b: &[f32]| -> f32 {
 ///     a.iter().zip(b).map(|(x, y)| x * y).sum()
 /// };
@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn batch_rows_are_unit_normalised() {
         let e = enc();
-        let m = e.encode_batch(&["Paris", "Berlin", "Londres"]);
+        let m = e.encode_batch(&["Paris", "Berlin", "Londres"][..]);
         for r in 0..3 {
             let n: f32 = m.row(r).iter().map(|x| x * x).sum::<f32>().sqrt();
             assert!((n - 1.0).abs() < 1e-4, "row {r} norm {n}");
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn batch_matches_single_up_to_normalisation() {
         let e = enc();
-        let m = e.encode_batch(&["Tour Eiffel"]);
+        let m = e.encode_batch(&["Tour Eiffel"][..]);
         let mut single = e.encode("Tour Eiffel");
         let n: f32 = single.iter().map(|x| x * x).sum::<f32>().sqrt();
         for x in &mut single {

@@ -15,10 +15,8 @@
 #     seconds (default 12), and which tree goes first flips every seed. The
 #     runs are folded by the `bench_pairs` binary: per workload × end-to-end
 #     metric, each side's quartiles, wins k of N and a moved / inside-noise
-#     verdict (crates/bench/src/bin/bench_pairs.rs). Before each pair,
-#     `bench_pairs --calibrate` measures the host (triad GiB/s, dot GFLOP/s,
-#     one thread, fixed shapes); each workload row lists those beside its
-#     pairs. About N × 2 × S seconds a workload plus the parent's cold build.
+#     verdict (crates/bench/src/bin/bench_pairs.rs). About N × 2 × S seconds
+#     a workload plus the parent's cold build.
 #
 # tests/bench_file.rs pins both files' shapes.
 set -euo pipefail
@@ -73,13 +71,9 @@ git archive "$parent_sha" | tar -x -C "$tmp/parent"
 unset CARGO_TARGET_DIR
 trees=("$tmp/parent" "$PWD")
 sides=(parent change)
-cargo build -q --release --offline -p largeea-bench --bin bench_pairs
-bench_pairs="$PWD/target/release/bench_pairs"
 for ((i = 0; i < pairs; i++)); do
   seed=$((first_seed + i))
   for w in "${workloads[@]}"; do
-    printf '{"seed":%s,"workload":"%s","calibration":%s}\n' \
-      "$seed" "$w" "$("$bench_pairs" --calibrate)" >> "$tmp/runs.jsonl"
     for j in 0 1; do
       s=$(((i + j) % 2)) # seed i runs the parent first when i is even
       echo "seed $seed $w: ${sides[s]}" >&2
@@ -89,6 +83,7 @@ for ((i = 0; i < pairs; i++)); do
     done
   done
 done
-"$bench_pairs" --runs "$tmp/runs.jsonl" --manifest BENCHMARK.json \
+cargo run -q --release --offline -p largeea-bench --bin bench_pairs -- \
+  --runs "$tmp/runs.jsonl" --manifest BENCHMARK.json \
   --parent "$parent_sha" --change "$change" --seconds "$seconds" > BENCH_pairs.json
 echo "BENCH_pairs.json: $pairs pairs, parent $parent_sha" >&2

@@ -1,6 +1,7 @@
 //! Integration tests for dataset IO and generation through the facade.
 
 use largeea::common::check::for_each_case;
+use largeea::common::obs::{ObsConfig, Recorder};
 use largeea::data::{Language, NameNoise, PairGenConfig, Preset};
 use largeea::kg::{io, KgStats};
 
@@ -116,10 +117,23 @@ fn hostile_label_files_load_the_labels_the_line_loader_did() {
     assert_eq!(labels(&pair.target), ["w", "Ex", "y"]);
     assert!(pair.source.entity_id("ghost").is_none());
 
-    // a file of labels that are all their keys loads as keys
-    write("ent_labels_2", b"w\tw\nx\tx\r\n");
-    let pair = io::load_pair(&dir, "S", "T").expect("load");
-    assert_eq!(labels(&pair.target), ["w", "x", "y"]);
+    // a file whose labels are (at last) their keys loads as keys and
+    // stores no label arena; the last line for a key decides
+    write("ent_labels_1", b"");
+    for (file, want, arena) in [
+        (&b"w\tw\nx\tx\r\n"[..], ["w", "x", "y"], false),
+        (b"x\tEx\nx\tx\n", ["w", "x", "y"], false),
+        (b"x\tx\nx\tEx\n", ["w", "Ex", "y"], true),
+        (b"x\tEx\nx\tEks\nw\tw\n", ["w", "Eks", "y"], true),
+    ] {
+        write("ent_labels_2", file);
+        let rec = Recorder::new(ObsConfig::default());
+        let pair = io::load_pair_traced(&dir, "S", "T", &rec).expect("load");
+        assert_eq!(labels(&pair.target), want);
+        let trace = rec.trace();
+        let label_bytes = trace.find("load").unwrap().field_u64("label_bytes");
+        assert_eq!(label_bytes.unwrap() > 0, arena, "{want:?}");
+    }
 
     write("ent_labels_1", b"a\tAlpha\n\nb\tB\xffeta\nc\tC\n");
     match io::load_pair(&dir, "S", "T") {

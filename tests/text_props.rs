@@ -170,7 +170,7 @@ fn encoder_bits_equal_the_char_ngram_formulation() {
         assert_eq!(bits(enc.encode(&raw)), want, "{raw:?}");
         // the batch path writes the same vector before normalising rows;
         // a second name in the block exercises the reused buffers
-        let batch = enc.encode_batch(&["x y", &raw]);
+        let batch = enc.encode_batch(&["x y", &raw][..]);
         let mut expect =
             largeea::tensor::Matrix::from_vec(1, dim, encode_via_char_ngrams(&raw, dim, seed));
         expect.l2_normalize_rows(1e-12);
