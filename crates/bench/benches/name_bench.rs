@@ -12,12 +12,11 @@ use largeea_text::{levenshtein, HashEncoder, LshIndex, MinHasher};
 
 fn labels(n: usize) -> Vec<String> {
     let pair = Preset::Ids15kEnFr.spec(0.1).generate();
-    pair.source
-        .labels()
-        .iter()
-        .take(n)
-        .map(str::to_owned)
-        .collect()
+    owned(pair.source.labels().iter(), n)
+}
+
+fn owned<'a>(names: impl Iterator<Item = &'a str>, n: usize) -> Vec<String> {
+    names.take(n).map(str::to_owned).collect()
 }
 
 fn bench_sens(bench: &mut Bench) {
@@ -106,10 +105,34 @@ fn bench_ivf_vs_exact(bench: &mut Bench) {
     group.finish();
 }
 
+fn bench_cold_scans(bench: &mut Bench) {
+    // Exact scans whose collectors start empty: a batch's `M_s`, a
+    // negatives resample, and one whole-side segment of the DBP1M@0.008
+    // SENS scan, where every collector is cold for the whole scan.
+    let pair = Preset::Dbp1mEnFr.spec(0.008).generate();
+    let (source, target) = (pair.source.labels(), pair.target.labels());
+    let mut group = bench.group("cold_topk_search");
+    for (n_q, n_b, dim, k) in [
+        (1924, 1397, 64, 50),
+        (776, 945, 192, 17),
+        (14655, 10639, 128, 50),
+    ] {
+        let encoder = HashEncoder::new(dim, 42);
+        let q = encoder.encode_batch(&owned(source.iter(), n_q));
+        let b = encoder.encode_batch(&owned(target.iter(), n_b));
+        let shape = format!("{}x{}_dim{dim}_k{k}", q.rows(), b.rows());
+        group.bench_function(shape, |bch| {
+            bch.iter(|| largeea_sim::topk_search(&q, &b, k, Metric::Manhattan))
+        });
+    }
+    group.finish();
+}
+
 fn main() {
     let mut bench = Bench::new().sample_size(10);
     bench_sens(&mut bench);
     bench_stns(&mut bench);
     bench_topk_retention(&mut bench);
     bench_ivf_vs_exact(&mut bench);
+    bench_cold_scans(&mut bench);
 }

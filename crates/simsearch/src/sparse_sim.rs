@@ -6,6 +6,7 @@
 //! `O(k·|E_s|)` (paper §2.3) — the entire framework result `M = M_s + M_n`
 //! lives in this representation.
 
+use crate::topk::score_order;
 use largeea_tensor::Matrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -162,7 +163,7 @@ impl SparseSimMatrix {
             if r.len() <= k {
                 continue;
             }
-            r.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+            r.sort_unstable_by(|a, b| score_order(b.1, a.1).then(a.0.cmp(&b.0)));
             r.truncate(k);
             r.sort_unstable_by_key(|&(c, _)| c);
         }
@@ -345,7 +346,7 @@ impl SparseSimMatrix {
         self.rows[row]
             .iter()
             .copied()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap().then(b.0.cmp(&a.0)))
+            .max_by(|a, b| score_order(a.1, b.1).then(b.0.cmp(&a.0)))
     }
 
     /// For every column, the best row pointing at it (ties → lowest row).
@@ -413,7 +414,7 @@ fn top_mean(it: impl Iterator<Item = f32>, k: usize) -> f32 {
     if v.is_empty() {
         return 0.0;
     }
-    v.sort_unstable_by(|a, b| b.partial_cmp(a).expect("finite scores"));
+    v.sort_unstable_by(|a, b| score_order(*b, *a));
     v.truncate(k);
     v.iter().sum::<f32>() / v.len() as f32
 }
@@ -583,6 +584,17 @@ mod tests {
         m.insert(0, 1, 0.25);
         assert_eq!(m.get(0, 1), Some(0.75));
         assert_eq!(m.nnz(), 1);
+    }
+
+    #[test]
+    fn a_nan_score_ranks_below_every_number() {
+        let mut m = SparseSimMatrix::new(1, 4);
+        m.insert(0, 0, f32::NAN);
+        m.insert(0, 2, -3.0);
+        m.insert(0, 3, f32::NEG_INFINITY);
+        assert_eq!(m.best(0), Some((2, -3.0)));
+        m.truncate_topk(2);
+        assert_eq!(m.row(0), &[(2, -3.0), (3, f32::NEG_INFINITY)]);
     }
 
     #[test]
@@ -798,7 +810,7 @@ mod tests {
                 entries.extend(m.row(r).iter().map(|&(c, s)| (s, r as u32, c)));
             }
             entries.sort_by(|a, b| {
-                (b.0.partial_cmp(&a.0).unwrap())
+                score_order(b.0, a.0)
                     .then(a.1.cmp(&b.1))
                     .then(a.2.cmp(&b.2))
             });

@@ -4,8 +4,9 @@ use largeea_common::obs::{Level, Recorder};
 use largeea_tensor::kernels::{dot_panel, l1_panel, sad_panel};
 use largeea_tensor::parallel::Pool;
 use largeea_tensor::{dot, l1_distance, Matrix, Rows};
+use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{self, AtomicU64};
 
 /// Similarity metric for the search. All variants are expressed as
 /// *similarities* (larger is better); distances are negated.
@@ -68,11 +69,19 @@ pub(crate) struct TopK {
     heap: Vec<(f32, u32)>, // min-heap under `worse`
 }
 
-/// Total-order "is `a` worse than `b`": lower score loses; equal scores,
-/// higher id loses. (NaN never arises: scores are finite similarities.)
+/// The order every similarity in this crate is ranked by: a NaN ranks
+/// below every number (and ties another NaN); any two numbers compare as
+/// `<` / `==` do, so −0.0 and +0.0 tie.
+pub(crate) fn score_order(a: f32, b: f32) -> Ordering {
+    a.partial_cmp(&b)
+        .unwrap_or_else(|| b.is_nan().cmp(&a.is_nan()))
+}
+
+/// Total-order "is `a` worse than `b`": lower score loses (under
+/// [`score_order`]); equal scores, higher id loses.
 #[inline]
 fn worse(a: (f32, u32), b: (f32, u32)) -> bool {
-    a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
+    score_order(a.0, b.0).then(b.1.cmp(&a.1)).is_lt()
 }
 
 impl TopK {
@@ -129,7 +138,7 @@ impl TopK {
     /// (ties broken by ascending id for determinism).
     pub(crate) fn into_sorted(self) -> Vec<(u32, f32)> {
         let mut v: Vec<(u32, f32)> = self.heap.into_iter().map(|(s, i)| (i, s)).collect();
-        v.sort_unstable_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        v.sort_unstable_by(|a, b| score_order(b.1, a.1).then(a.0.cmp(&b.0)));
         v
     }
 }
@@ -155,6 +164,43 @@ fn below(sads: &[u32; PANEL_ROWS], bound: u32) -> u64 {
         mask |= m << (g * 8);
     }
     mask
+}
+
+/// The mask of a panel's first `rows` rows (all of them from
+/// [`PANEL_ROWS`] on).
+fn live(rows: usize) -> u64 {
+    let dead = PANEL_ROWS - rows.min(PANEL_ROWS);
+    u64::MAX.checked_shr(dead as u32).unwrap_or(0)
+}
+
+/// Base rows a cold collector warms up on ([`Scan::warm`]): their SADs
+/// are 16 KiB of scratch, and at the 128-dim name embeddings their codes
+/// (512 KiB) stay in L2 while it runs. Enough to hold a whole SENS
+/// segment, so the warm-up's bar is the segment's nearly final one.
+const WARM_ROWS: usize = 64 * PANEL_ROWS;
+
+/// A cut with at least `need` of `sads` below it (`0 < need < sads.len()`),
+/// read off a fixed 256-bucket histogram: bucket `b` holds the SADs `s`
+/// with `(s − min) >> shift == b`, the smallest shift that fits `[min,
+/// max]` in 256 buckets, and the cut is the upper edge of the first bucket
+/// at which the count reaches `need` — no sort, no heap, no division.
+fn cut_for(sads: &[u32], need: usize) -> u32 {
+    let (lo, hi) = (sads.iter()).fold((u32::MAX, 0), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    let shift = (u32::BITS - (hi - lo).leading_zeros()).saturating_sub(8);
+    let mut counts = [0u32; 256];
+    for &s in sads {
+        // `& 255` only spares the bounds check: the shift already fits
+        counts[((s - lo) >> shift) as usize & 255] += 1;
+    }
+    let mut seen = 0;
+    for (b, &count) in (1u64..).zip(&counts) {
+        seen += count as usize;
+        if seen >= need {
+            let edge = u32::try_from(b << shift).unwrap_or(u32::MAX);
+            return lo.saturating_add(edge);
+        }
+    }
+    unreachable!("need {need} of {} SADs", sads.len())
 }
 
 /// Bytes a Manhattan [`segmented_topk_streamed`] keeps resident while it
@@ -292,20 +338,16 @@ impl Scan<'_> {
     /// streamed segment of a larger matrix). Returns how many pairs were
     /// scored in f32.
     ///
-    /// Cache blocking: the base range is walked in [`PANEL_ROWS`]-row
-    /// panels, and each panel is scored against *every* query of the task
-    /// before the next is touched, so the base streams from L2 once per
-    /// task rather than once per query.
-    ///
-    /// Pre-filter: once a query's collector is full, a pair whose code SAD
-    /// reaches the query's [`Sketch::limit`] plus the base row's slack has
-    /// a kernel distance strictly above the collector's bar — `push` would
-    /// drop it — and is not scored. The bar is read once per panel; the
-    /// panel's own pushes only raise it, so a stale one lets more through,
-    /// never less. Every other pair gets the panel kernels' bits
-    /// (`l1_distance` returns the same ones) and is pushed in the same
-    /// ascending order, so after every panel each collector holds exactly
-    /// what it would without the filter.
+    /// Without sketches every pair is scored ([`Scan::panels`]). With
+    /// them, a collector still short of `k` entries has no bar for the
+    /// pre-filter to test against, so it first warms up on the range's
+    /// leading [`WARM_ROWS`] rows (or `k`, in whole panels) through
+    /// [`Scan::warm`], while the full collectors take those rows in the
+    /// panel pass; then every collector takes the rest of the range in
+    /// it. A collector keeps the first `k` of a total order whatever order
+    /// the offers come in, and every row is either pushed or proved
+    /// strictly worse than `k` rows already held, so each collector ends
+    /// the block holding exactly what it would without the filter.
     fn block(
         &self,
         q_first: usize,
@@ -313,62 +355,195 @@ impl Scan<'_> {
         id_offset: usize,
         tops: &mut [TopK],
     ) -> u64 {
+        if self.sketches.is_none() {
+            return self.panels(q_first, b_range, id_offset, tops, false);
+        }
+        let k = tops.first().map_or(1, |top| top.k);
+        let prefix = WARM_ROWS.max(k.next_multiple_of(PANEL_ROWS));
+        let warm = b_range.start..b_range.end.min(b_range.start + prefix);
+        let mut refined = self.panels(q_first, warm.clone(), id_offset, tops, true);
+        let mut sads = Vec::new();
+        for (qi, top) in tops.iter_mut().enumerate() {
+            if top.bar().is_none() {
+                refined += self.warm(q_first + qi, warm.clone(), id_offset, top, &mut sads);
+            }
+        }
+        refined + self.panels(q_first, warm.end..b_range.end, id_offset, tops, false)
+    }
+
+    /// The panel pass over `base[range]`, which starts on the panel grid.
+    ///
+    /// Cache blocking: the range is walked in [`PANEL_ROWS`]-row panels,
+    /// and each panel is scored against *every* query of the task before
+    /// the next is touched, so the base streams from L2 once per task
+    /// rather than once per query.
+    ///
+    /// Pre-filter: once a query's collector is full, a pair whose code SAD
+    /// reaches the query's [`Sketch::limit`] plus the base row's slack has
+    /// a kernel distance strictly above the collector's bar — `push` would
+    /// drop it — and is not scored. The bar is read once per panel; the
+    /// panel's own pushes only raise it, so a stale one lets more through,
+    /// never less. Every other pair gets the panel kernels' bits
+    /// (`l1_distance` returns the same ones) and is pushed. A collector
+    /// with no bar takes the whole panel in f32 — or, with `skip_cold`,
+    /// nothing, if it is still short of `k`.
+    fn panels(
+        &self,
+        q_first: usize,
+        range: Range<usize>,
+        id_offset: usize,
+        tops: &mut [TopK],
+        skip_cold: bool,
+    ) -> u64 {
         let dim = self.base.cols();
         let mut scores = [0.0f32; PANEL_ROWS];
         let mut sads = [0u32; PANEL_ROWS];
-        let mut picked = [0usize; PANEL_ROWS];
         let mut refined = 0u64;
-        for p_start in b_range.clone().step_by(PANEL_ROWS) {
-            let p_end = (p_start + PANEL_ROWS).min(b_range.end);
-            let rows = p_end - p_start;
-            let panel = &self.base.as_slice()[p_start * dim..p_end * dim];
-            let widest = self.sketches.map_or(0, |(_, bs)| {
-                let slack = bs.slack[p_start..p_end].iter();
-                slack.copied().max().unwrap_or(0)
-            });
+        for p_start in range.clone().step_by(PANEL_ROWS) {
+            let p_rows = p_start..(p_start + PANEL_ROWS).min(range.end);
+            let rows = p_rows.len();
+            let panel = &self.base.as_slice()[p_start * dim..p_rows.end * dim];
+            let widest = self.widest(p_rows.clone());
             for (qi, top) in tops.iter_mut().enumerate() {
                 let q = q_first + qi;
-                let qrow = self.queries.row(q);
-                let filter = self.sketches.and_then(|(qs, bs)| {
-                    let limit = qs.limit(q, -top.bar()?)?;
-                    Some((qs, bs, limit))
-                });
-                let Some((qs, bs, limit)) = filter else {
+                if let (Some((qs, bs)), Some(limit)) = (self.sketches, self.limit(q, top)) {
+                    let (q_codes, panel_codes) = (qs.codes(q..q + 1), bs.codes(p_rows.clone()));
+                    sad_panel(q_codes, panel_codes, qs.stride, &mut sads[..rows]);
+                    let keep = self.survivors(p_rows.clone(), &sads, live(rows), limit, widest);
+                    refined += self.push_rows(q, p_start, keep, id_offset, top);
+                } else if !(skip_cold && top.bar().is_none()) {
                     let scores = &mut scores[..rows];
+                    let qrow = self.queries.row(q);
                     self.metric.similarity_panel(qrow, panel, dim, scores);
-                    for (b, &score) in (p_start..p_end).zip(scores.iter()) {
+                    for (b, &score) in p_rows.clone().zip(scores.iter()) {
                         top.push((id_offset + b) as u32, score);
                     }
                     refined += rows as u64;
-                    continue;
-                };
-                let (q_codes, panel_codes) = (qs.codes(q..q + 1), bs.codes(p_start..p_end));
-                sad_panel(q_codes, panel_codes, qs.stride, &mut sads[..rows]);
-                // One pass over the whole buffer against the panel's widest
-                // slack finds the few rows worth a second look; what a
-                // short last panel leaves beyond `rows` is masked off.
-                let live = u64::MAX >> (PANEL_ROWS - rows);
-                let mut maybe = below(&sads, limit.saturating_add(widest)) & live;
-                let mut survivors = 0;
-                while maybe != 0 {
-                    let r = maybe.trailing_zeros() as usize;
-                    maybe &= maybe - 1;
-                    if sads[r] < limit.saturating_add(bs.slack[p_start + r]) {
-                        // distances first, pushes after: back-to-back
-                        // kernel calls overlap, a heap sift between them
-                        // would not let them
-                        scores[survivors] = l1_distance(qrow, self.base.row(p_start + r));
-                        picked[survivors] = p_start + r;
-                        survivors += 1;
-                    }
                 }
-                for (&b, &d) in picked.iter().zip(scores.iter()).take(survivors) {
-                    top.push((id_offset + b) as u32, -d);
-                }
-                refined += survivors as u64;
             }
         }
         refined
+    }
+
+    /// Fills query `q`'s cold collector from `base[warm]`, which starts on
+    /// the panel grid, scoring in f32 only what the pre-filter cannot rule
+    /// out. The rows' SADs come first; the rows below [`cut_for`]'s cut
+    /// (at least as many as the collector lacks, and the nearest ones by
+    /// code) are scored and pushed, which fills the collector with a bar
+    /// already close to its final one; the other rows then meet the
+    /// pre-filter against that bar. `sads` is scratch.
+    fn warm(
+        &self,
+        q: usize,
+        warm: Range<usize>,
+        id_offset: usize,
+        top: &mut TopK,
+        sads: &mut Vec<u32>,
+    ) -> u64 {
+        let (qs, bs) = self.sketches.expect("only a sketched scan warms up");
+        let rows = warm.len();
+        let panels = warm.clone().step_by(PANEL_ROWS);
+        let need = top.k - top.heap.len();
+        sads.resize(rows.next_multiple_of(PANEL_ROWS), 0);
+        let (q_codes, warm_codes) = (qs.codes(q..q + 1), bs.codes(warm.clone()));
+        sad_panel(q_codes, warm_codes, qs.stride, &mut sads[..rows]);
+        // with nothing to choose between, every row goes in: no SAD reaches
+        // `u32::MAX` (`sad_panel` caps the stride at 2²⁴ bytes)
+        let cut = if rows > need {
+            cut_for(&sads[..rows], need)
+        } else {
+            u32::MAX
+        };
+        let (panel_sads, _) = sads.as_chunks::<PANEL_ROWS>();
+        let mut refined = 0;
+        for (p_start, p_sads) in panels.clone().zip(panel_sads) {
+            let nearest = below(p_sads, cut) & live(warm.end - p_start);
+            refined += self.push_rows(q, p_start, nearest, id_offset, top);
+        }
+        for (p_start, p_sads) in panels.zip(panel_sads) {
+            let p_rows = p_start..(p_start + PANEL_ROWS).min(warm.end);
+            let rest = !below(p_sads, cut) & live(p_rows.len());
+            let keep = match self.limit(q, top) {
+                Some(limit) => {
+                    let widest = self.widest(p_rows.clone());
+                    self.survivors(p_rows, p_sads, rest, limit, widest)
+                }
+                None => rest,
+            };
+            refined += self.push_rows(q, p_start, keep, id_offset, top);
+        }
+        refined
+    }
+
+    /// Query `q`'s [`Sketch::limit`] under `top`'s bar; `None` when the
+    /// scan has no sketches, the collector no bar, or the bound nothing to
+    /// prove.
+    fn limit(&self, q: usize, top: &TopK) -> Option<u32> {
+        let (qs, _) = self.sketches?;
+        qs.limit(q, -top.bar()?)
+    }
+
+    /// The largest base slack among `rows` (0 without sketches).
+    fn widest(&self, rows: Range<usize>) -> u32 {
+        let slack = |bs: &Sketch| bs.slack[rows].iter().copied().max().unwrap_or(0);
+        self.sketches.map_or(0, |(_, bs)| slack(bs))
+    }
+
+    /// The `candidates` (bit `r`: base row `rows.start + r`, SAD `sads[r]`)
+    /// the pre-filter cannot rule out: whose SAD stays below `limit` plus
+    /// the row's slack. One pass over the whole buffer against the panel's
+    /// `widest` slack finds the few rows worth a second look.
+    fn survivors(
+        &self,
+        rows: Range<usize>,
+        sads: &[u32; PANEL_ROWS],
+        candidates: u64,
+        limit: u32,
+        widest: u32,
+    ) -> u64 {
+        let (_, bs) = self.sketches.expect("only a sketched scan filters");
+        let slack = &bs.slack[rows];
+        let mut maybe = below(sads, limit.saturating_add(widest)) & candidates;
+        let mut keep = 0;
+        while maybe != 0 {
+            let r = maybe.trailing_zeros() as usize;
+            maybe &= maybe - 1;
+            if sads[r] < limit.saturating_add(slack[r]) {
+                keep |= 1 << r;
+            }
+        }
+        keep
+    }
+
+    /// Scores the base rows `p_start + r` for each bit `r` of `rows`
+    /// against query `q` in f32 and pushes them; returns how many. Only a
+    /// sketched — Manhattan — scan picks rows one by one.
+    fn push_rows(
+        &self,
+        q: usize,
+        p_start: usize,
+        mut rows: u64,
+        id_offset: usize,
+        top: &mut TopK,
+    ) -> u64 {
+        debug_assert_eq!(self.metric, Metric::Manhattan);
+        let qrow = self.queries.row(q);
+        let mut dists = [0.0f32; PANEL_ROWS];
+        let mut picked = [0usize; PANEL_ROWS];
+        let mut n = 0;
+        while rows != 0 {
+            let r = rows.trailing_zeros() as usize;
+            rows &= rows - 1;
+            // distances first, pushes after: back-to-back kernel calls
+            // overlap, a heap sift between them would not let them
+            dists[n] = l1_distance(qrow, self.base.row(p_start + r));
+            picked[n] = p_start + r;
+            n += 1;
+        }
+        for (&b, &d) in picked.iter().zip(&dists).take(n) {
+            top.push((id_offset + b) as u32, -d);
+        }
+        n as u64
     }
 
     /// [`Scan::block`] of the whole base for every query row, split over
@@ -380,7 +555,7 @@ impl Scan<'_> {
         let refined = AtomicU64::new(0);
         pool.rows_mut(tops, 1, 32, |tops, first| {
             let n = self.block(first, 0..self.base.rows(), id_offset, tops);
-            refined.fetch_add(n, Ordering::Relaxed);
+            refined.fetch_add(n, atomic::Ordering::Relaxed);
         });
         refined.into_inner()
     }
@@ -785,17 +960,23 @@ mod tests {
     }
 
     /// The oracle: every pair scored on its own, sorted by (−score, id).
-    fn naive_topk(q: &Matrix, b: &Matrix, k: usize, metric: Metric) -> Vec<Vec<(u32, f32)>> {
+    fn naive_topk(q: &Matrix, b: &Matrix, k: usize, metric: Metric) -> Hits {
         (0..q.rows())
             .map(|qi| {
                 let mut scored: Vec<(u32, f32)> = (0..b.rows())
                     .map(|bi| (bi as u32, metric.similarity(q.row(qi), b.row(bi))))
                     .collect();
-                scored.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+                scored.sort_by(|a, b| score_order(b.1, a.1).then(a.0.cmp(&b.0)));
                 scored.truncate(k);
                 scored
             })
             .collect()
+    }
+
+    /// Hits as `(id, score bits)`, so a NaN score compares equal to itself.
+    fn hit_bits(hits: &Hits) -> Vec<Vec<(u32, u32)>> {
+        let bits = |h: &Vec<(u32, f32)>| h.iter().map(|&(id, s)| (id, s.to_bits())).collect();
+        hits.iter().map(bits).collect()
     }
 
     /// Every exact entry point, at several widths / segment counts (the
@@ -808,14 +989,14 @@ mod tests {
             b.rows(),
             b.cols()
         );
-        let expect = naive_topk(q, b, k, metric);
+        let expect = hit_bits(&naive_topk(q, b, k, metric));
         for width in [1, 2, 4] {
             let got = topk_search_in(q, b, k, metric, &Pool::new(width));
-            assert_eq!(got, expect, "width={width} {ctx}");
+            assert_eq!(hit_bits(&got), expect, "width={width} {ctx}");
         }
         for segs in [1, 3, 7] {
             let got = segmented_topk(q, b, k, metric, segs);
-            assert_eq!(got, expect, "segments={segs} {ctx}");
+            assert_eq!(hit_bits(&got), expect, "segments={segs} {ctx}");
         }
     }
 
@@ -989,8 +1170,14 @@ mod tests {
         assert!(refined < 400 * 400 / 4, "refined {refined} of 160000");
     }
 
-    fn heap_bits(tops: &[TopK]) -> Vec<Vec<(u32, u32)>> {
-        let bits = |t: &TopK| t.heap.iter().map(|&(s, id)| (s.to_bits(), id)).collect();
+    /// What each collector retains, as sorted `(score bits, id)` pairs: the
+    /// heap's array order depends on push order, the retained set does not.
+    fn retained_bits(tops: &[TopK]) -> Vec<Vec<(u32, u32)>> {
+        let bits = |t: &TopK| {
+            let mut held: Vec<_> = t.heap.iter().map(|&(s, id)| (s.to_bits(), id)).collect();
+            held.sort_unstable();
+            held
+        };
         tops.iter().map(bits).collect()
     }
 
@@ -1032,12 +1219,76 @@ mod tests {
                     let all = oracle.block(0, panel.clone(), 7, &mut want);
                     assert_eq!(all, (nq * panel.len()) as u64);
                     assert_eq!(
-                        heap_bits(&tops),
-                        heap_bits(&want),
+                        retained_bits(&tops),
+                        retained_bits(&want),
                         "after {panel:?}: nq={nq} nb={nb} dim={dim} k={k} scale={scale:e}"
                     );
                 }
                 assert!(refined <= (nq * nb) as u64);
+            }
+        });
+    }
+
+    #[test]
+    fn cold_collectors_end_where_the_naive_search_does() {
+        use largeea_common::check::for_each_case;
+        for_each_case(0xC01D, 40, |rng| {
+            // now and then a few queries against a base longer than the
+            // warm-up prefix
+            let (nq, nb) = match rng.gen_range(0..6u32) {
+                0 => (
+                    rng.gen_range(1..6usize),
+                    WARM_ROWS + rng.gen_range(0..300usize),
+                ),
+                _ => (rng.gen_range(1..40usize), rng.gen_range(0..300usize)),
+            };
+            let dim = rng.gen_range(1..40usize);
+            let k = match rng.gen_range(0..4u32) {
+                0 => 1,
+                1 => nb.max(1),
+                2 => nb + rng.gen_range(1..5usize),
+                _ => rng.gen_range(2..60usize),
+            };
+            // clustered rows on a coarse grid: exact ties in SAD and in
+            // distance, at the histogram's cut as everywhere else
+            let point = |rng: &mut largeea_common::rng::Rng| {
+                rng.gen_range(-2i32..3) as f32 + rng.gen_range(0..3u32) as f32 * 0.25
+            };
+            let q = Matrix::from_fn(nq, dim, |_, _| point(rng));
+            let b = Matrix::from_fn(nb, dim, |_, _| point(rng));
+            let expect = hit_bits(&naive_topk(&q, &b, k, Metric::Manhattan));
+            assert_all_paths_match_naive(&q, &b, k, Metric::Manhattan);
+            // a first block shorter than `k` (or empty) leaves the
+            // collectors cold in the second
+            let first = rng.gen_range(0..=nb.min(k + 3));
+            let fitting = Sketch::scale_for((&b).into());
+            for scale in [fitting, fitting / 50.0, fitting * 300.0] {
+                for width in [1, 2, 4] {
+                    let pool = Pool::new(width);
+                    let (qs, bs) = (
+                        Sketch::build((&q).into(), scale, &pool),
+                        Sketch::build((&b).into(), scale, &pool),
+                    );
+                    let scan = Scan {
+                        queries: (&q).into(),
+                        base: (&b).into(),
+                        metric: Metric::Manhattan,
+                        sketches: Some((&qs, &bs)),
+                    };
+                    let mut tops: Vec<TopK> = (0..nq).map(|_| TopK::new(k)).collect();
+                    for range in [0..first, first..nb] {
+                        pool.rows_mut(&mut tops, 1, 4, |tops, q_first| {
+                            scan.block(q_first, range.clone(), 0, tops);
+                        });
+                    }
+                    let got: Hits = tops.into_iter().map(TopK::into_sorted).collect();
+                    let ctx = format!("nq={nq} nb={nb} dim={dim} k={k} first={first}");
+                    assert_eq!(
+                        hit_bits(&got),
+                        expect,
+                        "{ctx} scale={scale:e} width={width}"
+                    );
+                }
             }
         });
     }
@@ -1056,16 +1307,49 @@ mod tests {
 
     #[test]
     fn rows_with_nan_or_infinity_score_as_they_always_did() {
-        // Collectors never see a NaN here (an infinite distance is fine):
-        // the special rows are all on the base side, one kind each.
+        // The special rows are all on the base side, one kind each: an
+        // infinite distance ranks last among numbers, a NaN below them all.
         let mut rng = largeea_common::rng::Rng::seed_from_u64(0x14F);
         let q = Matrix::from_fn(9, 10, |_, _| rng.gen::<f64>() as f32 - 0.5);
         let b = Matrix::from_fn(150, 10, |r, c| match (r % 50, c) {
             (7, 3) => f32::INFINITY,
             (19, 0) => f32::NEG_INFINITY,
+            (31, 5) => f32::NAN,
             _ => rng.gen::<f64>() as f32 - 0.5,
         });
         assert_all_paths_match_naive(&q, &b, 6, Metric::Manhattan);
+        assert_all_paths_match_naive(&q, &b, 149, Metric::Manhattan);
+    }
+
+    #[test]
+    fn a_nan_score_ranks_below_every_number() {
+        // Base row 1 scores NaN against every query; query row 1 scores
+        // NaN against every base row.
+        let mut rng = largeea_common::rng::Rng::seed_from_u64(0x4A4);
+        let mut row = |r: usize, c: usize, nan: (usize, usize)| {
+            let x = rng.gen::<f64>() as f32 - 0.5;
+            if (r, c) == nan {
+                f32::NAN
+            } else {
+                x
+            }
+        };
+        let q = Matrix::from_fn(2, 8, |r, c| row(r, c, (1, 5)));
+        let b = Matrix::from_fn(5, 8, |r, c| row(r, c, (1, 2)));
+        for metric in [Metric::Manhattan, Metric::InnerProduct] {
+            for k in [3, 5, 7] {
+                let expect = naive_topk(&q, &b, k, metric);
+                let numbers: Vec<u32> = (expect[0].iter()).map(|&(id, _)| id).collect();
+                assert_eq!(numbers.contains(&1), k >= 5, "{numbers:?}");
+                let all_nan = (expect[1].iter()).map(|&(id, s)| (id, s.is_nan()));
+                assert!(all_nan.eq((0..k.min(5) as u32).map(|id| (id, true))));
+                for width in [1, 2] {
+                    let got = topk_search_in(&q, &b, k, metric, &Pool::new(width));
+                    let ctx = format!("k={k} width={width} {metric:?}");
+                    assert_eq!(hit_bits(&got), hit_bits(&expect), "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]

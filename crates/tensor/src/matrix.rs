@@ -8,6 +8,10 @@ use std::ops::{Index, IndexMut, Range};
 /// Minimum number of output elements before a kernel goes parallel.
 const PAR_THRESHOLD: usize = 64 * 64;
 
+/// Minimum multiply-adds per matmul task: [`PAR_THRESHOLD`] output
+/// elements of a 64-deep product.
+const PAR_WORK: usize = PAR_THRESHOLD * 64;
+
 /// Depth (k) tile for the packed-panel matmul: a KC×NC panel of B stays
 /// resident in L1/L2 while MR rows of A stream against it.
 const KC: usize = 128;
@@ -197,7 +201,9 @@ impl Matrix {
         }
         let a = &self.data;
         let b = &other.data;
-        let min_rows = (PAR_THRESHOLD / m).max(MR);
+        // sized by work, not by output: a small output over a deep `k`
+        // (the backward `Xᵀ·G`) still splits
+        let min_rows = (PAR_WORK / k_dim.saturating_mul(m)).max(MR);
         pool.rows_mut(&mut out.data, m, min_rows, |block, first_row| {
             matmul_block(a, b, block, first_row, k_dim, m, isa);
         });
@@ -512,19 +518,25 @@ mod tests {
 
     #[test]
     fn matmul_parallel_matches_sequential() {
-        let a = Matrix::from_fn(130, 70, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
-        let b = Matrix::from_fn(70, 90, |r, c| ((r * 17 + c * 3) % 11) as f32 - 5.0);
-        let c = a.matmul(&b);
-        // sequential reference
-        let mut expect = Matrix::zeros(130, 90);
-        for i in 0..130 {
-            for k in 0..70 {
-                for j in 0..90 {
-                    expect[(i, j)] += a[(i, k)] * b[(k, j)];
+        // the second shape is a small output over a deep `k`, split into
+        // tasks by work
+        for (n, k, m) in [(130, 70, 90), (16, 2000, 16)] {
+            let a = Matrix::from_fn(n, k, |r, c| ((r * 31 + c * 7) % 13) as f32 - 6.0);
+            let b = Matrix::from_fn(k, m, |r, c| ((r * 17 + c * 3) % 11) as f32 - 5.0);
+            // sequential reference
+            let mut expect = Matrix::zeros(n, m);
+            for i in 0..n {
+                for kk in 0..k {
+                    for j in 0..m {
+                        expect[(i, j)] += a[(i, kk)] * b[(kk, j)];
+                    }
                 }
             }
+            assert_eq!(a.matmul(&b), expect);
+            for width in [1, 2, 4] {
+                assert_eq!(a.matmul_in(&b, &Pool::new(width)), expect, "width {width}");
+            }
         }
-        assert_eq!(c, expect);
     }
 
     #[test]

@@ -46,10 +46,11 @@ fn supervised_pipeline_aligns_ids_shaped_data() {
     assert_eq!(report.eval.evaluated, seeds.test.len());
 }
 
+/// Table 4's claim (paper §3.5): DA-generated seeds are good enough that
+/// the unsupervised run lands near the supervised one. Both runs are
+/// pinned, and the gap between them is asserted against a stated margin.
 #[test]
 fn unsupervised_matches_supervised_within_margin() {
-    // The paper's §3.5 claim: DA-generated seeds are good enough that the
-    // unsupervised run lands near the supervised one.
     let pair = Preset::Ids15kEnDe.spec(0.02).generate();
     let supervised_seeds = pair.split_seeds(0.2, 3);
     let unsupervised_seeds = AlignmentSeeds {
@@ -60,12 +61,63 @@ fn unsupervised_matches_supervised_within_margin() {
     let supervised = LargeEa::new(cfg).run(&pair, &supervised_seeds);
     let unsupervised = LargeEa::new(cfg).run(&pair, &unsupervised_seeds);
     assert!(unsupervised.pseudo_seeds > 0);
+    assert_pinned("IDS15K EN-DE GCN supervised", supervised.eval.hits1, 91.67);
+    assert_pinned(
+        "IDS15K EN-DE GCN unsupervised",
+        unsupervised.eval.hits1,
+        88.0,
+    );
+    // measured 3.67 points apart
     assert!(
-        unsupervised.eval.hits1 > supervised.eval.hits1 - 15.0,
-        "unsupervised {} far below supervised {}",
+        unsupervised.eval.hits1 > supervised.eval.hits1 - 5.0,
+        "unsupervised {} more than 5 points below supervised {}",
         unsupervised.eval.hits1,
         supervised.eval.hits1
     );
+}
+
+/// Table 6's claim: training on CPS batches keeps the structure channel's
+/// measured heap peak below training on the whole graph (K = 1), for both
+/// models — under half of it (measured: 4.9 M vs 16.7 M for RREA, 3.3 M
+/// vs 11.2 M for GCN-Align, as `results/table6.txt` reads).
+#[test]
+fn partitioned_structure_channel_peaks_below_the_whole_graph() {
+    use largeea::common::obs::{ObsConfig, Recorder};
+    use largeea::core::pipeline::RunCtx;
+    use largeea::core::structure_channel::StructureChannel;
+    let pair = Preset::Ids15kEnFr.spec(0.1).generate();
+    let seeds = pair.split_seeds(0.2, 11);
+    let peak = |model, partitioner, k| {
+        let cfg = StructureChannelConfig {
+            k,
+            partitioner,
+            model,
+            train: TrainConfig {
+                epochs: 3,
+                ..TrainConfig::default()
+            },
+            ..StructureChannelConfig::default()
+        };
+        let rec = Recorder::new(ObsConfig {
+            heap: true,
+            ..ObsConfig::default()
+        });
+        (StructureChannel::new(cfg).run_in(&pair, &seeds, &mut RunCtx::in_memory(&rec)))
+            .expect("in memory, no budget: nothing to fail");
+        let trace = rec.trace();
+        let span = trace
+            .find("structure_channel")
+            .expect("a structure_channel span");
+        span.field_u64("alloc.peak").expect("heap attribution")
+    };
+    for model in [ModelKind::Rrea, ModelKind::GcnAlign] {
+        let cps = peak(model, Partitioner::MetisCps, 5);
+        let whole = peak(model, Partitioner::None, 1);
+        assert!(
+            2 * cps < whole,
+            "{model:?}: CPS peak {cps} B, whole graph {whole} B"
+        );
+    }
 }
 
 #[test]
