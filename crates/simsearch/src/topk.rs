@@ -217,7 +217,8 @@ pub fn resident_bytes(n_queries: usize, n_base: usize, dim: usize, num_segments:
 /// The u8 sketch of a matrix behind the Manhattan scan's lossless
 /// pre-filter (DESIGN.md §S0.11).
 ///
-/// Row `x` is stored as codes `c_i ∈ [1, 255]` near `x_i/s + 128` and a
+/// Row `x` is stored as codes `c_i` near `x_i/s + 128` (in `[1, 255]`
+/// for a number, 0 for a NaN) and a
 /// slack `⌈ρ(x)/s⌉ + 1`, where `ρ(x) = Σ|x_i − s·(c_i − 128)|` is the
 /// row's exact distance to its own dequantised point. Going through the
 /// two dequantised points, the triangle inequality gives, for any two rows
@@ -267,13 +268,16 @@ impl Sketch {
     fn build(m: Rows<'_>, scale: f32, pool: &Pool) -> Sketch {
         assert!(scale.is_finite() && scale > 0.0, "sketch scale {scale}");
         let (dim, s) = (m.cols(), f64::from(scale));
+        let inv = 1.0 / s;
         let stride = Self::stride_for(dim);
         let mut codes = vec![0u8; m.rows() * stride];
         pool.rows_mut(&mut codes, stride, 64, |block, first| {
             for (r, out) in block.chunks_mut(stride).enumerate() {
                 for (c, &x) in out.iter_mut().zip(m.row(first + r)) {
-                    // NaN casts to 0, i.e. code 128; its slack says so
-                    *c = ((f64::from(x) / s).round().clamp(-127.0, 127.0) as i32 + 128) as u8;
+                    // rounds half up by truncation: `round` and a division
+                    // per element are library calls and a `divsd` on
+                    // baseline x86-64; NaN casts to code 0, its slack says so
+                    *c = ((f64::from(x) * inv).clamp(-127.0, 127.0) + 128.5) as u8;
                 }
             }
         });
