@@ -16,23 +16,17 @@
 //! LARGEEA_FAILPOINTS="ckpt.sim=panic@1,ckpt.manifest=err@2,ckpt.fused=partial"
 //! ```
 //!
-//! Each entry is `name=action[@N]`. For the one-shot actions the action
-//! fires on exactly the `N`-th hit of that name (1-based; `@1` when
-//! omitted) and then disarms, so a configured process dies — or errors — at
-//! one deterministic point and nowhere else. Actions:
+//! Each entry is `name=action[@N]`. The action fires on exactly the `N`-th
+//! hit of that name (1-based; `@1` when omitted) and then disarms, so a
+//! configured process dies — or errors — at one deterministic point and
+//! nowhere else. Actions:
 //!
 //! - `err` — the site reports an injected I/O error (a clean failure the
 //!   caller can propagate);
 //! - `panic` — the site panics (a hard crash before any bytes hit disk);
 //! - `partial` — the site performs a *torn write* (a truncated frame at the
 //!   final path, bypassing the temp-file/rename discipline) and then
-//!   panics, simulating a crash in the middle of a non-atomic write;
-//! - `transient` — the site reports a *retryable* injected error
-//!   (`ErrorKind::Interrupted`) on the **first `N` hits**, then succeeds
-//!   forever. Unlike the one-shot actions, `@N` here is a failure *count*,
-//!   not an ordinal: `transient@2` fails hits 1 and 2 and lets hit 3
-//!   through, which is exactly the shape a bounded-retry executor
-//!   (`common::retry`, DESIGN.md §S0.7) needs to be exercised end-to-end.
+//!   panics, simulating a crash in the middle of a non-atomic write.
 //!
 //! ## Zero overhead when disabled
 //!
@@ -65,9 +59,6 @@ pub enum FpAction {
     Panic,
     /// Write a torn (truncated, non-atomic) frame, then panic.
     Partial,
-    /// Report a retryable (`ErrorKind::Interrupted`) injected error; fires
-    /// on the first `N` hits, then the site succeeds forever.
-    Transient,
 }
 
 impl FpAction {
@@ -76,24 +67,20 @@ impl FpAction {
             "err" => Some(FpAction::Err),
             "panic" => Some(FpAction::Panic),
             "partial" => Some(FpAction::Partial),
-            "transient" => Some(FpAction::Transient),
             _ => None,
         }
     }
 }
 
-/// One armed failpoint. One-shot actions fire on the `at`-th hit, then
-/// disarm; `Transient` fires on every hit up to and including the `at`-th,
-/// then disarms (the site succeeds from then on).
+/// One armed failpoint: fires on the `at`-th hit, then disarms.
 #[derive(Debug)]
 struct FpState {
     action: FpAction,
-    /// One-shot: 1-based ordinal of the hit that fires.
-    /// Transient: number of leading hits that fail.
+    /// 1-based ordinal of the hit that fires.
     at: u64,
     /// Hits observed so far.
     hits: u64,
-    /// Whether the action already fired its course (disarmed).
+    /// Whether the action already fired (disarmed).
     fired: bool,
 }
 
@@ -138,7 +125,7 @@ pub fn configure(spec: &str) -> Result<(), String> {
             None => (rhs, 1),
         };
         let action = FpAction::parse(action)
-            .ok_or_else(|| format!("{entry:?}: unknown action (err|panic|partial|transient)"))?;
+            .ok_or_else(|| format!("{entry:?}: unknown action (err|panic|partial)"))?;
         map.insert(
             name.to_owned(),
             FpState {
@@ -181,13 +168,6 @@ pub fn hit(name: &str) -> Option<FpAction> {
         return None;
     }
     st.hits += 1;
-    if st.action == FpAction::Transient {
-        // Fail the first `at` hits, then disarm (succeed forever).
-        if st.hits >= st.at {
-            st.fired = true;
-        }
-        return Some(FpAction::Transient);
-    }
     if st.hits != st.at {
         return None;
     }
@@ -246,23 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn transient_fails_first_n_hits_then_succeeds_forever() {
+    fn transient_is_no_longer_an_action() {
         let _g = SERIAL.lock().unwrap();
-        configure("a=transient@2").unwrap();
-        assert_eq!(hit("a"), Some(FpAction::Transient));
-        assert_eq!(hit("a"), Some(FpAction::Transient));
-        assert_eq!(hit("a"), None, "third hit succeeds");
-        assert_eq!(hit("a"), None, "…and every hit after");
         clear();
-    }
-
-    #[test]
-    fn transient_default_count_is_one() {
-        let _g = SERIAL.lock().unwrap();
-        configure("a=transient").unwrap();
-        assert_eq!(hit("a"), Some(FpAction::Transient));
-        assert_eq!(hit("a"), None);
-        clear();
+        let e = configure("a=transient").unwrap_err();
+        assert!(e.contains("err|panic|partial"), "{e}");
+        assert!(!armed(), "a rejected spec arms nothing");
     }
 
     #[test]

@@ -136,22 +136,8 @@ fn fp_dispatch(path: &Path, buf: &[u8], fp: &str) -> io::Result<()> {
             let _ = fs::write(path, torn);
             panic!("failpoint {fp:?} torn write at {}", path.display());
         }
-        Some(FpAction::Transient) => Err(transient_injected(path, fp)),
         None => Ok(()),
     }
-}
-
-/// The retryable error a `transient` failpoint injects: `Interrupted`, so
-/// [`crate::retry::io_transience`] classifies it Transient and a bounded
-/// retry loop exercises the failure-then-success path end-to-end.
-fn transient_injected(path: &Path, fp: &str) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::Interrupted,
-        format!(
-            "{}: injected transient failure at failpoint {fp:?}",
-            path.display()
-        ),
-    )
 }
 
 /// Atomically and durably writes `payload` to `path` as a checksummed
@@ -225,9 +211,6 @@ pub fn write_atomic(path: &Path, payload: &[u8], fp: &str) -> io::Result<u64> {
                 "failpoint {fp:?} torn temp write at {} (final path untouched)",
                 tmp.display()
             );
-        }
-        Some(FpAction::Transient) => {
-            return Err(transient_injected(path, fp));
         }
         None => {}
     }

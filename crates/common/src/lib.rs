@@ -12,7 +12,7 @@
 //! | [`rng`] | `rand` | SplitMix64-seeded xoshiro256** PRNG: `seed_from_u64`, `gen_range`, `gen`, `gen_bool`, `shuffle`, `choose` |
 //! | [`json`] | `serde`/`serde_json` | [`json::Json`] value tree + [`json::ToJson`] trait, byte-compatible with the previous `serde_json` row output |
 //! | [`check`] | `proptest` | [`check::for_each_case`] deterministic randomized-input harness with seed-replay failure reporting |
-//! | [`bench`] | `criterion` | warmup + median wall-clock micro-benchmark timer |
+//! | [`mod@bench`] | `criterion` | warmup + median wall-clock micro-benchmark timer |
 //! | [`pool`] | `rayon`/`crossbeam` | persistent [`pool::Pool`] of worker threads: scoped chunked jobs, shared-cursor stealing, bit-identical results at any width |
 //! | [`obs`] | `tracing`/`metrics` | thread-safe [`obs::Recorder`]: hierarchical spans, counters/gauges/histograms, JSON [`obs::Trace`] export, `LARGEEA_LOG` echo |
 //! | [`failpoint`] | `fail` crate | named deterministic fault-injection points (`LARGEEA_FAILPOINTS`), branch-on-disabled-flag no-ops in normal runs |
@@ -46,7 +46,6 @@ pub mod json;
 pub mod names;
 pub mod obs;
 pub mod pool;
-pub mod retry;
 pub mod rng;
 pub mod units;
 

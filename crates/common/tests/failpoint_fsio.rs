@@ -3,7 +3,6 @@
 //! Failpoint state is process-global, so every scenario runs sequentially
 //! inside one `#[test]` — this binary owns the whole table.
 
-use largeea_common::retry::{retry_io, RetryPolicy};
 use largeea_common::{failpoint, fsio};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -107,46 +106,6 @@ fn injected_failures_follow_the_crash_contract() {
         torn, b"a replacement lo",
         "half the payload hit the temp file"
     );
-
-    // --- transient: retryable error, succeeds after n hits ---------------
-    failpoint::configure("io.flaky=transient@2").unwrap();
-    let p = tmp("flaky.ckpt");
-    // Unretried, a transient failure surfaces as an Interrupted error…
-    let e = fsio::write_framed_atomic(&p, b"payload", "io.flaky").unwrap_err();
-    assert_eq!(e.kind(), std::io::ErrorKind::Interrupted);
-    assert!(e.to_string().contains("transient"), "{e}");
-    assert!(!p.exists(), "transient mode must not touch the filesystem");
-    // …and the next hit (hit 2 of 2) still fails, then the write lands.
-    let (out, stats) = retry_io(&RetryPolicy::default(), "io.flaky", |_| {
-        fsio::write_framed_atomic(&p, b"payload", "io.flaky")
-    });
-    out.unwrap();
-    assert_eq!(stats.retries, 1, "one failed attempt inside the retry loop");
-    assert!(stats.backoff_ticks > 0 && !stats.gave_up);
-    assert_eq!(fsio::read_framed(&p).unwrap(), b"payload");
-
-    // --- transient beyond the retry budget: typed give-up ----------------
-    failpoint::configure("io.hopeless=transient@99").unwrap();
-    let p = tmp("hopeless.ckpt");
-    let (out, stats) = retry_io(&RetryPolicy::default(), "io.hopeless", |_| {
-        fsio::write_framed_atomic(&p, b"payload", "io.hopeless")
-    });
-    assert_eq!(out.unwrap_err().kind(), std::io::ErrorKind::Interrupted);
-    assert!(stats.gave_up);
-    assert_eq!(stats.retries, 3, "default policy: 4 attempts total");
-    assert!(!p.exists());
-
-    // --- err under retry: fatal, exactly one attempt ---------------------
-    failpoint::configure("io.fatal=err").unwrap();
-    let p = tmp("fatal.ckpt");
-    let (out, stats) = retry_io(&RetryPolicy::default(), "io.fatal", |_| {
-        fsio::write_framed(&p, b"payload", "io.fatal")
-    });
-    assert!(out.is_err());
-    assert_eq!(stats.retries, 0, "err is Fatal: never retried");
-    assert!(!stats.gave_up);
-    // failpoint disarmed after firing ⇒ the site was hit exactly once.
-    fsio::write_framed(&p, b"payload", "io.fatal").unwrap();
 
     failpoint::clear();
     assert!(!failpoint::armed());

@@ -40,10 +40,8 @@
 //! Because the pipeline is deterministic (seeded PRNG, bit-identical at any
 //! pool width), a resumed run reproduces an uninterrupted one **bit for
 //! bit** — the crash-consistency suite (`tests/crash_recovery.rs`) proves
-//! this for every `ckpt.*` entry of
-//! [`crate::supervisor::registered_failpoints`].
+//! this for every `ckpt.*` entry of [`registered_failpoints`].
 
-use crate::supervisor::{self, FailpointSite};
 use largeea_common::fsio;
 use largeea_common::json::{self, Json};
 use largeea_common::obs::{Level, Recorder};
@@ -133,18 +131,6 @@ impl Stage {
         }
     }
 
-    /// The unit of batch-level supervision a stage belongs to: `r<R>.b<I>`
-    /// for a mini-batch's stages (what a quarantine records), the stage's
-    /// own key otherwise.
-    pub fn unit(self) -> String {
-        match self {
-            Stage::Emb { round, batch } | Stage::Sim { round, batch } => {
-                format!("r{round}.b{batch}")
-            }
-            other => other.key(),
-        }
-    }
-
     /// The failpoint guarding the write of this stage's artifact.
     fn failpoint(self) -> FailpointSite {
         let (name, site) = match self {
@@ -177,12 +163,36 @@ impl Stage {
     }
 }
 
+/// One registered failpoint: its name (what `LARGEEA_FAILPOINTS` arms) and
+/// the write site it guards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FailpointSite {
+    /// The failpoint name.
+    pub name: &'static str,
+    /// Human-readable description of the guarded site.
+    pub site: &'static str,
+}
+
 /// Every failpoint the checkpoint subsystem can die at, one per durable
 /// write site, in the order the pipeline reaches them.
-pub(crate) fn failpoints() -> Vec<FailpointSite> {
+fn failpoints() -> Vec<FailpointSite> {
     let mut all = vec![MANIFEST_FAILPOINT];
     all.extend(Stage::KINDS.map(Stage::failpoint));
     all.push(PROGRESS_FAILPOINT);
+    all
+}
+
+/// The authoritative registry of every failpoint in the system — what
+/// `largeea failpoints list` prints and what the crash and chaos suites
+/// enumerate. Each subsystem contributes the sites it guards, so a write
+/// site cannot ship unregistered (and therefore unswept).
+pub fn registered_failpoints() -> Vec<FailpointSite> {
+    let mut all = failpoints();
+    all.push(crate::spill::WRITE_FAILPOINT);
+    all.push(FailpointSite {
+        name: "live.write",
+        site: "live trace snapshot live.trace.json (common::obs sampler)",
+    });
     all
 }
 
@@ -298,17 +308,12 @@ pub struct Checkpoint {
     dir: Option<PathBuf>,
     meta: RunMeta,
     stages: BTreeSet<String>,
-    /// Units quarantined under `--degraded-ok` (DESIGN.md §S0.7) —
-    /// persisted in the manifest so a degraded run's losses survive into
-    /// any resume or post-hoc inspection.
-    quarantined: BTreeSet<String>,
 }
 
 impl Checkpoint {
     /// The checkpoint of a run that has none: every load answers `None`,
-    /// and saves, [`Checkpoint::quarantine`] and
-    /// [`Checkpoint::epoch_progress`] do nothing — no file, no trace
-    /// traffic, no failpoint.
+    /// and saves and [`Checkpoint::epoch_progress`] do nothing — no file, no
+    /// trace traffic, no failpoint.
     pub fn disabled() -> Self {
         Self::default()
     }
@@ -337,9 +342,8 @@ impl Checkpoint {
         if resume {
             match read_manifest(dir) {
                 Ok(manifest) => match Self::parse_manifest(&manifest, meta) {
-                    Ok((stages, quarantined)) => {
+                    Ok(stages) => {
                         ckpt.stages = stages;
-                        ckpt.quarantined = quarantined;
                         return Ok(ckpt); // manifest adopted verbatim
                     }
                     Err(ManifestIssue::Mismatch(e)) => return Err(e),
@@ -368,24 +372,17 @@ impl Checkpoint {
     }
 
     fn manifest_json(&self) -> Json {
-        let keys = |set: &BTreeSet<String>| Json::Arr(set.iter().cloned().map(Json::Str).collect());
-        // `quarantined` is additive within version 1: readers that predate
-        // it ignore unknown fields, and a missing array parses as empty.
+        let stages = self.stages.iter().cloned().map(Json::Str).collect();
         Json::obj([
             ("version", Json::UInt(MANIFEST_VERSION)),
             ("config_hash", Json::UInt(self.meta.config_hash)),
             ("seed", Json::UInt(self.meta.seed)),
             ("rounds", Json::UInt(self.meta.rounds)),
-            ("stages", keys(&self.stages)),
-            ("quarantined", keys(&self.quarantined)),
+            ("stages", Json::Arr(stages)),
         ])
     }
 
-    #[allow(clippy::type_complexity)]
-    fn parse_manifest(
-        j: &Json,
-        meta: RunMeta,
-    ) -> Result<(BTreeSet<String>, BTreeSet<String>), ManifestIssue> {
+    fn parse_manifest(j: &Json, meta: RunMeta) -> Result<BTreeSet<String>, ManifestIssue> {
         let field = |name: &'static str| {
             j.get(name)
                 .and_then(Json::as_u64)
@@ -408,32 +405,34 @@ impl Checkpoint {
                 }));
             }
         }
-        let keys = |name: &str| -> Option<BTreeSet<String>> {
-            let arr = j.get(name).and_then(Json::as_arr)?;
-            Some(
-                arr.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_owned)
-                    .collect(),
-            )
-        };
-        let stages =
-            keys("stages").ok_or_else(|| ManifestIssue::Corrupt("missing stages".into()))?;
-        // Additive field: absent in manifests written before degradation
-        // support existed, so a missing array is simply empty.
-        Ok((stages, keys("quarantined").unwrap_or_default()))
+        // Retired within version 1: older writers recorded mini-batches a
+        // degraded run had dropped here, so its `M_s` and `M` lack their
+        // blocks and nothing may be resumed from it.
+        if j.get("quarantined")
+            .and_then(Json::as_arr)
+            .is_some_and(|q| !q.is_empty())
+        {
+            return Err(ManifestIssue::Corrupt(
+                "quarantined batches: a degraded run's matrices are incomplete".into(),
+            ));
+        }
+        let stages = j
+            .get("stages")
+            .and_then(Json::as_arr)
+            .ok_or_else(|| ManifestIssue::Corrupt("missing stages".into()))?;
+        Ok(stages
+            .iter()
+            .filter_map(Json::as_str)
+            .map(str::to_owned)
+            .collect())
     }
 
     /// Rewrites the manifest; nothing to do for the disabled checkpoint.
     fn write_manifest(&self, rec: &Recorder) -> Result<(), CkptError> {
         let Some(dir) = &self.dir else { return Ok(()) };
         let json = self.manifest_json().dump();
-        let written = durable_write(
-            &dir.join(MANIFEST_FILE),
-            json.as_bytes(),
-            MANIFEST_FAILPOINT,
-            rec,
-        )?;
+        let path = dir.join(MANIFEST_FILE);
+        let written = fsio::write_framed_atomic(&path, json.as_bytes(), MANIFEST_FAILPOINT.name)?;
         rec.add("ckpt.write_bytes", written);
         Ok(())
     }
@@ -453,7 +452,7 @@ impl Checkpoint {
         span.field("stage", key.as_str());
         span.field("bytes", payload.len());
         let path = dir.join(format!("{key}.ckpt"));
-        let written = durable_write(&path, &payload, stage.failpoint(), rec)?;
+        let written = fsio::write_framed_atomic(&path, &payload, stage.failpoint().name)?;
         rec.add("ckpt.write_bytes", written);
         self.stages.insert(key);
         self.write_manifest(rec)
@@ -512,16 +511,8 @@ impl Checkpoint {
     /// informational state for `largeea ckpt inspect`, written every tenth
     /// epoch. Best-effort: resume never depends on it (batch training
     /// restarts from epoch 0 to stay bit-identical), so write errors only
-    /// warn — but transient faults still retry like every other durable
-    /// write.
-    pub fn epoch_progress(
-        &self,
-        round: usize,
-        batch: usize,
-        epoch: usize,
-        loss: f32,
-        rec: &Recorder,
-    ) {
+    /// warn.
+    pub fn epoch_progress(&self, round: usize, batch: usize, epoch: usize, loss: f32) {
         let Some(dir) = &self.dir else { return };
         if !epoch.is_multiple_of(EPOCH_INTERVAL) {
             return;
@@ -533,41 +524,11 @@ impl Checkpoint {
             ("loss", Json::Float(loss as f64)),
         ]);
         let path = dir.join(PROGRESS_FILE);
-        if let Err(e) = durable_write(&path, j.dump().as_bytes(), PROGRESS_FAILPOINT, rec) {
+        let fp = PROGRESS_FAILPOINT.name;
+        if let Err(e) = fsio::write_framed_atomic(&path, j.dump().as_bytes(), fp) {
             eprintln!("[ckpt] warning: could not write progress: {e}");
         }
     }
-
-    /// Records `unit` (a batch key such as `r0.b2`, see [`Stage::unit`]) as
-    /// quarantined: its artifacts were lost to I/O faults that outlived
-    /// every retry, and a `--degraded-ok` run continued without them. The
-    /// record is durable — it lives in the manifest next to the
-    /// completed-stage list — so resumes and `largeea ckpt inspect` see
-    /// exactly what the degraded run gave up.
-    pub fn quarantine(&mut self, unit: &str, rec: &Recorder) -> Result<(), CkptError> {
-        if self.dir.is_none() {
-            return Ok(());
-        }
-        self.quarantined.insert(unit.to_owned());
-        self.write_manifest(rec)
-    }
-
-    /// Quarantined units, in sorted order.
-    pub fn quarantined(&self) -> impl Iterator<Item = &str> {
-        self.quarantined.iter().map(String::as_str)
-    }
-}
-
-/// One durable write, under site-level retry.
-fn durable_write(
-    path: &Path,
-    payload: &[u8],
-    fp: FailpointSite,
-    rec: &Recorder,
-) -> io::Result<u64> {
-    supervisor::retried(fp.name, rec, |_| {
-        fsio::write_framed_atomic(path, payload, fp.name)
-    })
 }
 
 enum ManifestIssue {
@@ -842,10 +803,14 @@ mod tests {
         let mut c = Checkpoint::open(&dir, meta(), false, &rec).unwrap();
         c.save(Stage::Name, &SparseSimMatrix::new(1, 1), &rec)
             .unwrap();
-        c.quarantine("r0.b1", &rec).unwrap();
+        // damage the manifest as older writers left it, with the retired
+        // `quarantined` array still present (and empty)
         let mpath = dir.join(MANIFEST_FILE);
+        let mut json = fsio::read_framed(&mpath).unwrap();
+        json.pop();
+        json.extend_from_slice(br#","quarantined":[]}"#);
+        fsio::write_framed(&mpath, &json, "test.none").unwrap();
         let framed = fs::read(&mpath).unwrap();
-        let json = fsio::read_framed(&mpath).unwrap();
         let (adopted, refused, fresh) = (Cell::new(0), Cell::new(0), Cell::new(0));
         for_each_case(0xC4B7, 200, |rng| {
             if rng.gen_bool(0.5) {
@@ -1022,9 +987,9 @@ mod tests {
         let dir = tmpdir("progress");
         let rec = rec();
         let c = Checkpoint::open(&dir, meta(), false, &rec).unwrap();
-        c.epoch_progress(0, 1, EPOCH_INTERVAL - 1, 0.5, &rec); // not on the interval: no file
+        c.epoch_progress(0, 1, EPOCH_INTERVAL - 1, 0.5); // not on the interval: no file
         assert!(read_progress(&dir).is_err());
-        c.epoch_progress(0, 1, 2 * EPOCH_INTERVAL, 0.25, &rec);
+        c.epoch_progress(0, 1, 2 * EPOCH_INTERVAL, 0.25);
         let p = read_progress(&dir).unwrap();
         assert_eq!(p.get("epoch").and_then(Json::as_u64), Some(20));
         assert_eq!(p.get("batch").and_then(Json::as_u64), Some(1));
@@ -1057,14 +1022,12 @@ mod tests {
                 let mut computed = false;
                 let got = c.load_or(partition, &rec, |c| {
                     computed = true;
-                    c.epoch_progress(0, 1, EPOCH_INTERVAL, 0.5, &rec);
+                    c.epoch_progress(0, 1, EPOCH_INTERVAL, 0.5);
                     Ok::<_, CkptError>(batches.clone())
                 });
                 assert_eq!(got.unwrap(), batches);
                 assert_eq!(computed, computes);
             }
-            c.quarantine("r0.b1", &rec).unwrap();
-            assert_eq!(c.quarantined().count(), usize::from(enabled));
             let t = rec.trace();
             if enabled {
                 assert_eq!(t.counter("ckpt.resume_skipped_stages"), 2);
@@ -1088,36 +1051,31 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// `quarantined` is retired within version 1 (docs/ARTIFACT_FORMAT.md):
+    /// a manifest without it, or with it empty, resumes; one that names
+    /// dropped batches came from a degraded run and starts fresh.
     #[test]
-    fn quarantine_is_durable_and_survives_resume() {
+    fn a_manifest_naming_quarantined_batches_is_not_resumed() {
         let dir = tmpdir("quarantine");
-        let rec = rec();
-        let mut c = Checkpoint::open(&dir, meta(), false, &rec).unwrap();
-        assert_eq!(c.quarantined().count(), 0);
-        c.quarantine("r0.b2", &rec).unwrap();
-        c.quarantine("r0.b0", &rec).unwrap();
-        c.quarantine("r0.b2", &rec).unwrap(); // idempotent
-        assert_eq!(
-            c.quarantined().collect::<Vec<_>>(),
-            vec!["r0.b0", "r0.b2"],
-            "sorted, deduplicated"
+        let m = meta();
+        let head = format!(
+            r#""version":1,"config_hash":{},"seed":{},"rounds":{},"stages":["name"]"#,
+            m.config_hash, m.seed, m.rounds
         );
-        // durable: a resume adopts the quarantine record
-        let c2 = Checkpoint::open(&dir, meta(), true, &rec).unwrap();
-        assert_eq!(c2.quarantined().collect::<Vec<_>>(), vec!["r0.b0", "r0.b2"]);
-        // and it is visible to post-hoc inspection
-        let m = read_manifest(&dir).unwrap();
-        let q: Vec<_> = m
-            .get("quarantined")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .filter_map(Json::as_str)
-            .collect();
-        assert_eq!(q, vec!["r0.b0", "r0.b2"]);
-        // a fresh (non-resume) open starts with a clean bill of health
-        let c3 = Checkpoint::open(&dir, meta(), false, &rec).unwrap();
-        assert_eq!(c3.quarantined().count(), 0);
+        for (extra, adopted) in [
+            ("", true),
+            (r#","quarantined":[]"#, true),
+            (r#","quarantined":["r0.b1"]"#, false),
+        ] {
+            let rec = rec();
+            fs::create_dir_all(&dir).unwrap();
+            let manifest = format!("{{{head}{extra}}}");
+            fsio::write_framed(&dir.join(MANIFEST_FILE), manifest.as_bytes(), "test.none").unwrap();
+            let c = Checkpoint::open(&dir, m, true, &rec).unwrap();
+            assert_eq!(c.is_done(Stage::Name), adopted, "{manifest}");
+            let corrupt = rec.trace().counter("ckpt.manifest_corrupt");
+            assert_eq!(corrupt, u64::from(!adopted), "{manifest}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 }

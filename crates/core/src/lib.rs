@@ -46,12 +46,11 @@ pub mod pipeline;
 pub mod report;
 pub mod spill;
 pub mod structure_channel;
-pub mod supervisor;
 pub mod throughput;
 
 pub use analysis::{accuracy_by_degree, attribute_channels, ChannelAttribution, DegreeBucket};
 pub use augment::{augment_seeds, AugmentReport};
-pub use checkpoint::{Checkpoint, CkptError, Payload, RunMeta, Stage};
+pub use checkpoint::{registered_failpoints, Checkpoint, CkptError, Payload, RunMeta, Stage};
 pub use eval::{evaluate, EvalResult};
 pub use fusion::fuse;
 pub use mem::{BudgetExceeded, MemBudget};
@@ -61,5 +60,4 @@ pub use pipeline::{
 };
 pub use spill::SpillStore;
 pub use structure_channel::{StructureChannel, StructureChannelConfig, StructureChannelOutput};
-pub use supervisor::{registered_failpoints, Degradations};
 pub use throughput::{derived_throughputs, filter_pass_pcts, Throughput};

@@ -19,9 +19,7 @@ use crate::mem::{BudgetExceeded, MemBudget};
 use crate::name_channel::{NameChannel, NameChannelConfig};
 use crate::spill::SpillStore;
 use crate::structure_channel::{StructureChannel, StructureChannelConfig};
-use crate::supervisor::{self, Degradations, Exhausted, Quarantined};
 use largeea_common::obs::{ObsConfig, Recorder, Trace};
-use largeea_common::retry::{RetryPolicy, Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_partition::batches::Retention;
 use largeea_sim::SparseSimMatrix;
@@ -56,11 +54,6 @@ pub struct ExecOptions {
     /// of starting it over; refused with [`CkptError::Mismatch`] when they
     /// belong to another run.
     pub resume: bool,
-    /// Whether the run may *degrade* — quarantine a mini-batch, drop a
-    /// channel — instead of failing when an I/O fault outlives the retries
-    /// every durable write gets (`align --degraded-ok`, DESIGN.md §S0.7).
-    /// The retry schedule itself is one constant, `RetryPolicy::default()`.
-    pub degraded_ok: bool,
 }
 
 impl ExecOptions {
@@ -86,8 +79,8 @@ impl ExecOptions {
 
 /// What a channel runs against: where it records, what budget it admits
 /// against, where its intermediate blocks wait, which checkpoint (and round
-/// of it) it persists its stages to, and whether it may degrade. The
-/// pipeline builds one per run and lends it to both channels.
+/// of it) it persists its stages to. The pipeline builds one per run and
+/// lends it to both channels.
 #[derive(Debug)]
 pub struct RunCtx<'a> {
     /// Telemetry sink.
@@ -102,14 +95,11 @@ pub struct RunCtx<'a> {
     pub ckpt: Checkpoint,
     /// The bootstrap round that scopes the checkpoint's stage keys.
     pub round: usize,
-    /// Whether I/O faults may cost a quarantined batch or a lost channel
-    /// instead of the run ([`ExecOptions::degraded_ok`]).
-    pub degraded_ok: bool,
 }
 
 impl<'a> RunCtx<'a> {
     /// The context of a plain run — memory-backed store, no budget, no
-    /// checkpoint, no degradation — in which no [`RunError`] has a source.
+    /// checkpoint — in which no [`RunError`] has a source.
     pub fn in_memory(rec: &'a Recorder) -> Self {
         RunCtx {
             rec,
@@ -117,7 +107,6 @@ impl<'a> RunCtx<'a> {
             store: SpillStore::in_memory(),
             ckpt: Checkpoint::disabled(),
             round: 0,
-            degraded_ok: false,
         }
     }
 }
@@ -131,13 +120,6 @@ pub enum RunError {
     Budget(BudgetExceeded),
     /// I/O failure in the spill store (out-of-core working storage).
     Spill(io::Error),
-    /// A transient fault outlived every allowed retry (site-level backoff
-    /// *and* batch-level re-execution). Carries the unit that gave up and
-    /// the error its final attempt failed with.
-    Exhausted(Exhausted),
-    /// Degradation was allowed (`--degraded-ok`) but there was nothing
-    /// left to degrade *to*: every usable channel was lost to I/O faults.
-    Quarantined(Quarantined),
 }
 
 impl std::fmt::Display for RunError {
@@ -146,8 +128,6 @@ impl std::fmt::Display for RunError {
             RunError::Ckpt(e) => write!(f, "checkpoint: {e}"),
             RunError::Budget(e) => write!(f, "{e}"),
             RunError::Spill(e) => write!(f, "spill store: {e}"),
-            RunError::Exhausted(e) => write!(f, "{e}"),
-            RunError::Quarantined(e) => write!(f, "{e}"),
         }
     }
 }
@@ -158,8 +138,6 @@ impl std::error::Error for RunError {
             RunError::Ckpt(e) => Some(e),
             RunError::Budget(e) => Some(e),
             RunError::Spill(e) => Some(e),
-            RunError::Exhausted(e) => Some(e.last.as_ref()),
-            RunError::Quarantined(_) => None,
         }
     }
 }
@@ -286,11 +264,6 @@ pub struct LargeEaReport {
     pub attribution: Option<ChannelAttribution>,
     /// The name channel's `M_n`.
     pub m_n: Option<SparseSimMatrix>,
-    /// What the run gave up to finish (DESIGN.md §S0.7). Empty unless
-    /// `--degraded-ok` traded a lost channel or quarantined mini-batch for
-    /// completion; the same facts are stamped on the trace as `degraded.*`
-    /// counters and `pipeline`-span fields.
-    pub degraded: Degradations,
 }
 
 /// The LargeEA framework runner.
@@ -325,7 +298,7 @@ impl LargeEa {
     /// The full entry point: `rounds` bootstrap rounds recorded into `rec`,
     /// under an execution regime ([`ExecOptions`]).
     ///
-    /// Bootstrapping (BootEA-style, cited as [34] by the paper): after each
+    /// Bootstrapping (BootEA-style, cited as \[34\] by the paper): after each
     /// round, entity pairs that are *mutually* each other's best match in
     /// the fused matrix join the seed set, and the structure channel
     /// retrains. The name channel runs once (it is seed-free).
@@ -380,7 +353,6 @@ impl LargeEa {
             },
             ckpt,
             round: 0,
-            degraded_ok: exec.degraded_ok,
         };
         let mut pipeline_span = rec.span("pipeline");
         pipeline_span.field("rounds", rounds);
@@ -392,31 +364,13 @@ impl LargeEa {
             pipeline_span.field("spill.dir", dir.display().to_string());
         }
         rec.gauge("progress.rounds_total", rounds as f64);
-        let mut degraded = Degradations::default();
 
         // --- name channel (once — it does not depend on seeds) -------------
-        let name_attempt = self
+        let name_out = self
             .cfg
             .use_name
-            .then(|| NameChannel::new(self.cfg.name).run_in(&pair.source, &pair.target, &mut ctx));
-        let name_out = match name_attempt {
-            None => None,
-            Some(Ok(out)) => Some(out),
-            Some(Err(e)) => {
-                // The whole channel is lost. With `--degraded-ok` and a
-                // structure channel to carry the run, fusion degrades to
-                // structure-only; otherwise the fault is terminal.
-                channel_lost(
-                    "name_channel",
-                    e,
-                    ctx.degraded_ok,
-                    self.cfg.use_structure,
-                    &mut degraded,
-                    rec,
-                )?;
-                None
-            }
-        };
+            .then(|| NameChannel::new(self.cfg.name).run_in(&pair.source, &pair.target, &mut ctx))
+            .transpose()?;
 
         // --- name-based data augmentation -----------------------------------
         let (mut train_seeds, pseudo_seeds, pseudo_seed_accuracy) =
@@ -431,34 +385,15 @@ impl LargeEa {
         // --- structure channel + fusion, bootstrapped ------------------------
         let mut structure_out = None;
         let mut structure_hits;
-        let mut use_structure = self.cfg.use_structure;
         let mut sim;
         loop {
             rec.gauge("progress.round", (ctx.round + 1) as f64);
-            structure_out = if use_structure {
-                match StructureChannel::new(self.cfg.structure).run_in(pair, &train_seeds, &mut ctx)
-                {
-                    Ok(out) => {
-                        for key in &out.quarantined {
-                            if !degraded.quarantined_batches.contains(key) {
-                                degraded.quarantined_batches.push(key.clone());
-                            }
-                        }
-                        Some(out)
-                    }
-                    Err(e) => {
-                        channel_lost(
-                            "structure_channel",
-                            e,
-                            ctx.degraded_ok,
-                            name_out.is_some(),
-                            &mut degraded,
-                            rec,
-                        )?;
-                        use_structure = false; // lost for good: don't retrain next round
-                        None
-                    }
-                }
+            structure_out = if self.cfg.use_structure {
+                Some(StructureChannel::new(self.cfg.structure).run_in(
+                    pair,
+                    &train_seeds,
+                    &mut ctx,
+                )?)
             } else {
                 structure_out // name-only pipelines don't benefit from rounds
             };
@@ -520,17 +455,6 @@ impl LargeEa {
         };
         pipeline_span.field("pseudo_seeds", pseudo_seeds);
         pipeline_span.field("hits1", eval.hits1);
-        if degraded.is_degraded() {
-            // Honest flagging: a degraded run must never masquerade as a
-            // full-fidelity one. (Fault-free runs carry none of these
-            // fields, keeping their traces byte-identical to older ones.)
-            pipeline_span.field("degraded.name_channel", degraded.name_channel);
-            pipeline_span.field("degraded.structure_channel", degraded.structure_channel);
-            pipeline_span.field(
-                "degraded.quarantined_batches",
-                degraded.quarantined_batches.len(),
-            );
-        }
         let total_seconds = pipeline_span.finish();
         // Close the measured-memory window (after the pipeline span's own
         // window — LIFO). Its peak is the net growth attributable to this
@@ -575,51 +499,8 @@ impl LargeEa {
             attribution,
             m_n: name_out.map(|n| n.m_n),
             sim,
-            degraded,
         })
     }
-}
-
-/// A channel died with `e`. When the run may degrade (`--degraded-ok`, the
-/// error is an I/O fault, and the *other* channel can carry the run), the
-/// loss is recorded — `degraded.<channel>` trace counter plus the
-/// [`Degradations`] ledger — and `Ok(())` lets the pipeline continue.
-/// Otherwise the fault is terminal: [`RunError::Quarantined`] when
-/// degradation was allowed but nothing usable remains,
-/// [`RunError::Exhausted`] when a transient fault outlived its retries, or
-/// `e` unchanged for deterministic (never-retryable) failures.
-fn channel_lost(
-    channel: &'static str,
-    e: RunError,
-    degraded_ok: bool,
-    other_channel_available: bool,
-    degraded: &mut Degradations,
-    rec: &Recorder,
-) -> Result<(), RunError> {
-    if degraded_ok && supervisor::is_io_fault(&e) {
-        if other_channel_available {
-            rec.add(&format!("degraded.{channel}"), 1);
-            match channel {
-                "name_channel" => degraded.name_channel = true,
-                _ => degraded.structure_channel = true,
-            }
-            return Ok(());
-        }
-        let mut units = degraded.units();
-        units.push(channel.to_owned());
-        return Err(RunError::Quarantined(Quarantined {
-            units,
-            why: e.to_string(),
-        }));
-    }
-    if e.transience() == Transience::Transient {
-        return Err(RunError::Exhausted(Exhausted {
-            site: channel.to_owned(),
-            attempts: RetryPolicy::default().max_attempts,
-            last: Box::new(e),
-        }));
-    }
-    Err(e)
 }
 
 #[cfg(test)]

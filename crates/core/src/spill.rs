@@ -26,8 +26,7 @@
 //! a `mem.spill.peak_disk_bytes` gauge, so a bounded run's disk traffic is
 //! as observable as its RAM peaks.
 
-use crate::checkpoint::Payload;
-use crate::supervisor::{self, FailpointSite};
+use crate::checkpoint::{FailpointSite, Payload};
 use largeea_common::fsio;
 use largeea_common::obs::{Level, Recorder};
 use largeea_sim::SimRows;
@@ -111,8 +110,8 @@ impl SpillStore {
         Some(self.dir.as_ref()?.join(format!("{key}.spill")))
     }
 
-    /// Writes `value`'s [`Payload`] encoding as `key`'s artifact, under
-    /// site-level retry. Keeps nothing resident.
+    /// Writes `value`'s [`Payload`] encoding as `key`'s artifact. Keeps
+    /// nothing resident.
     fn put<T: Payload>(
         &mut self,
         path: &Path,
@@ -124,8 +123,7 @@ impl SpillStore {
         let mut span = rec.span_at(Level::Detail, "spill_write");
         span.field("key", key);
         span.field("bytes", payload.len());
-        let fp = WRITE_FAILPOINT.name;
-        let framed = supervisor::retried(fp, rec, |_| fsio::write_framed(path, &payload, fp))?;
+        let framed = fsio::write_framed(path, &payload, WRITE_FAILPOINT.name)?;
         rec.add("mem.spill.writes", 1);
         rec.add("mem.spill.write_bytes", framed);
         let old = self.live.insert(key.to_owned(), framed).unwrap_or(0);
@@ -138,7 +136,7 @@ impl SpillStore {
     fn get<T: Payload>(&self, path: &Path, key: &str, rec: &Recorder) -> io::Result<T> {
         let mut span = rec.span_at(Level::Detail, "spill_read");
         span.field("key", key);
-        let payload = supervisor::retried("spill.read", rec, |_| fsio::read_framed(path))?;
+        let payload = fsio::read_framed(path)?;
         rec.add("mem.spill.reads", 1);
         rec.add("mem.spill.read_bytes", payload.len() as u64);
         T::decode(&payload)

@@ -7,11 +7,9 @@
 //!    keep the top-k candidates — the block-sparse structural similarity
 //!    matrix `M_s`.
 
-use crate::checkpoint::{Checkpoint, Stage};
+use crate::checkpoint::Stage;
 use crate::pipeline::{RunCtx, RunError};
-use crate::supervisor::{self, Exhausted};
 use largeea_common::obs::{Level, ObsConfig, Recorder};
-use largeea_common::retry::{with_retry, RetryPolicy, Retryable, Transience};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
 use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
@@ -78,10 +76,6 @@ pub struct StructureChannelOutput {
     pub training_seconds: f64,
     /// Mean final training loss across batches that trained.
     pub final_loss: f64,
-    /// Units quarantined under `--degraded-ok` (DESIGN.md §S0.7): batch
-    /// keys (`r<R>.b<I>`) whose similarity blocks are missing from `M_s`
-    /// because their I/O outlived every retry. Empty on a healthy run.
-    pub quarantined: Vec<String>,
 }
 
 /// The structure channel runner.
@@ -177,14 +171,6 @@ impl StructureChannel {
     /// per-batch training is seeded independently (`cfg.seed ^
     /// batch.index`) and `M_s` assembly merges blocks in batch order, a
     /// resumed channel produces a bit-identical `M_s`.
-    ///
-    /// Transient faults are supervised (DESIGN.md §S0.7): a mini-batch
-    /// whose store/checkpoint I/O exhausts site-level retries is
-    /// re-executed as a whole under the same schedule (per-batch seeds make
-    /// the re-run bit-identical), and with `ctx.degraded_ok` a batch that
-    /// *still* fails is quarantined — recorded in the checkpoint manifest,
-    /// the `degraded.batches` trace counter and
-    /// [`StructureChannelOutput::quarantined`] — instead of failing the run.
     pub fn run_in(
         &self,
         pair: &KgPair,
@@ -197,9 +183,8 @@ impl StructureChannel {
             store,
             ckpt,
             round,
-            degraded_ok,
         } = ctx;
-        let (rec, round, degraded_ok) = (*rec, *round, *degraded_ok);
+        let (rec, round) = (*rec, *round);
         let channel_span = rec.span("structure_channel");
         let partition_span = rec.span("partition");
         let batches = ckpt.load_or(Stage::Partition { round }, rec, |_| {
@@ -216,7 +201,6 @@ impl StructureChannel {
                 partition_seconds,
                 training_seconds: 0.0,
                 final_loss: 0.0,
-                quarantined: Vec::new(),
             });
         }
 
@@ -231,24 +215,15 @@ impl StructureChannel {
         rec.gauge("progress.epochs_total", self.cfg.train.epochs as f64);
         let mut loss_sum = 0.0f64;
         let mut loss_count = 0usize;
-        let mut quarantined: Vec<String> = Vec::new();
         for batch in &batches.batches {
             rec.gauge("progress.batch", (batch.index + 1) as f64);
-            // The unit of batch-level supervision. The body below is
-            // re-executable as a whole: per-batch seeds are independent
-            // (`cfg.seed ^ batch.index`), `m_s` is not touched until every
-            // batch is done, and a put replaces what a failed attempt left
-            // under the same key, so a failed attempt rolls back to
-            // `blocks_before` and the re-run is bit-identical.
             let sim = Stage::Sim {
                 round,
                 batch: batch.index,
             };
-            let blocks_before = stored_blocks.len();
-            let (res, stats) = with_retry(&RetryPolicy::default(), &sim.unit(), |attempt| {
-                if attempt > 1 {
-                    stored_blocks.truncate(blocks_before);
-                }
+            // `None` when the batch trains nothing: its block was loaded
+            // from the checkpoint, or one of its sides is empty
+            let batch_loss: Option<f32> = 'batch: {
                 let mut batch_span = rec.span_at(Level::Detail, "minibatch");
                 batch_span.field("batch", batch.index);
                 if let Some(block) = ckpt.load(sim, rec) {
@@ -256,7 +231,7 @@ impl StructureChannel {
                         .put_sim(&sim.key(), block, rec)
                         .map_err(RunError::Spill)?;
                     stored_blocks.push(sim);
-                    return Ok(None);
+                    break 'batch None;
                 }
                 // graph assembly here and the model build below are both
                 // `batch_graph` spans: what a batch costs before it trains
@@ -266,7 +241,7 @@ impl StructureChannel {
                 batch_span.field("source_entities", bg.n_source);
                 batch_span.field("target_entities", bg.n_target);
                 if bg.n_source == 0 || bg.n_target == 0 {
-                    return Ok(None);
+                    break 'batch None;
                 }
                 // stays as initialised when the embeddings are loaded
                 let mut batch_loss = None;
@@ -285,7 +260,7 @@ impl StructureChannel {
                     // Adam's two moments of every (already live) parameter
                     budget.admit("train", 2 * model.store().nbytes())?;
                     let mut progress = |epoch: usize, loss: f32| {
-                        ckpt.epoch_progress(round, batch.index, epoch, loss, rec);
+                        ckpt.epoch_progress(round, batch.index, epoch, loss);
                     };
                     let report = train_hooked(
                         model.as_mut(),
@@ -319,42 +294,21 @@ impl StructureChannel {
                         .map_err(RunError::Spill)?;
                     stored_blocks.push(sim);
                 }
-                Ok(batch_loss)
-            });
-            stats.record_into(rec);
-            match res {
-                Ok(Some(last)) => {
-                    loss_sum += last as f64;
-                    loss_count += 1;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // roll back the failed final attempt before deciding
-                    stored_blocks.truncate(blocks_before);
-                    batch_fault(
-                        e,
-                        sim.unit(),
-                        stats.retries as u32 + 1,
-                        degraded_ok,
-                        ckpt,
-                        &mut quarantined,
-                        rec,
-                    )?;
-                }
+                batch_loss
+            };
+            if let Some(last) = batch_loss {
+                loss_sum += last as f64;
+                loss_count += 1;
             }
             // end of a mini-batch: a stage-boundary tick for the sampler
             rec.live_tick();
         }
         // assemble M_s by taking the blocks back in batch order
         for block in &stored_blocks {
-            match store.take_sim(&block.key(), rec).map_err(RunError::Spill) {
-                Ok(block) => block.merge_into(&mut m_s),
-                Err(e) => {
-                    // a block written earlier became unreadable: same
-                    // fate as a batch that never produced one
-                    batch_fault(e, block.unit(), 1, degraded_ok, ckpt, &mut quarantined, rec)?;
-                }
-            }
+            store
+                .take_sim(&block.key(), rec)
+                .map_err(RunError::Spill)?
+                .merge_into(&mut m_s);
         }
         m_s.normalize_global_minmax();
         ckpt.save(Stage::Ms { round }, &m_s, rec)?;
@@ -371,41 +325,8 @@ impl StructureChannel {
             } else {
                 loss_sum / loss_count as f64
             },
-            quarantined,
         })
     }
-}
-
-/// Decides the fate of a mini-batch whose I/O outlived batch-level retry.
-/// With `degraded_ok` and an I/O-fault error the batch is quarantined —
-/// `degraded.batches` trace counter, checkpoint-manifest record, an entry in
-/// `quarantined` — and `Ok(())` lets the loop continue without its block.
-/// Otherwise the fault is terminal: [`RunError::Exhausted`] for transients
-/// that were actually retried, the unchanged error for deterministic
-/// failures (budget, fatal I/O).
-fn batch_fault(
-    e: RunError,
-    unit: String,
-    attempts: u32,
-    degraded_ok: bool,
-    ckpt: &mut Checkpoint,
-    quarantined: &mut Vec<String>,
-    rec: &Recorder,
-) -> Result<(), RunError> {
-    if degraded_ok && supervisor::is_io_fault(&e) {
-        rec.add("degraded.batches", 1);
-        ckpt.quarantine(&unit, rec)?;
-        quarantined.push(unit);
-        return Ok(());
-    }
-    if e.transience() == Transience::Transient {
-        return Err(RunError::Exhausted(Exhausted {
-            site: unit,
-            attempts,
-            last: Box::new(e),
-        }));
-    }
-    Err(e)
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //! edges it contracts. Every sum the partitioner forms is therefore exact in
 //! any order, and an input whose total edge weight fits in `u32` has every
 //! coarse weight, cut and connectivity fit too — the input constructors
-//! check that once ([`check_fits`]).
+//! check that once (`check_fits`).
 
 use largeea_kg::KnowledgeGraph;
 

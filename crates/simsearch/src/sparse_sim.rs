@@ -130,7 +130,7 @@ impl SparseSimMatrix {
 
     /// In-place [`Self::scaled_add`]: `self += gamma · other`, row by row.
     /// Produces bit-identical entries to the allocating version (both
-    /// funnel through [`merge_rows`]) while only ever holding one extra
+    /// funnel through `merge_rows`) while only ever holding one extra
     /// merged row — the fusion path for memory-bounded runs, where keeping
     /// three full matrices (`self`, `other`, result) would break the
     /// budget.

@@ -204,7 +204,7 @@ fn cut_for(sads: &[u32], need: usize) -> u32 {
 }
 
 /// Bytes a Manhattan [`segmented_topk_streamed`] keeps resident while it
-/// runs — one query and one base segment in f32, the [`Sketch`]es of every
+/// runs — one query and one base segment in f32, the `Sketch`es of every
 /// query row and of that base segment: what SENS asks a memory budget to
 /// admit before it starts the scan.
 pub fn resident_bytes(n_queries: usize, n_base: usize, dim: usize, num_segments: usize) -> usize {
@@ -677,7 +677,7 @@ pub fn segmented_topk(
 /// search.
 ///
 /// Sketches (Manhattan only): the scale comes from the first base segment
-/// — any scale is sound, see [`Sketch`] — each base segment is sketched
+/// — any scale is sound, see `Sketch` — each base segment is sketched
 /// when it is loaded, and each query segment the first time it is; the
 /// query sketches stay resident for the later base segments
 /// ([`resident_bytes`] is the total a budgeted caller asks for).

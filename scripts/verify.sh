@@ -35,6 +35,11 @@ cargo fmt --check
 stage "clippy"
 cargo clippy -q --offline --workspace --all-targets -- -D warnings
 
+stage "doc"
+# rustdoc's lints (broken and private intra-doc links among them) fail the
+# gate, so a doc comment cannot keep pointing at a deleted item
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 stage "kernel-dispatch smoke"
 # scratch for this smoke and the ledger lines below
 SMOKE="$(mktemp -d -t largeea_smoke.XXXXXX)"

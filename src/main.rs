@@ -44,7 +44,7 @@ USAGE:
                     [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
                     [--mem-budget <bytes>] [--spill-dir <dir>]
-                    [--live-dir <dir>] [--degraded-ok]
+                    [--live-dir <dir>]
   largeea eval      --data <dir> --predictions <file>
   largeea failpoints list
   largeea ckpt      inspect <dir>
@@ -92,14 +92,10 @@ deterministic for a fixed seed) the run captures a metric sample and
 atomically rewrites `<dir>/live.trace.json` — watch it from another
 terminal with `largeea trace tail <dir>`.
 
-`--degraded-ok` lets `align` finish on partial results when transient
-I/O faults outlive the retry budget (DESIGN.md §S0.12): a mini-batch
-whose spill/checkpoint writes keep failing is quarantined (recorded in
-the checkpoint manifest, dropped from M_s), and a fully lost channel
-degrades the run to the surviving channel. Degradations are stamped as
-`degraded.*` counters/fields in the trace and reported on stdout —
-never silent. `failpoints list` prints every fault-injection site that
-`LARGEEA_FAILPOINTS=<name>=err|panic|partial|transient[@N]` can arm.
+An I/O fault fails the run with its typed exit code; a crash leaves the
+checkpoint to `--resume` from (DESIGN.md §S0.7). `failpoints list`
+prints every fault-injection site that
+`LARGEEA_FAILPOINTS=<name>=err|panic|partial[@N]` can arm.
 
 `--k n` (default 5) is the number of mini-batches K: 1 up to the smaller
 KG's entity count, as every batch needs an entity of each side; partitioning
@@ -114,8 +110,7 @@ EXIT CODES (documented contract, asserted by tests/cli.rs):
   3  memory budget exceeded (RunError::Budget)
   4  checkpoint error (RunError::Ckpt)
   6  spill I/O error (RunError::Spill)
-  7  retries exhausted on a transient fault (RunError::Exhausted)
-  8  degraded run lost every channel (RunError::Quarantined)
+  5, 7 and 8 are retired and not reused.
 
 Every command is deterministic for fixed inputs and flags.";
 
@@ -124,7 +119,7 @@ enum CliError {
     /// Malformed command line: unknown command or flag, a required flag
     /// missing, a flag value that does not parse. Exit 2.
     Usage(String),
-    /// A typed pipeline failure; exit code is per-variant (3, 4, 6..=8).
+    /// A typed pipeline failure; exit code is per-variant (3, 4, 6).
     Run(Box<RunError>),
     /// Everything else (I/O, bad input data). Exit 1.
     Other(String),
@@ -155,8 +150,8 @@ impl CliError {
                 RunError::Budget(_) => 3,
                 RunError::Ckpt(_) => 4,
                 RunError::Spill(_) => 6,
-                RunError::Exhausted(_) => 7,
-                RunError::Quarantined(_) => 8,
+                // 5 (heap-audit failure), 7 (retries exhausted) and 8
+                // (degraded run lost every channel) are retired, not reused
             },
         }
     }
@@ -232,7 +227,7 @@ type Flags = HashMap<String, String>;
 /// Flags that take no value, then flags that take one. A name in neither
 /// list is a usage error — a mistyped or retired flag must not be swallowed
 /// together with the argument after it.
-const BOOL_FLAGS: &str = "unsupervised analysis resume degraded-ok";
+const BOOL_FLAGS: &str = "unsupervised analysis resume";
 const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
     csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir predictions";
 
@@ -503,7 +498,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     // a budget without an explicit spill dir gets a per-process tempdir,
     // announced in the trace as the pipeline span's `spill.dir` field
     let mut exec = ExecOptions::from_flags(mem_budget, flags.get("spill-dir").map(PathBuf::from));
-    exec.degraded_ok = flags.contains_key("degraded-ok");
     exec.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
     exec.resume = flags.contains_key("resume");
     if let Some(dir) = flags.get("live-dir").map(PathBuf::from) {
@@ -516,12 +510,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     let report = LargeEa::new(cfg)
         .run_exec(&pair, &seeds, rounds, &rec, &exec)
         .map_err(|e| CliError::Run(Box::new(e)))?;
-    if report.degraded.is_degraded() {
-        outln!(
-            "DEGRADED: completed without {} (see the trace's degraded.* fields)",
-            report.degraded.units().join(", ")
-        );
-    }
     if exec.mem_budget.is_some() || exec.spill_dir.is_some() {
         // the run window's measured peak, in the shape scripts parse
         outln!(

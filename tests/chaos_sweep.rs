@@ -1,15 +1,11 @@
 //! Seeded chaos sweep (DESIGN.md §S0.7): every registered failpoint ×
-//! every injection mode, driven against the DBP1M-CI preset, asserting the
-//! **crash-only invariant** — each faulted run must land in exactly one of
-//! three honest outcomes:
+//! every injection mode (`err|panic|partial`), driven against the DBP1M-CI
+//! preset, asserting the **crash-only invariant** — each faulted run must
+//! land in exactly one of two honest outcomes:
 //!
-//! 1. **absorbed** — the run completes with results bit-identical to the
-//!    fault-free oracle (transient faults under retry, best-effort sites
-//!    that swallow their own errors);
-//! 2. **honestly degraded** — with `--degraded-ok`, the run completes on
-//!    partial results and says so (`degraded.*` trace markers, quarantine
-//!    records in the manifest, `LargeEaReport::degraded`);
-//! 3. **typed death** — the run fails with a typed [`RunError`] (or an
+//! 1. **absorbed** — a best-effort site swallows its own error, and the
+//!    run completes with results bit-identical to the fault-free oracle;
+//! 2. **typed death** — the run fails with a typed [`RunError`] (or an
 //!    injected panic), and nothing half-written is ever marked durable: a
 //!    resume from the same checkpoint directory reproduces the oracle
 //!    bit-identically.
@@ -20,7 +16,6 @@
 
 use largeea_common::failpoint;
 use largeea_common::obs::{LiveConfig, ObsConfig, Recorder};
-use largeea_core::checkpoint::Checkpoint;
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea_core::registered_failpoints;
 use largeea_core::structure_channel::StructureChannelConfig;
@@ -79,7 +74,6 @@ fn recorder(live_dir: &Path) -> Recorder {
 fn run_in(
     dir: &Path,
     resume: bool,
-    degraded_ok: bool,
     pair: &KgPair,
     seeds: &AlignmentSeeds,
     rec: &Recorder,
@@ -87,7 +81,6 @@ fn run_in(
     let exec = ExecOptions {
         checkpoint_dir: Some(dir.join("ckpt")),
         resume,
-        degraded_ok,
         ..ExecOptions::from_flags(None, Some(dir.join("spill")))
     };
     LargeEa::new(cfg()).run_exec(pair, seeds, ROUNDS, rec, &exec)
@@ -101,7 +94,7 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
     // --- registry coverage ------------------------------------------------
     // the one registry carries every subsystem's sites — the checkpoint's,
     // the spill store's, the live sampler's — and the sweep below proves
-    // none of them dead: `transient@1` must leave evidence at each
+    // none of them dead: a run that completes under `panic@1` fails it
     for prefix in ["ckpt.", "spill.", "live."] {
         assert!(
             registry.iter().any(|fp| fp.name.starts_with(prefix)),
@@ -112,16 +105,7 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
     // --- fault-free oracle ------------------------------------------------
     let base_dir = scratch("baseline");
     let rec = recorder(&base_dir.join("live"));
-    let base = run_in(&base_dir, false, false, &pair, &seeds, &rec).expect("fault-free oracle");
-    assert!(
-        !base.degraded.is_degraded(),
-        "a fault-free run must not be degraded"
-    );
-    assert_eq!(
-        base.trace.counter("retry.attempts"),
-        0,
-        "a fault-free run must not record retries"
-    );
+    let base = run_in(&base_dir, false, &pair, &seeds, &rec).expect("fault-free oracle");
 
     // err-mode faults that sites absorb by contract instead of dying:
     // the live sampler swallows snapshot errors into `live.write_errors`,
@@ -133,14 +117,14 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
     std::panic::set_hook(Box::new(|_| {}));
 
     for fp in &registry {
-        for mode in ["err", "panic", "partial", "transient"] {
+        for mode in ["err", "panic", "partial"] {
             let spec = format!("{}={mode}@1", fp.name);
             let tag = spec.replace(['=', '@', '.'], "_");
             let dir = scratch(&tag);
             failpoint::configure(&spec).expect("valid spec");
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 let rec = recorder(&dir.join("live"));
-                run_in(&dir, false, false, &pair, &seeds, &rec)
+                run_in(&dir, false, &pair, &seeds, &rec)
             }));
             failpoint::clear();
             match outcome {
@@ -151,35 +135,22 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
                         report.eval, base.eval,
                         "[{spec}] absorbed run's metrics differ"
                     );
-                    assert!(
-                        !report.degraded.is_degraded(),
-                        "[{spec}] non-degraded-ok run claims degradation"
-                    );
                     match mode {
-                        "transient" if fp.name == "live.write" => assert!(
-                            report.trace.counter("live.write_errors") >= 1,
-                            "[{spec}] swallowed fault left no trace evidence"
-                        ),
-                        // the ISSUE's acceptance bar: transient@1 on any
-                        // spill/checkpoint write is absorbed by retry and
-                        // says so in the trace
-                        "transient" => assert!(
-                            report.trace.counter("retry.attempts") >= 1,
-                            "[{spec}] absorbed transient fault recorded no retry"
-                        ),
                         "err" => assert!(
                             absorbed_err.contains(&fp.name),
                             "[{spec}] err at a must-die site was silently absorbed"
                         ),
                         other => panic!("[{spec}] {other} mode cannot complete"),
                     }
+                    if fp.name == "live.write" {
+                        assert!(
+                            report.trace.counter("live.write_errors") >= 1,
+                            "[{spec}] swallowed fault left no trace evidence"
+                        );
+                    }
                 }
                 // outcome 3a: typed death
                 Ok(Err(e)) => {
-                    assert_ne!(
-                        mode, "transient",
-                        "[{spec}] transient@1 must be absorbed: {e}"
-                    );
                     assert!(
                         matches!(e, RunError::Ckpt(_) | RunError::Spill(_)),
                         "[{spec}] unexpected error class: {e}"
@@ -197,7 +168,7 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
             // was marked durable, so a resume reproduces the oracle
             // bit-identically (absorbed runs resume trivially too).
             let rec = recorder(&dir.join("live"));
-            let resumed = run_in(&dir, true, false, &pair, &seeds, &rec)
+            let resumed = run_in(&dir, true, &pair, &seeds, &rec)
                 .unwrap_or_else(|e| panic!("[{spec}] resume failed: {e}"));
             assert_eq!(resumed.sim, base.sim, "[{spec}] resumed M differs");
             assert_eq!(resumed.eval, base.eval, "[{spec}] resumed metrics differ");
@@ -205,64 +176,6 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
         }
     }
     std::panic::set_hook(prev_hook);
-
-    // --- outcome 2: honest degradation under --degraded-ok ----------------
-    // (a) losing the whole name channel degrades to structure-only (the
-    // channel's one write is its checkpoint: SENS spills nothing)
-    {
-        let dir = scratch("degraded_name");
-        failpoint::configure("ckpt.name=err@1").unwrap();
-        let rec = recorder(&dir.join("live"));
-        let report = run_in(&dir, false, true, &pair, &seeds, &rec)
-            .expect("--degraded-ok absorbs the lost channel");
-        failpoint::clear();
-        assert!(report.degraded.name_channel, "name channel must be flagged");
-        assert!(report.degraded.is_degraded());
-        assert!(report.trace.counter("degraded.name_channel") >= 1);
-        assert_eq!(
-            report.eval.evaluated,
-            seeds.test.len(),
-            "a degraded run still evaluates every test pair"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-    // (b) a batch whose checkpoint writes keep failing is quarantined —
-    // durably, in the manifest — and the pipeline continues without it
-    {
-        let dir = scratch("degraded_batch");
-        failpoint::configure("ckpt.sim=err@1").unwrap();
-        let rec = recorder(&dir.join("live"));
-        let report = run_in(&dir, false, true, &pair, &seeds, &rec)
-            .expect("--degraded-ok quarantines the lost batch");
-        failpoint::clear();
-        assert!(
-            !report.degraded.quarantined_batches.is_empty(),
-            "lost batch must be quarantined"
-        );
-        assert!(report
-            .degraded
-            .quarantined_batches
-            .iter()
-            .all(|k| k.starts_with("r0.b")));
-        assert!(report.trace.counter("degraded.batches") >= 1);
-        // the quarantine record is durable: a reopened checkpoint shows it
-        let rec2 = Recorder::new(ObsConfig::default());
-        let c = cfg();
-        let ckpt = Checkpoint::open(&dir.join("ckpt"), c.run_meta(&seeds, ROUNDS), true, &rec2)
-            .expect("reopen checkpoint");
-        let quarantined: Vec<&str> = ckpt.quarantined().collect();
-        assert_eq!(
-            quarantined,
-            report
-                .degraded
-                .quarantined_batches
-                .iter()
-                .map(String::as_str)
-                .collect::<Vec<_>>(),
-            "manifest quarantine records disagree with the report"
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
 
     std::fs::remove_dir_all(&base_dir).ok();
 }

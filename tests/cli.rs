@@ -336,9 +336,9 @@ fn failpoints_list_matches_the_registry() {
 }
 
 /// The documented exit-code taxonomy (see `largeea --help`): every
-/// `RunError` variant maps to its own process exit code so scripts and
-/// supervisors can tell a budget blow-up from a fault that outlived its
-/// retries. Code 5 is retired (it was a heap-audit failure) and not reused.
+/// `RunError` variant maps to its own process exit code so a script can
+/// tell a budget blow-up from an I/O fault. Codes 5 (a heap-audit failure),
+/// 7 and 8 (the retired retry and degradation ladder) are not reused.
 #[test]
 fn exit_codes_follow_the_documented_taxonomy() {
     let dir = tempdir("exitcodes");
@@ -372,15 +372,18 @@ fn exit_codes_follow_the_documented_taxonomy() {
         Some(2)
     );
     assert_eq!(bin().output().unwrap().status.code(), Some(2));
-    // …and a flag nobody knows, wherever it stands: the retired
-    // `--quantize` must not swallow the flag after it
-    let retired = bin()
-        .args(["align", "--quantize", "--unsupervised", "--data"])
-        .arg(&data)
-        .output()
-        .unwrap();
-    assert_eq!(retired.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&retired.stderr).contains("unknown flag --quantize"));
+    // …and a flag nobody knows, wherever it stands: a retired one must not
+    // swallow the flag after it
+    for flag in ["--quantize", "--degraded-ok"] {
+        let retired = bin()
+            .args(["align", flag, "--unsupervised", "--data"])
+            .arg(&data)
+            .output()
+            .unwrap();
+        assert_eq!(retired.status.code(), Some(2), "{flag}");
+        let err = String::from_utf8_lossy(&retired.stderr);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
 
     // …a required flag left out, or a value its flag does not take — the
     // message names the flag ("@data" stands for the generated directory)
@@ -478,20 +481,22 @@ fn exit_codes_follow_the_documented_taxonomy() {
     assert_eq!(out.status.code(), Some(3), "{err}");
     assert!(err.contains("memory budget exceeded at \"stns\""), "{err}");
 
-    // 4: RunError::Ckpt — a fatal (non-retryable) injected manifest failure
-    let out = align(
-        "ckpt",
-        &["--checkpoint-dir", "@dir"],
-        Some("ckpt.manifest=err@1"),
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(4),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    // 4: RunError::Ckpt — an injected manifest failure, or the name
+    // channel's one write (SENS spills nothing) failing
+    for (tag, fp) in [
+        ("ckpt", "ckpt.manifest=err@1"),
+        ("ckpt_name", "ckpt.name=err@1"),
+    ] {
+        let out = align(tag, &["--checkpoint-dir", "@dir"], Some(fp));
+        assert_eq!(
+            out.status.code(),
+            Some(4),
+            "{fp}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 
-    // 6: RunError::Spill — a fatal injected spill-write failure
+    // 6: RunError::Spill — an injected spill-write failure
     let out = align("spill", &["--spill-dir", "@dir"], Some("spill.write=err@1"));
     assert_eq!(
         out.status.code(),
@@ -499,110 +504,6 @@ fn exit_codes_follow_the_documented_taxonomy() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-
-    // 7: RunError::Exhausted — a transient fault deeper than site-level
-    // backoff (4 attempts) × batch-level re-execution (4 attempts)
-    let out = align(
-        "exhausted",
-        &["--checkpoint-dir", "@dir"],
-        Some("ckpt.sim=transient@999"),
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(7),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("retries exhausted"), "{err}");
-
-    // 8: RunError::Quarantined — degradation allowed, but both channels
-    // are lost to I/O faults: nothing left to degrade to
-    let out = align(
-        "quarantined",
-        &["--checkpoint-dir", "@dir", "--degraded-ok"],
-        Some("ckpt.name=err@1,ckpt.partition=err@1"),
-    );
-    assert_eq!(
-        out.status.code(),
-        Some(8),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("no usable channel"), "{err}");
-
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `--degraded-ok` turns a lost name channel into an honestly-flagged
-/// structure-only run: exit 0, a DEGRADED line on stdout, and
-/// `degraded.*` markers in the trace (and therefore `trace summarize`).
-#[test]
-fn degraded_ok_completes_structure_only_and_flags_it() {
-    let dir = tempdir("degraded");
-    let data = dir.join("data");
-    let out = bin()
-        .args([
-            "generate",
-            "--preset",
-            "ids15k-en-fr",
-            "--scale",
-            "0.01",
-            "--out",
-        ])
-        .arg(&data)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-
-    // the name channel's one write is its checkpoint (SENS spills nothing)
-    let trace_path = dir.join("degraded_trace.json");
-    let out = bin()
-        .args(["align", "--data"])
-        .arg(&data)
-        .args(["--model", "gcn", "--k", "2", "--epochs", "3", "--dim", "16"])
-        .arg("--checkpoint-dir")
-        .arg(dir.join("ckpt"))
-        .arg("--degraded-ok")
-        .arg("--trace-out")
-        .arg(&trace_path)
-        .env("LARGEEA_FAILPOINTS", "ckpt.name=err@1")
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "degraded-ok run must complete: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("DEGRADED"), "{text}");
-    assert!(text.contains("name_channel"), "{text}");
-    assert!(text.contains("H@1"), "degraded run still evaluates: {text}");
-    let trace = std::fs::read_to_string(&trace_path).unwrap();
-    assert!(trace.contains("degraded.name_channel"), "{trace}");
-
-    // the degradation counters surface in `trace summarize`
-    let out = bin()
-        .args(["trace", "summarize"])
-        .arg(&trace_path)
-        .output()
-        .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("degraded.name_channel"), "{text}");
-
-    // without --degraded-ok the same fault is terminal (exit 4: Ckpt)
-    let out = bin()
-        .args(["align", "--data"])
-        .arg(&data)
-        .args(["--model", "gcn", "--k", "2", "--epochs", "3", "--dim", "16"])
-        .arg("--checkpoint-dir")
-        .arg(dir.join("ckpt2"))
-        .env("LARGEEA_FAILPOINTS", "ckpt.name=err@1")
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(4));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -165,8 +165,8 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
         failpoint::clear();
         let died = match outcome {
             Err(_) => true, // injected panic / torn write
-            // injected clean error, as it comes or after its retries ran out
-            Ok(Err(RunError::Ckpt(CkptError::Io(_)) | RunError::Exhausted(_))) => true,
+            // injected clean error
+            Ok(Err(RunError::Ckpt(CkptError::Io(_)))) => true,
             Ok(Err(e)) => panic!("[{spec}] unexpected checkpoint error: {e}"),
             Ok(Ok(_)) => false,
         };
