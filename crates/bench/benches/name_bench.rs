@@ -86,25 +86,6 @@ fn bench_topk_retention(bench: &mut Bench) {
     group.finish();
 }
 
-fn bench_ivf_vs_exact(bench: &mut Bench) {
-    // The Faiss-substitute trade-off: exact brute force vs IVF probing.
-    use largeea_sim::IvfIndex;
-    let names = labels(1000);
-    let encoder = HashEncoder::new(128, 42);
-    let emb = encoder.encode_batch(&names);
-    let mut group = bench.group("sens_ivf_vs_exact");
-    group.bench_function("exact_1000x1000", |b| {
-        b.iter(|| largeea_sim::topk_search(&emb, &emb, 50, Metric::Manhattan))
-    });
-    let idx = IvfIndex::build(emb.clone(), 16, 10, 7, Metric::Manhattan);
-    for nprobe in [2usize, 8] {
-        group.bench_function(format!("ivf_nprobe/{nprobe}"), |b| {
-            b.iter(|| idx.search(&emb, 50, nprobe))
-        });
-    }
-    group.finish();
-}
-
 fn bench_cold_scans(bench: &mut Bench) {
     // Exact scans whose collectors start empty: a batch's `M_s`, a
     // negatives resample, and one whole-side segment of the DBP1M@0.008
@@ -133,6 +114,5 @@ fn main() {
     bench_sens(&mut bench);
     bench_stns(&mut bench);
     bench_topk_retention(&mut bench);
-    bench_ivf_vs_exact(&mut bench);
     bench_cold_scans(&mut bench);
 }

@@ -13,6 +13,7 @@
 //! graph coarsening hands it.
 
 use largeea_common::bench::Bench;
+use largeea_common::obs::Recorder;
 use largeea_data::Preset;
 use largeea_partition::coarsen::{coarsen_once, coarsen_to};
 use largeea_partition::initial::initial_partition;
@@ -38,7 +39,9 @@ fn bench_minibatch_generation(bench: &mut Bench) {
     group.bench_function("metis_cps_k5", |b| {
         b.iter(|| metis_cps(&pair, &seeds, &CpsConfig::new(5)))
     });
-    group.bench_function("vps_k5", |b| b.iter(|| vps(&pair, &seeds, 5, 1)));
+    group.bench_function("vps_k5", |b| {
+        b.iter(|| vps(&pair, &seeds, 5, 1, &Recorder::disabled()))
+    });
     group.finish();
 }
 
@@ -78,7 +81,12 @@ fn bench_ladder(bench: &mut Bench) {
     let g = PartGraph::from_kg(&pair.source);
     let cfg = PartitionConfig::new(K);
     // what `partition_kway` coarsens to and seeds its initial partition with
-    let levels = coarsen_to(&g, (K * cfg.coarsen_factor).max(64), cfg.seed);
+    let levels = coarsen_to(
+        &g,
+        (K * cfg.coarsen_factor).max(64),
+        cfg.seed,
+        &Recorder::disabled(),
+    );
     let coarsest = &levels.last().expect("45 000 vertices coarsen").graph;
 
     let mut group = bench.group("ladder_dbp1m");

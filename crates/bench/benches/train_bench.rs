@@ -15,7 +15,7 @@ use largeea_common::rng::Rng;
 use largeea_data::Preset;
 use largeea_kg::EntityId;
 use largeea_models::negative::{sample_negatives, NegStrategy};
-use largeea_models::{train, train_traced, BatchGraph, ModelKind, TrainConfig};
+use largeea_models::{train, train_hooked, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::MiniBatches;
 
 // Per-epoch `alloc.bytes` needs the counting allocator, which the harness
@@ -134,7 +134,7 @@ fn bench_train_epoch() {
         ..ObsConfig::default()
     });
     let mut model = ModelKind::Rrea.build(&bg, cfg.dim, 3);
-    let tape_bytes = train_traced(model.as_mut(), &bg, &cfg, &rec).tape_bytes;
+    let tape_bytes = train_hooked(model.as_mut(), &bg, &cfg, &rec, None).tape_bytes;
     let trace = rec.trace();
     let steady = &trace.find("train_batch").expect("batch span").children[1..];
     let mut seconds: Vec<f64> = steady.iter().map(|e| e.seconds).collect();

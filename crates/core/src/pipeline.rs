@@ -41,10 +41,11 @@ pub struct ExecOptions {
     /// typed [`RunError::Budget`] ([`MemBudget::admit`]). `None` =
     /// unbounded.
     pub mem_budget: Option<usize>,
-    /// Which backing the run's [`SpillStore`] gets. Per-segment embeddings
-    /// and per-batch similarity blocks always go through the store; with
-    /// `Some(dir)` they wait on disk (out-of-core execution), with `None`
-    /// in memory. Same statements either way, hence the same bits.
+    /// Which backing the run's [`SpillStore`] gets. Per-batch similarity
+    /// blocks always go through the store (SENS encodes each segment as it
+    /// loads it, so no embedding does); with `Some(dir)` they wait on disk
+    /// (out-of-core execution), with `None` in memory. Same statements
+    /// either way, hence the same bits.
     pub spill_dir: Option<PathBuf>,
     /// Crash-safe checkpoint directory (`--checkpoint-dir`, DESIGN.md
     /// §S0.7): every pipeline boundary is durably persisted there as it
@@ -320,10 +321,11 @@ impl LargeEa {
     /// With `exec.mem_budget`, the admission points of both channels and of
     /// fusion ask the run's measured heap growth ([`MemBudget`]) and the run
     /// fails fast with a typed [`RunError::Budget`] instead of thrashing.
-    /// Per-segment name embeddings and per-batch similarity blocks go
-    /// through one [`SpillStore`] and are streamed back; `exec.spill_dir`
-    /// only picks where they wait in between (memory or disk), so both
-    /// regimes execute the same statements (`tests/spill_equivalence.rs`).
+    /// Per-batch similarity blocks go through one [`SpillStore`] and are
+    /// streamed back (SENS encodes each name segment as it loads it);
+    /// `exec.spill_dir` only picks where the blocks wait in between (memory
+    /// or disk), so both regimes execute the same statements
+    /// (`tests/spill_equivalence.rs`).
     pub fn run_exec(
         &self,
         pair: &KgPair,

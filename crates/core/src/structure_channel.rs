@@ -13,7 +13,7 @@ use largeea_common::obs::{Level, ObsConfig, Recorder};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
 use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
-use largeea_partition::{metis_cps_traced, vps_traced, CpsConfig, MiniBatches};
+use largeea_partition::{metis_cps_traced, vps, CpsConfig, MiniBatches};
 use largeea_sim::SparseSimMatrix;
 
 /// How mini-batches are generated.
@@ -121,7 +121,7 @@ impl StructureChannel {
                 cps.virtual_edge_weight = self.cfg.virtual_edge_weight;
                 metis_cps_traced(pair, seeds, &cps, rec)
             }
-            Partitioner::Vps => vps_traced(pair, seeds, self.cfg.k, self.cfg.seed, rec),
+            Partitioner::Vps => vps(pair, seeds, self.cfg.k, self.cfg.seed, rec),
             Partitioner::None => MiniBatches::from_assignments(
                 pair,
                 seeds,

@@ -34,6 +34,4 @@ pub use batch_graph::BatchGraph;
 pub use gcn_align::GcnAlign;
 pub use mtranse::MTransE;
 pub use rrea::Rrea;
-pub use trainer::{
-    train, train_hooked, train_traced, EaModel, ForwardPass, ModelKind, TrainConfig, TrainReport,
-};
+pub use trainer::{train, train_hooked, EaModel, ForwardPass, ModelKind, TrainConfig, TrainReport};

@@ -9,7 +9,7 @@ use crate::batch_graph::BatchGraph;
 use largeea_common::obs::Recorder;
 use largeea_common::pool::Pool;
 use largeea_common::rng::{splitmix64, Rng};
-use largeea_sim::{topk_search_counted, Metric};
+use largeea_sim::{topk_search_in, Metric};
 use largeea_tensor::Matrix;
 use std::ops::Range;
 
@@ -174,7 +174,13 @@ fn nearest_negatives(
     let search = |anchor: fn(&(u32, u32)) -> u32, side: Range<usize>| {
         let locals: Vec<u32> = bg.train_pairs.iter().map(anchor).collect();
         let anchors = emb.gather_rows(&locals);
-        topk_search_counted(&anchors, emb.row_range(side), n_neg + 2, Metric::Manhattan)
+        topk_search_in(
+            &anchors,
+            emb.row_range(side),
+            n_neg + 2,
+            Metric::Manhattan,
+            Pool::global(),
+        )
     };
     let (hits_t, refined_t) = search(|&(s, _)| s, bg.n_source..bg.n_total());
     let (hits_s, refined_s) = search(|&(_, t)| t, 0..bg.n_source);

@@ -8,7 +8,8 @@
 
 use crate::batch_graph::BatchGraph;
 use largeea_common::obs::Recorder;
-use largeea_sim::{topk_search_counted, Metric, SimRows};
+use largeea_common::pool::Pool;
+use largeea_sim::{topk_search_in, Metric, SimRows};
 use largeea_tensor::Matrix;
 
 /// Scores `bg`'s source entities against its target entities with the
@@ -31,7 +32,7 @@ pub fn fill_similarity(
     }
     let src = emb.row_range(0..bg.n_source);
     let tgt = emb.row_range(bg.n_source..bg.n_total());
-    let (hits, refined) = topk_search_counted(src, tgt, k, Metric::Manhattan);
+    let (hits, refined) = topk_search_in(src, tgt, k, Metric::Manhattan, Pool::global());
     rec.add("topk.refined_pairs", refined);
     block.reserve(hits.len());
     // source locals ascend with their global ids, so rows arrive in order

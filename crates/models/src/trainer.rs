@@ -166,33 +166,26 @@ fn triplet_rows(bg: &BatchGraph, negs: &Negatives, n_neg: usize) -> [Rc<IndexLis
 /// A batch without training pairs cannot be trained (the paper's motivation
 /// for VPS's even seed split); its embeddings are returned untrained.
 pub fn train(model: &mut dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> TrainReport {
-    train_traced(model, bg, cfg, &Recorder::disabled())
+    train_hooked(model, bg, cfg, &Recorder::disabled(), None)
 }
 
-/// [`train`] with telemetry: the whole batch is a `train_batch` span
-/// ([`Level::Detail`]) with `epochs`/`pairs`/`tape_bytes` fields; every
-/// epoch is an `epoch` span ([`Level::Trace`]) with `epoch`/`loss`/
-/// `grad_norm` fields and `forward` / `negatives` (when resampled) / `loss`
-/// / `backward` / `step` children. Each negatives regeneration bumps the
-/// `train.negatives_resampled` counter (and the sampler's own
-/// `negatives.*` counters, see [`sample_negatives`]), per-epoch losses feed the
-/// `train.epoch_loss` histogram, and the `train.peak_bytes` /
-/// `train.tape_bytes` gauges keep the largest batch's parameter + Adam
-/// state and retained tape.
-pub fn train_traced(
-    model: &mut dyn EaModel,
-    bg: &BatchGraph,
-    cfg: &TrainConfig,
-    rec: &Recorder,
-) -> TrainReport {
-    train_hooked(model, bg, cfg, rec, None)
-}
-
-/// [`train_traced`] with an optional per-epoch hook, called after each Adam
-/// step with `(epoch, mean loss)`. The checkpoint subsystem uses this to
-/// persist training progress without the trainer knowing anything about
-/// checkpoints; the hook must not mutate the model (it only observes), so
-/// training with `None` and with a pure observer hook is bit-identical.
+/// [`train`] with telemetry and an optional per-epoch hook.
+///
+/// The whole batch is a `train_batch` span ([`Level::Detail`]) with
+/// `epochs`/`pairs`/`tape_bytes` fields; every epoch is an `epoch` span
+/// ([`Level::Trace`]) with `epoch`/`loss`/`grad_norm` fields and `forward` /
+/// `negatives` (when resampled) / `loss` / `backward` / `step` children.
+/// Each negatives regeneration bumps the `train.negatives_resampled` counter
+/// (and the sampler's own `negatives.*` counters, see [`sample_negatives`]),
+/// per-epoch losses feed the `train.epoch_loss` histogram, and the
+/// `train.peak_bytes` / `train.tape_bytes` gauges keep the largest batch's
+/// parameter + Adam state and retained tape.
+///
+/// The hook, when given, is called after each Adam step with `(epoch, mean
+/// loss)`. The checkpoint subsystem uses it to persist training progress
+/// without the trainer knowing anything about checkpoints; the hook must not
+/// mutate the model (it only observes), so training with `None` and with a
+/// pure observer hook is bit-identical.
 pub fn train_hooked(
     model: &mut dyn EaModel,
     bg: &BatchGraph,
@@ -451,7 +444,7 @@ mod tests {
         let plain = train(m1.as_mut(), &bg, &cfg);
         let rec = Recorder::new(ObsConfig::default());
         let mut m2 = ModelKind::GcnAlign.build(&bg, 16, 9);
-        let traced = train_traced(m2.as_mut(), &bg, &cfg, &rec);
+        let traced = train_hooked(m2.as_mut(), &bg, &cfg, &rec, None);
         assert_eq!(
             plain.embeddings, traced.embeddings,
             "tracing must not change training"

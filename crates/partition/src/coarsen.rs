@@ -115,20 +115,10 @@ impl CoarseLevel {
 
 /// Coarsens repeatedly until the graph has at most `target_nv` vertices or
 /// a round shrinks it by less than ~10 % (diminishing returns). Returns the
-/// levels from finest to coarsest.
-pub fn coarsen_to(g: &PartGraph, target_nv: usize, seed: u64) -> Vec<CoarseLevel> {
-    coarsen_to_traced(g, target_nv, seed, &Recorder::disabled())
-}
-
-/// [`coarsen_to`] with telemetry: totals across rounds land in the
+/// levels from finest to coarsest. Totals across rounds land in `rec`'s
 /// `coarsen.rounds` and `coarsen.edges_projected` counters (the latter
 /// counts coarse edges built by the graph projection).
-pub fn coarsen_to_traced(
-    g: &PartGraph,
-    target_nv: usize,
-    seed: u64,
-    rec: &Recorder,
-) -> Vec<CoarseLevel> {
+pub fn coarsen_to(g: &PartGraph, target_nv: usize, seed: u64, rec: &Recorder) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
     let mut current_nv = g.nv();
     let mut round = 0u64;
@@ -253,7 +243,7 @@ mod tests {
     #[test]
     fn coarsen_to_reaches_target() {
         let g = ring(256);
-        let levels = coarsen_to(&g, 20, 7);
+        let levels = coarsen_to(&g, 20, 7, &Recorder::disabled());
         assert!(!levels.is_empty());
         let last = &levels.last().unwrap().graph;
         assert!(last.nv() <= 40, "coarsest has {} vertices", last.nv());

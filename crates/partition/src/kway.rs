@@ -1,9 +1,9 @@
 //! The public multilevel k-way partitioning driver — the METIS substitute.
 
-use crate::coarsen::coarsen_to_traced;
+use crate::coarsen::coarsen_to;
 use crate::graph::PartGraph;
 use crate::initial::initial_partition_with_stats;
-use crate::refine::{projected_boundary, refine_kway_traced};
+use crate::refine::{projected_boundary, refine_kway};
 use largeea_common::obs::{Level, Recorder};
 
 /// Configuration for [`partition_kway`].
@@ -156,7 +156,7 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
     let target_nv = (k * cfg.coarsen_factor).max(64);
     let levels = {
         let mut s = rec.span_at(Level::Detail, "coarsen");
-        let levels = coarsen_to_traced(g, target_nv, cfg.seed, rec);
+        let levels = coarsen_to(g, target_nv, cfg.seed, rec);
         let coarsest_nv = levels.last().map_or(g.nv(), |l| l.graph.nv());
         s.field("levels", levels.len());
         s.field("coarsest_nv", coarsest_nv);
@@ -186,7 +186,7 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
         s.field("fm_passes", stats.fm_passes);
         s.field("fm_moves", stats.fm_moves);
         let cap = ((coarsest.total_vwgt() as f64 / k as f64) * cfg.imbalance).ceil() as u64;
-        refine_kway_traced(
+        refine_kway(
             coarsest,
             &mut assignment,
             k,
@@ -210,7 +210,7 @@ pub fn partition_kway_traced(g: &PartGraph, cfg: &PartitionConfig, rec: &Recorde
             fine_assignment[v] = assignment[c as usize];
         }
         let cap = ((fine_graph.total_vwgt() as f64 / k as f64) * cfg.imbalance).ceil() as u64;
-        refine_kway_traced(
+        refine_kway(
             fine_graph,
             &mut fine_assignment,
             k,

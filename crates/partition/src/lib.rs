@@ -38,4 +38,4 @@ pub use batches::{MiniBatch, MiniBatches};
 pub use cps::{metis_cps, metis_cps_traced, CpsConfig};
 pub use graph::PartGraph;
 pub use kway::{edge_cut, partition_kway, partition_kway_traced, PartitionConfig, Partitioning};
-pub use vps::{vps, vps_traced};
+pub use vps::vps;

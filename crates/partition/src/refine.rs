@@ -47,30 +47,12 @@ pub fn projected_boundary(coarse: &PartGraph, coarse_assignment: &[u32], map: &[
 /// * `first_pass` — the vertices the first pass looks at (module docs):
 ///   `vec![true; nv]`, or a [`projected_boundary`].
 ///
+/// Each pass is a `refine_pass` span ([`Level::Trace`]) in `rec` with
+/// `pass`/`moved`/`examined` fields, and the total lands in the
+/// `partition.refine.moves` counter.
+///
 /// Returns the number of vertices moved in total.
 pub fn refine_kway(
-    g: &PartGraph,
-    assignment: &mut [u32],
-    k: usize,
-    max_part_weight: u64,
-    passes: usize,
-    first_pass: Vec<bool>,
-) -> usize {
-    refine_kway_traced(
-        g,
-        assignment,
-        k,
-        max_part_weight,
-        passes,
-        first_pass,
-        &Recorder::disabled(),
-    )
-}
-
-/// [`refine_kway`] with telemetry: each pass is a `refine_pass` span
-/// ([`Level::Trace`]) with `pass`/`moved`/`examined` fields, and the total
-/// lands in the `partition.refine.moves` counter.
-pub fn refine_kway_traced(
     g: &PartGraph,
     assignment: &mut [u32],
     k: usize,
@@ -307,8 +289,7 @@ mod tests {
             let sweep_moves = refine_sweep(&g, &mut swept, k, cap, passes);
             let rec = Recorder::new(ObsConfig::default());
             let mut listed = start.clone();
-            let total =
-                refine_kway_traced(&g, &mut listed, k, cap, passes, first_pass.clone(), &rec);
+            let total = refine_kway(&g, &mut listed, k, cap, passes, first_pass.clone(), &rec);
 
             assert_eq!(listed, swept, "assignments");
             assert_eq!(part_weights(&g, &listed, k), part_weights(&g, &swept, k));
@@ -359,7 +340,7 @@ mod tests {
         let g = PartGraph::from_edges(7, glue.into_iter().chain(pulls));
         let mut a = vec![1, 0, 0, 0, 1, 1, 0];
         let rec = Recorder::new(ObsConfig::default());
-        assert_eq!(refine_kway_traced(&g, &mut a, 2, 4, 5, all(&g), &rec), 2);
+        assert_eq!(refine_kway(&g, &mut a, 2, 4, 5, all(&g), &rec), 2);
         assert_eq!(a, vec![0, 0, 0, 1, 1, 1, 0]);
         let trace = rec.trace();
         let passes: Vec<(u64, u64)> = trace
@@ -420,7 +401,7 @@ mod tests {
             ],
         );
         let mut a = vec![0, 0, 1, 1, 1, 1]; // vertex 2 should be in part 0
-        let moved = refine_kway(&g, &mut a, 2, 4, 4, all(&g));
+        let moved = refine_kway(&g, &mut a, 2, 4, 4, all(&g), &Recorder::disabled());
         assert!(moved >= 1);
         assert_eq!(a, vec![0, 0, 0, 1, 1, 1]);
         assert_eq!(cut(&g, &a), 1);
@@ -434,7 +415,7 @@ mod tests {
         );
         let mut a = vec![0, 1, 0, 1, 0, 1, 0, 1];
         let before = cut(&g, &a);
-        refine_kway(&g, &mut a, 2, 6, 5, all(&g));
+        refine_kway(&g, &mut a, 2, 6, 5, all(&g), &Recorder::disabled());
         assert!(cut(&g, &a) <= before);
     }
 
@@ -443,7 +424,7 @@ mod tests {
         // star: center 0 pulls everything toward its own part, but cap stops it
         let g = PartGraph::from_edges(5, (1..5u32).map(|i| (0, i, 1)));
         let mut a = vec![0, 0, 1, 1, 1];
-        refine_kway(&g, &mut a, 2, 3, 5, all(&g));
+        refine_kway(&g, &mut a, 2, 3, 5, all(&g), &Recorder::disabled());
         let w0 = a.iter().filter(|&&p| p == 0).count();
         assert!(w0 <= 3);
     }
@@ -452,14 +433,17 @@ mod tests {
     fn empty_graph_is_noop() {
         let g = PartGraph::from_edges(0, Vec::<(u32, u32, u32)>::new());
         let mut a: Vec<u32> = vec![];
-        assert_eq!(refine_kway(&g, &mut a, 2, 1, 3, Vec::new()), 0);
+        assert_eq!(
+            refine_kway(&g, &mut a, 2, 1, 3, Vec::new(), &Recorder::disabled()),
+            0
+        );
     }
 
     #[test]
     fn zero_weight_edges_exert_no_pull() {
         let g = PartGraph::from_edges(4, vec![(0, 1, 0), (2, 3, 1)]);
         let mut a = vec![0, 1, 1, 1];
-        let moved = refine_kway(&g, &mut a, 2, 4, 3, all(&g));
+        let moved = refine_kway(&g, &mut a, 2, 4, 3, all(&g), &Recorder::disabled());
         // no positive gain anywhere → nothing moves
         assert_eq!(moved, 0);
         assert_eq!(a, vec![0, 1, 1, 1]);

@@ -11,13 +11,9 @@ use largeea_common::obs::{Level, Recorder};
 use largeea_common::rng::{Rng, SliceRandom};
 use largeea_kg::{AlignmentSeeds, KgPair};
 
-/// Runs VPS on `pair`, producing `k` mini-batches.
-pub fn vps(pair: &KgPair, seeds: &AlignmentSeeds, k: usize, seed: u64) -> MiniBatches {
-    vps_traced(pair, seeds, k, seed, &Recorder::disabled())
-}
-
-/// [`vps`] with telemetry: one `vps` span covering the whole assignment.
-pub fn vps_traced(
+/// Runs VPS on `pair`, producing `k` mini-batches; one `vps` span in `rec`
+/// covers the whole assignment.
+pub fn vps(
     pair: &KgPair,
     seeds: &AlignmentSeeds,
     k: usize,
@@ -81,7 +77,7 @@ mod tests {
     #[test]
     fn train_seeds_fully_retained() {
         let (p, seeds) = pair(200);
-        let mb = vps(&p, &seeds, 4, 1);
+        let mb = vps(&p, &seeds, 4, 1, &Recorder::disabled());
         let r = mb.retention(&seeds);
         assert_eq!(r.train, 1.0, "VPS must co-locate every training seed");
     }
@@ -90,7 +86,7 @@ mod tests {
     fn test_retention_near_one_over_k() {
         let (p, seeds) = pair(2000);
         let k = 5;
-        let mb = vps(&p, &seeds, k, 3);
+        let mb = vps(&p, &seeds, k, 3, &Recorder::disabled());
         let r = mb.retention(&seeds);
         // random co-location probability is 1/k
         assert!(
@@ -105,7 +101,7 @@ mod tests {
     fn seeds_dealt_evenly() {
         let (p, seeds) = pair(500);
         let k = 5;
-        let mb = vps(&p, &seeds, k, 9);
+        let mb = vps(&p, &seeds, k, 9, &Recorder::disabled());
         let counts: Vec<usize> = mb.batches.iter().map(|b| b.train_pairs.len()).collect();
         let (min, max) = (counts.iter().min().unwrap(), counts.iter().max().unwrap());
         assert!(max - min <= 1, "uneven seed deal: {counts:?}");
@@ -114,7 +110,7 @@ mod tests {
     #[test]
     fn covers_all_entities() {
         let (p, seeds) = pair(100);
-        let mb = vps(&p, &seeds, 3, 5);
+        let mb = vps(&p, &seeds, 3, 5, &Recorder::disabled());
         let ns: usize = mb.batches.iter().map(|b| b.source_entities.len()).sum();
         assert_eq!(ns, 100);
     }
@@ -122,15 +118,15 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let (p, seeds) = pair(100);
-        let a = vps(&p, &seeds, 3, 5);
-        let b = vps(&p, &seeds, 3, 5);
+        let a = vps(&p, &seeds, 3, 5, &Recorder::disabled());
+        let b = vps(&p, &seeds, 3, 5, &Recorder::disabled());
         assert_eq!(a.source_membership, b.source_membership);
     }
 
     #[test]
     fn k1_everything_together() {
         let (p, seeds) = pair(50);
-        let mb = vps(&p, &seeds, 1, 0);
+        let mb = vps(&p, &seeds, 1, 0, &Recorder::disabled());
         assert_eq!(mb.retention(&seeds).total, 1.0);
     }
 }

@@ -16,14 +16,10 @@
 #![forbid(unsafe_code)]
 
 pub mod io;
-pub mod ivf;
-pub mod kmeans;
 pub mod sparse_sim;
 pub mod topk;
 
-pub use ivf::IvfIndex;
 pub use sparse_sim::{SimRows, SparseSimMatrix};
 pub use topk::{
-    resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_counted,
-    topk_search_in, Metric,
+    resident_bytes, segmented_topk, segmented_topk_streamed, topk_search, topk_search_in, Metric,
 };

@@ -253,47 +253,6 @@ impl SparseSimMatrix {
         }
     }
 
-    /// Sinkhorn normalisation: alternately rescales rows and columns toward
-    /// unit mass for `iterations` rounds, pushing the (non-negative) score
-    /// matrix toward a doubly-stochastic transport plan. This is the
-    /// soft 1-to-1 matching prior many EA decoders apply before ranking —
-    /// an alternative to [`Self::csls`] with a global, rather than local,
-    /// view of hubness. Negative scores are clamped to zero first.
-    pub fn sinkhorn(&mut self, iterations: usize) {
-        for row in &mut self.rows {
-            for e in row.iter_mut() {
-                e.1 = e.1.max(0.0);
-            }
-        }
-        for _ in 0..iterations {
-            // rows → unit sum
-            for row in &mut self.rows {
-                let sum: f32 = row.iter().map(|&(_, s)| s).sum();
-                if sum > f32::EPSILON {
-                    let inv = 1.0 / sum;
-                    for e in row.iter_mut() {
-                        e.1 *= inv;
-                    }
-                }
-            }
-            // cols → unit sum
-            let mut col_sum = vec![0.0f32; self.n_cols];
-            for row in &self.rows {
-                for &(c, s) in row {
-                    col_sum[c as usize] += s;
-                }
-            }
-            for row in &mut self.rows {
-                for e in row.iter_mut() {
-                    let cs = col_sum[e.0 as usize];
-                    if cs > f32::EPSILON {
-                        e.1 /= cs;
-                    }
-                }
-            }
-        }
-    }
-
     /// Greedily decodes a 1-to-1 alignment: entries are taken in descending
     /// score order (ties → lowest row, then column), skipping rows/columns
     /// already matched. This is the standard assignment-extraction step when
@@ -350,7 +309,7 @@ impl SparseSimMatrix {
     }
 
     /// For every column, the best row pointing at it (ties → lowest row).
-    pub fn col_best(&self) -> Vec<Option<(u32, f32)>> {
+    fn col_best(&self) -> Vec<Option<(u32, f32)>> {
         let mut best: Vec<Option<(u32, f32)>> = vec![None; self.n_cols];
         for (r, row) in self.rows.iter().enumerate() {
             for &(c, s) in row {
@@ -739,51 +698,6 @@ mod tests {
         for r in 0..3 {
             assert_eq!(m.best(r).unwrap().0 as usize, r);
         }
-    }
-
-    #[test]
-    fn sinkhorn_balances_rows_and_columns() {
-        let mut m = SparseSimMatrix::new(2, 2);
-        m.insert(0, 0, 4.0);
-        m.insert(0, 1, 1.0);
-        m.insert(1, 0, 1.0);
-        m.insert(1, 1, 1.0);
-        m.sinkhorn(30);
-        // row sums ≈ 1
-        for r in 0..2 {
-            let s: f32 = m.row(r).iter().map(|&(_, v)| v).sum();
-            assert!((s - 1.0).abs() < 0.05, "row {r} sum {s}");
-        }
-        // column sums ≈ 1
-        for c in 0..2u32 {
-            let s: f32 = (0..2).filter_map(|r| m.get(r, c)).sum();
-            assert!((s - 1.0).abs() < 0.05, "col {c} sum {s}");
-        }
-        // stronger diagonal survives
-        assert!(m.get(0, 0).unwrap() > m.get(0, 1).unwrap());
-    }
-
-    #[test]
-    fn sinkhorn_resolves_contested_column() {
-        // rows 0 and 1 both prefer column 0, but row 1 has no alternative;
-        // the transport prior shifts row 0 toward its fallback column
-        let mut m = SparseSimMatrix::new(2, 2);
-        m.insert(0, 0, 0.9);
-        m.insert(0, 1, 0.8);
-        m.insert(1, 0, 0.9);
-        m.sinkhorn(50);
-        assert_eq!(m.best(0).unwrap().0, 1, "row 0 should yield the hub");
-        assert_eq!(m.best(1).unwrap().0, 0);
-    }
-
-    #[test]
-    fn sinkhorn_clamps_negatives() {
-        let mut m = SparseSimMatrix::new(1, 2);
-        m.insert(0, 0, -1.0);
-        m.insert(0, 1, 1.0);
-        m.sinkhorn(3);
-        assert_eq!(m.get(0, 0), Some(0.0));
-        assert!((m.get(0, 1).unwrap() - 1.0).abs() < 1e-6);
     }
 
     #[test]

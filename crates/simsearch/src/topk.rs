@@ -23,7 +23,7 @@ impl Metric {
     /// Similarity between two equal-length vectors, via the dispatched
     /// per-pair reductions from `largeea-tensor` ([`l1_distance`] /
     /// [`dot`]). This is the entry point for callers that score scattered
-    /// pairs (IVF probes, naive test oracles); the exact scan scores whole
+    /// pairs (naive test oracles); the exact scan scores whole
     /// panels through the panel kernels instead, which return the same
     /// bits per pair.
     ///
@@ -583,30 +583,14 @@ pub fn topk_search<'q, 'b>(
     k: usize,
     metric: Metric,
 ) -> Vec<Vec<(u32, f32)>> {
-    topk_search_in(queries, base, k, metric, Pool::global())
+    topk_search_in(queries, base, k, metric, Pool::global()).0
 }
 
-/// [`topk_search`], also returning how many pairs the scan scored in f32 —
-/// the ones its lossless pre-filter could not rule out — for the caller's
-/// `*.refined_pairs` counter.
-///
-/// # Panics
-///
-/// Same contract as [`topk_search`].
-pub fn topk_search_counted<'q, 'b>(
-    queries: impl Into<Rows<'q>>,
-    base: impl Into<Rows<'b>>,
-    k: usize,
-    metric: Metric,
-) -> (Vec<Vec<(u32, f32)>>, u64) {
-    let quiet = Recorder::disabled();
-    let (queries, base) = (queries.into(), base.into());
-    search_in_ram(Pool::global(), queries, base, k, metric, 1, &quiet)
-}
-
-/// [`topk_search`] on an explicit pool, so tests can pin the width. Each
-/// query row's candidate scan is independent and collected in row order,
-/// so results are bit-identical for any thread count.
+/// [`topk_search`] on an explicit pool, also returning how many pairs the
+/// scan scored in f32 — the ones its lossless pre-filter could not rule
+/// out — for the caller's `*.refined_pairs` counter. Each query row's
+/// candidate scan is independent and collected in row order, so results are
+/// bit-identical for any thread count.
 ///
 /// # Panics
 ///
@@ -617,9 +601,9 @@ pub fn topk_search_in<'q, 'b>(
     k: usize,
     metric: Metric,
     pool: &Pool,
-) -> Vec<Vec<(u32, f32)>> {
+) -> (Vec<Vec<(u32, f32)>>, u64) {
     let (queries, base) = (queries.into(), base.into());
-    search_in_ram(pool, queries, base, k, metric, 1, &Recorder::disabled()).0
+    search_in_ram(pool, queries, base, k, metric, 1, &Recorder::disabled())
 }
 
 /// Segment-at-a-time top-k search mirroring the paper's SENS memory layout:
@@ -660,8 +644,8 @@ pub fn segmented_topk(
 
 /// Streamed [`segmented_topk`]: instead of borrowing whole embedding
 /// matrices, the caller supplies loaders that materialise one row segment
-/// at a time (the name channel's hand back what it put into its store —
-/// DESIGN.md §S0.8), so at most one query segment and one base segment are
+/// at a time (the name channel's encode the segment's names — DESIGN.md
+/// §S0.8), so at most one query segment and one base segment are
 /// ever resident.
 ///
 /// Telemetry: each segment pair is a `sens_block` span ([`Level::Trace`])
@@ -995,7 +979,7 @@ mod tests {
         );
         let expect = hit_bits(&naive_topk(q, b, k, metric));
         for width in [1, 2, 4] {
-            let got = topk_search_in(q, b, k, metric, &Pool::new(width));
+            let (got, _) = topk_search_in(q, b, k, metric, &Pool::new(width));
             assert_eq!(hit_bits(&got), expect, "width={width} {ctx}");
         }
         for segs in [1, 3, 7] {
@@ -1348,7 +1332,7 @@ mod tests {
                 let all_nan = (expect[1].iter()).map(|&(id, s)| (id, s.is_nan()));
                 assert!(all_nan.eq((0..k.min(5) as u32).map(|id| (id, true))));
                 for width in [1, 2] {
-                    let got = topk_search_in(&q, &b, k, metric, &Pool::new(width));
+                    let (got, _) = topk_search_in(&q, &b, k, metric, &Pool::new(width));
                     let ctx = format!("k={k} width={width} {metric:?}");
                     assert_eq!(hit_bits(&got), hit_bits(&expect), "{ctx}");
                 }

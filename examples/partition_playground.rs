@@ -10,6 +10,7 @@
 //! generation time — the quantities that explain *why* METIS-CPS is the
 //! right mini-batch generator for EA.
 
+use largeea::common::obs::Recorder;
 use largeea::data::Preset;
 use largeea::partition::{
     edge_cut, metis_cps, partition_kway, vps, CpsConfig, PartGraph, PartitionConfig,
@@ -48,7 +49,7 @@ fn main() {
         let cps = metis_cps(&pair, &seeds, &CpsConfig::new(k));
         let cps_ms = t.elapsed().as_secs_f64() * 1e3;
         let t = Instant::now();
-        let v = vps(&pair, &seeds, k, 11);
+        let v = vps(&pair, &seeds, k, 11, &Recorder::disabled());
         let vps_ms = t.elapsed().as_secs_f64() * 1e3;
 
         let rc = cps.retention(&seeds);

@@ -100,7 +100,9 @@ prints every fault-injection site that
 `--k n` (default 5) is the number of mini-batches K: 1 up to the smaller
 KG's entity count, as every batch needs an entity of each side; partitioning
 costs O(K) beyond the graphs. `--csls n` re-scores the fused similarity
-with CSLS over each entity's n nearest neighbours, n ≥ 1.
+with CSLS over each entity's n nearest neighbours, n ≥ 1. `--scale f`
+(default 0.05) shrinks a preset to a fraction in (0, 1]; `--dim n`
+(default 64) is the structure embedding width, n ≥ 1.
 
 EXIT CODES (documented contract, asserted by tests/cli.rs):
   0  success
@@ -347,6 +349,9 @@ fn split(flags: &Flags, pair: &KgPair) -> Result<AlignmentSeeds, CliError> {
 fn cmd_generate(flags: &Flags) -> Result<(), CliError> {
     let preset = preset_by_name(required(flags, "preset")?)?;
     let scale: f64 = parse_or(flags, "scale", 0.05)?;
+    if !(scale > 0.0 && scale <= 1.0) {
+        return Err(bad_value("scale", &scale.to_string(), "a value in (0, 1]"));
+    }
     let out = PathBuf::from(required(flags, "out")?);
     let pair = preset.spec(scale).generate();
     io::save_pair(&pair, &out).map_err(|e| format!("writing {}: {e}", out.display()))?;
@@ -471,13 +476,17 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     if csls_k == Some(0) {
         return Err(bad_value("csls", "0", "a neighbourhood size of at least 1"));
     }
+    let dim = parse_or(flags, "dim", 64)?;
+    if dim == 0 {
+        return Err(bad_value("dim", "0", "an embedding width of at least 1"));
+    }
     let cfg = LargeEaConfig {
         structure: StructureChannelConfig {
             k: parse_k(flags, &pair)?,
             model,
             train: TrainConfig {
                 epochs: parse_or(flags, "epochs", 50)?,
-                dim: parse_or(flags, "dim", 64)?,
+                dim,
                 ..TrainConfig::default()
             },
             ..StructureChannelConfig::default()

@@ -403,11 +403,37 @@ fn exit_codes_follow_the_documented_taxonomy() {
         (&["align", "--data", "@data", "--model", "foo"], "--model"),
         (&["align", "--data", "@data", "--csls", "x"], "--csls"),
         // …or a value out of its range: no batch, more batches than the
-        // smaller side has entities, an empty CSLS neighbourhood
+        // smaller side has entities, an empty CSLS neighbourhood, a scale
+        // outside (0, 1], a zero-width embedding
         (&["partition", "--data", "@data", "--k", "0"], "--k"),
         (&["partition", "--data", "@data", "--k", "100000"], "--k"),
         (&["align", "--data", "@data", "--k", "100000"], "--k"),
         (&["align", "--data", "@data", "--csls", "0"], "--csls"),
+        (
+            &[
+                "generate",
+                "--preset",
+                "ids15k-en-fr",
+                "--scale",
+                "0",
+                "--out",
+                "@data",
+            ],
+            "--scale",
+        ),
+        (
+            &[
+                "generate",
+                "--preset",
+                "ids15k-en-fr",
+                "--scale",
+                "1.5",
+                "--out",
+                "@data",
+            ],
+            "--scale",
+        ),
+        (&["align", "--data", "@data", "--dim", "0"], "--dim"),
         (
             &["partition", "--data", "@data", "--strategy", "foo"],
             "--strategy",

@@ -120,6 +120,23 @@ fn partitioned_structure_channel_peaks_below_the_whole_graph() {
     }
 }
 
+/// The heap peaks above are measured through the global pool, whose width
+/// is read once per process: the same gate at width 1, in a child.
+#[test]
+fn the_structure_channel_peak_gate_holds_at_width_1() {
+    let test = "partitioned_structure_channel_peaks_below_the_whole_graph";
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([test, "--exact"])
+        .env("LARGEEA_THREADS", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("test result: ok. 1 passed"),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn both_models_work_end_to_end() {
     let pair = Preset::Ids15kEnFr.spec(0.015).generate();

@@ -17,7 +17,7 @@ use largeea::kg::{io, KnowledgeGraph};
 use largeea::models::baselines::whole_graph;
 use largeea::models::negative::{sample_negatives, NegStrategy};
 use largeea::models::scoring::fill_similarity;
-use largeea::models::{train, train_traced, BatchGraph, EaModel, ModelKind, TrainConfig};
+use largeea::models::{train, train_hooked, BatchGraph, EaModel, ModelKind, TrainConfig};
 use largeea::partition::coarsen::coarsen_to;
 use largeea::partition::{metis_cps, partition_kway_traced, CpsConfig, PartGraph, PartitionConfig};
 use largeea::sim::resident_bytes;
@@ -132,7 +132,7 @@ fn epochs_after_the_first_allocate_a_sliver_of_epoch_zero() {
             ..ObsConfig::default()
         });
         let mut model = kind.build(&bg, cfg.dim, 3);
-        train_traced(model.as_mut(), &bg, &cfg, &rec);
+        train_hooked(model.as_mut(), &bg, &cfg, &rec, None);
         let trace = rec.trace();
         let epochs = &trace.find("train_batch").expect("batch span").children;
         assert_eq!(epochs.len(), cfg.epochs);
@@ -232,7 +232,7 @@ fn a_training_step_holds_live_gradients_not_one_per_node() {
         });
         let mut model = kind.build(&bg, cfg.dim, 3);
         let values = step_value_bytes(model.as_ref(), &bg, &cfg) as u64;
-        let report = train_traced(model.as_mut(), &bg, &cfg, &rec);
+        let report = train_hooked(model.as_mut(), &bg, &cfg, &rec, None);
         let trace = rec.trace();
         let batch = trace.find("train_batch").expect("batch span");
         let peak = batch.field_u64("alloc.peak").expect("heap attribution");
@@ -275,7 +275,7 @@ fn the_negative_sampler_and_the_batch_scorer_copy_no_side() {
         ..ObsConfig::default()
     });
     let mut model = ModelKind::Rrea.build(&bg, cfg.dim, 3);
-    let report = train_traced(model.as_mut(), &bg, &cfg, &rec);
+    let report = train_hooked(model.as_mut(), &bg, &cfg, &rec, None);
     let dim = report.embeddings.cols();
     let (pairs, n) = (bg.train_pairs.len(), bg.n_total());
 
@@ -398,6 +398,34 @@ fn sens_holds_one_segment_pair_in_ram() {
         .sum();
     // every base segment once, the query side once per base segment
     assert_eq!(rows, (n_b + cfg.segments * n_q) as u64);
+}
+
+/// This file's in-process gates measure heap through the global pool, whose
+/// width is read once per process, and the width-1 inline paths of
+/// `common::pool` allocate differently from the pooled ones: the same gates
+/// at width 1, in one child.
+#[test]
+fn in_process_heap_gates_hold_at_width_1() {
+    let tests = [
+        "library_level_run_reports_a_measured_peak",
+        "an_undeclared_allocation_refuses_the_next_admission",
+        "epochs_after_the_first_allocate_a_sliver_of_epoch_zero",
+        "a_training_step_holds_live_gradients_not_one_per_node",
+        "the_negative_sampler_and_the_batch_scorer_copy_no_side",
+        "a_batch_block_holds_its_rows",
+        "sens_holds_one_segment_pair_in_ram",
+        "the_stns_sketch_allocates_per_entity_not_per_bucket",
+        "coarsening_holds_its_levels_at_integer_width",
+    ];
+    let out = Command::new(std::env::current_exe().unwrap())
+        .args(tests)
+        .arg("--exact")
+        .env("LARGEEA_THREADS", "1")
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let passed = format!("test result: ok. {} passed", tests.len());
+    assert!(out.status.success() && stdout.contains(&passed), "{stdout}");
 }
 
 const KEPT_CHILD: &str = "LARGEEA_TEST_KEPT_CHILD";
@@ -601,7 +629,7 @@ fn coarsening_holds_its_levels_at_integer_width() {
     let g = PartGraph::from_kg(&pair.source);
     let cfg = PartitionConfig::new(20);
     let target_nv = (cfg.k * cfg.coarsen_factor).max(64);
-    let entries: usize = coarsen_to(&g, target_nv, cfg.seed)
+    let entries: usize = coarsen_to(&g, target_nv, cfg.seed, &Recorder::disabled())
         .iter()
         .map(|l| 2 * l.graph.ne())
         .sum();

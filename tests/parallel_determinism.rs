@@ -128,7 +128,12 @@ fn topk_identical_across_thread_counts() {
             let reference = topk_search_in(&queries, &base, k, metric, &Pool::new(1));
             for pool in pools() {
                 let got = topk_search_in(&queries, &base, k, metric, &pool);
-                assert_eq!(reference, got, "top-k diverged at width {}", pool.threads());
+                assert_eq!(
+                    reference,
+                    got,
+                    "top-k or its count diverged at width {}",
+                    pool.threads()
+                );
             }
         }
     });

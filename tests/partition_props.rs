@@ -5,11 +5,12 @@
 //! prints the case seed to replay).
 
 use largeea::common::check::for_each_case;
+use largeea::common::obs::Recorder;
 use largeea::common::rng::Rng;
 use largeea::data::Preset;
 use largeea::kg::{EntityId, KgPair, KnowledgeGraph};
 use largeea::partition::{
-    edge_cut, metis_cps, partition_kway, vps, CpsConfig, PartGraph, PartitionConfig,
+    edge_cut, metis_cps, partition_kway, vps, CpsConfig, MiniBatches, PartGraph, PartitionConfig,
 };
 use largeea::text::hashing::fnv1a;
 
@@ -136,7 +137,7 @@ fn cps_beats_vps_on_test_retention() {
         let pair = community_pair(3, 40, rng);
         let seeds = pair.split_seeds(0.2, seed);
         let cps = metis_cps(&pair, &seeds, &CpsConfig::new(3).with_seed(seed));
-        let v = vps(&pair, &seeds, 3, seed);
+        let v = vps(&pair, &seeds, 3, seed, &Recorder::disabled());
         let (rc, rv) = (cps.retention(&seeds), v.retention(&seeds));
         // VPS keeps all training seeds by construction
         assert_eq!(rv.train, 1.0);
@@ -185,28 +186,36 @@ fn overlap_monotonically_recovers_retention() {
     });
 }
 
-/// Both digests were computed on the commit before the priority-queue FM and
-/// the hash-free graph builds: a partitioner optimisation may not move a
-/// single assignment.
+/// FNV-1a over the source then the target batch id of every entity.
+fn assignment_digest(mb: &MiniBatches) -> u64 {
+    let bytes: Vec<u8> = mb
+        .source_membership
+        .iter()
+        .chain(&mb.target_membership)
+        .flat_map(|m| m[0].to_le_bytes())
+        .collect();
+    fnv1a(&bytes)
+}
+
+/// The CPS digests were computed on the commit before the priority-queue FM
+/// and the hash-free graph builds, the VPS ones on the commit before `vps`
+/// took a recorder: a partitioner optimisation may not move a single
+/// assignment.
 #[test]
-fn cps_assignments_match_the_pinned_digests() {
+fn cps_and_vps_assignments_match_the_pinned_digests() {
     let pair = Preset::Dbp1mCi.spec(1.0).generate();
     let seeds = pair.split_seeds(0.2, 1);
-    // FNV-1a over the source then the target batch id of every entity
-    let got = [5, 20].map(|k| {
-        let mb = metis_cps(&pair, &seeds, &CpsConfig::new(k));
-        let bytes: Vec<u8> = mb
-            .source_membership
-            .iter()
-            .chain(&mb.target_membership)
-            .flat_map(|m| m[0].to_le_bytes())
-            .collect();
-        fnv1a(&bytes)
-    });
+    let cps = [5, 20].map(|k| assignment_digest(&metis_cps(&pair, &seeds, &CpsConfig::new(k))));
     assert_eq!(
-        got,
+        cps,
         [0x7ff0_3f1c_c2b7_0a84, 0xedf0_a5aa_e5c0_84db],
-        "METIS-CPS assignments on dbp1m-ci moved (K = 5, 20): {got:#018x?}"
+        "METIS-CPS assignments on dbp1m-ci moved (K = 5, 20): {cps:#018x?}"
+    );
+    let vps = [5, 20].map(|k| assignment_digest(&vps(&pair, &seeds, k, 7, &Recorder::disabled())));
+    assert_eq!(
+        vps,
+        [0x4426_e445_4b1d_c371, 0x697f_0ff7_3f03_2c84],
+        "VPS assignments on dbp1m-ci moved (K = 5, 20, seed 7): {vps:#018x?}"
     );
 }
 
@@ -217,7 +226,10 @@ fn cps_digests_hold_at_pool_widths_1_2_4() {
     let exe = std::env::current_exe().expect("test executable path");
     for threads in ["1", "2", "4"] {
         let out = std::process::Command::new(&exe)
-            .args(["--exact", "cps_assignments_match_the_pinned_digests"])
+            .args([
+                "--exact",
+                "cps_and_vps_assignments_match_the_pinned_digests",
+            ])
             .env("LARGEEA_THREADS", threads)
             .output()
             .expect("re-running the digest test");
