@@ -74,10 +74,10 @@ pub fn maybe_write_trace(tag: &str, trace: &largeea_common::obs::Trace) {
 /// Harness default scales per benchmark family (fractions of Table 1).
 pub fn default_scale(preset: Preset) -> f64 {
     match preset {
-        Preset::Ids15kEnFr | Preset::Ids15kEnDe | Preset::Dbp15kFrEn => 0.10, // 1 500 pairs
-        Preset::Ids100kEnFr | Preset::Ids100kEnDe | Preset::Dwy100kDbpWd => 0.02, // 2 000 pairs
-        Preset::Dbp1mEnFr | Preset::Dbp1mEnDe => 0.012, // 12 000 pairs + unknowns
-        Preset::Dbp1mCi => 1.0,                         // already CI-sized (4 000 pairs + unknowns)
+        Preset::Ids15kEnFr | Preset::Ids15kEnDe => 0.10, // 1 500 pairs
+        Preset::Ids100kEnFr | Preset::Ids100kEnDe => 0.02, // 2 000 pairs
+        Preset::Dbp1mEnFr | Preset::Dbp1mEnDe => 0.012,  // 12 000 pairs + unknowns
+        Preset::Dbp1mCi => 1.0, // already CI-sized (4 000 pairs + unknowns)
     }
 }
 

@@ -13,7 +13,7 @@
 //! | `partition.triples_per_sec` | `partition.input_triples` counter (triples coarsened + partitioned) | `partition` |
 //! | `topk.pairs_per_sec` | `topk.scored_pairs` counter (similarity pairs scored into `M_s`) | `topk` |
 //! | `train.epochs_per_sec` | number of `epoch` spans | `train` |
-//! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `stns` |
+//! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `score` (STNS's two passes over source rows, not the target's sketch and index) |
 //! | `sens.encodes_per_sec` | the `encode` spans' `rows` fields (names encoded, each loader call's segment) | `sens` |
 //! | `kg.load_mib_per_sec` | the `load` spans' `bytes` field, in MiB (input files read and parsed) | `load` |
 //!
@@ -86,7 +86,7 @@ const DEFINITIONS: &[(&str, Work, &str, &str)] = &[
     (
         "stns.lev_pairs_per_sec",
         Work::Counter("stns.levenshtein_pairs"),
-        "stns",
+        "score",
         "pairs",
     ),
     (
@@ -267,13 +267,34 @@ mod tests {
             (epochs.count, epochs.seconds, epochs.per_sec),
             (4.0, 0.5, 8.0)
         );
+
+        // Levenshtein pairs are paid for by the `score` span alone, not by
+        // the whole `stns` span that also sketches and indexes the target
+        let rec = Recorder::new(ObsConfig::default());
+        {
+            let _stns = rec.span("stns");
+            drop(rec.span_at(Level::Detail, "sketch"));
+            drop(rec.span_at(Level::Detail, "score"));
+            rec.add("stns.levenshtein_pairs", 600);
+        }
+        let mut n = 0;
+        // depth-first: stns, sketch, score
+        let secs = [3.0, 1.0, 1.5];
+        let trace = rec.trace().map_seconds(|_| {
+            n += 1;
+            secs[n - 1]
+        });
+        let tp = derived_throughputs(&trace);
+        let lev = tp.iter().find(|t| t.name == "stns.lev_pairs_per_sec");
+        let lev = lev.map(|t| (t.stage, t.count, t.seconds, t.per_sec));
+        assert_eq!(lev, Some(("score", 600.0, 1.5, 400.0)));
     }
 
     #[test]
     fn stages_without_evidence_are_skipped() {
         let tp = derived_throughputs(&synthetic_trace());
-        // no stns/sens spans in the synthetic trace → no name-channel rates
-        assert!(tp.iter().all(|t| t.stage != "stns" && t.stage != "sens"));
+        // no score/sens spans in the synthetic trace → no name-channel rates
+        assert!(tp.iter().all(|t| t.stage != "score" && t.stage != "sens"));
         // …and an empty trace derives nothing at all
         assert!(derived_throughputs(&Trace::default()).is_empty());
     }

@@ -12,33 +12,31 @@ use crate::graphgen::{generate_pair, NameNoise, PairGenConfig};
 use crate::names::Language;
 use largeea_kg::KgPair;
 
-/// One of the paper's six datasets.
+/// One of the paper's six datasets, or their CI-sized stand-in.
+///
+/// A preset's discriminant seeds its generator (see [`Preset::spec`]), so
+/// each is written out: removing or reordering a variant must not re-seed
+/// the others.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Preset {
     /// IDS15K English–French.
-    Ids15kEnFr,
+    Ids15kEnFr = 0,
     /// IDS15K English–German.
-    Ids15kEnDe,
+    Ids15kEnDe = 1,
     /// IDS100K English–French.
-    Ids100kEnFr,
+    Ids100kEnFr = 2,
     /// IDS100K English–German.
-    Ids100kEnDe,
+    Ids100kEnDe = 3,
     /// DBP1M English–French.
-    Dbp1mEnFr,
+    Dbp1mEnFr = 4,
     /// DBP1M English–German.
-    Dbp1mEnDe,
-    /// DBP15K French–English (Sun et al. 2017) — the classic EA benchmark
-    /// the paper cites as predecessor; denser and more hub-heavy than IDS.
-    Dbp15kFrEn,
-    /// DWY100K DBpedia–Wikidata (Sun et al. 2018) — monolingual cross-KB
-    /// alignment, near-identical names, very rich structure.
-    Dwy100kDbpWd,
+    Dbp1mEnDe = 5,
     /// A CI-sized DBP1M(EN-FR) stand-in: the same asymmetric-unknowns /
     /// high-heterogeneity shape as [`Preset::Dbp1mEnFr`] at roughly 1/250
     /// of its size, so out-of-core acceptance tests exercise the
     /// DBP1M-class workload in seconds. Not part of the paper's Table 1
-    /// (excluded from [`Preset::all`] / [`Preset::extended`]).
-    Dbp1mCi,
+    /// (excluded from [`Preset::all`]).
+    Dbp1mCi = 8,
 }
 
 /// A preset pinned to a scale, ready to generate.
@@ -77,21 +75,6 @@ impl Preset {
         ]
     }
 
-    /// Every preset, including the predecessor benchmarks the paper cites
-    /// (DBP15K, DWY100K) that are not part of its own evaluation.
-    pub fn extended() -> [Preset; 8] {
-        [
-            Preset::Ids15kEnFr,
-            Preset::Ids15kEnDe,
-            Preset::Ids100kEnFr,
-            Preset::Ids100kEnDe,
-            Preset::Dbp1mEnFr,
-            Preset::Dbp1mEnDe,
-            Preset::Dbp15kFrEn,
-            Preset::Dwy100kDbpWd,
-        ]
-    }
-
     /// The paper's display name, e.g. `"IDS15K(EN-FR)"`.
     pub fn name(self) -> &'static str {
         match self {
@@ -101,8 +84,6 @@ impl Preset {
             Preset::Ids100kEnDe => "IDS100K(EN-DE)",
             Preset::Dbp1mEnFr => "DBP1M(EN-FR)",
             Preset::Dbp1mEnDe => "DBP1M(EN-DE)",
-            Preset::Dbp15kFrEn => "DBP15K(FR-EN)",
-            Preset::Dwy100kDbpWd => "DWY100K(DBP-WD)",
             Preset::Dbp1mCi => "DBP1M-CI(EN-FR)",
         }
     }
@@ -111,8 +92,8 @@ impl Preset {
     /// (K = 5 / 10 / 20 for IDS15K / IDS100K / DBP1M).
     pub fn default_k(self) -> usize {
         match self {
-            Preset::Ids15kEnFr | Preset::Ids15kEnDe | Preset::Dbp15kFrEn => 5,
-            Preset::Ids100kEnFr | Preset::Ids100kEnDe | Preset::Dwy100kDbpWd => 10,
+            Preset::Ids15kEnFr | Preset::Ids15kEnDe => 5,
+            Preset::Ids100kEnFr | Preset::Ids100kEnDe => 10,
             Preset::Dbp1mEnFr | Preset::Dbp1mEnDe => 20,
             Preset::Dbp1mCi => 4,
         }
@@ -193,30 +174,6 @@ impl Preset {
                 source_lang: Language::En,
                 target_lang: Language::De,
             },
-            // Published DBP15K(FR-EN) statistics (Sun et al. 2017): denser,
-            // hub-heavier graphs than IDS (the sampling bias IDS fixed).
-            Preset::Dbp15kFrEn => Shape {
-                aligned: 15_000,
-                unknown_source: 4_661,
-                unknown_target: 4_993,
-                relations: (903, 1_208),
-                triples: (105_998, 115_722),
-                heterogeneity: 0.25,
-                source_lang: Language::Fr,
-                target_lang: Language::En,
-            },
-            // DWY100K DBP-WD (Sun et al. 2018): monolingual cross-KB pair —
-            // near-identical names, very aligned structure.
-            Preset::Dwy100kDbpWd => Shape {
-                aligned: 100_000,
-                unknown_source: 0,
-                unknown_target: 0,
-                relations: (330, 220),
-                triples: (463_294, 448_774),
-                heterogeneity: 0.15,
-                source_lang: Language::En,
-                target_lang: Language::En,
-            },
             // DBP1M(EN-FR) ÷ 250 (relations with √: ÷ ~√250): keeps the
             // asymmetric sides, large unknown fractions and heterogeneity
             // that make the big preset hard, at a size CI can afford.
@@ -270,16 +227,13 @@ impl DatasetSpec {
     pub fn generate(&self) -> KgPair {
         generate_pair(&self.config)
     }
-
-    /// Generates the reversed-direction pair (the paper's `L → EN` rows).
-    pub fn generate_reversed(&self) -> KgPair {
-        self.generate().reversed()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use largeea_kg::RelationId;
+    use largeea_text::hashing::fnv1a;
 
     #[test]
     fn full_scale_matches_table1_counts() {
@@ -329,25 +283,6 @@ mod tests {
     fn names_are_paper_style() {
         assert_eq!(Preset::Ids15kEnFr.name(), "IDS15K(EN-FR)");
         assert_eq!(Preset::all().len(), 6);
-        assert_eq!(Preset::extended().len(), 8);
-    }
-
-    #[test]
-    fn predecessor_benchmarks_generate() {
-        let dbp15k = Preset::Dbp15kFrEn.spec(0.01).generate();
-        // FR is the source side of DBP15K(FR-EN)
-        assert_eq!(dbp15k.source.name(), "FR");
-        assert_eq!(dbp15k.target.name(), "EN");
-        assert!(dbp15k.source.num_entities() > dbp15k.alignment.len());
-        assert!(dbp15k.validate().is_ok());
-
-        let dwy = Preset::Dwy100kDbpWd.spec(0.005).generate();
-        assert_eq!(dwy.source.num_entities(), dwy.target.num_entities());
-        // monolingual: labels of aligned pairs should be very similar
-        let (s, t) = dwy.alignment[0];
-        let a = largeea_kg::KnowledgeGraph::entity_label(&dwy.source, s);
-        let b = largeea_kg::KnowledgeGraph::entity_label(&dwy.target, t);
-        assert!(!a.is_empty() && !b.is_empty());
     }
 
     #[test]
@@ -362,7 +297,6 @@ mod tests {
         assert!(Preset::Dbp1mCi.is_large());
         // not part of the paper's evaluation sets
         assert!(!Preset::all().contains(&Preset::Dbp1mCi));
-        assert!(!Preset::extended().contains(&Preset::Dbp1mCi));
     }
 
     #[test]
@@ -371,12 +305,51 @@ mod tests {
         Preset::Ids15kEnFr.spec(0.0);
     }
 
+    /// FNV-1a over a pair's entity keys and labels, relation names,
+    /// triples and links, source side first.
+    fn digest(pair: &KgPair) -> u64 {
+        let mut bytes = Vec::new();
+        for kg in [&pair.source, &pair.target] {
+            for e in kg.entity_ids() {
+                for name in [kg.entity_key(e), kg.entity_label(e)] {
+                    bytes.extend_from_slice(name.as_bytes());
+                    bytes.push(0);
+                }
+            }
+            for r in 0..kg.num_relations() as u32 {
+                bytes.extend_from_slice(kg.relation_name(RelationId(r)).as_bytes());
+                bytes.push(0);
+            }
+            for t in kg.triples() {
+                for id in [t.head.0, t.relation.0, t.tail.0] {
+                    bytes.extend_from_slice(&id.to_le_bytes());
+                }
+            }
+        }
+        for &(s, t) in &pair.alignment {
+            bytes.extend_from_slice(&s.0.to_le_bytes());
+            bytes.extend_from_slice(&t.0.to_le_bytes());
+        }
+        fnv1a(&bytes)
+    }
+
+    /// The generator seed is `0xDB9 ^ discriminant`: a reordered or removed
+    /// variant would silently re-seed every preset after it, and the
+    /// digest pins downstream would move with no hint why.
     #[test]
-    fn reversed_direction_swaps_sides() {
-        let spec = Preset::Ids15kEnDe.spec(0.01);
-        let fwd = spec.generate();
-        let rev = spec.generate_reversed();
-        assert_eq!(rev.source.name(), fwd.target.name());
-        assert_eq!(rev.alignment.len(), fwd.alignment.len());
+    fn every_cli_preset_generates_its_pinned_pair() {
+        let pinned = [
+            (Preset::Ids15kEnFr, 0xd94a1df00b78c5e6),
+            (Preset::Ids15kEnDe, 0x389c8fabac5236c3),
+            (Preset::Ids100kEnFr, 0x542c25b99a1d53e0),
+            (Preset::Ids100kEnDe, 0xa2e2fd49eca6a761),
+            (Preset::Dbp1mEnFr, 0xb1b7eaadfdc91add),
+            (Preset::Dbp1mEnDe, 0xb37de4ff16658abb),
+            (Preset::Dbp1mCi, 0xd8f2f82a4afb7f27),
+        ];
+        for (preset, want) in pinned {
+            let got = digest(&preset.spec(0.01).generate());
+            assert_eq!(got, want, "{preset:?} generated {got:#018x}");
+        }
     }
 }

@@ -176,11 +176,6 @@ impl KnowledgeGraph {
             .as_slice()
     }
 
-    /// Looks up a relation id by name.
-    pub fn relation_id(&self, name: &str) -> Option<RelationId> {
-        self.relations.get(name).map(RelationId)
-    }
-
     /// Resolves a relation id back to its name.
     pub fn relation_name(&self, id: RelationId) -> &str {
         self.relations.resolve(id.0)
@@ -194,34 +189,6 @@ impl KnowledgeGraph {
     /// Builds the undirected CSR adjacency over entities.
     pub fn adjacency(&self) -> Adjacency {
         Adjacency::undirected(self.num_entities(), &self.triples)
-    }
-
-    /// Extracts the subgraph induced by `members` (old entity ids).
-    ///
-    /// Returns the new KG (entities renumbered densely, in the order given
-    /// by `members`) plus the old id of each new entity. Triples with either
-    /// endpoint outside `members` are dropped; relation ids are re-interned
-    /// so only relations that survive appear.
-    pub fn induced_subgraph(&self, members: &[EntityId]) -> (KnowledgeGraph, Vec<EntityId>) {
-        let mut old_to_new = vec![u32::MAX; self.num_entities()];
-        let mut sub = KnowledgeGraph::with_capacity(self.name.clone(), members.len(), 0);
-        for &old in members {
-            let new = sub.add_entity_with_label(self.entity_key(old), self.entity_label(old));
-            old_to_new[old.idx()] = new.0;
-        }
-        for t in &self.triples {
-            let h = old_to_new[t.head.idx()];
-            let tl = old_to_new[t.tail.idx()];
-            if h != u32::MAX && tl != u32::MAX {
-                let r = sub.add_relation(self.relation_name(t.relation));
-                sub.triples.push(Triple {
-                    head: EntityId(h),
-                    relation: r,
-                    tail: EntityId(tl),
-                });
-            }
-        }
-        (sub, members.to_vec())
     }
 }
 
@@ -292,29 +259,6 @@ mod tests {
         assert!(matches!(err, KgError::UnknownRelation(0)));
         kg.add_relation("r");
         assert!(kg.add_triple(Triple::new(0, 0, 1)).is_ok());
-    }
-
-    #[test]
-    fn induced_subgraph_keeps_internal_edges_only() {
-        let kg = toy();
-        let a = kg.entity_id("a").unwrap();
-        let b = kg.entity_id("b").unwrap();
-        let (sub, old_ids) = kg.induced_subgraph(&[a, b]);
-        assert_eq!(sub.num_entities(), 2);
-        // only a->b survives; b->c and c->a are cut
-        assert_eq!(sub.num_triples(), 1);
-        assert_eq!(old_ids, vec![a, b]);
-        assert_eq!(sub.entity_key(EntityId(0)), "a");
-        assert_eq!(sub.num_relations(), 1);
-    }
-
-    #[test]
-    fn induced_subgraph_of_empty_member_set() {
-        let kg = toy();
-        let (sub, old_ids) = kg.induced_subgraph(&[]);
-        assert_eq!(sub.num_entities(), 0);
-        assert_eq!(sub.num_triples(), 0);
-        assert!(old_ids.is_empty());
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Interner {
         self.names.get(id as usize)
     }
 
-    /// Resolves `id` back to its string, or `None` if out of range.
-    pub fn try_resolve(&self, id: u32) -> Option<&str> {
-        ((id as usize) < self.len()).then(|| self.resolve(id))
-    }
-
     /// Number of interned strings.
     pub fn len(&self) -> usize {
         self.names.len()
@@ -180,12 +175,6 @@ mod tests {
     }
 
     #[test]
-    fn try_resolve_out_of_range() {
-        let it = Interner::new();
-        assert_eq!(it.try_resolve(0), None);
-    }
-
-    #[test]
     fn empty_checks() {
         let mut it = Interner::new();
         assert!(it.is_empty());
@@ -225,6 +214,5 @@ mod tests {
             assert_eq!(fresh.intern(k), id as u32);
         }
         assert_eq!(it.get("never interned"), None);
-        assert_eq!(it.try_resolve(it.len() as u32), None);
     }
 }

@@ -41,11 +41,6 @@ impl KgStats {
             isolated,
         }
     }
-
-    /// One-line Table-1-style rendering: `#Entities #Relations #Triples`.
-    pub fn table_row(&self) -> String {
-        format!("{}\t{}\t{}", self.entities, self.relations, self.triples)
-    }
 }
 
 #[cfg(test)]
@@ -65,13 +60,6 @@ mod tests {
         assert_eq!(s.max_degree, 2);
         assert_eq!(s.isolated, 1);
         assert!((s.mean_degree - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_row_format() {
-        let mut kg = KnowledgeGraph::new("EN");
-        kg.add_triple_by_name("a", "r", "b");
-        assert_eq!(KgStats::of(&kg).table_row(), "2\t1\t1");
     }
 
     #[test]

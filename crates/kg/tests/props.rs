@@ -3,7 +3,6 @@
 use largeea_common::check::{for_each_case, string_from};
 use largeea_common::rng::Rng;
 use largeea_kg::{Adjacency, EntityId, Interner, KgPair, KnowledgeGraph, Triple};
-use std::collections::BTreeSet;
 
 #[test]
 fn interner_ids_are_dense_and_stable() {
@@ -91,43 +90,5 @@ fn split_seeds_partitions_for_every_ratio() {
         // ratio respected within rounding
         let expect = (n as f64 * ratio).round() as usize;
         assert_eq!(seeds.train.len(), expect.min(n));
-    });
-}
-
-#[test]
-fn induced_subgraph_triples_are_internal() {
-    for_each_case(0x4604, 96, |rng| {
-        let mut triples = random_triples(rng, 10, 2, 40);
-        if triples.is_empty() {
-            triples.push((
-                rng.gen_range(0..10),
-                rng.gen_range(0..2),
-                rng.gen_range(0..10),
-            ));
-        }
-        let member_count = rng.gen_range(1..10usize);
-        let mut member_set = BTreeSet::new();
-        while member_set.len() < member_count {
-            member_set.insert(rng.gen_range(0..10u32));
-        }
-        let mut kg = KnowledgeGraph::new("EN");
-        for i in 0..10 {
-            kg.add_entity(&format!("e{i}"));
-        }
-        kg.add_relation("r0");
-        kg.add_relation("r1");
-        for &(h, r, t) in &triples {
-            kg.add_triple(Triple::new(h, r, t)).unwrap();
-        }
-        let member_ids: Vec<EntityId> = member_set.iter().map(|&m| EntityId(m)).collect();
-        let (sub, old_ids) = kg.induced_subgraph(&member_ids);
-        assert_eq!(sub.num_entities(), member_ids.len());
-        assert_eq!(old_ids, member_ids.clone());
-        // every subgraph triple maps to an original triple between members
-        let expected = triples
-            .iter()
-            .filter(|&&(h, _, t)| member_set.contains(&h) && member_set.contains(&t))
-            .count();
-        assert_eq!(sub.num_triples(), expected);
     });
 }

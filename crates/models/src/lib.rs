@@ -24,7 +24,6 @@
 pub mod baselines;
 pub mod batch_graph;
 pub mod gcn_align;
-pub mod mtranse;
 pub mod negative;
 pub mod rrea;
 pub mod scoring;
@@ -32,6 +31,5 @@ pub mod trainer;
 
 pub use batch_graph::BatchGraph;
 pub use gcn_align::GcnAlign;
-pub use mtranse::MTransE;
 pub use rrea::Rrea;
 pub use trainer::{train, train_hooked, EaModel, ForwardPass, ModelKind, TrainConfig, TrainReport};

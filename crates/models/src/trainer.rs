@@ -40,19 +40,6 @@ pub trait EaModel {
     fn store_mut(&mut self) -> &mut ParamStore;
     /// Builds one forward pass on `tape`.
     fn forward(&self, tape: &mut Tape) -> ForwardPass;
-    /// Optional model-specific training objective added to the alignment
-    /// loss each epoch (translational models train a triple loss here;
-    /// GNN models return `None`). `params` are the leaves of the current
-    /// forward pass, in registration order.
-    fn auxiliary_loss(
-        &self,
-        tape: &mut Tape,
-        params: &[(ParamId, Var)],
-        epoch: usize,
-    ) -> Option<Var> {
-        let _ = (tape, params, epoch);
-        None
-    }
 }
 
 /// Which structural EA model to instantiate — the paper's two variants
@@ -63,10 +50,6 @@ pub enum ModelKind {
     GcnAlign,
     /// Relational Reflection EA.
     Rrea,
-    /// MTransE-style translational model (TransE triple loss + alignment
-    /// loss) — the representative of the paper's "Translational-based EA"
-    /// family (§4).
-    MTransE,
 }
 
 impl ModelKind {
@@ -75,7 +58,6 @@ impl ModelKind {
         match self {
             ModelKind::GcnAlign => Box::new(crate::gcn_align::GcnAlign::new(bg, dim, seed)),
             ModelKind::Rrea => Box::new(crate::rrea::Rrea::new(bg, dim, seed)),
-            ModelKind::MTransE => Box::new(crate::mtranse::MTransE::new(bg, dim, seed)),
         }
     }
 
@@ -84,7 +66,6 @@ impl ModelKind {
         match self {
             ModelKind::GcnAlign => "G",
             ModelKind::Rrea => "R",
-            ModelKind::MTransE => "M",
         }
     }
 }
@@ -246,10 +227,7 @@ pub fn train_hooked(
 
         // [d_pos + γ − d_neg]₊ for both corruption sides
         let span = phase("loss");
-        let mut loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
-        if let Some(aux) = model.auxiliary_loss(&mut tape, &fp.params, epoch) {
-            loss = tape.add(loss, aux);
-        }
+        let loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
         drop(span);
 
         let span = phase("backward");

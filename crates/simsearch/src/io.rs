@@ -148,12 +148,6 @@ pub fn save_sparse_sim(m: &SparseSimMatrix, path: &std::path::Path) -> io::Resul
     write_sparse_sim(m, io::BufWriter::new(f)).map_err(|e| with_path(path, e))
 }
 
-/// Convenience: read from a file path. Errors name the file.
-pub fn load_sparse_sim(path: &std::path::Path) -> io::Result<SparseSimMatrix> {
-    let f = std::fs::File::open(path).map_err(|e| with_path(path, e))?;
-    read_sparse_sim(io::BufReader::new(f)).map_err(|e| with_path(path, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,7 +215,7 @@ mod tests {
         let m = sample();
         let path = std::env::temp_dir().join(format!("leas_test_{}.bin", std::process::id()));
         save_sparse_sim(&m, &path).unwrap();
-        let back = load_sparse_sim(&path).unwrap();
+        let back = read_sparse_sim(std::fs::File::open(&path).unwrap()).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(m, back);
     }
@@ -297,18 +291,8 @@ mod tests {
     #[test]
     fn path_errors_name_the_file() {
         let missing = std::path::Path::new("/nonexistent/leas_nope.bin");
-        let err = load_sparse_sim(missing).unwrap_err();
+        let err = save_sparse_sim(&sample(), missing).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::NotFound);
         assert!(err.to_string().contains("leas_nope.bin"), "{err}");
-
-        // a corrupt file on disk also names itself
-        let path = std::env::temp_dir().join(format!("leas_corrupt_{}.bin", std::process::id()));
-        let m = sample();
-        save_sparse_sim(&m, &path).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() / 2]).unwrap();
-        let err = load_sparse_sim(&path).unwrap_err();
-        assert!(err.to_string().contains("leas_corrupt"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

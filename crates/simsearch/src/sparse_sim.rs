@@ -7,7 +7,6 @@
 //! lives in this representation.
 
 use crate::topk::score_order;
-use largeea_tensor::Matrix;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -353,17 +352,6 @@ impl SparseSimMatrix {
             .filter(|&&(c, s)| s > target || (s == target && c < col))
             .count();
         Some(ahead + 1)
-    }
-
-    /// Densifies into a [`Matrix`] (tests / tiny inputs only).
-    pub fn to_dense(&self) -> Matrix {
-        let mut m = Matrix::zeros(self.n_rows(), self.n_cols);
-        for (r, row) in self.rows.iter().enumerate() {
-            for &(c, s) in row {
-                m[(r, c as usize)] = s;
-            }
-        }
-        m
     }
 }
 
@@ -868,14 +856,6 @@ mod tests {
         assert_eq!(m.n_rows(), 2);
         assert_eq!(m.row(0), &[(0, 0.3), (2, 0.7)]);
         assert!(m.row(1).is_empty());
-    }
-
-    #[test]
-    fn to_dense_matches() {
-        let m = sample();
-        let d = m.to_dense();
-        assert_eq!(d[(0, 1)], 0.9);
-        assert_eq!(d[(1, 1)], 0.0);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Exact blocked top-k similarity search — the Faiss substitute.
 
 use largeea_common::obs::{Level, Recorder};
+use largeea_common::pool::Pool;
 use largeea_tensor::kernels::{dot_panel, l1_panel, sad_panel};
-use largeea_tensor::parallel::Pool;
 use largeea_tensor::{dot, l1_distance, Matrix, Rows};
 use std::cmp::Ordering;
 use std::ops::Range;

@@ -38,8 +38,8 @@
 
 use crate::kernels::active_isa;
 use crate::matrix::Matrix;
-use crate::parallel::Pool;
 use crate::sparse::SparseMatrix;
+use largeea_common::pool::Pool;
 use std::ops::{Deref, Range};
 use std::rc::Rc;
 

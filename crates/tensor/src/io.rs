@@ -66,25 +66,6 @@ pub fn read_matrix<R: Read>(mut r: R) -> io::Result<Matrix> {
     Ok(Matrix::from_vec(rows, cols, data))
 }
 
-/// Prefixes `path` onto an I/O error so callers see *which* file failed —
-/// a bare "failed to fill whole buffer" is undebuggable in a checkpoint
-/// directory full of artifacts.
-fn with_path(path: &std::path::Path, e: io::Error) -> io::Error {
-    io::Error::new(e.kind(), format!("{}: {e}", path.display()))
-}
-
-/// Convenience: write to a file path. Errors name the file.
-pub fn save_matrix(m: &Matrix, path: &std::path::Path) -> io::Result<()> {
-    let f = std::fs::File::create(path).map_err(|e| with_path(path, e))?;
-    write_matrix(m, io::BufWriter::new(f)).map_err(|e| with_path(path, e))
-}
-
-/// Convenience: read from a file path. Errors name the file.
-pub fn load_matrix(path: &std::path::Path) -> io::Result<Matrix> {
-    let f = std::fs::File::open(path).map_err(|e| with_path(path, e))?;
-    read_matrix(io::BufReader::new(f)).map_err(|e| with_path(path, e))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,33 +156,5 @@ mod tests {
                 assert!(22 + back.as_slice().len() * 4 <= bytes.len());
             }
         });
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let m = Matrix::from_fn(10, 10, |r, c| (r * 31 + c) as f32);
-        let path = std::env::temp_dir().join(format!("leam_test_{}.bin", std::process::id()));
-        save_matrix(&m, &path).unwrap();
-        let back = load_matrix(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(m, back);
-    }
-
-    #[test]
-    fn path_errors_name_the_file() {
-        let missing = std::path::Path::new("/nonexistent/leam_nope.bin");
-        let err = load_matrix(missing).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::NotFound);
-        assert!(err.to_string().contains("leam_nope.bin"), "{err}");
-
-        // a truncated file on disk also names itself
-        let path = std::env::temp_dir().join(format!("leam_trunc_{}.bin", std::process::id()));
-        let m = Matrix::from_fn(4, 4, |r, c| (r + c) as f32);
-        save_matrix(&m, &path).unwrap();
-        let raw = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &raw[..raw.len() - 7]).unwrap();
-        let err = load_matrix(&path).unwrap_err();
-        assert!(err.to_string().contains("leam_trunc"), "{err}");
-        std::fs::remove_file(&path).ok();
     }
 }

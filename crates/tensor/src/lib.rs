@@ -12,9 +12,9 @@
 //!   ReLU, reflections, reductions), validated against finite differences;
 //! - [`optim`] — Adam and SGD over a [`ParamStore`];
 //! - [`init`] — seeded Xavier/normal initialisers;
-//! - [`parallel`] — blocked parallel helpers over the persistent worker
-//!   pool from `largeea-common` (DESIGN.md §S0.6); hot kernels also have
-//!   `*_in(&Pool)` variants for explicit widths.
+//! - the hot kernels run on the persistent worker pool from
+//!   `largeea-common` (DESIGN.md §S0.6) and also have `*_in(&Pool)`
+//!   variants for explicit widths;
 //! - [`kernels`] — runtime-ISA-dispatched SIMD micro-kernels (AVX2/NEON)
 //!   behind a bit-identical scalar reference (DESIGN.md §S0.11);
 //!   `LARGEEA_NO_SIMD=1` forces the scalar path.
@@ -35,12 +35,10 @@ pub mod io;
 pub mod kernels;
 pub mod matrix;
 pub mod optim;
-pub mod parallel;
 pub mod sparse;
 
 pub use autograd::{IndexList, SpOp, Tape, Var};
 pub use kernels::{active_isa, Isa};
 pub use matrix::{dot, l1_distance, Matrix, Rows};
 pub use optim::{Adam, AdamConfig, ParamStore, Sgd};
-pub use parallel::Pool;
 pub use sparse::SparseMatrix;

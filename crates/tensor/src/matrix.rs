@@ -1,7 +1,7 @@
 //! Dense row-major `f32` matrix with cache-blocked parallel kernels.
 
 use crate::kernels::{self, Isa};
-use crate::parallel::{par_rows_mut, Pool};
+use largeea_common::pool::Pool;
 use std::fmt;
 use std::ops::{Index, IndexMut, Range};
 
@@ -294,7 +294,7 @@ impl Matrix {
             return;
         }
         let min_rows = (PAR_THRESHOLD / cols).max(1);
-        par_rows_mut(&mut self.data, cols, min_rows, |block, _| {
+        Pool::global().rows_mut(&mut self.data, cols, min_rows, |block, _| {
             for row in block.chunks_mut(cols) {
                 let norm = dot(row, row).sqrt();
                 let inv = 1.0 / (norm + eps);

@@ -1,7 +1,7 @@
 //! CSR sparse matrix — the GNN propagation primitive.
 
 use crate::matrix::Matrix;
-use crate::parallel::Pool;
+use largeea_common::pool::Pool;
 
 /// A compressed-sparse-row matrix of `f32`.
 ///
@@ -92,13 +92,6 @@ impl SparseMatrix {
             .zip(self.values[range].iter().copied())
     }
 
-    /// Sum of each row, as a length-`rows` vector.
-    pub fn row_sums(&self) -> Vec<f32> {
-        (0..self.rows)
-            .map(|r| self.row(r).map(|(_, v)| v).sum())
-            .collect()
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> SparseMatrix {
         let mut coo = Vec::with_capacity(self.nnz());
@@ -125,10 +118,15 @@ impl SparseMatrix {
             coo.push((r as u32, r as u32, 1.0)); // self-loop
         }
         let with_loops = SparseMatrix::from_coo(n, n, coo);
-        let deg = with_loops.row_sums();
-        let inv_sqrt: Vec<f32> = deg
-            .iter()
-            .map(|&d| if d > 0.0 { 1.0 / d.sqrt() } else { 0.0 })
+        let inv_sqrt: Vec<f32> = (0..n)
+            .map(|r| {
+                let d: f32 = with_loops.row(r).map(|(_, v)| v).sum();
+                if d > 0.0 {
+                    1.0 / d.sqrt()
+                } else {
+                    0.0
+                }
+            })
             .collect();
         let mut out = with_loops;
         for r in 0..n {

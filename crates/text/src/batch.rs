@@ -8,11 +8,10 @@
 //! bit-identical for any thread count. The `*_in` variants take an explicit [`Pool`] so tests can pin
 //! the width; the plain variants use [`Pool::global`].
 
-use crate::jaccard::{jaccard, shingles};
 use crate::levenshtein::levenshtein_similarity;
 use crate::minhash::{MinHasher, Signatures};
 use largeea_common::names::NameSlice;
-use largeea_tensor::parallel::Pool;
+use largeea_common::pool::Pool;
 
 /// Strings a batch entry point reads by index: a slice or `Vec` of
 /// strings, or a [`NameSlice`] of an arena (a KG's labels, read in place).
@@ -98,36 +97,6 @@ pub fn levenshtein_similarities_in<A: AsRef<str> + Sync, B: AsRef<str> + Sync>(
     .collect()
 }
 
-/// Exact Jaccard similarity over character `k`-shingles for each `(a, b)`
-/// pair, in pair order, parallel over pair blocks.
-pub fn jaccard_similarities<A: AsRef<str> + Sync, B: AsRef<str> + Sync>(
-    pairs: &[(A, B)],
-    shingle_k: usize,
-) -> Vec<f64> {
-    jaccard_similarities_in(pairs, shingle_k, Pool::global())
-}
-
-/// [`jaccard_similarities`] on an explicit pool.
-pub fn jaccard_similarities_in<A: AsRef<str> + Sync, B: AsRef<str> + Sync>(
-    pairs: &[(A, B)],
-    shingle_k: usize,
-    pool: &Pool,
-) -> Vec<f64> {
-    pool.map_blocks(pairs.len(), 16, |range| {
-        range
-            .map(|i| {
-                jaccard(
-                    &shingles(pairs[i].0.as_ref(), shingle_k),
-                    &shingles(pairs[i].1.as_ref(), shingle_k),
-                )
-            })
-            .collect::<Vec<_>>()
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,15 +121,6 @@ mod tests {
         let sims = levenshtein_similarities(&pairs);
         for (i, (a, b)) in pairs.iter().enumerate() {
             assert_eq!(sims[i], levenshtein_similarity(a, b));
-        }
-    }
-
-    #[test]
-    fn jaccard_batch_matches_single_calls() {
-        let pairs = [("london", "londres"), ("tokyo", "kyoto"), ("", "")];
-        let sims = jaccard_similarities(&pairs, 3);
-        for (i, (a, b)) in pairs.iter().enumerate() {
-            assert_eq!(sims[i], jaccard(&shingles(a, 3), &shingles(b, 3)));
         }
     }
 

@@ -18,7 +18,7 @@ use crate::batch::Texts;
 use crate::hashing::{fnv1a, mix};
 use crate::normalize::normalize_into;
 use crate::tokenize::tokens;
-use largeea_tensor::parallel::Pool;
+use largeea_common::pool::Pool;
 use largeea_tensor::Matrix;
 
 /// Subword feature-hashing name encoder. See the [module docs](self).
@@ -38,13 +38,16 @@ use largeea_tensor::Matrix;
 pub struct HashEncoder {
     dim: usize,
     seed: u64,
-    ngram_sizes: Vec<usize>,
     hashes_per_feature: usize,
 }
 
+/// The character n-gram sizes every token contributes beside its whole form.
+const NGRAM_SIZES: [usize; 3] = [2, 3, 4];
+
 impl HashEncoder {
     /// Creates an encoder with the given embedding dimension and seed.
-    /// Defaults: n-grams of size 2–4, 4 signed coordinates per feature.
+    /// Tokens contribute their n-grams of size 2–4, each feature 4 signed
+    /// coordinates.
     pub fn new(dim: usize, seed: u64) -> Self {
         assert!(
             dim >= 8,
@@ -53,17 +56,8 @@ impl HashEncoder {
         Self {
             dim,
             seed,
-            ngram_sizes: vec![2, 3, 4],
             hashes_per_feature: 4,
         }
-    }
-
-    /// Overrides the character n-gram sizes.
-    pub fn with_ngram_sizes(mut self, sizes: Vec<usize>) -> Self {
-        assert!(!sizes.is_empty(), "need at least one n-gram size");
-        assert!(sizes.iter().all(|&n| n >= 1), "n-gram size must be >= 1");
-        self.ngram_sizes = sizes;
-        self
     }
 
     /// Embedding dimension.
@@ -124,7 +118,7 @@ impl HashEncoder {
             starts.push(0);
             starts.extend(tok.char_indices().map(|(i, _)| i + 1));
             starts.extend([padded.len() - 1, padded.len()]);
-            for &n in &self.ngram_sizes {
+            for n in NGRAM_SIZES {
                 if starts.len() - 1 <= n {
                     self.scatter(padded, 1.0, token_vec);
                     continue;

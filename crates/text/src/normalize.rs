@@ -70,14 +70,6 @@ pub fn normalize_into(raw: &str, out: &mut String) {
     }
 }
 
-/// Extracts a human-readable label from a URI-like entity key: the last
-/// path segment with `_` as spaces (`http://db.org/resource/New_York` →
-/// `New York`). Non-URI keys pass through unchanged.
-pub fn label_from_key(key: &str) -> String {
-    let tail = key.rsplit('/').next().unwrap_or(key);
-    tail.replace('_', " ")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,15 +99,6 @@ mod tests {
     fn empty_and_symbol_only() {
         assert_eq!(normalize_name(""), "");
         assert_eq!(normalize_name("!!!"), "");
-    }
-
-    #[test]
-    fn label_from_uri() {
-        assert_eq!(
-            label_from_key("http://dbpedia.org/resource/New_York"),
-            "New York"
-        );
-        assert_eq!(label_from_key("plain name"), "plain name");
     }
 
     #[test]

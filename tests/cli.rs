@@ -401,10 +401,15 @@ fn exit_codes_follow_the_documented_taxonomy() {
             "--mem-budget",
         ),
         (&["align", "--data", "@data", "--model", "foo"], "--model"),
+        // a retired model is an unknown one, and the message lists the two left
+        (
+            &["align", "--data", "@data", "--model", "mtranse"],
+            "--model got invalid value \"mtranse\": expected gcn|rrea",
+        ),
         (&["align", "--data", "@data", "--csls", "x"], "--csls"),
         // …or a value out of its range: no batch, more batches than the
         // smaller side has entities, an empty CSLS neighbourhood, a scale
-        // outside (0, 1], a zero-width embedding
+        // outside (0, 1], a zero-width embedding, no epoch, no round
         (&["partition", "--data", "@data", "--k", "0"], "--k"),
         (&["partition", "--data", "@data", "--k", "100000"], "--k"),
         (&["align", "--data", "@data", "--k", "100000"], "--k"),
@@ -434,6 +439,8 @@ fn exit_codes_follow_the_documented_taxonomy() {
             "--scale",
         ),
         (&["align", "--data", "@data", "--dim", "0"], "--dim"),
+        (&["align", "--data", "@data", "--epochs", "0"], "--epochs"),
+        (&["align", "--data", "@data", "--rounds", "0"], "--rounds"),
         (
             &["partition", "--data", "@data", "--strategy", "foo"],
             "--strategy",

@@ -126,7 +126,7 @@ fn epochs_after_the_first_allocate_a_sliver_of_epoch_zero() {
         dim: 32,
         ..TrainConfig::default()
     };
-    for kind in [ModelKind::GcnAlign, ModelKind::Rrea, ModelKind::MTransE] {
+    for kind in [ModelKind::GcnAlign, ModelKind::Rrea] {
         let rec = Recorder::new(ObsConfig {
             heap: true,
             ..ObsConfig::default()
@@ -173,9 +173,9 @@ fn synthetic_batch(side: u32, triples: u32) -> BatchGraph {
     }
 }
 
-/// Bytes of the node values one training step records (forward, alignment
-/// loss, auxiliary loss): a tape that has run no backward pass holds
-/// nothing else.
+/// Bytes of the node values one training step records (forward and
+/// alignment loss): a tape that has run no backward pass holds nothing
+/// else.
 fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> usize {
     let mut tape = Tape::new();
     let fp = model.forward(&mut tape);
@@ -183,7 +183,6 @@ fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> 
     let rows = std::rc::Rc::new(IndexList::new(zeros, bg.n_total()));
     let [s, t, neg_t, neg_s] = [(); 4].map(|()| rows.clone());
     tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, cfg.margin);
-    model.auxiliary_loss(&mut tape, &fp.params, 0);
     tape.nbytes()
 }
 
@@ -198,7 +197,7 @@ fn step_value_bytes(model: &dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> 
 /// gradients where one suffices, copies of the sides the negative sampler
 /// searches or a copy of the embeddings handed back (7, 6 and 9 buffers
 /// before those went). (b) runs where a side has as many triples as
-/// entities, so MTransE's triple-sized buffers are embedding-sized too.
+/// entities.
 #[test]
 fn a_training_step_holds_live_gradients_not_one_per_node() {
     let cfg = TrainConfig {
@@ -220,11 +219,7 @@ fn a_training_step_holds_live_gradients_not_one_per_node() {
     );
 
     let bg = synthetic_batch(600, 600);
-    let handful = [
-        (ModelKind::GcnAlign, 6),
-        (ModelKind::Rrea, 4),
-        (ModelKind::MTransE, 8),
-    ];
+    let handful = [(ModelKind::GcnAlign, 6), (ModelKind::Rrea, 4)];
     for (kind, buffers) in handful {
         let rec = Recorder::new(ObsConfig {
             heap: true,

@@ -14,9 +14,7 @@ use largeea::common::pool::Pool;
 use largeea::common::rng::Rng;
 use largeea::sim::{topk_search_in, Metric};
 use largeea::tensor::{Matrix, SparseMatrix};
-use largeea::text::batch::{
-    jaccard_similarities_in, levenshtein_similarities_in, minhash_signatures_in,
-};
+use largeea::text::batch::{levenshtein_similarities_in, minhash_signatures_in};
 use largeea::text::{HashEncoder, MinHasher};
 
 fn pools() -> Vec<Pool> {
@@ -151,11 +149,9 @@ fn string_sim_identical_across_thread_counts() {
             .collect();
         let hasher = MinHasher::new(32, rng.next_u64());
         let lev1 = levenshtein_similarities_in(&pairs, &Pool::new(1));
-        let jac1 = jaccard_similarities_in(&pairs, 2, &Pool::new(1));
         let sig1 = minhash_signatures_in(&hasher, &left, 3, &Pool::new(1));
         for pool in pools() {
             assert_eq!(lev1, levenshtein_similarities_in(&pairs, &pool));
-            assert_eq!(jac1, jaccard_similarities_in(&pairs, 2, &pool));
             assert_eq!(sig1, minhash_signatures_in(&hasher, &left, 3, &pool));
         }
     });
