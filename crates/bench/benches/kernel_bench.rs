@@ -14,8 +14,9 @@
 //!    normative scalar kernels? `kernel_dispatch` times each kernel under
 //!    `Isa::Scalar` and under the dispatched ISA on identical inputs;
 //!    `--require-win` exits non-zero if dot, l1, l1_panel / sad_panel (the
-//!    kernels the exact top-k scan runs) or matmul fail to beat scalar
-//!    while a SIMD ISA is active.
+//!    kernels the exact top-k scan runs), matmul or one of the training
+//!    step's backward kernels (neg2_dot_rows, norm_dot_rows, reflect_acc,
+//!    sign_acc) fail to beat scalar while a SIMD ISA is active.
 
 use largeea_common::bench::{Bench, Measurement};
 use largeea_common::pool::Pool;
@@ -200,12 +201,84 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     compare(&mut group, "matmul", &mut |isa| {
         mm_a.matmul_on(&mm_b, pool, isa).as_slice()[0]
     });
+    // The backward kernels at RREA's width (64): 64 messages' q chains, 64
+    // rows' normalisation sums, a destination row's block summing 64
+    // messages' terms of both hop directions, and a row summing 64 triplet
+    // rows' two-term signs.
+    const W: usize = 64;
+    let rows: Vec<f32> = (0..PANEL_ROWS * W)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let other: Vec<f32> = (0..PANEL_ROWS * W)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let row = |m: &[f32], r: usize| -> Vec<f32> { m[r * W..(r + 1) * W].to_vec() };
+    let row_pairs: Vec<[Vec<f32>; 3]> = (0..PANEL_ROWS)
+        .map(|r| {
+            [
+                row(&rows, r),
+                row(&other, r),
+                row(&rows, (r + 7) % PANEL_ROWS),
+            ]
+        })
+        .collect();
+    let mut acc = vec![0.0f32; 2 * PANEL_ROWS];
+    compare(&mut group, "neg2_dot_rows", &mut |isa| {
+        let acc = &mut acc[..PANEL_ROWS];
+        if isa == Isa::Scalar {
+            kernels::scalar::neg2_dot_rows(&rows, &other, W, acc);
+        } else {
+            kernels::neg2_dot_rows(&rows, &other, W, acc);
+        }
+        acc[PANEL_ROWS - 1]
+    });
+    compare(&mut group, "norm_dot_rows", &mut |isa| {
+        if isa == Isa::Scalar {
+            kernels::scalar::norm_dot_rows((&rows, W), (&other, W), W, &mut acc);
+        } else {
+            kernels::norm_dot_rows(&rows, W, &other, W, W, &mut acc);
+        }
+        acc[2 * PANEL_ROWS - 1]
+    });
+    let mut sum = [0.0f32; W];
+    let heads: Vec<u32> = (0..PANEL_ROWS as u32)
+        .map(|m| (m * 7) % PANEL_ROWS as u32)
+        .collect();
+    let weights = vec![0.25f32; PANEL_ROWS];
+    compare(&mut group, "reflect_acc", &mut |isa| {
+        let msgs = (0..PANEL_ROWS).map(|m| kernels::HopMsg {
+            heads: &heads[m..m + 1],
+            weights: &weights[m..m + 1],
+            dot: 0.5,
+            q: -0.25,
+            row: &other[m * W..(m + 1) * W],
+        });
+        if isa == Isa::Scalar {
+            kernels::scalar::reflect_acc::<true>(&mut sum, (&rows, W), msgs.clone());
+            kernels::scalar::reflect_acc::<false>(&mut sum, (&rows, W), msgs);
+        } else {
+            kernels::reflect_acc::<true>(&mut sum, (&rows, W), msgs.clone());
+            kernels::reflect_acc::<false>(&mut sum, (&rows, W), msgs);
+        }
+        sum[W - 1]
+    });
+    compare(&mut group, "sign_acc", &mut |isa| {
+        let terms = row_pairs
+            .iter()
+            .map(|[s, t, nt]| [(0.5, [&s[..], &nt[..]]), (-1.0, [&s[..], &t[..]])]);
+        if isa == Isa::Scalar {
+            kernels::scalar::sign_acc::<false, 2>(&mut sum, terms);
+        } else {
+            kernels::sign_acc::<false, 2>(&mut sum, terms);
+        }
+        sum[W - 1]
+    });
     group.finish();
 
     println!();
     for c in &out {
         println!(
-            "kernel.{:<9} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
+            "kernel.{:<13} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
             c.name,
             c.scalar.median_ns,
             c.dispatched.median_ns,
@@ -215,7 +288,7 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         if c.name.ends_with("_panel") {
             let pairs_per_s = |m: &Measurement| PANEL_ROWS as f64 / (m.median_ns * 1e-9);
             println!(
-                "kernel.{:<9} {:>8.1} M pairs/s scalar  {:>8.1} M pairs/s {}",
+                "kernel.{:<13} {:>8.1} M pairs/s scalar  {:>8.1} M pairs/s {}",
                 c.name,
                 pairs_per_s(&c.scalar) / 1e6,
                 pairs_per_s(&c.dispatched) / 1e6,
@@ -235,8 +308,9 @@ fn main() {
         let losers: Vec<&str> = comparisons
             .iter()
             .filter(|c| {
-                matches!(c.name, "dot" | "l1" | "l1_panel" | "sad_panel" | "matmul")
-                    && c.speedup() <= 1.0
+                let backward = ["neg2_dot_rows", "norm_dot_rows", "reflect_acc", "sign_acc"];
+                let scan = ["dot", "l1", "l1_panel", "sad_panel", "matmul"];
+                (scan.contains(&c.name) || backward.contains(&c.name)) && c.speedup() <= 1.0
             })
             .map(|c| c.name)
             .collect();

@@ -8,15 +8,24 @@
 //! steady-state RREA epoch (forward, fused triplet loss, backward, Adam on
 //! the trainer's recycled tape) on a fixed synthetic batch, reported as
 //! epochs/s, bytes allocated per epoch and the bytes the tape retains.
+//!
+//! `backward` times one epoch's `Tape::backward` at the mini-batch shapes
+//! the reference runs train on — RREA on an IDS15K@0.3 METIS-CPS batch
+//! (K = 5), GCN-Align on a DBP1M@0.008 one (K = 8) — and, on the RREA
+//! batch, each fused node's backward alone (its value a leaf, `sum_all`
+//! above it): the per-op rows of EXPERIMENTS.md's kernel notes.
 
 use largeea_common::bench::Bench;
 use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_common::rng::Rng;
+use largeea_core::structure_channel::{StructureChannel, StructureChannelConfig};
 use largeea_data::Preset;
 use largeea_kg::EntityId;
 use largeea_models::negative::{sample_negatives, NegStrategy};
 use largeea_models::{train, train_hooked, BatchGraph, ModelKind, TrainConfig};
 use largeea_partition::MiniBatches;
+use largeea_tensor::{IndexList, Matrix, Tape, Var};
+use std::rc::Rc;
 
 // Per-epoch `alloc.bytes` needs the counting allocator, which the harness
 // library installs; naming the library links it in.
@@ -161,9 +170,123 @@ fn bench_train_epoch() {
     );
 }
 
+/// The METIS-CPS mini-batch with the most training pairs when `preset` at
+/// `scale`, seeded at `ratio`, is split `k` ways.
+fn cps_batch(preset: Preset, scale: f64, ratio: f64, k: usize) -> BatchGraph {
+    let pair = preset.spec(scale).generate();
+    let seeds = pair.split_seeds(ratio, 0x5EED);
+    let channel = StructureChannel::new(StructureChannelConfig {
+        k,
+        ..StructureChannelConfig::default()
+    });
+    let batches = channel.make_batches(&pair, &seeds);
+    let largest = batches.batches.iter().max_by_key(|b| b.train_pairs.len());
+    BatchGraph::from_mini_batch(&pair, largest.expect("k >= 1"))
+}
+
+/// The four triplet lists the trainer builds from `negs`: each pair
+/// repeated once per negative beside its corrupted target and source.
+fn triplet_lists(bg: &BatchGraph, emb: &Matrix) -> [Rc<IndexList>; 4] {
+    const N_NEG: usize = 15;
+    let quiet = Recorder::disabled();
+    let negs = sample_negatives(bg, emb, N_NEG, NegStrategy::Nearest, 9, &quiet);
+    let mut lists: [Vec<u32>; 4] = Default::default();
+    for (pi, &(s, t)) in bg.train_pairs.iter().enumerate() {
+        lists[0].extend([s; N_NEG]);
+        lists[1].extend([t; N_NEG]);
+        lists[2].extend_from_slice(negs.corrupt_target(pi));
+        lists[3].extend_from_slice(negs.corrupt_source(pi));
+    }
+    lists.map(|l| Rc::new(IndexList::new(l, bg.n_total())))
+}
+
+/// One epoch's graph of `kind` on `bg`, recorded up to the loss.
+fn epoch_graph(kind: ModelKind, bg: &BatchGraph) -> (Tape, Var, [Rc<IndexList>; 4]) {
+    let model = kind.build(bg, 64, 3);
+    let mut tape = Tape::new();
+    let fp = model.forward(&mut tape);
+    let lists = triplet_lists(bg, tape.value(fp.embeddings));
+    let [s, t, neg_t, neg_s] = lists.clone();
+    let margin = TrainConfig::default().margin;
+    let loss = tape.triplet_l1(fp.embeddings, s, t, neg_t, neg_s, margin);
+    (tape, loss, lists)
+}
+
+/// A unit-normalised `rows × cols` matrix of seeded values.
+fn unit_rows(rng: &mut Rng, rows: usize, cols: usize) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| rng.gen_range(-1.0f32..1.0))
+        .collect();
+    let mut m = Matrix::from_vec(rows, cols, data);
+    m.l2_normalize_rows(1e-9);
+    m
+}
+
+fn bench_backward(bench: &mut Bench) {
+    let rrea_bg = cps_batch(Preset::Ids15kEnFr, 0.3, 0.8, 5);
+    let gcn_bg = cps_batch(Preset::Dbp1mEnFr, 0.008, 0.8, 8);
+    let (agg, _, rels, tails) = rrea_bg.messages();
+    let n = rrea_bg.n_total();
+    println!(
+        "backward shapes: rrea {n} entities, {} messages, {} triplets; gcn {} entities, {} triplets",
+        agg.mat.cols(),
+        rrea_bg.train_pairs.len() * 15,
+        gcn_bg.n_total(),
+        gcn_bg.train_pairs.len() * 15,
+    );
+    let mut group = bench.group("backward");
+    for (name, kind, bg) in [
+        ("rrea_ids15k_k5_epoch", ModelKind::Rrea, &rrea_bg),
+        ("gcn_dbp1m_k8_epoch", ModelKind::GcnAlign, &gcn_bg),
+    ] {
+        let (mut tape, loss, _) = epoch_graph(kind, bg);
+        group.bench_function(name, |b| b.iter(|| tape.backward(loss)));
+    }
+
+    // RREA's three fused nodes alone, at the same batch's shapes
+    let (_, _, lists) = epoch_graph(ModelKind::Rrea, &rrea_bg);
+    let mut rng = Rng::seed_from_u64(0xBAC4);
+    let (h0, r0) = (
+        unit_rows(&mut rng, n, 64),
+        unit_rows(&mut rng, 2 * rrea_bg.num_relations, 64),
+    );
+    let emb0 = unit_rows(&mut rng, n, 192);
+    let (tails, rels) = (
+        Rc::new(IndexList::new(tails, n)),
+        Rc::new(IndexList::new(rels, r0.rows())),
+    );
+    let mut op = |name: &str, build: &dyn Fn(&mut Tape) -> Var| {
+        let mut tape = Tape::new();
+        let loss = build(&mut tape);
+        group.bench_function(name, |b| b.iter(|| tape.backward(loss)));
+    };
+    op("triplet_l1", &|t| {
+        let e = t.param(&emb0);
+        let [s, tt, neg_t, neg_s] = lists.clone();
+        t.triplet_l1(e, s, tt, neg_t, neg_s, 3.0)
+    });
+    op("reflect_aggregate", &|t| {
+        let (h, r) = (t.param(&h0), t.param(&r0));
+        let y = t.reflect_aggregate(&agg, h, r, Rc::clone(&tails), Rc::clone(&rels));
+        t.sum_all(y)
+    });
+    op("l2_norm_rows_64", &|t| {
+        let x = t.param(&h0);
+        let y = t.l2_normalize_rows(&[x], 1e-9);
+        t.sum_all(y)
+    });
+    op("l2_norm_rows_3x64", &|t| {
+        let x = t.param(&h0);
+        let y = t.l2_normalize_rows(&[x, x, x], 1e-9);
+        t.sum_all(y)
+    });
+    group.finish();
+}
+
 fn main() {
     let mut bench = Bench::new().sample_size(10);
     bench_epochs(&mut bench);
     bench_negative_sampling(&mut bench);
     bench_train_epoch();
+    bench_backward(&mut bench);
 }

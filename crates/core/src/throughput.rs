@@ -14,7 +14,7 @@
 //! | `topk.pairs_per_sec` | `topk.scored_pairs` counter (similarity pairs scored into `M_s`) | `topk` |
 //! | `train.epochs_per_sec` | number of `epoch` spans | `train` |
 //! | `stns.lev_pairs_per_sec` | `stns.levenshtein_pairs` counter | `score` (STNS's two passes over source rows, not the target's sketch and index) |
-//! | `sens.encodes_per_sec` | the `encode` spans' `rows` fields (names encoded, each loader call's segment) | `sens` |
+//! | `sens.encodes_per_sec` | the `encode` spans' `rows` fields (names encoded, each loader call's segment) | `encode` (the encoding itself, not the scan the whole `sens` span also holds) |
 //! | `kg.load_mib_per_sec` | the `load` spans' `bytes` field, in MiB (input files read and parsed) | `load` |
 //!
 //! Beside the rates, [`filter_pass_pcts`] derives what share of the pairs a
@@ -92,7 +92,7 @@ const DEFINITIONS: &[(&str, Work, &str, &str)] = &[
     (
         "sens.encodes_per_sec",
         Work::Field("encode", "rows"),
-        "sens",
+        "encode",
         "names",
     ),
     ("kg.load_mib_per_sec", Work::MibOfStage, "load", "MiB"),
@@ -288,13 +288,35 @@ mod tests {
         let lev = tp.iter().find(|t| t.name == "stns.lev_pairs_per_sec");
         let lev = lev.map(|t| (t.stage, t.count, t.seconds, t.per_sec));
         assert_eq!(lev, Some(("score", 600.0, 1.5, 400.0)));
+
+        // encoded names are paid for by the `encode` spans alone, not by
+        // the whole `sens` span that also scans
+        let rec = Recorder::new(ObsConfig::default());
+        {
+            let _sens = rec.span("sens");
+            for rows in [300u64, 500] {
+                rec.span_at(Level::Detail, "encode").field("rows", rows);
+            }
+            drop(rec.span_at(Level::Detail, "sens_block"));
+        }
+        let mut n = 0;
+        // depth-first: sens, encode, encode, sens_block
+        let secs = [4.0, 0.5, 1.5, 2.0];
+        let trace = rec.trace().map_seconds(|_| {
+            n += 1;
+            secs[n - 1]
+        });
+        let tp = derived_throughputs(&trace);
+        let enc = tp.iter().find(|t| t.name == "sens.encodes_per_sec");
+        let enc = enc.map(|t| (t.stage, t.count, t.seconds, t.per_sec));
+        assert_eq!(enc, Some(("encode", 800.0, 2.0, 400.0)));
     }
 
     #[test]
     fn stages_without_evidence_are_skipped() {
         let tp = derived_throughputs(&synthetic_trace());
-        // no score/sens spans in the synthetic trace → no name-channel rates
-        assert!(tp.iter().all(|t| t.stage != "score" && t.stage != "sens"));
+        // no score/encode spans in the synthetic trace → no name-channel rates
+        assert!(tp.iter().all(|t| t.stage != "score" && t.stage != "encode"));
         // …and an empty trace derives nothing at all
         assert!(derived_throughputs(&Trace::default()).is_empty());
     }

@@ -36,7 +36,7 @@
 //!
 //! [`optim::ParamStore`]: crate::optim::ParamStore
 
-use crate::kernels::active_isa;
+use crate::kernels::{self, active_isa, scalar::signum_or_zero};
 use crate::matrix::Matrix;
 use crate::sparse::SparseMatrix;
 use largeea_common::pool::Pool;
@@ -54,6 +54,14 @@ fn min_rows(cols: usize) -> usize {
 
 /// Columns a destination-ordered backward pass sums at once, on the stack.
 const BLOCK: usize = 64;
+
+/// Columns the triplet loss's backward sums at once: its walk over a row's
+/// four parts costs per block, so one block covers RREA's 192-wide rows.
+const TRIPLET_BLOCK: usize = 256;
+
+/// Messages whose `q` chains one kernel call runs side by side in the RREA
+/// hop's backward (a register of AVX2 lanes).
+const LANES: usize = 8;
 
 /// A row-index list (a gather list into a matrix of `n_rows` rows) with its
 /// positions grouped by the row they name, ascending within a row: the
@@ -805,21 +813,23 @@ impl Tape {
                 // Per row of the parts side by side x: n = ‖x‖ and g·x, each
                 // one sum in column order from where `Iterator::sum` starts
                 // (each part's pass carries both on from the last part's),
-                // so the bits of a concatenated row; then s = n + eps and
-                // each part gets its block of g/s − x·(g·x)/(n·s²).
+                // so the bits of a concatenated row — several rows' chains
+                // side by side in the kernel; then s = n + eps and each part
+                // gets its block of g/s − x·(g·x)/(n·s²).
                 let mut sums = self.take_scratch(g.rows(), 2);
                 sums.as_mut_slice().fill(std::iter::empty::<f32>().sum());
                 let min = min_rows(g.cols());
                 let mut at = 0;
                 for j in parts.clone() {
                     let x = self.value(self.parts[j]);
-                    let cols = at..at + x.cols();
-                    par_rows(&mut sums, min, |r, sum| {
-                        let (xr, gr) = (x.row(r), &g.row(r)[cols.clone()]);
-                        sum[0] = xr.iter().fold(sum[0], |acc, &v| acc + v * v);
-                        sum[1] = (gr.iter().zip(xr)).fold(sum[1], |acc, (&gv, &xv)| acc + gv * xv);
+                    let w = x.cols();
+                    let pool = Pool::global();
+                    pool.rows_mut(sums.as_mut_slice(), 2, min, |block, first| {
+                        let gs = &g.as_slice()[first * g.cols() + at..];
+                        let xs = &x.as_slice()[first * w..];
+                        kernels::norm_dot_rows(xs, w, gs, g.cols(), w, block);
                     });
-                    at = cols.end;
+                    at += w;
                 }
                 let mut at = 0;
                 for j in parts {
@@ -921,60 +931,98 @@ impl Tape {
                 // row gets p·(x·r) + q·x and x's row gets gm + q·r, each
                 // scatter-added into a zeroed matrix in message order and
                 // added to any live gradient — r's gather is the later node,
-                // so its contribution lands first. Here each destination row
-                // sums its messages (its `IndexList` group, ascending) from
-                // 0.0 a column block at a time, then joins the gradient.
+                // so its contribution lands first. Here one pass forms every
+                // message's q (LANES messages' chains side by side), then
+                // each destination row sums its messages (its `IndexList`
+                // group, ascending) from 0.0 a column block at a time, each
+                // message's block of gm rebuilt inside the kernel, then
+                // joins the gradient.
                 let trans = &agg.trans;
-                for to_r in [true, false] {
-                    let (target, list) = if to_r { (r, &*r_rows) } else { (h, &*h_rows) };
-                    self.accumulate_in_place(target, |tape, grad, add| {
-                        let (mh, mr, md) = (tape.value(h), tape.value(r), tape.value(dots));
-                        let (h_of, r_of) = (&h_rows[..], &r_rows[..]);
-                        // message i's upstream row over columns `cols`, into `gm`
-                        let upstream = |i: usize, cols: Range<usize>, gm: &mut [f32; BLOCK]| {
-                            gm.fill(0.0);
-                            for e in trans.indptr[i]..trans.indptr[i + 1] {
-                                let (head, v) = (trans.indices[e] as usize, trans.values[e]);
-                                for (o, &s) in gm.iter_mut().zip(&g.row(head)[cols.clone()]) {
-                                    *o += v * s;
-                                }
+                let dim = self.value(h).cols();
+                let blocks = || (0..dim).step_by(BLOCK).map(|c| c..(c + BLOCK).min(dim));
+                // message i's upstream row over columns `cols`, into `gm`
+                let upstream = |i: usize, cols: Range<usize>, gm: &mut [f32]| {
+                    gm.fill(0.0);
+                    for e in trans.indptr[i]..trans.indptr[i + 1] {
+                        let (head, v) = (trans.indices[e] as usize, trans.values[e]);
+                        for (o, &s) in gm.iter_mut().zip(&g.row(head)[cols.clone()]) {
+                            *o += v * s;
+                        }
+                    }
+                };
+                let (h_list, r_list): (&IndexList, &IndexList) = (&h_rows, &r_rows);
+                let (h_of, r_of) = (&h_list[..], &r_list[..]);
+                let mut q = self.take_scratch(trans.rows(), 1);
+                let mr = self.value(r);
+                Pool::global().rows_mut(q.as_mut_slice(), 1, min_rows(dim), |qs, first| {
+                    let (mut gm, mut rv) = ([0.0f32; LANES * BLOCK], [0.0f32; LANES * BLOCK]);
+                    for (at, qs) in (first..).step_by(LANES).zip(qs.chunks_mut(LANES)) {
+                        qs.fill(0.0);
+                        for cols in blocks() {
+                            let len = qs.len() * cols.len();
+                            let (gm, rv) = (&mut gm[..len], &mut rv[..len]);
+                            let rows = gm
+                                .chunks_exact_mut(cols.len())
+                                .zip(rv.chunks_exact_mut(cols.len()));
+                            for (i, (gm, rv)) in (at..).zip(rows) {
+                                upstream(i, cols.clone(), gm);
+                                rv.copy_from_slice(&mr.row(r_of[i] as usize)[cols.clone()]);
                             }
-                        };
-                        let dim = mh.cols();
-                        let blocks = || (0..dim).step_by(BLOCK).map(|c| c..(c + BLOCK).min(dim));
-                        par_rows(grad, min_rows(dim), |dst, out| {
-                            for cols in blocks() {
-                                let (mut gm, mut other) = ([0.0f32; BLOCK], [0.0f32; BLOCK]);
-                                let mut sum = [0.0f32; BLOCK];
-                                for &i in list.positions(dst) {
-                                    let i = i as usize;
-                                    let (x, rv) =
-                                        (mh.row(h_of[i] as usize), mr.row(r_of[i] as usize));
-                                    // q over every column in order, keeping this
-                                    // block's upstream values in gm
-                                    let mut q = 0.0;
-                                    for q_cols in blocks() {
-                                        let buf = if q_cols == cols { &mut gm } else { &mut other };
-                                        upstream(i, q_cols.clone(), buf);
-                                        for (&gv, &rk) in buf.iter().zip(&rv[q_cols]) {
-                                            q += (-gv * 2.0) * rk;
-                                        }
-                                    }
-                                    let d = md[(i, 0)];
-                                    for ((acc, &gv), k) in sum.iter_mut().zip(&gm).zip(cols.clone())
-                                    {
-                                        *acc += if to_r {
-                                            (-gv * 2.0) * d + q * x[k]
-                                        } else {
-                                            gv + q * rv[k]
-                                        };
-                                    }
+                            kernels::neg2_dot_rows(gm, rv, cols.len(), qs);
+                        }
+                    }
+                });
+                // message i's entries and q, `dot` its x·r (read toward r);
+                // each direction sets the row it reads
+                let msg = |i: usize, dot: f32| {
+                    let entries = trans.indptr[i]..trans.indptr[i + 1];
+                    let (heads, weights) =
+                        (&trans.indices[entries.clone()], &trans.values[entries]);
+                    let q = q[(i, 0)];
+                    kernels::HopMsg {
+                        heads,
+                        weights,
+                        dot,
+                        q,
+                        row: &[],
+                    }
+                };
+                self.accumulate_in_place(r, |tape, grad, add| {
+                    let (mh, md) = (tape.value(h), tape.value(dots));
+                    par_rows(grad, min_rows(dim), |dst, out| {
+                        for cols in blocks() {
+                            let mut sum = [0.0f32; BLOCK];
+                            let msgs = r_list.positions(dst).iter().map(|&i| {
+                                let i = i as usize;
+                                let row = &mh.row(h_of[i] as usize)[cols.clone()];
+                                kernels::HopMsg {
+                                    row,
+                                    ..msg(i, md[(i, 0)])
                                 }
-                                put(&mut out[cols], sum.into_iter(), add);
-                            }
-                        });
+                            });
+                            let g = (&g.as_slice()[cols.start..], g.cols());
+                            kernels::reflect_acc::<true>(&mut sum[..cols.len()], g, msgs);
+                            put(&mut out[cols], sum.into_iter(), add);
+                        }
                     });
-                }
+                });
+                self.accumulate_in_place(h, |tape, grad, add| {
+                    let mr = tape.value(r);
+                    par_rows(grad, min_rows(dim), |dst, out| {
+                        for cols in blocks() {
+                            let mut sum = [0.0f32; BLOCK];
+                            let msgs = h_list.positions(dst).iter().map(|&i| {
+                                let i = i as usize;
+                                let row = &mr.row(r_of[i] as usize)[cols.clone()];
+                                kernels::HopMsg { row, ..msg(i, 0.0) }
+                            });
+                            let g = (&g.as_slice()[cols.start..], g.cols());
+                            kernels::reflect_acc::<false>(&mut sum[..cols.len()], g, msgs);
+                            put(&mut out[cols], sum.into_iter(), add);
+                        }
+                    });
+                });
+                self.scratch.push(q);
             }
             Op::TripletL1 {
                 emb,
@@ -1007,68 +1055,76 @@ impl Tape {
                 self.accumulate_in_place(emb, |tape, grad, add| {
                     let (e, hinge) = (tape.value(emb), tape.value(hinges));
                     let (s_of, t_of, nt_of, ns_of) = (&s[..], &t[..], &neg_t[..], &neg_s[..]);
-                    let parts = [
-                        (Part::NegS, &*neg_s),
-                        (Part::NegT, &*neg_t),
-                        (Part::T, &*t),
-                        (Part::S, &*s),
-                    ];
-                    par_rows(grad, min_rows(e.cols()), |dst, out| {
-                        for c0 in (0..out.len()).step_by(BLOCK) {
-                            let cols = c0..(c0 + BLOCK).min(out.len());
-                            let mut sums = [[0.0f32; BLOCK]; 4];
-                            for ((part, list), sum) in parts.iter().zip(&mut sums) {
-                                for &i in list.positions(dst) {
-                                    let i = i as usize;
-                                    let g1 = if hinge[(i, 0)] <= 0.0 { 0.0 } else { share };
-                                    let g2 = if hinge[(i, 1)] <= 0.0 { 0.0 } else { share };
-                                    if g1 == 0.0 && g2 == 0.0 {
-                                        continue;
-                                    }
-                                    let (g_neg1, g_neg2, g_pos) = (-g1, -g2, g2 + g1);
-                                    let row = |of: &[u32]| &e.row(of[i] as usize)[cols.clone()];
-                                    let (es, et) = (row(s_of), row(t_of));
-                                    let (ent, ens) = (row(nt_of), row(ns_of));
-                                    let terms = sum.iter_mut().zip(es).zip(et).zip(ent).zip(ens);
-                                    for ((((d, &s), &t), &nt), &ns) in terms {
-                                        *d += match part {
-                                            Part::NegS => g_neg2 * signum_or_zero(ns - t),
-                                            Part::NegT => -(g_neg1 * signum_or_zero(s - nt)),
-                                            Part::T => {
-                                                -(g_neg2 * signum_or_zero(ns - t))
-                                                    + -(g_pos * signum_or_zero(s - t))
-                                            }
-                                            Part::S => {
-                                                g_neg1 * signum_or_zero(s - nt)
-                                                    + g_pos * signum_or_zero(s - t)
-                                            }
+                    let lists: [&IndexList; 4] = [&neg_s, &neg_t, &t, &s];
+                    // row i's masked shares (g_neg1, g_neg2, g_pos), unless
+                    // both of its hinges are inactive
+                    let shares = |i: usize| {
+                        let g1 = if hinge[(i, 0)] <= 0.0 { 0.0 } else { share };
+                        let g2 = if hinge[(i, 1)] <= 0.0 { 0.0 } else { share };
+                        (g1 != 0.0 || g2 != 0.0).then_some((-g1, -g2, g2 + g1))
+                    };
+                    let width = e.cols();
+                    if width == 0 {
+                        return;
+                    }
+                    let pool = Pool::global();
+                    pool.rows_mut(
+                        grad.as_mut_slice(),
+                        width,
+                        min_rows(width),
+                        |block, first| {
+                            let mut sums = [[0.0f32; TRIPLET_BLOCK]; 4];
+                            for (dst, out) in (first..).zip(block.chunks_mut(width)) {
+                                for c0 in (0..width).step_by(TRIPLET_BLOCK) {
+                                    let cols = c0..(c0 + TRIPLET_BLOCK).min(width);
+                                    let [by_ns, by_nt, by_t, by_s] = sums.each_mut().map(|s| {
+                                        let s = &mut s[..cols.len()];
+                                        s.fill(0.0);
+                                        s
+                                    });
+                                    let row =
+                                        |of: &[u32], i: usize| &e.row(of[i] as usize)[cols.clone()];
+                                    let [ns_part, nt_part, t_part, s_part] = lists.map(|l| {
+                                        let at = l.positions(dst).iter().map(|&i| i as usize);
+                                        at.filter_map(move |i| Some((i, shares(i)?)))
+                                    });
+                                    // each part reads only the rows its terms name
+                                    let terms = ns_part.map(|(i, (_, g_neg2, _))| {
+                                        [(g_neg2, [row(ns_of, i), row(t_of, i)])]
+                                    });
+                                    kernels::sign_acc::<false, 1>(by_ns, terms);
+                                    let terms = nt_part.map(|(i, (g_neg1, _, _))| {
+                                        [(g_neg1, [row(s_of, i), row(nt_of, i)])]
+                                    });
+                                    kernels::sign_acc::<true, 1>(by_nt, terms);
+                                    let terms = t_part.map(|(i, (_, g_neg2, g_pos))| {
+                                        let (ens, et, es) =
+                                            (row(ns_of, i), row(t_of, i), row(s_of, i));
+                                        [(g_neg2, [ens, et]), (g_pos, [es, et])]
+                                    });
+                                    kernels::sign_acc::<true, 2>(by_t, terms);
+                                    let terms = s_part.map(|(i, (g_neg1, _, g_pos))| {
+                                        let (es, ent, et) =
+                                            (row(s_of, i), row(nt_of, i), row(t_of, i));
+                                        [(g_neg1, [es, ent]), (g_pos, [es, et])]
+                                    });
+                                    kernels::sign_acc::<false, 2>(by_s, terms);
+                                    let [by_ns, by_nt, by_t, by_s] = &sums;
+                                    for (j, d) in out[cols].iter_mut().enumerate() {
+                                        *d = if add {
+                                            (((*d + by_ns[j]) + by_nt[j]) + by_t[j]) + by_s[j]
+                                        } else {
+                                            ((by_ns[j] + by_nt[j]) + by_t[j]) + by_s[j]
                                         };
                                     }
                                 }
                             }
-                            let [by_ns, by_nt, by_t, by_s] = &sums;
-                            for (j, d) in out[cols].iter_mut().enumerate() {
-                                *d = if add {
-                                    (((*d + by_ns[j]) + by_nt[j]) + by_t[j]) + by_s[j]
-                                } else {
-                                    ((by_ns[j] + by_nt[j]) + by_t[j]) + by_s[j]
-                                };
-                            }
-                        }
-                    });
+                        },
+                    );
                 });
             }
         }
     }
-}
-
-/// Which of the four row sets of a triplet batch a scatter sum feeds.
-#[derive(Clone, Copy)]
-enum Part {
-    NegS,
-    NegT,
-    T,
-    S,
 }
 
 /// Runs `f(r, row)` on every row of `m`, split over the global pool in
@@ -1108,17 +1164,6 @@ fn relu(x: f32) -> f32 {
 /// Mean of a slice (0 for the empty slice).
 fn mean(xs: &[f32]) -> f32 {
     xs.iter().sum::<f32>() / xs.len().max(1) as f32
-}
-
-#[inline]
-fn signum_or_zero(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else if x < 0.0 {
-        -1.0
-    } else {
-        0.0
-    }
 }
 
 /// `out = a @ b` as [`Matrix::matmul`] computes it.

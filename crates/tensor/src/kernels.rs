@@ -20,6 +20,14 @@
 //! trivially order-independent. This is what lets `LARGEEA_NO_SIMD=1`
 //! (and non-x86 hosts) reproduce committed baselines byte-for-byte.
 //!
+//! The training step's backward kernels ([`neg2_dot_rows`],
+//! [`norm_dot_rows`], [`reflect_acc`], [`sign_acc`]) reproduce the
+//! autograd's own sums rather than an accumulator tree: a row chain is one
+//! sequential sum per row, so the AVX2 body puts rows in lanes (lane `m`
+//! is row `m`'s chain, columns added in order after an 8×8 transpose),
+//! and a destination-row sum adds its items in order, lanes being columns.
+//! They have a scalar and an AVX2 body; NEON hosts run the scalar one.
+//!
 //! ## Dispatch rules
 //!
 //! - `LARGEEA_NO_SIMD=1` (any non-empty value other than `0`) forces
@@ -228,6 +236,176 @@ fn sad_panel_on(isa: Isa, q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]
     }
 }
 
+/// Continues one sequential chain per row of a pair of row-major blocks
+/// (`acc.len()` rows of `width` floats each): `acc[m] += (−a[m][k]·2)·b[m][k]`
+/// for `k` in column order — the `q` of RREA's hop backward, with `a` a
+/// message's upstream row and `b` its relation row. Each row's adds keep
+/// their order; the rows run side by side (eight to a register on AVX2, four
+/// interleaved in the scalar body), so their chains overlap instead of each
+/// waiting out the add latency alone.
+///
+/// # Panics
+///
+/// If `a.len()` or `b.len()` is not `acc.len() * width`.
+#[inline]
+pub fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+    neg2_dot_rows_on(active_isa(), a, b, width, acc)
+}
+
+fn neg2_dot_rows_on(isa: Isa, a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+    // Also what the AVX2 body's pointer arithmetic relies on.
+    let len = acc.len().checked_mul(width);
+    assert!(
+        len == Some(a.len()) && len == Some(b.len()),
+        "neg2_dot_rows shape mismatch"
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the assert above established the shape the body assumes.
+        Isa::Avx2 if isa.available() => unsafe { avx2::neg2_dot_rows(a, b, width, acc) },
+        _ => scalar::neg2_dot_rows(a, b, width, acc),
+    }
+}
+
+/// Continues two sequential chains per row, `‖x‖²` and `g·x`: for row `m`
+/// of `acc.len() / 2`, `acc[2m] += x_k·x_k` and `acc[2m + 1] += g_k·x_k`
+/// for `k` in column order, where row `m` of `x` is
+/// `x[m·x_stride..][..width]` and of `g` is `g[m·g_stride..][..width]` —
+/// the row sums of the normalisation's backward. Rows run side by side as
+/// in [`neg2_dot_rows`], each row's order kept.
+///
+/// # Panics
+///
+/// If `acc.len()` is odd, a stride is below `width`, or `x`/`g` is too
+/// short to hold the rows.
+#[inline]
+pub fn norm_dot_rows(
+    x: &[f32],
+    x_stride: usize,
+    g: &[f32],
+    g_stride: usize,
+    width: usize,
+    acc: &mut [f32],
+) {
+    norm_dot_rows_on(active_isa(), (x, x_stride), (g, g_stride), width, acc)
+}
+
+fn norm_dot_rows_on(
+    isa: Isa,
+    (x, x_stride): (&[f32], usize),
+    (g, g_stride): (&[f32], usize),
+    width: usize,
+    acc: &mut [f32],
+) {
+    // Also what the AVX2 body's pointer arithmetic relies on.
+    let rows = acc.len() / 2;
+    let fits = |len: usize, stride: usize| {
+        let end = (rows.saturating_sub(1).checked_mul(stride)).and_then(|at| at.checked_add(width));
+        stride >= width && (rows == 0 || end.is_some_and(|end| end <= len))
+    };
+    assert!(
+        acc.len().is_multiple_of(2) && fits(x.len(), x_stride) && fits(g.len(), g_stride),
+        "norm_dot_rows shape mismatch"
+    );
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the assert above established the shape the body assumes.
+        Isa::Avx2 if isa.available() => unsafe {
+            avx2::norm_dot_rows((x, x_stride), (g, g_stride), width, acc)
+        },
+        _ => scalar::norm_dot_rows((x, x_stride), (g, g_stride), width, acc),
+    }
+}
+
+/// One message of [`reflect_acc`]: its entries' rows of the upstream
+/// gradient and their weights, its `x·r` and `q`, and the other operand's
+/// row (`x` toward `r`, `r` toward `h`).
+#[derive(Debug, Clone, Copy)]
+pub struct HopMsg<'a> {
+    /// The upstream rows the message's entries name.
+    pub heads: &'a [u32],
+    /// The entries' weights, one per head.
+    pub weights: &'a [f32],
+    /// The message's `x·r`.
+    pub dot: f32,
+    /// The message's `q`.
+    pub q: f32,
+    /// The other operand's row.
+    pub row: &'a [f32],
+}
+
+/// For each message of `msgs` in turn, forms its upstream row
+/// `gm_k = 0 + Σ_e w_e·g[heads_e][k]` (entries in order) and adds its term
+/// to `sum`: `(−gm_k·2)·dot + q·row_k` toward `r` (`TO_R`), `gm_k +
+/// q·row_k` toward `h` — one destination row's block of RREA's hop
+/// backward. Row `h` of the upstream gradient is `g[h·stride..][..n]`
+/// for `n = sum.len()`.
+///
+/// # Panics
+///
+/// If a message's `row` is shorter than `sum`, its heads and weights
+/// differ in length, or a head's row does not fit in `g`.
+#[inline]
+pub fn reflect_acc<'a, const TO_R: bool>(
+    sum: &mut [f32],
+    g: (&[f32], usize),
+    msgs: impl Iterator<Item = HopMsg<'a>>,
+) {
+    reflect_acc_on::<TO_R>(active_isa(), sum, g, msgs)
+}
+
+fn reflect_acc_on<'a, const TO_R: bool>(
+    isa: Isa,
+    sum: &mut [f32],
+    g: (&[f32], usize),
+    msgs: impl Iterator<Item = HopMsg<'a>>,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the body checks every row's extent before it loads from it.
+        Isa::Avx2 if isa.available() => unsafe { avx2::reflect_acc::<TO_R>(sum, g, msgs) },
+        _ => scalar::reflect_acc::<TO_R>(sum, g, msgs),
+    }
+}
+
+/// A coefficient and the row pair `[a, b]` whose difference's sign it
+/// scales: one term of [`sign_acc`].
+pub type SignTerm<'a> = (f32, [&'a [f32]; 2]);
+
+/// For each item of `terms` in turn, `sum[k] += t_1 + … + t_N` with
+/// `t_j = c_j·sgn(a_j[k] − b_j[k])` (`−(c_j·sgn(…))` with `NEG`) for the
+/// item's terms `(c_j, [a_j, b_j])`, added left to right; `sgn` is 1, −1,
+/// or +0.0 for ±0.0 and NaN differences. One destination row's sum over
+/// one part of a triplet batch in the margin loss's gradient, walked once.
+///
+/// # Panics
+///
+/// If a row of a term is shorter than `sum`.
+#[inline]
+pub fn sign_acc<'a, const NEG: bool, const N: usize>(
+    sum: &mut [f32],
+    terms: impl Iterator<Item = [SignTerm<'a>; N]>,
+) {
+    sign_acc_on::<NEG, N>(active_isa(), sum, terms)
+}
+
+fn sign_acc_on<'a, const NEG: bool, const N: usize>(
+    isa: Isa,
+    sum: &mut [f32],
+    terms: impl Iterator<Item = [SignTerm<'a>; N]>,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the body checks every row's length before it loads from it.
+        Isa::Avx2 if isa.available() => unsafe { avx2::sign_acc::<NEG, N>(sum, terms) },
+        _ => scalar::sign_acc::<NEG, N>(sum, terms),
+    }
+}
+
 /// MR=4 packed-panel matmul micro-kernel on an explicit ISA. Four rows of A
 /// stream against one packed B panel; every output element accumulates its
 /// products strictly in ascending-`k` order, one add per `k`, so all ISAs
@@ -319,6 +497,182 @@ pub mod scalar {
                 .zip(row)
                 .map(|(&a, &b)| u32::from(a.abs_diff(b)))
                 .sum();
+        }
+    }
+
+    /// Rows a row-chain body runs side by side.
+    const CHAINS: usize = 4;
+
+    /// `acc + Σ_k term(k)` for `k` in `0..n`, one add at a time.
+    #[inline(always)]
+    pub(super) fn chain(acc: f32, n: usize, term: impl Fn(usize) -> f32) -> f32 {
+        (0..n).fold(acc, |acc, k| acc + term(k))
+    }
+
+    /// `-a * 2.0`, then times `b`: one term of [`neg2_dot_rows`].
+    #[inline(always)]
+    pub(super) fn neg2_mul(a: f32, b: f32) -> f32 {
+        (-a * 2.0) * b
+    }
+
+    /// See [`super::neg2_dot_rows`]: four rows' chains interleaved, then
+    /// the remainder rows one at a time.
+    pub fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+        let groups = acc.len() / CHAINS;
+        for (gi, q) in acc[..groups * CHAINS].chunks_exact_mut(CHAINS).enumerate() {
+            let row = |m: usize| {
+                let at = (gi * CHAINS + m) * width;
+                (&a[at..at + width], &b[at..at + width])
+            };
+            let rows = [row(0), row(1), row(2), row(3)];
+            let mut c = [q[0], q[1], q[2], q[3]];
+            for k in 0..width {
+                for (c, (a, b)) in c.iter_mut().zip(&rows) {
+                    *c += neg2_mul(a[k], b[k]);
+                }
+            }
+            q.copy_from_slice(&c);
+        }
+        for m in groups * CHAINS..acc.len() {
+            let (a, b) = (&a[m * width..][..width], &b[m * width..][..width]);
+            acc[m] = chain(acc[m], width, |k| neg2_mul(a[k], b[k]));
+        }
+    }
+
+    /// See [`super::norm_dot_rows`]: four rows' chain pairs interleaved,
+    /// then the remainder rows one at a time.
+    pub fn norm_dot_rows(
+        (x, x_stride): (&[f32], usize),
+        (g, g_stride): (&[f32], usize),
+        width: usize,
+        acc: &mut [f32],
+    ) {
+        let rows = acc.len() / 2;
+        let groups = rows / CHAINS;
+        for (gi, sums) in acc[..groups * 2 * CHAINS]
+            .chunks_exact_mut(2 * CHAINS)
+            .enumerate()
+        {
+            let row = |m: usize| {
+                let r = gi * CHAINS + m;
+                (&x[r * x_stride..][..width], &g[r * g_stride..][..width])
+            };
+            let rows = [row(0), row(1), row(2), row(3)];
+            let mut c = [0.0f32; 2 * CHAINS];
+            c.copy_from_slice(sums);
+            for k in 0..width {
+                for (m, (x, g)) in rows.iter().enumerate() {
+                    c[2 * m] += x[k] * x[k];
+                    c[2 * m + 1] += g[k] * x[k];
+                }
+            }
+            sums.copy_from_slice(&c);
+        }
+        for r in groups * CHAINS..rows {
+            let (x, g) = (&x[r * x_stride..][..width], &g[r * g_stride..][..width]);
+            acc[2 * r] = chain(acc[2 * r], width, |k| x[k] * x[k]);
+            acc[2 * r + 1] = chain(acc[2 * r + 1], width, |k| g[k] * x[k]);
+        }
+    }
+
+    /// The rows of `msg`'s upstream entries in `g` and its own row, cut to
+    /// `n` columns; panics where [`super::reflect_acc`] says.
+    pub(super) fn hop_rows<'a>(
+        msg: &super::HopMsg<'a>,
+        (g, stride): (&'a [f32], usize),
+        n: usize,
+    ) -> (
+        impl Iterator<Item = (f32, &'a [f32])> + Clone + 'a,
+        &'a [f32],
+    ) {
+        assert!(
+            msg.row.len() >= n && msg.heads.len() == msg.weights.len(),
+            "reflect_acc message shape mismatch"
+        );
+        let ups = msg.heads.iter().zip(msg.weights).map(move |(&h, &w)| {
+            let at = h as usize * stride;
+            (w, &g[at..at + n])
+        });
+        (ups, &msg.row[..n])
+    }
+
+    /// One column of [`super::reflect_acc`]'s term, from the upstream value.
+    #[inline(always)]
+    pub(super) fn hop_term<const TO_R: bool>(gm: f32, msg: &super::HopMsg, row_k: f32) -> f32 {
+        if TO_R {
+            (-gm * 2.0) * msg.dot + msg.q * row_k
+        } else {
+            gm + msg.q * row_k
+        }
+    }
+
+    /// See [`super::reflect_acc`].
+    pub fn reflect_acc<'a, const TO_R: bool>(
+        sum: &mut [f32],
+        g: (&[f32], usize),
+        msgs: impl Iterator<Item = super::HopMsg<'a>>,
+    ) {
+        let n = sum.len();
+        for msg in msgs {
+            let (ups, row) = hop_rows(&msg, g, n);
+            // 64 columns' upstream values at a time, each its own sum
+            let chunks = sum.chunks_mut(64).zip(row.chunks(64));
+            for (at, (sum, row)) in (0..n).step_by(64).zip(chunks) {
+                let mut gm = [0.0f32; 64];
+                let gm = &mut gm[..sum.len()];
+                for (w, up) in ups.clone() {
+                    for (gm, &u) in gm.iter_mut().zip(&up[at..]) {
+                        *gm += w * u;
+                    }
+                }
+                for ((s, &gm), &r) in sum.iter_mut().zip(&*gm).zip(row) {
+                    *s += hop_term::<TO_R>(gm, &msg, r);
+                }
+            }
+        }
+    }
+
+    /// 1, −1, or +0.0 for ±0.0 and NaN.
+    #[inline(always)]
+    pub(crate) fn signum_or_zero(x: f32) -> f32 {
+        if x > 0.0 {
+            1.0
+        } else if x < 0.0 {
+            -1.0
+        } else {
+            0.0
+        }
+    }
+
+    /// `c·sgn(a − b)`, negated with `NEG`.
+    #[inline(always)]
+    pub(super) fn sign_term<const NEG: bool>(c: f32, a: f32, b: f32) -> f32 {
+        let t = c * signum_or_zero(a - b);
+        if NEG {
+            -t
+        } else {
+            t
+        }
+    }
+
+    /// See [`super::sign_acc`].
+    pub fn sign_acc<'a, const NEG: bool, const N: usize>(
+        sum: &mut [f32],
+        terms: impl Iterator<Item = [super::SignTerm<'a>; N]>,
+    ) {
+        let n = sum.len();
+        for item in terms {
+            let rows = item.map(|(c, [a, b])| {
+                assert!(
+                    a.len() >= n && b.len() >= n,
+                    "sign_acc row shorter than its sum"
+                );
+                (c, &a[..n], &b[..n])
+            });
+            for (k, s) in sum.iter_mut().enumerate() {
+                let term = |&(c, a, b): &(f32, &[f32], &[f32])| sign_term::<NEG>(c, a[k], b[k]);
+                *s += rows[1..].iter().fold(term(&rows[0]), |t, r| t + term(r));
+            }
         }
     }
 
@@ -534,6 +888,264 @@ mod avx2 {
         }
         let done = quads * 4;
         super::scalar::sad_panel(q, &panel[done * stride..], stride, &mut out[done..]);
+    }
+
+    /// Transposes the 8×8 tile whose row `m` is `r[m]`: lane `m` of
+    /// vector `k` of the result is lane `k` of `r[m]`.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+        let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+        let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+        let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+        let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+        let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+        let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+        let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+        // rows 0–3 (s0..s3) and 4–7 (s4..s7) of columns k | k + 4
+        let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+        let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+        let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+        let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+        let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+        let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+        let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+        let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+        [
+            _mm256_permute2f128_ps::<0x20>(s0, s4),
+            _mm256_permute2f128_ps::<0x20>(s1, s5),
+            _mm256_permute2f128_ps::<0x20>(s2, s6),
+            _mm256_permute2f128_ps::<0x20>(s3, s7),
+            _mm256_permute2f128_ps::<0x31>(s0, s4),
+            _mm256_permute2f128_ps::<0x31>(s1, s5),
+            _mm256_permute2f128_ps::<0x31>(s2, s6),
+            _mm256_permute2f128_ps::<0x31>(s3, s7),
+        ]
+    }
+
+    /// `acc + t[0] + t[1] + … + t[7]`, one add at a time.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn add_in_order(acc: __m256, t: [__m256; 8]) -> __m256 {
+        t.into_iter().fold(acc, |acc, t| _mm256_add_ps(acc, t))
+    }
+
+    /// Eight rows per step, lane `m` of one accumulator holding row `m`'s
+    /// chain: each 8-column chunk's terms are formed row-wise, transposed
+    /// so vector `k` holds column `k` of all eight rows, and added in
+    /// column order. The tail columns continue each row's chain in the
+    /// scalar body's order, and the ≤ 7 remainder rows take the scalar
+    /// body.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and
+    /// `a.len() == b.len() == acc.len() * width`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+        use super::scalar::{chain, neg2_mul};
+        let (chunks, groups) = (width / 8, acc.len() / 8);
+        let (sign, two) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(2.0));
+        for gi in 0..groups {
+            let (pa, pb) = (
+                a.as_ptr().add(gi * 8 * width),
+                b.as_ptr().add(gi * 8 * width),
+            );
+            let mut q = _mm256_loadu_ps(acc.as_ptr().add(gi * 8));
+            for c in 0..chunks {
+                let mut t = [_mm256_setzero_ps(); 8];
+                for (m, t) in t.iter_mut().enumerate() {
+                    let at = m * width + c * 8;
+                    let va = _mm256_xor_ps(_mm256_loadu_ps(pa.add(at)), sign);
+                    *t = _mm256_mul_ps(_mm256_mul_ps(va, two), _mm256_loadu_ps(pb.add(at)));
+                }
+                q = add_in_order(q, transpose8(t));
+            }
+            _mm256_storeu_ps(acc.as_mut_ptr().add(gi * 8), q);
+            for (m, q) in (gi * 8..).zip(&mut acc[gi * 8..(gi + 1) * 8]) {
+                let row = m * width + chunks * 8..(m + 1) * width;
+                let (a, b) = (&a[row.clone()], &b[row]);
+                *q = chain(*q, a.len(), |k| neg2_mul(a[k], b[k]));
+            }
+        }
+        let done = groups * 8;
+        super::scalar::neg2_dot_rows(
+            &a[done * width..],
+            &b[done * width..],
+            width,
+            &mut acc[done..],
+        );
+    }
+
+    /// [`neg2_dot_rows`]'s layout for both of a row's chains: per 8-column
+    /// chunk, the `x·x` and `g·x` tiles are transposed and added in column
+    /// order into one accumulator each, then stored back interleaved.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2, both strides are at least
+    /// `width` and `x`/`g` hold `acc.len() / 2` rows at their strides.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn norm_dot_rows(
+        (x, x_stride): (&[f32], usize),
+        (g, g_stride): (&[f32], usize),
+        width: usize,
+        acc: &mut [f32],
+    ) {
+        use super::scalar::chain;
+        let rows = acc.len() / 2;
+        let (chunks, groups) = (width / 8, rows / 8);
+        for gi in 0..groups {
+            let (px, pg) = (
+                x.as_ptr().add(gi * 8 * x_stride),
+                g.as_ptr().add(gi * 8 * g_stride),
+            );
+            let mut pair = [0.0f32; 16];
+            pair.copy_from_slice(&acc[gi * 16..(gi + 1) * 16]);
+            let (mut sq, mut dot) = (
+                _mm256_setr_ps(
+                    pair[0], pair[2], pair[4], pair[6], pair[8], pair[10], pair[12], pair[14],
+                ),
+                _mm256_setr_ps(
+                    pair[1], pair[3], pair[5], pair[7], pair[9], pair[11], pair[13], pair[15],
+                ),
+            );
+            for c in 0..chunks {
+                let (mut xx, mut gx) = ([_mm256_setzero_ps(); 8], [_mm256_setzero_ps(); 8]);
+                for m in 0..8 {
+                    let vx = _mm256_loadu_ps(px.add(m * x_stride + c * 8));
+                    let vg = _mm256_loadu_ps(pg.add(m * g_stride + c * 8));
+                    xx[m] = _mm256_mul_ps(vx, vx);
+                    gx[m] = _mm256_mul_ps(vg, vx);
+                }
+                sq = add_in_order(sq, transpose8(xx));
+                dot = add_in_order(dot, transpose8(gx));
+            }
+            let (mut sqs, mut dots) = ([0.0f32; 8], [0.0f32; 8]);
+            _mm256_storeu_ps(sqs.as_mut_ptr(), sq);
+            _mm256_storeu_ps(dots.as_mut_ptr(), dot);
+            for m in 0..8 {
+                let r = gi * 8 + m;
+                let tail = chunks * 8..width;
+                let (x, g) = (&x[r * x_stride..][tail.clone()], &g[r * g_stride..][tail]);
+                acc[2 * r] = chain(sqs[m], x.len(), |k| x[k] * x[k]);
+                acc[2 * r + 1] = chain(dots[m], x.len(), |k| g[k] * x[k]);
+            }
+        }
+        let done = groups * 8;
+        if done < rows {
+            super::scalar::norm_dot_rows(
+                (&x[done * x_stride..], x_stride),
+                (&g[done * g_stride..], g_stride),
+                width,
+                &mut acc[2 * done..],
+            );
+        }
+    }
+
+    /// Each message in one pass over the row: per eight columns its
+    /// upstream chunk is formed in a register (never stored), its term
+    /// added to `sum`; then the scalar body's tail.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn reflect_acc<'a, const TO_R: bool>(
+        sum: &mut [f32],
+        g: (&[f32], usize),
+        msgs: impl Iterator<Item = super::HopMsg<'a>>,
+    ) {
+        use super::scalar::{hop_rows, hop_term};
+        let n = sum.len();
+        let body = n / 8 * 8;
+        let (sign, two) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(2.0));
+        let ps = sum.as_mut_ptr();
+        for msg in msgs {
+            // the checked rows: every load below stays inside them
+            let (ups, row) = hop_rows(&msg, g, n);
+            let (vd, vq) = (_mm256_set1_ps(msg.dot), _mm256_set1_ps(msg.q));
+            for at in (0..body).step_by(8) {
+                let gm = ups.clone().fold(_mm256_setzero_ps(), |gm, (w, up)| {
+                    let wu = _mm256_mul_ps(_mm256_set1_ps(w), _mm256_loadu_ps(up.as_ptr().add(at)));
+                    _mm256_add_ps(gm, wu)
+                });
+                let qr = _mm256_mul_ps(vq, _mm256_loadu_ps(row.as_ptr().add(at)));
+                let t = if TO_R {
+                    let p = _mm256_mul_ps(_mm256_xor_ps(gm, sign), two);
+                    _mm256_add_ps(_mm256_mul_ps(p, vd), qr)
+                } else {
+                    _mm256_add_ps(gm, qr)
+                };
+                _mm256_storeu_ps(ps.add(at), _mm256_add_ps(_mm256_loadu_ps(ps.add(at)), t));
+            }
+            for k in body..n {
+                let gm = ups.clone().fold(0.0, |gm, (w, up)| gm + w * up[k]);
+                sum[k] += hop_term::<TO_R>(gm, &msg, row[k]);
+            }
+        }
+    }
+
+    /// `c·sgn(a − b)` on eight lanes, negated with `NEG`: the compare is
+    /// false for NaN and ±0.0 differences, which leaves +0.0.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn sign_term<const NEG: bool>(c: __m256, a: *const f32, b: *const f32) -> __m256 {
+        let x = _mm256_sub_ps(_mm256_loadu_ps(a), _mm256_loadu_ps(b));
+        // ±1.0 carrying x's sign, kept where x is ordered and not ±0.0
+        let sign = _mm256_set1_ps(-0.0);
+        let unit = _mm256_or_ps(_mm256_and_ps(x, sign), _mm256_set1_ps(1.0));
+        let nonzero = _mm256_cmp_ps::<_CMP_NEQ_OQ>(x, _mm256_setzero_ps());
+        let t = _mm256_mul_ps(c, _mm256_and_ps(nonzero, unit));
+        if NEG {
+            _mm256_xor_ps(t, sign)
+        } else {
+            t
+        }
+    }
+
+    /// Each item in one pass over the row: eight columns per step, then
+    /// the scalar body's tail, so walking `terms` costs once per item.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sign_acc<'a, const NEG: bool, const N: usize>(
+        sum: &mut [f32],
+        terms: impl Iterator<Item = [super::SignTerm<'a>; N]>,
+    ) {
+        let n = sum.len();
+        let body = n / 8 * 8;
+        let ps = sum.as_mut_ptr();
+        for item in terms {
+            for (_, [a, b]) in &item {
+                assert!(
+                    a.len() >= n && b.len() >= n,
+                    "sign_acc row shorter than its sum"
+                );
+            }
+            let c = item.map(|(c, _)| _mm256_set1_ps(c));
+            for at in (0..body).step_by(8) {
+                let term = |i: usize| {
+                    let [a, b] = item[i].1;
+                    sign_term::<NEG>(c[i], a.as_ptr().add(at), b.as_ptr().add(at))
+                };
+                let t = (1..N).fold(term(0), |t, i| _mm256_add_ps(t, term(i)));
+                _mm256_storeu_ps(ps.add(at), _mm256_add_ps(_mm256_loadu_ps(ps.add(at)), t));
+            }
+            for k in body..n {
+                let term =
+                    |(c, [a, b]): super::SignTerm| super::scalar::sign_term::<NEG>(c, a[k], b[k]);
+                sum[k] += item[1..].iter().fold(term(item[0]), |t, &r| t + term(r));
+            }
+        }
     }
 
     /// # Safety
@@ -927,6 +1539,257 @@ mod tests {
                 "{}",
                 isa.name()
             );
+        }
+    }
+
+    /// Mixed magnitudes with ±0.0, ±∞ and NaN sprinkled in.
+    fn gen_special(rng: &mut largeea_common::rng::Rng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| match rng.gen_range(0..24u32) {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => f32::NAN,
+                _ => {
+                    let mag = 10f32.powi(rng.gen_range(-3..4));
+                    (rng.gen::<f64>() as f32 - 0.5) * mag
+                }
+            })
+            .collect()
+    }
+
+    /// The same bits, or both NaN: a NaN's payload depends on which
+    /// operand the hardware propagates, which no kernel promises.
+    fn same(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && (got.iter().zip(want))
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    #[test]
+    fn backward_row_chains_bit_identical_across_isas() {
+        for_each_case(0xB4C_C4A1, 128, |rng| {
+            // widths off the multiples of 8 run a tail, row counts off the
+            // multiples of 8 (and 4) leave a partial group
+            let (rows, width) = (rng.gen_range(0..21usize), rng.gen_range(0..150usize));
+            let (a, b) = (
+                gen_special(rng, rows * width),
+                gen_special(rng, rows * width),
+            );
+            let acc0 = gen_special(rng, rows);
+            // every chain is one sequential sum from its start, in column order
+            let want: Vec<f32> = (0..rows)
+                .map(|m| {
+                    let row = m * width..(m + 1) * width;
+                    (a[row.clone()].iter().zip(&b[row]))
+                        .fold(acc0[m], |q, (&x, &y)| q + (-x * 2.0) * y)
+                })
+                .collect();
+            for isa in isas() {
+                let mut acc = acc0.clone();
+                neg2_dot_rows_on(isa, &a, &b, width, &mut acc);
+                assert!(
+                    same(&acc, &want),
+                    "neg2 {} rows={rows} width={width}",
+                    isa.name()
+                );
+            }
+
+            let (xs, gs) = (
+                width + rng.gen_range(0..9usize),
+                width + rng.gen_range(0..9usize),
+            );
+            let x = gen_special(rng, rows * xs);
+            let g = gen_special(rng, rows * gs);
+            let acc0 = gen_special(rng, 2 * rows);
+            let mut want = acc0.clone();
+            for m in 0..rows {
+                let (xr, gr) = (&x[m * xs..][..width], &g[m * gs..][..width]);
+                want[2 * m] = xr.iter().fold(want[2 * m], |s, &v| s + v * v);
+                want[2 * m + 1] = gr
+                    .iter()
+                    .zip(xr)
+                    .fold(want[2 * m + 1], |s, (&gv, &xv)| s + gv * xv);
+            }
+            for isa in isas() {
+                let mut acc = acc0.clone();
+                norm_dot_rows_on(isa, (&x, xs), (&g, gs), width, &mut acc);
+                assert!(
+                    same(&acc, &want),
+                    "norm {} rows={rows} width={width}",
+                    isa.name()
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn backward_row_terms_bit_identical_across_isas() {
+        for_each_case(0xB4C_7E5, 128, |rng| {
+            // widths past one and two 64-column strips, and off the
+            // multiples of 8
+            let n = rng.gen_range(0..150usize);
+            let sum0 = gen_special(rng, n);
+            // a few messages of zero to two entries over a 6-row upstream
+            // gradient whose rows are wider than the sum
+            let stride = n + rng.gen_range(0..3usize);
+            let g = gen_special(rng, 6 * stride);
+            // heads, weights, [dot, q], row
+            type Msg = (Vec<u32>, Vec<f32>, [f32; 2], Vec<f32>);
+            let msgs: Vec<Msg> = (0..rng.gen_range(0..5usize))
+                .map(|_| {
+                    let entries = rng.gen_range(0..3usize);
+                    let heads = (0..entries).map(|_| rng.gen_range(0..6u32)).collect();
+                    let coefs = gen_special(rng, 2);
+                    (
+                        heads,
+                        gen_special(rng, entries),
+                        [coefs[0], coefs[1]],
+                        gen_special(rng, n),
+                    )
+                })
+                .collect();
+            let hop = msgs.iter().map(|(heads, weights, [dot, q], row)| HopMsg {
+                heads,
+                weights,
+                dot: *dot,
+                q: *q,
+                row,
+            });
+            // the literal expressions of the fused backward's terms
+            for to_r in [true, false] {
+                let mut want = sum0.clone();
+                for (heads, weights, [d, q], row) in &msgs {
+                    for k in 0..n {
+                        let mut gm = 0.0;
+                        for (&h, &w) in heads.iter().zip(weights) {
+                            gm += w * g[h as usize * stride + k];
+                        }
+                        want[k] += if to_r {
+                            (-gm * 2.0) * d + q * row[k]
+                        } else {
+                            gm + q * row[k]
+                        };
+                    }
+                }
+                for isa in isas() {
+                    let mut sum = sum0.clone();
+                    if to_r {
+                        reflect_acc_on::<true>(isa, &mut sum, (&g, stride), hop.clone());
+                    } else {
+                        reflect_acc_on::<false>(isa, &mut sum, (&g, stride), hop.clone());
+                    }
+                    assert!(
+                        same(&sum, &want),
+                        "reflect to_r={to_r} {} n={n}",
+                        isa.name()
+                    );
+                }
+            }
+
+            // a few items, each with one or two terms over rows at least
+            // as long as the sum
+            let items = rng.gen_range(0..5usize);
+            let rows: Vec<Vec<f32>> = (0..4 * items)
+                .map(|_| {
+                    let len = n + rng.gen_range(0..3usize);
+                    gen_special(rng, len)
+                })
+                .collect();
+            let coefs = gen_special(rng, 2 * items);
+            let term = |i: usize, j: usize| {
+                (
+                    coefs[2 * i + j],
+                    [&rows[4 * i + 2 * j][..], &rows[4 * i + 2 * j + 1][..]],
+                )
+            };
+            let one = (0..items).map(|i| [term(i, 0)]);
+            let two = (0..items).map(|i| [term(i, 0), term(i, 1)]);
+            let sgn = |v: f32| {
+                if v > 0.0 {
+                    1.0
+                } else if v < 0.0 {
+                    -1.0
+                } else {
+                    0.0
+                }
+            };
+            let lit = |neg: bool, (c, [a, b]): SignTerm, k: usize| {
+                if neg {
+                    -(c * sgn(a[k] - b[k]))
+                } else {
+                    c * sgn(a[k] - b[k])
+                }
+            };
+            for neg in [false, true] {
+                let (mut want1, mut want2) = (sum0.clone(), sum0.clone());
+                for i in 0..items {
+                    for k in 0..n {
+                        want1[k] += lit(neg, term(i, 0), k);
+                        want2[k] += lit(neg, term(i, 0), k) + lit(neg, term(i, 1), k);
+                    }
+                }
+                for isa in isas() {
+                    let (mut got1, mut got2) = (sum0.clone(), sum0.clone());
+                    if neg {
+                        sign_acc_on::<true, 1>(isa, &mut got1, one.clone());
+                        sign_acc_on::<true, 2>(isa, &mut got2, two.clone());
+                    } else {
+                        sign_acc_on::<false, 1>(isa, &mut got1, one.clone());
+                        sign_acc_on::<false, 2>(isa, &mut got2, two.clone());
+                    }
+                    let at = format!("{} neg={neg} n={n} items={items}", isa.name());
+                    assert!(same(&got1, &want1), "one term {at}");
+                    assert!(same(&got2, &want2), "two terms {at}");
+                }
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "norm_dot_rows shape mismatch")]
+    fn norm_dot_rows_rejects_a_stride_past_the_address_space() {
+        // (rows − 1)·stride wraps to 0: the rows cannot fit in 16 floats
+        norm_dot_rows(&[0.0; 16], 1 << 63, &[0.0; 16], 8, 8, &mut [0.0; 6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "neg2_dot_rows shape mismatch")]
+    fn neg2_dot_rows_rejects_a_shape_past_the_address_space() {
+        // 2 · 2⁶³ wraps to 0 rows' worth of floats
+        neg2_dot_rows(&[], &[], 1 << 63, &mut [0.0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "shorter")]
+    fn sign_acc_rejects_a_short_row() {
+        let (a, b) = ([1.0f32; 64], [0.0f32; 63]);
+        sign_acc::<false, 1>(&mut [0.0; 64], [[(1.0, [&a[..], &b[..]])]].into_iter());
+    }
+
+    #[test]
+    fn sign_maps_zero_and_nan_differences_to_zero() {
+        // differences +0.0, −0.0 (twice), NaN (from NaN and from ∞ − ∞),
+        // +∞, −∞, ordinary, then the same again past the 8-lane body
+        let a = [
+            0.0,
+            -0.0,
+            0.0,
+            f32::NAN,
+            f32::INFINITY,
+            f32::INFINITY,
+            1.0,
+            -3.0,
+        ];
+        let b = [-0.0, 0.0, 0.0, 1.0, f32::INFINITY, 2.0, f32::INFINITY, -5.0];
+        let (a, b) = ([a, a].concat(), [b, b].concat());
+        let want = [0.0, 0.0, 0.0, 0.0, 0.0, 0.5, -0.5, 0.5];
+        for isa in isas() {
+            let mut sum = vec![0.0f32; 16];
+            sign_acc_on::<false, 1>(isa, &mut sum, [[(0.5, [&a[..], &b[..]])]].into_iter());
+            assert_eq!(sum, [want, want].concat(), "{}", isa.name());
+            assert!(sum.iter().all(|v| v.to_bits() != (-0.0f32).to_bits()));
         }
     }
 }

@@ -14,8 +14,9 @@
 #     all four), each tree's own benchmark/run.sh makes one timed run of S
 #     seconds (default 12), and which tree goes first flips every seed. The
 #     runs are folded by the `bench_pairs` binary: per workload × end-to-end
-#     metric, each side's quartiles, wins k of N and a moved / inside-noise
-#     verdict (crates/bench/src/bin/bench_pairs.rs). About N × 2 × S seconds
+#     metric, each side's quartiles, each pair's change/parent ratio, wins k
+#     of N and a moved / inside-noise verdict on the ratios
+#     (crates/bench/src/pairs.rs). About N × 2 × S seconds
 #     a workload plus the parent's cold build.
 #
 # tests/bench_file.rs pins both files' shapes.

@@ -201,9 +201,10 @@ fn bits(m: &Matrix) -> Vec<u32> {
 fn triplet_l1_equals_the_composed_formulation_bitwise() {
     rerun_at_pool_widths("triplet_l1_equals_the_composed_formulation_bitwise");
     for_each_case(0xAD03, 160, |rng| {
-        // a few entities, or enough gradient rows that the pool splits them
+        // a few entities, or enough gradient rows that the pool splits them;
+        // 300 columns cross the backward's 256-column block
         let (n, dim, p) = if rng.gen_range(0..3u32) == 0 {
-            let dim = [64, 192][rng.gen_range(0..2usize)];
+            let dim = [64, 192, 300][rng.gen_range(0..3usize)];
             (
                 rng.gen_range(130..400usize),
                 dim,
@@ -288,10 +289,12 @@ fn triplet_l1_equals_the_composed_formulation_bitwise() {
 fn normalize_concat_equals_the_concatenated_leaf_bitwise() {
     rerun_at_pool_widths("normalize_concat_equals_the_concatenated_leaf_bitwise");
     for_each_case(0xAD05, 120, |rng| {
-        // a few rows, or enough that the pool splits them
+        // a few rows, or enough that the pool splits them; most counts
+        // leave the last group of rows the kernel sums side by side partial
         let n = [rng.gen_range(1..20usize), rng.gen_range(130..300usize)][rng.gen_range(0..2usize)];
+        // parts off the multiples of 8 run the kernel's column tail
         let widths: Vec<usize> = (0..rng.gen_range(1..4usize))
-            .map(|_| [1, 7, 64][rng.gen_range(0..3usize)])
+            .map(|_| [1, 7, 64, 192][rng.gen_range(0..4usize)])
             .collect();
         let values: Vec<Matrix> = widths.iter().map(|&w| random_param(rng, n, w)).collect();
         // the parts name those values, one of them possibly twice
@@ -428,8 +431,11 @@ fn reflect_aggregate_equals_the_composed_formulation_bitwise() {
         } else {
             rng.gen_range(1..6usize)
         };
-        let dim = [1, 7, 8, 64][rng.gen_range(0..4usize)];
-        let msgs = rng.gen_range(0..60usize);
+        // dims past one 64-column block, and message counts that leave the
+        // last group of q chains partial, in one pool task or several
+        let dim = [1, 7, 8, 64, 65, 130][rng.gen_range(0..6usize)];
+        let msgs =
+            [rng.gen_range(0..60usize), rng.gen_range(200..600usize)][rng.gen_range(0..2usize)];
         let h0 = random_param(rng, n, dim);
         let r0 = random_param(rng, n_rel, dim);
         let weights = random_param(rng, n, dim);
