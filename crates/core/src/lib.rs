@@ -35,7 +35,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod analysis;
 pub mod augment;
 pub mod checkpoint;
 pub mod eval;
@@ -48,7 +47,6 @@ pub mod spill;
 pub mod structure_channel;
 pub mod throughput;
 
-pub use analysis::{accuracy_by_degree, attribute_channels, ChannelAttribution, DegreeBucket};
 pub use augment::{augment_seeds, AugmentReport};
 pub use checkpoint::{registered_failpoints, Checkpoint, CkptError, Payload, RunMeta, Stage};
 pub use eval::{evaluate, EvalResult};

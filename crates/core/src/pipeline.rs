@@ -11,17 +11,15 @@
 //! Every stage can be switched off independently, which is exactly what the
 //! ablation study (Figure 5) sweeps: `w/o structure`, `w/o name`, `w/o DA`.
 
-use crate::analysis::{top1_hits, ChannelAttribution};
 use crate::augment::augment_seeds;
 use crate::checkpoint::{Checkpoint, CkptError, RunMeta, Stage};
-use crate::eval::{evaluate, EvalResult};
+use crate::eval::{evaluate, record_quality, top1_hits, EvalResult};
 use crate::mem::{BudgetExceeded, MemBudget};
 use crate::name_channel::{NameChannel, NameChannelConfig};
 use crate::spill::SpillStore;
 use crate::structure_channel::{StructureChannel, StructureChannelConfig};
 use largeea_common::obs::{ObsConfig, Recorder, Trace};
 use largeea_kg::{AlignmentSeeds, KgPair};
-use largeea_partition::batches::Retention;
 use largeea_sim::SparseSimMatrix;
 use largeea_text::hashing::fnv1a;
 use std::io;
@@ -222,7 +220,9 @@ impl LargeEaConfig {
 ///
 /// Every `*_seconds` field is *derived from [`LargeEaReport::trace`]* (the
 /// sum of the correspondingly-named spans), so the report and the exported
-/// trace can never disagree.
+/// trace can never disagree. The run's quality diagnostics — channel
+/// attribution, H@1 by degree, seed retention, edge-cut rate — live only
+/// in the trace (DESIGN.md §S0.5).
 #[derive(Debug)]
 pub struct LargeEaReport {
     /// The final fused similarity matrix `M`.
@@ -255,16 +255,6 @@ pub struct LargeEaReport {
     pub pseudo_seeds: usize,
     /// Accuracy of those pseudo seeds against the ground truth (§3.5).
     pub pseudo_seed_accuracy: f64,
-    /// Seed retention of the mini-batches (Table 5), when the structure
-    /// channel ran.
-    pub retention: Option<Retention>,
-    /// Edge-cut rate `R_ec` (Figure 7), when the structure channel ran.
-    pub edge_cut_rate: f64,
-    /// Which channel(s) solve each test pair, when both ran: the last
-    /// round's `M_s` and `M_n` each on their own against the fused `M`.
-    pub attribution: Option<ChannelAttribution>,
-    /// The name channel's `M_n`.
-    pub m_n: Option<SparseSimMatrix>,
 }
 
 /// The LargeEA framework runner.
@@ -379,6 +369,8 @@ impl LargeEa {
             match (&name_out, self.cfg.use_augmentation) {
                 (Some(n), true) => {
                     let rep = augment_seeds(seeds, &n.m_n, &pair.alignment);
+                    rec.add("augment.pseudo_seeds", rep.generated as u64);
+                    rec.gauge("augment.pseudo_seed_accuracy", rep.accuracy);
                     (rep.seeds, rep.generated, rep.accuracy)
                 }
                 _ => (seeds.clone(), 0, 0.0),
@@ -443,20 +435,20 @@ impl LargeEa {
             None => ctx.ckpt.save(Stage::Fused, &sim, rec)?,
         }
 
+        // --- quality: the last round's batches and channels, in the trace --
         let eval = evaluate(&sim, &seeds.test);
-        let attribution = match (&structure_hits, &name_out) {
-            (Some(hs), Some(n)) => {
-                let hits = |m| top1_hits(m, &seeds.test);
-                Some(ChannelAttribution::from_hits(
-                    hs,
-                    &hits(&n.m_n),
-                    &hits(&sim),
-                ))
-            }
-            _ => None,
-        };
-        pipeline_span.field("pseudo_seeds", pseudo_seeds);
-        pipeline_span.field("hits1", eval.hits1);
+        if let Some(s) = &structure_out {
+            s.batches.record_quality(pair, seeds, rec);
+        }
+        record_quality(
+            rec,
+            &pair.source,
+            &seeds.test,
+            &eval,
+            &sim,
+            structure_hits.as_deref(),
+            name_out.as_ref().map(|n| &n.m_n),
+        );
         let total_seconds = pipeline_span.finish();
         // Close the measured-memory window (after the pipeline span's own
         // window — LIFO). Its peak is the net growth attributable to this
@@ -494,12 +486,6 @@ impl LargeEa {
             measured_heap_peak_bytes,
             pseudo_seeds,
             pseudo_seed_accuracy,
-            retention: structure_out.as_ref().map(|s| s.batches.retention(seeds)),
-            edge_cut_rate: structure_out
-                .as_ref()
-                .map_or(0.0, |s| s.batches.edge_cut_rate(pair)),
-            attribution,
-            m_n: name_out.map(|n| n.m_n),
             sim,
         })
     }
@@ -583,13 +569,95 @@ mod tests {
     }
 
     #[test]
-    fn report_carries_timings_and_batch_quality() {
+    fn report_carries_timings_and_trace_carries_batch_quality() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 7);
         let r = LargeEa::new(quick()).run(&pair, &seeds);
         assert!(r.total_seconds > 0.0);
-        assert!(r.retention.is_some());
-        assert!(r.edge_cut_rate >= 0.0 && r.edge_cut_rate <= 1.0);
+        let gauge = |name: &str| r.trace.gauge(name).unwrap_or_else(|| panic!("no {name}"));
+        for name in ["train", "test", "total"] {
+            let v = gauge(&format!("partition.retention.{name}"));
+            assert!((0.0..=1.0).contains(&v), "{name} retention {v}");
+        }
+        assert!((0.0..=1.0).contains(&gauge("partition.edge_cut_rate")));
+        assert_eq!(gauge("eval.hits1"), r.eval.hits1);
+        assert_eq!(
+            r.trace.counter("augment.pseudo_seeds"),
+            r.pseudo_seeds as u64
+        );
+        assert_eq!(
+            gauge("augment.pseudo_seed_accuracy"),
+            r.pseudo_seed_accuracy
+        );
+    }
+
+    /// The recorded attribution equals a naive recount: each channel's
+    /// matrix rebuilt on its own, every test row's top-1 found by a plain
+    /// scan (ties → lowest column), each pair classified by hand.
+    #[test]
+    fn recorded_attribution_equals_a_naive_recount() {
+        let pair = Preset::Ids15kEnFr.spec(0.01).generate();
+        let seeds = pair.split_seeds(0.2, 8);
+        let cfg = quick();
+        let r = LargeEa::new(cfg).run(&pair, &seeds);
+        let m_n = NameChannel::new(cfg.name)
+            .run(&pair.source, &pair.target)
+            .m_n;
+        let trained = augment_seeds(&seeds, &m_n, &pair.alignment).seeds;
+        let m_s = StructureChannel::new(cfg.structure)
+            .run(&pair, &trained)
+            .m_s;
+        let top1 = |m: &SparseSimMatrix, row: usize| {
+            let mut best: Option<(u32, f32)> = None;
+            for &(c, v) in m.row(row) {
+                if best.is_none_or(|(bc, bv)| v > bv || (v == bv && c < bc)) {
+                    best = Some((c, v));
+                }
+            }
+            best.map(|(c, _)| c)
+        };
+        let mut want = [0u64; 6]; // both, s-only, n-only, neither, rescued, broke
+        for &(s, t) in &seeds.test {
+            let hit = |m| top1(m, s.idx()) == Some(t.0);
+            let (hs, hn, hf) = (hit(&m_s), hit(&m_n), hit(&r.sim));
+            want[if hs && hn {
+                0
+            } else if hs {
+                1
+            } else if hn {
+                2
+            } else {
+                3
+            }] += 1;
+            want[4] += u64::from(hf && !hs && !hn);
+            want[5] += u64::from(!hf && (hs || hn));
+        }
+        let got = [
+            "both",
+            "structure_only",
+            "name_only",
+            "neither",
+            "rescued",
+            "broke",
+        ]
+        .map(|c| r.trace.counter(&format!("fusion.{c}")));
+        assert_eq!(got, want);
+        let evaluated = r.eval.evaluated as u64;
+        assert_eq!(got[..4].iter().sum::<u64>(), evaluated);
+        let degree_pairs: u64 = ["0-1", "2-3", "4-7", "8-15", "16+"]
+            .iter()
+            .map(|b| r.trace.counter(&format!("eval.degree.{b}.pairs")))
+            .sum();
+        assert_eq!(degree_pairs, evaluated);
+        let pct = |n: u64| 100.0 * n as f64 / evaluated as f64;
+        assert_eq!(
+            r.trace.gauge("eval.structure_hits1"),
+            Some(pct(want[0] + want[1]))
+        );
+        assert_eq!(
+            r.trace.gauge("eval.name_hits1"),
+            Some(pct(want[0] + want[2]))
+        );
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! EA model trains inside each batch independently. This module turns
 //! partition assignments into [`MiniBatches`], computes the paper's
 //! partition-quality numbers — seed retention (Table 5) and edge-cut rate
-//! `R_ec` (Figure 7) — and builds the *overlapping* mini-batches of
-//! Appendix C.
+//! `R_ec` (Figure 7), recorded into the run's trace by
+//! [`MiniBatches::record_quality`] — and builds the *overlapping*
+//! mini-batches of Appendix C.
 
+use largeea_common::obs::Recorder;
 use largeea_kg::{AlignmentSeeds, EntityId, KgPair};
 
 /// One mini-batch: entity membership on both sides plus the alignment pairs
@@ -178,6 +180,28 @@ impl MiniBatches {
         let cut = cut_in(pair.source.triples(), &self.source_membership)
             + cut_in(pair.target.triples(), &self.target_membership);
         cut as f64 / total as f64
+    }
+
+    /// Records the batches' quality against `seeds` into `rec` — gauges
+    /// `partition.retention.{train,test,total}` and `partition.edge_cut_rate`,
+    /// counter `partition.batches_without_train` (batches holding no
+    /// training pair, which are trained anyway) — and returns the retention
+    /// and edge-cut rate it recorded, so a printer computes neither again.
+    pub fn record_quality(
+        &self,
+        pair: &KgPair,
+        seeds: &AlignmentSeeds,
+        rec: &Recorder,
+    ) -> (Retention, f64) {
+        let r = self.retention(seeds);
+        let cut = self.edge_cut_rate(pair);
+        rec.gauge("partition.retention.train", r.train);
+        rec.gauge("partition.retention.test", r.test);
+        rec.gauge("partition.retention.total", r.total);
+        rec.gauge("partition.edge_cut_rate", cut);
+        let untrained = self.batches.iter().filter(|b| b.train_pairs.is_empty());
+        rec.add("partition.batches_without_train", untrained.count() as u64);
+        (r, cut)
     }
 
     /// Builds the overlapping mini-batches of Appendix C: every batch is

@@ -8,9 +8,10 @@
 //! The paper's Figure 5 shows channel ablations in aggregate; this example
 //! decomposes a single run pair-by-pair — the view you need when deciding
 //! whether to invest in better structure (more seeds, bigger K budget) or
-//! better names (cleaner labels) for *your* data.
+//! better names (cleaner labels) for *your* data. Every number is read from
+//! the run's trace, the same `eval.*` and `fusion.*` metrics
+//! `largeea trace summarize` prints for a `--trace-out` file.
 
-use largeea::core::accuracy_by_degree;
 use largeea::core::pipeline::{LargeEa, LargeEaConfig};
 use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::data::Preset;
@@ -33,30 +34,39 @@ fn main() {
         ..LargeEaConfig::default()
     };
     let report = LargeEa::new(cfg).run(&pair, &seeds);
+    let trace = &report.trace;
     println!(
         "overall: H@1 {:.1}%  H@5 {:.1}%  over {} test pairs\n",
         report.eval.hits1, report.eval.hits5, report.eval.evaluated
     );
 
     println!("H@1 by source-entity degree (tail entities are the hard part):");
-    for b in accuracy_by_degree(&pair, &report.sim, &seeds.test) {
-        if b.pairs > 0 {
+    for bucket in ["0-1", "2-3", "4-7", "8-15", "16+"] {
+        let pairs = trace.counter(&format!("eval.degree.{bucket}.pairs"));
+        if pairs > 0 {
+            let hits1 = trace.gauge(&format!("eval.degree.{bucket}.hits1"));
             println!(
-                "  degree {:>5}: {:>4} pairs, H@1 {:>5.1}%",
-                b.bucket, b.pairs, b.hits1
+                "  degree {bucket:>5}: {pairs:>4} pairs, H@1 {:>5.1}%",
+                hits1.expect("recorded beside its pair count")
             );
         }
     }
 
-    let a = report.attribution.expect("both channels ran");
+    let fusion = |what: &str| trace.counter(&format!("fusion.{what}"));
     println!("\nchannel attribution over the test pairs:");
-    println!("  solved by both channels alone : {}", a.both);
-    println!("  structure channel only        : {}", a.structure_only);
-    println!("  name channel only             : {}", a.name_only);
-    println!("  neither alone                 : {}", a.neither);
-    println!("  fused matrix correct          : {}", a.fused_correct);
-    println!("  rescued by fusion             : {}", a.fusion_rescued);
-    println!("  broken by fusion              : {}", a.fusion_broke);
+    println!("  solved by both channels alone : {}", fusion("both"));
+    println!(
+        "  structure channel only        : {}",
+        fusion("structure_only")
+    );
+    println!("  name channel only             : {}", fusion("name_only"));
+    println!("  neither alone                 : {}", fusion("neither"));
+    println!("  rescued by fusion             : {}", fusion("rescued"));
+    println!("  broken by fusion              : {}", fusion("broke"));
 
-    assert!(a.fused_correct > 0, "expected some correct alignments");
+    let solved: u64 = ["both", "structure_only", "name_only", "neither"]
+        .map(fusion)
+        .iter()
+        .sum();
+    assert_eq!(solved, report.eval.evaluated as u64, "both channels ran");
 }

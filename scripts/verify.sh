@@ -60,6 +60,9 @@ for model in gcn rrea; do
   grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
 done
 grep -q '"negatives.refined_pairs"' "$SMOKE/simd.json"
+# run quality lives in the trace (DESIGN.md §S0.5 "Quality metrics")
+grep -q '"fusion.broke"' "$SMOKE/simd.json"
+grep -q '"partition.edge_cut_rate"' "$SMOKE/simd.json"
 # partition (DESIGN.md §S2): METIS-CPS at K = 20 on the same files, at the
 # default pool width and at one thread. The partitioner's weights are
 # integers and its contraction's rows width-independent, so the batches and
@@ -69,6 +72,9 @@ LARGEEA_THREADS=1 "$L" partition --data "$SMOKE/dbp_ci" --k 20 --strategy cps \
   > "$SMOKE/part1.txt"
 cmp "$SMOKE/part.txt" "$SMOKE/part1.txt"
 grep -q '^K=20 MetisCps: retention' "$SMOKE/part.txt"
+"$L" partition --data "$SMOKE/dbp_ci" --k 20 --strategy cps --trace-out "$SMOKE/part.json" \
+  > /dev/null
+grep -q '"partition.retention.test"' "$SMOKE/part.json"
 
 stage ""
 # the costs the ROADMAP's north star names, measured: what CHANGES.md quotes

@@ -41,7 +41,7 @@ USAGE:
                     [--trace-out <file>]
   largeea align     --data <dir> [--model gcn|rrea] [--k n]
                     [--epochs n] [--dim n] [--seed-ratio f] [--unsupervised]
-                    [--csls n] [--rounds n] [--analysis] [--out <file>] [--sim-out <file>]
+                    [--csls n] [--rounds n] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
                     [--mem-budget <bytes>] [--spill-dir <dir>]
                     [--live-dir <dir>]
@@ -231,7 +231,7 @@ type Flags = HashMap<String, String>;
 /// Flags that take no value, then flags that take one. A name in neither
 /// list is a usage error — a mistyped or retired flag must not be swallowed
 /// together with the argument after it.
-const BOOL_FLAGS: &str = "unsupervised analysis resume";
+const BOOL_FLAGS: &str = "unsupervised resume";
 const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
     csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir predictions";
 
@@ -433,13 +433,13 @@ fn cmd_partition(flags: &Flags) -> Result<(), CliError> {
         ..StructureChannelConfig::default()
     });
     let batches = sc.make_batches_traced(&pair, &seeds, &rec);
-    let r = batches.retention(&seeds);
+    let (r, edge_cut_rate) = batches.record_quality(&pair, &seeds, &rec);
     outln!(
         "K={k} {strategy:?}: retention total {:.1}% / train {:.1}% / test {:.1}%, edge-cut rate {:.3}",
         100.0 * r.total,
         100.0 * r.train,
         100.0 * r.test,
-        batches.edge_cut_rate(&pair)
+        edge_cut_rate
     );
     for b in &batches.batches {
         outln!(
@@ -547,31 +547,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         report.pseudo_seeds,
         100.0 * report.pseudo_seed_accuracy,
     );
-    if flags.contains_key("analysis") {
-        outln!("\nH@1 by source-entity degree:");
-        for b in largeea::core::accuracy_by_degree(&pair, &report.sim, &seeds.test) {
-            if b.pairs > 0 {
-                outln!(
-                    "  degree {:>5}: {:>5} pairs, H@1 {:>5.1}%",
-                    b.bucket,
-                    b.pairs,
-                    b.hits1
-                );
-            }
-        }
-        if let Some(a) = &report.attribution {
-            outln!(
-                "channel attribution: both {} / structure-only {} / name-only {} / neither {} \
-                 (fusion rescued {}, broke {})",
-                a.both,
-                a.structure_only,
-                a.name_only,
-                a.neither,
-                a.fusion_rescued,
-                a.fusion_broke
-            );
-        }
-    }
     // The tail runs under spans of its own and the heap gauges are read
     // again after it, so a spike here shows in `trace heap` like any other.
     let decoded = flags.get("out").map(|path| {

@@ -24,7 +24,7 @@
 //! trees, [`by_name`] feeds `diff` and the top-N table, and [`folded`]
 //! feeds both stack renderings.
 
-use crate::{parse_opt, parse_or, CliError, Flags};
+use crate::{bad_value, parse_opt, parse_or, CliError, Flags};
 use largeea::common::fmt_bytes;
 use largeea::common::obs::{Sample, Trace, TraceSpan};
 use largeea::core::throughput::{attribution_coverage, derived_throughputs, filter_pass_pcts};
@@ -104,8 +104,18 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
         }
         "diff" => {
             takes(&["threshold-pct", "min-seconds"])?;
-            let threshold: Option<f64> = parse_opt(&flags, "threshold-pct")?;
-            let min_seconds: f64 = parse_or(&flags, "min-seconds", 0.001)?;
+            // NaN and ±∞ compare false against every delta, so such a gate
+            // could never fire, and a negative one means nothing: refused
+            let gate = |name: &str| -> Result<Option<f64>, CliError> {
+                match parse_opt::<f64>(&flags, name)? {
+                    Some(v) if !(v.is_finite() && v >= 0.0) => {
+                        Err(bad_value(name, &flags[name], "a finite number ≥ 0"))
+                    }
+                    v => Ok(v),
+                }
+            };
+            let threshold = gate("threshold-pct")?;
+            let min_seconds = gate("min-seconds")?.unwrap_or(0.001);
             Ok(diff(&file(1)?, &file(2)?, threshold, min_seconds))
         }
         "flame" => {

@@ -1,6 +1,7 @@
 //! Integration tests for the `largeea` CLI binary: the full
 //! generate → stats → partition → align → eval workflow a user would run.
 
+use largeea::common::obs::Trace;
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -374,7 +375,7 @@ fn exit_codes_follow_the_documented_taxonomy() {
     assert_eq!(bin().output().unwrap().status.code(), Some(2));
     // …and a flag nobody knows, wherever it stands: a retired one must not
     // swallow the flag after it
-    for flag in ["--quantize", "--degraded-ok"] {
+    for flag in ["--quantize", "--degraded-ok", "--analysis"] {
         let retired = bin()
             .args(["align", flag, "--unsupervised", "--data"])
             .arg(&data)
@@ -584,9 +585,12 @@ fn unsupervised_align_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The run's quality metrics — every `fusion.*`, `eval.*`, `partition.*`
+/// and `augment.*` counter and gauge of `--trace-out` — and the
+/// `--sim-out` bytes are the same in RAM and out of core.
 #[test]
-fn analysis_and_sim_out_are_the_same_with_and_without_a_budget() {
-    let dir = tempdir("analysis");
+fn quality_metrics_and_sim_out_are_the_same_with_and_without_a_budget() {
+    let dir = tempdir("quality");
     let data = dir.join("data");
     let out = bin()
         .args([
@@ -604,12 +608,15 @@ fn analysis_and_sim_out_are_the_same_with_and_without_a_budget() {
     let spill = dir.join("spill");
     let align = |tag: &str, bounded: bool| {
         let sim = dir.join(format!("{tag}.sim"));
+        let trace = dir.join(format!("{tag}.json"));
         let mut cmd = bin();
         cmd.args(["align", "--data"])
             .arg(&data)
             .args(["--model", "gcn", "--k", "2", "--epochs", "8", "--dim", "16"])
-            .args(["--analysis", "--sim-out"])
-            .arg(&sim);
+            .arg("--sim-out")
+            .arg(&sim)
+            .arg("--trace-out")
+            .arg(&trace);
         if bounded {
             cmd.args(["--mem-budget", "16M", "--spill-dir"]).arg(&spill);
         }
@@ -619,14 +626,29 @@ fn analysis_and_sim_out_are_the_same_with_and_without_a_budget() {
             "{}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let text = String::from_utf8_lossy(&out.stdout).into_owned();
-        let line = text.lines().find(|l| l.starts_with("channel attribution:"));
-        let line = line.unwrap_or_else(|| panic!("[{tag}] no attribution line in:\n{text}"));
-        (line.to_owned(), std::fs::read(&sim).unwrap())
+        let trace = Trace::parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        let quality = |name: &str| {
+            ["fusion.", "eval.", "partition.", "augment."]
+                .iter()
+                .any(|p| name.starts_with(p))
+        };
+        let counters = trace.counters.iter().map(|(k, v)| format!("{k} {v}"));
+        let gauges = trace
+            .gauges
+            .iter()
+            .map(|(k, v)| format!("{k} {:#x}", v.to_bits()));
+        let metrics: Vec<String> = counters.chain(gauges).filter(|m| quality(m)).collect();
+        (metrics, std::fs::read(&sim).unwrap())
     };
-    let (in_ram_line, in_ram_sim) = align("in_ram", false);
-    let (bounded_line, bounded_sim) = align("bounded", true);
-    assert_eq!(bounded_line, in_ram_line);
+    let (in_ram_metrics, in_ram_sim) = align("in_ram", false);
+    let (bounded_metrics, bounded_sim) = align("bounded", true);
+    for name in ["fusion.broke", "eval.name_hits1", "partition.edge_cut_rate"] {
+        assert!(
+            in_ram_metrics.iter().any(|m| m.starts_with(name)),
+            "no {name} in {in_ram_metrics:?}"
+        );
+    }
+    assert_eq!(bounded_metrics, in_ram_metrics);
     assert!(bounded_sim == in_ram_sim, "--sim-out bytes differ");
     assert!(!spill.exists(), "the spill dir must be cleaned up");
     std::fs::remove_dir_all(&dir).ok();

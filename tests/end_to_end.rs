@@ -196,17 +196,17 @@ fn partitioner_choice_affects_structure_channel_only() {
 
     let vps_run = LargeEa::new(vps_cfg).run(&pair, &seeds);
     let cps_run = LargeEa::new(cps_cfg).run(&pair, &seeds);
+    let gauge = |run: &largeea::core::LargeEaReport, name: &str| {
+        run.trace.gauge(name).expect("structure ran")
+    };
+    let test_retention = "partition.retention.test";
     let (rv, rc) = (
-        vps_run.retention.expect("structure ran"),
-        cps_run.retention.expect("structure ran"),
+        gauge(&vps_run, test_retention),
+        gauge(&cps_run, test_retention),
     );
-    assert!(
-        rc.test > rv.test,
-        "CPS test retention {} should beat VPS {}",
-        rc.test,
-        rv.test
-    );
-    assert!(cps_run.edge_cut_rate < vps_run.edge_cut_rate);
+    assert!(rc > rv, "CPS test retention {rc} should beat VPS {rv}");
+    let edge_cut = "partition.edge_cut_rate";
+    assert!(gauge(&cps_run, edge_cut) < gauge(&vps_run, edge_cut));
 }
 
 #[test]
@@ -217,7 +217,8 @@ fn dbp1m_shape_with_unknown_entities_runs() {
     let report = LargeEa::new(quick_config(4, ModelKind::GcnAlign)).run(&pair, &seeds);
     // unknown entities make this harder, but the pipeline must stay sound
     assert_pinned("DBP1M EN-FR GCN", report.eval.hits1, 72.88);
-    assert!(report.edge_cut_rate >= 0.0 && report.edge_cut_rate <= 1.0);
+    let edge_cut_rate = report.trace.gauge("partition.edge_cut_rate");
+    assert!((0.0..=1.0).contains(&edge_cut_rate.expect("structure ran")));
 }
 
 /// The strategy axis (paper Table 5) on the configurations the pins above

@@ -459,3 +459,35 @@ fn tree_flame_and_diff_renderings_are_pinned() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `diff` gate that can never fire is refused: a NaN, infinite or
+/// negative `--threshold-pct` or `--min-seconds` compares false against
+/// every delta, so it exits 2 naming its flag instead of printing "OK".
+#[test]
+fn diff_refuses_gates_that_can_never_fire() {
+    let dir = tempdir("gates");
+    let path = dir.join("a.json");
+    std::fs::write(&path, handcrafted_live_snapshot()).unwrap();
+    let diff = |flag: &str, value: &str| {
+        bin()
+            .args(["trace", "diff"])
+            .arg(&path)
+            .arg(&path)
+            .args([flag, value])
+            .output()
+            .unwrap()
+    };
+    for flag in ["--threshold-pct", "--min-seconds"] {
+        for value in ["NaN", "inf", "-inf", "-1"] {
+            let out = diff(flag, value);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+            assert!(err.contains(flag), "{flag} {value}: {err}");
+            assert!(out.stdout.is_empty(), "{flag} {value} printed a verdict");
+        }
+        // zero is a gate that fires on any growth
+        let out = diff(flag, "0");
+        assert_eq!(out.status.code(), Some(0), "{flag} 0");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
