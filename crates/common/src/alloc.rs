@@ -396,27 +396,6 @@ pub fn register_worker_thread() {
     let _ = T_PEAK.try_with(|_| ());
 }
 
-// --- process RSS ----------------------------------------------------------
-
-/// The process's resident set size in bytes, read from
-/// `/proc/self/status` (`VmRSS`, reported in kB — unlike
-/// `/proc/self/statm`, which reports pages and would need a libc call for
-/// the page size this zero-dependency build doesn't have). `None` off
-/// Linux, or when the proc file is unreadable.
-#[cfg(target_os = "linux")]
-pub fn process_rss_bytes() -> Option<u64> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
-    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
-    Some(kb * 1024)
-}
-
-/// Portable fallback: RSS is not available without OS support.
-#[cfg(not(target_os = "linux"))]
-pub fn process_rss_bytes() -> Option<u64> {
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -493,16 +472,6 @@ mod tests {
                 live: 7
             }
         );
-    }
-
-    #[test]
-    fn rss_probe_reports_on_linux() {
-        if cfg!(target_os = "linux") {
-            let rss = process_rss_bytes().expect("VmRSS readable on linux");
-            assert!(rss > 0, "a running process has resident pages");
-        } else {
-            assert_eq!(process_rss_bytes(), None);
-        }
     }
 
     #[test]

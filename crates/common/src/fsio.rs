@@ -170,54 +170,6 @@ pub fn write_framed(path: &Path, payload: &[u8], fp: &str) -> io::Result<u64> {
     Ok(buf.len() as u64)
 }
 
-/// Atomically and durably replaces `path` with the **raw** `payload` — no
-/// LEAF1 frame, no checksum — via the same temp → fsync → rename → dir-fsync
-/// discipline as [`write_framed_atomic`]; returns the bytes written.
-///
-/// This is the flavour for self-describing text artifacts that external
-/// tools read directly (the live-telemetry `live.trace.json` snapshot: JSON
-/// is its own integrity check via `Trace::parse`, and `trace tail` must be
-/// able to read it with no frame decoder). The atomic replace is the load-
-/// bearing property: a reader polling the path sees either the previous
-/// snapshot or the new one in full, never a torn mix.
-///
-/// `fp` names the [`crate::failpoint`] guarding the write. Unlike the
-/// framed writers, an armed `Partial` action here tears the **temp** file
-/// (`<name>.tmp`) and panics *before* the rename — modelling a crash
-/// mid-write under the atomic-replace contract, where the final path must
-/// survive untouched. (The framed writers tear the final path instead, to
-/// exercise the read-side CRC against filesystems that break the contract;
-/// an unframed file has no CRC, so its crash model is the honest one.)
-pub fn write_atomic(path: &Path, payload: &[u8], fp: &str) -> io::Result<u64> {
-    match failpoint::hit(fp) {
-        Some(FpAction::Err) => {
-            return Err(io::Error::other(format!(
-                "{}: injected failure at failpoint {fp:?}",
-                path.display()
-            )));
-        }
-        Some(FpAction::Panic) => {
-            panic!("failpoint {fp:?} panic before writing {}", path.display());
-        }
-        Some(FpAction::Partial) => {
-            let mut name = path
-                .file_name()
-                .ok_or_else(|| corrupt(path, "path has no file name"))?
-                .to_os_string();
-            name.push(".tmp");
-            let tmp = path.with_file_name(name);
-            let _ = fs::write(&tmp, &payload[..payload.len() / 2]);
-            panic!(
-                "failpoint {fp:?} torn temp write at {} (final path untouched)",
-                tmp.display()
-            );
-        }
-        None => {}
-    }
-    atomic_replace(path, payload)?;
-    Ok(payload.len() as u64)
-}
-
 /// Reads a frame written by [`write_framed_atomic`] and returns its
 /// payload. Truncation, a bad magic, a length mismatch, or a checksum
 /// mismatch all yield `InvalidData` errors naming the path; a missing file
@@ -379,21 +331,6 @@ mod tests {
         assert!(read_framed(&p).is_err());
         fs::remove_file(&p).ok();
         fs::remove_file(&q).ok();
-    }
-
-    #[test]
-    fn unframed_write_atomic_roundtrips_and_overwrites() {
-        let p = tmp("live.trace.json");
-        let n = write_atomic(&p, b"{\"version\":2}", "test.none").unwrap();
-        assert_eq!(n, 13);
-        assert_eq!(fs::read(&p).unwrap(), b"{\"version\":2}");
-        write_atomic(&p, b"{}", "test.none").unwrap();
-        assert_eq!(fs::read(&p).unwrap(), b"{}");
-        // no temp residue
-        let mut name = p.file_name().unwrap().to_os_string();
-        name.push(".tmp");
-        assert!(!p.with_file_name(name).exists());
-        fs::remove_file(&p).ok();
     }
 
     #[test]

@@ -14,15 +14,6 @@
 //! - **Trace export** — [`Recorder::trace`] snapshots everything into a
 //!   [`Trace`]: a JSON-serialisable span tree plus metric tables (using the
 //!   `ToJson` machinery from [`crate::json`]).
-//! - **Live telemetry** (DESIGN.md §S0.5) — [`Recorder::enable_live`] turns
-//!   on a tick-driven sampler: every recorded span exit (and every explicit
-//!   [`Recorder::live_tick`]) advances a tick counter, every
-//!   [`LiveConfig::every`]-th tick captures a [`Sample`] of the metric
-//!   tables into a [`SampleRing`] of the newest 64, and — when a snapshot
-//!   directory is configured — atomically rewrites `<dir>/live.trace.json`
-//!   with the partial trace so a long run can be watched mid-flight
-//!   (`largeea trace tail`). Deterministic by tick-count, not wall-clock;
-//!   no extra threads.
 //!
 //! ## Enabled vs disabled
 //!
@@ -40,7 +31,8 @@
 //! [`ObsConfig::echo`], prints a live line to stderr for each span at or
 //! below it as the span closes (default: [`Level::Off`]). The
 //! `LARGEEA_LOG` env var sets it (`off` | `stage` | `detail` | `trace`) via
-//! [`ObsConfig::from_env`].
+//! [`ObsConfig::from_env`]; `LARGEEA_LOG=stage` is how a run in progress is
+//! watched.
 //!
 //! ```
 //! use largeea_common::obs::{Level, ObsConfig, Recorder};
@@ -61,16 +53,12 @@
 //! ```
 
 mod metrics;
-mod sample;
 mod trace;
 
 pub use metrics::{Histogram, HistogramSummary};
-pub use sample::{Sample, SampleRing};
 pub use trace::{Trace, TraceSpan};
 
-use crate::json::ToJson;
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::ThreadId;
 use std::time::Instant;
@@ -132,7 +120,7 @@ pub struct ObsConfig {
     /// Spans at or below this level print one line to stderr on close.
     pub echo: Level,
     /// Attribute heap allocations to spans (`alloc.bytes` / `alloc.count`
-    /// / `alloc.peak` fields, `heap.*` and `mem.rss` sample gauges). Off
+    /// / `alloc.peak` fields). Off
     /// by default: the fields only carry meaning when
     /// [`crate::alloc::CountingAlloc`] is the process's global allocator,
     /// and always-on fields would perturb traces of processes without it.
@@ -243,44 +231,6 @@ impl From<String> for FieldValue {
     }
 }
 
-/// Live-telemetry sampler configuration (see [`Recorder::enable_live`]).
-#[derive(Debug, Clone)]
-pub struct LiveConfig {
-    /// Capture one [`Sample`] every `every` sampler ticks (a tick is one
-    /// recorded span exit or one explicit [`Recorder::live_tick`]).
-    /// Clamped to a minimum of 1.
-    pub every: u64,
-    /// When set, every captured sample also rewrites
-    /// `<dir>/live.trace.json` via an atomic temp→fsync→rename
-    /// ([`crate::fsio::write_atomic`]), so the file is always either the
-    /// previous snapshot or the new one — never torn.
-    pub dir: Option<PathBuf>,
-}
-
-impl Default for LiveConfig {
-    /// Sample every 32 ticks, no snapshots.
-    fn default() -> Self {
-        Self {
-            every: 32,
-            dir: None,
-        }
-    }
-}
-
-/// Samples the live ring retains; the oldest is evicted first.
-const RING_CAPACITY: usize = 64;
-
-/// Sampler state, live only after [`Recorder::enable_live`].
-#[derive(Debug)]
-struct LiveState {
-    cfg: LiveConfig,
-    /// Ticks seen so far (recorded span exits + explicit ticks).
-    ticks: u64,
-    ring: SampleRing,
-    /// When sampling was enabled — the origin of sample `seconds`.
-    origin: Instant,
-}
-
 /// One recorded span in the recorder's arena.
 #[derive(Debug)]
 struct SpanData {
@@ -305,11 +255,9 @@ struct State {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
-    live: Option<LiveState>,
 }
 
-/// Builds a [`Trace`] snapshot of `st` — shared by [`Recorder::trace`] and
-/// the live snapshot writer so both produce the identical document.
+/// Builds a [`Trace`] snapshot of `st`.
 fn build_trace(st: &State) -> Trace {
     fn build(st: &State, idx: usize) -> TraceSpan {
         let s = &st.spans[idx];
@@ -329,77 +277,6 @@ fn build_trace(st: &State) -> Trace {
             .iter()
             .map(|(k, h)| (k.clone(), h.summary()))
             .collect(),
-        samples: st.live.as_ref().map_or_else(Vec::new, |l| l.ring.to_vec()),
-    }
-}
-
-/// Advances the sampler by one tick (no-op when live telemetry is off).
-/// `heap` mirrors [`ObsConfig::heap`]: when set, due samples also capture
-/// the allocator gauges.
-fn live_tick_locked(st: &mut State, heap: bool) {
-    let Some(live) = &mut st.live else { return };
-    live.ticks += 1;
-    let due = live.ticks % live.cfg.every.max(1) == 0;
-    if due {
-        sample_and_snapshot(st, heap);
-    }
-}
-
-/// Captures one sample at the current tick and, when a snapshot directory
-/// is configured, rewrites `live.trace.json` atomically.
-///
-/// The `live.writes` counter is incremented *before* the sample and trace
-/// are built, so every written snapshot's counters already account for its
-/// own write — that is what makes the final flushed snapshot's counters
-/// exactly equal the end-of-run trace. A failed write is rolled back and
-/// surfaced as `live.write_errors` instead.
-fn sample_and_snapshot(st: &mut State, heap: bool) {
-    let Some(live) = &st.live else { return };
-    let snapshot_path = live.cfg.dir.as_ref().map(|d| d.join("live.trace.json"));
-    if heap {
-        // Heap gauges refresh per sample so the ring shows residency over
-        // time ("heap.*" columns — additive, readers that don't know them
-        // skip them). They are sampled state, not run outputs: the determinism
-        // comparison in tests strips them (`Sample::deterministic_view`).
-        st.gauges
-            .insert("heap.live".to_owned(), crate::alloc::heap_live() as f64);
-        st.gauges
-            .insert("heap.peak".to_owned(), crate::alloc::heap_peak() as f64);
-        if let Some(rss) = crate::alloc::process_rss_bytes() {
-            st.gauges.insert("mem.rss".to_owned(), rss as f64);
-        }
-    }
-    if snapshot_path.is_some() {
-        *st.counters.entry("live.writes".to_owned()).or_insert(0) += 1;
-    }
-    let (tick, seconds) = {
-        let live = st.live.as_ref().expect("checked above");
-        (live.ticks, live.origin.elapsed().as_secs_f64())
-    };
-    let sample = Sample {
-        tick,
-        seconds,
-        counters: st.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        gauges: st.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        histograms: st
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
-    };
-    if let Some(live) = &mut st.live {
-        live.ring.push(sample);
-    }
-    if let Some(path) = snapshot_path {
-        let text = build_trace(st).to_json_string();
-        if crate::fsio::write_atomic(&path, text.as_bytes(), "live.write").is_err() {
-            if let Some(c) = st.counters.get_mut("live.writes") {
-                *c = c.saturating_sub(1);
-            }
-            *st.counters
-                .entry("live.write_errors".to_owned())
-                .or_insert(0) += 1;
-        }
     }
 }
 
@@ -564,53 +441,10 @@ impl Recorder {
         build_trace(&st)
     }
 
-    /// Turns on live telemetry (see the [module docs](self)): from now on
-    /// every recorded span exit and every explicit [`Recorder::live_tick`]
-    /// advances the sampler, capturing a [`Sample`] each
-    /// [`LiveConfig::every`] ticks and — when [`LiveConfig::dir`] is set —
-    /// atomically rewriting `<dir>/live.trace.json`. Calling again resets
-    /// the tick counter and ring. No-op on a disabled recorder.
-    pub fn enable_live(&self, cfg: LiveConfig) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.lock();
-            st.live = Some(LiveState {
-                ring: SampleRing::new(RING_CAPACITY),
-                cfg,
-                ticks: 0,
-                origin: Instant::now(),
-            });
-        }
-    }
-
-    /// Advances the sampler by one explicit tick. Pipeline stages call this
-    /// at natural boundaries (end of a mini-batch, end of a bootstrap
-    /// round) right after refreshing progress gauges, so those values are
-    /// eligible for the next sample. No-op unless live telemetry is on.
-    pub fn live_tick(&self) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.lock();
-            live_tick_locked(&mut st, inner.cfg.heap);
-        }
-    }
-
     /// Whether heap attribution is on for this recorder (see
     /// [`ObsConfig::heap`]). `false` on a disabled recorder.
     pub fn heap_enabled(&self) -> bool {
         self.inner.as_ref().is_some_and(|i| i.cfg.heap)
-    }
-
-    /// Forces a final sample + snapshot regardless of cadence. Call at the
-    /// very end of a run, after the last metric is recorded and before
-    /// [`Recorder::trace`]: nothing records in between, so the flushed
-    /// `live.trace.json` is byte-identical to the final trace export.
-    /// No-op unless live telemetry is on.
-    pub fn flush_live(&self) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.lock();
-            let Some(live) = &mut st.live else { return };
-            live.ticks += 1;
-            sample_and_snapshot(&mut st, inner.cfg.heap);
-        }
     }
 }
 
@@ -655,7 +489,7 @@ impl SpanGuard {
         }
         self.finished = true;
         // Close the allocation window before anything else on this path
-        // allocates (field strings, echo lines, samples): the delta must
+        // allocates (field strings, echo lines): the delta must
         // cover the workload between open and close, nothing of ours.
         let alloc_delta = self.heap.take().and_then(crate::alloc::span_close);
         let Some(start) = self.start else {
@@ -691,10 +525,6 @@ impl SpanGuard {
                 }
                 eprintln!("{line}");
             }
-            // Every recorded span exit is one sampler tick — the live
-            // telemetry clock (deterministic for a fixed seed, unlike
-            // wall-time).
-            live_tick_locked(&mut st, inner.cfg.heap);
         }
         seconds
     }
@@ -813,100 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn live_sampler_ticks_on_recorded_span_exits() {
-        let rec = Recorder::new(ObsConfig::default());
-        rec.enable_live(LiveConfig {
-            every: 2,
-            dir: None,
-        });
-        for _ in 0..6 {
-            rec.add("c", 1);
-            drop(rec.span("s"));
-        }
-        let samples = rec.trace().samples;
-        let ticks: Vec<u64> = samples.iter().map(|s| s.tick).collect();
-        assert_eq!(ticks, vec![2, 4, 6], "every 2nd span exit samples");
-        assert_eq!(samples[0].counter("c"), 2, "counter value as of tick 2");
-        assert_eq!(samples[2].counter("c"), 6);
-        // without snapshots there is no live.writes counter
-        assert_eq!(rec.trace().counter("live.writes"), 0);
-    }
-
-    #[test]
-    fn live_ring_is_bounded_and_explicit_ticks_count() {
-        let rec = Recorder::new(ObsConfig::default());
-        rec.enable_live(LiveConfig {
-            every: 1,
-            dir: None,
-        });
-        for _ in 0..70 {
-            rec.live_tick();
-        }
-        let ticks: Vec<u64> = rec.trace().samples.iter().map(|s| s.tick).collect();
-        assert_eq!(
-            ticks,
-            (7..=70).collect::<Vec<u64>>(),
-            "ring keeps the newest 64"
-        );
-    }
-
-    #[test]
-    fn flush_live_forces_a_final_sample_into_the_trace() {
-        let rec = Recorder::new(ObsConfig::default());
-        rec.enable_live(LiveConfig {
-            every: 1000,
-            dir: None,
-        });
-        drop(rec.span("s"));
-        assert!(rec.trace().samples.is_empty(), "cadence 1000 never fires");
-        rec.flush_live();
-        let t = rec.trace();
-        assert_eq!(t.samples.len(), 1, "flush forces one sample");
-        assert_eq!(t.samples[0].tick, 2, "span exit + flush = 2 ticks");
-    }
-
-    #[test]
-    fn live_snapshots_are_written_and_self_consistent() {
-        let dir = std::env::temp_dir().join(format!("largeea_obs_live_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rec = Recorder::new(ObsConfig::default());
-        rec.enable_live(LiveConfig {
-            every: 1,
-            dir: Some(dir.clone()),
-        });
-        rec.add("c", 5);
-        drop(rec.span("s"));
-        let path = dir.join("live.trace.json");
-        let mid = Trace::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(mid.counter("c"), 5);
-        assert_eq!(
-            mid.counter("live.writes"),
-            1,
-            "snapshot accounts for its own write"
-        );
-        rec.add("c", 1);
-        rec.flush_live();
-        let fin = std::fs::read_to_string(&path).unwrap();
-        let final_trace = rec.trace();
-        assert_eq!(
-            fin,
-            final_trace.to_json_string(),
-            "flushed snapshot is byte-identical to the final trace"
-        );
-        assert_eq!(final_trace.counter("live.writes"), 2);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn disabled_recorder_ignores_live_calls() {
-        let rec = Recorder::disabled();
-        rec.enable_live(LiveConfig::default());
-        rec.live_tick();
-        rec.flush_live();
-        assert!(rec.trace().samples.is_empty());
-    }
-
-    #[test]
     fn level_parsing() {
         assert_eq!(Level::parse("trace"), Some(Level::Trace));
         assert_eq!(Level::parse("STAGE"), Some(Level::Stage));
@@ -946,37 +682,6 @@ mod tests {
             t.spans[0].fields.is_empty(),
             "no alloc.* fields unless heap attribution is opted into"
         );
-    }
-
-    #[test]
-    fn heap_sampler_gauges_appear_only_when_enabled() {
-        let with_heap = Recorder::new(ObsConfig {
-            heap: true,
-            ..ObsConfig::default()
-        });
-        with_heap.enable_live(LiveConfig {
-            every: 1,
-            dir: None,
-        });
-        with_heap.live_tick();
-        let t = with_heap.trace();
-        let s = &t.samples[0];
-        assert!(s.gauge("heap.live").is_some());
-        assert!(s.gauge("heap.peak").is_some());
-        if cfg!(target_os = "linux") {
-            assert!(s.gauge("mem.rss").is_some(), "RSS sampled on linux");
-        }
-
-        let without = Recorder::new(ObsConfig::default());
-        without.enable_live(LiveConfig {
-            every: 1,
-            dir: None,
-        });
-        without.live_tick();
-        let t = without.trace();
-        let s = &t.samples[0];
-        assert!(s.gauge("heap.live").is_none());
-        assert!(s.gauge("mem.rss").is_none());
     }
 
     #[test]

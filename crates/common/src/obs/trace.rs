@@ -16,32 +16,26 @@
 //!   "counters": {"name": 0, ...},
 //!   "gauges": {"name": 0.0, ...},
 //!   "histograms": {"name": {"count": 0, "sum": 0.0, "min": 0.0,
-//!                           "max": 0.0, "p50": 0.0, "p95": 0.0}, ...},
-//!   "samples": [
-//!     {"tick": 0, "seconds": 0.0, "counters": {...}, "gauges": {...},
-//!      "histograms": {...same summary shape...}}
-//!   ]
+//!                           "max": 0.0, "p50": 0.0, "p95": 0.0}, ...}
 //! }
 //! ```
 //!
-//! `"samples"` is the live-telemetry sample ring (see
-//! [`Sample`](super::Sample)), oldest first; empty when sampling was off.
-//! Any other `"version"` is a typed parse error.
+//! Any other `"version"` is a typed parse error. Files from before the live
+//! sampler was retired also carry a `"samples"` array; it is never written
+//! and, like any other unknown key, ignored on read.
 //!
 //! Heap attribution (DESIGN.md §S0.5) extends the schema *additively*,
 //! with no version bump: recorded spans may carry `alloc.bytes` /
 //! `alloc.count` / `alloc.peak` fields (allocation traffic, allocation
 //! count and peak net live-byte growth attributed to the span), the gauge
-//! table may carry `heap.*` entries, and samples may carry `heap.live` /
-//! `heap.peak` / `mem.rss` gauge columns. Readers that don't know these
-//! names skip them — old traces and old readers both keep working.
+//! table may carry `heap.*` entries. Readers that don't know these names
+//! skip them — old traces and old readers both keep working.
 //!
 //! Spans keep chronological order; fields keep attachment order; metric
 //! tables are sorted by name (they come out of `BTreeMap`s). Downstream
 //! tooling (trace diffing, EXPERIMENTS.md regeneration) can rely on all
 //! three orderings.
 
-use super::sample::Sample;
 use super::{FieldValue, HistogramSummary};
 use crate::json::{Json, ToJson};
 
@@ -148,22 +142,18 @@ pub struct Trace {
     pub gauges: Vec<(String, f64)>,
     /// Histogram summaries, sorted by name.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Live-telemetry samples, oldest first (empty unless the run had a
-    /// sampler enabled — see [`Sample`]).
-    pub samples: Vec<Sample>,
 }
 
 /// Shorthand for ingestion errors: a path-like context plus the problem.
-pub(super) fn bad(ctx: &str, what: &str) -> String {
+fn bad(ctx: &str, what: &str) -> String {
     format!("invalid trace: {ctx}: {what}")
 }
 
-/// Parses the `"counters"` table of `owner` (a trace root or a sample).
-pub(super) fn parse_counter_table(owner: &Json, ctx: &str) -> Result<Vec<(String, u64)>, String> {
-    owner
-        .get("counters")
+/// Parses the `"counters"` table of the trace root.
+fn parse_counter_table(root: &Json) -> Result<Vec<(String, u64)>, String> {
+    root.get("counters")
         .and_then(Json::as_obj)
-        .ok_or_else(|| bad(ctx, "missing object \"counters\""))?
+        .ok_or_else(|| bad("root", "missing object \"counters\""))?
         .iter()
         .map(|(k, v)| {
             let v = v
@@ -174,12 +164,11 @@ pub(super) fn parse_counter_table(owner: &Json, ctx: &str) -> Result<Vec<(String
         .collect()
 }
 
-/// Parses the `"gauges"` table of `owner` (a trace root or a sample).
-pub(super) fn parse_gauge_table(owner: &Json, ctx: &str) -> Result<Vec<(String, f64)>, String> {
-    owner
-        .get("gauges")
+/// Parses the `"gauges"` table of the trace root.
+fn parse_gauge_table(root: &Json) -> Result<Vec<(String, f64)>, String> {
+    root.get("gauges")
         .and_then(Json::as_obj)
-        .ok_or_else(|| bad(ctx, "missing object \"gauges\""))?
+        .ok_or_else(|| bad("root", "missing object \"gauges\""))?
         .iter()
         .map(|(k, v)| {
             let v = v
@@ -190,15 +179,11 @@ pub(super) fn parse_gauge_table(owner: &Json, ctx: &str) -> Result<Vec<(String, 
         .collect()
 }
 
-/// Parses the `"histograms"` table of `owner` (a trace root or a sample).
-pub(super) fn parse_histogram_table(
-    owner: &Json,
-    ctx: &str,
-) -> Result<Vec<(String, HistogramSummary)>, String> {
-    owner
-        .get("histograms")
+/// Parses the `"histograms"` table of the trace root.
+fn parse_histogram_table(root: &Json) -> Result<Vec<(String, HistogramSummary)>, String> {
+    root.get("histograms")
         .and_then(Json::as_obj)
-        .ok_or_else(|| bad(ctx, "missing object \"histograms\""))?
+        .ok_or_else(|| bad("root", "missing object \"histograms\""))?
         .iter()
         .map(|(k, v)| Ok((k.clone(), HistogramSummary::from_json(v, k)?)))
         .collect()
@@ -252,7 +237,7 @@ impl TraceSpan {
 }
 
 impl HistogramSummary {
-    pub(super) fn from_json(j: &Json, name: &str) -> Result<HistogramSummary, String> {
+    fn from_json(j: &Json, name: &str) -> Result<HistogramSummary, String> {
         let num = |key: &str| {
             j.get(key).and_then(Json::as_f64).ok_or_else(|| {
                 bad(
@@ -307,22 +292,14 @@ impl Trace {
             .iter()
             .map(TraceSpan::from_json)
             .collect::<Result<Vec<_>, String>>()?;
-        let counters = parse_counter_table(json, "root")?;
-        let gauges = parse_gauge_table(json, "root")?;
-        let histograms = parse_histogram_table(json, "root")?;
-        let samples = json
-            .get("samples")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("root", "missing array \"samples\""))?
-            .iter()
-            .map(Sample::from_json)
-            .collect::<Result<Vec<_>, String>>()?;
+        let counters = parse_counter_table(json)?;
+        let gauges = parse_gauge_table(json)?;
+        let histograms = parse_histogram_table(json)?;
         Ok(Trace {
             spans,
             counters,
             gauges,
             histograms,
-            samples,
         })
     }
 
@@ -435,7 +412,6 @@ impl ToJson for Trace {
                         .map(|(k, v)| (k.clone(), v.to_json())),
                 ),
             ),
-            ("samples", self.samples.to_json()),
         ])
     }
 }
@@ -479,8 +455,7 @@ mod tests {
             r#""counters":{"cps.virtual_edges":42},"#,
             r#""gauges":{"mem.peak_bytes":1024.0},"#,
             r#""histograms":{"train.epoch_loss":{"count":3,"sum":10.5,"#,
-            r#""min":0.5,"max":8.0,"p50":4.0,"p95":8.0}},"#,
-            r#""samples":[]}"#,
+            r#""min":0.5,"max":8.0,"p50":4.0,"p95":8.0}}}"#,
         );
         assert_eq!(t.to_json_string(), expected);
     }
@@ -489,7 +464,7 @@ mod tests {
     fn empty_trace_serialises() {
         assert_eq!(
             Trace::default().to_json_string(),
-            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[]}"#
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#
         );
     }
 
@@ -534,37 +509,14 @@ mod tests {
 
     #[test]
     fn parse_accepts_empty_trace() {
-        let t = Trace::parse(
+        // with and without the retired sample ring, whatever it holds
+        for text in [
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
             r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,
-        )
-        .unwrap();
-        assert_eq!(t, Trace::default());
-    }
-
-    #[test]
-    fn sample_rings_round_trip_through_json() {
-        let mut t = sample_trace().map_seconds(|_| 0.25);
-        t.samples = vec![Sample {
-            tick: 8,
-            seconds: 0.5,
-            counters: vec![("cps.virtual_edges".to_owned(), 40)],
-            gauges: vec![("mem.peak_bytes".to_owned(), 512.0)],
-            histograms: vec![(
-                "train.epoch_loss".to_owned(),
-                HistogramSummary {
-                    count: 2,
-                    sum: 2.5,
-                    min: 0.5,
-                    max: 2.0,
-                    p50: 2.0,
-                    p95: 2.0,
-                },
-            )],
-        }];
-        let text = t.to_json_string();
-        let back = Trace::parse(&text).expect("round-trip parse");
-        assert_eq!(back, t);
-        assert_eq!(back.to_json_string(), text);
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[{"tick":1}]}"#,
+        ] {
+            assert_eq!(Trace::parse(text).unwrap(), Trace::default(), "{text}");
+        }
     }
 
     #[test]
@@ -578,14 +530,6 @@ mod tests {
             (
                 r#"{"version":1,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
                 "unsupported schema version 1",
-            ),
-            (
-                r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
-                "samples",
-            ),
-            (
-                r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[{"seconds":0.0,"counters":{},"gauges":{},"histograms":{}}]}"#,
-                "tick",
             ),
             (
                 r#"{"version":2,"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,

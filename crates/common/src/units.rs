@@ -2,7 +2,7 @@
 //!
 //! [`fmt_bytes`] renders byte counts the way the paper's tables do
 //! (`"4.04G"`, `"0.5M"`, `"16.0K"`, `"100B"`), so every memory number in
-//! the tree — `trace heap`, `trace tail`, the budget error message, the
+//! the tree — `trace heap`, the budget error message, the
 //! table binaries — prints identically.
 
 /// Formats bytes the way the paper's tables do (`"4.04G"`, `"0.13G"`, MB

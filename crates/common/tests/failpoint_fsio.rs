@@ -62,51 +62,6 @@ fn injected_failures_follow_the_crash_contract() {
     fsio::write_framed_atomic(&p, b"third", "io.nth").unwrap();
     assert_eq!(fsio::read_framed(&p).unwrap(), b"third");
 
-    // --- unframed write_atomic: the atomic-rename invariant --------------
-    // This is the live-snapshot writer's contract: whatever the failure
-    // mode, the *final* path keeps its previous valid content.
-    let p = tmp("live.trace.json");
-    fsio::write_atomic(&p, b"{\"version\":2,\"good\":true}", "live.none").unwrap();
-
-    failpoint::configure("live.write=err").unwrap();
-    assert!(fsio::write_atomic(&p, b"replacement", "live.write").is_err());
-    assert_eq!(
-        std::fs::read(&p).unwrap(),
-        b"{\"version\":2,\"good\":true}",
-        "injected error leaves the previous snapshot intact"
-    );
-
-    failpoint::configure("live.write=panic").unwrap();
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        fsio::write_atomic(&p, b"replacement", "live.write")
-    }));
-    assert!(r.is_err());
-    assert_eq!(
-        std::fs::read(&p).unwrap(),
-        b"{\"version\":2,\"good\":true}",
-        "panic before the write leaves the previous snapshot intact"
-    );
-
-    // partial tears the TEMP file, never the final path — a crash
-    // mid-write under the atomic-replace discipline.
-    failpoint::configure("live.write=partial").unwrap();
-    let r = catch_unwind(AssertUnwindSafe(|| {
-        fsio::write_atomic(&p, b"a replacement long enough to tear", "live.write")
-    }));
-    assert!(r.is_err());
-    assert_eq!(
-        std::fs::read(&p).unwrap(),
-        b"{\"version\":2,\"good\":true}",
-        "torn temp write must never reach the final path"
-    );
-    let mut tmp_name = p.file_name().unwrap().to_os_string();
-    tmp_name.push(".tmp");
-    let torn = std::fs::read(p.with_file_name(tmp_name)).unwrap();
-    assert_eq!(
-        torn, b"a replacement lo",
-        "half the payload hit the temp file"
-    );
-
     failpoint::clear();
     assert!(!failpoint::armed());
     std::fs::remove_dir_all(tmp("x").parent().unwrap()).ok();

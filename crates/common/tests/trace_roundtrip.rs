@@ -1,11 +1,10 @@
 //! Trace ingestion contract test: `Trace → JSON → Trace` is the identity
-//! over arbitrary schema-v2 traces including the live-telemetry sample ring
-//! (the property the diff tooling leans on: a trace can be written to disk
-//! and read back losslessly).
+//! over arbitrary schema-v2 traces (the property the diff tooling leans on:
+//! a trace can be written to disk and read back losslessly).
 
 use largeea_common::check::{for_each_case, string_from, unicode_string};
 use largeea_common::json::ToJson;
-use largeea_common::obs::{FieldValue, HistogramSummary, Sample, Trace, TraceSpan};
+use largeea_common::obs::{FieldValue, HistogramSummary, Trace, TraceSpan};
 use largeea_common::rng::Rng;
 
 /// A finite f64 drawn from the full bit pattern space.
@@ -68,19 +67,6 @@ fn arb_summary(r: &mut Rng) -> HistogramSummary {
     }
 }
 
-/// A live-telemetry sample with monotonically meaningless but valid
-/// contents — ticks and metric tables exercise the same table parsers the
-/// root uses.
-fn arb_sample(rng: &mut Rng) -> Sample {
-    Sample {
-        tick: rng.next_u64() >> rng.gen_range(0..64u32),
-        seconds: rng.gen_range(0.0..1000.0f64),
-        counters: arb_table(rng, |r| r.next_u64() >> r.gen_range(0..64u32)),
-        gauges: arb_table(rng, arb_f64),
-        histograms: arb_table(rng, arb_summary),
-    }
-}
-
 fn arb_trace(rng: &mut Rng) -> Trace {
     Trace {
         spans: (0..rng.gen_range(0..4usize))
@@ -89,9 +75,6 @@ fn arb_trace(rng: &mut Rng) -> Trace {
         counters: arb_table(rng, |r| r.next_u64() >> r.gen_range(0..64u32)),
         gauges: arb_table(rng, arb_f64),
         histograms: arb_table(rng, arb_summary),
-        samples: (0..rng.gen_range(0..4usize))
-            .map(|_| arb_sample(rng))
-            .collect(),
     }
 }
 

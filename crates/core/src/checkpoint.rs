@@ -189,10 +189,6 @@ fn failpoints() -> Vec<FailpointSite> {
 pub fn registered_failpoints() -> Vec<FailpointSite> {
     let mut all = failpoints();
     all.push(crate::spill::WRITE_FAILPOINT);
-    all.push(FailpointSite {
-        name: "live.write",
-        site: "live trace snapshot live.trace.json (common::obs sampler)",
-    });
     all
 }
 

@@ -131,11 +131,7 @@ impl NameChannel {
         let m_n = ckpt.load_or(Stage::Name, rec, |_| {
             let channel_span = rec.span("name_channel");
             let (m_st, stns_seconds) = self.stns(source, target, rec, budget)?;
-            // end of STNS: a stage-boundary tick for the live sampler
-            // (likewise after SENS below)
-            rec.live_tick();
             let (m_se, sens_seconds) = self.sens(source, target, rec, budget)?;
-            rec.live_tick();
             // In-place fusion: only the fused matrix stays live.
             let mut m_n = m_se;
             m_n.scaled_add_assign(&m_st, self.cfg.gamma);

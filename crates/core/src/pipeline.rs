@@ -355,7 +355,6 @@ impl LargeEa {
         if let Some(dir) = &exec.spill_dir {
             pipeline_span.field("spill.dir", dir.display().to_string());
         }
-        rec.gauge("progress.rounds_total", rounds as f64);
 
         // --- name channel (once — it does not depend on seeds) -------------
         let name_out = self
@@ -381,7 +380,6 @@ impl LargeEa {
         let mut structure_hits;
         let mut sim;
         loop {
-            rec.gauge("progress.round", (ctx.round + 1) as f64);
             structure_out = if self.cfg.use_structure {
                 Some(StructureChannel::new(self.cfg.structure).run_in(
                     pair,
@@ -415,8 +413,6 @@ impl LargeEa {
             if let Some(k) = self.cfg.csls_k {
                 sim.csls(k);
             }
-            // end of a bootstrap round: a stage-boundary tick for the sampler
-            rec.live_tick();
             ctx.round += 1;
             if ctx.round >= rounds {
                 break;
@@ -468,10 +464,6 @@ impl LargeEa {
             let kept = largeea_common::alloc::worker_kept_bytes();
             rec.gauge_max("pool.worker_kept_bytes", kept as f64);
         }
-        // Final live flush AFTER the last metric lands and BEFORE the trace
-        // snapshot below: nothing records in between, so the flushed
-        // `live.trace.json` is byte-identical to the exported trace.
-        rec.flush_live();
         // Single source of truth: the report's timings are the trace's
         // (finish() returns the exact f64 stored in the span).
         let trace = rec.trace();

@@ -208,15 +208,9 @@ impl StructureChannel {
         // stages of the stored blocks, in batch order — the merge order below
         let mut stored_blocks: Vec<Stage> = Vec::new();
         let train_span = rec.span("train");
-        // Live-telemetry progress gauges: how far along this round's
-        // training loop is (`trace tail` reads these for its progress/ETA
-        // line; `progress.epochs_total` is per batch).
-        rec.gauge("progress.batches_total", batches.batches.len() as f64);
-        rec.gauge("progress.epochs_total", self.cfg.train.epochs as f64);
         let mut loss_sum = 0.0f64;
         let mut loss_count = 0usize;
         for batch in &batches.batches {
-            rec.gauge("progress.batch", (batch.index + 1) as f64);
             let sim = Stage::Sim {
                 round,
                 batch: batch.index,
@@ -300,8 +294,6 @@ impl StructureChannel {
                 loss_sum += last as f64;
                 loss_count += 1;
             }
-            // end of a mini-batch: a stage-boundary tick for the sampler
-            rec.live_tick();
         }
         // assemble M_s by taking the blocks back in batch order
         for block in &stored_blocks {

@@ -183,10 +183,12 @@ impl MiniBatches {
     }
 
     /// Records the batches' quality against `seeds` into `rec` — gauges
-    /// `partition.retention.{train,test,total}` and `partition.edge_cut_rate`,
-    /// counter `partition.batches_without_train` (batches holding no
-    /// training pair, which are trained anyway) — and returns the retention
-    /// and edge-cut rate it recorded, so a printer computes neither again.
+    /// `partition.retention.{train,test,total}` (each only when its set of
+    /// pairs is non-empty: a retention over no pairs measures nothing) and
+    /// `partition.edge_cut_rate`, counter `partition.batches_without_train`
+    /// (batches holding no training pair, which are trained anyway) — and
+    /// returns the retention and edge-cut rate it computed, so a printer
+    /// computes neither again.
     pub fn record_quality(
         &self,
         pair: &KgPair,
@@ -195,9 +197,15 @@ impl MiniBatches {
     ) -> (Retention, f64) {
         let r = self.retention(seeds);
         let cut = self.edge_cut_rate(pair);
-        rec.gauge("partition.retention.train", r.train);
-        rec.gauge("partition.retention.test", r.test);
-        rec.gauge("partition.retention.total", r.total);
+        for (name, value, pairs) in [
+            ("partition.retention.train", r.train, seeds.train.len()),
+            ("partition.retention.test", r.test, seeds.test.len()),
+            ("partition.retention.total", r.total, seeds.len()),
+        ] {
+            if pairs > 0 {
+                rec.gauge(name, value);
+            }
+        }
         rec.gauge("partition.edge_cut_rate", cut);
         let untrained = self.batches.iter().filter(|b| b.train_pairs.is_empty());
         rec.add("partition.batches_without_train", untrained.count() as u64);
@@ -391,6 +399,31 @@ mod tests {
         let r = mb.retention(&empty);
         assert_eq!(r.total, 1.0);
         assert_eq!(mb.edge_cut_rate(&pair), 2.0 / 5.0);
+    }
+
+    #[test]
+    fn quality_gauges_skip_an_empty_pair_set() {
+        let (pair, seeds, mb) = setup();
+        let unsupervised = AlignmentSeeds {
+            train: Vec::new(),
+            test: seeds.test.clone(),
+        };
+        let rec = Recorder::new(largeea_common::obs::ObsConfig::default());
+        let (r, _) = mb.record_quality(&pair, &unsupervised, &rec);
+        let t = rec.trace();
+        assert_eq!(r.train, 1.0, "retention() itself is unchanged");
+        assert_eq!(t.gauge("partition.retention.train"), None);
+        assert_eq!(t.gauge("partition.retention.test"), Some(0.5));
+        assert_eq!(t.gauge("partition.retention.total"), Some(0.5));
+
+        let rec = Recorder::new(largeea_common::obs::ObsConfig::default());
+        mb.record_quality(&pair, &AlignmentSeeds::default(), &rec);
+        let t = rec.trace();
+        assert!(t
+            .gauges
+            .iter()
+            .all(|(k, _)| !k.starts_with("partition.retention.")));
+        assert_eq!(t.gauge("partition.edge_cut_rate"), Some(2.0 / 5.0));
     }
 
     #[test]

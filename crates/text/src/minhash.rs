@@ -137,14 +137,13 @@ impl MinHasher {
     }
 
     /// Folds one shingle's hash into the running component-wise minima.
+    /// Branchless (`min`, not a compare-and-store), so the slot loop has no
+    /// data-dependent branch to mispredict; the minima are the same.
     #[inline]
     fn absorb(&self, sig: &mut [u64], shingle: &[u8]) {
         let base = fnv1a(shingle);
         for (slot, &key) in sig.iter_mut().zip(&self.keys) {
-            let h = mix_keyed(base, key);
-            if h < *slot {
-                *slot = h;
-            }
+            *slot = (*slot).min(mix_keyed(base, key));
         }
     }
 

@@ -59,6 +59,11 @@ for model in gcn rrea; do
   grep -q '"kernel.isa"' "$SMOKE/simd.json"
   grep -q '"sens.refined_pairs"' "$SMOKE/simd.json"
 done
+# the trace readers run on a real trace, not only on handcrafted ones; a
+# trace diffed with itself has no regression, so the gate exits 0
+"$L" trace summarize "$SMOKE/simd.json" > /dev/null
+"$L" trace heap "$SMOKE/simd.json" > /dev/null
+"$L" trace diff "$SMOKE/simd.json" "$SMOKE/simd.json" --threshold-pct 0 > /dev/null
 grep -q '"negatives.refined_pairs"' "$SMOKE/simd.json"
 # run quality lives in the trace (DESIGN.md §S0.5 "Quality metrics")
 grep -q '"fusion.broke"' "$SMOKE/simd.json"

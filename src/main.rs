@@ -22,7 +22,7 @@ mod trace_cmd;
 
 use largeea::common::fmt_bytes;
 use largeea::common::json::ToJson;
-use largeea::common::obs::{LiveConfig, Recorder};
+use largeea::common::obs::Recorder;
 use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea::data::Preset;
@@ -44,15 +44,12 @@ USAGE:
                     [--csls n] [--rounds n] [--out <file>] [--sim-out <file>]
                     [--trace-out <file>] [--checkpoint-dir <dir>] [--resume]
                     [--mem-budget <bytes>] [--spill-dir <dir>]
-                    [--live-dir <dir>]
   largeea eval      --data <dir> --predictions <file>
   largeea failpoints list
   largeea ckpt      inspect <dir>
   largeea trace     summarize <trace.json>
   largeea trace     diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
-  largeea trace     flame <trace.json>
-  largeea trace     tail <dir|live.trace.json> [--once] [--interval-ms n]
-  largeea trace     heap <trace.json> [--top n] [--folded]
+  largeea trace     heap <trace.json> [--top n]
 
 PRESETS: ids15k-en-fr  ids15k-en-de  ids100k-en-fr  ids100k-en-de
          dbp1m-en-fr   dbp1m-en-de   dbp1m-ci
@@ -60,7 +57,8 @@ PRESETS: ids15k-en-fr  ids15k-en-de  ids100k-en-fr  ids100k-en-de
 `--trace-out` writes the run's span/metric trace as JSON (DESIGN.md §S0.5);
 set LARGEEA_LOG=stage|detail|trace to echo spans to stderr as they close.
 `trace` analyses those files: wall-clock trees with derived throughputs,
-span-by-span diffs with CI gating, and folded flamegraph stacks.
+span-by-span diffs with CI gating, and allocation trees. A run in progress
+is watched through LARGEEA_LOG=stage and, when checkpointed, `ckpt inspect`.
 
 `--checkpoint-dir` makes `align` checkpoint every completed pipeline stage
 into a crash-safe run directory (DESIGN.md §S0.7); `--resume` continues an
@@ -78,19 +76,13 @@ run fails fast with a typed error naming the stage if not. A bounded run
 prints its measured peak as `tracked peak <size> (budget <size>)`.
 Results are bit-identical to the unbounded run. Per-span allocation
 attribution lands in the trace (`alloc.bytes`/`alloc.count`/`alloc.peak`
-fields) — render it with `largeea trace heap` (allocation tree, top-N
-table, `--folded` flamegraph stacks).
+fields) — render it with `largeea trace heap` (allocation tree and top-N
+table).
 
 All dense kernels dispatch to the best available SIMD ISA at runtime
 (DESIGN.md §S0.11; see the `kernel.isa` field on the trace's `pipeline`
 span); results are bit-identical to the scalar reference, which
 LARGEEA_NO_SIMD=1 forces for A/B verification.
-
-`--live-dir <dir>` turns on live telemetry (DESIGN.md §S0.5): every 32
-sampler ticks (ticks are recorded span exits, so sampling is
-deterministic for a fixed seed) the run captures a metric sample and
-atomically rewrites `<dir>/live.trace.json` — watch it from another
-terminal with `largeea trace tail <dir>`.
 
 An I/O fault fails the run with its typed exit code; a crash leaves the
 checkpoint to `--resume` from (DESIGN.md §S0.7). `failpoints list`
@@ -233,7 +225,7 @@ type Flags = HashMap<String, String>;
 /// together with the argument after it.
 const BOOL_FLAGS: &str = "unsupervised resume";
 const VALUE_FLAGS: &str = "preset scale seed-ratio out data k strategy trace-out model epochs dim \
-    csls rounds sim-out checkpoint-dir mem-budget spill-dir live-dir predictions";
+    csls rounds sim-out checkpoint-dir mem-budget spill-dir predictions";
 
 fn parse_flags(args: &[String]) -> Result<Flags, String> {
     let mut flags = Flags::new();
@@ -517,13 +509,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     let mut exec = ExecOptions::from_flags(mem_budget, flags.get("spill-dir").map(PathBuf::from));
     exec.checkpoint_dir = flags.get("checkpoint-dir").map(PathBuf::from);
     exec.resume = flags.contains_key("resume");
-    if let Some(dir) = flags.get("live-dir").map(PathBuf::from) {
-        std::fs::create_dir_all(&dir).map_err(|e| format!("creating {}: {e}", dir.display()))?;
-        rec.enable_live(LiveConfig {
-            dir: Some(dir),
-            ..LiveConfig::default()
-        });
-    }
     let report = LargeEa::new(cfg)
         .run_exec(&pair, &seeds, rounds, &rec, &exec)
         .map_err(|e| CliError::Run(Box::new(e)))?;
@@ -578,8 +563,6 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     if rec.heap_enabled() {
         rec.gauge_max("heap.peak", largeea::common::alloc::heap_peak() as f64);
     }
-    // again after the tail, so `live.trace.json` still equals `--trace-out`
-    rec.flush_live();
     Ok(write_trace(flags, &rec)?)
 }
 

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 static CLOSED: AtomicBool = AtomicBool::new(false);
 
 /// Whether the reader of stdout has gone away (nothing more is printed).
-pub fn closed() -> bool {
+fn closed() -> bool {
     CLOSED.load(Ordering::Relaxed)
 }
 
@@ -28,13 +28,6 @@ pub fn write(args: std::fmt::Arguments<'_>) {
         Err(e) if e.kind() == ErrorKind::BrokenPipe => CLOSED.store(true, Ordering::Relaxed),
         Err(e) => panic!("failed printing to stdout: {e}"),
     }
-}
-
-/// `print!` through [`write`].
-macro_rules! out {
-    ($($arg:tt)*) => {
-        $crate::out::write(format_args!($($arg)*))
-    };
 }
 
 /// `println!` through [`write`].

@@ -8,28 +8,22 @@
 //!   name, and derived throughputs;
 //! - `diff <a> <b>` — per-stage deltas sorted by regression size, with
 //!   optional `--threshold-pct` exit-code gating for CI;
-//! - `flame <trace>` — collapsed stacks (`a;b;c <self-µs>`), the folded
-//!   format flamegraph tooling eats;
-//! - `tail <dir>` — live view of a running `align --live-dir` job: polls
-//!   `live.trace.json`, shows the open span path, round/batch progress
-//!   with an ETA from `train.epochs_per_sec`, and sparklines over the
-//!   sample ring (a trace with no ring — sampling was off — degrades to
-//!   current gauge values without sparklines);
 //! - `heap <trace>` — the same tree over the `alloc.*` fields heap
 //!   attribution records: cumulative/self bytes, allocation counts and
-//!   peaks per span, a top-N table by self bytes, and `--folded`
-//!   flamegraph stacks weighted by self bytes.
+//!   peaks per span, and a top-N table by self bytes.
+//!
+//! A run in progress is watched with `LARGEEA_LOG=stage` (each stage echoes
+//! a line to stderr as it closes) and, for a checkpointed run, `largeea
+//! ckpt inspect`; these commands read finished traces only.
 //!
 //! Time and bytes are columns of the same folds: [`rollup`] feeds both
-//! trees, [`by_name`] feeds `diff` and the top-N table, and [`folded`]
-//! feeds both stack renderings.
+//! trees, and [`by_name`] feeds `diff` and the top-N table.
 
 use crate::{bad_value, parse_opt, parse_or, CliError, Flags};
 use largeea::common::fmt_bytes;
-use largeea::common::obs::{Sample, Trace, TraceSpan};
+use largeea::common::obs::{Trace, TraceSpan};
 use largeea::core::throughput::{attribution_coverage, derived_throughputs, filter_pass_pcts};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const TRACE_USAGE: &str = "largeea trace — analyse --trace-out JSON files
@@ -37,27 +31,18 @@ const TRACE_USAGE: &str = "largeea trace — analyse --trace-out JSON files
 USAGE:
   largeea trace summarize <trace.json>
   largeea trace diff <a.json> <b.json> [--threshold-pct f] [--min-seconds f]
-  largeea trace flame <trace.json>
-  largeea trace tail <dir|live.trace.json> [--once] [--interval-ms n]
-  largeea trace heap <trace.json> [--top n] [--folded]
+  largeea trace heap <trace.json> [--top n]
 
 Each subcommand takes only the flags shown for it.
 
 `diff` exits non-zero when --threshold-pct is given and any stage in <b>
 regressed past it.
 
-`tail` follows the live snapshot a run writes under `--live-dir`
-(a directory argument means `<dir>/live.trace.json`). It repolls every
---interval-ms (default 500) until the run's root span closes; --once
-prints a single status block and exits (non-zero if the snapshot is
-missing or unparseable).
-
 `heap` renders the span-attributed allocation profile (alloc.bytes /
 alloc.count / alloc.peak fields, written when the run's binary installs
 the instrumented allocator): a tree with cumulative and self bytes, a
-top-N table (--top, default 10) by self bytes, or --folded flamegraph
-stacks weighted by self bytes. Exits non-zero when the trace carries no
-allocation data.";
+top-N table (--top, default 10) by self bytes. Exits non-zero when the
+trace carries no allocation data.";
 
 /// Entry point from `main` (args exclude the leading `trace`). Returns the
 /// process exit code directly because `diff` encodes its verdict in it.
@@ -75,7 +60,7 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
     let (positionals, flags) = parse_mixed(args).map_err(CliError::Usage)?;
     let Some(sub) = positionals.first() else {
         return Err(CliError::Usage(
-            "trace needs a subcommand (summarize|diff|flame|tail|heap)".into(),
+            "trace needs a subcommand (summarize|diff|heap)".into(),
         ));
     };
     // Checked before any file is read: a mistyped `diff` gate must fail,
@@ -118,29 +103,10 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
             let min_seconds = gate("min-seconds")?.unwrap_or(0.001);
             Ok(diff(&file(1)?, &file(2)?, threshold, min_seconds))
         }
-        "flame" => {
-            takes(&[])?;
-            flame(&file(1)?);
-            Ok(ExitCode::SUCCESS)
-        }
-        "tail" => {
-            takes(&["once", "interval-ms"])?;
-            let target = positionals.get(1).ok_or_else(|| {
-                CliError::Usage(
-                    "tail needs a --live-dir directory (or live.trace.json path)".into(),
-                )
-            })?;
-            let interval_ms: u64 = parse_or(&flags, "interval-ms", 500)?;
-            Ok(tail(
-                Path::new(target),
-                flags.contains_key("once"),
-                interval_ms,
-            )?)
-        }
         "heap" => {
-            takes(&["top", "folded"])?;
+            takes(&["top"])?;
             let top: usize = parse_or(&flags, "top", 10)?;
-            Ok(heap(&file(1)?, top, flags.contains_key("folded")))
+            Ok(heap(&file(1)?, top))
         }
         other => Err(CliError::Usage(format!(
             "unknown trace subcommand {other:?}"
@@ -150,18 +116,13 @@ fn run(args: &[String]) -> Result<ExitCode, CliError> {
 
 /// Splits `args` into positionals and `--flag value` pairs (the trace
 /// subcommands mix both, unlike the flag-only pipeline commands).
-/// Boolean flags (`--once`) take no value and are stored as `"true"`.
 fn parse_mixed(args: &[String]) -> Result<(Vec<String>, Flags), String> {
-    const BOOLEAN: &[&str] = &["once", "folded"];
     let mut positionals = Vec::new();
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.strip_prefix("--") {
             None => positionals.push(a.clone()),
-            Some(name) if BOOLEAN.contains(&name) => {
-                flags.insert(name.to_owned(), "true".to_owned());
-            }
             Some(name) => {
                 let value = it.next().ok_or_else(|| format!("--{name} needs a value"))?;
                 flags.insert(name.to_owned(), value.clone());
@@ -262,30 +223,6 @@ fn by_name(trace: &Trace) -> BTreeMap<&str, Totals> {
     m
 }
 
-/// Collapsed stacks (`a;b;c`), each with `weight` summed over the spans on
-/// that path — the folded format flamegraph tooling eats.
-fn folded(trace: &Trace, weight: fn(&TraceSpan) -> u64) -> BTreeMap<String, u64> {
-    fn walk(
-        spans: &[TraceSpan],
-        prefix: &str,
-        weight: fn(&TraceSpan) -> u64,
-        into: &mut BTreeMap<String, u64>,
-    ) {
-        for s in spans {
-            let stack = if prefix.is_empty() {
-                s.name.clone()
-            } else {
-                format!("{prefix};{}", s.name)
-            };
-            *into.entry(stack.clone()).or_insert(0) += weight(s);
-            walk(&s.children, &stack, weight, into);
-        }
-    }
-    let mut m = BTreeMap::new();
-    walk(&trace.spans, "", weight, &mut m);
-    m
-}
-
 /// `part` as a percentage of `whole`, 0 when there is no whole.
 fn share(part: f64, whole: f64) -> f64 {
     if whole > 0.0 {
@@ -362,13 +299,6 @@ fn summarize(trace: &Trace) {
                 h.max
             );
         }
-    }
-    if !trace.samples.is_empty() {
-        outln!(
-            "\nlive samples: {} (last tick {})",
-            trace.samples.len(),
-            trace.samples.last().map_or(0, |s| s.tick)
-        );
     }
     let rates = derived_throughputs(trace);
     if !rates.is_empty() {
@@ -486,17 +416,9 @@ fn diff(a: &Trace, b: &Trace, threshold_pct: Option<f64>, min_seconds: f64) -> E
     }
 }
 
-// --- flame ---------------------------------------------------------------
-
-fn flame(trace: &Trace) {
-    for (stack, micros) in folded(trace, |s| (s.self_seconds() * 1e6).round() as u64) {
-        outln!("{stack} {micros}");
-    }
-}
-
 // --- heap ----------------------------------------------------------------
 
-fn heap(trace: &Trace, top: usize, folded_stacks: bool) -> ExitCode {
+fn heap(trace: &Trace, top: usize) -> ExitCode {
     fn has_alloc(spans: &[TraceSpan]) -> bool {
         spans
             .iter()
@@ -509,17 +431,6 @@ fn heap(trace: &Trace, top: usize, folded_stacks: bool) -> ExitCode {
              or heap attribution was disabled)"
         );
         return ExitCode::FAILURE;
-    }
-
-    if folded_stacks {
-        // the same stacks `flame` emits, weighted by self bytes; a path
-        // that allocated nothing is left out
-        for (stack, bytes) in folded(trace, TraceSpan::self_bytes) {
-            if bytes > 0 {
-                outln!("{stack} {bytes}");
-            }
-        }
-        return ExitCode::SUCCESS;
     }
 
     let roots: Vec<&TraceSpan> = trace.spans.iter().collect();
@@ -577,213 +488,4 @@ fn heap(trace: &Trace, top: usize, folded_stacks: bool) -> ExitCode {
         }
     }
     ExitCode::SUCCESS
-}
-
-// --- tail ----------------------------------------------------------------
-
-/// Counter series shown as per-snapshot deltas in the tail view.
-const TAIL_COUNTER_SERIES: &[&str] = &[
-    "mem.spill.write_bytes",
-    "mem.spill.read_bytes",
-    "ckpt.write_bytes",
-];
-/// Memory gauges shown as sparklines: measured live heap (instrumented
-/// allocator) and OS RSS (linux only — absent elsewhere), side by side.
-const TAIL_GAUGE_SERIES: &[&str] = &["heap.live", "mem.rss"];
-/// How many trailing samples a sparkline covers.
-const TAIL_WINDOW: usize = 32;
-
-fn tail(target: &Path, once: bool, interval_ms: u64) -> Result<ExitCode, String> {
-    let path: PathBuf = if target.is_dir() {
-        target.join("live.trace.json")
-    } else {
-        target.to_path_buf()
-    };
-    if once {
-        let trace = load_trace(&path.to_string_lossy())?;
-        out!("{}", render_tail(&trace, &path));
-        return Ok(ExitCode::SUCCESS);
-    }
-    // Follow mode: snapshots are replaced atomically (temp → rename), so a
-    // read either sees a complete document or the file missing for an
-    // instant — both are retried, not fatal.
-    let mut waiting_reported = false;
-    loop {
-        match load_trace(&path.to_string_lossy()) {
-            Ok(trace) => {
-                waiting_reported = false;
-                out!("{}", render_tail(&trace, &path));
-                // the run is over — or nobody is reading any more
-                if open_span_path(&trace).is_none() || crate::out::closed() {
-                    return Ok(ExitCode::SUCCESS);
-                }
-            }
-            Err(e) => {
-                if !waiting_reported {
-                    eprintln!("waiting: {e}");
-                    waiting_reported = true;
-                }
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(interval_ms.max(1)));
-    }
-}
-
-/// The chain of still-open spans (recorded with `seconds == 0.0` in a live
-/// snapshot), deepest last: `pipeline > round > train`. `None` once every
-/// span has closed — the run is over.
-fn open_span_path(trace: &Trace) -> Option<Vec<&str>> {
-    let mut path = Vec::new();
-    let mut spans: &[TraceSpan] = &trace.spans;
-    while let Some(open) = spans.iter().rev().find(|s| s.seconds == 0.0) {
-        path.push(open.name.as_str());
-        spans = &open.children;
-    }
-    if path.is_empty() {
-        None
-    } else {
-        Some(path)
-    }
-}
-
-/// One status block: header, open-span path, progress/ETA, sparklines.
-fn render_tail(trace: &Trace, path: &Path) -> String {
-    use std::fmt::Write;
-    let mut out = String::new();
-    let (tick, secs) = trace
-        .samples
-        .last()
-        .map_or((0, 0.0), |s| (s.tick, s.seconds));
-    let _ = writeln!(
-        out,
-        "{} — tick {tick}, {secs:.1}s, {} sample(s)",
-        path.display(),
-        trace.samples.len()
-    );
-    match open_span_path(trace) {
-        Some(p) => {
-            let _ = writeln!(out, "  open: {}", p.join(" > "));
-        }
-        None => {
-            let _ = writeln!(out, "  run complete");
-        }
-    }
-    let progress = progress_line(trace);
-    if !progress.is_empty() {
-        let _ = writeln!(out, "  {progress}");
-    }
-    if trace.samples.is_empty() {
-        // Sampling was off: no ring to draw sparklines from — degrade to
-        // the current gauge values.
-        for name in TAIL_GAUGE_SERIES {
-            if let Some(v) = trace.gauge(name).filter(|&v| v > 0.0) {
-                let _ = writeln!(out, "  {name:<26} {}", fmt_bytes(v as usize));
-            }
-        }
-        return out;
-    }
-    for name in TAIL_COUNTER_SERIES {
-        let deltas = counter_deltas(&trace.samples, name);
-        let total = trace.counter(name);
-        if total > 0 && !deltas.is_empty() {
-            let _ = writeln!(out, "  Δ {name:<24} {} (total {total})", sparkline(&deltas));
-        }
-    }
-    for name in TAIL_GAUGE_SERIES {
-        let series = gauge_series(&trace.samples, name);
-        if series.iter().any(|&v| v > 0.0) {
-            let _ = writeln!(
-                out,
-                "  {name:<26} {} (last {})",
-                sparkline(&series),
-                fmt_bytes(series.last().copied().unwrap_or(0.0) as usize)
-            );
-        }
-    }
-    out
-}
-
-/// Round/batch/epoch progress from the `progress.*` gauges, with an ETA
-/// from `train.epochs_per_sec` when the throughput is derivable (it is not
-/// during the first round — the open `train` span has no duration yet, so
-/// the wall clock of the latest sample stands in).
-fn progress_line(trace: &Trace) -> String {
-    let g = |n: &str| trace.gauge(n).unwrap_or(0.0);
-    let mut parts = Vec::new();
-    if g("progress.rounds_total") > 0.0 {
-        parts.push(format!(
-            "round {:.0}/{:.0}",
-            g("progress.round"),
-            g("progress.rounds_total")
-        ));
-    }
-    if g("progress.batches_total") > 0.0 {
-        parts.push(format!(
-            "batch {:.0}/{:.0}",
-            g("progress.batch"),
-            g("progress.batches_total")
-        ));
-    }
-    let expected =
-        g("progress.rounds_total") * g("progress.batches_total") * g("progress.epochs_total");
-    if expected > 0.0 {
-        let done = trace.span_count("epoch") as f64;
-        parts.push(format!(
-            "epochs {done:.0}/{expected:.0} ({:.1}%)",
-            100.0 * done / expected
-        ));
-        let rate = derived_throughputs(trace)
-            .iter()
-            .find(|t| t.name == "train.epochs_per_sec")
-            .map(|t| t.per_sec)
-            .or_else(|| {
-                trace
-                    .samples
-                    .last()
-                    .filter(|s| s.seconds > 0.0)
-                    .map(|s| done / s.seconds)
-            })
-            .filter(|r| r.is_finite() && *r > 0.0);
-        if let Some(rate) = rate {
-            if done < expected {
-                parts.push(format!("ETA {:.1}s", (expected - done) / rate));
-            }
-        }
-    }
-    parts.join("  ")
-}
-
-/// Per-snapshot increments of a counter over the trailing window
-/// (counters are monotone, so consecutive differences are the activity
-/// between snapshots). Needs at least two samples.
-fn counter_deltas(samples: &[Sample], name: &str) -> Vec<f64> {
-    let tail = &samples[samples.len().saturating_sub(TAIL_WINDOW + 1)..];
-    tail.windows(2)
-        .map(|w| w[1].counter(name).saturating_sub(w[0].counter(name)) as f64)
-        .collect()
-}
-
-/// A gauge's raw values over the trailing window (absent → 0.0 so the
-/// series keeps one slot per sample).
-fn gauge_series(samples: &[Sample], name: &str) -> Vec<f64> {
-    let tail = &samples[samples.len().saturating_sub(TAIL_WINDOW)..];
-    tail.iter().map(|s| s.gauge(name).unwrap_or(0.0)).collect()
-}
-
-/// One block character per value, scaled to the window maximum; an
-/// all-zero (or empty) window renders as a flat baseline.
-fn sparkline(values: &[f64]) -> String {
-    const BLOCKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-    let max = values.iter().fold(0.0f64, |m, &v| m.max(v));
-    values
-        .iter()
-        .map(|&v| {
-            if max <= 0.0 || v <= 0.0 {
-                BLOCKS[0]
-            } else {
-                let idx = ((v / max) * 7.0).round() as usize;
-                BLOCKS[idx.clamp(1, 7)]
-            }
-        })
-        .collect()
 }

@@ -15,7 +15,7 @@
 //! `#[test]` (same discipline as `tests/crash_recovery.rs`).
 
 use largeea_common::failpoint;
-use largeea_common::obs::{LiveConfig, ObsConfig, Recorder};
+use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
 use largeea_core::registered_failpoints;
 use largeea_core::structure_channel::StructureChannelConfig;
@@ -56,21 +56,8 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A recorder with live telemetry on (so the `live.write` failpoint has a
-/// site to fire at). `every: 4` keeps snapshot writes frequent at this
-/// scale.
-fn recorder(live_dir: &Path) -> Recorder {
-    let rec = Recorder::new(ObsConfig::default());
-    std::fs::create_dir_all(live_dir).unwrap();
-    rec.enable_live(LiveConfig {
-        every: 4,
-        dir: Some(live_dir.to_path_buf()),
-    });
-    rec
-}
-
-/// One checkpointed + spilling + live-sampling run — the execution shape
-/// that visits every registered failpoint site.
+/// One checkpointed + spilling run — the execution shape that visits every
+/// registered failpoint site.
 fn run_in(
     dir: &Path,
     resume: bool,
@@ -93,9 +80,9 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
 
     // --- registry coverage ------------------------------------------------
     // the one registry carries every subsystem's sites — the checkpoint's,
-    // the spill store's, the live sampler's — and the sweep below proves
-    // none of them dead: a run that completes under `panic@1` fails it
-    for prefix in ["ckpt.", "spill.", "live."] {
+    // the spill store's — and the sweep below proves none of them dead: a
+    // run that completes under `panic@1` fails it
+    for prefix in ["ckpt.", "spill."] {
         assert!(
             registry.iter().any(|fp| fp.name.starts_with(prefix)),
             "no {prefix}* failpoint in registered_failpoints()"
@@ -104,13 +91,12 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
 
     // --- fault-free oracle ------------------------------------------------
     let base_dir = scratch("baseline");
-    let rec = recorder(&base_dir.join("live"));
+    let rec = Recorder::new(ObsConfig::default());
     let base = run_in(&base_dir, false, &pair, &seeds, &rec).expect("fault-free oracle");
 
-    // err-mode faults that sites absorb by contract instead of dying:
-    // the live sampler swallows snapshot errors into `live.write_errors`,
-    // and epoch progress is best-effort (resume never depends on it).
-    let absorbed_err: &[&str] = &["live.write", "ckpt.progress"];
+    // err-mode faults that sites absorb by contract instead of dying: epoch
+    // progress is best-effort (resume never depends on it).
+    let absorbed_err: &[&str] = &["ckpt.progress"];
 
     // silence the injected panics while the matrix runs
     let prev_hook = std::panic::take_hook();
@@ -123,7 +109,7 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
             let dir = scratch(&tag);
             failpoint::configure(&spec).expect("valid spec");
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let rec = recorder(&dir.join("live"));
+                let rec = Recorder::new(ObsConfig::default());
                 run_in(&dir, false, &pair, &seeds, &rec)
             }));
             failpoint::clear();
@@ -141,12 +127,6 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
                             "[{spec}] err at a must-die site was silently absorbed"
                         ),
                         other => panic!("[{spec}] {other} mode cannot complete"),
-                    }
-                    if fp.name == "live.write" {
-                        assert!(
-                            report.trace.counter("live.write_errors") >= 1,
-                            "[{spec}] swallowed fault left no trace evidence"
-                        );
                     }
                 }
                 // outcome 3a: typed death
@@ -167,7 +147,7 @@ fn chaos_sweep_holds_the_crash_only_invariant() {
             // crash-only invariant for every death: nothing half-written
             // was marked durable, so a resume reproduces the oracle
             // bit-identically (absorbed runs resume trivially too).
-            let rec = recorder(&dir.join("live"));
+            let rec = Recorder::new(ObsConfig::default());
             let resumed = run_in(&dir, true, &pair, &seeds, &rec)
                 .unwrap_or_else(|e| panic!("[{spec}] resume failed: {e}"));
             assert_eq!(resumed.sim, base.sim, "[{spec}] resumed M differs");

@@ -375,7 +375,7 @@ fn exit_codes_follow_the_documented_taxonomy() {
     assert_eq!(bin().output().unwrap().status.code(), Some(2));
     // …and a flag nobody knows, wherever it stands: a retired one must not
     // swallow the flag after it
-    for flag in ["--quantize", "--degraded-ok", "--analysis"] {
+    for flag in ["--quantize", "--degraded-ok", "--analysis", "--live-dir"] {
         let retired = bin()
             .args(["align", flag, "--unsupervised", "--data"])
             .arg(&data)
@@ -461,6 +461,19 @@ fn exit_codes_follow_the_documented_taxonomy() {
         // a retired subcommand or flag is an unknown one
         (&["trace", "check", "a"], "unknown trace subcommand"),
         (&["trace", "expo", "a"], "unknown trace subcommand"),
+        (
+            &["trace", "tail", "@data"],
+            "unknown trace subcommand \"tail\"",
+        ),
+        (
+            &["trace", "flame", "a"],
+            "unknown trace subcommand \"flame\"",
+        ),
+        (&["trace", "heap", "a", "--folded"], "--folded"),
+        (
+            &["trace", "heap", "--folded", "a"],
+            "unknown flag --folded for trace heap",
+        ),
         (
             &["align", "--data", "@data", "--live-every", "2"],
             "--live-every",
@@ -582,6 +595,103 @@ fn unsupervised_align_runs() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("pseudo seeds"), "{text}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An unsupervised run has no train seeds, so its trace carries no train
+/// retention (a ratio over zero pairs measures nothing) while the test and
+/// total retention are still there.
+#[test]
+fn unsupervised_trace_has_no_train_retention() {
+    let dir = tempdir("unsup_retention");
+    let data = dir.join("data");
+    let out = bin()
+        .args([
+            "generate",
+            "--preset",
+            "ids15k-en-fr",
+            "--scale",
+            "0.02",
+            "--out",
+        ])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let trace_path = dir.join("run.json");
+    let out = bin()
+        .args(["align", "--data"])
+        .arg(&data)
+        .args([
+            "--model",
+            "gcn",
+            "--k",
+            "3",
+            "--unsupervised",
+            "--trace-out",
+        ])
+        .arg(&trace_path)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let trace = Trace::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    assert_eq!(trace.gauge("partition.retention.train"), None);
+    for name in ["partition.retention.test", "partition.retention.total"] {
+        let v = trace.gauge(name).unwrap_or_else(|| panic!("no {name}"));
+        assert!((0.0..=1.0).contains(&v), "{name} {v}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--mem-budget` without `--spill-dir` spills to a per-process tempdir and
+/// names it in the trace, as the `pipeline` span's `spill.dir` field.
+#[test]
+fn mem_budget_without_spill_dir_announces_its_tempdir_in_the_trace() {
+    let dir = tempdir("autospill");
+    let data = dir.join("data");
+    let out = bin()
+        .args([
+            "generate",
+            "--preset",
+            "ids15k-en-fr",
+            "--scale",
+            "0.01",
+            "--out",
+        ])
+        .arg(&data)
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let trace_out = dir.join("run.json");
+    let out = bin()
+        .args(["align", "--data"])
+        .arg(&data)
+        .args(["--model", "gcn", "--k", "2", "--epochs", "8", "--dim", "16"])
+        .args(["--mem-budget", "1M"])
+        .arg("--trace-out")
+        .arg(&trace_out)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let trace = Trace::parse(&std::fs::read_to_string(&trace_out).unwrap()).unwrap();
+    let pipeline = trace.find("pipeline").expect("pipeline span");
+    let spill_dir = pipeline
+        .field("spill.dir")
+        .map(|v| v.to_string())
+        .expect("--mem-budget without --spill-dir must announce spill.dir");
+    assert!(
+        spill_dir.contains("largeea_spill_"),
+        "auto-picked dir should be the pid-tagged tempdir, got {spill_dir}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -1,7 +1,7 @@
 //! Integration tests for `largeea trace`: the analysis loop over
 //! `--trace-out` files — summarize, self-diff (exactly zero deltas),
-//! regression gating against a deliberately slowed stage, and folded flame
-//! stacks.
+//! regression gating against a deliberately slowed stage, and old schema-v2
+//! files that still carry a sample ring.
 
 use largeea::common::json::ToJson;
 use largeea::common::obs::{Trace, TraceSpan};
@@ -161,39 +161,11 @@ fn diff_catches_a_deliberately_slowed_stage() {
 }
 
 #[test]
-fn flame_emits_folded_stacks_with_self_micros() {
-    let dir = tempdir("flame");
-    let trace = dir.join("run.json");
-    traced_align(&dir, &trace);
-
-    let out = bin()
-        .arg("trace")
-        .arg("flame")
-        .arg(&trace)
-        .output()
-        .unwrap();
-    let text = stdout_of(&out);
-    let mut saw_nested = false;
-    for line in text.lines() {
-        let (stack, value) = line.rsplit_once(' ').expect("folded line has a value");
-        value.parse::<u64>().expect("self-time is integer micros");
-        saw_nested |= stack.contains(';');
-    }
-    assert!(saw_nested, "expected at least one nested stack:\n{text}");
-    assert!(
-        text.lines()
-            .any(|l| l.starts_with("pipeline;structure_channel;train")),
-        "{text}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn trace_errors_are_reported_not_panicked() {
     let dir = tempdir("errors");
     let garbage = dir.join("garbage.json");
     std::fs::write(&garbage, "{not json").unwrap();
-    // schema v1 has had no producer since live telemetry; it is refused
+    // schema v1 is refused
     let v1 = dir.join("v1.json");
     std::fs::write(
         &v1,
@@ -220,12 +192,12 @@ fn trace_errors_are_reported_not_panicked() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A handcrafted schema-v2 live snapshot: a closed `load` whose one child
-/// holds all its time (zero self seconds), one still-open span chain whose
-/// epoch has a same-name sibling pair, the `progress.*` gauges a run
-/// maintains, and a three-sample ring with spill activity — tables
-/// deliberately NOT sorted to prove the tooling sorts defensively.
-fn handcrafted_live_snapshot() -> String {
+/// A handcrafted schema-v2 snapshot as the retired live sampler wrote them:
+/// a closed `load` whose one child holds all its time (zero self seconds),
+/// one still-open span chain whose epoch has a same-name sibling pair, and a
+/// three-sample ring — tables deliberately NOT sorted to prove the tooling
+/// sorts defensively. Readers ignore the ring; the file must still read.
+fn handcrafted_v2_snapshot() -> String {
     concat!(
         r#"{"version":2,"#,
         r#""spans":[{"name":"load","seconds":0.25,"fields":{},"children":["#,
@@ -252,101 +224,10 @@ fn handcrafted_live_snapshot() -> String {
 }
 
 #[test]
-fn tail_once_renders_open_path_progress_and_sparklines() {
-    let dir = tempdir("tail");
-    std::fs::write(dir.join("live.trace.json"), handcrafted_live_snapshot()).unwrap();
-
-    // a directory argument resolves to <dir>/live.trace.json
-    let out = bin()
-        .arg("trace")
-        .arg("tail")
-        .arg(&dir)
-        .arg("--once")
-        .output()
-        .unwrap();
-    let text = stdout_of(&out);
-    assert!(
-        text.contains("open: pipeline > structure_channel > train"),
-        "{text}"
-    );
-    assert!(text.contains("round 1/1"), "{text}");
-    assert!(text.contains("batch 1/2"), "{text}");
-    assert!(text.contains("epochs 1/8"), "{text}");
-    assert!(text.contains("ETA"), "{text}");
-    assert!(text.contains("tick 6"), "{text}");
-    assert!(text.contains("mem.spill.write_bytes"), "{text}");
-    assert!(text.contains('█'), "sparkline blocks expected in {text}");
-
-    // the explicit file path form works too
-    let out = bin()
-        .arg("trace")
-        .arg("tail")
-        .arg(dir.join("live.trace.json"))
-        .arg("--once")
-        .output()
-        .unwrap();
-    stdout_of(&out);
-
-    // --once on a missing snapshot is a clean failure, not a hang
-    let out = bin()
-        .arg("trace")
-        .arg("tail")
-        .arg(dir.join("nope"))
-        .arg("--once")
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A trace of the same run shape written with sampling off (an empty
-/// sample ring): `tail` must degrade to current gauge values — no
-/// sparklines, no crash.
-fn handcrafted_ringless_trace() -> String {
-    concat!(
-        r#"{"version":2,"#,
-        r#""spans":[{"name":"pipeline","seconds":0.0,"fields":{},"children":["#,
-        r#"{"name":"train","seconds":0.0,"fields":{},"children":[]}]}],"#,
-        r#""counters":{"mem.spill.write_bytes":4096},"#,
-        r#""gauges":{"progress.rounds_total":1.0,"progress.round":1.0,"#,
-        r#""heap.live":2048.0},"#,
-        r#""histograms":{},"samples":[]}"#,
-    )
-    .to_owned()
-}
-
-#[test]
-fn tail_without_a_sample_ring_shows_current_gauges() {
-    let dir = tempdir("tailnoring");
-    std::fs::write(dir.join("live.trace.json"), handcrafted_ringless_trace()).unwrap();
-
-    let out = bin()
-        .arg("trace")
-        .arg("tail")
-        .arg(&dir)
-        .arg("--once")
-        .output()
-        .unwrap();
-    let text = stdout_of(&out);
-    // the span/progress views need no sample ring and must still work
-    assert!(text.contains("open: pipeline > train"), "{text}");
-    assert!(text.contains("round 1/1"), "{text}");
-    // gauges degrade to their current values in human units...
-    assert!(text.contains("heap.live"), "{text}");
-    assert!(text.contains("2.0K"), "{text}");
-    // ...with no sparklines (there is no ring to draw them from)
-    for block in ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'] {
-        assert!(!text.contains(block), "unexpected sparkline in:\n{text}");
-    }
-    assert!(text.contains("0 sample(s)"), "{text}");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn summarize_output_is_sorted_and_byte_deterministic() {
     let dir = tempdir("sorted");
-    let path = dir.join("live.trace.json");
-    std::fs::write(&path, handcrafted_live_snapshot()).unwrap();
+    let path = dir.join("old.json");
+    std::fs::write(&path, handcrafted_v2_snapshot()).unwrap();
 
     let run = || {
         let out = bin()
@@ -378,22 +259,25 @@ fn summarize_output_is_sorted_and_byte_deterministic() {
     let sorted = gauge_names.clone();
     gauge_names.sort_unstable();
     assert_eq!(sorted, gauge_names, "gauges must sort by name:\n{text}");
-    assert!(text.contains("live samples: 3 (last tick 6)"), "{text}");
     assert_eq!(text, run(), "summarize must be byte-deterministic");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The reader's renderings of the handcrafted snapshot, byte for byte: the
-/// `×N` fold of same-name siblings, zero-µs flame lines, and the diff's
-/// ordering (largest |delta| first, ties by name) and verdict.
+/// `×N` fold of same-name siblings, and the diff's ordering (largest
+/// |delta| first, ties by name) and verdict.
 #[test]
-fn tree_flame_and_diff_renderings_are_pinned() {
+fn tree_and_diff_renderings_are_pinned() {
     let dir = tempdir("pins");
-    let path = dir.join("live.trace.json");
-    std::fs::write(&path, handcrafted_live_snapshot()).unwrap();
-    let run = |sub: &str| bin().args(["trace", sub]).arg(&path).output().unwrap();
+    let path = dir.join("old.json");
+    std::fs::write(&path, handcrafted_v2_snapshot()).unwrap();
 
-    let text = stdout_of(&run("summarize"));
+    let out = bin()
+        .args(["trace", "summarize"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let text = stdout_of(&out);
     let tree = text.split("\n\n").next().unwrap();
     assert_eq!(
         tree,
@@ -409,22 +293,8 @@ fn tree_flame_and_diff_renderings_are_pinned() {
         )
     );
 
-    let flame = stdout_of(&run("flame"));
-    assert_eq!(
-        flame,
-        concat!(
-            "load 0\n",
-            "load;parse 250000\n",
-            "pipeline 0\n",
-            "pipeline;structure_channel 0\n",
-            "pipeline;structure_channel;train 0\n",
-            "pipeline;structure_channel;train;epoch 250000\n",
-            "pipeline;structure_channel;train;epoch;step 250000\n",
-        )
-    );
-
     // the copy's first `step` takes 0.25 s more
-    let mut trace = Trace::parse(&handcrafted_live_snapshot()).unwrap();
+    let mut trace = Trace::parse(&handcrafted_v2_snapshot()).unwrap();
     let epoch = &mut trace.spans[1].children[0].children[0].children[0];
     epoch.children[0].seconds += 0.25;
     let slow = dir.join("slow.json");
@@ -467,7 +337,7 @@ fn tree_flame_and_diff_renderings_are_pinned() {
 fn diff_refuses_gates_that_can_never_fire() {
     let dir = tempdir("gates");
     let path = dir.join("a.json");
-    std::fs::write(&path, handcrafted_live_snapshot()).unwrap();
+    std::fs::write(&path, handcrafted_v2_snapshot()).unwrap();
     let diff = |flag: &str, value: &str| {
         bin()
             .args(["trace", "diff"])
@@ -489,5 +359,38 @@ fn diff_refuses_gates_that_can_never_fire() {
         let out = diff(flag, "0");
         assert_eq!(out.status.code(), Some(0), "{flag} 0");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A trace written before the live sampler was retired carries a non-empty
+/// `"samples"` ring: `summarize` and `diff` still read it and exit 0, the
+/// parsed trace is the file minus its ring, and writing it back drops the key.
+#[test]
+fn a_schema_v2_trace_with_a_sample_ring_still_reads() {
+    let dir = tempdir("oldring");
+    let path = dir.join("old.json");
+    let text = handcrafted_v2_snapshot();
+    std::fs::write(&path, &text).unwrap();
+
+    stdout_of(
+        &bin()
+            .args(["trace", "summarize"])
+            .arg(&path)
+            .output()
+            .unwrap(),
+    );
+    let diff = bin()
+        .args(["trace", "diff"])
+        .arg(&path)
+        .arg(&path)
+        .output()
+        .unwrap();
+    stdout_of(&diff);
+
+    let (head, _ring) = text.split_once(r#","samples":["#).unwrap();
+    let ringless = Trace::parse(&format!("{head}}}")).unwrap();
+    let parsed = Trace::parse(&text).unwrap();
+    assert_eq!(parsed, ringless, "the ring's contents are ignored");
+    assert!(!parsed.to_json_string().contains("samples"));
     std::fs::remove_dir_all(&dir).ok();
 }
