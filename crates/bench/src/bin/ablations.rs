@@ -124,9 +124,10 @@ fn main() {
             ..StructureChannelConfig::default()
         };
         let out = StructureChannel::new(cfg).run(&pair, &seeds);
+        let hits1 = evaluate(&out.m_s, &seeds.test).hits1;
         d5.x.push(xi);
-        d5.y.push(evaluate(&out.m_s, &seeds.test).hits1);
-        eprintln!("[D5] {strat:?}: H@1 {:.1}", out.final_loss);
+        d5.y.push(hits1);
+        eprintln!("[D5] {strat:?}: H@1 {hits1:.1}");
     }
     print_series(
         "Ablation D5 — negatives (x=0 random, x=1 nearest; paper/RREA: nearest)",

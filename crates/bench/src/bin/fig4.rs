@@ -36,7 +36,7 @@ fn main() {
 
         let rec = Recorder::from_env();
         let mut ctx = RunCtx::in_memory(&rec);
-        let name_out = NameChannel::new(NameChannelConfig::default())
+        NameChannel::new(NameChannelConfig::default())
             .run_in(&pair.source, &pair.target, &mut ctx)
             .expect("in-memory context: no RunError has a source");
         let sc = StructureChannel::new(StructureChannelConfig {
@@ -47,16 +47,16 @@ fn main() {
             top_k: 50,
             ..StructureChannelConfig::default()
         });
-        let out = sc
-            .run_in(&pair, &seeds, &mut ctx)
+        sc.run_in(&pair, &seeds, &mut ctx)
             .expect("in-memory context: no RunError has a source");
-        maybe_write_trace(&format!("fig4.scale-{scale}"), &rec.trace());
+        let trace = rec.trace();
+        maybe_write_trace(&format!("fig4.scale-{scale}"), &trace);
 
         xs.push(entities);
-        sens.push(name_out.sens_seconds);
-        stns.push(name_out.stns_seconds);
-        cps.push(out.partition_seconds);
-        training.push(out.training_seconds);
+        sens.push(trace.total_seconds("sens"));
+        stns.push(trace.total_seconds("stns"));
+        cps.push(trace.total_seconds("partition"));
+        training.push(trace.total_seconds("train"));
     }
 
     let series = vec![

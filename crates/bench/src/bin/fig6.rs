@@ -11,9 +11,10 @@
 //! Flags: `--scale <f>` (default 0.1 of IDS15K), `--epochs <n>`, `--dim <n>`.
 
 use largeea_bench::{arg_f64, harness_train_config};
-use largeea_core::evaluate;
+use largeea_common::obs::{ObsConfig, Recorder};
 use largeea_core::report::{print_series, Series};
 use largeea_core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
+use largeea_core::{evaluate, RunCtx};
 use largeea_data::Preset;
 use largeea_models::ModelKind;
 
@@ -49,18 +50,24 @@ fn main() {
                 top_k: 50,
                 ..StructureChannelConfig::default()
             };
-            let out = StructureChannel::new(cfg).run(&pair, &seeds);
+            let rec = Recorder::new(ObsConfig::default());
+            let out = StructureChannel::new(cfg)
+                .run_in(&pair, &seeds, &mut RunCtx::in_memory(&rec))
+                .expect("in-memory context: no RunError has a source");
             let eval = evaluate(&out.m_s, &seeds.test);
+            let trace = rec.trace();
+            let (partition, train) = (
+                trace.total_seconds("partition"),
+                trace.total_seconds("train"),
+            );
             eprintln!(
-                "[fig6] ratio {ratio} {label}: H@1 {:.1}, partition {:.2}s, train {:.2}s",
-                eval.hits1, out.partition_seconds, out.training_seconds
+                "[fig6] ratio {ratio} {label}: H@1 {:.1}, partition {partition:.2}s, train {train:.2}s",
+                eval.hits1
             );
             acc[si].x.push(ratio);
             acc[si].y.push(eval.hits1);
             time[si].x.push(ratio);
-            time[si]
-                .y
-                .push(out.partition_seconds + out.training_seconds);
+            time[si].y.push(partition + train);
         }
     }
     print_series(

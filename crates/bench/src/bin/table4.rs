@@ -10,7 +10,9 @@
 
 use largeea_bench::{arg_usize, channel_peak_bytes, direction_label, largeea_config};
 use largeea_common::obs::Recorder;
-use largeea_core::pipeline::{ExecOptions, LargeEa};
+use largeea_core::pipeline::{
+    ExecOptions, LargeEa, PIPELINE_SPAN, PSEUDO_SEEDS, PSEUDO_SEED_ACCURACY,
+};
 use largeea_core::report::{print_table, MethodRow};
 use largeea_data::Preset;
 use largeea_kg::AlignmentSeeds;
@@ -38,20 +40,21 @@ fn main() {
                 let report = LargeEa::new(largeea_config(model, k))
                     .run_exec(p, s, 1, &Recorder::from_env(), &ExecOptions::default())
                     .expect("default exec options: no RunError has a source");
+                let trace = &report.trace;
                 println!(
                     "[DA] {} {}: generated {} pseudo seeds, accuracy {:.2}%",
                     preset.name(),
                     direction_label(p),
-                    report.pseudo_seeds,
-                    100.0 * report.pseudo_seed_accuracy
+                    trace.counter(PSEUDO_SEEDS),
+                    100.0 * trace.gauge(PSEUDO_SEED_ACCURACY).unwrap_or(0.0)
                 );
                 rows.push(MethodRow::new(
                     preset.name(),
                     format!("LargeEA-{} (unsup.)", model.short_name()),
                     direction_label(p),
                     report.eval,
-                    report.total_seconds,
-                    channel_peak_bytes(&report.trace),
+                    trace.total_seconds(PIPELINE_SPAN),
+                    channel_peak_bytes(trace),
                 ));
             }
         }

@@ -22,7 +22,7 @@ static ALLOC: largeea_common::alloc::CountingAlloc = largeea_common::alloc::Coun
 
 use largeea_common::json::ToJson;
 use largeea_common::obs::{Recorder, Trace};
-use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig};
+use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, PIPELINE_SPAN};
 use largeea_core::report::MethodRow;
 use largeea_core::structure_channel::{Partitioner, StructureChannelConfig};
 use largeea_core::NameChannelConfig;
@@ -157,7 +157,7 @@ pub fn largeea_variant_row(
         method,
         direction_label(pair),
         report.eval,
-        report.total_seconds,
+        report.trace.total_seconds(PIPELINE_SPAN),
         channel_peak_bytes(&report.trace),
     )
 }

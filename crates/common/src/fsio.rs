@@ -215,10 +215,10 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
+    /// A path of this process directly in the temp dir: no directory to
+    /// leave behind, and each test removes the files it writes.
     fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("largeea_fsio_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+        std::env::temp_dir().join(format!("largeea_fsio_{}_{name}", std::process::id()))
     }
 
     #[test]

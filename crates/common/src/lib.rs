@@ -14,7 +14,7 @@
 //! | [`check`] | `proptest` | [`check::for_each_case`] deterministic randomized-input harness with seed-replay failure reporting |
 //! | [`mod@bench`] | `criterion` | warmup + median wall-clock micro-benchmark timer |
 //! | [`pool`] | `rayon`/`crossbeam` | persistent [`pool::Pool`] of worker threads: scoped chunked jobs, shared-cursor stealing, bit-identical results at any width |
-//! | [`obs`] | `tracing`/`metrics` | thread-safe [`obs::Recorder`]: hierarchical spans, counters/gauges/histograms, JSON [`obs::Trace`] export, `LARGEEA_LOG` echo |
+//! | [`obs`] | `tracing`/`metrics` | thread-safe [`obs::Recorder`]: hierarchical spans, counters and gauges, JSON [`obs::Trace`] export, `LARGEEA_LOG` echo |
 //! | [`failpoint`] | `fail` crate | named deterministic fault-injection points (`LARGEEA_FAILPOINTS`), branch-on-disabled-flag no-ops in normal runs |
 //! | [`fsio`] | `tempfile`+`crc32fast` | atomic durable writes (temp → fsync → rename) and CRC32-checksummed framed reads — torn writes are detected, never silently loaded |
 //! | [`alloc`] | `jemalloc`-style stats / `dhat` | [`alloc::CountingAlloc`] instrumented `#[global_allocator]`: per-thread byte/count/peak accounting with span attribution and pool-worker transfer |

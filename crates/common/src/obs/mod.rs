@@ -9,8 +9,7 @@
 //! - **Spans** — hierarchical, wall-clock-timed regions with `key=value`
 //!   fields, recorded into a thread-safe [`Recorder`] via RAII
 //!   [`SpanGuard`]s. Nesting follows the per-thread call structure.
-//! - **Metrics** — monotonic counters, last-write/max gauges, and
-//!   fixed-bucket [`Histogram`]s with `p50`/`p95`/`max` summaries.
+//! - **Metrics** — monotonic counters and last-write/max gauges.
 //! - **Trace export** — [`Recorder::trace`] snapshots everything into a
 //!   [`Trace`]: a JSON-serialisable span tree plus metric tables (using the
 //!   `ToJson` machinery from [`crate::json`]).
@@ -42,20 +41,16 @@
 //!     let mut outer = rec.span("pipeline");
 //!     outer.field("rounds", 1u64);
 //!     let inner = rec.span_at(Level::Detail, "partition");
-//!     let seconds = inner.finish(); // explicit finish returns elapsed
-//!     assert!(seconds >= 0.0);
+//!     inner.finish(); // explicit close
 //! } // `outer` closes on drop
 //! rec.add("cps.virtual_edges", 42);
-//! rec.observe("train.epoch_loss", 0.5);
 //! let trace = rec.trace();
 //! assert_eq!(trace.spans[0].name, "pipeline");
 //! assert_eq!(trace.counter("cps.virtual_edges"), 42);
 //! ```
 
-mod metrics;
 mod trace;
 
-pub use metrics::{Histogram, HistogramSummary};
 pub use trace::{Trace, TraceSpan};
 
 use std::collections::{BTreeMap, HashMap};
@@ -254,7 +249,6 @@ struct State {
     stacks: HashMap<ThreadId, Vec<usize>>,
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
 }
 
 /// Builds a [`Trace`] snapshot of `st`.
@@ -272,11 +266,6 @@ fn build_trace(st: &State) -> Trace {
         spans: st.roots.iter().map(|&r| build(st, r)).collect(),
         counters: st.counters.iter().map(|(k, &v)| (k.clone(), v)).collect(),
         gauges: st.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect(),
-        histograms: st
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.summary()))
-            .collect(),
     }
 }
 
@@ -294,8 +283,8 @@ impl Inner {
     }
 }
 
-/// Thread-safe telemetry sink: a span tree plus counters, gauges and
-/// histograms. Cloning is cheap (an `Arc` handle); all clones feed the same
+/// Thread-safe telemetry sink: a span tree plus counters and gauges.
+/// Cloning is cheap (an `Arc` handle); all clones feed the same
 /// trace. See the [module docs](self) for the enabled/disabled contract.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
@@ -338,18 +327,15 @@ impl Recorder {
     /// Opens a span at `level` named `name`, timed from now until the
     /// returned guard is dropped or [`SpanGuard::finish`]ed. The span nests
     /// under the innermost span currently open *on this thread*. A
-    /// [`Level::Off`] span is timed but not stored.
+    /// [`Level::Off`] span is not recorded.
     pub fn span_at(&self, level: Level, name: &str) -> SpanGuard {
-        let Some(inner) = &self.inner else {
+        let Some(inner) = self.inner.as_ref().filter(|_| level != Level::Off) else {
             return SpanGuard {
-                inner: None,
-                idx: None,
-                start: None,
-                finished: false,
+                open: None,
                 heap: None,
             };
         };
-        let idx = if level != Level::Off {
+        let idx = {
             let mut st = inner.lock();
             let idx = st.spans.len();
             let stack = st.stacks.entry(std::thread::current().id()).or_default();
@@ -371,23 +357,14 @@ impl Recorder {
                 Some(p) => st.spans[p].children.push(idx),
                 None => st.roots.push(idx),
             }
-            Some(idx)
-        } else {
-            None
+            idx
         };
         // The heap window opens *after* the state lock above is released:
         // the span's own bookkeeping (arena push, stack entry) is recorder
         // overhead, not workload allocation, and stays outside the window.
-        let heap = if idx.is_some() && inner.cfg.heap {
-            Some(crate::alloc::span_open())
-        } else {
-            None
-        };
+        let heap = inner.cfg.heap.then(crate::alloc::span_open);
         SpanGuard {
-            inner: Some(Arc::clone(inner)),
-            idx,
-            start: Some(Instant::now()),
-            finished: false,
+            open: Some((Arc::clone(inner), idx, Instant::now())),
             heap,
         }
     }
@@ -423,14 +400,6 @@ impl Recorder {
         }
     }
 
-    /// Records observation `v` into the histogram `name`.
-    pub fn observe(&self, name: &str, v: f64) {
-        if let Some(inner) = &self.inner {
-            let mut st = inner.lock();
-            st.histograms.entry(name.to_owned()).or_default().observe(v);
-        }
-    }
-
     /// Snapshots everything recorded so far into a [`Trace`]. Open spans
     /// appear with `seconds = 0.0`; root spans keep chronological order.
     pub fn trace(&self) -> Trace {
@@ -451,16 +420,14 @@ impl Recorder {
 /// RAII guard for an open span (see [`Recorder::span_at`]).
 ///
 /// Dropping the guard closes the span with its elapsed wall-clock time;
-/// [`SpanGuard::finish`] does the same but hands the elapsed seconds back —
-/// that returned value is bit-identical to the one stored in the trace,
-/// which is how pipeline reports stay a single source of truth with their
-/// trace.
+/// [`SpanGuard::finish`] does the same at a point the caller names. The
+/// seconds live in the trace only: callers read them back with
+/// [`Trace::total_seconds`].
 #[derive(Debug)]
 pub struct SpanGuard {
-    inner: Option<Arc<Inner>>,
-    idx: Option<usize>,
-    start: Option<Instant>,
-    finished: bool,
+    /// The recorder, the span's arena index and its start, while a recorded
+    /// span is open; `None` once closed or when nothing records it.
+    open: Option<(Arc<Inner>, usize, Instant)>,
     /// Open allocation window, present when [`ObsConfig::heap`] is set for
     /// a recorded span. Closed first thing in [`SpanGuard::close`] so the
     /// recorder's own close-path allocations never land in the span.
@@ -471,62 +438,54 @@ impl SpanGuard {
     /// Attaches a `key = value` field to the span. No-op on unrecorded
     /// spans.
     pub fn field(&mut self, key: &str, value: impl Into<FieldValue>) {
-        if let (Some(inner), Some(idx)) = (&self.inner, self.idx) {
+        if let Some((inner, idx, _)) = &self.open {
             let mut st = inner.lock();
-            st.spans[idx].fields.push((key.to_owned(), value.into()));
+            st.spans[*idx].fields.push((key.to_owned(), value.into()));
         }
     }
 
-    /// Closes the span now and returns its elapsed seconds (`0.0` when the
-    /// recorder is disabled).
-    pub fn finish(mut self) -> f64 {
-        self.close()
+    /// Closes the span now.
+    pub fn finish(mut self) {
+        self.close();
     }
 
-    fn close(&mut self) -> f64 {
-        if self.finished {
-            return 0.0;
-        }
-        self.finished = true;
+    fn close(&mut self) {
         // Close the allocation window before anything else on this path
         // allocates (field strings, echo lines): the delta must
         // cover the workload between open and close, nothing of ours.
         let alloc_delta = self.heap.take().and_then(crate::alloc::span_close);
-        let Some(start) = self.start else {
-            return 0.0;
+        let Some((inner, idx, start)) = self.open.take() else {
+            return;
         };
         let seconds = start.elapsed().as_secs_f64();
-        if let (Some(inner), Some(idx)) = (&self.inner, self.idx) {
-            let mut st = inner.lock();
-            st.spans[idx].seconds = seconds;
-            if let Some(d) = alloc_delta {
-                let fields = &mut st.spans[idx].fields;
-                fields.push(("alloc.bytes".to_owned(), FieldValue::U64(d.bytes)));
-                fields.push(("alloc.count".to_owned(), FieldValue::U64(d.count)));
-                fields.push(("alloc.peak".to_owned(), FieldValue::U64(d.peak_bytes)));
-            }
-            // Pop this span from its thread's open stack. Guards are
-            // expected to close in LIFO order per thread; a guard moved
-            // across threads or closed out of order is removed wherever it
-            // sits so later spans still nest correctly.
-            if let Some(stack) = st.stacks.get_mut(&std::thread::current().id()) {
-                if stack.last() == Some(&idx) {
-                    stack.pop();
-                } else if let Some(pos) = stack.iter().rposition(|&i| i == idx) {
-                    stack.remove(pos);
-                }
-            }
-            let span = &st.spans[idx];
-            if span.level <= inner.cfg.echo {
-                let indent = "  ".repeat(span.depth);
-                let mut line = format!("[obs] {indent}{} {seconds:.4}s", span.name);
-                for (k, v) in &span.fields {
-                    line.push_str(&format!(" {k}={v}"));
-                }
-                eprintln!("{line}");
+        let mut st = inner.lock();
+        st.spans[idx].seconds = seconds;
+        if let Some(d) = alloc_delta {
+            let fields = &mut st.spans[idx].fields;
+            fields.push(("alloc.bytes".to_owned(), FieldValue::U64(d.bytes)));
+            fields.push(("alloc.count".to_owned(), FieldValue::U64(d.count)));
+            fields.push(("alloc.peak".to_owned(), FieldValue::U64(d.peak_bytes)));
+        }
+        // Pop this span from its thread's open stack. Guards are
+        // expected to close in LIFO order per thread; a guard moved
+        // across threads or closed out of order is removed wherever it
+        // sits so later spans still nest correctly.
+        if let Some(stack) = st.stacks.get_mut(&std::thread::current().id()) {
+            if stack.last() == Some(&idx) {
+                stack.pop();
+            } else if let Some(pos) = stack.iter().rposition(|&i| i == idx) {
+                stack.remove(pos);
             }
         }
-        seconds
+        let span = &st.spans[idx];
+        if span.level <= inner.cfg.echo {
+            let indent = "  ".repeat(span.depth);
+            let mut line = format!("[obs] {indent}{} {seconds:.4}s", span.name);
+            for (k, v) in &span.fields {
+                line.push_str(&format!(" {k}={v}"));
+            }
+            eprintln!("{line}");
+        }
     }
 }
 
@@ -546,10 +505,9 @@ mod tests {
         assert!(!rec.is_enabled());
         let mut g = rec.span("nothing");
         g.field("k", 1u64);
-        assert_eq!(g.finish(), 0.0);
+        g.finish();
         rec.add("c", 5);
         rec.gauge("g", 1.0);
-        rec.observe("h", 1.0);
         let t = rec.trace();
         assert!(t.spans.is_empty());
         assert!(t.counters.is_empty());
@@ -579,18 +537,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_returns_the_recorded_seconds() {
-        let rec = Recorder::new(ObsConfig::default());
-        let g = rec.span("timed");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let secs = g.finish();
-        let t = rec.trace();
-        assert_eq!(t.spans[0].seconds, secs, "stored == returned, bitwise");
-        assert!(secs > 0.0);
-    }
-
-    #[test]
-    fn counters_gauges_histograms_accumulate() {
+    fn counters_and_gauges_accumulate() {
         let rec = Recorder::new(ObsConfig::default());
         rec.add("c", 2);
         rec.add("c", 3);
@@ -598,18 +545,10 @@ mod tests {
         rec.gauge("g", 4.0);
         rec.gauge_max("m", 10.0);
         rec.gauge_max("m", 6.0);
-        for v in [1.0, 2.0, 4.0] {
-            rec.observe("h", v);
-        }
         let t = rec.trace();
         assert_eq!(t.counter("c"), 5);
         assert_eq!(t.gauge("g"), Some(4.0), "gauge is last-write");
         assert_eq!(t.gauge("m"), Some(10.0), "gauge_max keeps the peak");
-        let (_, h) = t.histograms.iter().find(|(k, _)| k == "h").unwrap();
-        assert_eq!(h.count, 3);
-        assert_eq!(h.sum, 7.0);
-        assert_eq!(h.min, 1.0);
-        assert_eq!(h.max, 4.0);
     }
 
     #[test]

@@ -14,15 +14,15 @@
 //!      "children": [ ...same shape... ]}
 //!   ],
 //!   "counters": {"name": 0, ...},
-//!   "gauges": {"name": 0.0, ...},
-//!   "histograms": {"name": {"count": 0, "sum": 0.0, "min": 0.0,
-//!                           "max": 0.0, "p50": 0.0, "p95": 0.0}, ...}
+//!   "gauges": {"name": 0.0, ...}
 //! }
 //! ```
 //!
-//! Any other `"version"` is a typed parse error. Files from before the live
-//! sampler was retired also carry a `"samples"` array; it is never written
-//! and, like any other unknown key, ignored on read.
+//! Any other `"version"` is a typed parse error. Older version-2 files also
+//! carry a `"histograms"` table (from before the histogram metric kind was
+//! retired) and a `"samples"` array (from before the live sampler was);
+//! neither is written any more and, like any other unknown key, both are
+//! ignored on read.
 //!
 //! Heap attribution (DESIGN.md §S0.5) extends the schema *additively*,
 //! with no version bump: recorded spans may carry `alloc.bytes` /
@@ -36,7 +36,7 @@
 //! tooling (trace diffing, EXPERIMENTS.md regeneration) can rely on all
 //! three orderings.
 
-use super::{FieldValue, HistogramSummary};
+use super::FieldValue;
 use crate::json::{Json, ToJson};
 
 /// One completed (or still-open, `seconds = 0.0`) span in a [`Trace`].
@@ -140,8 +140,6 @@ pub struct Trace {
     pub counters: Vec<(String, u64)>,
     /// Gauges (last-write or peak), sorted by name.
     pub gauges: Vec<(String, f64)>,
-    /// Histogram summaries, sorted by name.
-    pub histograms: Vec<(String, HistogramSummary)>,
 }
 
 /// Shorthand for ingestion errors: a path-like context plus the problem.
@@ -176,16 +174,6 @@ fn parse_gauge_table(root: &Json) -> Result<Vec<(String, f64)>, String> {
                 .ok_or_else(|| bad(&format!("gauge {k:?}"), "expected a number"))?;
             Ok((k.clone(), v))
         })
-        .collect()
-}
-
-/// Parses the `"histograms"` table of the trace root.
-fn parse_histogram_table(root: &Json) -> Result<Vec<(String, HistogramSummary)>, String> {
-    root.get("histograms")
-        .and_then(Json::as_obj)
-        .ok_or_else(|| bad("root", "missing object \"histograms\""))?
-        .iter()
-        .map(|(k, v)| Ok((k.clone(), HistogramSummary::from_json(v, k)?)))
         .collect()
 }
 
@@ -236,30 +224,6 @@ impl TraceSpan {
     }
 }
 
-impl HistogramSummary {
-    fn from_json(j: &Json, name: &str) -> Result<HistogramSummary, String> {
-        let num = |key: &str| {
-            j.get(key).and_then(Json::as_f64).ok_or_else(|| {
-                bad(
-                    &format!("histogram {name:?}"),
-                    &format!("missing number {key:?}"),
-                )
-            })
-        };
-        Ok(HistogramSummary {
-            count: j
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or_else(|| bad(&format!("histogram {name:?}"), "missing integer \"count\""))?,
-            sum: num("sum")?,
-            min: num("min")?,
-            max: num("max")?,
-            p50: num("p50")?,
-            p95: num("p95")?,
-        })
-    }
-}
-
 impl Trace {
     /// Parses the JSON text a `--trace-out` run (or [`Trace::to_json_string`])
     /// produced back into a typed trace — the read half of the schema
@@ -294,12 +258,10 @@ impl Trace {
             .collect::<Result<Vec<_>, String>>()?;
         let counters = parse_counter_table(json)?;
         let gauges = parse_gauge_table(json)?;
-        let histograms = parse_histogram_table(json)?;
         Ok(Trace {
             spans,
             counters,
             gauges,
-            histograms,
         })
     }
 
@@ -314,14 +276,6 @@ impl Trace {
     /// The value of gauge `name`, if set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
-    }
-
-    /// The summary of histogram `name`, if any observations were recorded.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSummary> {
-        self.histograms
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
     }
 
     /// The first span named `name`, searching depth-first.
@@ -341,10 +295,10 @@ impl Trace {
     }
 
     /// Sums the `seconds` of every span named `name`, anywhere in the tree,
-    /// in chronological depth-first order. This is how pipeline reports
-    /// derive their `*_seconds` fields from the trace: a stage that runs
-    /// once per bootstrap round contributes each round's span, summed in
-    /// the same order the rounds executed.
+    /// in chronological depth-first order. This is how a stage's seconds
+    /// are read (Figure 4's components, the `pipeline` span's end-to-end
+    /// time): a stage that runs once per bootstrap round contributes each
+    /// round's span, summed in the same order the rounds executed.
     pub fn total_seconds(&self, name: &str) -> f64 {
         let mut total = 0.0;
         for s in &self.spans {
@@ -404,14 +358,6 @@ impl ToJson for Trace {
                 "gauges",
                 Json::obj(self.gauges.iter().map(|(k, v)| (k.clone(), v.to_json()))),
             ),
-            (
-                "histograms",
-                Json::obj(
-                    self.histograms
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.to_json())),
-                ),
-            ),
         ])
     }
 }
@@ -434,14 +380,11 @@ mod tests {
         }
         rec.add("cps.virtual_edges", 42);
         rec.gauge("mem.peak_bytes", 1024.0);
-        for v in [0.5, 2.0, 8.0] {
-            rec.observe("train.epoch_loss", v);
-        }
         rec.trace()
     }
 
     /// The golden test for the trace schema: span nesting, field ordering,
-    /// histogram summary keys. Downstream tooling parses this exact shape —
+    /// metric tables. Downstream tooling parses this exact shape —
     /// change it only with a version bump.
     #[test]
     fn golden_json_schema() {
@@ -453,9 +396,7 @@ mod tests {
             r#""children":[{"name":"partition","seconds":0.25,"#,
             r#""fields":{"balance":1.02},"children":[]}]}],"#,
             r#""counters":{"cps.virtual_edges":42},"#,
-            r#""gauges":{"mem.peak_bytes":1024.0},"#,
-            r#""histograms":{"train.epoch_loss":{"count":3,"sum":10.5,"#,
-            r#""min":0.5,"max":8.0,"p50":4.0,"p95":8.0}}}"#,
+            r#""gauges":{"mem.peak_bytes":1024.0}}"#,
         );
         assert_eq!(t.to_json_string(), expected);
     }
@@ -464,7 +405,7 @@ mod tests {
     fn empty_trace_serialises() {
         assert_eq!(
             Trace::default().to_json_string(),
-            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{}}"#
         );
     }
 
@@ -475,8 +416,6 @@ mod tests {
         assert_eq!(t.counter("missing"), 0);
         assert_eq!(t.gauge("mem.peak_bytes"), Some(1024.0));
         assert_eq!(t.gauge("missing"), None);
-        assert_eq!(t.histogram("train.epoch_loss").unwrap().count, 3);
-        assert!(t.histogram("missing").is_none());
         let p = t.find("partition").unwrap();
         assert_eq!(p.field("balance"), Some(&FieldValue::F64(1.02)));
         assert!(p.field("missing").is_none());
@@ -509,9 +448,12 @@ mod tests {
 
     #[test]
     fn parse_accepts_empty_trace() {
-        // with and without the retired sample ring, whatever it holds
+        // with and without the retired histogram table and sample ring,
+        // whatever they hold
         for text in [
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{}}"#,
             r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{}}"#,
+            r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{"h":{"count":1}}}"#,
             r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[]}"#,
             r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{},"samples":[{"tick":1}]}"#,
         ] {
@@ -546,10 +488,6 @@ mod tests {
             (
                 r#"{"version":2,"spans":[],"counters":{},"gauges":{"g":"x"},"histograms":{},"samples":[]}"#,
                 "number",
-            ),
-            (
-                r#"{"version":2,"spans":[],"counters":{},"gauges":{},"histograms":{"h":{"count":1}},"samples":[]}"#,
-                "sum",
             ),
             ("{not json", "parse error"),
         ] {

@@ -4,7 +4,7 @@
 
 use largeea_common::check::{for_each_case, string_from, unicode_string};
 use largeea_common::json::ToJson;
-use largeea_common::obs::{FieldValue, HistogramSummary, Trace, TraceSpan};
+use largeea_common::obs::{FieldValue, Trace, TraceSpan};
 use largeea_common::rng::Rng;
 
 /// A finite f64 drawn from the full bit pattern space.
@@ -56,17 +56,6 @@ fn arb_table<V>(rng: &mut Rng, mut value: impl FnMut(&mut Rng) -> V) -> Vec<(Str
     names.into_iter().map(|n| (n, value(rng))).collect()
 }
 
-fn arb_summary(r: &mut Rng) -> HistogramSummary {
-    HistogramSummary {
-        count: r.gen_range(1..1_000_000u64),
-        sum: arb_f64(r),
-        min: arb_f64(r),
-        max: arb_f64(r),
-        p50: arb_f64(r),
-        p95: arb_f64(r),
-    }
-}
-
 fn arb_trace(rng: &mut Rng) -> Trace {
     Trace {
         spans: (0..rng.gen_range(0..4usize))
@@ -74,7 +63,6 @@ fn arb_trace(rng: &mut Rng) -> Trace {
             .collect(),
         counters: arb_table(rng, |r| r.next_u64() >> r.gen_range(0..64u32)),
         gauges: arb_table(rng, arb_f64),
-        histograms: arb_table(rng, arb_summary),
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::checkpoint::Stage;
 use crate::mem::MemBudget;
 use crate::pipeline::{RunCtx, RunError};
-use largeea_common::obs::{Level, ObsConfig, Recorder};
+use largeea_common::obs::{Level, Recorder};
 use largeea_common::pool::Pool;
 use largeea_kg::{KnowledgeGraph, NameSlice, Names};
 use largeea_sim::{resident_bytes, segmented_topk_streamed, Metric, SparseSimMatrix};
@@ -68,10 +68,6 @@ impl Default for NameChannelConfig {
 pub struct NameChannelOutput {
     /// Fused name similarity `M_n = M_se + γ·M_st`.
     pub m_n: SparseSimMatrix,
-    /// Wall-clock seconds of SENS (encoding + top-k search).
-    pub sens_seconds: f64,
-    /// Wall-clock seconds of STNS (sketching + Levenshtein).
-    pub stns_seconds: f64,
 }
 
 /// The name channel runner.
@@ -89,23 +85,22 @@ impl NameChannel {
     }
 
     /// Runs NFF over the two KGs' entity labels: [`NameChannel::run_in`] a
-    /// [`RunCtx::in_memory`]. A private default recorder keeps the reported
-    /// timings real even though nobody asked for a trace (spans time
-    /// whether stored or not).
+    /// [`RunCtx::in_memory`] that records nothing.
     pub fn run(&self, source: &KnowledgeGraph, target: &KnowledgeGraph) -> NameChannelOutput {
-        let rec = Recorder::new(ObsConfig::default());
-        self.run_in(source, target, &mut RunCtx::in_memory(&rec))
-            .expect("memory backing, no budget, no checkpoint: no RunError has a source")
+        self.run_in(
+            source,
+            target,
+            &mut RunCtx::in_memory(&Recorder::disabled()),
+        )
+        .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
     /// Runs NFF against `ctx`: recording into `ctx.rec` and admitting
     /// against `ctx.budget`.
     ///
     /// Records a `name_channel` span with `stns`/`sens` children, in that
-    /// order (the reported `*_seconds` are those spans' durations — single
-    /// source of truth, so `0.0` with a disabled recorder), per-block
-    /// `sens_block` spans from the segmented search and `stns.*` candidate
-    /// counters.
+    /// order (Figure 4's SENS and STNS seconds), per-block `sens_block`
+    /// spans from the segmented search and `stns.*` candidate counters.
     ///
     /// STNS runs first, so its signatures and index are never live beside
     /// `M_se`; each stage asks `ctx.budget` for what it is about to hold
@@ -116,7 +111,7 @@ impl NameChannel {
     ///
     /// `M_n` is the channel's one durable boundary ([`Stage::Name`]): a
     /// `ctx.ckpt` that already holds it answers without any of the above
-    /// (no span, zero seconds), otherwise it is saved there once computed.
+    /// (no span), otherwise it is saved there once computed.
     pub fn run_in(
         &self,
         source: &KnowledgeGraph,
@@ -127,24 +122,16 @@ impl NameChannel {
             rec, budget, ckpt, ..
         } = ctx;
         let rec = *rec;
-        let mut seconds = None;
         let m_n = ckpt.load_or(Stage::Name, rec, |_| {
             let channel_span = rec.span("name_channel");
-            let (m_st, stns_seconds) = self.stns(source, target, rec, budget)?;
-            let (m_se, sens_seconds) = self.sens(source, target, rec, budget)?;
+            let m_st = self.stns(source, target, rec, budget)?;
             // In-place fusion: only the fused matrix stays live.
-            let mut m_n = m_se;
+            let mut m_n = self.sens(source, target, rec, budget)?;
             m_n.scaled_add_assign(&m_st, self.cfg.gamma);
             channel_span.finish();
-            seconds = Some((sens_seconds, stns_seconds));
             Ok::<_, RunError>(m_n)
         })?;
-        let (sens_seconds, stns_seconds) = seconds.unwrap_or_default();
-        Ok(NameChannelOutput {
-            m_n,
-            sens_seconds,
-            stns_seconds,
-        })
+        Ok(NameChannelOutput { m_n })
     }
 
     /// SENS: semantic name similarity via hash-encoder embeddings +
@@ -162,7 +149,7 @@ impl NameChannel {
         target: &KnowledgeGraph,
         rec: &Recorder,
         budget: &MemBudget,
-    ) -> Result<(SparseSimMatrix, f64), RunError> {
+    ) -> Result<SparseSimMatrix, RunError> {
         let mut span = rec.span("sens");
         span.field("dim", self.cfg.dim);
         span.field("top_k", self.cfg.top_k);
@@ -195,7 +182,7 @@ impl NameChannel {
         // negative distances → [0,1] per row so γ-weighted fusion and the
         // later channel fusion operate on one scale
         m_se.normalize_global_minmax();
-        Ok((m_se, span.finish()))
+        Ok(m_se)
     }
 
     /// STNS: string name similarity via MinHash-LSH candidates + banded
@@ -207,7 +194,7 @@ impl NameChannel {
         target: &KnowledgeGraph,
         rec: &Recorder,
         budget: &MemBudget,
-    ) -> Result<(SparseSimMatrix, f64), RunError> {
+    ) -> Result<SparseSimMatrix, RunError> {
         let mut span = rec.span("stns");
         span.field("theta", self.cfg.theta);
         let pool = Pool::global();
@@ -318,7 +305,7 @@ impl NameChannel {
         span.field("candidates", lsh_candidates);
         span.field("pruned", pruned_below_theta);
         m_st.truncate_topk(self.cfg.top_k);
-        Ok((m_st, span.finish()))
+        Ok(m_st)
     }
 }
 
@@ -326,6 +313,7 @@ impl NameChannel {
 mod tests {
     use super::*;
     use crate::spill::SpillStore;
+    use largeea_common::obs::ObsConfig;
     use largeea_kg::EntityId;
 
     fn kgs() -> (KnowledgeGraph, KnowledgeGraph) {
@@ -359,7 +347,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
+        let m_st = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         assert_eq!(m_st.get(2, 2), Some(1.0));
     }
 
@@ -368,7 +356,7 @@ mod tests {
         let (s, t) = kgs();
         let nc = NameChannel::new(NameChannelConfig::default());
         let rec = Recorder::disabled();
-        let (m_st, _) = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
+        let m_st = nc.stns(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         // "London" vs "Allemagne" falls below θ = 0.5 → no stored entry
         assert_eq!(m_st.get(0, 1), None);
     }
@@ -382,7 +370,7 @@ mod tests {
         });
         let fused = nc.run(&s, &t).m_n.get(2, 2).unwrap();
         let rec = Recorder::disabled();
-        let (m_se, _) = nc.sens(&s, &t, &rec, &MemBudget::open(None)).unwrap();
+        let m_se = nc.sens(&s, &t, &rec, &MemBudget::open(None)).unwrap();
         let se = m_se.get(2, 2).unwrap();
         assert!((fused - (se + 0.5)).abs() < 1e-6, "fused {fused} se {se}");
     }
@@ -391,11 +379,9 @@ mod tests {
     fn timings_reported_stns_first() {
         let (s, t) = kgs();
         let rec = Recorder::new(ObsConfig::default());
-        let out = NameChannel::new(NameChannelConfig::default())
+        NameChannel::new(NameChannelConfig::default())
             .run_in(&s, &t, &mut RunCtx::in_memory(&rec))
             .unwrap();
-        assert!(out.sens_seconds >= 0.0);
-        assert!(out.stns_seconds >= 0.0);
         let trace = rec.trace();
         let children = &trace.find("name_channel").expect("channel span").children;
         let names: Vec<&str> = children.iter().map(|c| c.name.as_str()).collect();
@@ -415,7 +401,7 @@ mod tests {
             ..Default::default()
         };
         let rec = Recorder::disabled();
-        let (m_se, _) = NameChannel::new(cfg)
+        let m_se = NameChannel::new(cfg)
             .sens(&s, &t, &rec, &MemBudget::open(None))
             .unwrap();
         for r in 0..30 {

@@ -27,6 +27,19 @@ use std::path::PathBuf;
 
 pub use crate::structure_channel::Partitioner as PartitionStrategy;
 
+/// The span a whole run is timed by (`trace.total_seconds(PIPELINE_SPAN)`,
+/// the paper's `Time` column).
+pub const PIPELINE_SPAN: &str = "pipeline";
+/// Counter: pseudo seeds data augmentation generated (§3.5); absent when
+/// augmentation did not run.
+pub const PSEUDO_SEEDS: &str = "augment.pseudo_seeds";
+/// Gauge: the accuracy of those pseudo seeds against the ground truth.
+pub const PSEUDO_SEED_ACCURACY: &str = "augment.pseudo_seed_accuracy";
+/// Gauge: the run's peak net heap growth, measured by the counting
+/// allocator; absent when the process does not install
+/// `largeea_common::alloc::CountingAlloc`.
+pub const MEASURED_HEAP_PEAK: &str = "heap.measured.peak_bytes";
+
 /// Execution-regime options — everything about *how* a run executes that
 /// must not change its results. Kept separate from [`LargeEaConfig`] on
 /// purpose: the config fingerprint (what checkpoint resume validates)
@@ -215,46 +228,23 @@ impl LargeEaConfig {
     }
 }
 
-/// Everything one pipeline run produces — accuracy, timings and memory, in
-/// the shape the paper's tables report them.
-///
-/// Every `*_seconds` field is *derived from [`LargeEaReport::trace`]* (the
-/// sum of the correspondingly-named spans), so the report and the exported
-/// trace can never disagree. The run's quality diagnostics — channel
-/// attribution, H@1 by degree, seed retention, edge-cut rate — live only
-/// in the trace (DESIGN.md §S0.5).
+/// Everything one pipeline run produces: the fused matrix, its accuracy,
+/// and the trace that holds every other number of the run (DESIGN.md
+/// §S0.5) — the components' seconds (`trace.total_seconds("sens")`, …,
+/// [`PIPELINE_SPAN`] end to end), the measured heap peak
+/// ([`MEASURED_HEAP_PEAK`]; per channel, the `alloc.peak` of the
+/// `name_channel` / `structure_channel` spans), the pseudo seeds
+/// ([`PSEUDO_SEEDS`], [`PSEUDO_SEED_ACCURACY`]) and the quality
+/// diagnostics.
 #[derive(Debug)]
 pub struct LargeEaReport {
     /// The final fused similarity matrix `M`.
     pub sim: SparseSimMatrix,
     /// Accuracy over the held-out test pairs.
     pub eval: EvalResult,
-    /// SENS wall-clock seconds (Figure 4) — `Σ` of `sens` spans.
-    pub sens_seconds: f64,
-    /// STNS wall-clock seconds (Figure 4) — `Σ` of `stns` spans.
-    pub stns_seconds: f64,
-    /// Mini-batch generation seconds (Figure 4) — `Σ` of `partition` spans
-    /// across bootstrap rounds.
-    pub partition_seconds: f64,
-    /// EA training seconds (Figure 4) — `Σ` of `train` spans across
-    /// bootstrap rounds.
-    pub training_seconds: f64,
-    /// End-to-end seconds (the paper's `Time` column) — the `pipeline`
-    /// span's duration.
-    pub total_seconds: f64,
-    /// The full run trace: every span, counter, gauge and histogram the
-    /// pipeline recorded (export with `trace.to_json_string()`).
+    /// Everything `rec` recorded up to the end of the run (empty when it
+    /// is disabled).
     pub trace: Trace,
-    /// The peak net heap growth over the run, measured by the counting
-    /// allocator (`heap.measured.peak_bytes` gauge; per channel, the
-    /// `alloc.peak` of the `name_channel` / `structure_channel` spans —
-    /// Table 6). `None` when the process doesn't install
-    /// `largeea_common::alloc::CountingAlloc`.
-    pub measured_heap_peak_bytes: Option<usize>,
-    /// Pseudo seeds generated by data augmentation (§3.5).
-    pub pseudo_seeds: usize,
-    /// Accuracy of those pseudo seeds against the ground truth (§3.5).
-    pub pseudo_seed_accuracy: f64,
 }
 
 /// The LargeEA framework runner.
@@ -277,9 +267,8 @@ impl LargeEa {
     /// evaluating on `seeds.test`. With an empty `seeds.train` and
     /// augmentation on, this is the paper's *unsupervised* mode (§3.5).
     ///
-    /// One round of [`LargeEa::run_exec`] with default [`ExecOptions`]; a
-    /// private default recorder keeps the reported timings real even though
-    /// nobody asked for a trace.
+    /// One round of [`LargeEa::run_exec`] with default [`ExecOptions`],
+    /// recorded into a fresh default recorder.
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> LargeEaReport {
         let rec = Recorder::new(ObsConfig::default());
         self.run_exec(pair, seeds, 1, &rec, &ExecOptions::default())
@@ -294,9 +283,8 @@ impl LargeEa {
     /// the fused matrix join the seed set, and the structure channel
     /// retrains. The name channel runs once (it is seed-free).
     ///
-    /// The whole run is a `pipeline` span; the report's `*_seconds` fields
-    /// are read back out of the recorded trace (single source of truth), so
-    /// a disabled recorder yields an empty trace and all-zero timings.
+    /// The whole run is a `pipeline` span; a disabled recorder yields an
+    /// empty trace.
     ///
     /// With `exec.checkpoint_dir`, every pipeline boundary ([`Stage`]:
     /// name-channel `M_n`, per-round partition / per-batch embeddings and
@@ -346,7 +334,7 @@ impl LargeEa {
             ckpt,
             round: 0,
         };
-        let mut pipeline_span = rec.span("pipeline");
+        let mut pipeline_span = rec.span(PIPELINE_SPAN);
         pipeline_span.field("rounds", rounds);
         // Which kernel ISA this run dispatched to (DESIGN.md §S0.11) —
         // recorded so trace diffs attribute perf shifts to the
@@ -364,16 +352,15 @@ impl LargeEa {
             .transpose()?;
 
         // --- name-based data augmentation -----------------------------------
-        let (mut train_seeds, pseudo_seeds, pseudo_seed_accuracy) =
-            match (&name_out, self.cfg.use_augmentation) {
-                (Some(n), true) => {
-                    let rep = augment_seeds(seeds, &n.m_n, &pair.alignment);
-                    rec.add("augment.pseudo_seeds", rep.generated as u64);
-                    rec.gauge("augment.pseudo_seed_accuracy", rep.accuracy);
-                    (rep.seeds, rep.generated, rep.accuracy)
-                }
-                _ => (seeds.clone(), 0, 0.0),
-            };
+        let mut train_seeds = match (&name_out, self.cfg.use_augmentation) {
+            (Some(n), true) => {
+                let rep = augment_seeds(seeds, &n.m_n, &pair.alignment);
+                rec.add(PSEUDO_SEEDS, rep.generated as u64);
+                rec.gauge(PSEUDO_SEED_ACCURACY, rep.accuracy);
+                rep.seeds
+            }
+            _ => seeds.clone(),
+        };
 
         // --- structure channel + fusion, bootstrapped ------------------------
         let mut structure_out = None;
@@ -445,18 +432,18 @@ impl LargeEa {
             structure_hits.as_deref(),
             name_out.as_ref().map(|n| &n.m_n),
         );
-        let total_seconds = pipeline_span.finish();
+        pipeline_span.finish();
         // Close the measured-memory window (after the pipeline span's own
         // window — LIFO). Its peak is the net growth attributable to this
         // run: pre-existing allocations (interned strings, the generated KG
-        // pair) are not in the window.
-        let measured_heap_peak_bytes = largeea_common::alloc::span_close(heap_window)
-            .filter(|_| largeea_common::alloc::is_instrumented())
-            .map(|d| d.peak_bytes as usize);
+        // pair) are not in the window. Recorded whenever the counting
+        // allocator is installed, whether or not spans attribute heap.
+        let measured = largeea_common::alloc::span_close(heap_window)
+            .filter(|_| largeea_common::alloc::is_instrumented());
+        if let Some(d) = measured {
+            rec.gauge_max(MEASURED_HEAP_PEAK, d.peak_bytes as f64);
+        }
         if rec.heap_enabled() {
-            if let Some(measured) = measured_heap_peak_bytes {
-                rec.gauge_max("heap.measured.peak_bytes", measured as f64);
-            }
             rec.gauge("heap.live", largeea_common::alloc::heap_live() as f64);
             rec.gauge_max("heap.peak", largeea_common::alloc::heap_peak() as f64);
             // what pool workers kept of their own allocations (DESIGN.md
@@ -464,21 +451,10 @@ impl LargeEa {
             let kept = largeea_common::alloc::worker_kept_bytes();
             rec.gauge_max("pool.worker_kept_bytes", kept as f64);
         }
-        // Single source of truth: the report's timings are the trace's
-        // (finish() returns the exact f64 stored in the span).
-        let trace = rec.trace();
         Ok(LargeEaReport {
-            eval,
-            sens_seconds: trace.total_seconds("sens"),
-            stns_seconds: trace.total_seconds("stns"),
-            partition_seconds: trace.total_seconds("partition"),
-            training_seconds: trace.total_seconds("train"),
-            total_seconds,
-            trace,
-            measured_heap_peak_bytes,
-            pseudo_seeds,
-            pseudo_seed_accuracy,
             sim,
+            eval,
+            trace: rec.trace(),
         })
     }
 }
@@ -547,25 +523,32 @@ mod tests {
     fn augmentation_generates_accurate_pseudo_seeds() {
         let pair = Preset::Ids15kEnFr.spec(0.02).generate();
         let seeds = pair.split_seeds(0.0, 6); // unsupervised
-        let report = LargeEa::new(quick()).run(&pair, &seeds);
-        assert!(
-            report.pseudo_seeds > 50,
-            "only {} pseudo seeds",
-            report.pseudo_seeds
-        );
-        assert!(
-            report.pseudo_seed_accuracy > 0.75,
-            "pseudo-seed accuracy {}",
-            report.pseudo_seed_accuracy
-        );
+        let trace = LargeEa::new(quick()).run(&pair, &seeds).trace;
+        let generated = trace.counter(PSEUDO_SEEDS);
+        assert!(generated > 50, "only {generated} pseudo seeds");
+        let accuracy = trace.gauge(PSEUDO_SEED_ACCURACY).unwrap();
+        assert!(accuracy > 0.75, "pseudo-seed accuracy {accuracy}");
     }
 
     #[test]
-    fn report_carries_timings_and_trace_carries_batch_quality() {
+    fn trace_carries_timings_and_batch_quality() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 7);
         let r = LargeEa::new(quick()).run(&pair, &seeds);
-        assert!(r.total_seconds > 0.0);
+        let t = &r.trace;
+        for stage in [PIPELINE_SPAN, "sens", "train"] {
+            assert!(t.total_seconds(stage) > 0.0, "{stage} took no time");
+        }
+        // sub-stage spans from every instrumented layer are present
+        assert!(t.span_count("epoch") > 0, "per-epoch spans from models");
+        assert!(
+            t.span_count("refine_pass") > 0,
+            "per-pass spans from partition"
+        );
+        assert!(
+            t.span_count("sens_block") > 0,
+            "per-block spans from the name channel"
+        );
         let gauge = |name: &str| r.trace.gauge(name).unwrap_or_else(|| panic!("no {name}"));
         for name in ["train", "test", "total"] {
             let v = gauge(&format!("partition.retention.{name}"));
@@ -573,14 +556,6 @@ mod tests {
         }
         assert!((0.0..=1.0).contains(&gauge("partition.edge_cut_rate")));
         assert_eq!(gauge("eval.hits1"), r.eval.hits1);
-        assert_eq!(
-            r.trace.counter("augment.pseudo_seeds"),
-            r.pseudo_seeds as u64
-        );
-        assert_eq!(
-            gauge("augment.pseudo_seed_accuracy"),
-            r.pseudo_seed_accuracy
-        );
     }
 
     /// The recorded attribution equals a naive recount: each channel's
@@ -710,44 +685,29 @@ mod tests {
             one.eval.hits1
         );
         // two rounds train twice
-        assert!(boot.training_seconds > one.training_seconds);
-    }
-
-    #[test]
-    fn report_seconds_are_exactly_the_trace_spans() {
-        let pair = Preset::Ids15kEnFr.spec(0.01).generate();
-        let seeds = pair.split_seeds(0.2, 11);
-        let r = LargeEa::new(quick()).run(&pair, &seeds);
-        let t = &r.trace;
-        // single source of truth: report fields == trace span sums, bitwise
-        assert_eq!(r.sens_seconds, t.total_seconds("sens"));
-        assert_eq!(r.stns_seconds, t.total_seconds("stns"));
-        assert_eq!(r.partition_seconds, t.total_seconds("partition"));
-        assert_eq!(r.training_seconds, t.total_seconds("train"));
-        assert_eq!(r.total_seconds, t.total_seconds("pipeline"));
-        assert!(r.sens_seconds > 0.0 && r.training_seconds > 0.0);
-        // sub-stage spans from every instrumented layer are present
-        assert!(t.span_count("epoch") > 0, "per-epoch spans from models");
-        assert!(
-            t.span_count("refine_pass") > 0,
-            "per-pass spans from partition"
-        );
-        assert!(
-            t.span_count("sens_block") > 0,
-            "per-block spans from the name channel"
-        );
+        let train_seconds = |r: &LargeEaReport| r.trace.total_seconds("train");
+        assert!(train_seconds(&boot) > train_seconds(&one));
     }
 
     #[test]
     fn measured_heap_peak_is_absent_without_the_allocator() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 6);
-        let r = LargeEa::new(quick()).run(&pair, &seeds);
-        assert_eq!(r.measured_heap_peak_bytes, None);
+        // heap attribution on, so only the missing allocator keeps the
+        // gauge out
+        let rec = Recorder::new(ObsConfig {
+            heap: true,
+            ..ObsConfig::default()
+        });
+        let r = LargeEa::new(quick())
+            .run_exec(&pair, &seeds, 1, &rec, &ExecOptions::default())
+            .unwrap();
+        assert!(r.trace.gauge("heap.live").is_some(), "the heap gauges ran");
+        assert_eq!(r.trace.gauge(MEASURED_HEAP_PEAK), None);
     }
 
     #[test]
-    fn disabled_recorder_yields_empty_trace_and_zero_timings() {
+    fn disabled_recorder_yields_empty_trace() {
         let pair = Preset::Ids15kEnFr.spec(0.01).generate();
         let seeds = pair.split_seeds(0.2, 12);
         let r = LargeEa::new(quick())
@@ -760,7 +720,6 @@ mod tests {
             )
             .unwrap();
         assert!(r.trace.spans.is_empty());
-        assert_eq!(r.total_seconds, 0.0);
         assert!(r.eval.hits1 >= 0.0, "results still computed");
     }
 

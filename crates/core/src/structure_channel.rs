@@ -9,7 +9,7 @@
 
 use crate::checkpoint::Stage;
 use crate::pipeline::{RunCtx, RunError};
-use largeea_common::obs::{Level, ObsConfig, Recorder};
+use largeea_common::obs::{Level, Recorder};
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::scoring::fill_similarity;
 use largeea_models::{train_hooked, BatchGraph, ModelKind, TrainConfig};
@@ -70,12 +70,6 @@ pub struct StructureChannelOutput {
     pub m_s: SparseSimMatrix,
     /// The mini-batches used (for retention / edge-cut diagnostics).
     pub batches: MiniBatches,
-    /// Seconds spent generating mini-batches.
-    pub partition_seconds: f64,
-    /// Seconds spent training + scoring across all batches.
-    pub training_seconds: f64,
-    /// Mean final training loss across batches that trained.
-    pub final_loss: f64,
 }
 
 /// The structure channel runner.
@@ -138,22 +132,19 @@ impl StructureChannel {
     }
 
     /// Runs the full channel (Algorithm 1, given already-augmented seeds):
-    /// [`StructureChannel::run_in`] a [`RunCtx::in_memory`]. A private
-    /// default recorder keeps the reported timings real even though nobody
-    /// asked for a trace (spans time whether stored or not).
+    /// [`StructureChannel::run_in`] a [`RunCtx::in_memory`] that records
+    /// nothing.
     pub fn run(&self, pair: &KgPair, seeds: &AlignmentSeeds) -> StructureChannelOutput {
-        let rec = Recorder::new(ObsConfig::default());
-        self.run_in(pair, seeds, &mut RunCtx::in_memory(&rec))
+        self.run_in(pair, seeds, &mut RunCtx::in_memory(&Recorder::disabled()))
             .expect("memory backing, no budget, no checkpoint: no RunError has a source")
     }
 
     /// Runs the channel against `ctx` (DESIGN.md §S0.8).
     ///
     /// Records into `ctx.rec` a `structure_channel` span with `partition`
-    /// and `train` children (the reported `partition_seconds` /
-    /// `training_seconds` are those spans' durations — single source of
-    /// truth, so `0.0` with a disabled recorder), one `minibatch` span per
-    /// batch and per-epoch `epoch` spans from the trainer.
+    /// and `train` children (Figure 4's METIS-CPS and EA-training seconds),
+    /// one `minibatch` span per batch (with the batch's `final_loss` when
+    /// it trained) and per-epoch `epoch` spans from the trainer.
     ///
     /// Each batch asks `ctx.budget` for its training state (Adam's two
     /// moments, once the model is built) and for its similarity block
@@ -190,109 +181,89 @@ impl StructureChannel {
         let batches = ckpt.load_or(Stage::Partition { round }, rec, |_| {
             Ok::<_, RunError>(self.make_batches_traced(pair, seeds, rec))
         })?;
-        let partition_seconds = partition_span.finish();
+        partition_span.finish();
 
         // A completed round short-circuits the whole training loop.
         if let Some(m_s) = ckpt.load::<SparseSimMatrix>(Stage::Ms { round }, rec) {
             channel_span.finish();
-            return Ok(StructureChannelOutput {
-                m_s,
-                batches,
-                partition_seconds,
-                training_seconds: 0.0,
-                final_loss: 0.0,
-            });
+            return Ok(StructureChannelOutput { m_s, batches });
         }
 
         let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
         // stages of the stored blocks, in batch order — the merge order below
         let mut stored_blocks: Vec<Stage> = Vec::new();
         let train_span = rec.span("train");
-        let mut loss_sum = 0.0f64;
-        let mut loss_count = 0usize;
         for batch in &batches.batches {
             let sim = Stage::Sim {
                 round,
                 batch: batch.index,
             };
-            // `None` when the batch trains nothing: its block was loaded
-            // from the checkpoint, or one of its sides is empty
-            let batch_loss: Option<f32> = 'batch: {
-                let mut batch_span = rec.span_at(Level::Detail, "minibatch");
-                batch_span.field("batch", batch.index);
-                if let Some(block) = ckpt.load(sim, rec) {
-                    store
-                        .put_sim(&sim.key(), block, rec)
-                        .map_err(RunError::Spill)?;
-                    stored_blocks.push(sim);
-                    break 'batch None;
-                }
-                // graph assembly here and the model build below are both
-                // `batch_graph` spans: what a batch costs before it trains
-                let graph_span = rec.span_at(Level::Detail, "batch_graph");
-                let bg = BatchGraph::from_mini_batch(pair, batch);
-                drop(graph_span);
-                batch_span.field("source_entities", bg.n_source);
-                batch_span.field("target_entities", bg.n_target);
-                if bg.n_source == 0 || bg.n_target == 0 {
-                    break 'batch None;
-                }
-                // stays as initialised when the embeddings are loaded
-                let mut batch_loss = None;
-                let emb = Stage::Emb {
-                    round,
-                    batch: batch.index,
-                };
-                let embeddings = ckpt.load_or(emb, rec, |ckpt| {
-                    let graph_span = rec.span_at(Level::Detail, "batch_graph");
-                    let mut model = self.cfg.model.build(
-                        &bg,
-                        self.cfg.train.dim,
-                        self.cfg.seed ^ batch.index as u64,
-                    );
-                    drop(graph_span);
-                    // Adam's two moments of every (already live) parameter
-                    budget.admit("train", 2 * model.store().nbytes())?;
-                    let mut progress = |epoch: usize, loss: f32| {
-                        ckpt.epoch_progress(round, batch.index, epoch, loss);
-                    };
-                    let report = train_hooked(
-                        model.as_mut(),
-                        &bg,
-                        &self.cfg.train,
-                        rec,
-                        Some(&mut progress),
-                    );
-                    if let Some(&last) = report.losses.last() {
-                        batch_loss = Some(last);
-                        batch_span.field("final_loss", last);
-                    }
-                    Ok::<_, RunError>(report.embeddings)
-                })?;
-                {
-                    let mut topk_span = rec.span_at(Level::Detail, "topk");
-                    topk_span.field("batch", batch.index);
-                    rec.add("topk.scored_pairs", (bg.n_source * bg.n_target) as u64);
-                    // fill a block of the batch's own rows and store it
-                    // instead of growing `m_s` — same final content (each
-                    // (row, col) is unique within a batch and cross-batch
-                    // duplicates accumulate by `+=` either way), and it can
-                    // be persisted first
-                    let entries = bg.n_source * self.cfg.top_k;
-                    budget.admit("sim_block", entries * std::mem::size_of::<(u32, f32)>())?;
-                    let shape = (m_s.n_rows(), m_s.n_cols());
-                    let block = fill_similarity(&bg, &embeddings, self.cfg.top_k, shape, rec);
-                    ckpt.save(sim, &block, rec)?;
-                    store
-                        .put_sim(&sim.key(), block, rec)
-                        .map_err(RunError::Spill)?;
-                    stored_blocks.push(sim);
-                }
-                batch_loss
+            let mut batch_span = rec.span_at(Level::Detail, "minibatch");
+            batch_span.field("batch", batch.index);
+            if let Some(block) = ckpt.load(sim, rec) {
+                store
+                    .put_sim(&sim.key(), block, rec)
+                    .map_err(RunError::Spill)?;
+                stored_blocks.push(sim);
+                continue;
+            }
+            // graph assembly here and the model build below are both
+            // `batch_graph` spans: what a batch costs before it trains
+            let graph_span = rec.span_at(Level::Detail, "batch_graph");
+            let bg = BatchGraph::from_mini_batch(pair, batch);
+            drop(graph_span);
+            batch_span.field("source_entities", bg.n_source);
+            batch_span.field("target_entities", bg.n_target);
+            if bg.n_source == 0 || bg.n_target == 0 {
+                continue;
+            }
+            let emb = Stage::Emb {
+                round,
+                batch: batch.index,
             };
-            if let Some(last) = batch_loss {
-                loss_sum += last as f64;
-                loss_count += 1;
+            let embeddings = ckpt.load_or(emb, rec, |ckpt| {
+                let graph_span = rec.span_at(Level::Detail, "batch_graph");
+                let mut model = self.cfg.model.build(
+                    &bg,
+                    self.cfg.train.dim,
+                    self.cfg.seed ^ batch.index as u64,
+                );
+                drop(graph_span);
+                // Adam's two moments of every (already live) parameter
+                budget.admit("train", 2 * model.store().nbytes())?;
+                let mut progress = |epoch: usize, loss: f32| {
+                    ckpt.epoch_progress(round, batch.index, epoch, loss);
+                };
+                let report = train_hooked(
+                    model.as_mut(),
+                    &bg,
+                    &self.cfg.train,
+                    rec,
+                    Some(&mut progress),
+                );
+                if let Some(&last) = report.losses.last() {
+                    batch_span.field("final_loss", last);
+                }
+                Ok::<_, RunError>(report.embeddings)
+            })?;
+            {
+                let mut topk_span = rec.span_at(Level::Detail, "topk");
+                topk_span.field("batch", batch.index);
+                rec.add("topk.scored_pairs", (bg.n_source * bg.n_target) as u64);
+                // fill a block of the batch's own rows and store it
+                // instead of growing `m_s` — same final content (each
+                // (row, col) is unique within a batch and cross-batch
+                // duplicates accumulate by `+=` either way), and it can
+                // be persisted first
+                let entries = bg.n_source * self.cfg.top_k;
+                budget.admit("sim_block", entries * std::mem::size_of::<(u32, f32)>())?;
+                let shape = (m_s.n_rows(), m_s.n_cols());
+                let block = fill_similarity(&bg, &embeddings, self.cfg.top_k, shape, rec);
+                ckpt.save(sim, &block, rec)?;
+                store
+                    .put_sim(&sim.key(), block, rec)
+                    .map_err(RunError::Spill)?;
+                stored_blocks.push(sim);
             }
         }
         // assemble M_s by taking the blocks back in batch order
@@ -304,20 +275,9 @@ impl StructureChannel {
         }
         m_s.normalize_global_minmax();
         ckpt.save(Stage::Ms { round }, &m_s, rec)?;
-        let training_seconds = train_span.finish();
+        train_span.finish();
         channel_span.finish();
-
-        Ok(StructureChannelOutput {
-            m_s,
-            batches,
-            partition_seconds,
-            training_seconds,
-            final_loss: if loss_count == 0 {
-                0.0
-            } else {
-                loss_sum / loss_count as f64
-            },
-        })
+        Ok(StructureChannelOutput { m_s, batches })
     }
 }
 
@@ -367,7 +327,6 @@ mod tests {
             "structure channel H@1 {} too low",
             eval.hits1
         );
-        assert!(out.training_seconds > 0.0);
     }
 
     #[test]

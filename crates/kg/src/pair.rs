@@ -3,6 +3,7 @@
 
 use crate::graph::KnowledgeGraph;
 use crate::ids::EntityId;
+use largeea_common::rng::splitmix64;
 
 /// Ground-truth alignment split into training seeds and held-out test pairs.
 ///
@@ -119,17 +120,6 @@ impl KgPair {
         let known = self.alignment.len() as f64;
         (1.0 - known / ns as f64, 1.0 - known / nt as f64)
     }
-}
-
-/// SplitMix64: tiny, high-quality, seedable PRNG for deterministic shuffles
-/// without pulling `rand` into this leaf crate.
-#[inline]
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E3779B97F4A7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// Fisher–Yates shuffle driven by SplitMix64.

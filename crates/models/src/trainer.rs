@@ -158,8 +158,7 @@ pub fn train(model: &mut dyn EaModel, bg: &BatchGraph, cfg: &TrainConfig) -> Tra
 /// `negatives` (when resampled) / `loss` / `backward` / `step` children.
 /// Each negatives regeneration bumps the `train.negatives_resampled` counter
 /// (and the sampler's own `negatives.*` counters, see [`sample_negatives`]),
-/// per-epoch losses feed the `train.epoch_loss` histogram, and the
-/// `train.peak_bytes` / `train.tape_bytes` gauges keep the largest batch's
+/// and the `train.peak_bytes` / `train.tape_bytes` gauges keep the largest batch's
 /// parameter + Adam state and retained tape.
 ///
 /// The hook, when given, is called after each Adam step with `(epoch, mean
@@ -252,7 +251,6 @@ pub fn train_hooked(
                 .sum();
             epoch_span.field("loss", epoch_loss);
             epoch_span.field("grad_norm", sq_sum.sqrt());
-            rec.observe("train.epoch_loss", epoch_loss as f64);
         }
         let span = phase("step");
         adam.step(model.store_mut(), &grads);
@@ -435,7 +433,10 @@ mod tests {
         assert!(e0.field("loss").is_some() && e0.field("grad_norm").is_some());
         // neg_refresh = 5 → resampled at epochs 0 and 5
         assert_eq!(t.counter("train.negatives_resampled"), 2);
-        assert_eq!(t.histogram("train.epoch_loss").unwrap().count, 6);
+        assert!(
+            batch.children.iter().all(|e| e.field("loss").is_some()),
+            "every epoch span carries its loss"
+        );
         assert!(t.gauge("train.peak_bytes").unwrap() > 0.0);
     }
 

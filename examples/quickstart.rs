@@ -9,7 +9,9 @@
 //! NFF name channel, data augmentation, fusion) and prints the paper's
 //! headline metrics.
 
-use largeea::core::pipeline::{LargeEa, LargeEaConfig};
+use largeea::core::pipeline::{
+    LargeEa, LargeEaConfig, PIPELINE_SPAN, PSEUDO_SEEDS, PSEUDO_SEED_ACCURACY,
+};
 use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::data::Preset;
 use largeea::models::{ModelKind, TrainConfig};
@@ -44,12 +46,14 @@ fn main() {
         ..LargeEaConfig::default()
     };
 
-    // 3. Run and report.
+    // 3. Run and report: accuracy is on the report, every other number of
+    // the run in its trace.
     let report = LargeEa::new(cfg).run(&pair, &seeds);
+    let trace = &report.trace;
     println!(
         "pseudo seeds from data augmentation: {} ({:.1}% correct)",
-        report.pseudo_seeds,
-        100.0 * report.pseudo_seed_accuracy
+        trace.counter(PSEUDO_SEEDS),
+        100.0 * trace.gauge(PSEUDO_SEED_ACCURACY).unwrap_or(0.0)
     );
     println!(
         "H@1 = {:.1}%  H@5 = {:.1}%  MRR = {:.2}  ({} test pairs, {:.1}s)",
@@ -57,7 +61,7 @@ fn main() {
         report.eval.hits5,
         report.eval.mrr,
         report.eval.evaluated,
-        report.total_seconds
+        trace.total_seconds(PIPELINE_SPAN)
     );
     assert!(report.eval.hits1 > 30.0, "quickstart should align well");
 }

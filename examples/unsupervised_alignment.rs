@@ -12,7 +12,7 @@
 //! compares it against the supervised run — the paper's finding is that the
 //! two land within a point of each other.
 
-use largeea::core::pipeline::{LargeEa, LargeEaConfig};
+use largeea::core::pipeline::{LargeEa, LargeEaConfig, PSEUDO_SEEDS, PSEUDO_SEED_ACCURACY};
 use largeea::core::structure_channel::StructureChannelConfig;
 use largeea::data::Preset;
 use largeea::kg::AlignmentSeeds;
@@ -54,6 +54,11 @@ fn main() {
     };
     let unsupervised = LargeEa::new(config()).run(&pair, &unsupervised_seeds);
 
+    let pseudo_seeds = unsupervised.trace.counter(PSEUDO_SEEDS);
+    let pseudo_accuracy = unsupervised
+        .trace
+        .gauge(PSEUDO_SEED_ACCURACY)
+        .unwrap_or(0.0);
     println!(
         "supervised   : H@1 = {:.1}%  H@5 = {:.1}%  MRR = {:.2}",
         supervised.eval.hits1, supervised.eval.hits5, supervised.eval.mrr
@@ -64,11 +69,11 @@ fn main() {
         unsupervised.eval.hits1,
         unsupervised.eval.hits5,
         unsupervised.eval.mrr,
-        unsupervised.pseudo_seeds,
-        100.0 * unsupervised.pseudo_seed_accuracy
+        pseudo_seeds,
+        100.0 * pseudo_accuracy
     );
     assert!(
-        unsupervised.pseudo_seed_accuracy > 0.7,
+        pseudo_accuracy > 0.7,
         "pseudo seeds should be mostly correct"
     );
 }

@@ -24,7 +24,16 @@ stage "test (offline)"
 # One pass at the default pool width. Width-independence is asserted by
 # tests that pin their widths (`tests/parallel_determinism.rs`, the width
 # re-runs in `tests/*.rs`), and the smoke below `cmp`s the CLI at width 1.
-cargo test -q --offline --workspace
+# The tests run in a temp dir of their own and must leave it empty: an
+# entry one of them leaves behind fails the stage, by name.
+test_tmp=$(mktemp -d)
+TMPDIR="$test_tmp" cargo test -q --offline --workspace
+if [ -n "$(ls -A "$test_tmp")" ]; then
+  echo "the test stage left temp entries behind:" >&2
+  ls -A "$test_tmp" >&2
+  exit 1
+fi
+rmdir "$test_tmp"
 
 stage "fmt"
 cargo fmt --check

@@ -23,7 +23,10 @@ mod trace_cmd;
 use largeea::common::fmt_bytes;
 use largeea::common::json::ToJson;
 use largeea::common::obs::Recorder;
-use largeea::core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
+use largeea::core::pipeline::{
+    ExecOptions, LargeEa, LargeEaConfig, RunError, MEASURED_HEAP_PEAK, PIPELINE_SPAN, PSEUDO_SEEDS,
+    PSEUDO_SEED_ACCURACY,
+};
 use largeea::core::structure_channel::{Partitioner, StructureChannel, StructureChannelConfig};
 use largeea::data::Preset;
 use largeea::kg::{io, AlignmentSeeds, EntityId, KgPair, KgStats};
@@ -512,11 +515,13 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
     let report = LargeEa::new(cfg)
         .run_exec(&pair, &seeds, rounds, &rec, &exec)
         .map_err(|e| CliError::Run(Box::new(e)))?;
+    let trace = &report.trace;
     if exec.mem_budget.is_some() || exec.spill_dir.is_some() {
         // the run window's measured peak, in the shape scripts parse
+        let peak = trace.gauge(MEASURED_HEAP_PEAK).unwrap_or(0.0);
         outln!(
             "tracked peak {}{}",
-            fmt_bytes(report.measured_heap_peak_bytes.unwrap_or_default()),
+            fmt_bytes(peak as usize),
             exec.mem_budget
                 .map(|b| format!(" (budget {})", fmt_bytes(b)))
                 .unwrap_or_default()
@@ -528,9 +533,9 @@ fn cmd_align(flags: &Flags) -> Result<(), CliError> {
         report.eval.hits5,
         report.eval.mrr,
         report.eval.evaluated,
-        report.total_seconds,
-        report.pseudo_seeds,
-        100.0 * report.pseudo_seed_accuracy,
+        trace.total_seconds(PIPELINE_SPAN),
+        trace.counter(PSEUDO_SEEDS),
+        100.0 * trace.gauge(PSEUDO_SEED_ACCURACY).unwrap_or(0.0),
     );
     // The tail runs under spans of its own and the heap gauges are read
     // again after it, so a spike here shows in `trace heap` like any other.

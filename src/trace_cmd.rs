@@ -284,22 +284,6 @@ fn summarize(trace: &Trace) {
             outln!("  {name:<38} {v:>12.3}");
         }
     }
-    if !trace.histograms.is_empty() {
-        outln!("\nhistograms:");
-        let mut histograms = trace.histograms.clone();
-        histograms.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, h) in &histograms {
-            outln!(
-                "  {name:<38} count {} sum {:.4} min {:.4} p50 {:.4} p95 {:.4} max {:.4}",
-                h.count,
-                h.sum,
-                h.min,
-                h.p50,
-                h.p95,
-                h.max
-            );
-        }
-    }
     let rates = derived_throughputs(trace);
     if !rates.is_empty() {
         outln!("\nderived throughputs:");

@@ -1,7 +1,7 @@
 //! End-to-end integration tests: the full LargeEA pipeline through the
 //! public facade, exactly as a downstream user would drive it.
 
-use largeea::core::pipeline::{LargeEa, LargeEaConfig};
+use largeea::core::pipeline::{LargeEa, LargeEaConfig, PSEUDO_SEEDS};
 use largeea::core::structure_channel::{Partitioner, StructureChannelConfig};
 use largeea::data::Preset;
 use largeea::kg::AlignmentSeeds;
@@ -60,7 +60,7 @@ fn unsupervised_matches_supervised_within_margin() {
     let cfg = quick_config(2, ModelKind::GcnAlign);
     let supervised = LargeEa::new(cfg).run(&pair, &supervised_seeds);
     let unsupervised = LargeEa::new(cfg).run(&pair, &unsupervised_seeds);
-    assert!(unsupervised.pseudo_seeds > 0);
+    assert!(unsupervised.trace.counter(PSEUDO_SEEDS) > 0);
     assert_pinned("IDS15K EN-DE GCN supervised", supervised.eval.hits1, 91.67);
     assert_pinned(
         "IDS15K EN-DE GCN unsupervised",
@@ -155,7 +155,7 @@ fn pipeline_is_deterministic() {
     let a = LargeEa::new(cfg).run(&pair, &seeds);
     let b = LargeEa::new(cfg).run(&pair, &seeds);
     assert_eq!(a.eval.hits1, b.eval.hits1);
-    assert_eq!(a.pseudo_seeds, b.pseudo_seeds);
+    assert_eq!(a.trace.counter(PSEUDO_SEEDS), b.trace.counter(PSEUDO_SEEDS));
 }
 
 #[test]

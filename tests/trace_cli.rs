@@ -194,9 +194,10 @@ fn trace_errors_are_reported_not_panicked() {
 
 /// A handcrafted schema-v2 snapshot as the retired live sampler wrote them:
 /// a closed `load` whose one child holds all its time (zero self seconds),
-/// one still-open span chain whose epoch has a same-name sibling pair, and a
-/// three-sample ring — tables deliberately NOT sorted to prove the tooling
-/// sorts defensively. Readers ignore the ring; the file must still read.
+/// one still-open span chain whose epoch has a same-name sibling pair, a
+/// retired `histograms` table and a three-sample ring — tables deliberately
+/// NOT sorted to prove the tooling sorts defensively. Readers ignore the
+/// histograms and the ring; the file must still read.
 fn handcrafted_v2_snapshot() -> String {
     concat!(
         r#"{"version":2,"#,
@@ -246,9 +247,10 @@ fn summarize_output_is_sorted_and_byte_deterministic() {
         "alpha.ops", 1, "mem.spill.write_bytes", 4096, "zeta.ops", 3
     );
     assert!(text.contains(&expected_counters), "{text}");
-    let a_h = text.find("  a.h ").expect("a.h histogram row");
-    let z_h = text.find("  z.h ").expect("z.h histogram row");
-    assert!(a_h < z_h, "histograms must sort by name:\n{text}");
+    assert!(
+        !text.contains("histograms") && !text.contains("  a.h "),
+        "the retired histogram table is ignored:\n{text}"
+    );
     let mut gauge_names: Vec<&str> = text
         .lines()
         .skip_while(|l| *l != "gauges:")
@@ -362,9 +364,10 @@ fn diff_refuses_gates_that_can_never_fire() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A trace written before the live sampler was retired carries a non-empty
-/// `"samples"` ring: `summarize` and `diff` still read it and exit 0, the
-/// parsed trace is the file minus its ring, and writing it back drops the key.
+/// A trace written before the live sampler and the histogram kind were
+/// retired carries a non-empty `"samples"` ring and a `"histograms"` table:
+/// `summarize` and `diff` still read it and exit 0, the parsed trace is the
+/// file minus both, and writing it back drops both keys.
 #[test]
 fn a_schema_v2_trace_with_a_sample_ring_still_reads() {
     let dir = tempdir("oldring");
@@ -387,10 +390,11 @@ fn a_schema_v2_trace_with_a_sample_ring_still_reads() {
         .unwrap();
     stdout_of(&diff);
 
-    let (head, _ring) = text.split_once(r#","samples":["#).unwrap();
-    let ringless = Trace::parse(&format!("{head}}}")).unwrap();
+    let (head, _retired) = text.split_once(r#","histograms":"#).unwrap();
+    let stripped = Trace::parse(&format!("{head}}}")).unwrap();
     let parsed = Trace::parse(&text).unwrap();
-    assert_eq!(parsed, ringless, "the ring's contents are ignored");
-    assert!(!parsed.to_json_string().contains("samples"));
+    assert_eq!(parsed, stripped, "the histograms and the ring are ignored");
+    let written = parsed.to_json_string();
+    assert!(!written.contains("samples") && !written.contains("histograms"));
     std::fs::remove_dir_all(&dir).ok();
 }
