@@ -16,7 +16,10 @@
 //!    `--require-win` exits non-zero if dot, l1, l1_panel / sad_panel (the
 //!    kernels the exact top-k scan runs), matmul or one of the training
 //!    step's backward kernels (neg2_dot_rows, norm_dot_rows, reflect_acc,
-//!    sign_acc) fail to beat scalar while a SIMD ISA is active.
+//!    sign_acc) fail to beat scalar while a SIMD ISA is active, or if the
+//!    scan's fused pre-filter kernel (sad_mask2, at the 64-, 128- and
+//!    192-byte codes of GCN, SENS and RREA) fails to beat the two
+//!    `sad_panel` calls and survivor masks it replaced.
 
 use largeea_common::bench::{Bench, Measurement};
 use largeea_common::pool::Pool;
@@ -115,9 +118,11 @@ fn bench_production_kernels(bench: &mut Bench) {
     group.finish();
 }
 
-/// Scalar-vs-dispatched timings for one kernel on identical inputs.
+/// Scalar-vs-dispatched timings for one kernel on identical inputs (or,
+/// for `sad_mask2`, the composition it replaced against it).
 struct Comparison {
     name: &'static str,
+    baseline: &'static str,
     scalar: Measurement,
     dispatched: Measurement,
 }
@@ -169,6 +174,7 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
             .expect("measured");
         out.push(Comparison {
             name,
+            baseline: "scalar",
             scalar,
             dispatched,
         });
@@ -198,6 +204,14 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         }
         sads[PANEL_ROWS - 1] as f32
     });
+    let mut composed = Vec::new();
+    for (name, stride) in [
+        ("sad_mask2_64", 64),
+        ("sad_mask2_128", 128),
+        ("sad_mask2_192", 192),
+    ] {
+        composed.push(sad_mask2_vs_composed(&mut group, name, stride, &mut rng));
+    }
     compare(&mut group, "matmul", &mut |isa| {
         mm_a.matmul_on(&mm_b, pool, isa).as_slice()[0]
     });
@@ -223,12 +237,25 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         })
         .collect();
     let mut acc = vec![0.0f32; 2 * PANEL_ROWS];
+    let heads: Vec<u32> = (0..PANEL_ROWS as u32)
+        .map(|m| (m * 7) % PANEL_ROWS as u32)
+        .collect();
+    let weights = vec![0.25f32; PANEL_ROWS];
+    // message m: one entry (upstream row `heads[m]` of `rows`), relation
+    // row m of `other`
+    let msg = |m: usize| kernels::HopMsg {
+        heads: &heads[m..m + 1],
+        weights: &weights[m..m + 1],
+        dot: 0.5,
+        q: -0.25,
+        row: &other[m * W..(m + 1) * W],
+    };
     compare(&mut group, "neg2_dot_rows", &mut |isa| {
         let acc = &mut acc[..PANEL_ROWS];
         if isa == Isa::Scalar {
-            kernels::scalar::neg2_dot_rows(&rows, &other, W, acc);
+            kernels::scalar::neg2_dot_rows(acc, (&rows, W), W, msg);
         } else {
-            kernels::neg2_dot_rows(&rows, &other, W, acc);
+            kernels::neg2_dot_rows(acc, (&rows, W), W, msg);
         }
         acc[PANEL_ROWS - 1]
     });
@@ -241,18 +268,8 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         acc[2 * PANEL_ROWS - 1]
     });
     let mut sum = [0.0f32; W];
-    let heads: Vec<u32> = (0..PANEL_ROWS as u32)
-        .map(|m| (m * 7) % PANEL_ROWS as u32)
-        .collect();
-    let weights = vec![0.25f32; PANEL_ROWS];
     compare(&mut group, "reflect_acc", &mut |isa| {
-        let msgs = (0..PANEL_ROWS).map(|m| kernels::HopMsg {
-            heads: &heads[m..m + 1],
-            weights: &weights[m..m + 1],
-            dot: 0.5,
-            q: -0.25,
-            row: &other[m * W..(m + 1) * W],
-        });
+        let msgs = (0..PANEL_ROWS).map(msg);
         if isa == Isa::Scalar {
             kernels::scalar::reflect_acc::<true>(&mut sum, (&rows, W), msgs.clone());
             kernels::scalar::reflect_acc::<false>(&mut sum, (&rows, W), msgs);
@@ -274,13 +291,15 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
         sum[W - 1]
     });
     group.finish();
+    out.extend(composed);
 
     println!();
     for c in &out {
         println!(
-            "kernel.{:<13} {:>8.1} ns scalar  {:>8.1} ns {}  ({:.2}x)",
+            "kernel.{:<13} {:>8.1} ns {}  {:>8.1} ns {}  ({:.2}x)",
             c.name,
             c.scalar.median_ns,
+            c.baseline,
             c.dispatched.median_ns,
             isa.name(),
             c.speedup()
@@ -299,6 +318,68 @@ fn bench_dispatch_kernels(bench: &mut Bench) -> Vec<Comparison> {
     out
 }
 
+/// The scan's pre-filter for two queries against one 64-row code panel of
+/// `stride` bytes, as `sad_mask2` runs it (dispatched) against the
+/// composition it replaced: per query a dispatched `sad_panel` into 64
+/// stored SADs, a branch-free mask against the limit plus the panel's
+/// widest slack, then a per-row re-check of its bits. Limits and slacks
+/// are set so a few rows in a hundred survive, as in the scan.
+fn sad_mask2_vs_composed(
+    group: &mut largeea_common::bench::Group<'_>,
+    name: &'static str,
+    stride: usize,
+    rng: &mut Rng,
+) -> Comparison {
+    const ROWS: usize = 64;
+    let mut codes =
+        |n: usize| -> Vec<u8> { (0..n).map(|_| rng.gen_range(0..256u32) as u8).collect() };
+    let (q0, q1, panel) = (codes(stride), codes(stride), codes(ROWS * stride));
+    let slack: Vec<u32> = (0..ROWS)
+        .map(|_| rng.gen_range(0..stride as u32 * 4))
+        .collect();
+    let limit = [stride as u32 * 60; 2];
+    let widest = slack.iter().copied().max().unwrap_or(0);
+    let mut sads = [0u32; ROWS];
+    let mut survivors = |q: &[u8], limit: u32| -> u64 {
+        kernels::sad_panel(q, &panel, stride, &mut sads);
+        let mut maybe = 0u64;
+        for (r, &sad) in sads.iter().enumerate() {
+            maybe |= u64::from(sad < limit.saturating_add(widest)) << r;
+        }
+        let mut keep = 0;
+        while maybe != 0 {
+            let r = maybe.trailing_zeros() as usize;
+            maybe &= maybe - 1;
+            if sads[r] < limit.saturating_add(slack[r]) {
+                keep |= 1 << r;
+            }
+        }
+        keep
+    };
+    let old = (survivors(&q0, limit[0]), survivors(&q1, limit[1]));
+    let new = kernels::sad_mask2([&q0, &q1], &panel, stride, limit, &slack);
+    assert_eq!([old.0, old.1], new, "{name}: the same masks");
+    let scalar = group
+        .bench_measured(format!("{name}_composed"), |br| {
+            br.iter(|| survivors(&q0, limit[0]) ^ survivors(&q1, limit[1]))
+        })
+        .expect("measured");
+    let dispatched = group
+        .bench_measured(format!("{name}_{}", active_isa().name()), |br| {
+            br.iter(|| {
+                let [m0, m1] = kernels::sad_mask2([&q0, &q1], &panel, stride, limit, &slack);
+                m0 ^ m1
+            })
+        })
+        .expect("measured");
+    Comparison {
+        name,
+        baseline: "composed",
+        scalar,
+        dispatched,
+    }
+}
+
 fn main() {
     let mut bench = Bench::new();
     bench_skip_variants(&mut bench);
@@ -310,7 +391,8 @@ fn main() {
             .filter(|c| {
                 let backward = ["neg2_dot_rows", "norm_dot_rows", "reflect_acc", "sign_acc"];
                 let scan = ["dot", "l1", "l1_panel", "sad_panel", "matmul"];
-                (scan.contains(&c.name) || backward.contains(&c.name)) && c.speedup() <= 1.0
+                let scan = scan.contains(&c.name) || c.name.starts_with("sad_mask2");
+                (scan || backward.contains(&c.name)) && c.speedup() <= 1.0
             })
             .map(|c| c.name)
             .collect();

@@ -2,7 +2,7 @@
 
 use largeea_common::obs::{Level, Recorder};
 use largeea_common::pool::Pool;
-use largeea_tensor::kernels::{dot_panel, l1_panel, sad_panel};
+use largeea_tensor::kernels::{dot_panel, l1_panel, sad_mask2, sad_panel};
 use largeea_tensor::{dot, l1_distance, Matrix, Rows};
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -166,6 +166,30 @@ fn below(sads: &[u32; PANEL_ROWS], bound: u32) -> u64 {
     mask
 }
 
+/// Bit `r` is set iff `cut <= sads[r] < limit + slack[r]` (the add
+/// saturating), for the `slack.len()` rows of a panel: the rows the nearest
+/// pass left that the pre-filter cannot rule out. No branches, so the
+/// compiler turns it into vector compares.
+fn within(sads: &[u32; PANEL_ROWS], cut: u32, limit: u32, slack: &[u32]) -> u64 {
+    let test = |sad: u32, slack: u32| (cut <= sad) & (sad < limit.saturating_add(slack));
+    let mut mask = 0u64;
+    if let Ok(slack) = <&[u32; PANEL_ROWS]>::try_from(slack) {
+        // a whole panel: fixed trip counts, as in `below`
+        for (g, (sads, slack)) in sads.chunks_exact(8).zip(slack.chunks_exact(8)).enumerate() {
+            let mut m = 0u64;
+            for i in 0..8 {
+                m |= u64::from(test(sads[i], slack[i])) << i;
+            }
+            mask |= m << (g * 8);
+        }
+        return mask;
+    }
+    for (r, (&sad, &slack)) in sads.iter().zip(slack).enumerate() {
+        mask |= u64::from(test(sad, slack)) << r;
+    }
+    mask
+}
+
 /// The mask of a panel's first `rows` rows (all of them from
 /// [`PANEL_ROWS`] on).
 fn live(rows: usize) -> u64 {
@@ -173,11 +197,31 @@ fn live(rows: usize) -> u64 {
     u64::MAX.checked_shr(dead as u32).unwrap_or(0)
 }
 
-/// Base rows a cold collector warms up on ([`Scan::warm`]): their SADs
-/// are 16 KiB of scratch, and at the 128-dim name embeddings their codes
-/// (512 KiB) stay in L2 while it runs. Enough to hold a whole SENS
-/// segment, so the warm-up's bar is the segment's nearly final one.
+/// The most base rows a cold collector warms up on ([`Scan::warm`]): their
+/// SADs are 16 KiB of scratch per query, and at the 128-dim name
+/// embeddings their codes (512 KiB) stay in L2 while it runs.
 const WARM_ROWS: usize = 64 * PANEL_ROWS;
+
+/// Base rows a cold collector of `k` warms up on: `k` panels, so the
+/// nearest `k` by code come from a prefix much longer than `k`, and at most
+/// [`WARM_ROWS`]. At SENS's `k` = 50 that is 3 200 rows, a whole segment
+/// at DBP1M@0.008, so there the warm-up's bar is the segment's nearly
+/// final one.
+fn warm_rows(k: usize) -> usize {
+    k.saturating_mul(PANEL_ROWS).min(WARM_ROWS)
+}
+
+/// Cold queries warmed up together: each panel of the warm range is
+/// loaded once for all of them, their SAD rows (at most 128 KiB in all)
+/// held on the stack.
+const COLD_BLOCK: usize = 8;
+
+/// Queries the panel pass walks the range for at a time: their limits sit
+/// in a stack array, their codes stay in L1 beside the panel's.
+const QUERY_BLOCK: usize = 64;
+
+/// A query without a [`Sketch::limit`] (which never returns this value).
+const NO_LIMIT: u32 = u32::MAX;
 
 /// A cut with at least `need` of `sads` below it (`0 < need < sads.len()`),
 /// read off a fixed 256-bucket histogram: bucket `b` holds the SADs `s`
@@ -345,13 +389,13 @@ impl Scan<'_> {
     /// Without sketches every pair is scored ([`Scan::panels`]). With
     /// them, a collector still short of `k` entries has no bar for the
     /// pre-filter to test against, so it first warms up on the range's
-    /// leading [`WARM_ROWS`] rows (or `k`, in whole panels) through
-    /// [`Scan::warm`], while the full collectors take those rows in the
-    /// panel pass; then every collector takes the rest of the range in
-    /// it. A collector keeps the first `k` of a total order whatever order
-    /// the offers come in, and every row is either pushed or proved
-    /// strictly worse than `k` rows already held, so each collector ends
-    /// the block holding exactly what it would without the filter.
+    /// leading [`warm_rows`] rows through [`Scan::warm`], while the full
+    /// collectors take those rows in the panel pass; then every collector
+    /// takes the rest of the range in it. A collector keeps the first `k`
+    /// of a total order whatever order the offers come in, and every row
+    /// is either pushed or proved strictly worse than `k` rows already
+    /// held, so each collector ends the block holding exactly what it would
+    /// without the filter.
     fn block(
         &self,
         q_first: usize,
@@ -363,31 +407,25 @@ impl Scan<'_> {
             return self.panels(q_first, b_range, id_offset, tops, false);
         }
         let k = tops.first().map_or(1, |top| top.k);
-        let prefix = WARM_ROWS.max(k.next_multiple_of(PANEL_ROWS));
-        let warm = b_range.start..b_range.end.min(b_range.start + prefix);
-        let mut refined = self.panels(q_first, warm.clone(), id_offset, tops, true);
-        let mut sads = Vec::new();
-        for (qi, top) in tops.iter_mut().enumerate() {
-            if top.bar().is_none() {
-                refined += self.warm(q_first + qi, warm.clone(), id_offset, top, &mut sads);
-            }
-        }
+        let warm = b_range.start..b_range.end.min(b_range.start + warm_rows(k));
+        let refined = self.panels(q_first, warm.clone(), id_offset, tops, true)
+            + self.warm(q_first, warm.clone(), id_offset, tops);
         refined + self.panels(q_first, warm.end..b_range.end, id_offset, tops, false)
     }
 
     /// The panel pass over `base[range]`, which starts on the panel grid.
     ///
     /// Cache blocking: the range is walked in [`PANEL_ROWS`]-row panels,
-    /// and each panel is scored against *every* query of the task before
-    /// the next is touched, so the base streams from L2 once per task
-    /// rather than once per query.
+    /// once per [`QUERY_BLOCK`] queries, and each panel is scored against
+    /// every query of the block before the next is touched.
     ///
     /// Pre-filter: once a query's collector is full, a pair whose code SAD
     /// reaches the query's [`Sketch::limit`] plus the base row's slack has
     /// a kernel distance strictly above the collector's bar — `push` would
-    /// drop it — and is not scored. The bar is read once per panel; the
-    /// panel's own pushes only raise it, so a stale one lets more through,
-    /// never less. Every other pair gets the panel kernels' bits
+    /// drop it — and is not scored. [`sad_mask2`] tests a panel for two
+    /// such queries at a time (a lone one is paired with itself). A
+    /// query's limit is recomputed only after a push, the only thing that
+    /// moves its bar. Every other pair gets the panel kernels' bits
     /// (`l1_distance` returns the same ones) and is pushed. A collector
     /// with no bar takes the whole panel in f32 — or, with `skip_cold`,
     /// nothing, if it is still short of `k`.
@@ -401,56 +439,139 @@ impl Scan<'_> {
     ) -> u64 {
         let dim = self.base.cols();
         let mut scores = [0.0f32; PANEL_ROWS];
-        let mut sads = [0u32; PANEL_ROWS];
         let mut refined = 0u64;
-        for p_start in range.clone().step_by(PANEL_ROWS) {
-            let p_rows = p_start..(p_start + PANEL_ROWS).min(range.end);
-            let rows = p_rows.len();
-            let panel = &self.base.as_slice()[p_start * dim..p_rows.end * dim];
-            let widest = self.widest(p_rows.clone());
-            for (qi, top) in tops.iter_mut().enumerate() {
-                let q = q_first + qi;
-                if let (Some((qs, bs)), Some(limit)) = (self.sketches, self.limit(q, top)) {
-                    let (q_codes, panel_codes) = (qs.codes(q..q + 1), bs.codes(p_rows.clone()));
-                    sad_panel(q_codes, panel_codes, qs.stride, &mut sads[..rows]);
-                    let keep = self.survivors(p_rows.clone(), &sads, live(rows), limit, widest);
-                    refined += self.push_rows(q, p_start, keep, id_offset, top);
-                } else if !(skip_cold && top.bar().is_none()) {
-                    let scores = &mut scores[..rows];
-                    let qrow = self.queries.row(q);
-                    self.metric.similarity_panel(qrow, panel, dim, scores);
-                    for (b, &score) in p_rows.clone().zip(scores.iter()) {
-                        top.push((id_offset + b) as u32, score);
+        for (q_first, tops) in (q_first..)
+            .step_by(QUERY_BLOCK)
+            .zip(tops.chunks_mut(QUERY_BLOCK))
+        {
+            let mut limits = [NO_LIMIT; QUERY_BLOCK];
+            for (qi, top) in tops.iter().enumerate() {
+                limits[qi] = self.limit(q_first + qi, top);
+            }
+            for p_start in range.clone().step_by(PANEL_ROWS) {
+                let p_rows = p_start..(p_start + PANEL_ROWS).min(range.end);
+                let rows = p_rows.len();
+                let mut pending = None;
+                for qi in 0..tops.len() {
+                    let q = q_first + qi;
+                    if limits[qi] != NO_LIMIT {
+                        let Some(first) = pending.take() else {
+                            pending = Some(qi);
+                            continue;
+                        };
+                        let (pair, p_rows) = ([first, qi], p_rows.clone());
+                        refined +=
+                            self.filter(q_first, &pair, p_rows, id_offset, tops, &mut limits);
+                    } else if !(skip_cold && tops[qi].bar().is_none()) {
+                        let scores = &mut scores[..rows];
+                        let panel = &self.base.as_slice()[p_start * dim..p_rows.end * dim];
+                        self.metric
+                            .similarity_panel(self.queries.row(q), panel, dim, scores);
+                        let top = &mut tops[qi];
+                        for (b, &score) in p_rows.clone().zip(scores.iter()) {
+                            top.push((id_offset + b) as u32, score);
+                        }
+                        limits[qi] = self.limit(q, top);
+                        refined += rows as u64;
                     }
-                    refined += rows as u64;
+                }
+                if let Some(last) = pending {
+                    refined += self.filter(q_first, &[last], p_rows, id_offset, tops, &mut limits);
                 }
             }
         }
         refined
     }
 
-    /// Fills query `q`'s cold collector from `base[warm]`, which starts on
-    /// the panel grid, scoring in f32 only what the pre-filter cannot rule
-    /// out. The rows' SADs come first; the rows below [`cut_for`]'s cut
-    /// (at least as many as the collector lacks, and the nearest ones by
-    /// code) are scored and pushed, which fills the collector with a bar
-    /// already close to its final one; the other rows then meet the
-    /// pre-filter against that bar. `sads` is scratch.
-    fn warm(
+    /// The pre-filter over the panel `base[p_rows]` for the one or two
+    /// queries `q_first + qi` of `pair` (each with a limit in
+    /// `limits[qi]`): what [`sad_mask2`] cannot rule out is scored and
+    /// pushed, and a query that pushed gets its limit recomputed.
+    fn filter(
+        &self,
+        q_first: usize,
+        pair: &[usize],
+        p_rows: Range<usize>,
+        id_offset: usize,
+        tops: &mut [TopK],
+        limits: &mut [u32; QUERY_BLOCK],
+    ) -> u64 {
+        let (qs, bs) = self.sketches.expect("only a sketched scan filters");
+        let (a, b) = (pair[0], pair[pair.len() - 1]);
+        let codes = |qi: usize| qs.codes(q_first + qi..q_first + qi + 1);
+        let masks = sad_mask2(
+            [codes(a), codes(b)],
+            bs.codes(p_rows.clone()),
+            qs.stride,
+            [limits[a], limits[b]],
+            &bs.slack[p_rows.clone()],
+        );
+        let mut refined = 0;
+        for (&qi, keep) in pair.iter().zip(masks) {
+            if keep != 0 {
+                let (q, top) = (q_first + qi, &mut tops[qi]);
+                refined += self.push_rows(q, p_rows.start, keep, id_offset, top);
+                limits[qi] = self.limit(q, top);
+            }
+        }
+        refined
+    }
+
+    /// Fills the cold collectors among `tops` (query rows from `q_first`)
+    /// from `base[warm]`, which starts on the panel grid, scoring in f32
+    /// only what the pre-filter cannot rule out. [`COLD_BLOCK`] cold
+    /// queries at a time get the SADs of every warm row, a panel of codes
+    /// at a time for all of them; then each query in turn ([`Scan::fill`])
+    /// scores and pushes its rows below [`cut_for`]'s cut (at least as many
+    /// as the collector lacks, and the nearest ones by code), which fills
+    /// the collector with a bar already close to its final one, and the
+    /// other rows meet the pre-filter against that bar.
+    fn warm(&self, q_first: usize, warm: Range<usize>, id_offset: usize, tops: &mut [TopK]) -> u64 {
+        let (qs, bs) = self.sketches.expect("only a sketched scan warms up");
+        let mut sads = [[0u32; WARM_ROWS]; COLD_BLOCK];
+        let mut cold = [0usize; COLD_BLOCK];
+        let (mut next, mut refined) = (0, 0);
+        loop {
+            let mut n = 0;
+            while n < COLD_BLOCK && next < tops.len() {
+                if tops[next].bar().is_none() {
+                    cold[n] = next;
+                    n += 1;
+                }
+                next += 1;
+            }
+            if n == 0 {
+                return refined;
+            }
+            for p_start in warm.clone().step_by(PANEL_ROWS) {
+                let p_rows = p_start..(p_start + PANEL_ROWS).min(warm.end);
+                let (panel, at) = (bs.codes(p_rows.clone()), p_start - warm.start);
+                for (&qi, sads) in cold[..n].iter().zip(&mut sads) {
+                    let q_codes = qs.codes(q_first + qi..q_first + qi + 1);
+                    sad_panel(q_codes, panel, qs.stride, &mut sads[at..at + p_rows.len()]);
+                }
+            }
+            for (&qi, sads) in cold[..n].iter().zip(&sads) {
+                let top = &mut tops[qi];
+                refined += self.fill(q_first + qi, warm.clone(), id_offset, top, sads);
+            }
+        }
+    }
+
+    /// [`Scan::warm`] for query `q`, given the SADs of its warm rows
+    /// (`sads[r]` for base row `warm.start + r`; what lies past them is
+    /// ignored).
+    fn fill(
         &self,
         q: usize,
         warm: Range<usize>,
         id_offset: usize,
         top: &mut TopK,
-        sads: &mut Vec<u32>,
+        sads: &[u32; WARM_ROWS],
     ) -> u64 {
-        let (qs, bs) = self.sketches.expect("only a sketched scan warms up");
+        let (_, bs) = self.sketches.expect("only a sketched scan warms up");
         let rows = warm.len();
-        let panels = warm.clone().step_by(PANEL_ROWS);
         let need = top.k - top.heap.len();
-        sads.resize(rows.next_multiple_of(PANEL_ROWS), 0);
-        let (q_codes, warm_codes) = (qs.codes(q..q + 1), bs.codes(warm.clone()));
-        sad_panel(q_codes, warm_codes, qs.stride, &mut sads[..rows]);
         // with nothing to choose between, every row goes in: no SAD reaches
         // `u32::MAX` (`sad_panel` caps the stride at 2²⁴ bytes)
         let cut = if rows > need {
@@ -458,65 +579,34 @@ impl Scan<'_> {
         } else {
             u32::MAX
         };
-        let (panel_sads, _) = sads.as_chunks::<PANEL_ROWS>();
+        let panels = || warm.clone().step_by(PANEL_ROWS).zip(sads.as_chunks().0);
         let mut refined = 0;
-        for (p_start, p_sads) in panels.clone().zip(panel_sads) {
+        for (p_start, p_sads) in panels() {
             let nearest = below(p_sads, cut) & live(warm.end - p_start);
             refined += self.push_rows(q, p_start, nearest, id_offset, top);
         }
-        for (p_start, p_sads) in panels.zip(panel_sads) {
+        let mut limit = self.limit(q, top);
+        for (p_start, p_sads) in panels() {
             let p_rows = p_start..(p_start + PANEL_ROWS).min(warm.end);
-            let rest = !below(p_sads, cut) & live(p_rows.len());
-            let keep = match self.limit(q, top) {
-                Some(limit) => {
-                    let widest = self.widest(p_rows.clone());
-                    self.survivors(p_rows, p_sads, rest, limit, widest)
-                }
-                None => rest,
+            let keep = match limit {
+                NO_LIMIT => !below(p_sads, cut) & live(p_rows.len()),
+                limit => within(p_sads, cut, limit, &bs.slack[p_rows]),
             };
-            refined += self.push_rows(q, p_start, keep, id_offset, top);
+            let pushed = self.push_rows(q, p_start, keep, id_offset, top);
+            if pushed != 0 {
+                limit = self.limit(q, top);
+            }
+            refined += pushed;
         }
         refined
     }
 
-    /// Query `q`'s [`Sketch::limit`] under `top`'s bar; `None` when the
-    /// scan has no sketches, the collector no bar, or the bound nothing to
-    /// prove.
-    fn limit(&self, q: usize, top: &TopK) -> Option<u32> {
-        let (qs, _) = self.sketches?;
-        qs.limit(q, -top.bar()?)
-    }
-
-    /// The largest base slack among `rows` (0 without sketches).
-    fn widest(&self, rows: Range<usize>) -> u32 {
-        let slack = |bs: &Sketch| bs.slack[rows].iter().copied().max().unwrap_or(0);
-        self.sketches.map_or(0, |(_, bs)| slack(bs))
-    }
-
-    /// The `candidates` (bit `r`: base row `rows.start + r`, SAD `sads[r]`)
-    /// the pre-filter cannot rule out: whose SAD stays below `limit` plus
-    /// the row's slack. One pass over the whole buffer against the panel's
-    /// `widest` slack finds the few rows worth a second look.
-    fn survivors(
-        &self,
-        rows: Range<usize>,
-        sads: &[u32; PANEL_ROWS],
-        candidates: u64,
-        limit: u32,
-        widest: u32,
-    ) -> u64 {
-        let (_, bs) = self.sketches.expect("only a sketched scan filters");
-        let slack = &bs.slack[rows];
-        let mut maybe = below(sads, limit.saturating_add(widest)) & candidates;
-        let mut keep = 0;
-        while maybe != 0 {
-            let r = maybe.trailing_zeros() as usize;
-            maybe &= maybe - 1;
-            if sads[r] < limit.saturating_add(slack[r]) {
-                keep |= 1 << r;
-            }
-        }
-        keep
+    /// Query `q`'s [`Sketch::limit`] under `top`'s bar; [`NO_LIMIT`] when
+    /// the scan has no sketches, the collector no bar, or the bound nothing
+    /// to prove.
+    fn limit(&self, q: usize, top: &TopK) -> u32 {
+        let limit = || self.sketches?.0.limit(q, -top.bar()?);
+        limit().unwrap_or(NO_LIMIT)
     }
 
     /// Scores the base rows `p_start + r` for each bit `r` of `rows`
@@ -526,28 +616,33 @@ impl Scan<'_> {
         &self,
         q: usize,
         p_start: usize,
-        mut rows: u64,
+        rows: u64,
         id_offset: usize,
         top: &mut TopK,
     ) -> u64 {
         debug_assert_eq!(self.metric, Metric::Manhattan);
-        let qrow = self.queries.row(q);
-        let mut dists = [0.0f32; PANEL_ROWS];
-        let mut picked = [0usize; PANEL_ROWS];
-        let mut n = 0;
-        while rows != 0 {
-            let r = rows.trailing_zeros() as usize;
-            rows &= rows - 1;
-            // distances first, pushes after: back-to-back kernel calls
-            // overlap, a heap sift between them would not let them
-            dists[n] = l1_distance(qrow, self.base.row(p_start + r));
-            picked[n] = p_start + r;
-            n += 1;
+        if rows == 0 {
+            return 0;
         }
-        for (&b, &d) in picked.iter().zip(&dists).take(n) {
+        let qrow = self.queries.row(q);
+        let picked = || {
+            let mut left = rows;
+            std::iter::from_fn(move || {
+                let r = (left != 0).then(|| left.trailing_zeros() as usize)?;
+                left &= left - 1;
+                Some(p_start + r)
+            })
+        };
+        // distances first, pushes after: back-to-back kernel calls
+        // overlap, a heap sift between them would not let them
+        let mut dists = [0.0f32; PANEL_ROWS];
+        for (d, b) in dists.iter_mut().zip(picked()) {
+            *d = l1_distance(qrow, self.base.row(b));
+        }
+        for (&d, b) in dists.iter().zip(picked()) {
             top.push((id_offset + b) as u32, -d);
         }
-        n as u64
+        u64::from(rows.count_ones())
     }
 
     /// [`Scan::block`] of the whole base for every query row, split over
@@ -1175,7 +1270,13 @@ mod tests {
         let pool = Pool::new(1);
         for_each_case(0xF1_17E2, 24, |rng| {
             let (nq, nb) = (rng.gen_range(1..40usize), rng.gen_range(1..400usize));
-            let (dim, k) = (rng.gen_range(1..40usize), rng.gen_range(1..12usize));
+            // codes of one or two 32-byte chunks, or of 64 to 192 bytes
+            // (the structure and name channels' widths)
+            let dim = match rng.gen_bool(0.5) {
+                true => rng.gen_range(1..40usize),
+                false => rng.gen_range(33..193usize),
+            };
+            let k = rng.gen_range(1..12usize);
             // clustered rows: near ties and far pairs in every panel
             let centre = |rng: &mut largeea_common::rng::Rng| rng.gen_range(-2i32..3) as f32;
             let q = Matrix::from_fn(nq, dim, |_, _| centre(rng) + rng.gen::<f64>() as f32 * 0.01);
@@ -1221,22 +1322,33 @@ mod tests {
     fn cold_collectors_end_where_the_naive_search_does() {
         use largeea_common::check::for_each_case;
         for_each_case(0xC01D, 40, |rng| {
+            let draw_k =
+                |rng: &mut largeea_common::rng::Rng, nb: usize| match rng.gen_range(0..4u32) {
+                    0 => 1,
+                    1 => nb.max(1),
+                    2 => nb + rng.gen_range(1..5usize),
+                    _ => rng.gen_range(2..60usize),
+                };
             // now and then a few queries against a base longer than the
-            // warm-up prefix
-            let (nq, nb) = match rng.gen_range(0..6u32) {
-                0 => (
-                    rng.gen_range(1..6usize),
-                    WARM_ROWS + rng.gen_range(0..300usize),
-                ),
-                _ => (rng.gen_range(1..40usize), rng.gen_range(0..300usize)),
+            // longest warm-up prefix, or a small `k` whose prefix ends
+            // before the base with more cold queries than one warm-up
+            // block in every task of a 4-wide pool
+            let (nq, nb, k) = match rng.gen_range(0..6u32) {
+                0 => {
+                    let nb = WARM_ROWS + rng.gen_range(0..300usize);
+                    (rng.gen_range(1..6usize), nb, draw_k(rng, nb))
+                }
+                1 => {
+                    let k = rng.gen_range(1..6usize);
+                    let nq = 16 * COLD_BLOCK + rng.gen_range(1..40usize);
+                    (nq, warm_rows(k) + rng.gen_range(1..300usize), k)
+                }
+                _ => {
+                    let nb = rng.gen_range(0..300usize);
+                    (rng.gen_range(1..40usize), nb, draw_k(rng, nb))
+                }
             };
             let dim = rng.gen_range(1..40usize);
-            let k = match rng.gen_range(0..4u32) {
-                0 => 1,
-                1 => nb.max(1),
-                2 => nb + rng.gen_range(1..5usize),
-                _ => rng.gen_range(2..60usize),
-            };
             // clustered rows on a coarse grid: exact ties in SAD and in
             // distance, at the histogram's cut as everywhere else
             let point = |rng: &mut largeea_common::rng::Rng| {

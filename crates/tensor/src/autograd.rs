@@ -59,10 +59,6 @@ const BLOCK: usize = 64;
 /// four parts costs per block, so one block covers RREA's 192-wide rows.
 const TRIPLET_BLOCK: usize = 256;
 
-/// Messages whose `q` chains one kernel call runs side by side in the RREA
-/// hop's backward (a register of AVX2 lanes).
-const LANES: usize = 8;
-
 /// A row-index list (a gather list into a matrix of `n_rows` rows) with its
 /// positions grouped by the row they name, ascending within a row: the
 /// order a scatter-add back into that matrix visits them, so one pass per
@@ -932,53 +928,21 @@ impl Tape {
                 // scatter-added into a zeroed matrix in message order and
                 // added to any live gradient — r's gather is the later node,
                 // so its contribution lands first. Here one pass forms every
-                // message's q (LANES messages' chains side by side), then
-                // each destination row sums its messages (its `IndexList`
-                // group, ascending) from 0.0 a column block at a time, each
+                // message's q straight from the g and r rows (the chains of
+                // all the messages of a task side by side), then each
+                // destination row sums its messages (its `IndexList` group,
+                // ascending) from 0.0 a column block at a time, each
                 // message's block of gm rebuilt inside the kernel, then
                 // joins the gradient.
                 let trans = &agg.trans;
                 let dim = self.value(h).cols();
                 let blocks = || (0..dim).step_by(BLOCK).map(|c| c..(c + BLOCK).min(dim));
-                // message i's upstream row over columns `cols`, into `gm`
-                let upstream = |i: usize, cols: Range<usize>, gm: &mut [f32]| {
-                    gm.fill(0.0);
-                    for e in trans.indptr[i]..trans.indptr[i + 1] {
-                        let (head, v) = (trans.indices[e] as usize, trans.values[e]);
-                        for (o, &s) in gm.iter_mut().zip(&g.row(head)[cols.clone()]) {
-                            *o += v * s;
-                        }
-                    }
-                };
-                let (h_list, r_list): (&IndexList, &IndexList) = (&h_rows, &r_rows);
-                let (h_of, r_of) = (&h_list[..], &r_list[..]);
-                let mut q = self.take_scratch(trans.rows(), 1);
-                let mr = self.value(r);
-                Pool::global().rows_mut(q.as_mut_slice(), 1, min_rows(dim), |qs, first| {
-                    let (mut gm, mut rv) = ([0.0f32; LANES * BLOCK], [0.0f32; LANES * BLOCK]);
-                    for (at, qs) in (first..).step_by(LANES).zip(qs.chunks_mut(LANES)) {
-                        qs.fill(0.0);
-                        for cols in blocks() {
-                            let len = qs.len() * cols.len();
-                            let (gm, rv) = (&mut gm[..len], &mut rv[..len]);
-                            let rows = gm
-                                .chunks_exact_mut(cols.len())
-                                .zip(rv.chunks_exact_mut(cols.len()));
-                            for (i, (gm, rv)) in (at..).zip(rows) {
-                                upstream(i, cols.clone(), gm);
-                                rv.copy_from_slice(&mr.row(r_of[i] as usize)[cols.clone()]);
-                            }
-                            kernels::neg2_dot_rows(gm, rv, cols.len(), qs);
-                        }
-                    }
-                });
-                // message i's entries and q, `dot` its x·r (read toward r);
-                // each direction sets the row it reads
-                let msg = |i: usize, dot: f32| {
+                // message i's entries, `q` its q and `dot` its x·r (read
+                // toward r); each reader sets the row it reads
+                let entries = |i: usize, q: f32, dot: f32| {
                     let entries = trans.indptr[i]..trans.indptr[i + 1];
                     let (heads, weights) =
                         (&trans.indices[entries.clone()], &trans.values[entries]);
-                    let q = q[(i, 0)];
                     kernels::HopMsg {
                         heads,
                         weights,
@@ -987,6 +951,22 @@ impl Tape {
                         row: &[],
                     }
                 };
+                let (h_list, r_list): (&IndexList, &IndexList) = (&h_rows, &r_rows);
+                let (h_of, r_of) = (&h_list[..], &r_list[..]);
+                let mut q = self.take_scratch(trans.rows(), 1);
+                let mr = self.value(r);
+                Pool::global().rows_mut(q.as_mut_slice(), 1, min_rows(dim), |qs, first| {
+                    qs.fill(0.0);
+                    kernels::neg2_dot_rows(qs, (g.as_slice(), g.cols()), dim, |m| {
+                        let i = first + m;
+                        let row = mr.row(r_of[i] as usize);
+                        kernels::HopMsg {
+                            row,
+                            ..entries(i, 0.0, 0.0)
+                        }
+                    });
+                });
+                let msg = |i: usize, dot: f32| entries(i, q[(i, 0)], dot);
                 self.accumulate_in_place(r, |tape, grad, add| {
                     let (mh, md) = (tape.value(h), tape.value(dots));
                     par_rows(grad, min_rows(dim), |dst, out| {

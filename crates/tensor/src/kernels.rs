@@ -16,9 +16,10 @@
 //! `a * b` then `+=`). Under IEEE-754 each lane therefore performs the
 //! identical sequence of rounded operations, so every kernel returns a
 //! result bit-identical to its scalar reference on every input — including
-//! NaN/∞ propagation. [`sad_panel`] is exact integer arithmetic and
-//! trivially order-independent. This is what lets `LARGEEA_NO_SIMD=1`
-//! (and non-x86 hosts) reproduce committed baselines byte-for-byte.
+//! NaN/∞ propagation. [`sad_panel`] and [`sad_mask2`] are exact integer
+//! arithmetic and trivially order-independent. This is what lets
+//! `LARGEEA_NO_SIMD=1` (and non-x86 hosts) reproduce committed baselines
+//! byte-for-byte.
 //!
 //! The training step's backward kernels ([`neg2_dot_rows`],
 //! [`norm_dot_rows`], [`reflect_acc`], [`sign_acc`]) reproduce the
@@ -221,10 +222,7 @@ pub fn sad_panel(q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
 /// available).
 fn sad_panel_on(isa: Isa, q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]) {
     // Also what the AVX2 body's pointer arithmetic relies on.
-    assert!(
-        stride.is_multiple_of(32) && stride <= 1 << 24,
-        "sad panel stride must be a multiple of 32, at most 2^24"
-    );
+    check_code_stride(stride);
     assert_eq!(q.len(), stride, "sad panel query length mismatch");
     assert_eq!(panel.len(), out.len() * stride, "sad panel shape mismatch");
     match isa {
@@ -236,35 +234,104 @@ fn sad_panel_on(isa: Isa, q: &[u8], panel: &[u8], stride: usize, out: &mut [u32]
     }
 }
 
-/// Continues one sequential chain per row of a pair of row-major blocks
-/// (`acc.len()` rows of `width` floats each): `acc[m] += (−a[m][k]·2)·b[m][k]`
-/// for `k` in column order — the `q` of RREA's hop backward, with `a` a
-/// message's upstream row and `b` its relation row. Each row's adds keep
-/// their order; the rows run side by side (eight to a register on AVX2, four
-/// interleaved in the scalar body), so their chains overlap instead of each
-/// waiting out the add latency alone.
+/// A code row's stride as the SAD kernels take it: whole 32-byte chunks
+/// (all the AVX2 bodies read), and short enough for a row's SAD to fit
+/// `u32`.
+fn check_code_stride(stride: usize) {
+    assert!(
+        stride.is_multiple_of(32) && stride <= 1 << 24,
+        "sad panel stride must be a multiple of 32, at most 2^24"
+    );
+}
+
+/// The exact scan's pre-filter test (DESIGN.md §S0.11) for two queries
+/// against one code `panel` (`slack.len()` rows of `stride` bytes, at most
+/// 64): bit `r` of mask `j` is set iff `SAD(q[j], row r) <
+/// limit[j].saturating_add(slack[r])`, the rows query `j` cannot rule
+/// out. Each panel row is loaded once for both queries and its SADs are
+/// compared in registers, never stored. Exact integer arithmetic, so every
+/// ISA returns the same masks.
 ///
 /// # Panics
 ///
-/// If `a.len()` or `b.len()` is not `acc.len() * width`.
+/// If `stride` breaks [`sad_panel`]'s rule, a query's length is not
+/// `stride`, `slack.len() > 64`, or `panel.len() != slack.len() * stride`.
 #[inline]
-pub fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
-    neg2_dot_rows_on(active_isa(), a, b, width, acc)
+pub fn sad_mask2(
+    q: [&[u8]; 2],
+    panel: &[u8],
+    stride: usize,
+    limit: [u32; 2],
+    slack: &[u32],
+) -> [u64; 2] {
+    sad_mask2_on(active_isa(), q, panel, stride, limit, slack)
 }
 
-fn neg2_dot_rows_on(isa: Isa, a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+/// [`sad_mask2`] on an explicit ISA (scalar unless AVX2 is asked for and
+/// available).
+fn sad_mask2_on(
+    isa: Isa,
+    q: [&[u8]; 2],
+    panel: &[u8],
+    stride: usize,
+    limit: [u32; 2],
+    slack: &[u32],
+) -> [u64; 2] {
     // Also what the AVX2 body's pointer arithmetic relies on.
-    let len = acc.len().checked_mul(width);
+    check_code_stride(stride);
     assert!(
-        len == Some(a.len()) && len == Some(b.len()),
-        "neg2_dot_rows shape mismatch"
+        q.iter().all(|q| q.len() == stride),
+        "sad mask query length mismatch"
     );
+    assert!(slack.len() <= 64, "sad mask takes at most 64 rows");
+    assert_eq!(panel.len(), slack.len() * stride, "sad mask shape mismatch");
     match isa {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: AVX2 availability verified at runtime before the call;
-        // the assert above established the shape the body assumes.
-        Isa::Avx2 if isa.available() => unsafe { avx2::neg2_dot_rows(a, b, width, acc) },
-        _ => scalar::neg2_dot_rows(a, b, width, acc),
+        // the asserts above established the shape the body assumes.
+        Isa::Avx2 if isa.available() => unsafe { avx2::sad_mask2(q, panel, stride, limit, slack) },
+        _ => scalar::sad_mask2(q, panel, stride, limit, slack),
+    }
+}
+
+/// Continues one sequential chain per message, `acc.len()` of them with
+/// message `m` given by `msg(m)`: `acc[m] += (−gm_k·2)·row_k` for `k` in
+/// `0..width` in column order, where `gm_k = 0 + Σ_e w_e·g[heads_e][k]`
+/// is the message's upstream value (its entries in order, formed as in
+/// [`reflect_acc`]) and `row` its relation row — the `q` of RREA's hop
+/// backward, formed straight from the upstream and relation rows. The
+/// messages' `dot` and `q` are not read. Each chain's adds keep their
+/// order; the chains run side by side (eight to a register on AVX2, four
+/// interleaved in the scalar body), so they overlap instead of each waiting
+/// out the add latency alone.
+///
+/// # Panics
+///
+/// If a message's `row` is shorter than `width`, its heads and weights
+/// differ in length, or a head's row does not fit in `g`.
+#[inline]
+pub fn neg2_dot_rows<'a>(
+    acc: &mut [f32],
+    g: (&'a [f32], usize),
+    width: usize,
+    msg: impl Fn(usize) -> HopMsg<'a>,
+) {
+    neg2_dot_rows_on(active_isa(), acc, g, width, msg)
+}
+
+fn neg2_dot_rows_on<'a>(
+    isa: Isa,
+    acc: &mut [f32],
+    g: (&'a [f32], usize),
+    width: usize,
+    msg: impl Fn(usize) -> HopMsg<'a>,
+) {
+    match isa {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: AVX2 availability verified at runtime before the call;
+        // the body checks every row's extent before it loads from it.
+        Isa::Avx2 if isa.available() => unsafe { avx2::neg2_dot_rows(acc, g, width, msg) },
+        _ => scalar::neg2_dot_rows(acc, g, width, msg),
     }
 }
 
@@ -500,6 +567,27 @@ pub mod scalar {
         }
     }
 
+    /// See [`super::sad_mask2`]: each row's two SADs, then its two tests.
+    pub fn sad_mask2(
+        q: [&[u8]; 2],
+        panel: &[u8],
+        stride: usize,
+        limit: [u32; 2],
+        slack: &[u32],
+    ) -> [u64; 2] {
+        let mut masks = [0u64; 2];
+        for (r, &slack) in slack.iter().enumerate() {
+            let row = &panel[r * stride..(r + 1) * stride];
+            for ((mask, q), limit) in masks.iter_mut().zip(q).zip(limit) {
+                let sad: u32 = (q.iter().zip(row))
+                    .map(|(&a, &b)| u32::from(a.abs_diff(b)))
+                    .sum();
+                *mask |= u64::from(sad < limit.saturating_add(slack)) << r;
+            }
+        }
+        masks
+    }
+
     /// Rows a row-chain body runs side by side.
     const CHAINS: usize = 4;
 
@@ -515,28 +603,67 @@ pub mod scalar {
         (-a * 2.0) * b
     }
 
-    /// See [`super::neg2_dot_rows`]: four rows' chains interleaved, then
-    /// the remainder rows one at a time.
-    pub fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
+    /// See [`super::neg2_dot_rows`]: four messages' chains interleaved,
+    /// then the remainder messages one at a time, 64 columns at a time,
+    /// each block's upstream values formed first.
+    pub fn neg2_dot_rows<'a>(
+        acc: &mut [f32],
+        g: (&'a [f32], usize),
+        width: usize,
+        msg: impl Fn(usize) -> super::HopMsg<'a>,
+    ) {
         let groups = acc.len() / CHAINS;
         for (gi, q) in acc[..groups * CHAINS].chunks_exact_mut(CHAINS).enumerate() {
-            let row = |m: usize| {
-                let at = (gi * CHAINS + m) * width;
-                (&a[at..at + width], &b[at..at + width])
-            };
-            let rows = [row(0), row(1), row(2), row(3)];
+            let msgs: [_; CHAINS] = std::array::from_fn(|m| msg(gi * CHAINS + m));
+            let rows: [_; CHAINS] = std::array::from_fn(|m| hop_row(&msgs[m], g, width));
             let mut c = [q[0], q[1], q[2], q[3]];
-            for k in 0..width {
-                for (c, (a, b)) in c.iter_mut().zip(&rows) {
-                    *c += neg2_mul(a[k], b[k]);
+            for at in (0..width).step_by(64) {
+                let n = (width - at).min(64);
+                let gm: [_; CHAINS] = std::array::from_fn(|m| upstream_block(&msgs[m], g, at, n));
+                for k in 0..n {
+                    for (c, (gm, row)) in c.iter_mut().zip(gm.iter().zip(&rows)) {
+                        *c += neg2_mul(gm[k], row[at + k]);
+                    }
                 }
             }
             q.copy_from_slice(&c);
         }
-        for m in groups * CHAINS..acc.len() {
-            let (a, b) = (&a[m * width..][..width], &b[m * width..][..width]);
-            acc[m] = chain(acc[m], width, |k| neg2_mul(a[k], b[k]));
+        for (m, q) in (groups * CHAINS..).zip(&mut acc[groups * CHAINS..]) {
+            let msg = msg(m);
+            let row = hop_row(&msg, g, width);
+            for at in (0..width).step_by(64) {
+                let n = (width - at).min(64);
+                let gm = upstream_block(&msg, g, at, n);
+                *q = chain(*q, n, |k| neg2_mul(gm[k], row[at + k]));
+            }
         }
+    }
+
+    /// Columns `at..at + n` (`n ≤ 64`) of `msg`'s upstream row, each
+    /// `0 + Σ_e w_e·g[heads_e][k]` with the entries in order; the rest of
+    /// the block is zero.
+    pub(super) fn upstream_block(
+        msg: &super::HopMsg,
+        (g, stride): (&[f32], usize),
+        at: usize,
+        n: usize,
+    ) -> [f32; 64] {
+        let mut gm = [0.0f32; 64];
+        for (&h, &w) in msg.heads.iter().zip(msg.weights) {
+            let up = &g[h as usize * stride + at..][..n];
+            for (gm, &u) in gm.iter_mut().zip(up) {
+                *gm += w * u;
+            }
+        }
+        gm
+    }
+
+    /// Column `k` of `msg`'s upstream row: `0 + Σ_e w_e·g[heads_e][k]`, its
+    /// entries in order.
+    #[inline(always)]
+    pub(super) fn upstream(msg: &super::HopMsg, (g, stride): (&[f32], usize), k: usize) -> f32 {
+        (msg.heads.iter().zip(msg.weights))
+            .fold(0.0, |gm, (&h, &w)| gm + w * g[h as usize * stride + k])
     }
 
     /// See [`super::norm_dot_rows`]: four rows' chain pairs interleaved,
@@ -575,25 +702,30 @@ pub mod scalar {
         }
     }
 
-    /// The rows of `msg`'s upstream entries in `g` and its own row, cut to
-    /// `n` columns; panics where [`super::reflect_acc`] says.
-    pub(super) fn hop_rows<'a>(
+    /// `msg`'s own row cut to `n` columns, once the message is checked:
+    /// its row that long, a weight per head, and every head's row of `g`
+    /// (`g[h·stride..][..n]`) inside `g`. Panics where
+    /// [`super::reflect_acc`] and [`super::neg2_dot_rows`] say.
+    pub(super) fn hop_row<'a>(
         msg: &super::HopMsg<'a>,
-        (g, stride): (&'a [f32], usize),
+        (g, stride): (&[f32], usize),
         n: usize,
-    ) -> (
-        impl Iterator<Item = (f32, &'a [f32])> + Clone + 'a,
-        &'a [f32],
-    ) {
+    ) -> &'a [f32] {
         assert!(
             msg.row.len() >= n && msg.heads.len() == msg.weights.len(),
-            "reflect_acc message shape mismatch"
+            "hop message shape mismatch"
         );
-        let ups = msg.heads.iter().zip(msg.weights).map(move |(&h, &w)| {
-            let at = h as usize * stride;
-            (w, &g[at..at + n])
-        });
-        (ups, &msg.row[..n])
+        let fits = |&h: &u32| {
+            let end = (h as usize)
+                .checked_mul(stride)
+                .and_then(|at| at.checked_add(n));
+            end.is_some_and(|end| end <= g.len())
+        };
+        assert!(
+            msg.heads.iter().all(fits),
+            "hop message head past the upstream gradient"
+        );
+        &msg.row[..n]
     }
 
     /// One column of [`super::reflect_acc`]'s term, from the upstream value.
@@ -614,18 +746,12 @@ pub mod scalar {
     ) {
         let n = sum.len();
         for msg in msgs {
-            let (ups, row) = hop_rows(&msg, g, n);
+            let row = hop_row(&msg, g, n);
             // 64 columns' upstream values at a time, each its own sum
             let chunks = sum.chunks_mut(64).zip(row.chunks(64));
             for (at, (sum, row)) in (0..n).step_by(64).zip(chunks) {
-                let mut gm = [0.0f32; 64];
-                let gm = &mut gm[..sum.len()];
-                for (w, up) in ups.clone() {
-                    for (gm, &u) in gm.iter_mut().zip(&up[at..]) {
-                        *gm += w * u;
-                    }
-                }
-                for ((s, &gm), &r) in sum.iter_mut().zip(&*gm).zip(row) {
+                let gm = upstream_block(&msg, g, at, sum.len());
+                for ((s, &gm), &r) in sum.iter_mut().zip(&gm).zip(row) {
                     *s += hop_term::<TO_R>(gm, &msg, r);
                 }
             }
@@ -844,12 +970,8 @@ mod avx2 {
         }
     }
 
-    /// Four rows per step, one accumulator of four 64-bit lane sums each.
-    /// A row's whole SAD is below 2³² (the stride is at most 2²⁴), so the
-    /// upper half of every lane is zero and two rows interleave into one
-    /// register of 32-bit
-    /// sums; two unpacks line the four rows up and two adds fold the four
-    /// lane positions. The ≤3 remainder rows take the scalar body.
+    /// Four rows per step, one accumulator of four 64-bit lane sums each,
+    /// folded by [`four_sums`]. The ≤3 remainder rows take the scalar body.
     ///
     /// # Safety
     /// Caller must ensure the CPU supports AVX2, `stride % 32 == 0`,
@@ -874,20 +996,96 @@ mod avx2 {
                 a2 = _mm256_add_epi64(a2, _mm256_sad_epu8(vq, at(2)));
                 a3 = _mm256_add_epi64(a3, _mm256_sad_epu8(vq, at(3)));
             }
-            let r01 = _mm256_or_si256(a0, _mm256_slli_epi64(a1, 32));
-            let r23 = _mm256_or_si256(a2, _mm256_slli_epi64(a3, 32));
-            let lanes = _mm256_add_epi32(
-                _mm256_unpacklo_epi64(r01, r23),
-                _mm256_unpackhi_epi64(r01, r23),
-            );
-            let sums = _mm_add_epi32(
-                _mm256_castsi256_si128(lanes),
-                _mm256_extracti128_si256(lanes, 1),
-            );
+            let sums = four_sums(a0, a1, a2, a3);
             _mm_storeu_si128(out.as_mut_ptr().add(g * 4) as *mut __m128i, sums);
         }
         let done = quads * 4;
         super::scalar::sad_panel(q, &panel[done * stride..], stride, &mut out[done..]);
+    }
+
+    /// Lane `r` is the sum of `a_r`'s four 64-bit lanes. A row's whole SAD
+    /// is below 2³² (the stride is at most 2²⁴), so the upper half of every
+    /// lane is zero and two rows interleave into one register of 32-bit
+    /// sums; two unpacks line the four rows up and two adds fold the four
+    /// lane positions.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn four_sums(a0: __m256i, a1: __m256i, a2: __m256i, a3: __m256i) -> __m128i {
+        let r01 = _mm256_or_si256(a0, _mm256_slli_epi64(a1, 32));
+        let r23 = _mm256_or_si256(a2, _mm256_slli_epi64(a3, 32));
+        let lanes = _mm256_add_epi32(
+            _mm256_unpacklo_epi64(r01, r23),
+            _mm256_unpackhi_epi64(r01, r23),
+        );
+        _mm_add_epi32(
+            _mm256_castsi256_si128(lanes),
+            _mm256_extracti128_si256(lanes, 1),
+        )
+    }
+
+    /// Four panel rows a step against both queries: eight `vpsadbw`
+    /// accumulators (query `j`, row `r`) over the rows' 32-byte chunks,
+    /// folded into one register whose lanes 0–3 hold query 0's four SADs
+    /// and 4–7 query 1's; each is compared with its bound `limit[j] +
+    /// min(slack[r], u32::MAX − limit[j])` — the saturating add — as an
+    /// unsigned `max(sad, bound) == sad`, and the compare's sign bits are
+    /// the rows' four mask bits per query. The ≤ 3 remainder rows take the
+    /// scalar body.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2, `stride % 32 == 0`, both
+    /// queries are `stride` bytes, `slack.len() <= 64` and
+    /// `panel.len() == slack.len() * stride`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn sad_mask2(
+        q: [&[u8]; 2],
+        panel: &[u8],
+        stride: usize,
+        limit: [u32; 2],
+        slack: &[u32],
+    ) -> [u64; 2] {
+        let chunks = stride / 32;
+        let quads = slack.len() / 4;
+        let (pq0, pq1) = (q[0].as_ptr(), q[1].as_ptr());
+        let [l0, l1] = limit.map(|l| l as i32);
+        let lim = _mm256_setr_epi32(l0, l0, l0, l0, l1, l1, l1, l1);
+        let room = _mm256_xor_si256(lim, _mm256_set1_epi32(-1));
+        let mut masks = [0u64; 2];
+        for g in 0..quads {
+            let p0 = panel.as_ptr().add(g * 4 * stride);
+            let mut a = [_mm256_setzero_si256(); 8];
+            for i in 0..chunks {
+                let v0 = _mm256_loadu_si256(pq0.add(i * 32) as *const __m256i);
+                let v1 = _mm256_loadu_si256(pq1.add(i * 32) as *const __m256i);
+                for r in 0..4 {
+                    let row = _mm256_loadu_si256(p0.add(r * stride + i * 32) as *const __m256i);
+                    a[r] = _mm256_add_epi64(a[r], _mm256_sad_epu8(v0, row));
+                    a[4 + r] = _mm256_add_epi64(a[4 + r], _mm256_sad_epu8(v1, row));
+                }
+            }
+            let sads = _mm256_setr_m128i(
+                four_sums(a[0], a[1], a[2], a[3]),
+                four_sums(a[4], a[5], a[6], a[7]),
+            );
+            let slack4 = _mm_loadu_si128(slack.as_ptr().add(g * 4) as *const __m128i);
+            let slack = _mm256_broadcastsi128_si256(slack4);
+            let bound = _mm256_add_epi32(lim, _mm256_min_epu32(slack, room));
+            let ruled_out = _mm256_cmpeq_epi32(_mm256_max_epu32(sads, bound), sads);
+            let kept = !_mm256_movemask_ps(_mm256_castsi256_ps(ruled_out)) as u64;
+            masks[0] |= (kept & 0xF) << (g * 4);
+            masks[1] |= ((kept >> 4) & 0xF) << (g * 4);
+        }
+        let done = quads * 4;
+        if done < slack.len() {
+            let tail = &panel[done * stride..];
+            let rest = super::scalar::sad_mask2(q, tail, stride, limit, &slack[done..]);
+            masks[0] |= rest[0] << done;
+            masks[1] |= rest[1] << done;
+        }
+        masks
     }
 
     /// Transposes the 8×8 tile whose row `m` is `r[m]`: lane `m` of
@@ -937,50 +1135,71 @@ mod avx2 {
         t.into_iter().fold(acc, |acc, t| _mm256_add_ps(acc, t))
     }
 
-    /// Eight rows per step, lane `m` of one accumulator holding row `m`'s
-    /// chain: each 8-column chunk's terms are formed row-wise, transposed
-    /// so vector `k` holds column `k` of all eight rows, and added in
-    /// column order. The tail columns continue each row's chain in the
-    /// scalar body's order, and the ≤ 7 remainder rows take the scalar
-    /// body.
+    /// Eight messages per step, lane `m` of one accumulator holding
+    /// message `m`'s chain: each 8-column chunk's terms are formed
+    /// message-wise (the upstream chunk in a register, as in
+    /// [`reflect_acc`]), transposed so vector `k` holds column `k` of all
+    /// eight messages, and added in column order. The tail columns continue
+    /// each chain in the scalar body's order, and the ≤ 7 remainder
+    /// messages take the scalar body.
     ///
     /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and
-    /// `a.len() == b.len() == acc.len() * width`.
+    /// Caller must ensure the CPU supports AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn neg2_dot_rows(a: &[f32], b: &[f32], width: usize, acc: &mut [f32]) {
-        use super::scalar::{chain, neg2_mul};
+    pub unsafe fn neg2_dot_rows<'a>(
+        acc: &mut [f32],
+        g: (&'a [f32], usize),
+        width: usize,
+        msg: impl Fn(usize) -> super::HopMsg<'a>,
+    ) {
+        use super::scalar::{chain, hop_row, neg2_mul, upstream};
         let (chunks, groups) = (width / 8, acc.len() / 8);
         let (sign, two) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(2.0));
         for gi in 0..groups {
-            let (pa, pb) = (
-                a.as_ptr().add(gi * 8 * width),
-                b.as_ptr().add(gi * 8 * width),
-            );
+            let msgs: [_; 8] = std::array::from_fn(|m| msg(gi * 8 + m));
+            // the checked messages: every load below stays inside their rows
+            let rows: [_; 8] = std::array::from_fn(|m| hop_row(&msgs[m], g, width));
             let mut q = _mm256_loadu_ps(acc.as_ptr().add(gi * 8));
             for c in 0..chunks {
                 let mut t = [_mm256_setzero_ps(); 8];
-                for (m, t) in t.iter_mut().enumerate() {
-                    let at = m * width + c * 8;
-                    let va = _mm256_xor_ps(_mm256_loadu_ps(pa.add(at)), sign);
-                    *t = _mm256_mul_ps(_mm256_mul_ps(va, two), _mm256_loadu_ps(pb.add(at)));
+                for (t, (msg, row)) in t.iter_mut().zip(msgs.iter().zip(&rows)) {
+                    let p = _mm256_mul_ps(_mm256_xor_ps(upstream8(msg, g, c * 8), sign), two);
+                    *t = _mm256_mul_ps(p, _mm256_loadu_ps(row.as_ptr().add(c * 8)));
                 }
                 q = add_in_order(q, transpose8(t));
             }
             _mm256_storeu_ps(acc.as_mut_ptr().add(gi * 8), q);
-            for (m, q) in (gi * 8..).zip(&mut acc[gi * 8..(gi + 1) * 8]) {
-                let row = m * width + chunks * 8..(m + 1) * width;
-                let (a, b) = (&a[row.clone()], &b[row]);
-                *q = chain(*q, a.len(), |k| neg2_mul(a[k], b[k]));
+            let tail = chunks * 8..width;
+            for (q, (msg, row)) in acc[gi * 8..(gi + 1) * 8]
+                .iter_mut()
+                .zip(msgs.iter().zip(&rows))
+            {
+                *q = chain(*q, tail.len(), |k| {
+                    let k = tail.start + k;
+                    neg2_mul(upstream(msg, g, k), row[k])
+                });
             }
         }
         let done = groups * 8;
-        super::scalar::neg2_dot_rows(
-            &a[done * width..],
-            &b[done * width..],
-            width,
-            &mut acc[done..],
-        );
+        super::scalar::neg2_dot_rows(&mut acc[done..], g, width, |m| msg(done + m));
+    }
+
+    /// Columns `at..at + 8` of `msg`'s upstream row, `0 + Σ_e
+    /// w_e·g[heads_e][k]` lane by lane, entries in order.
+    ///
+    /// # Safety
+    /// Caller must ensure the CPU supports AVX2 and that every head's row
+    /// of `g` holds columns `at..at + 8` ([`hop_row`] checked it for
+    /// `at + 8` columns or more).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn upstream8(msg: &super::HopMsg, (g, stride): (&[f32], usize), at: usize) -> __m256 {
+        let mut gm = _mm256_setzero_ps();
+        for (&h, &w) in msg.heads.iter().zip(msg.weights) {
+            let up = _mm256_loadu_ps(g.as_ptr().add(h as usize * stride + at));
+            gm = _mm256_add_ps(gm, _mm256_mul_ps(_mm256_set1_ps(w), up));
+        }
+        gm
     }
 
     /// [`neg2_dot_rows`]'s layout for both of a row's chains: per 8-column
@@ -1060,20 +1279,17 @@ mod avx2 {
         g: (&[f32], usize),
         msgs: impl Iterator<Item = super::HopMsg<'a>>,
     ) {
-        use super::scalar::{hop_rows, hop_term};
+        use super::scalar::{hop_row, hop_term, upstream};
         let n = sum.len();
         let body = n / 8 * 8;
         let (sign, two) = (_mm256_set1_ps(-0.0), _mm256_set1_ps(2.0));
         let ps = sum.as_mut_ptr();
         for msg in msgs {
-            // the checked rows: every load below stays inside them
-            let (ups, row) = hop_rows(&msg, g, n);
+            // the checked message: every load below stays inside its rows
+            let row = hop_row(&msg, g, n);
             let (vd, vq) = (_mm256_set1_ps(msg.dot), _mm256_set1_ps(msg.q));
             for at in (0..body).step_by(8) {
-                let gm = ups.clone().fold(_mm256_setzero_ps(), |gm, (w, up)| {
-                    let wu = _mm256_mul_ps(_mm256_set1_ps(w), _mm256_loadu_ps(up.as_ptr().add(at)));
-                    _mm256_add_ps(gm, wu)
-                });
+                let gm = upstream8(&msg, g, at);
                 let qr = _mm256_mul_ps(vq, _mm256_loadu_ps(row.as_ptr().add(at)));
                 let t = if TO_R {
                     let p = _mm256_mul_ps(_mm256_xor_ps(gm, sign), two);
@@ -1084,8 +1300,7 @@ mod avx2 {
                 _mm256_storeu_ps(ps.add(at), _mm256_add_ps(_mm256_loadu_ps(ps.add(at)), t));
             }
             for k in body..n {
-                let gm = ups.clone().fold(0.0, |gm, (w, up)| gm + w * up[k]);
-                sum[k] += hop_term::<TO_R>(gm, &msg, row[k]);
+                sum[k] += hop_term::<TO_R>(upstream(&msg, g, k), &msg, row[k]);
             }
         }
     }
@@ -1523,6 +1738,93 @@ mod tests {
     }
 
     #[test]
+    fn sad_mask2_matches_the_scalar_reference_on_every_isa() {
+        for_each_case(0x5AD_3A5C, 256, |rng| {
+            let rows = rng.gen_range(0..65usize);
+            let stride = 32 * rng.gen_range(1..9usize);
+            // Codes 0 and 255 give the largest per-byte term; a run of one
+            // value makes SADs that land on the bound exactly.
+            let mut bytes = |n: usize| -> Vec<u8> {
+                (0..n)
+                    .map(|_| match rng.gen_range(0..8u32) {
+                        0 => 0,
+                        1 => 255,
+                        2 => 128,
+                        _ => rng.gen_range(0..256u32) as u8,
+                    })
+                    .collect()
+            };
+            let (q0, q1, panel) = (bytes(stride), bytes(stride), bytes(rows * stride));
+            let sad = |q: &[u8], r: usize| -> u32 {
+                let row = &panel[r * stride..(r + 1) * stride];
+                (q.iter().zip(row))
+                    .map(|(&a, &b)| (i32::from(a) - i32::from(b)).unsigned_abs())
+                    .sum()
+            };
+            // limits at both ends of the range and near the SADs themselves;
+            // slacks of a NaN row (u32::MAX) and ones whose sum with the
+            // limit overflows
+            let mut limit = || match rng.gen_range(0..6u32) {
+                0 => 0,
+                1 => 1,
+                2 => u32::MAX - 1,
+                3 => u32::MAX,
+                _ => rng.gen_range(0..(stride as u32) * 128),
+            };
+            let limits = [limit(), limit()];
+            let slack: Vec<u32> = (0..rows)
+                .map(|_| match rng.gen_range(0..6u32) {
+                    0 => u32::MAX,
+                    1 => u32::MAX - rng.gen_range(0..3u32),
+                    2 => 0,
+                    _ => rng.gen_range(0..(stride as u32) * 64),
+                })
+                .collect();
+            // the saturating add, in u64
+            let want: [u64; 2] = std::array::from_fn(|j| {
+                let (q, limit) = ([&q0, &q1][j], u64::from(limits[j]));
+                let test = |r: usize| {
+                    let bound = (limit + u64::from(slack[r])).min(u64::from(u32::MAX));
+                    u64::from(sad(q, r)) < bound
+                };
+                (0..rows).fold(0u64, |m, r| m | u64::from(test(r)) << r)
+            });
+            for isa in isas() {
+                let got = sad_mask2_on(isa, [&q0, &q1], &panel, stride, limits, &slack);
+                let ctx = format!("{} rows={rows} stride={stride} {limits:?}", isa.name());
+                assert_eq!(got, want, "{ctx}");
+                // the same query twice gives the same mask twice
+                let twice = sad_mask2_on(isa, [&q0, &q0], &panel, stride, [limits[0]; 2], &slack);
+                assert_eq!(twice, [want[0]; 2], "{ctx}");
+            }
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "multiple of 32")]
+    fn sad_mask2_rejects_an_unpadded_stride() {
+        sad_mask2([&[0; 40]; 2], &[0; 80], 40, [0; 2], &[0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sad mask query length mismatch")]
+    fn sad_mask2_rejects_a_short_query() {
+        sad_mask2([&[0; 64], &[0; 32]], &[0; 128], 64, [0; 2], &[0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sad mask shape mismatch")]
+    fn sad_mask2_rejects_a_ragged_panel() {
+        sad_mask2([&[0; 32]; 2], &[0; 65], 32, [0; 2], &[0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 rows")]
+    fn sad_mask2_rejects_more_rows_than_a_mask_holds() {
+        sad_mask2([&[0; 32]; 2], &[0; 65 * 32], 32, [0; 2], &[0; 65]);
+    }
+
+    #[test]
     fn special_values_propagate_identically() {
         let a = [f32::NAN, 1.0, f32::INFINITY, -2.5, 0.0, -0.0, 3.0, 4.0, 9.0];
         let b = [2.0, f32::NEG_INFINITY, 0.5, -2.5, 1.0, 7.0, -3.0, 0.0, 1.0];
@@ -1573,22 +1875,46 @@ mod tests {
             // widths off the multiples of 8 run a tail, row counts off the
             // multiples of 8 (and 4) leave a partial group
             let (rows, width) = (rng.gen_range(0..21usize), rng.gen_range(0..150usize));
-            let (a, b) = (
-                gen_special(rng, rows * width),
-                gen_special(rng, rows * width),
-            );
-            let acc0 = gen_special(rng, rows);
-            // every chain is one sequential sum from its start, in column order
-            let want: Vec<f32> = (0..rows)
-                .map(|m| {
-                    let row = m * width..(m + 1) * width;
-                    (a[row.clone()].iter().zip(&b[row]))
-                        .fold(acc0[m], |q, (&x, &y)| q + (-x * 2.0) * y)
+            // messages of zero to two entries over a 6-row upstream gradient,
+            // both it and the relation rows wider than the chains
+            let stride = width + rng.gen_range(0..3usize);
+            let g = gen_special(rng, 6 * stride);
+            type Msg = (Vec<u32>, Vec<f32>, Vec<f32>);
+            let msgs: Vec<Msg> = (0..rows)
+                .map(|_| {
+                    let entries = rng.gen_range(0..3usize);
+                    let heads = (0..entries).map(|_| rng.gen_range(0..6u32)).collect();
+                    let len = width + rng.gen_range(0..3usize);
+                    (heads, gen_special(rng, entries), gen_special(rng, len))
                 })
                 .collect();
+            let acc0 = gen_special(rng, rows);
+            // every chain is one sequential sum from its start, in column
+            // order, of terms whose upstream value is summed from 0.0
+            let want: Vec<f32> = (msgs.iter().zip(&acc0))
+                .map(|((heads, weights, row), &q0)| {
+                    (0..width).fold(q0, |q, k| {
+                        let mut gm = 0.0;
+                        for (&h, &w) in heads.iter().zip(weights) {
+                            gm += w * g[h as usize * stride + k];
+                        }
+                        q + (-gm * 2.0) * row[k]
+                    })
+                })
+                .collect();
+            let hop = |m: usize| {
+                let (heads, weights, row) = &msgs[m];
+                HopMsg {
+                    heads,
+                    weights,
+                    dot: f32::NAN,
+                    q: f32::NAN,
+                    row,
+                }
+            };
             for isa in isas() {
                 let mut acc = acc0.clone();
-                neg2_dot_rows_on(isa, &a, &b, width, &mut acc);
+                neg2_dot_rows_on(isa, &mut acc, (&g, stride), width, hop);
                 assert!(
                     same(&acc, &want),
                     "neg2 {} rows={rows} width={width}",
@@ -1755,10 +2081,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "neg2_dot_rows shape mismatch")]
-    fn neg2_dot_rows_rejects_a_shape_past_the_address_space() {
-        // 2 · 2⁶³ wraps to 0 rows' worth of floats
-        neg2_dot_rows(&[], &[], 1 << 63, &mut [0.0; 2]);
+    #[should_panic(expected = "hop message shape mismatch")]
+    fn neg2_dot_rows_rejects_a_short_row() {
+        let (g, row) = ([0.0f32; 8], [0.0f32; 7]);
+        let msg = |_| HopMsg {
+            heads: &[0],
+            weights: &[1.0],
+            dot: 0.0,
+            q: 0.0,
+            row: &row,
+        };
+        neg2_dot_rows(&mut [0.0; 9], (&g, 8), 8, msg);
     }
 
     #[test]
