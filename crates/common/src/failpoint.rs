@@ -13,7 +13,7 @@
 //! `LARGEEA_FAILPOINTS` environment variable (read once, on first hit):
 //!
 //! ```text
-//! LARGEEA_FAILPOINTS="ckpt.sim=panic@1,ckpt.manifest=err@2,ckpt.fused=partial"
+//! LARGEEA_FAILPOINTS="ckpt.sim=panic@1,ckpt.manifest=err@2,ckpt.name=partial"
 //! ```
 //!
 //! Each entry is `name=action[@N]`. The action fires on exactly the `N`-th

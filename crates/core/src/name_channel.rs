@@ -122,7 +122,7 @@ impl NameChannel {
             rec, budget, ckpt, ..
         } = ctx;
         let rec = *rec;
-        let m_n = ckpt.load_or(Stage::Name, rec, |_| {
+        let m_n = ckpt.load_or(Stage::Name, rec, || {
             let channel_span = rec.span("name_channel");
             let m_st = self.stns(source, target, rec, budget)?;
             // In-place fusion: only the fused matrix stays live.

@@ -12,7 +12,7 @@
 //! ablation study (Figure 5) sweeps: `w/o structure`, `w/o name`, `w/o DA`.
 
 use crate::augment::augment_seeds;
-use crate::checkpoint::{Checkpoint, CkptError, RunMeta, Stage};
+use crate::checkpoint::{Checkpoint, CkptError, RunMeta};
 use crate::eval::{evaluate, record_quality, top1_hits, EvalResult};
 use crate::mem::{BudgetExceeded, MemBudget};
 use crate::name_channel::{NameChannel, NameChannelConfig};
@@ -59,8 +59,8 @@ pub struct ExecOptions {
     /// either way, hence the same bits.
     pub spill_dir: Option<PathBuf>,
     /// Crash-safe checkpoint directory (`--checkpoint-dir`, DESIGN.md
-    /// §S0.7): every pipeline boundary is durably persisted there as it
-    /// completes. `None` = [`Checkpoint::disabled`].
+    /// §S0.7): `M_n` and every per-batch similarity block are durably
+    /// persisted there as they complete. `None` = [`Checkpoint::disabled`].
     pub checkpoint_dir: Option<PathBuf>,
     /// Adopt the stages `checkpoint_dir` already holds (`--resume`) instead
     /// of starting it over; refused with [`CkptError::Mismatch`] when they
@@ -286,14 +286,16 @@ impl LargeEa {
     /// The whole run is a `pipeline` span; a disabled recorder yields an
     /// empty trace.
     ///
-    /// With `exec.checkpoint_dir`, every pipeline boundary ([`Stage`]:
-    /// name-channel `M_n`, per-round partition / per-batch embeddings and
-    /// sim blocks / `M_s`, the fused `M`) is durably persisted as it
+    /// With `exec.checkpoint_dir`, every result that costs real work to
+    /// redo ([`Stage`](crate::checkpoint::Stage): the name channel's `M_n`,
+    /// each round's per-batch similarity blocks) is durably persisted as it
     /// completes, and with `exec.resume` any stage the manifest already
-    /// marks done is loaded instead of recomputed. The checkpoint is opened
-    /// here, for *this* run ([`LargeEaConfig::run_meta`]); resuming another
-    /// run's directory is refused with [`CkptError::Mismatch`] before any
-    /// work happens. A resumed run is bit-identical to an uninterrupted one
+    /// marks done is loaded instead of recomputed; the partition, `M_s` and
+    /// `M` are rebuilt from them by the statements of an uninterrupted run.
+    /// The checkpoint is opened here, for *this* run
+    /// ([`LargeEaConfig::run_meta`]); resuming another run's directory is
+    /// refused with [`CkptError::Mismatch`] before any work happens. A
+    /// resumed run is bit-identical to an uninterrupted one
     /// (`tests/crash_recovery.rs`).
     ///
     /// With `exec.mem_budget`, the admission points of both channels and of
@@ -410,12 +412,6 @@ impl LargeEa {
                 break; // converged: nothing new to learn from
             }
             train_seeds = harvested.seeds;
-        }
-
-        // --- fused matrix M: the run's final durable artifact ----------------
-        match ctx.ckpt.load(Stage::Fused, rec) {
-            Some(loaded) => sim = loaded,
-            None => ctx.ckpt.save(Stage::Fused, &sim, rec)?,
         }
 
         // --- quality: the last round's batches and channels, in the trace --

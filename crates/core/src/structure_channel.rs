@@ -154,14 +154,13 @@ impl StructureChannel {
     /// loop by taking the blocks back **in batch order**, one `insert_row`
     /// per held row — one insert sequence whatever the store's backing.
     ///
-    /// The channel persists its natural boundaries to `ctx.ckpt` as the
-    /// `ctx.round`-scoped [`Stage`]s — `Partition` (the mini-batch
-    /// assignment), `Emb` (each batch's trained embeddings), `Sim` (each
-    /// batch's similarity block) and `Ms` (the round's normalised `M_s`) —
-    /// and skips any stage the manifest already marks done. Because
-    /// per-batch training is seeded independently (`cfg.seed ^
-    /// batch.index`) and `M_s` assembly merges blocks in batch order, a
-    /// resumed channel produces a bit-identical `M_s`.
+    /// Each batch's similarity block is the channel's durable boundary
+    /// ([`Stage::Sim`], scoped by `ctx.round`): a block `ctx.ckpt` already
+    /// holds goes into the store as it is, and only the other batches
+    /// train. The partition and `M_s` are recomputed on every run. Per-batch
+    /// training is seeded independently (`cfg.seed ^ batch.index`) and the
+    /// blocks merge in batch order, so a resumed channel produces a
+    /// bit-identical `M_s`.
     pub fn run_in(
         &self,
         pair: &KgPair,
@@ -178,16 +177,8 @@ impl StructureChannel {
         let (rec, round) = (*rec, *round);
         let channel_span = rec.span("structure_channel");
         let partition_span = rec.span("partition");
-        let batches = ckpt.load_or(Stage::Partition { round }, rec, |_| {
-            Ok::<_, RunError>(self.make_batches_traced(pair, seeds, rec))
-        })?;
+        let batches = self.make_batches_traced(pair, seeds, rec);
         partition_span.finish();
-
-        // A completed round short-circuits the whole training loop.
-        if let Some(m_s) = ckpt.load::<SparseSimMatrix>(Stage::Ms { round }, rec) {
-            channel_span.finish();
-            return Ok(StructureChannelOutput { m_s, batches });
-        }
 
         let mut m_s = SparseSimMatrix::new(pair.source.num_entities(), pair.target.num_entities());
         // stages of the stored blocks, in batch order — the merge order below
@@ -217,11 +208,7 @@ impl StructureChannel {
             if bg.n_source == 0 || bg.n_target == 0 {
                 continue;
             }
-            let emb = Stage::Emb {
-                round,
-                batch: batch.index,
-            };
-            let embeddings = ckpt.load_or(emb, rec, |ckpt| {
+            let embeddings = {
                 let graph_span = rec.span_at(Level::Detail, "batch_graph");
                 let mut model = self.cfg.model.build(
                     &bg,
@@ -244,8 +231,8 @@ impl StructureChannel {
                 if let Some(&last) = report.losses.last() {
                     batch_span.field("final_loss", last);
                 }
-                Ok::<_, RunError>(report.embeddings)
-            })?;
+                report.embeddings
+            };
             {
                 let mut topk_span = rec.span_at(Level::Detail, "topk");
                 topk_span.field("batch", batch.index);
@@ -274,7 +261,6 @@ impl StructureChannel {
                 .merge_into(&mut m_s);
         }
         m_s.normalize_global_minmax();
-        ckpt.save(Stage::Ms { round }, &m_s, rec)?;
         train_span.finish();
         channel_span.finish();
         Ok(StructureChannelOutput { m_s, batches })

@@ -101,30 +101,6 @@ impl MiniBatches {
         }
     }
 
-    /// Rebuilds a `MiniBatches` from bare batches (e.g. deserialised from a
-    /// checkpoint), deriving the per-entity membership lists. `n_source` and
-    /// `n_target` are the entity counts of the two KGs. Membership lists
-    /// come out in ascending batch order — exactly what
-    /// [`MiniBatches::from_assignments`] and [`MiniBatches::overlapped`]
-    /// produce — so a serialise/deserialise round trip is `==`.
-    pub fn from_batches(batches: Vec<MiniBatch>, n_source: usize, n_target: usize) -> Self {
-        let mut source_membership = vec![Vec::new(); n_source];
-        let mut target_membership = vec![Vec::new(); n_target];
-        for b in &batches {
-            for &e in &b.source_entities {
-                source_membership[e.idx()].push(b.index as u32);
-            }
-            for &e in &b.target_entities {
-                target_membership[e.idx()].push(b.index as u32);
-            }
-        }
-        Self {
-            batches,
-            source_membership,
-            target_membership,
-        }
-    }
-
     /// Number of batches `K`.
     pub fn k(&self) -> usize {
         self.batches.len()
@@ -424,25 +400,6 @@ mod tests {
             .iter()
             .all(|(k, _)| !k.starts_with("partition.retention.")));
         assert_eq!(t.gauge("partition.edge_cut_rate"), Some(2.0 / 5.0));
-    }
-
-    #[test]
-    fn from_batches_reconstructs_memberships() {
-        let (pair, seeds, mb) = setup();
-        let rebuilt = MiniBatches::from_batches(
-            mb.batches.clone(),
-            pair.source.num_entities(),
-            pair.target.num_entities(),
-        );
-        assert_eq!(rebuilt, mb);
-        // overlapping batches round-trip too (multi-entry memberships)
-        let ov = mb.overlapped(&pair, &seeds, 2);
-        let rebuilt = MiniBatches::from_batches(
-            ov.batches.clone(),
-            pair.source.num_entities(),
-            pair.target.num_entities(),
-        );
-        assert_eq!(rebuilt, ov);
     }
 
     #[test]

@@ -102,4 +102,6 @@ echo "product lines: $(cat $product | wc -l) ($(wc -l < "$SMOKE/product.rs") out
 echo "pub items: $(grep -cE '^ *pub ' "$SMOKE/product.rs")"
 echo "cli flags: $flags"
 echo "env vars: $(grep -ohE 'LARGEEA_[A-Z0-9_]+' "$SMOKE/product.rs" | sort -u | wc -l)"
+# each failpoint costs the chaos sweep three faulted runs and their resumes
+echo "failpoints: $("$L" failpoints list | wc -l)"
 echo "verify: OK in $SECONDS s"

@@ -7,6 +7,7 @@
 //! manifest against a run configuration — that is `align --resume`'s job —
 //! so it works on checkpoints from any run.
 
+use crate::CliError;
 use largeea::common::json::Json;
 use largeea::core::checkpoint::{read_manifest, read_progress};
 use std::path::Path;
@@ -28,28 +29,30 @@ Every artifact (`MANIFEST.ckpt`, `<stage>.ckpt`, and the transient
 the byte-level layout, payload encodings, stage-key grammar and
 durability classes are documented in docs/ARTIFACT_FORMAT.md.";
 
-/// Entry point from `main` (args exclude the leading `ckpt`).
+/// Entry point from `main` (args exclude the leading `ckpt`): exit 2 for a
+/// malformed command line, 1 for a directory that does not read.
 pub fn cmd_ckpt(args: &[String]) -> ExitCode {
     match run(args) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}\n\n{CKPT_USAGE}");
-            ExitCode::FAILURE
+            ExitCode::from(e.code())
         }
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
-    match args {
+fn run(args: &[String]) -> Result<(), CliError> {
+    let usage = match args {
         [sub, help] if sub == "inspect" && (help == "--help" || help == "-h") => {
             outln!("{CKPT_USAGE}");
-            Ok(())
+            return Ok(());
         }
-        [sub, dir] if sub == "inspect" => inspect(Path::new(dir)),
-        [sub, ..] if sub == "inspect" => Err("inspect needs exactly one <dir> argument".into()),
-        [other, ..] => Err(format!("unknown ckpt subcommand {other:?}")),
-        [] => Err("ckpt needs a subcommand (inspect)".into()),
-    }
+        [sub, dir] if sub == "inspect" => return Ok(inspect(Path::new(dir))?),
+        [sub, ..] if sub == "inspect" => "inspect needs exactly one <dir> argument".into(),
+        [other, ..] => format!("unknown ckpt subcommand {other:?}"),
+        [] => "ckpt needs a subcommand (inspect)".into(),
+    };
+    Err(CliError::Usage(usage))
 }
 
 fn inspect(dir: &Path) -> Result<(), String> {

@@ -287,7 +287,7 @@ fn checkpointed_align_survives_crash_and_resumes_identically() {
         .unwrap();
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for needle in ["config_hash", "stages", "fused", "r0.partition"] {
+    for needle in ["config_hash", "stages", "name", ".sim"] {
         assert!(
             text.contains(needle),
             "inspect output missing {needle:?}: {text}"
@@ -478,6 +478,14 @@ fn exit_codes_follow_the_documented_taxonomy() {
             &["align", "--data", "@data", "--live-every", "2"],
             "--live-every",
         ),
+        // `ckpt` without its one subcommand and its one directory
+        (&["ckpt"], "ckpt needs a subcommand"),
+        (
+            &["ckpt", "frobnicate"],
+            "unknown ckpt subcommand \"frobnicate\"",
+        ),
+        (&["ckpt", "inspect"], "exactly one <dir>"),
+        (&["ckpt", "inspect", "a", "b"], "exactly one <dir>"),
     ] {
         let out = bin()
             .args(args.iter().map(|a| match *a {
@@ -495,6 +503,7 @@ fn exit_codes_follow_the_documented_taxonomy() {
     for args in [
         &["stats", "--data", "/nonexistent/largeea"][..],
         &["trace", "summarize", "/nonexistent/largeea.json"],
+        &["ckpt", "inspect", "/nonexistent/largeea"],
     ] {
         assert_eq!(
             bin().args(args).output().unwrap().status.code(),

@@ -10,16 +10,18 @@
 //! Failpoint state is process-global, so the whole matrix runs inside one
 //! `#[test]`.
 
-use largeea_common::failpoint;
-use largeea_common::obs::{ObsConfig, Recorder};
-use largeea_core::checkpoint::CkptError;
+use largeea_common::json::Json;
+use largeea_common::obs::{FieldValue, ObsConfig, Recorder, TraceSpan};
+use largeea_common::{failpoint, fsio};
+use largeea_core::checkpoint::{read_manifest, CkptError, MANIFEST_FILE};
 use largeea_core::pipeline::{ExecOptions, LargeEa, LargeEaConfig, RunError};
-use largeea_core::registered_failpoints;
 use largeea_core::structure_channel::StructureChannelConfig;
+use largeea_core::{registered_failpoints, Payload};
 use largeea_data::Preset;
 use largeea_kg::{AlignmentSeeds, KgPair};
 use largeea_models::{ModelKind, TrainConfig};
 use largeea_sim::SparseSimMatrix;
+use largeea_tensor::Matrix;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
@@ -75,6 +77,32 @@ fn run_in(
     Ok((report.sim, report.eval))
 }
 
+/// The stage keys `dir`'s manifest marks done.
+fn manifest_stages(dir: &Path) -> Vec<String> {
+    let manifest = read_manifest(dir).expect("readable manifest");
+    let stages = manifest
+        .get("stages")
+        .and_then(Json::as_arr)
+        .expect("stages");
+    stages
+        .iter()
+        .filter_map(Json::as_str)
+        .map(str::to_owned)
+        .collect()
+}
+
+/// The `stage` field of every `ckpt_load` span under `span`, in order.
+fn loaded_stages(span: &TraceSpan, out: &mut Vec<String>) {
+    if span.name == "ckpt_load" {
+        if let Some(FieldValue::Str(key)) = span.field("stage") {
+            out.push(key.clone());
+        }
+    }
+    for child in &span.children {
+        loaded_stages(child, out);
+    }
+}
+
 #[test]
 fn every_failpoint_crashes_then_resumes_bit_identically() {
     let (pair, seeds) = fixture();
@@ -109,17 +137,75 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     assert_eq!(plain.eval, base_eval, "checkpointing changed the metrics");
 
     // --- resuming a completed run loads everything ------------------------
+    // `M_n` and the per-batch blocks are what a run checkpoints; the
+    // partition, `M_s` and `M` are rebuilt from them
+    let blocks: Vec<String> = manifest_stages(&base_dir)
+        .into_iter()
+        .filter(|key| key.ends_with(".sim"))
+        .collect();
+    assert_eq!(blocks.len(), cfg().structure.k, "one block per batch");
     {
         let rec2 = Recorder::new(ObsConfig::default());
         let (sim, eval) = run_in(&base_dir, &pair, &seeds, true, &rec2).expect("warm resume");
         assert_eq!(sim, base_sim);
         assert_eq!(eval, base_eval);
-        // name + r0.partition + r0.ms (which short-circuits the per-batch
-        // stages) + fused
-        assert!(
-            rec2.trace().counter("ckpt.resume_skipped_stages") >= 4,
-            "a completed run should load, not recompute"
+        let t = rec2.trace();
+        assert_eq!(
+            t.counter("ckpt.resume_skipped_stages"),
+            1 + blocks.len() as u64,
+            "a completed run should load `name` and every block, not recompute"
         );
+        assert_eq!(t.span_count("epoch"), 0, "a warm resume trains nothing");
+    }
+
+    // --- a directory written before the retired stages were dropped -------
+    // Older writers also checkpointed the partition, each batch's
+    // embeddings, `M_s` and `M`. Their keys stay in the manifest, and a
+    // resume loads none of them: each retired artifact here holds a wrong
+    // value that would change the result if it were read.
+    {
+        let dir = ckpt_dir("retired_stages");
+        std::fs::create_dir_all(&dir).unwrap();
+        for entry in std::fs::read_dir(&base_dir).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+        }
+        let (n_s, n_t) = (pair.source.num_entities(), pair.target.num_entities());
+        let empty = SparseSimMatrix::new(n_s, n_t).encode().unwrap();
+        let mut retired = vec![
+            ("r0.partition".to_owned(), vec![0u8; 24]),
+            ("r0.ms".to_owned(), empty.clone()),
+            ("fused".to_owned(), empty),
+        ];
+        for b in 0..blocks.len() {
+            let zeros = Matrix::zeros(n_s + n_t, cfg().structure.train.dim);
+            retired.push((format!("r0.b{b}.emb"), zeros.encode().unwrap()));
+        }
+        let mut listed = String::new();
+        for (key, payload) in &retired {
+            fsio::write_framed(&dir.join(format!("{key}.ckpt")), payload, "test.none").unwrap();
+            listed.push_str(&format!("\"{key}\","));
+        }
+        let manifest = fsio::read_framed(&dir.join(MANIFEST_FILE)).unwrap();
+        let manifest = String::from_utf8(manifest).unwrap();
+        let old = manifest.replacen("\"stages\":[", &format!("\"stages\":[{listed}"), 1);
+        assert_ne!(old, manifest, "the retired keys are listed");
+        fsio::write_framed(&dir.join(MANIFEST_FILE), old.as_bytes(), "test.none").unwrap();
+
+        let rec = Recorder::new(ObsConfig::default());
+        let (sim, eval) = run_in(&dir, &pair, &seeds, true, &rec).expect("old directory");
+        assert_eq!(sim, base_sim, "an old directory resumed to a different M");
+        assert_eq!(eval, base_eval);
+        let t = rec.trace();
+        let mut loaded = Vec::new();
+        for span in &t.spans {
+            loaded_stages(span, &mut loaded);
+        }
+        let mut want = vec!["name".to_owned()];
+        want.extend(blocks.iter().cloned());
+        assert_eq!(loaded, want, "only `name` and the blocks are read");
+        assert_eq!(t.counter("ckpt.artifact_corrupt"), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     // --- the crash matrix: one scenario per registered failpoint ----------
@@ -128,14 +214,10 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     let scenarios: &[(&str, &str)] = &[
         ("ckpt.manifest", "ckpt.manifest=partial@2"),
         ("ckpt.name", "ckpt.name=partial"),
-        ("ckpt.partition", "ckpt.partition=partial"),
-        ("ckpt.emb", "ckpt.emb=partial@2"),
         ("ckpt.sim", "ckpt.sim=panic@2"),
-        ("ckpt.ms", "ckpt.ms=partial"),
-        ("ckpt.fused", "ckpt.fused=partial"),
         ("ckpt.progress", "ckpt.progress=panic"),
         // a second flavour for the error (non-panic) propagation path
-        ("ckpt.emb", "ckpt.emb=err"),
+        ("ckpt.sim", "ckpt.sim=err@2"),
     ];
     // every registered failpoint must have at least one scenario, and no
     // scenario may name an unregistered failpoint
@@ -187,17 +269,23 @@ fn every_failpoint_crashes_then_resumes_bit_identically() {
     // --- corrupting a done artifact forces a recompute, not a wrong load --
     {
         let rec = Recorder::new(ObsConfig::default());
-        // r0.ms is what a warm resume actually reads (it short-circuits the
-        // per-batch stages) — corrupting it forces the block-rebuild path
-        let ms = base_dir.join("r0.ms.ckpt");
-        let mut raw = std::fs::read(&ms).expect("baseline wrote r0.ms");
+        // a block a warm resume would otherwise load: flipping one of its
+        // bytes makes that batch train again
+        let block = base_dir.join(format!("{}.ckpt", blocks[0]));
+        let mut raw = std::fs::read(&block).expect("baseline wrote the block");
         let mid = raw.len() / 2;
         raw[mid] ^= 0xFF;
-        std::fs::write(&ms, &raw).unwrap();
+        std::fs::write(&block, &raw).unwrap();
         let (sim, eval) = run_in(&base_dir, &pair, &seeds, true, &rec).expect("resume");
         assert_eq!(sim, base_sim, "corrupt artifact leaked into the result");
         assert_eq!(eval, base_eval);
-        assert!(rec.trace().counter("ckpt.artifact_corrupt") >= 1);
+        let t = rec.trace();
+        assert_eq!(t.counter("ckpt.artifact_corrupt"), 1);
+        assert_eq!(
+            t.counter("ckpt.resume_skipped_stages"),
+            blocks.len() as u64,
+            "`name` and the intact blocks still load"
+        );
     }
 
     // --- a mismatched run is refused with a typed error --------------------
